@@ -42,7 +42,6 @@ fn grown_store(
         snapshot_every: u64::MAX, // manual snapshots only
         segment_max_bytes: usize::MAX,
         sync_every_record: false,
-        group_commit: false,
     };
     let (mut store, _) = ReplicaStore::<KvStore, _>::open(disk, 1, cfg).unwrap();
     // the baseline trails the head by `window` commits: fold each op in
@@ -121,7 +120,6 @@ fn bench_recovery_forms(c: &mut Criterion) {
                     snapshot_every: u64::MAX,
                     segment_max_bytes: usize::MAX,
                     sync_every_record: false,
-                    group_commit: false,
                 };
                 b.iter(|| {
                     let (s, recovered) =

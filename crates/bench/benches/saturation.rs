@@ -4,12 +4,14 @@
 //! replicas, weak-only and mixed weak/strong workloads, compaction on
 //! and off.
 //!
-//! Every configuration is measured twice: `batched` (delivery batching,
-//! step-end frame coalescing, delayed cumulative acks and WAL group
-//! commit — the defaults) and `unbatched` (the per-request / per-frame /
-//! per-record baseline of the pre-batching code paths, still selectable
-//! through the config knobs). Two numbers are reported per
-//! configuration:
+//! Every configuration runs the one commit pipeline (delivery batching,
+//! step-end frame coalescing, delayed cumulative acks, WAL group commit)
+//! twice: with cross-step flush deferral on (`+defer`, the default) and
+//! off (frames flush at every step end). The per-request / per-frame /
+//! per-record arms PR 5 measured against are gone; their numbers stay
+//! archived in `BENCH_PR5.json`. Row labels keep the `batched/` prefix
+//! so rows stay comparable with `BENCH_PR6.json`. Two numbers are
+//! reported per configuration:
 //!
 //! * **wall-clock ops/sec** (the criterion timing): how fast the host
 //!   pushes the whole simulated run, a proxy for total protocol work;
@@ -18,23 +20,15 @@
 //!   committed the full workload, with a realistic 100 µs fsync charged
 //!   to the simulated clock — the throughput of the modeled hardware,
 //!   and the deterministic headline number (the simulator is a pure
-//!   function of the config). This is where group commit shows up: the
-//!   unbatched baseline pays ~3× the fsyncs per op, on the critical
-//!   path.
+//!   function of the config).
 //!
 //! messages/op and fsyncs/op from `bayou_sim::Metrics` land in the JSON
-//! report alongside, plus the batched-vs-unbatched speedup at the
-//! 10³-ops / 3-replica acceptance point. Archived as `BENCH_PR5.json`.
-//!
-//! Since the zero-copy wire path (PR 6), every *batched* configuration
-//! is additionally measured with cross-step flush deferral on (`+defer`,
-//! the new default) and off (the PR-5 pipeline), and two more rows land
-//! in the JSON report per configuration: **allocations/op** (counting
-//! global allocator over the whole instrumented run — where the pooled
-//! encode buffers and borrowing decodes show up) and **WAL encoded
-//! bytes/op** (bytes the pooled `frame_into` encoder actually appended,
-//! from `DiskStats`). The acceptance point compares deferral on/off at
-//! 10³ ops / 3 replicas. Archived as `BENCH_PR6.json`.
+//! report alongside, with **allocations/op** (counting global allocator
+//! over the whole instrumented run — where the pooled encode buffers
+//! and borrowing decodes show up), **WAL encoded bytes/op** (bytes the
+//! pooled `frame_into` encoder actually appended, from `DiskStats`) and
+//! wire bytes/op. The acceptance point compares deferral on/off at 10³
+//! ops / 3 replicas. Archived as `BENCH_PR6.json`.
 //!
 //! `SATURATION_SMOKE=1` shrinks the grid to a seconds-long CI smoke run.
 
@@ -91,17 +85,14 @@ struct Config {
     /// Every `strong_every`-th op is strong (0 = weak-only).
     strong_every: usize,
     compaction: bool,
-    /// The batched pipeline vs the per-request baseline.
-    batched: bool,
-    /// Cross-step flush deferral (only meaningful when `batched`).
+    /// Cross-step flush deferral.
     deferral: bool,
 }
 
 impl Config {
     fn label(&self) -> String {
         format!(
-            "{}/n{}/ops{}/{}{}{}",
-            if self.batched { "batched" } else { "unbatched" },
+            "batched/n{}/ops{}/{}{}{}",
             self.n,
             self.ops,
             if self.strong_every > 0 {
@@ -125,8 +116,6 @@ fn build_cluster(cfg: Config) -> (BayouCluster<KvStore>, Vec<MemDisk>) {
     let n = cfg.n;
     let store_cfg = StoreConfig {
         snapshot_every: 256,
-        // the unbatched baseline pays the pre-batching per-record sync
-        group_commit: cfg.batched,
         ..StoreConfig::default()
     };
     let base = ClusterConfig::new(cfg.n, 42);
@@ -141,8 +130,6 @@ fn build_cluster(cfg: Config) -> (BayouCluster<KvStore>, Vec<MemDisk>) {
             store_cfg,
         );
         r.set_compaction(cfg.compaction);
-        r.set_delivery_batching(cfg.batched);
-        r.set_link_coalescing(cfg.batched);
         r.set_flush_deferral(cfg.deferral.then_some(bayou_core::DEFAULT_FLUSH_DELAY));
         r.meter_wire_bytes();
         r
@@ -160,7 +147,7 @@ fn schedule_ops(cluster: &mut BayouCluster<KvStore>, cfg: Config) {
         // open-loop far past the saturation point (a handler costs 10 µs
         // of simulated CPU, and one op is many handler steps): the
         // cluster falls behind and works through a deep backlog — the
-        // regime the batched pipeline exists for
+        // regime the commit pipeline is built for
         cluster.invoke_at(
             VirtualTime::from_micros(2 * k as u64 + 1),
             ReplicaId::new((k % cfg.n) as u32),
@@ -248,29 +235,25 @@ fn grid() -> Vec<Config> {
         ops: 1_000,
         strong_every: 0,
         compaction: false,
-        batched: true,
         deferral: false,
     };
     if smoke() {
-        // deferral-on (the default), deferral-off and unbatched
-        return [(true, true), (true, false), (false, false)]
+        // deferral on (the default) and off
+        return [true, false]
             .into_iter()
-            .map(|(batched, deferral)| Config {
+            .map(|deferral| Config {
                 ops: 100,
-                batched,
                 deferral,
                 ..base
             })
             .collect();
     }
     let mut grid = Vec::new();
-    // batched with deferral on (the default), batched with deferral off
-    // (the PR-5 pipeline), and the per-request unbatched baseline
-    for (batched, deferral) in [(true, true), (true, false), (false, false)] {
+    // deferral on (the default) and off (flush at every step end)
+    for deferral in [true, false] {
         for ops in [100usize, 1_000, 10_000] {
             grid.push(Config {
                 ops,
-                batched,
                 deferral,
                 ..base
             });
@@ -279,19 +262,16 @@ fn grid() -> Vec<Config> {
         // at the 10³ point
         grid.push(Config {
             n: 5,
-            batched,
             deferral,
             ..base
         });
         grid.push(Config {
             strong_every: 8,
-            batched,
             deferral,
             ..base
         });
         grid.push(Config {
             compaction: true,
-            batched,
             deferral,
             ..base
         });
@@ -324,47 +304,16 @@ fn bench_saturation(c: &mut Criterion) {
     }
     g.finish();
 
-    // the acceptance point: batched vs unbatched simulated throughput at
-    // 10³ ops / 3 replicas (deterministic — the simulator is a pure
-    // function of the configuration)
-    let point = |batched| Config {
+    // the acceptance point: flush deferral on vs off at 10³ ops / 3
+    // replicas (deterministic — the simulator is a pure function of the
+    // configuration). Deferral on must land at ≤ 2.0 messages/op against
+    // the flush-every-step floor of ~4.
+    let defer_point = |deferral| Config {
         n: 3,
         ops: if smoke() { 100 } else { 1_000 },
         strong_every: 0,
         compaction: false,
-        batched,
-        deferral: false,
-    };
-    let b = measure(point(true));
-    let u = measure(point(false));
-    record_metric(
-        "saturation_speedup",
-        if smoke() {
-            "n3/ops100/weak"
-        } else {
-            "n3/ops1000/weak"
-        },
-        &[
-            (
-                "batched_sim_ops_per_sec",
-                point(true).ops as f64 / b.commit_secs,
-            ),
-            (
-                "unbatched_sim_ops_per_sec",
-                point(false).ops as f64 / u.commit_secs,
-            ),
-            ("speedup", u.commit_secs / b.commit_secs),
-            ("messages_per_op_ratio", u.msgs_per_op / b.msgs_per_op),
-            ("fsyncs_per_op_ratio", u.fsyncs_per_op / b.fsyncs_per_op),
-        ],
-    );
-
-    // the PR-6 acceptance point: flush deferral on vs off at the same
-    // 10³ ops / 3 replicas (both on the batched pipeline). Deferral on
-    // must land at ≤ 2.0 messages/op against the PR-5 floor of ~4.
-    let defer_point = |deferral| Config {
         deferral,
-        ..point(true)
     };
     let on = measure(defer_point(true));
     let off = measure(defer_point(false));

@@ -40,13 +40,15 @@ fn bench_wal_append(c: &mut Criterion) {
                 snapshot_every: u64::MAX,
                 segment_max_bytes: usize::MAX,
                 sync_every_record: sync,
-                group_commit: false, // measure the raw per-record cost
             };
             let (mut store, _) = ReplicaStore::<KvStore, _>::open(MemDisk::new(), 3, cfg).unwrap();
             let mut i = 0u64;
             b.iter(|| {
                 let req = shared(i, KvOp::put("key", i as i64));
                 store.log_invoke(&req, i).unwrap();
+                // a step barrier per record: the raw per-record cost
+                // (a no-op when the record demanded no sync)
+                store.sync_step().unwrap();
                 i += 1;
             });
         });
@@ -58,7 +60,6 @@ fn bench_wal_append(c: &mut Criterion) {
             snapshot_every: u64::MAX,
             segment_max_bytes: usize::MAX,
             sync_every_record: false,
-            group_commit: false,
         };
         let backend = FileStorage::open(&dir).unwrap();
         let (mut store, _) = ReplicaStore::<KvStore, _>::open(backend, 3, cfg).unwrap();
@@ -82,7 +83,6 @@ fn bench_snapshot_write(c: &mut Criterion) {
                 snapshot_every: u64::MAX, // manual snapshots only
                 segment_max_bytes: usize::MAX,
                 sync_every_record: false,
-                group_commit: false,
             };
             let (mut store, _) = ReplicaStore::<KvStore, _>::open(MemDisk::new(), 3, cfg).unwrap();
             for k in 0..keys {
@@ -106,7 +106,6 @@ fn bench_recovery(c: &mut Criterion) {
             snapshot_every,
             segment_max_bytes: usize::MAX,
             sync_every_record: false,
-            group_commit: false,
         };
         let disk = MemDisk::new();
         {

@@ -1,8 +1,8 @@
 //! Context adapter that re-wraps message types between protocol layers.
 
-use bayou_types::{Context, ReplicaId, TimerId, Timestamp, VirtualTime};
+use bayou_types::{Context, ReplicaId, TimerId, Timestamp, VirtualTime, Wire};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Adapts a [`Context`] over an outer (composed) message type into a
 /// [`Context`] over an inner (layer-local) message type, by wrapping every
@@ -83,7 +83,7 @@ impl<I, O> Context<I> for MapCtx<'_, I, O> {
 }
 
 /// Accounts the encoded size of every frame leaving a
-/// [`StepCoalescer`] (attach with [`StepCoalescer::with_meter`]).
+/// [`StepCoalescer`] (attach at [`StepDeferral::open`]).
 ///
 /// `measure` computes a frame's serialized size under the owner's wire
 /// codec; the byte counter is shared (the owner keeps a clone of the
@@ -122,6 +122,21 @@ impl<M> FrameMeter<M> {
         }
     }
 
+    /// A meter measuring each frame under its real [`Wire`] codec
+    /// (encoded into a reused scratch buffer, counted, discarded).
+    pub fn wire() -> Self
+    where
+        M: Wire,
+    {
+        let scratch = Mutex::new(Vec::<u8>::new());
+        Self::new(Arc::new(move |m: &M| {
+            let mut buf = scratch.lock().unwrap_or_else(|e| e.into_inner());
+            buf.clear();
+            m.encode(&mut buf);
+            buf.len() as u64
+        }))
+    }
+
     /// Accounts one outgoing frame.
     pub fn record(&self, msg: &M) {
         self.bytes.fetch_add((self.measure)(msg), Ordering::Relaxed);
@@ -148,29 +163,27 @@ impl<M> FrameMeter<M> {
 /// handler step and one WAL sync at the receiver.
 ///
 /// Single-message buffers are sent unwrapped, so an idle cluster's
-/// traffic is byte-for-byte what it was without the coalescer. Created
-/// with `on = false` the coalescer is a transparent pass-through (the
-/// unbatched baseline).
+/// traffic is byte-for-byte what it would be without the coalescer.
 ///
-/// The buffer backing store is handed in by the owner and returned by
-/// [`StepCoalescer::finish`], so steady-state steps reuse capacity
+/// Opened and closed through [`StepDeferral`], which owns the buffer
+/// backing store between steps — steady-state steps reuse capacity
 /// instead of allocating per step.
 pub struct StepCoalescer<'a, M> {
     outer: &'a mut dyn Context<M>,
     wrap: fn(Vec<M>) -> M,
     store: StepBuffers<M>,
-    on: bool,
     meter: Option<FrameMeter<M>>,
 }
 
 /// The reusable backing store of a [`StepCoalescer`]: per-destination
 /// buffers plus the first-send destination order, round-tripped through
-/// [`StepCoalescer::finish`] so steady-state steps allocate nothing.
+/// every step so steady-state steps allocate nothing.
 #[derive(Debug)]
-pub struct StepBuffers<M> {
+struct StepBuffers<M> {
     /// Per-destination buffers (indexed by replica).
     bufs: Vec<Vec<M>>,
-    /// First-send order of destinations (deterministic flush order).
+    /// First-send order of destinations (deterministic flush order);
+    /// empty exactly when no destination holds a buffered message.
     order: Vec<ReplicaId>,
 }
 
@@ -183,17 +196,6 @@ impl<M> Default for StepBuffers<M> {
     }
 }
 
-impl<M> StepBuffers<M> {
-    /// True when no destination holds a buffered message.
-    ///
-    /// With cross-step flush deferral the owner parks non-empty buffers
-    /// between steps; this is the signal that a flush deadline must be
-    /// armed.
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
-}
-
 impl<'a, M> StepCoalescer<'a, M> {
     /// Wraps `outer` for one handler step. `wrap` builds the frame
     /// message from a multi-message buffer; `store` is the reusable
@@ -201,10 +203,13 @@ impl<'a, M> StepCoalescer<'a, M> {
     /// flush, or still holding *parked* frames when the owner deferred
     /// the previous step's flush (cross-step coalescing), in which case
     /// this step's sends append after them in the same per-peer order.
-    pub fn new(
+    /// With a wire-bytes `meter`, every frame this coalescer hands to
+    /// the underlying context (out-of-range pass-through sends included)
+    /// is measured first; `None` costs nothing.
+    fn new(
         outer: &'a mut dyn Context<M>,
         wrap: fn(Vec<M>) -> M,
-        on: bool,
+        meter: Option<FrameMeter<M>>,
         mut store: StepBuffers<M>,
     ) -> Self {
         let n = outer.cluster_size();
@@ -213,41 +218,18 @@ impl<'a, M> StepCoalescer<'a, M> {
             outer,
             wrap,
             store,
-            on,
-            meter: None,
+            meter,
         }
-    }
-
-    /// Attaches a wire-bytes meter: every frame this coalescer hands to
-    /// the underlying context (pass-through sends included) is measured
-    /// first. `None` detaches (builder style, zero cost when unused).
-    pub fn with_meter(mut self, meter: Option<FrameMeter<M>>) -> Self {
-        self.meter = meter;
-        self
-    }
-
-    /// True when at least one destination has a buffered message.
-    pub fn has_frames(&self) -> bool {
-        !self.store.is_empty()
-    }
-
-    /// Ends the step *without* flushing: returns the backing store with
-    /// its buffered frames intact, to be handed to the next step's
-    /// coalescer (or flushed later by [`StepCoalescer::finish`] on a
-    /// deadline). Nothing is sent.
-    pub fn park(self) -> StepBuffers<M> {
-        self.store
     }
 
     /// Flushes every destination's buffer (in first-send order) as one
     /// frame each and returns the emptied backing store for reuse.
-    pub fn finish(self) -> StepBuffers<M> {
+    fn finish(self) -> StepBuffers<M> {
         let StepCoalescer {
             outer,
             wrap,
             mut store,
             meter,
-            ..
         } = self;
         for to in store.order.drain(..) {
             let buf = &mut store.bufs[to.index()];
@@ -285,7 +267,7 @@ impl<M> Context<M> for StepCoalescer<'_, M> {
     }
 
     fn send(&mut self, to: ReplicaId, msg: M) {
-        if !self.on || to.index() >= self.store.bufs.len() {
+        if to.index() >= self.store.bufs.len() {
             if let Some(m) = &self.meter {
                 m.record(&msg);
             }
@@ -315,6 +297,124 @@ impl<M> Context<M> for StepCoalescer<'_, M> {
     }
 }
 
+/// The cross-step *flush-deferral* state machine: owns a step
+/// coalescer's per-peer buffers between handler steps and decides, at
+/// each step end, whether the step's frames leave now or stay *parked*
+/// so the next step's sends can share them.
+///
+/// With a budget, the first park fixes a deadline one budget ahead and
+/// arms a flush timer; subsequent steps keep appending until a step
+/// closes at-or-past the deadline ([`StepDeferral::close`]) or the timer
+/// fires with the owner idle ([`StepDeferral::flush`]), at which point
+/// everything parked flushes as one set of per-peer frames. Parking
+/// sends nothing: the coalescer's buffers simply come back here intact.
+/// Without a budget (`None`) every step flushes at its end. Either way a
+/// frame waits here at most one budget, and never wedges.
+///
+/// The owner — a single replica, or a multi-group host parking for all
+/// of its groups — keeps its write-ahead contract by settling the
+/// step's storage sync *before* calling `close`/`flush`: nothing leaves
+/// the process from anywhere else.
+#[derive(Debug)]
+pub struct StepDeferral<M> {
+    /// The coalescer's reusable backing store; carries parked frames
+    /// across steps until their deadline.
+    frames: StepBuffers<M>,
+    /// How long frames may stay parked; `None` flushes every step.
+    budget: Option<VirtualTime>,
+    /// Deadline of the currently parked frames (set at first park).
+    defer_deadline: Option<VirtualTime>,
+    /// The timer guaranteeing parked frames flush even if the owner goes
+    /// idle (no further steps before the deadline).
+    defer_timer: Option<TimerId>,
+}
+
+impl<M> StepDeferral<M> {
+    /// Creates the state machine with the given budget and nothing
+    /// parked.
+    pub fn new(budget: Option<VirtualTime>) -> Self {
+        StepDeferral {
+            frames: StepBuffers::default(),
+            budget,
+            defer_deadline: None,
+            defer_timer: None,
+        }
+    }
+
+    /// The flush-deferral budget, if any.
+    pub fn budget(&self) -> Option<VirtualTime> {
+        self.budget
+    }
+
+    /// Sets (or clears) the flush-deferral budget.
+    pub fn set_budget(&mut self, budget: Option<VirtualTime>) {
+        self.budget = budget;
+    }
+
+    /// Opens the step coalescer over `ctx` for one handler step, handing
+    /// it the buffers (and whatever is parked in them) and the owner's
+    /// wire-bytes meter, if any. The step must end in exactly one of
+    /// [`StepDeferral::close`], [`StepDeferral::flush`] or
+    /// [`StepDeferral::put_back`].
+    pub fn open<'a>(
+        &mut self,
+        ctx: &'a mut dyn Context<M>,
+        wrap: fn(Vec<M>) -> M,
+        meter: Option<FrameMeter<M>>,
+    ) -> StepCoalescer<'a, M> {
+        StepCoalescer::new(ctx, wrap, meter, std::mem::take(&mut self.frames))
+    }
+
+    /// Closes a step that did work: flushes the step's frames, or parks
+    /// them until the deadline (arming the flush timer on first park).
+    pub fn close(&mut self, mut cctx: StepCoalescer<'_, M>) {
+        let Some(budget) = self.budget else {
+            self.frames = cctx.finish();
+            return;
+        };
+        if cctx.store.order.is_empty() {
+            self.defer_deadline = None;
+            self.frames = cctx.store;
+            return;
+        }
+        let now = cctx.now();
+        let deadline = *self.defer_deadline.get_or_insert(now + budget);
+        if now >= deadline {
+            self.defer_deadline = None;
+            self.defer_timer = None;
+            self.frames = cctx.finish();
+        } else {
+            if self.defer_timer.is_none() {
+                self.defer_timer = Some(cctx.set_timer(deadline - now));
+            }
+            self.frames = cctx.store;
+        }
+    }
+
+    /// Whether `timer` is the armed deferred-flush timer. Its fire must
+    /// end in [`StepDeferral::flush`], not `close` — which would re-park
+    /// the frames with a fresh deadline and defer forever.
+    pub fn owns_timer(&self, timer: TimerId) -> bool {
+        self.defer_timer == Some(timer)
+    }
+
+    /// The deferred-flush timer fired with the owner idle: flushes
+    /// everything parked, unconditionally.
+    pub fn flush(&mut self, cctx: StepCoalescer<'_, M>) {
+        self.defer_timer = None;
+        self.defer_deadline = None;
+        self.frames = cctx.finish();
+    }
+
+    /// Ends a *passive* step (a poll that found nothing to do): puts the
+    /// buffers back untouched. The runtime refunds such a step and
+    /// discards anything it buffered, so flushing parked frames or
+    /// arming the timer here would lose them forever.
+    pub fn put_back(&mut self, cctx: StepCoalescer<'_, M>) {
+        self.frames = cctx.store;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,6 +424,10 @@ mod tests {
         sent: Vec<(ReplicaId, String)>,
         clock: i64,
         timers: u64,
+        /// Delay of every armed timer, in arming order.
+        armed: Vec<VirtualTime>,
+        /// Offset added to the fixed 8 ms `now`.
+        elapsed: VirtualTime,
     }
 
     impl Context<String> for Collect {
@@ -334,7 +438,7 @@ mod tests {
             5
         }
         fn now(&self) -> VirtualTime {
-            VirtualTime::from_millis(8)
+            VirtualTime::from_millis(8) + self.elapsed
         }
         fn clock(&mut self) -> Timestamp {
             self.clock += 1;
@@ -343,8 +447,9 @@ mod tests {
         fn send(&mut self, to: ReplicaId, msg: String) {
             self.sent.push((to, msg));
         }
-        fn set_timer(&mut self, _d: VirtualTime) -> TimerId {
+        fn set_timer(&mut self, d: VirtualTime) -> TimerId {
             self.timers += 1;
+            self.armed.push(d);
             TimerId::new(self.timers)
         }
         fn random(&mut self) -> u64 {
@@ -383,5 +488,58 @@ mod tests {
             inner.send(ReplicaId::new(2), true);
         }
         assert_eq!(outer.sent, vec![(ReplicaId::new(2), "L1:1".to_string())]);
+    }
+
+    #[test]
+    fn deferral_parks_to_the_deadline_and_flushes_on_the_idle_timer() {
+        fn join(msgs: Vec<String>) -> String {
+            msgs.join("+")
+        }
+        // one step sending `msg` to replica 1, closed through `d`
+        fn step(d: &mut StepDeferral<String>, outer: &mut Collect, msg: &str) {
+            let mut cctx = d.open(outer, join, None);
+            cctx.send(ReplicaId::new(1), msg.to_string());
+            d.close(cctx);
+        }
+        let us = VirtualTime::from_micros;
+        let sent_to_1 = |frame: &str| (ReplicaId::new(1), frame.to_string());
+        let mut outer = Collect::default();
+        let mut d = StepDeferral::new(Some(us(40)));
+
+        // park -> deadline flush: the first park arms the timer once,
+        // later steps inside the budget append, and the step that closes
+        // at the deadline flushes everything as one frame
+        step(&mut d, &mut outer, "a");
+        outer.elapsed = us(10);
+        step(&mut d, &mut outer, "b");
+        assert!(outer.sent.is_empty(), "inside the budget: parked");
+        assert_eq!(outer.armed, vec![us(40)]);
+        outer.elapsed = us(40);
+        step(&mut d, &mut outer, "c");
+        assert_eq!(outer.sent, vec![sent_to_1("a+b+c")]);
+
+        // a passive poll far past the next deadline puts the buffers back
+        // untouched: nothing flushes, nothing is armed
+        step(&mut d, &mut outer, "d");
+        assert_eq!(outer.armed, vec![us(40), us(40)], "fresh park, fresh timer");
+        let timer = TimerId::new(outer.timers);
+        outer.elapsed = VirtualTime::from_millis(1);
+        let cctx = d.open(&mut outer, join, None);
+        d.put_back(cctx);
+        assert_eq!((outer.sent.len(), outer.armed.len()), (1, 2));
+
+        // idle -> timer flush: the owner went idle, the timer fires
+        assert!(d.owns_timer(timer) && !d.owns_timer(TimerId::new(99)));
+        let cctx = d.open(&mut outer, join, None);
+        d.flush(cctx);
+        assert_eq!(outer.sent[1..], [sent_to_1("d")]);
+        assert!(!d.owns_timer(timer), "the fired timer is forgotten");
+
+        // without a budget every step flushes at its end
+        d.set_budget(None);
+        step(&mut d, &mut outer, "e");
+        step(&mut d, &mut outer, "f");
+        assert_eq!(outer.sent[2..], [sent_to_1("e"), sent_to_1("f")]);
+        assert_eq!(outer.armed.len(), 2);
     }
 }

@@ -22,9 +22,9 @@ pub enum LinkMsg<M> {
     /// below `upto` plus the (reorder-induced) sparse set above it — the
     /// receiver's complete delivered state, so one ack frame retires an
     /// arbitrary backlog and a lost ack is fully covered by the next.
-    /// With coalescing, acks are *delayed*: batched per peer on a short
-    /// ack tick (or riding a same-step data frame) instead of one ack
-    /// per received frame.
+    /// Acks are *delayed*: batched per peer on a short ack tick (or
+    /// riding a same-step data frame) instead of one ack per received
+    /// frame.
     Ack {
         /// Frame sequence numbers `< upto` are all delivered.
         upto: u64,
@@ -96,10 +96,8 @@ impl PeerIn {
 /// step produces for one peer — an eager-relay fan-out of a multi-payload
 /// frame, a retransmission backlog draining after a partition heal —
 /// travels as a single frame with a single ack and a single retransmit
-/// slot, cutting the cluster's messages/op and ack chatter. Coalescing
-/// can be disabled ([`PerfectLink::set_coalescing`]) to recover the
-/// historical one-frame-per-payload behaviour (the unbatched baseline
-/// measured by the `saturation` bench).
+/// slot, cutting the cluster's messages/op and ack chatter.
+///
 /// # Cross-step flush deferral
 ///
 /// With a flush delay set ([`PerfectLink::set_flush_deferral`]),
@@ -118,7 +116,6 @@ pub struct PerfectLink<M> {
     armed: Option<TimerId>,
     period: VirtualTime,
     burst: usize,
-    coalesce: bool,
     /// The delayed-ack tick (armed only while acks are owed).
     ack_armed: Option<TimerId>,
     /// Cross-step flush deferral budget; `None` flushes at step end.
@@ -150,7 +147,6 @@ impl<M: Clone> PerfectLink<M> {
             armed: None,
             period,
             burst: Self::RETRANSMIT_BURST,
-            coalesce: true,
             ack_armed: None,
             flush_delay: None,
             flush_armed: None,
@@ -162,24 +158,15 @@ impl<M: Clone> PerfectLink<M> {
         Self::new(n, VirtualTime::from_millis(100))
     }
 
-    /// Enables (or disables) frame coalescing. With coalescing off every
-    /// [`PerfectLink::send`] flushes immediately as a one-payload frame —
-    /// the pre-batching behaviour, kept as the measurable baseline.
-    pub fn set_coalescing(&mut self, on: bool) {
-        self.coalesce = on;
-    }
-
-    /// Sets (or clears) the cross-step flush deferral budget. Only
-    /// effective while coalescing is on; `None` restores flush-at-step-end
-    /// behaviour.
+    /// Sets (or clears) the cross-step flush deferral budget; `None`
+    /// flushes at step end.
     pub fn set_flush_deferral(&mut self, delay: Option<VirtualTime>) {
         self.flush_delay = delay;
     }
 
     /// Buffers `payload` for `to`; it leaves in the next flushed frame
     /// and is retransmitted until that frame is acknowledged. Owners
-    /// must call [`PerfectLink::flush`] before their handler step ends
-    /// (with coalescing disabled the flush happens here).
+    /// must call [`PerfectLink::flush`] before their handler step ends.
     ///
     /// # Panics
     ///
@@ -188,21 +175,14 @@ impl<M: Clone> PerfectLink<M> {
     pub fn send(&mut self, to: ReplicaId, payload: M, ctx: &mut dyn Context<LinkMsg<M>>) {
         assert_ne!(to, ctx.id(), "perfect links do not loop back to self");
         self.out[to.index()].outbox.push(payload);
-        if self.coalesce {
-            // arm the retransmit timer now: even if the owner forgot to
-            // flush, the timer's safety-net flush drains the outbox one
-            // period late instead of stranding the payload forever
-            self.ensure_timer(ctx);
-        } else {
-            self.flush_peer(to, ctx);
-        }
+        // arm the retransmit timer now: even if the owner forgot to
+        // flush, the timer's safety-net flush drains the outbox one
+        // period late instead of stranding the payload forever
+        self.ensure_timer(ctx);
     }
 
     /// Buffers `payload` for every replica except self.
-    pub fn send_all(&mut self, payload: M, ctx: &mut dyn Context<LinkMsg<M>>)
-    where
-        M: Clone,
-    {
+    pub fn send_all(&mut self, payload: M, ctx: &mut dyn Context<LinkMsg<M>>) {
         let me = ctx.id();
         for to in ReplicaId::all(ctx.cluster_size()) {
             if to != me {
@@ -215,19 +195,17 @@ impl<M: Clone> PerfectLink<M> {
     /// [`LinkMsg::Data`] each. Owners call this exactly once at the end
     /// of any handler step that may have buffered sends.
     ///
-    /// With a flush-deferral budget set (and coalescing on) this instead
-    /// arms the deferred-flush timer and returns: the outboxes keep
+    /// With a flush-deferral budget set this instead arms the
+    /// deferred-flush timer and returns: the outboxes keep
     /// accumulating across steps until the timer fires (at most one
     /// budget after the first deferred flush) or a retransmit tick
     /// force-flushes them.
     pub fn flush(&mut self, ctx: &mut dyn Context<LinkMsg<M>>) {
-        if self.coalesce {
-            if let Some(delay) = self.flush_delay {
-                if self.out.iter().any(|p| !p.outbox.is_empty()) && self.flush_armed.is_none() {
-                    self.flush_armed = Some(ctx.set_timer(delay));
-                }
-                return;
+        if let Some(delay) = self.flush_delay {
+            if self.out.iter().any(|p| !p.outbox.is_empty()) && self.flush_armed.is_none() {
+                self.flush_armed = Some(ctx.set_timer(delay));
             }
+            return;
         }
         self.flush_now(ctx);
     }
@@ -237,28 +215,23 @@ impl<M: Clone> PerfectLink<M> {
     pub fn flush_now(&mut self, ctx: &mut dyn Context<LinkMsg<M>>) {
         self.flush_armed = None;
         for idx in 0..self.out.len() {
-            if !self.out[idx].outbox.is_empty() {
-                self.flush_peer(ReplicaId::new(idx as u32), ctx);
+            let peer = &mut self.out[idx];
+            if peer.outbox.is_empty() {
+                continue;
             }
+            let to = ReplicaId::new(idx as u32);
+            let seq = peer.next_seq;
+            peer.next_seq += 1;
+            let payloads = std::mem::take(&mut peer.outbox);
+            peer.unacked.insert(seq, payloads.clone());
+            ctx.send(to, LinkMsg::Data { seq, payloads });
+            if self.inc[idx].ack_owed {
+                // an owed ack rides along with the data frame (the two
+                // coalesce into one wire message at the step frame)
+                self.send_ack(to, ctx);
+            }
+            self.ensure_timer(ctx);
         }
-    }
-
-    fn flush_peer(&mut self, to: ReplicaId, ctx: &mut dyn Context<LinkMsg<M>>) {
-        let peer = &mut self.out[to.index()];
-        if peer.outbox.is_empty() {
-            return;
-        }
-        let seq = peer.next_seq;
-        peer.next_seq += 1;
-        let payloads = std::mem::take(&mut peer.outbox);
-        peer.unacked.insert(seq, payloads.clone());
-        ctx.send(to, LinkMsg::Data { seq, payloads });
-        if self.coalesce && self.inc[to.index()].ack_owed {
-            // an owed ack rides along with the data frame (the two
-            // coalesce into one wire message at the step frame)
-            self.send_ack(to, ctx);
-        }
-        self.ensure_timer(ctx);
     }
 
     /// Handles a link-layer message, returning newly delivered payloads.
@@ -271,14 +244,10 @@ impl<M: Clone> PerfectLink<M> {
         match msg {
             LinkMsg::Data { seq, payloads } => {
                 let delivered = self.inc[from.index()].is_new(seq);
-                if self.coalesce {
-                    // delayed cumulative ack: batched on the ack tick
-                    // (or riding a same-step data frame at the flush)
-                    self.inc[from.index()].ack_owed = true;
-                    self.ensure_ack_timer(ctx);
-                } else {
-                    self.send_ack(from, ctx);
-                }
+                // delayed cumulative ack: batched on the ack tick (or
+                // riding a same-step data frame at the flush)
+                self.inc[from.index()].ack_owed = true;
+                self.ensure_ack_timer(ctx);
                 if delivered {
                     payloads
                 } else {
@@ -442,6 +411,51 @@ mod tests {
         VirtualTime::from_millis(v)
     }
 
+    /// A recording context for tests that drive a link directly.
+    #[derive(Debug)]
+    struct Collect {
+        id: ReplicaId,
+        n: usize,
+        sent: Vec<(ReplicaId, LinkMsg<u64>)>,
+    }
+
+    impl Collect {
+        fn new(id: u32, n: usize) -> Self {
+            Collect {
+                id: ReplicaId::new(id),
+                n,
+                sent: Vec::new(),
+            }
+        }
+    }
+
+    impl Context<LinkMsg<u64>> for Collect {
+        fn id(&self) -> ReplicaId {
+            self.id
+        }
+        fn cluster_size(&self) -> usize {
+            self.n
+        }
+        fn now(&self) -> VirtualTime {
+            VirtualTime::ZERO
+        }
+        fn clock(&mut self) -> bayou_types::Timestamp {
+            bayou_types::Timestamp::new(0)
+        }
+        fn send(&mut self, to: ReplicaId, m: LinkMsg<u64>) {
+            self.sent.push((to, m));
+        }
+        fn set_timer(&mut self, _d: VirtualTime) -> TimerId {
+            TimerId::new(1)
+        }
+        fn random(&mut self) -> u64 {
+            0
+        }
+        fn omega(&mut self) -> ReplicaId {
+            ReplicaId::new(0)
+        }
+    }
+
     #[test]
     fn delivers_exactly_once_on_a_clean_network() {
         let mut sim = Sim::new(SimConfig::new(2, 11), |_| LinkProc::new(2));
@@ -477,34 +491,8 @@ mod tests {
     #[test]
     fn duplicates_are_suppressed() {
         // Deliver the same Data frame twice directly.
-        #[derive(Debug, Default)]
-        struct NullCtx;
-        impl Context<LinkMsg<u64>> for NullCtx {
-            fn id(&self) -> ReplicaId {
-                ReplicaId::new(1)
-            }
-            fn cluster_size(&self) -> usize {
-                2
-            }
-            fn now(&self) -> VirtualTime {
-                VirtualTime::ZERO
-            }
-            fn clock(&mut self) -> bayou_types::Timestamp {
-                bayou_types::Timestamp::new(0)
-            }
-            fn send(&mut self, _to: ReplicaId, _m: LinkMsg<u64>) {}
-            fn set_timer(&mut self, _d: VirtualTime) -> TimerId {
-                TimerId::new(1)
-            }
-            fn random(&mut self) -> u64 {
-                0
-            }
-            fn omega(&mut self) -> ReplicaId {
-                ReplicaId::new(0)
-            }
-        }
         let mut link: PerfectLink<u64> = PerfectLink::with_default_period(2);
-        let mut ctx = NullCtx;
+        let mut ctx = Collect::new(1, 2);
         let d = LinkMsg::Data {
             seq: 0,
             payloads: vec![9],
@@ -534,38 +522,8 @@ mod tests {
 
     #[test]
     fn coalescing_packs_a_step_into_one_frame() {
-        #[derive(Debug, Default)]
-        struct Collect {
-            sent: Vec<(ReplicaId, LinkMsg<u64>)>,
-        }
-        impl Context<LinkMsg<u64>> for Collect {
-            fn id(&self) -> ReplicaId {
-                ReplicaId::new(0)
-            }
-            fn cluster_size(&self) -> usize {
-                2
-            }
-            fn now(&self) -> VirtualTime {
-                VirtualTime::ZERO
-            }
-            fn clock(&mut self) -> bayou_types::Timestamp {
-                bayou_types::Timestamp::new(0)
-            }
-            fn send(&mut self, to: ReplicaId, m: LinkMsg<u64>) {
-                self.sent.push((to, m));
-            }
-            fn set_timer(&mut self, _d: VirtualTime) -> TimerId {
-                TimerId::new(1)
-            }
-            fn random(&mut self) -> u64 {
-                0
-            }
-            fn omega(&mut self) -> ReplicaId {
-                ReplicaId::new(0)
-            }
-        }
         let mut link: PerfectLink<u64> = PerfectLink::with_default_period(2);
-        let mut ctx = Collect::default();
+        let mut ctx = Collect::new(0, 2);
         let peer = ReplicaId::new(1);
         link.send(peer, 1, &mut ctx);
         link.send(peer, 2, &mut ctx);
@@ -594,47 +552,13 @@ mod tests {
             &mut ctx,
         );
         assert_eq!(link.unacked(), 0);
-
-        // with coalescing off, each send is its own frame (the baseline)
-        link.set_coalescing(false);
-        ctx.sent.clear();
-        link.send(peer, 4, &mut ctx);
-        link.send(peer, 5, &mut ctx);
-        assert_eq!(ctx.sent.len(), 2, "per-payload frames without coalescing");
-        assert_eq!(link.unacked(), 2);
     }
 
     #[test]
     #[should_panic(expected = "do not loop back")]
     fn sending_to_self_panics() {
-        #[derive(Debug, Default)]
-        struct SelfCtx;
-        impl Context<LinkMsg<u64>> for SelfCtx {
-            fn id(&self) -> ReplicaId {
-                ReplicaId::new(0)
-            }
-            fn cluster_size(&self) -> usize {
-                1
-            }
-            fn now(&self) -> VirtualTime {
-                VirtualTime::ZERO
-            }
-            fn clock(&mut self) -> bayou_types::Timestamp {
-                bayou_types::Timestamp::new(0)
-            }
-            fn send(&mut self, _to: ReplicaId, _m: LinkMsg<u64>) {}
-            fn set_timer(&mut self, _d: VirtualTime) -> TimerId {
-                TimerId::new(1)
-            }
-            fn random(&mut self) -> u64 {
-                0
-            }
-            fn omega(&mut self) -> ReplicaId {
-                ReplicaId::new(0)
-            }
-        }
         let mut link: PerfectLink<u64> = PerfectLink::with_default_period(1);
-        link.send(ReplicaId::new(0), 1, &mut SelfCtx);
+        link.send(ReplicaId::new(0), 1, &mut Collect::new(0, 1));
     }
 
     #[test]

@@ -58,13 +58,6 @@ impl<M: Clone> ReliableBroadcast<M> {
         }
     }
 
-    /// Enables (or disables) link frame coalescing (see
-    /// [`PerfectLink::set_coalescing`]). On by default; the off position
-    /// is the measurable unbatched baseline.
-    pub fn set_coalescing(&mut self, on: bool) {
-        self.link.set_coalescing(on);
-    }
-
     /// Sets (or clears) the link's cross-step flush deferral budget (see
     /// [`PerfectLink::set_flush_deferral`]).
     pub fn set_flush_deferral(&mut self, delay: Option<bayou_types::VirtualTime>) {

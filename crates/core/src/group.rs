@@ -25,9 +25,10 @@
 //!   is unchanged: an inner step's "sends" only ever reach the host's
 //!   buffers);
 //! - **one flush-deferral budget** — the host runs the cross-step
-//!   park/flush logic over its own step-end coalescer, whose per-peer
-//!   buffers hold frames from *all* groups, so frames for different
-//!   groups headed to the same peer merge into one link frame.
+//!   park/flush state machine ([`StepDeferral`]) over its own step-end
+//!   coalescer, whose per-peer buffers hold frames from *all* groups, so
+//!   frames for different groups headed to the same peer merge into one
+//!   link frame.
 //!
 //! [`recover_grouped_paxos`] is the durable factory ([`GroupId`]-sharded
 //! twin of [`crate::recover_paxos_replica`]): one physical store, N
@@ -35,9 +36,10 @@
 //! simulator for tests and benches.
 
 use crate::api::{Invocation, Response};
+use crate::harness::assert_converged;
 use crate::persist::recover_paxos_replica_on;
 use crate::replica::{BayouMsg, BayouReplica, ProtocolMode};
-use bayou_broadcast::{FrameMeter, PaxosConfig, PaxosTob, StepBuffers, StepCoalescer, Tob};
+use bayou_broadcast::{FrameMeter, PaxosConfig, PaxosTob, StepCoalescer, StepDeferral, Tob};
 use bayou_data::{DataType, DeltaState, StateObject};
 use bayou_sim::{OutputRecord, Sim, SimConfig};
 use bayou_storage::{Prefixed, SharedBackend, Storage, StorageError, StoreConfig, SyncBarrier};
@@ -189,15 +191,11 @@ where
     groups: Vec<BayouReplica<F, T, S>>,
     /// Which group armed which timer (fires route back to the owner).
     timer_owner: HashMap<TimerId, GroupId>,
-    /// The host-level step-end coalescer's reusable per-peer buffers —
-    /// frames from all groups, merged per destination.
-    step_frames: StepBuffers<HostMsg<F, T>>,
-    frame_coalescing: bool,
-    /// The single cross-step flush-deferral budget shared by all groups
-    /// (inner replicas have their own deferral disabled by the host).
-    flush_deferral: Option<VirtualTime>,
-    defer_deadline: Option<VirtualTime>,
-    defer_timer: Option<TimerId>,
+    /// The host-level step-end coalescer's per-peer buffers — frames
+    /// from all groups, merged per destination — under the single
+    /// cross-step flush-deferral budget shared by all groups (inner
+    /// replicas have their own deferral disabled by the host).
+    deferral: StepDeferral<HostMsg<F, T>>,
     barrier: Option<HostBarrier>,
     /// Muted groups: the host drops their messages, inputs and timers —
     /// a *group-scoped* crash on this replica (isolation tests).
@@ -217,8 +215,7 @@ where
     /// in index order). The host takes over the cross-step
     /// flush-deferral budget: it adopts group 0's budget and disables
     /// deferral inside every group, so all groups share one budget and
-    /// one deadline (the tentpole's "one flush-deferral budget across
-    /// groups").
+    /// one deadline.
     ///
     /// # Panics
     ///
@@ -235,11 +232,7 @@ where
         GroupedReplica {
             groups,
             timer_owner: HashMap::new(),
-            step_frames: StepBuffers::default(),
-            frame_coalescing: true,
-            flush_deferral,
-            defer_deadline: None,
-            defer_timer: None,
+            deferral: StepDeferral::new(flush_deferral),
             barrier: None,
             muted,
             rr_cursor: 0,
@@ -310,13 +303,6 @@ where
         }
     }
 
-    /// Enables (or disables) batched delivery commit in every group.
-    pub fn set_delivery_batching(&mut self, on: bool) {
-        for g in &mut self.groups {
-            g.set_delivery_batching(on);
-        }
-    }
-
     /// Enables (or disables) leader leases in every group. Each group
     /// runs its own lease over its own lane Ω (`Context::omega_for`
     /// with the group's lane), so different groups may hold leases on
@@ -327,27 +313,15 @@ where
         }
     }
 
-    /// Enables (or disables) frame coalescing: inside every group (RB
-    /// link + inner step frames) *and* at the host level, where a step's
-    /// frames from different groups to one peer merge into one
-    /// [`GroupedMsg::Batch`] link frame.
-    pub fn set_link_coalescing(&mut self, on: bool) {
-        self.frame_coalescing = on;
-        for g in &mut self.groups {
-            g.set_link_coalescing(on);
-        }
-    }
-
     /// Sets (or clears) the host's single cross-step flush-deferral
-    /// budget. Only effective while host frame coalescing is on; inner
-    /// deferral stays off — the host parks for everyone.
+    /// budget. Inner deferral stays off — the host parks for everyone.
     pub fn set_flush_deferral(&mut self, delay: Option<VirtualTime>) {
-        self.flush_deferral = delay;
+        self.deferral.set_budget(delay);
     }
 
     /// The host's cross-step flush-deferral budget, if any.
     pub fn flush_deferral(&self) -> Option<VirtualTime> {
-        self.flush_deferral
+        self.deferral.budget()
     }
 
     /// Enables wire-bytes metering of the host's outgoing frames under
@@ -359,13 +333,7 @@ where
         F::State: Wire,
         T::Msg: Wire,
     {
-        let scratch = std::sync::Mutex::new(Vec::<u8>::new());
-        self.wire_meter = Some(FrameMeter::new(Arc::new(move |m: &HostMsg<F, T>| {
-            let mut buf = scratch.lock().unwrap_or_else(|e| e.into_inner());
-            buf.clear();
-            m.encode(&mut buf);
-            buf.len() as u64
-        })));
+        self.wire_meter = Some(FrameMeter::wire());
     }
 
     /// The barrier failure that crash-stopped this host, if any.
@@ -374,19 +342,16 @@ where
     }
 
     /// Opens the host-level step-end coalescer for one handler step.
-    /// Every inner send of the step lands here (group-tagged); the
-    /// caller must run [`GroupedReplica::close_host_step`] on it.
+    /// Every inner send of the step lands here (group-tagged — frames of
+    /// different groups to one peer merge into one
+    /// [`GroupedMsg::Batch`] link frame); the caller must run
+    /// [`GroupedReplica::close_host_step`] on it.
     fn host_step<'a>(
         &mut self,
         ctx: &'a mut dyn Context<HostMsg<F, T>>,
     ) -> StepCoalescer<'a, HostMsg<F, T>> {
-        StepCoalescer::new(
-            ctx,
-            GroupedMsg::Batch,
-            self.frame_coalescing,
-            std::mem::take(&mut self.step_frames),
-        )
-        .with_meter(self.wire_meter.clone())
+        self.deferral
+            .open(ctx, GroupedMsg::Batch, self.wire_meter.clone())
     }
 
     /// Settles the shared WAL barrier: if any group dirtied the shared
@@ -408,45 +373,32 @@ where
     }
 
     /// Closes one host step: settle the shared fsync barrier first, then
-    /// run the host-level cross-step deferral over the coalesced frames
-    /// — the exact park/deadline/flush logic of
-    /// `BayouReplica::close_step`, applied once for all groups.
-    fn close_host_step(&mut self, mut cctx: StepCoalescer<'_, HostMsg<F, T>>) {
+    /// run the cross-step deferral over the coalesced frames — once for
+    /// all groups.
+    fn close_host_step(&mut self, cctx: StepCoalescer<'_, HostMsg<F, T>>) {
         self.settle_barrier();
-        if self.frame_coalescing {
-            if let Some(budget) = self.flush_deferral {
-                if cctx.has_frames() {
-                    let now = cctx.now();
-                    let deadline = *self.defer_deadline.get_or_insert(now + budget);
-                    if now >= deadline {
-                        self.defer_deadline = None;
-                        self.defer_timer = None;
-                        self.step_frames = cctx.finish();
-                    } else {
-                        if self.defer_timer.is_none() {
-                            self.defer_timer = Some(cctx.set_timer(deadline - now));
-                        }
-                        self.step_frames = cctx.park();
-                    }
-                } else {
-                    self.defer_deadline = None;
-                    self.step_frames = cctx.park();
-                }
-                return;
-            }
-        }
-        self.step_frames = cctx.finish();
+        self.deferral.close(cctx);
     }
 
-    /// The host's deferred-flush timer fired: flush everything parked
-    /// (from all groups), bypassing the deferral logic of
-    /// [`GroupedReplica::close_host_step`].
-    fn flush_deferred(&mut self, ctx: &mut dyn Context<HostMsg<F, T>>) {
-        self.defer_timer = None;
-        self.defer_deadline = None;
-        let cctx = self.host_step(ctx);
-        self.settle_barrier();
-        self.step_frames = cctx.finish();
+    /// Runs `f` on group `gid` inside the host step `cctx`: the group
+    /// sees a [`GroupCtx`] that tags its sends and records its timers.
+    fn in_group<R>(
+        &mut self,
+        gid: GroupId,
+        cctx: &mut StepCoalescer<'_, HostMsg<F, T>>,
+        f: impl FnOnce(&mut BayouReplica<F, T, S>, &mut GroupCtx<'_, InnerMsg<F, T>>) -> R,
+    ) -> R {
+        let mut gctx = GroupCtx {
+            outer: cctx,
+            gid,
+            timer_owner: &mut self.timer_owner,
+        };
+        f(&mut self.groups[gid.index()], &mut gctx)
+    }
+
+    /// Whether the host serves `gid` at all: in range and not muted.
+    fn serves(&self, gid: GroupId) -> bool {
+        gid.index() < self.groups.len() && !self.muted[gid.index()]
     }
 
     /// Unwraps one incoming host frame (recursing into host step-end
@@ -454,31 +406,20 @@ where
     /// unless the group is muted or out of range, in which case the
     /// frame is dropped exactly as a crashed replica would drop it.
     fn dispatch(
-        groups: &mut [BayouReplica<F, T, S>],
-        timer_owner: &mut HashMap<TimerId, GroupId>,
-        muted: &[bool],
+        &mut self,
         from: ReplicaId,
         msg: HostMsg<F, T>,
         cctx: &mut StepCoalescer<'_, HostMsg<F, T>>,
     ) {
         match msg {
             GroupedMsg::One(gid, m) => {
-                if muted.get(gid.index()).copied().unwrap_or(false) {
-                    return;
+                if self.serves(gid) {
+                    self.in_group(gid, cctx, |g, gctx| g.on_message(from, m, gctx));
                 }
-                let Some(group) = groups.get_mut(gid.index()) else {
-                    return;
-                };
-                let mut gctx = GroupCtx {
-                    outer: cctx,
-                    gid,
-                    timer_owner,
-                };
-                group.on_message(from, m, &mut gctx);
             }
             GroupedMsg::Batch(msgs) => {
                 for m in msgs {
-                    Self::dispatch(groups, timer_owner, muted, from, m, cctx);
+                    self.dispatch(from, m, cctx);
                 }
             }
         }
@@ -497,71 +438,45 @@ where
 
     fn on_start(&mut self, ctx: &mut dyn Context<Self::Msg>) {
         let mut cctx = self.host_step(ctx);
-        {
-            let timer_owner = &mut self.timer_owner;
-            for (i, group) in self.groups.iter_mut().enumerate() {
-                let mut gctx = GroupCtx {
-                    outer: &mut cctx,
-                    gid: GroupId::new(i as u32),
-                    timer_owner,
-                };
-                group.on_start(&mut gctx);
-            }
+        for gid in GroupId::all(self.groups.len()) {
+            self.in_group(gid, &mut cctx, |g, gctx| g.on_start(gctx));
         }
         self.close_host_step(cctx);
     }
 
     fn on_input(&mut self, (gid, inv): Self::Input, ctx: &mut dyn Context<Self::Msg>) {
-        if self.group_muted(gid) || gid.index() >= self.groups.len() {
+        if !self.serves(gid) {
             return;
         }
         let mut cctx = self.host_step(ctx);
-        {
-            let mut gctx = GroupCtx {
-                outer: &mut cctx,
-                gid,
-                timer_owner: &mut self.timer_owner,
-            };
-            self.groups[gid.index()].on_input(inv, &mut gctx);
-        }
+        self.in_group(gid, &mut cctx, |g, gctx| g.on_input(inv, gctx));
         self.close_host_step(cctx);
     }
 
     fn on_message(&mut self, from: ReplicaId, msg: Self::Msg, ctx: &mut dyn Context<Self::Msg>) {
         let mut cctx = self.host_step(ctx);
-        Self::dispatch(
-            &mut self.groups,
-            &mut self.timer_owner,
-            &self.muted,
-            from,
-            msg,
-            &mut cctx,
-        );
+        self.dispatch(from, msg, &mut cctx);
         self.close_host_step(cctx);
     }
 
     fn on_timer(&mut self, timer: TimerId, ctx: &mut dyn Context<Self::Msg>) {
-        if self.defer_timer == Some(timer) {
+        if self.deferral.owns_timer(timer) {
             // the host's own flush deadline expired with every group
-            // idle: flush the parked frames of all groups now
-            self.flush_deferred(ctx);
+            // idle: flush the parked frames of all groups now (not
+            // through close_host_step, which would re-park them)
+            let cctx = self.host_step(ctx);
+            self.settle_barrier();
+            self.deferral.flush(cctx);
             return;
         }
         let Some(gid) = self.timer_owner.remove(&timer) else {
             return; // a timer of a rebuilt or unknown owner: drop
         };
-        if self.group_muted(gid) {
+        if !self.serves(gid) {
             return;
         }
         let mut cctx = self.host_step(ctx);
-        {
-            let mut gctx = GroupCtx {
-                outer: &mut cctx,
-                gid,
-                timer_owner: &mut self.timer_owner,
-            };
-            self.groups[gid.index()].on_timer(timer, &mut gctx);
-        }
+        self.in_group(gid, &mut cctx, |g, gctx| g.on_timer(timer, gctx));
         self.close_host_step(cctx);
     }
 
@@ -571,38 +486,23 @@ where
         // redo queue cannot starve the others
         let n = self.groups.len();
         let mut cctx = self.host_step(ctx);
-        let mut progressed = false;
-        {
-            let groups = &mut self.groups;
-            let timer_owner = &mut self.timer_owner;
-            let start = self.rr_cursor;
-            for k in 0..n {
-                let i = (start + k) % n;
-                if self.muted[i] {
-                    continue;
-                }
-                let mut gctx = GroupCtx {
-                    outer: &mut cctx,
-                    gid: GroupId::new(i as u32),
-                    timer_owner,
-                };
-                if groups[i].on_internal(&mut gctx) {
-                    self.rr_cursor = (i + 1) % n;
-                    progressed = true;
-                    break;
-                }
+        let mut stepped = false;
+        for k in 0..n {
+            let gid = GroupId::new(((self.rr_cursor + k) % n) as u32);
+            if self.serves(gid) && self.in_group(gid, &mut cctx, |g, gctx| g.on_internal(gctx)) {
+                self.rr_cursor = (gid.index() + 1) % n;
+                stepped = true;
+                break;
             }
         }
-        if progressed {
+        if stepped {
             self.close_host_step(cctx);
         } else {
-            // A passive poll must be side-effect free: the runtime
-            // refunds it and discards anything it buffered, so flushing
-            // parked frames (or arming the defer timer) here would lose
-            // them forever. Put the buffers back untouched.
-            self.step_frames = cctx.park();
+            // a passive poll must be side-effect free: the runtime
+            // refunds it and discards anything it buffered
+            self.deferral.put_back(cctx);
         }
-        progressed
+        stepped
     }
 
     fn drain_outputs(&mut self) -> Vec<(GroupId, Response)> {
@@ -841,8 +741,8 @@ where
     }
 
     /// Mutes (or unmutes) `gid` on `replica` — a `(replica, group)`
-    /// scoped crash — via a scheduled control input is not possible in
-    /// the sim, so this applies immediately between runs.
+    /// scoped crash. The simulator has no scheduled control inputs, so
+    /// this applies immediately, between runs.
     pub fn mute(&mut self, replica: ReplicaId, gid: GroupId, muted: bool) {
         self.sim.process_mut(replica).mute_group(gid, muted);
     }
@@ -889,47 +789,11 @@ where
     ///
     /// Panics (with a diagnostic) if any two checked replicas disagree.
     pub fn assert_group_convergence(&self, gid: GroupId, skip: &[ReplicaId]) {
-        let alive: Vec<ReplicaId> = ReplicaId::all(self.n)
+        let checked: Vec<_> = ReplicaId::all(self.n)
             .filter(|r| !skip.contains(r))
+            .map(|r| (r, self.replica(r, gid)))
             .collect();
-        let Some(first) = alive.first() else {
-            return;
-        };
-        let a = self.replica(*first, gid);
-        for r in &alive[1..] {
-            let b = self.replica(*r, gid);
-            assert_eq!(
-                a.committed_total(),
-                b.committed_total(),
-                "group {gid}: committed totals diverge between {first} and {r}"
-            );
-            let (a_off, b_off) = (a.compacted_count() as usize, b.compacted_count() as usize);
-            let (a_ids, b_ids) = (a.committed_ids(), b.committed_ids());
-            let from = a_off.max(b_off);
-            let until = (a_off + a_ids.len()).min(b_off + b_ids.len());
-            assert!(
-                from <= until,
-                "group {gid}: retained suffixes of {first} and {r} do not overlap"
-            );
-            assert_eq!(
-                &a_ids[from - a_off..until - a_off],
-                &b_ids[from - b_off..until - b_off],
-                "group {gid}: committed orders diverge between {first} and {r}"
-            );
-            assert!(
-                b.tentative_ids().is_empty(),
-                "group {gid}: replica {r} still has tentative requests"
-            );
-            assert_eq!(
-                a.materialize(),
-                b.materialize(),
-                "group {gid}: states diverge between {first} and {r}"
-            );
-        }
-        assert!(
-            a.tentative_ids().is_empty(),
-            "group {gid}: replica {first} still has tentative requests"
-        );
+        assert_converged(&format!("group {gid}: "), &checked);
     }
 }
 

@@ -22,18 +22,10 @@ pub struct ClusterConfig {
     /// Whether replicas truncate their committed history at the
     /// globally-stable watermark ([`BayouReplica::set_compaction`]).
     pub compaction: bool,
-    /// Whether TOB delivery batches commit as one spliced unit
-    /// ([`BayouReplica::set_delivery_batching`]; on by default — off is
-    /// the per-request baseline, observably equivalent).
-    pub delivery_batching: bool,
-    /// Whether the reliable-broadcast links coalesce a step's sends into
-    /// per-peer frames ([`BayouReplica::set_link_coalescing`]; on by
-    /// default — off is the one-frame-per-payload baseline).
-    pub link_coalescing: bool,
     /// Cross-step flush-deferral budget
     /// ([`BayouReplica::set_flush_deferral`];
-    /// [`crate::DEFAULT_FLUSH_DELAY`] by default — `None` is the
-    /// flush-every-step PR-5 baseline).
+    /// [`crate::DEFAULT_FLUSH_DELAY`] by default — `None` flushes at
+    /// every step end).
     pub flush_deferral: Option<VirtualTime>,
     /// Leader-lease configuration ([`BayouReplica::set_lease`]): with a
     /// config the lane leader serves strong reads locally while its
@@ -51,8 +43,6 @@ impl ClusterConfig {
             mode: ProtocolMode::default(),
             paxos: PaxosConfig::default(),
             compaction: false,
-            delivery_batching: true,
-            link_coalescing: true,
             flush_deferral: Some(crate::DEFAULT_FLUSH_DELAY),
             lease: None,
         }
@@ -77,22 +67,8 @@ impl ClusterConfig {
         self
     }
 
-    /// Disables batched delivery commit on every replica (builder
-    /// style): the per-request sequential baseline.
-    pub fn without_delivery_batching(mut self) -> Self {
-        self.delivery_batching = false;
-        self
-    }
-
-    /// Disables link frame coalescing on every replica (builder style):
-    /// the one-frame-per-payload baseline.
-    pub fn without_link_coalescing(mut self) -> Self {
-        self.link_coalescing = false;
-        self
-    }
-
     /// Disables cross-step flush deferral on every replica (builder
-    /// style): the flush-every-step PR-5 baseline.
+    /// style): frames flush at every step end.
     pub fn without_flush_deferral(mut self) -> Self {
         self.flush_deferral = None;
         self
@@ -110,6 +86,65 @@ impl ClusterConfig {
         self.lease = Some(lease);
         self
     }
+}
+
+/// Asserts that `replicas` have converged: equal committed totals,
+/// agreeing committed orders (compaction-offset aware — a replica that
+/// truncated more history is compared on the retained overlap), empty
+/// tentative lists and identical materialised states. `what` prefixes
+/// every diagnostic (e.g. the group the replicas belong to).
+///
+/// # Panics
+///
+/// Panics (with a diagnostic) if any two replicas disagree.
+pub(crate) fn assert_converged<F, T, S>(
+    what: &str,
+    replicas: &[(ReplicaId, &BayouReplica<F, T, S>)],
+) where
+    F: DataType,
+    T: Tob<SharedReq<F::Op>>,
+    S: StateObject<F>,
+{
+    let Some((first, a)) = replicas.first() else {
+        return;
+    };
+    let total = a.committed_total();
+    let state = a.materialize();
+    let a_off = a.compacted_count() as usize;
+    let a_ids = a.committed_ids();
+    for (r, b) in &replicas[1..] {
+        assert_eq!(
+            b.committed_total(),
+            total,
+            "{what}committed totals diverge between {first} and {r}"
+        );
+        // retained suffixes must agree wherever they overlap
+        let (b_off, b_ids) = (b.compacted_count() as usize, b.committed_ids());
+        let from = a_off.max(b_off);
+        let until = (a_off + a_ids.len()).min(b_off + b_ids.len());
+        assert!(
+            from <= until,
+            "{what}retained committed suffixes of {first} and {r} do not overlap"
+        );
+        assert_eq!(
+            &a_ids[from - a_off..until - a_off],
+            &b_ids[from - b_off..until - b_off],
+            "{what}committed orders diverge between {first} and {r}"
+        );
+        assert!(
+            b.tentative_ids().is_empty(),
+            "{what}replica {r} still has tentative requests"
+        );
+        assert_eq!(
+            b.materialize(),
+            state,
+            "{what}states diverge between {first} and {r}"
+        );
+    }
+    assert!(
+        a.tentative_ids().is_empty(),
+        "{what}replica {first} still has tentative requests"
+    );
 }
 
 /// A closed-loop client session bound to one replica: each step is
@@ -168,23 +203,7 @@ where
 {
     /// Creates a cluster with the default (Paxos) TOB.
     pub fn new(config: ClusterConfig) -> Self {
-        let n = config.sim.n;
-        let mode = config.mode;
-        let paxos = config.paxos;
-        let compaction = config.compaction;
-        let delivery_batching = config.delivery_batching;
-        let link_coalescing = config.link_coalescing;
-        let flush_deferral = config.flush_deferral;
-        let lease = config.lease;
-        Self::with_factory(config.sim, move |_| {
-            let mut r = BayouReplica::new(n, mode, PaxosTob::new(n, paxos));
-            r.set_compaction(compaction);
-            r.set_delivery_batching(delivery_batching);
-            r.set_link_coalescing(link_coalescing);
-            r.set_flush_deferral(flush_deferral);
-            r.set_lease(lease);
-            r
-        })
+        Self::from_config(config, |_| {})
     }
 
     /// Like [`BayouCluster::new`], but with wire-bytes metering installed
@@ -199,22 +218,31 @@ where
         F::Op: Wire,
         F::State: Wire,
     {
-        let n = config.sim.n;
-        let mode = config.mode;
-        let paxos = config.paxos;
-        let compaction = config.compaction;
-        let delivery_batching = config.delivery_batching;
-        let link_coalescing = config.link_coalescing;
-        let flush_deferral = config.flush_deferral;
-        let lease = config.lease;
-        Self::with_factory(config.sim, move |_| {
+        Self::from_config(config, |r| r.meter_wire_bytes())
+    }
+
+    /// The factory behind [`BayouCluster::new`] and
+    /// [`BayouCluster::new_metered`]: every replica is configured from
+    /// `config`, then handed to `finish`.
+    fn from_config(
+        config: ClusterConfig,
+        finish: impl Fn(&mut BayouReplica<F, PaxosTob<SharedReq<F::Op>>, S>) + 'static,
+    ) -> Self {
+        let ClusterConfig {
+            sim,
+            mode,
+            paxos,
+            compaction,
+            flush_deferral,
+            lease,
+        } = config;
+        let n = sim.n;
+        Self::with_factory(sim, move |_| {
             let mut r = BayouReplica::new(n, mode, PaxosTob::new(n, paxos));
             r.set_compaction(compaction);
-            r.set_delivery_batching(delivery_batching);
-            r.set_link_coalescing(link_coalescing);
             r.set_flush_deferral(flush_deferral);
             r.set_lease(lease);
-            r.meter_wire_bytes();
+            finish(&mut r);
             r
         })
     }
@@ -408,52 +436,11 @@ where
     /// Panics (with a diagnostic) if any replica disagrees. `skip` lists
     /// replicas excluded from the check (e.g. crashed ones).
     pub fn assert_convergence(&self, skip: &[ReplicaId]) {
-        let alive: Vec<ReplicaId> = ReplicaId::all(self.n)
+        let checked: Vec<_> = ReplicaId::all(self.n)
             .filter(|r| !skip.contains(r))
+            .map(|r| (r, self.replica(r)))
             .collect();
-        let Some(first) = alive.first() else {
-            return;
-        };
-        let total = self.replica(*first).committed_total();
-        let state = self.replica(*first).materialize();
-        let a_off = self.replica(*first).compacted_count() as usize;
-        let a = self.replica(*first).committed_ids();
-        for r in &alive[1..] {
-            assert_eq!(
-                self.replica(*r).committed_total(),
-                total,
-                "committed totals diverge between {first} and {r}"
-            );
-            // retained suffixes must agree wherever they overlap
-            let (b_off, b) = (
-                self.replica(*r).compacted_count() as usize,
-                self.replica(*r).committed_ids(),
-            );
-            let from = a_off.max(b_off);
-            let until = (a_off + a.len()).min(b_off + b.len());
-            assert!(
-                from <= until,
-                "retained committed suffixes of {first} and {r} do not overlap"
-            );
-            assert_eq!(
-                &a[from - a_off..until - a_off],
-                &b[from - b_off..until - b_off],
-                "committed orders diverge between {first} and {r}"
-            );
-            assert!(
-                self.replica(*r).tentative_ids().is_empty(),
-                "replica {r} still has tentative requests"
-            );
-            assert_eq!(
-                self.replica(*r).materialize(),
-                state,
-                "states diverge between {first} and {r}"
-            );
-        }
-        assert!(
-            self.replica(*first).tentative_ids().is_empty(),
-            "replica {first} still has tentative requests"
-        );
+        assert_converged("", &checked);
     }
 
     /// Builds the recorded trace from journals and collected responses.

@@ -28,13 +28,12 @@
 //!   refresh, a single group-commit persistence call
 //!   ([`bayou_storage::Persistence::log_commit_batch`]) and a single
 //!   compaction check — the unit of work above the state object is "the
-//!   batch this step drained", not "one request". The per-request
-//!   sequential path remains available
-//!   ([`BayouReplica::set_delivery_batching`]) and is provably
-//!   equivalent (`tests/batching.rs`); the scratch buffers feeding the
-//!   adjust/replay pass are reused across batches, so steady-state
-//!   delivery allocates O(changed suffix), not O(batch) fresh vectors
-//!   per step (`tests/alloc_regression.rs`).
+//!   batch this step drained", not "one request" (a lone delivery is a
+//!   batch of one). The histories a per-request commit would produce
+//!   are pinned as digests in `tests/batching.rs`; the scratch buffers
+//!   feeding the adjust/replay pass are reused across batches, so
+//!   steady-state delivery allocates O(changed suffix), not O(batch)
+//!   fresh vectors per step (`tests/alloc_regression.rs`).
 //!
 //! # Committed-history compaction
 //!
@@ -77,8 +76,8 @@
 
 use crate::api::{EventRecord, Invocation, Response, Served};
 use bayou_broadcast::{
-    BaselineMark, FrameMeter, LinkMsg, MapCtx, RbMsg, ReliableBroadcast, StepBuffers,
-    StepCoalescer, Tob, TobDelivery,
+    BaselineMark, FrameMeter, LinkMsg, MapCtx, RbMsg, ReliableBroadcast, StepCoalescer,
+    StepDeferral, Tob, TobDelivery,
 };
 use bayou_data::{DataType, DeltaState, StateObject};
 use bayou_storage::{NullPersistence, PendingKind, Persistence, StorageError};
@@ -335,34 +334,18 @@ where
     /// cluster observes it as crashed.
     failure: Option<StorageError>,
     // ---- batched commit pipeline ---------------------------------------
-    /// Whether TOB delivery batches commit as one spliced unit (single
-    /// rollback/replay adjustment, group-commit persistence call and
-    /// compaction check per batch) instead of request by request. On by
-    /// default; the sequential path is the provably-equivalent baseline.
-    batch_delivery: bool,
     /// Reusable buffer: the deduplicated requests of the batch being
     /// committed (cleared, not reallocated, per batch).
     commit_scratch: Vec<SharedReq<F::Op>>,
     /// Reusable buffer: the revoked executed suffix moved aside by
     /// `adjust_execution` on its way into the rollback queue.
     adjust_scratch: Vec<SharedReq<F::Op>>,
-    /// Whether outgoing wire messages coalesce into per-peer step-end
-    /// frames ([`BayouMsg::Batch`]); toggled together with the RB link's
-    /// frame coalescing by [`BayouReplica::set_link_coalescing`].
-    frame_coalescing: bool,
-    /// Reusable backing store of the step coalescer. With flush deferral
-    /// this also *carries* frames parked across steps until a deadline.
-    step_frames: StepBuffers<Msg<F, T>>,
-    /// Cross-step flush-deferral budget: step-end frames may be parked
-    /// across consecutive handler steps for up to this long before they
-    /// are flushed ([`BayouReplica::set_flush_deferral`]). `None` (or
-    /// coalescing off) flushes every step — the PR-5 behaviour.
-    flush_deferral: Option<VirtualTime>,
-    /// Deadline of the currently parked frames (set at first park).
-    defer_deadline: Option<VirtualTime>,
-    /// The timer guaranteeing parked frames flush even if the replica
-    /// goes idle (no further steps before the deadline).
-    defer_timer: Option<TimerId>,
+    /// The step-end frame coalescer's buffers and the cross-step
+    /// flush-deferral state machine over them: outgoing wire messages
+    /// coalesce into per-peer frames ([`BayouMsg::Batch`]) that may stay
+    /// parked across consecutive handler steps for up to the budget
+    /// ([`BayouReplica::set_flush_deferral`]).
+    deferral: StepDeferral<Msg<F, T>>,
     /// Reusable buffer: the TOB deliveries collected across one handler
     /// step (all messages of a frame), committed as one batch.
     delivery_scratch: Vec<TobDelivery<SharedReq<F::Op>>>,
@@ -444,14 +427,9 @@ where
             baseline_mark: BaselineMark::zero(n),
             dropped_since_state: 0,
             failure: None,
-            batch_delivery: true,
             commit_scratch: Vec::new(),
             adjust_scratch: Vec::new(),
-            frame_coalescing: true,
-            step_frames: StepBuffers::default(),
-            flush_deferral: Some(DEFAULT_FLUSH_DELAY),
-            defer_deadline: None,
-            defer_timer: None,
+            deferral: StepDeferral::new(Some(DEFAULT_FLUSH_DELAY)),
             delivery_scratch: Vec::new(),
             wire_meter: None,
             lease: None,
@@ -504,7 +482,7 @@ where
     pub fn recover(
         n: usize,
         mode: ProtocolMode,
-        tob: T,
+        mut tob: T,
         deliveries: Vec<SharedReq<F::Op>>,
         snapshot_state: F::State,
         snapshot_delivered: u64,
@@ -515,7 +493,6 @@ where
         tob_seq: u64,
         persist: Box<dyn Persistence<F> + Send>,
     ) -> Self {
-        let mut tob = tob;
         tob.set_durable(true); // after restore: recovery facts are already on disk
         let compacted = mark.delivered;
         let stable = (snapshot_delivered.saturating_sub(compacted) as usize).min(deliveries.len());
@@ -528,17 +505,15 @@ where
         let executed_set: HashSet<ReqId> = executed.iter().map(|r| r.id()).collect();
 
         // pending requests re-enter the tentative order by (ts, dot)
-        let mut tentative: Vec<SharedReq<F::Op>> = pending
-            .iter()
-            .filter(|(_, _, r)| !committed_set.contains(&r.id()))
-            .map(|(_, _, r)| r.clone())
-            .collect();
+        let undecided = || {
+            pending
+                .iter()
+                .filter(|(_, _, r)| !committed_set.contains(&r.id()))
+        };
+        let mut tentative: Vec<SharedReq<F::Op>> = undecided().map(|(_, _, r)| r.clone()).collect();
         tentative.sort_by_key(|r| r.sort_key());
-        let tentative_seq: HashMap<ReqId, u64> = pending
-            .iter()
-            .map(|(_, seq, r)| (r.id(), *seq))
-            .filter(|(id, _)| !committed_set.contains(id))
-            .collect();
+        let tentative_seq: HashMap<ReqId, u64> =
+            undecided().map(|(_, seq, r)| (r.id(), *seq)).collect();
 
         let to_be_executed: VecDeque<SharedReq<F::Op>> = deliveries[stable..]
             .iter()
@@ -561,11 +536,7 @@ where
             let slot = &mut seen_seq[r.origin().index()];
             *slot = (*slot).max(r.id().event_no());
         }
-        let mut rb = ReliableBroadcast::new(n, VirtualTime::from_millis(60));
-        rb.set_flush_deferral(Some(DEFAULT_FLUSH_DELAY));
         BayouReplica {
-            mode,
-            state,
             curr_event_no,
             committed: deliveries,
             committed_set,
@@ -575,37 +546,15 @@ where
             executed_set,
             stable_len: stable,
             to_be_executed,
-            to_be_rolled_back: VecDeque::new(),
-            reqs_awaiting_resp: HashMap::new(),
-            client_tags: HashMap::new(),
-            rb,
-            tob,
             tob_seq,
             tob_order,
-            outputs: Vec::new(),
-            stats: ReplicaStats::default(),
-            journal: Vec::new(),
             persist,
             recovered_pending,
-            compaction: false,
             compacted,
             baseline,
             baseline_mark: mark,
-            dropped_since_state: 0,
-            failure: None,
-            batch_delivery: true,
-            commit_scratch: Vec::new(),
-            adjust_scratch: Vec::new(),
-            frame_coalescing: true,
-            step_frames: StepBuffers::default(),
-            flush_deferral: Some(DEFAULT_FLUSH_DELAY),
-            defer_deadline: None,
-            defer_timer: None,
-            delivery_scratch: Vec::new(),
-            wire_meter: None,
-            lease: None,
-            committed_state: F::State::default(),
             seen_seq,
+            ..Self::with_state_object(n, mode, tob, state)
         }
     }
 
@@ -685,31 +634,6 @@ where
         }
     }
 
-    /// Enables (or disables) batched commit of TOB delivery batches: one
-    /// rollback/replay adjustment, one group-commit persistence call and
-    /// one compaction check per batch instead of per request. On by
-    /// default; switching it off recovers the per-request sequential
-    /// path, which commits the identical state through the identical
-    /// trace (the `tests/batching.rs` equivalence suite) and exists as
-    /// the measurable baseline of the `saturation` bench.
-    pub fn set_delivery_batching(&mut self, on: bool) {
-        self.batch_delivery = on;
-    }
-
-    /// Whether TOB delivery batches commit as one spliced unit.
-    pub fn delivery_batching(&self) -> bool {
-        self.batch_delivery
-    }
-
-    /// Enables (or disables) wire-level frame coalescing: the RB link's
-    /// per-peer frames ([`bayou_broadcast::PerfectLink::set_coalescing`])
-    /// *and* the replica's own step-end frames ([`BayouMsg::Batch`]).
-    /// On by default; off is the one-message-per-payload baseline.
-    pub fn set_link_coalescing(&mut self, on: bool) {
-        self.rb.set_coalescing(on);
-        self.frame_coalescing = on;
-    }
-
     /// Sets (or clears) cross-step flush deferral: with a budget, the
     /// replica's step-end frames may be *parked* across consecutive
     /// handler steps (and the RB link defers framing its outboxes
@@ -719,16 +643,17 @@ where
     /// worst-case added latency for any message is twice the budget (a
     /// link-deferred payload flushed by the link timer can be parked once
     /// more at the step level). On by default with
-    /// [`DEFAULT_FLUSH_DELAY`]; `None` restores flush-every-step — the
-    /// PR-5 baseline. Only effective while frame coalescing is on.
+    /// [`DEFAULT_FLUSH_DELAY`]; `None` flushes at every step end (what a
+    /// multi-group host sets inside its groups, parking once for all of
+    /// them).
     pub fn set_flush_deferral(&mut self, delay: Option<VirtualTime>) {
-        self.flush_deferral = delay;
+        self.deferral.set_budget(delay);
         self.rb.set_flush_deferral(delay);
     }
 
     /// The current cross-step flush-deferral budget, if any.
     pub fn flush_deferral(&self) -> Option<VirtualTime> {
-        self.flush_deferral
+        self.deferral.budget()
     }
 
     /// Whether wire-bytes metering is enabled.
@@ -737,8 +662,8 @@ where
     }
 
     /// Enables wire-bytes metering: every frame leaving the replica is
-    /// measured under the real [`Wire`] codec (encoded into a reused
-    /// scratch buffer, counted, discarded) and drained by the runtime
+    /// measured under the real [`Wire`] codec ([`FrameMeter::wire`]) and
+    /// drained by the runtime
     /// through [`Process::take_wire_bytes`] into the simulator's
     /// `wire_bytes` metric — the network-side analogue of the WAL's
     /// bytes accounting.
@@ -752,13 +677,7 @@ where
         F::State: Wire,
         T::Msg: Wire,
     {
-        let scratch = std::sync::Mutex::new(Vec::<u8>::new());
-        self.wire_meter = Some(FrameMeter::new(Arc::new(move |m: &Msg<F, T>| {
-            let mut buf = scratch.lock().unwrap_or_else(|e| e.into_inner());
-            buf.clear();
-            m.encode(&mut buf);
-            buf.len() as u64
-        })));
+        self.wire_meter = Some(FrameMeter::wire());
     }
 
     /// Committed entries dropped below the watermark so far. The
@@ -855,26 +774,17 @@ where
         self.executed_set.contains(&id)
     }
 
-    /// Records a persistence failure: the replica crash-stops (this and
-    /// every future handler becomes a no-op), which the rest of the
-    /// cluster observes exactly as a crash.
-    fn persist_fail(&mut self, e: StorageError) {
-        if self.failure.is_none() {
-            self.failure = Some(e);
-        }
-    }
-
-    /// Runs a persistence hook, crash-stopping on failure. Returns
+    /// Checks a persistence hook's result. The first failure crash-stops
+    /// the replica (this and every future handler becomes a no-op), which
+    /// the rest of the cluster observes exactly as a crash. Returns
     /// whether the hook succeeded (callers must not proceed with the
     /// step's effects when it did not).
     fn persist_ok(&mut self, res: Result<(), StorageError>) -> bool {
-        match res {
-            Ok(()) => true,
-            Err(e) => {
-                self.persist_fail(e);
-                false
-            }
+        if let Err(e) = res {
+            self.failure.get_or_insert(e);
+            return false;
         }
+        true
     }
 
     /// Lines 16–21: insert `r` into the tentative list by
@@ -956,53 +866,26 @@ where
         }
     }
 
-    /// Lines 27–34: TOB delivery fixes the final position of `r`.
-    fn handle_tob_deliver(&mut self, r: SharedReq<F::Op>) {
-        if self.committed_contains(r.id()) {
-            // after a crash-restart, catch-up may re-deliver commits the
-            // recovered state already contains; they are idempotent
-            return;
-        }
-        self.stats.tob_deliveries += 1;
-        let id = r.id();
-        let res = self.persist.note_commit(&r);
-        if !self.persist_ok(res) {
-            return; // crash-stopped: the commit is not acknowledged
-        }
-        self.tob_order.push(id);
-        self.committed_set.insert(id);
-        self.note_seen(id);
-        if self.lease.is_some() {
-            F::apply(&mut self.committed_state, &r.op);
-        }
-        self.committed.push(r.clone());
-        if self.tentative_seq.remove(&id).is_some() {
-            self.tentative.retain(|x| x.id() != id);
-        }
-        self.adjust_execution();
-        // allow the state object to drop undo records of the stable
-        // prefix: after adjust_execution the executed list is a prefix of
-        // committed · tentative, so the stable prefix length is O(1)
-        self.refresh_stable_prefix();
-        self.emit_committed_response(&r);
-        self.maybe_compact();
+    /// Answers `r`'s client: releases the request's correlation tag and
+    /// queues the response.
+    fn respond(&mut self, r: &Req<F::Op>, value: Value, exec_trace: Vec<ReqId>, served: Served) {
+        let tag = self.client_tags.remove(&r.id());
+        self.outputs.push(Response {
+            meta: r.meta(),
+            value,
+            exec_trace,
+            tag,
+            served,
+        });
     }
 
     /// Releases the stored response of a just-committed request, if its
-    /// execution already stands in the final order. Shared by the
-    /// per-request and batched commit paths so the two cannot drift.
+    /// execution already stands in the final order.
     fn emit_committed_response(&mut self, r: &SharedReq<F::Op>) {
         let id = r.id();
         if self.reqs_awaiting_resp.contains_key(&id) && self.executed_contains(id) {
             if let Some(Some((value, trace))) = self.reqs_awaiting_resp.remove(&id) {
-                let tag = self.client_tags.remove(&id);
-                self.outputs.push(Response {
-                    meta: r.meta(),
-                    value,
-                    exec_trace: trace,
-                    tag,
-                    served: Served::Committed,
-                });
+                self.respond(r, value, trace, Served::Committed);
             }
             // a `None` stored response cannot happen here: r ∈ executed
             // implies the execute step stored or returned it already
@@ -1052,10 +935,7 @@ where
             // the baseline we serve to laggards can step them over it
             if mark.delivered == self.compacted && mark.slot_floor > self.baseline_mark.slot_floor {
                 self.baseline_mark = mark;
-                let res = self
-                    .persist
-                    .note_stable(&self.baseline_mark, &self.baseline);
-                self.persist_ok(res);
+                self.persist_stable();
             }
             return;
         }
@@ -1075,6 +955,11 @@ where
         self.dropped_since_state += k;
         self.compacted = mark.delivered;
         self.baseline_mark = mark;
+        self.persist_stable();
+    }
+
+    /// Tells the store the compaction floor (and its baseline) moved.
+    fn persist_stable(&mut self) {
         let res = self
             .persist
             .note_stable(&self.baseline_mark, &self.baseline);
@@ -1153,10 +1038,7 @@ where
         self.state = S::with_state(state);
         self.dropped_since_state = 0;
         self.adjust_execution();
-        let res = self
-            .persist
-            .note_stable(&self.baseline_mark, &self.baseline);
-        self.persist_ok(res);
+        self.persist_stable();
     }
 
     /// Reacts to the TOB flagging that our prefix fell below a peer's
@@ -1234,37 +1116,22 @@ where
         Some(seq)
     }
 
-    /// Commits one handler step's TOB delivery batch (drains `batch`).
+    /// Lines 27–34, for one handler step's whole TOB delivery batch
+    /// (drains `batch`): TOB delivery fixes the final position of every
+    /// request in it. The batch is spliced into the committed order with
+    /// one group-commit persistence call, one rollback/replay adjustment
+    /// and one stable-prefix refresh — instead of one of each per request
+    /// — and the caller follows with one compaction check
+    /// (`settle_deliveries`).
     ///
-    /// With delivery batching on (the default) the batch is spliced as a
-    /// unit ([`BayouReplica::commit_batch`]); otherwise — or for the
-    /// common single-delivery batch, where the two paths are literally
-    /// the same work — each entry goes through the per-request
-    /// [`BayouReplica::handle_tob_deliver`].
-    fn deliver_batch(&mut self, batch: &mut Vec<TobDelivery<SharedReq<F::Op>>>) {
-        if self.batch_delivery && batch.len() > 1 {
-            self.commit_batch(batch);
-        } else {
-            for d in batch.drain(..) {
-                self.handle_tob_deliver(d.payload);
-            }
-        }
-    }
-
-    /// The batched commit: splices a whole TOB delivery batch into the
-    /// committed order with one group-commit persistence call, one
-    /// rollback/replay adjustment, one stable-prefix refresh and one
-    /// compaction check — instead of one of each per request.
-    ///
-    /// Observably equivalent to running [`BayouReplica::handle_tob_deliver`]
-    /// per entry (asserted by the `tests/batching.rs` proptests):
-    /// committed/tentative/executed land in the same state because the
-    /// committed list is append-only and the executed list only shrinks
-    /// during delivery steps, so the intermediate adjustments the
-    /// sequential path performs are all subsumed by the final one; the
-    /// response condition (`executed` after the step) is likewise
-    /// monotone across the batch, and responses are emitted in delivery
-    /// order either way.
+    /// Observably equivalent to committing the entries one by one (the
+    /// digests recorded in `tests/batching.rs`): committed/tentative/
+    /// executed land in the same state because the committed list is
+    /// append-only and the executed list only shrinks during delivery
+    /// steps, so the intermediate adjustments a per-request commit would
+    /// perform are all subsumed by the final one; the response condition
+    /// (`executed` after the step) is likewise monotone across the
+    /// batch, and responses are emitted in delivery order either way.
     fn commit_batch(&mut self, batch: &mut Vec<TobDelivery<SharedReq<F::Op>>>) {
         debug_assert!(self.commit_scratch.is_empty());
         for d in batch.drain(..) {
@@ -1276,7 +1143,6 @@ where
             }
         }
         if self.commit_scratch.is_empty() {
-            self.maybe_compact();
             return;
         }
         // group commit: the whole batch becomes durable (and feeds the
@@ -1287,7 +1153,7 @@ where
             self.commit_scratch.clear();
             return; // crash-stopped: none of the batch is acknowledged
         }
-        let reqs = std::mem::take(&mut self.commit_scratch);
+        let mut reqs = std::mem::take(&mut self.commit_scratch);
         self.stats.tob_deliveries += reqs.len() as u64;
         let mut any_tentative = false;
         for r in &reqs {
@@ -1309,13 +1175,14 @@ where
                 .retain(|x| tentative_seq.contains_key(&x.id()));
         }
         self.adjust_execution();
+        // allow the state object to drop undo records of the stable
+        // prefix: after adjust_execution the executed list is a prefix of
+        // committed · tentative, so the stable prefix length is O(1)
         self.refresh_stable_prefix();
         for r in &reqs {
             self.emit_committed_response(r);
         }
-        self.maybe_compact();
         // hand the emptied buffer back for the next batch
-        let mut reqs = reqs;
         reqs.clear();
         self.commit_scratch = reqs;
     }
@@ -1328,74 +1195,53 @@ where
     S: StateObject<F>,
 {
     /// Opens the step-end frame coalescer over `ctx` for one handler
-    /// step, handing it the reusable per-peer buffers. The caller must
-    /// run [`BayouReplica::close_step`] on it before returning.
+    /// step. The caller must run [`BayouReplica::close_step`] on it
+    /// before returning.
     fn step_ctx<'a>(
         &mut self,
         ctx: &'a mut dyn Context<BayouMsg<F::Op, F::State, T::Msg>>,
     ) -> StepCoalescer<'a, BayouMsg<F::Op, F::State, T::Msg>> {
-        StepCoalescer::new(
-            ctx,
-            BayouMsg::Batch,
-            self.frame_coalescing,
-            std::mem::take(&mut self.step_frames),
-        )
-        .with_meter(self.wire_meter.clone())
+        self.deferral
+            .open(ctx, BayouMsg::Batch, self.wire_meter.clone())
     }
 
-    /// Closes one handler step: settles the step's deferred group-commit
-    /// sync (one fsync for everything the step logged — the write-ahead
-    /// contract is preserved because this runs *before* any frame
-    /// leaves), then flushes the coalesced frames and takes the buffers
-    /// back. A sync failure crash-stops the replica; the runtime then
-    /// discards the step's buffered sends and outputs, so nothing backed
-    /// by the failed sync escapes.
-    ///
-    /// With cross-step flush deferral on, frames are instead *parked* in
-    /// the backing store: the first park fixes a deadline one budget
-    /// ahead and arms a flush timer; subsequent steps keep appending
-    /// until a step closes at-or-past the deadline (or the timer fires —
-    /// see [`BayouReplica::flush_deferred`]), at which point everything
-    /// parked flushes as one set of per-peer frames.
-    fn close_step(&mut self, mut cctx: StepCoalescer<'_, BayouMsg<F::Op, F::State, T::Msg>>) {
+    /// Settles the step's deferred group-commit sync: one fsync for
+    /// everything the step logged. Runs *before* any frame leaves, which
+    /// preserves the write-ahead contract. A sync failure crash-stops
+    /// the replica; the runtime then discards the step's buffered sends
+    /// and outputs, so nothing backed by the failed sync escapes.
+    fn sync_step(&mut self) {
         let res = self.persist.sync_step();
         self.persist_ok(res);
-        if self.frame_coalescing {
-            if let Some(budget) = self.flush_deferral {
-                if cctx.has_frames() {
-                    let now = cctx.now();
-                    let deadline = *self.defer_deadline.get_or_insert(now + budget);
-                    if now >= deadline {
-                        self.defer_deadline = None;
-                        self.defer_timer = None;
-                        self.step_frames = cctx.finish();
-                    } else {
-                        if self.defer_timer.is_none() {
-                            self.defer_timer = Some(cctx.set_timer(deadline - now));
-                        }
-                        self.step_frames = cctx.park();
-                    }
-                } else {
-                    self.defer_deadline = None;
-                    self.step_frames = cctx.park();
-                }
-                return;
-            }
-        }
-        self.step_frames = cctx.finish();
     }
 
-    /// The deferred-flush timer fired: flush everything parked,
-    /// bypassing the deferral logic of [`BayouReplica::close_step`]
-    /// (which would otherwise re-park with a fresh deadline and defer
-    /// forever).
-    fn flush_deferred(&mut self, ctx: &mut dyn Context<BayouMsg<F::Op, F::State, T::Msg>>) {
-        self.defer_timer = None;
-        self.defer_deadline = None;
-        let cctx = self.step_ctx(ctx);
-        let res = self.persist.sync_step();
-        self.persist_ok(res);
-        self.step_frames = cctx.finish();
+    /// Closes one handler step: settles the step's sync, then flushes
+    /// the coalesced frames — or, with cross-step flush deferral on,
+    /// parks them until their deadline ([`StepDeferral::close`]).
+    fn close_step(&mut self, cctx: StepCoalescer<'_, BayouMsg<F::Op, F::State, T::Msg>>) {
+        self.sync_step();
+        self.deferral.close(cctx);
+    }
+
+    /// Ends the TOB half of a step: logs the step's durable TOB facts,
+    /// commits its combined delivery batch and follows the compaction
+    /// floor.
+    fn settle_deliveries(
+        &mut self,
+        mut deliveries: Vec<TobDelivery<SharedReq<F::Op>>>,
+        ctx: &mut dyn Context<BayouMsg<F::Op, F::State, T::Msg>>,
+    ) {
+        // durable TOB facts (promises, acceptances, decisions) hit the
+        // WAL — one write, one sync — before the deliveries they imply
+        // execute and before any coalesced frame leaves the step
+        self.persist_tob_events();
+        self.commit_batch(&mut deliveries);
+        self.delivery_scratch = deliveries;
+        // the TOB floor can advance on delivery-free steps too (a cursor
+        // report arriving): follow it, or the baseline we serve to
+        // laggards would lag the floor forever in a quiescent cluster
+        self.maybe_compact();
+        self.request_baseline_if_needed(ctx);
     }
 
     /// Processes one wire message (recursing into step-end frames),
@@ -1560,17 +1406,11 @@ where
                                 && self.to_be_rolled_back.is_empty();
                             if !caught_up {
                                 self.stats.session_retries += 1;
-                                let tag = self.client_tags.remove(&r.id());
-                                self.outputs.push(Response {
-                                    meta: r.meta(),
-                                    value: Value::Unit,
-                                    exec_trace: Vec::new(),
-                                    tag,
-                                    served: Served::Retry {
-                                        seen_seq: seen,
-                                        committed,
-                                    },
-                                });
+                                let served = Served::Retry {
+                                    seen_seq: seen,
+                                    committed,
+                                };
+                                self.respond(&r, Value::Unit, Vec::new(), served);
                                 self.close_step(cctx);
                                 return;
                             }
@@ -1583,14 +1423,7 @@ where
                     // causality).
                     let trace_before = self.state.trace().to_vec();
                     let value = self.state.execute(r.id(), &r.op);
-                    let tag = self.client_tags.remove(&r.id());
-                    self.outputs.push(Response {
-                        meta: r.meta(),
-                        value,
-                        exec_trace: trace_before,
-                        tag,
-                        served: Served::Speculative,
-                    });
+                    self.respond(&r, value, trace_before, Served::Speculative);
                     self.state.rollback(r.id());
                     if !F::is_read_only(&r.op) {
                         if let Some(seq) = self.broadcast_req(&r, ctx, true) {
@@ -1601,16 +1434,10 @@ where
                     // a read-only op leaves the committed state untouched
                     self.stats.lease_reads += 1;
                     let value = F::apply(&mut self.committed_state, &r.op);
-                    let tag = self.client_tags.remove(&r.id());
-                    self.outputs.push(Response {
-                        meta: r.meta(),
-                        value,
-                        exec_trace: self.tob_order.clone(),
-                        tag,
-                        served: Served::Lease {
-                            committed: self.committed_total(),
-                        },
-                    });
+                    let served = Served::Lease {
+                        committed: self.committed_total(),
+                    };
+                    self.respond(&r, value, self.tob_order.clone(), served);
                 } else {
                     self.reqs_awaiting_resp.insert(r.id(), None);
                     self.broadcast_req(&r, ctx, false);
@@ -1628,17 +1455,7 @@ where
         let mut deliveries = std::mem::take(&mut self.delivery_scratch);
         debug_assert!(deliveries.is_empty());
         self.dispatch(from, msg, &mut cctx, &mut deliveries);
-        // durable TOB facts (promises, acceptances, decisions) hit the
-        // WAL — one write, one sync — before the deliveries they imply
-        // execute and before any coalesced frame leaves the step
-        self.persist_tob_events();
-        self.deliver_batch(&mut deliveries);
-        self.delivery_scratch = deliveries;
-        // the TOB floor can advance on delivery-free steps too (a cursor
-        // report arriving): follow it, or the baseline we serve to
-        // laggards would lag the floor forever in a quiescent cluster
-        self.maybe_compact();
-        self.request_baseline_if_needed(&mut cctx);
+        self.settle_deliveries(deliveries, &mut cctx);
         self.close_step(cctx);
     }
 
@@ -1646,11 +1463,13 @@ where
         if self.failure.is_some() {
             return;
         }
-        if self.defer_timer == Some(timer) {
+        if self.deferral.owns_timer(timer) {
             // the parked frames' latency budget expired with the replica
             // idle: flush them now (must not go through close_step, which
             // would re-park them with a fresh deadline)
-            self.flush_deferred(ctx);
+            let cctx = self.step_ctx(ctx);
+            self.sync_step();
+            self.deferral.flush(cctx);
             return;
         }
         let mut cctx = self.step_ctx(ctx);
@@ -1665,11 +1484,7 @@ where
                 let mut tctx = MapCtx::new(&mut cctx, BayouMsg::Tob);
                 deliveries.extend(self.tob.on_timer(timer, &mut tctx));
             }
-            self.persist_tob_events();
-            self.deliver_batch(&mut deliveries);
-            self.delivery_scratch = deliveries;
-            self.maybe_compact();
-            self.request_baseline_if_needed(&mut cctx);
+            self.settle_deliveries(deliveries, &mut cctx);
         }
         self.close_step(cctx);
     }
@@ -1697,19 +1512,12 @@ where
             self.stats.executions += 1;
             if awaiting {
                 if head.level.is_weak() || self.committed_contains(head.id()) {
-                    let tag = self.client_tags.remove(&head.id());
                     let served = if head.level.is_weak() {
                         Served::Speculative
                     } else {
                         Served::Committed
                     };
-                    self.outputs.push(Response {
-                        meta: head.meta(),
-                        value,
-                        exec_trace: trace_before,
-                        tag,
-                        served,
-                    });
+                    self.respond(&head, value, trace_before, served);
                     self.reqs_awaiting_resp.remove(&head.id());
                 } else {
                     self.reqs_awaiting_resp
@@ -1815,18 +1623,32 @@ mod tests {
 
     type R = BayouReplica<AppendList, NullTob<SharedReq<ListOp>>>;
 
+    fn stub(id: u32) -> StubCtx {
+        StubCtx {
+            clock: 0,
+            id: ReplicaId::new(id),
+        }
+    }
+
     fn replica(mode: ProtocolMode) -> (R, StubCtx) {
-        (
-            BayouReplica::new(2, mode, NullTob::new()),
-            StubCtx {
-                clock: 0,
-                id: ReplicaId::new(0),
-            },
-        )
+        (BayouReplica::new(2, mode, NullTob::new()), stub(0))
     }
 
     fn drive(r: &mut R, ctx: &mut StubCtx) {
         while r.on_internal(ctx) {}
+    }
+
+    /// TOB-delivers `req` as a batch of one.
+    fn commit<F: DataType, S: StateObject<F>>(
+        r: &mut BayouReplica<F, NullTob<SharedReq<F::Op>>, S>,
+        req: SharedReq<F::Op>,
+    ) {
+        r.commit_batch(&mut vec![TobDelivery {
+            sender: req.origin(),
+            seq: 0,
+            tob_no: r.committed_total(),
+            payload: req,
+        }]);
     }
 
     fn shared(ts: i64, replica: u32, n: u64, level: Level, op: ListOp) -> SharedReq<ListOp> {
@@ -1918,7 +1740,7 @@ mod tests {
         r.on_input(Invocation::weak(ListOp::append("x")), &mut ctx);
         drive(&mut r, &mut ctx);
         let req = shared(1, 0, 1, Level::Weak, ListOp::append("x"));
-        r.handle_tob_deliver(req);
+        commit(&mut r, req);
         assert_eq!(r.committed_ids().len(), 1);
         assert!(r.tentative_ids().is_empty());
         drive(&mut r, &mut ctx);
@@ -1934,11 +1756,43 @@ mod tests {
         assert_eq!(r.materialize(), vec!["x".to_string()]);
         // a remote request commits first (TOB order beats timestamps)
         let remote = shared(100, 1, 1, Level::Weak, ListOp::append("z"));
-        r.handle_tob_deliver(remote);
+        commit(&mut r, remote);
         drive(&mut r, &mut ctx);
         assert_eq!(r.stats().rollbacks, 1);
         assert_eq!(r.materialize(), vec!["z".to_string(), "x".to_string()]);
         assert_eq!(r.executed_ids().len(), 2);
+    }
+
+    #[test]
+    fn redelivered_commits_are_idempotent() {
+        // after a crash-restart, catch-up may re-deliver commits the
+        // recovered state already contains
+        let (mut r, mut ctx) = replica(ProtocolMode::Original);
+        let a = shared(1, 1, 1, Level::Weak, ListOp::append("a"));
+        let b = shared(2, 1, 2, Level::Weak, ListOp::append("b"));
+        commit(&mut r, a.clone());
+        drive(&mut r, &mut ctx);
+        // a duplicate alone, then a duplicate ahead of a fresh request
+        commit(&mut r, a.clone());
+        r.commit_batch(&mut vec![
+            TobDelivery {
+                sender: a.origin(),
+                seq: 0,
+                tob_no: 0,
+                payload: a,
+            },
+            TobDelivery {
+                sender: b.origin(),
+                seq: 1,
+                tob_no: 1,
+                payload: b,
+            },
+        ]);
+        drive(&mut r, &mut ctx);
+        assert_eq!(r.committed_ids().len(), 2);
+        assert_eq!(r.stats().tob_deliveries, 2);
+        assert_eq!(r.stats().rollbacks, 0);
+        assert_eq!(r.materialize(), vec!["a".to_string(), "b".to_string()]);
     }
 
     #[test]
@@ -1953,7 +1807,7 @@ mod tests {
         assert_eq!(r.awaiting_responses(), 1);
         // commit it
         let req = shared(1, 0, 1, Level::Strong, ListOp::Duplicate);
-        r.handle_tob_deliver(req);
+        commit(&mut r, req);
         drive(&mut r, &mut ctx);
         let out = r.drain_outputs();
         assert_eq!(out.len(), 1);
@@ -1979,7 +1833,7 @@ mod tests {
         drive(&mut r, &mut ctx);
         let t1 = shared(1, 0, 1, Level::Weak, ListOp::append("a"));
         let t1_id = t1.id();
-        r.handle_tob_deliver(t1);
+        commit(&mut r, t1);
         let order = r.current_order();
         assert_eq!(order[0], t1_id);
         assert_eq!(order.len(), 2);
@@ -1990,10 +1844,7 @@ mod tests {
         // the checkpointing reference implementation still plugs in
         let mut r: BayouReplica<AppendList, NullTob<SharedReq<ListOp>>, ReplayState<AppendList>> =
             BayouReplica::new(2, ProtocolMode::Improved, NullTob::new());
-        let mut ctx = StubCtx {
-            clock: 0,
-            id: ReplicaId::new(0),
-        };
+        let mut ctx = stub(0);
         r.on_input(Invocation::weak(ListOp::append("a")), &mut ctx);
         while r.on_internal(&mut ctx) {}
         assert_eq!(r.materialize(), vec!["a".to_string()]);
@@ -2006,10 +1857,7 @@ mod tests {
         // over the lifetime of the replica
         let mut r: BayouReplica<KvStore, NullTob<SharedReq<KvOp>>> =
             BayouReplica::new(2, ProtocolMode::Original, NullTob::new());
-        let mut ctx = StubCtx {
-            clock: 0,
-            id: ReplicaId::new(1), // remote ids so handle_tob_deliver is the only source
-        };
+        let mut ctx = stub(1); // remote ids so TOB delivery is the only source
         for i in 1..=500u64 {
             let req = Arc::new(Req::new(
                 Timestamp::new(i as i64),
@@ -2017,7 +1865,7 @@ mod tests {
                 Level::Weak,
                 KvOp::put(format!("k{}", i % 10), i as i64),
             ));
-            r.handle_tob_deliver(req);
+            commit(&mut r, req);
             while r.on_internal(&mut ctx) {}
             assert!(
                 r.state_object().retained_records() <= 1,

@@ -58,6 +58,10 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
+/// The counter is process-wide, so the tests must not overlap: each
+/// holds this lock while it measures.
+static MEASURING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 struct StubCtx;
 
 impl<M> Context<M> for StubCtx {
@@ -169,6 +173,7 @@ fn commit_window(r: &mut R, next: &mut u64, batches: usize, batch: usize) -> f64
 
 #[test]
 fn steady_state_delivery_allocations_stay_bounded() {
+    let _alone = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
     let mut r: R = BayouReplica::new(2, ProtocolMode::Original, FeedTob);
     let mut next = 1u64;
     const BATCH: usize = 8;
@@ -210,6 +215,7 @@ fn steady_state_delivery_allocations_stay_bounded() {
 /// materializing `String`s.
 #[test]
 fn wire_layer_steady_state_allocates_zero_per_frame() {
+    let _alone = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
     let request: Req<KvOp> = Req::new(
         Timestamp::new(7),
         Dot::new(ReplicaId::new(1), 42),

@@ -5,17 +5,7 @@ use crate::backend::StorageError;
 use crate::crc::crc32;
 use bayou_types::Wire;
 
-/// Wraps `body` in the sealed-container envelope.
-pub(crate) fn seal(magic: &[u8; 4], version: u32, body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(12 + body.len());
-    out.extend_from_slice(magic);
-    version.encode(&mut out);
-    crc32(body).encode(&mut out);
-    out.extend_from_slice(body);
-    out
-}
-
-/// Like [`seal`], but appends the envelope to `out` (typically a pooled
+/// Appends the sealed-container envelope to `out` (typically a pooled
 /// buffer) with the body encoded in place by `encode_body` — no fresh
 /// body `Vec` per container. The checksum slot is reserved up front and
 /// patched once the body is written.
@@ -43,29 +33,11 @@ pub(crate) fn unseal<'a>(
     what: &str,
     bytes: &'a [u8],
 ) -> Result<&'a [u8], StorageError> {
-    let (got, body) = unseal_any(magic, version, what, bytes)?;
-    if got != version {
-        return Err(StorageError::Corrupt(format!(
-            "unsupported {what} version {got}"
-        )));
-    }
-    Ok(body)
-}
-
-/// Like [`unseal`], but accepts any version in `1..=max_version` and
-/// returns it alongside the body — the hook for containers that keep
-/// decoding their legacy layouts (e.g. pre-compaction snapshots).
-pub(crate) fn unseal_any<'a>(
-    magic: &[u8; 4],
-    max_version: u32,
-    what: &str,
-    bytes: &'a [u8],
-) -> Result<(u32, &'a [u8]), StorageError> {
     if bytes.len() < 12 || &bytes[..4] != magic {
         return Err(StorageError::Corrupt(format!("{what} magic mismatch")));
     }
     let got = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    if got == 0 || got > max_version {
+    if got != version {
         return Err(StorageError::Corrupt(format!(
             "unsupported {what} version {got}"
         )));
@@ -75,25 +47,25 @@ pub(crate) fn unseal_any<'a>(
     if crc32(body) != crc {
         return Err(StorageError::Corrupt(format!("{what} checksum mismatch")));
     }
-    Ok((got, body))
+    Ok(body)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn seal_unseal_round_trip() {
-        let sealed = seal(b"TEST", 3, b"payload");
-        assert_eq!(unseal(b"TEST", 3, "test", &sealed).unwrap(), b"payload");
+    fn seal(magic: &[u8; 4], version: u32, body: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        seal_into(&mut out, magic, version, |b| b.extend_from_slice(body));
+        out
     }
 
     #[test]
-    fn seal_into_matches_seal_and_appends() {
+    fn seal_appends_and_unseal_round_trips() {
         let mut out = b"prefix".to_vec();
         seal_into(&mut out, b"TEST", 3, |b| b.extend_from_slice(b"payload"));
         assert_eq!(&out[..6], b"prefix");
-        assert_eq!(&out[6..], seal(b"TEST", 3, b"payload").as_slice());
+        assert_eq!(unseal(b"TEST", 3, "test", &out[6..]).unwrap(), b"payload");
     }
 
     #[test]

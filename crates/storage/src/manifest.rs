@@ -32,11 +32,13 @@ pub struct Manifest {
 impl Manifest {
     /// Serializes with magic, version and a body checksum.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut body = Vec::new();
-        self.snapshot.encode(&mut body);
-        self.segments.encode(&mut body);
-        self.next_file_seq.encode(&mut body);
-        crate::container::seal(MAGIC, VERSION, &body)
+        let mut out = Vec::new();
+        crate::container::seal_into(&mut out, MAGIC, VERSION, |body| {
+            self.snapshot.encode(body);
+            self.segments.encode(body);
+            self.next_file_seq.encode(body);
+        });
+        out
     }
 
     /// Parses and validates a serialized manifest.

@@ -16,9 +16,10 @@
 //! prefix is summarised by a [`bayou_broadcast::BaselineMark`] plus the
 //! `baseline` state materialized at exactly the mark. This makes the
 //! snapshot O(state + uncompacted window) instead of O(history) — the
-//! decode cost finally matches the replay saving. Version-1 (legacy,
-//! full-decided-log) snapshots still decode: they read back with a zero
-//! mark and a default baseline, which is exactly what they mean.
+//! decode cost finally matches the replay saving. Version 2 is the only
+//! container read: a version-1 (full-decided-log, no mark) container is
+//! rejected with a typed [`StorageError`] — no deployed data predates
+//! the compact form.
 
 use crate::backend::StorageError;
 use bayou_broadcast::BaselineMark;
@@ -79,8 +80,8 @@ pub struct Snapshot<F: DataType> {
     /// Accepted values for slots not yet known decided.
     pub accepted: Vec<AcceptedSlot<F::Op>>,
     /// The decided log **above the compaction floor** (all retained
-    /// slots, ascending). With a zero mark this is the full decided log
-    /// — the legacy (version-1) meaning.
+    /// slots, ascending). With a zero mark this is the full decided
+    /// log.
     pub decided: Vec<DecidedSlot<F::Op>>,
     /// Requests logged but not yet decided at capture time.
     pub pending: Vec<PendingReq<F::Op>>,
@@ -122,45 +123,29 @@ where
             self.accepted.encode(body);
             self.decided.encode(body);
             self.pending.encode(body);
-            // version-2 tail: compaction floor + baseline + dot high-waters
+            // compaction floor + baseline + dot high-waters
             self.mark.encode(body);
             self.baseline.encode(body);
             self.event_high.encode(body);
         });
     }
 
-    /// Parses and validates a serialized snapshot — the current compact
-    /// form (version 2) or the legacy full-decided-log form (version 1),
-    /// which reads back with a zero mark and a default baseline.
+    /// Parses and validates a serialized snapshot (container version 2
+    /// only; any other version is a typed error).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, StorageError> {
-        let (version, body) = crate::container::unseal_any(MAGIC, VERSION, "snapshot", bytes)?;
+        let body = crate::container::unseal(MAGIC, VERSION, "snapshot", bytes)?;
         let mut r = WireReader::new(body);
         let decode = |r: &mut WireReader<'_>| -> Result<Self, WireError> {
-            let delivered = u64::decode(r)?;
-            let state = F::State::decode(r)?;
-            let promised = <(u64, ReplicaId)>::decode(r)?;
-            let accepted = Vec::decode(r)?;
-            let decided = Vec::decode(r)?;
-            let pending = Vec::decode(r)?;
-            let (mark, baseline, event_high) = if version >= 2 {
-                (
-                    BaselineMark::decode(r)?,
-                    F::State::decode(r)?,
-                    Vec::decode(r)?,
-                )
-            } else {
-                (BaselineMark::default(), F::State::default(), Vec::new())
-            };
             Ok(Snapshot {
-                delivered,
-                state,
-                promised,
-                accepted,
-                decided,
-                pending,
-                mark,
-                baseline,
-                event_high,
+                delivered: u64::decode(r)?,
+                state: F::State::decode(r)?,
+                promised: <(u64, ReplicaId)>::decode(r)?,
+                accepted: Vec::decode(r)?,
+                decided: Vec::decode(r)?,
+                pending: Vec::decode(r)?,
+                mark: BaselineMark::decode(r)?,
+                baseline: F::State::decode(r)?,
+                event_high: Vec::decode(r)?,
             })
         };
         let snap =
@@ -236,26 +221,6 @@ mod tests {
         let back = Snapshot::<KvStore>::from_bytes(&s.to_bytes()).unwrap();
         assert_eq!(back.mark, s.mark);
         assert_eq!(back.baseline, s.baseline);
-    }
-
-    #[test]
-    fn legacy_v1_snapshot_still_decodes() {
-        // hand-build a version-1 body (no mark/baseline/event_high tail)
-        let s = sample();
-        let mut body = Vec::new();
-        s.delivered.encode(&mut body);
-        s.state.encode(&mut body);
-        s.promised.encode(&mut body);
-        s.accepted.encode(&mut body);
-        s.decided.encode(&mut body);
-        s.pending.encode(&mut body);
-        let bytes = crate::container::seal(MAGIC, 1, &body);
-        let back = Snapshot::<KvStore>::from_bytes(&bytes).unwrap();
-        assert_eq!(back.delivered, s.delivered);
-        assert_eq!(back.state, s.state);
-        assert!(back.mark.is_zero(), "legacy snapshots carry a zero mark");
-        assert_eq!(back.baseline, Default::default());
-        assert!(back.event_high.is_empty());
     }
 
     #[test]

@@ -5,10 +5,12 @@
 //! # Write path
 //!
 //! Every hook appends one framed, checksummed record to the current
-//! segment and (by default) fsyncs before returning — the replica calls
-//! the hooks *inside* its atomic handler step, so a fact is on disk
-//! before any message or response produced by the same step leaves the
-//! process. Segments rotate at a size threshold; every
+//! segment; the fsync those records demand is paid once, at the *step
+//! barrier* ([`Persistence::sync_step`]) — group commit. The replica
+//! calls the hooks *inside* its atomic handler step and the barrier at
+//! its end, so a fact is on disk before any message or response
+//! produced by the same step leaves the process. Code that drives the
+//! hooks directly owes the barrier itself. Segments rotate at a size threshold; every
 //! [`StoreConfig::snapshot_every`] commits a [`Snapshot`] is written
 //! atomically, the manifest is switched over, and all older files are
 //! deleted.
@@ -61,23 +63,21 @@ pub struct StoreConfig {
     pub snapshot_every: u64,
     /// Segment size threshold that triggers rotation, in bytes.
     pub segment_max_bytes: usize,
-    /// Whether to fsync after every record (`true`, the safe default) or
-    /// only at rotation/snapshot boundaries (faster, loses the unsynced
-    /// suffix on crash — still recoverable thanks to the frame
+    /// Whether every record demands an fsync (`true`, the safe default)
+    /// or only rotation/snapshot boundaries do (faster, loses the
+    /// unsynced suffix on crash — still recoverable thanks to the frame
     /// checksums).
-    pub sync_every_record: bool,
-    /// Group commit (`true`, the default): record syncs demanded by
-    /// `sync_every_record` are deferred to the *step barrier*
-    /// ([`Persistence::sync_step`]) instead of paid per record, so every
-    /// record a handler step writes — an invocation, a batch of
+    ///
+    /// Record syncs are *group-committed*: a demand marks the store
+    /// dirty and the *step barrier* ([`Persistence::sync_step`]) pays it,
+    /// so every record a handler step writes — an invocation, a batch of
     /// tentative requests, a frame's worth of TOB decisions — shares one
     /// fsync. The replica invokes the barrier before any message or
     /// response produced by the step leaves, so the durability contract
     /// ("a fact is on disk before its effects escape") is exactly the
-    /// per-record one. `false` recovers sync-per-record — the unbatched
-    /// baseline, and the right setting for code that drives the hooks
-    /// directly without a step structure.
-    pub group_commit: bool,
+    /// per-record one. Code that drives the hooks directly, without a
+    /// step structure, calls `sync_step()` wherever it needs durability.
+    pub sync_every_record: bool,
 }
 
 impl Default for StoreConfig {
@@ -86,7 +86,6 @@ impl Default for StoreConfig {
             snapshot_every: 64,
             segment_max_bytes: 256 * 1024,
             sync_every_record: true,
-            group_commit: true,
         }
     }
 }
@@ -115,24 +114,19 @@ pub trait Persistence<F: DataType> {
         events: Vec<TobEvent<SharedReq<F::Op>>>,
     ) -> Result<(), StorageError>;
 
-    /// Notes a TOB delivery (commit), in delivery order. May trigger a
-    /// snapshot.
-    fn note_commit(&mut self, req: &SharedReq<F::Op>) -> Result<(), StorageError>;
-
-    /// Notes a whole TOB delivery batch in one call — the group-commit
-    /// hook of the batched commit pipeline. Semantically identical to
-    /// calling [`Persistence::note_commit`] once per request in order;
-    /// implementations override it to amortize the per-commit work
-    /// (state-mirror application, snapshot-cadence check — and with it
-    /// the fsync a snapshot implies) over the batch, so the whole batch
-    /// costs at most one snapshot and one sync inside the atomic handler
-    /// step.
-    fn log_commit_batch(&mut self, reqs: &[SharedReq<F::Op>]) -> Result<(), StorageError> {
-        for req in reqs {
-            self.note_commit(req)?;
-        }
-        Ok(())
+    /// Notes a TOB delivery (commit), in delivery order: a
+    /// [`Persistence::log_commit_batch`] of one.
+    fn note_commit(&mut self, req: &SharedReq<F::Op>) -> Result<(), StorageError> {
+        self.log_commit_batch(std::slice::from_ref(req))
     }
+
+    /// Notes a whole TOB delivery batch (in delivery order) in one call
+    /// — the commit hook of the batched pipeline. The per-commit work
+    /// (state-mirror application, snapshot-cadence check — and with it
+    /// the fsync a snapshot implies) is amortized over the batch, so the
+    /// whole batch costs at most one snapshot and one sync inside the
+    /// atomic handler step.
+    fn log_commit_batch(&mut self, reqs: &[SharedReq<F::Op>]) -> Result<(), StorageError>;
 
     /// Notes that the replica advanced its compaction floor to `mark`
     /// with `baseline` materialized at exactly the mark: the store drops
@@ -157,10 +151,10 @@ pub trait Persistence<F: DataType> {
     /// The step barrier of group commit: makes every record logged since
     /// the last barrier durable, with (at most) one fsync. The replica
     /// calls this at the end of every handler step, *before* the step's
-    /// buffered messages and responses leave — so with
-    /// [`StoreConfig::group_commit`] the per-record durability contract
-    /// is preserved while the whole step pays a single sync. A no-op
-    /// when nothing is pending.
+    /// buffered messages and responses leave — so the per-record
+    /// durability contract ([`StoreConfig::sync_every_record`]) is
+    /// preserved while the whole step pays a single sync. A no-op when
+    /// nothing is pending.
     fn sync_step(&mut self) -> Result<(), StorageError> {
         Ok(())
     }
@@ -196,7 +190,7 @@ impl<F: DataType> Persistence<F> for NullPersistence {
     ) -> Result<(), StorageError> {
         Ok(())
     }
-    fn note_commit(&mut self, _req: &SharedReq<F::Op>) -> Result<(), StorageError> {
+    fn log_commit_batch(&mut self, _reqs: &[SharedReq<F::Op>]) -> Result<(), StorageError> {
         Ok(())
     }
 }
@@ -610,19 +604,13 @@ where
         self.backend.sync()
     }
 
-    /// A record-level sync demand: paid immediately without group
-    /// commit, deferred to the step barrier with it — the store's own
-    /// barrier by default, a host-shared [`crate::SyncBarrier`] when
+    /// A record-level sync demand, deferred to the step barrier — the
+    /// store's own by default, a host-shared [`crate::SyncBarrier`] when
     /// [`ReplicaStore::defer_sync_to_barrier`] routed it there.
-    fn record_sync(&mut self) -> Result<(), StorageError> {
-        if self.cfg.group_commit {
-            match &self.barrier {
-                Some(barrier) => barrier.mark_dirty(),
-                None => self.dirty = true,
-            }
-            Ok(())
-        } else {
-            self.sync_backend()
+    fn record_sync(&mut self) {
+        match &self.barrier {
+            Some(barrier) => barrier.mark_dirty(),
+            None => self.dirty = true,
         }
     }
 
@@ -631,10 +619,10 @@ where
     /// [`Persistence::sync_step`] is a no-op, because the multi-group
     /// host settles the barrier itself — once per handler step, one
     /// physical sync for every group sharing the backend, still before
-    /// any of the step's output leaves the process. Only meaningful with
-    /// [`StoreConfig::group_commit`]; internal syncs at rotation and
-    /// snapshot boundaries are unaffected (they sync the shared backend,
-    /// which is sound — at worst another group's bytes ride along).
+    /// any of the step's output leaves the process. Internal syncs at
+    /// rotation and snapshot boundaries are unaffected (they sync the
+    /// shared backend, which is sound — at worst another group's bytes
+    /// ride along).
     pub fn defer_sync_to_barrier(&mut self, barrier: Arc<crate::shared::SyncBarrier>) {
         if self.dirty {
             // debt accrued before the handoff moves to the barrier
@@ -662,14 +650,13 @@ where
         self.append_record_with(rec, self.cfg.sync_every_record)
     }
 
-    /// Appends one framed record; `sync_now` lets multi-record hooks
-    /// batch a single fsync at the end of the batch instead of paying
-    /// one per record (the batch still syncs inside the same atomic
-    /// handler step, so the durability contract is unchanged).
+    /// Appends one framed record; `demand_sync` is whether it owes the
+    /// step barrier an fsync (multi-record hooks raise the demand once,
+    /// after their last record).
     fn append_record_with(
         &mut self,
         rec: &WalRecordRef<'_, F::Op>,
-        sync_now: bool,
+        demand_sync: bool,
     ) -> Result<(), StorageError> {
         // pooled framing: the buffer is checked back in below, so the
         // steady-state append (encode + frame + write) allocates nothing
@@ -685,8 +672,8 @@ where
         let framed_len = framed.len();
         self.enc_pool.checkin(framed);
         append_res?;
-        if sync_now {
-            self.record_sync()?;
+        if demand_sync {
+            self.record_sync();
         }
         self.current_segment_len += framed_len;
         if self.current_segment_len >= self.cfg.segment_max_bytes {
@@ -847,25 +834,11 @@ where
                     self.pending.remove(&payload.id());
                 }
             }
-            // batch: one fsync for the whole event batch, below (with
-            // group commit, deferred further to the step barrier)
+            // one sync demand for the whole event batch, below
             self.append_record_with(&WalRecordRef::from_tob_event(&ev), false)?;
         }
         if self.cfg.sync_every_record {
-            self.record_sync()?;
-        }
-        Ok(())
-    }
-
-    fn note_commit(&mut self, req: &SharedReq<F::Op>) -> Result<(), StorageError> {
-        if !self.enabled {
-            return Ok(());
-        }
-        F::apply(&mut self.stable_state, &req.op);
-        self.delivered += 1;
-        self.commits_since_snapshot += 1;
-        if self.commits_since_snapshot >= self.cfg.snapshot_every {
-            self.write_snapshot()?;
+            self.record_sync();
         }
         Ok(())
     }
@@ -874,10 +847,8 @@ where
         if !self.enabled || reqs.is_empty() {
             return Ok(());
         }
-        // group commit: fold the whole batch into the stable-state
-        // mirror, then check the snapshot cadence once — a batch crosses
-        // it at most once, where the sequential path could snapshot (and
-        // pay a sync barrier) several times mid-batch
+        // fold the whole batch into the stable-state mirror, then check
+        // the snapshot cadence once — a batch crosses it at most once
         for req in reqs {
             F::apply(&mut self.stable_state, &req.op);
         }
@@ -1091,13 +1062,13 @@ mod tests {
             segment_max_bytes: 128, // rotate every couple of records
             snapshot_every: u64::MAX,
             sync_every_record: true,
-            group_commit: false,
         };
         let (mut store, _) = KvStore8::open(disk.clone(), 1, cfg).unwrap();
         for i in 0..20u64 {
             store
                 .log_invoke(&shared(i + 1, 0, KvOp::put("k", i as i64)), i)
                 .unwrap();
+            store.sync_step().unwrap();
         }
         assert!(
             store.manifest.segments.len() > 2,

@@ -134,6 +134,38 @@ fn snapshot_truncations_are_rejected() {
     }
 }
 
+/// Only container version 2 is read: a well-formed version-1 container
+/// (valid magic and checksum over the legacy body — no mark, baseline or
+/// dot high-waters) is a typed error, never a panic or a silent
+/// zero-mark decode. So is a current body restamped as version 1.
+#[test]
+fn v1_stamped_snapshot_is_a_typed_error() {
+    let s = sample_snapshot();
+    let mut body = Vec::new();
+    s.delivered.encode(&mut body);
+    s.state.encode(&mut body);
+    s.promised.encode(&mut body);
+    s.accepted.encode(&mut body);
+    s.decided.encode(&mut body);
+    s.pending.encode(&mut body);
+    let mut legacy = b"BSNP".to_vec();
+    1u32.encode(&mut legacy);
+    bayou_storage::crc32(&body).encode(&mut legacy);
+    legacy.extend_from_slice(&body);
+
+    let mut restamped = s.to_bytes();
+    restamped[4..8].copy_from_slice(&1u32.to_le_bytes());
+
+    for bytes in [legacy, restamped] {
+        match Snapshot::<KvStore>::from_bytes(&bytes) {
+            Err(StorageError::Corrupt(why)) => {
+                assert!(why.contains("unsupported snapshot version 1"), "{why}")
+            }
+            other => panic!("a v1 container must be rejected, got {other:?}"),
+        }
+    }
+}
+
 /// Every single-byte flip and truncation of a manifest is rejected.
 #[test]
 fn manifest_flips_and_truncations_are_rejected() {

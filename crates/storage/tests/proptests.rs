@@ -65,7 +65,6 @@ fn crash_at_arbitrary_prefix_recovers_durable_prefix<F>(
         snapshot_every,
         segment_max_bytes: usize::MAX,
         sync_every_record: true,
-        group_commit: false, // the proptests drive the hooks directly (no step structure)
     };
     let (mut store, recovered) = ReplicaStore::<F, _>::open(disk.clone(), 1, cfg).unwrap();
     assert!(recovered.is_empty());
@@ -84,6 +83,9 @@ fn crash_at_arbitrary_prefix_recovers_durable_prefix<F>(
                 payload: req.clone(),
             }])
             .unwrap();
+        // the proptests drive the hooks directly (no step structure), so
+        // they owe the barrier that makes the record durable
+        store.sync_step().unwrap();
         marks.push(current_wal(&disk));
         store.note_commit(&req).unwrap();
         if (slot as u64 + 1).is_multiple_of(snapshot_every) {
@@ -193,7 +195,6 @@ mod torn_unsynced_tail {
                 snapshot_every: u64::MAX,
                 segment_max_bytes: usize::MAX,
                 sync_every_record: false, // nothing synced: the whole log is at risk
-                group_commit: false,
             };
             let (mut store, _) = ReplicaStore::<KvStore, _>::open(disk.clone(), 1, cfg).unwrap();
             for (slot, op) in ops.iter().enumerate() {
