@@ -1,10 +1,10 @@
-//! The live cluster: replica threads plus the router.
+//! The live cluster: one thread and one mailbox per replica.
 
-use crate::router::{run_router, Frame, PartitionControl};
+use crate::router::PartitionControl;
 use bayou_types::{Context, Process, ReplicaId, TimerId, Timestamp, VirtualTime};
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use std::collections::BinaryHeap;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -15,33 +15,24 @@ pub struct LiveConfig {
     pub n: usize,
     /// Seed for the replicas' random streams.
     pub seed: u64,
-    /// Artificial one-way message delay added by the router.
-    pub delay: Duration,
-    /// Capacity of every channel in the cluster (network ingress,
-    /// per-replica inboxes, client inputs, outputs). Bounded channels
-    /// give backpressure instead of unbounded memory growth under heavy
-    /// load: producers block on the shared ingress and input channels,
-    /// while the router treats a full inbox as a lossy link (dropped
-    /// frames are recovered by protocol retransmission, exactly like a
-    /// partition drop).
+    /// Capacity of every channel in the cluster (the per-replica
+    /// mailboxes and the output channel). Bounded channels give
+    /// backpressure instead of unbounded memory growth under heavy
+    /// load: a client blocks in [`LiveCluster::invoke`] while the
+    /// replica's mailbox is full, whereas a peer treats a full mailbox
+    /// as a lossy link (dropped frames are recovered by protocol
+    /// retransmission, exactly like a partition drop).
     pub channel_capacity: usize,
 }
 
 impl LiveConfig {
-    /// `n` replicas, no artificial delay, 4096-slot channels.
+    /// `n` replicas, 4096-slot channels.
     pub fn new(n: usize) -> Self {
         LiveConfig {
             n,
             seed: 0,
-            delay: Duration::ZERO,
             channel_capacity: 4096,
         }
-    }
-
-    /// Sets the artificial delay (builder style).
-    pub fn with_delay(mut self, delay: Duration) -> Self {
-        self.delay = delay;
-        self
     }
 
     /// Sets the channel capacity (builder style).
@@ -52,14 +43,21 @@ impl LiveConfig {
     }
 }
 
+/// What a replica's mailbox carries. One queue merges the client's
+/// inputs, the peers' frames and the cluster's control events, so every
+/// sender's events are handled in the order it sent them.
 enum ReplicaEvent<P: Process> {
     Input(P::Input),
+    /// A frame from the named peer (possibly the replica itself).
+    Message(ReplicaId, P::Msg),
     /// Rebuild the replica's process through the cluster factory (which
     /// recovers it from durable storage when one is wired) and mark it
     /// live again.
     Restart,
     Stop(Sender<P>),
 }
+
+type Mailboxes<P> = Vec<Sender<ReplicaEvent<P>>>;
 
 /// A running in-process cluster of `n` replicas executing a
 /// [`Process`].
@@ -68,7 +66,10 @@ enum ReplicaEvent<P: Process> {
 /// single channel ([`LiveCluster::recv_output`]); faults are injected
 /// through [`LiveCluster::control`].
 pub struct LiveCluster<P: Process> {
-    inputs: Vec<Sender<ReplicaEvent<P>>>,
+    /// The only strong reference to the mailbox senders: replica threads
+    /// reach their peers through a [`Weak`] one, so dropping the cluster
+    /// disconnects every mailbox and the threads exit.
+    mailboxes: Arc<Mailboxes<P>>,
     outputs: Receiver<(ReplicaId, P::Output)>,
     ctl: Arc<PartitionControl>,
     threads: Vec<JoinHandle<()>>,
@@ -99,47 +100,30 @@ where
         assert!(n > 0, "cluster must contain at least one replica");
         let make: Arc<dyn Fn(ReplicaId, usize) -> P + Send + Sync> = Arc::new(make);
         let ctl = PartitionControl::new(n);
-        let (net_tx, net_rx) = bounded::<Frame<P::Msg>>(cap);
         let (out_tx, out_rx) = bounded::<(ReplicaId, P::Output)>(cap);
+        let (mailbox_txs, mailbox_rxs): (Mailboxes<P>, Vec<_>) =
+            (0..n).map(|_| bounded::<ReplicaEvent<P>>(cap)).unzip();
+        let mailboxes = Arc::new(mailbox_txs);
 
-        let mut inputs = Vec::with_capacity(n);
-        let mut inbox_txs = Vec::with_capacity(n);
-        let mut inbox_rxs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = bounded::<(ReplicaId, P::Msg)>(cap);
-            inbox_txs.push(tx);
-            inbox_rxs.push(rx);
-        }
-
-        let mut threads = Vec::with_capacity(n + 1);
-        let router_ctl = Arc::clone(&ctl);
-        let delay = config.delay;
-        threads.push(
-            std::thread::Builder::new()
-                .name("bayou-router".into())
-                .spawn(move || run_router(net_rx, inbox_txs, router_ctl, delay))
-                .expect("spawn router"),
-        );
-
-        for (i, inbox) in inbox_rxs.into_iter().enumerate() {
-            let id = ReplicaId::new(i as u32);
-            let factory = Arc::clone(&make);
-            let (ev_tx, ev_rx) = bounded::<ReplicaEvent<P>>(cap);
-            inputs.push(ev_tx);
-            let net = net_tx.clone();
-            let out = out_tx.clone();
-            let rctl = Arc::clone(&ctl);
-            let seed = config.seed.wrapping_add(i as u64);
-            threads.push(
+        let threads = mailbox_rxs
+            .into_iter()
+            .enumerate()
+            .map(|(i, mailbox)| {
+                let id = ReplicaId::new(i as u32);
+                let factory = Arc::clone(&make);
+                let peers = Arc::downgrade(&mailboxes);
+                let out = out_tx.clone();
+                let rctl = Arc::clone(&ctl);
+                let seed = config.seed.wrapping_add(i as u64);
                 std::thread::Builder::new()
                     .name(format!("bayou-replica-{i}"))
-                    .spawn(move || replica_loop(id, n, factory, ev_rx, inbox, net, out, rctl, seed))
-                    .expect("spawn replica"),
-            );
-        }
+                    .spawn(move || replica_loop(id, n, factory, mailbox, peers, out, rctl, seed))
+                    .expect("spawn replica")
+            })
+            .collect();
 
         LiveCluster {
-            inputs,
+            mailboxes,
             outputs: out_rx,
             ctl,
             threads,
@@ -163,13 +147,13 @@ where
     }
 
     /// Sends a client input to a replica (blocks while the replica's
-    /// input channel is at capacity — client-side backpressure).
+    /// mailbox is at capacity — client-side backpressure).
     ///
     /// # Panics
     ///
     /// Panics if the replica id is out of range.
     pub fn invoke(&self, replica: ReplicaId, input: P::Input) {
-        self.inputs[replica.index()]
+        self.mailboxes[replica.index()]
             .send(ReplicaEvent::Input(input))
             .expect("replica thread alive");
     }
@@ -183,7 +167,7 @@ where
     ///
     /// Panics if the replica id is out of range.
     pub fn restart(&self, replica: ReplicaId) {
-        self.inputs[replica.index()]
+        self.mailboxes[replica.index()]
             .send(ReplicaEvent::Restart)
             .expect("replica thread alive");
     }
@@ -205,46 +189,43 @@ where
     /// Stops all threads and returns the final process states (for
     /// convergence inspection).
     ///
-    /// Keeps draining the (bounded) output and event channels while
-    /// waiting: a replica blocked publishing a response into a full
-    /// channel must be able to make progress to reach its Stop event —
-    /// otherwise an undrained cluster could never shut down.
+    /// Keeps draining the (bounded) output channel while waiting: a
+    /// replica blocked publishing a response into a full channel must
+    /// be able to make progress to reach its Stop event — otherwise an
+    /// undrained cluster could never shut down.
     pub fn shutdown(self) -> Vec<P> {
         let mut processes = Vec::with_capacity(self.n);
-        for tx in &self.inputs {
+        for tx in self.mailboxes.iter() {
             let (ret_tx, ret_rx) = bounded(1);
             let deadline = Instant::now() + Duration::from_secs(5);
-            // the event channel itself may be full of unprocessed inputs;
+            // the mailbox itself may be full of unprocessed events;
             // retry while unblocking the replica via output drains
             let mut stop = Some(ReplicaEvent::Stop(ret_tx));
             loop {
                 if let Some(ev) = stop.take() {
                     match tx.try_send(ev) {
                         Ok(()) => {}
-                        Err(crossbeam::channel::TrySendError::Full(ev)) => stop = Some(ev),
-                        Err(crossbeam::channel::TrySendError::Disconnected(_)) => break,
-                    }
-                }
-                if stop.is_none() {
-                    match ret_rx.try_recv() {
-                        Ok(p) => {
-                            processes.push(p);
-                            break;
-                        }
-                        Err(crossbeam::channel::TryRecvError::Disconnected) => break,
-                        Err(crossbeam::channel::TryRecvError::Empty) => {}
+                        Err(TrySendError::Full(ev)) => stop = Some(ev),
+                        Err(TrySendError::Disconnected(_)) => break,
                     }
                 }
                 while self.outputs.try_recv().is_ok() {}
+                match ret_rx.recv_timeout(Duration::from_millis(1)) {
+                    Ok(p) => {
+                        processes.push(p);
+                        break;
+                    }
+                    Err(RecvTimeoutError::Disconnected) => break,
+                    Err(RecvTimeoutError::Timeout) => {}
+                }
                 if Instant::now() >= deadline {
                     break;
                 }
-                std::thread::sleep(Duration::from_millis(1));
             }
         }
-        drop(self.inputs);
+        drop(self.mailboxes);
         // closing the output channel unblocks any straggler stuck in a
-        // full `send` (it errors out and observes the closed inputs)
+        // full `send` (it errors out and observes the closed mailbox)
         drop(self.outputs);
         for t in self.threads {
             let _ = t.join();
@@ -326,14 +307,43 @@ impl<M> Context<M> for LiveCtx<'_, M> {
     }
 }
 
+/// The links: puts the frames one handler step of `from` produced into
+/// their destinations' mailboxes. The fault model mirrors the
+/// simulator's — a crashed endpoint or a partition crossing drops the
+/// frame, and protocol retransmission recovers. So does a full mailbox
+/// (a lossy link): a replica blocking on a peer's mailbox could deadlock
+/// against that peer blocking on its own.
+fn deliver<P: Process>(
+    from: ReplicaId,
+    outbox: &mut Vec<(ReplicaId, P::Msg)>,
+    peers: &Weak<Mailboxes<P>>,
+    ctl: &PartitionControl,
+) {
+    if outbox.is_empty() {
+        return;
+    }
+    let Some(peers) = peers.upgrade() else {
+        // the cluster handle is gone, and so is every mailbox
+        outbox.clear();
+        return;
+    };
+    for (to, msg) in outbox.drain(..) {
+        if ctl.is_crashed(from) || ctl.is_crashed(to) || ctl.separated(from, to) {
+            continue;
+        }
+        if let Some(tx) = peers.get(to.index()) {
+            let _ = tx.try_send(ReplicaEvent::Message(from, msg)); // full/gone = dropped
+        }
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn replica_loop<P>(
     id: ReplicaId,
     n: usize,
     factory: Arc<dyn Fn(ReplicaId, usize) -> P + Send + Sync>,
-    events: Receiver<ReplicaEvent<P>>,
-    inbox: Receiver<(ReplicaId, P::Msg)>,
-    net: Sender<Frame<P::Msg>>,
+    mailbox: Receiver<ReplicaEvent<P>>,
+    peers: Weak<Mailboxes<P>>,
     out: Sender<(ReplicaId, P::Output)>,
     ctl: Arc<PartitionControl>,
     seed: u64,
@@ -374,11 +384,7 @@ fn replica_loop<P>(
             if process.has_failed() {
                 outbox.clear();
             } else {
-                for (to, msg) in outbox.drain(..) {
-                    // blocking is safe: the router never blocks, so the
-                    // shared ingress channel always drains
-                    let _ = net.send(Frame { from: id, to, msg });
-                }
+                deliver::<P>(id, &mut outbox, &peers, &ctl);
             }
         };
     }
@@ -414,45 +420,44 @@ fn replica_loop<P>(
                 let _ = out.send((id, o));
             }
         }
-        // 4. wait for the next event (or the next timer deadline)
-        let timeout = timers
-            .peek()
-            .map(|std::cmp::Reverse((due, _))| due.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_millis(10));
-        crossbeam::channel::select! {
-            recv(events) -> ev => match ev {
-                Ok(ReplicaEvent::Input(input)) => {
-                    if !ctl.is_crashed(id) && !process.has_failed() {
-                        process.on_input(input, &mut ctx!());
-                        flush!();
-                    }
+        // 4. sleep until the next event arrives or the next timer is due
+        let event = match timers.peek() {
+            Some(std::cmp::Reverse((due, _))) => {
+                match mailbox.recv_timeout(due.saturating_duration_since(Instant::now())) {
+                    Err(RecvTimeoutError::Timeout) => continue,
+                    got => got.ok(),
                 }
-                Ok(ReplicaEvent::Restart) => {
-                    // rebuild through the factory (recovering from
-                    // durable storage when one is wired) and come back
-                    process = factory(id, n);
-                    timers.clear();
-                    outbox.clear();
-                    ctl.uncrash(id);
-                    process.on_start(&mut ctx!());
-                    flush!();
-                }
-                Ok(ReplicaEvent::Stop(ret)) => {
-                    let _ = ret.send(process);
-                    return;
-                }
-                Err(_) => return,
-            },
-            recv(inbox) -> msg => match msg {
-                Ok((from, m)) => {
-                    if !ctl.is_crashed(id) && !process.has_failed() {
-                        process.on_message(from, m, &mut ctx!());
-                        flush!();
-                    }
-                }
-                Err(_) => return,
-            },
-            default(timeout) => {}
+            }
+            None => mailbox.recv().ok(),
+        };
+        let live = !ctl.is_crashed(id) && !process.has_failed();
+        match event {
+            Some(ReplicaEvent::Input(input)) if live => {
+                process.on_input(input, &mut ctx!());
+                flush!();
+            }
+            Some(ReplicaEvent::Message(from, m)) if live => {
+                process.on_message(from, m, &mut ctx!());
+                flush!();
+            }
+            // a crashed replica discards its traffic
+            Some(ReplicaEvent::Input(_) | ReplicaEvent::Message(..)) => {}
+            Some(ReplicaEvent::Restart) => {
+                // rebuild through the factory (recovering from
+                // durable storage when one is wired) and come back
+                process = factory(id, n);
+                timers.clear();
+                outbox.clear();
+                ctl.uncrash(id);
+                process.on_start(&mut ctx!());
+                flush!();
+            }
+            Some(ReplicaEvent::Stop(ret)) => {
+                let _ = ret.send(process);
+                return;
+            }
+            // the cluster handle was dropped
+            None => return,
         }
     }
 }
@@ -682,5 +687,297 @@ mod tests {
         let replicas = cluster.shutdown();
         assert_eq!(replicas[0].materialize(), 10);
         assert_eq!(replicas[1].materialize(), 10);
+    }
+}
+
+/// The mailbox's contract, as predicates over what a replica handled and
+/// in which order: per-sender FIFO; a full mailbox loses a peer's frame
+/// but only delays a client's input; nothing enters or leaves a crashed
+/// replica or crosses a partition; control events queued behind
+/// discarded traffic are honoured; a timer fires at its deadline.
+///
+/// Where an interleaving matters, a `Held` input parks the replica
+/// inside a handler until the test releases it.
+#[cfg(test)]
+mod mailbox_contract {
+    use super::*;
+    use std::sync::mpsc;
+
+    enum Do {
+        /// Send the number to a peer and report `Sent`.
+        Send(ReplicaId, u32),
+        /// Report `Noted`.
+        Note(u32),
+        /// Tell the test the handler is running, stay in it until
+        /// released, then send as `Send` does.
+        Held(
+            mpsc::Sender<()>,
+            mpsc::Receiver<()>,
+            Option<(ReplicaId, u32)>,
+        ),
+        /// Arm a timer and report `Fired` with how long it took.
+        Timer(Duration),
+    }
+
+    #[derive(Debug, Clone, PartialEq)]
+    enum Seen {
+        Started,
+        Sent(u32),
+        Noted(u32),
+        Got(ReplicaId, u32),
+        Fired(Duration),
+    }
+
+    #[derive(Default)]
+    struct Probe {
+        seen: Vec<Seen>,
+        armed: Option<Instant>,
+    }
+
+    impl Process for Probe {
+        type Msg = u32;
+        type Input = Do;
+        type Output = Seen;
+
+        fn on_start(&mut self, _: &mut dyn Context<u32>) {
+            self.seen.push(Seen::Started);
+        }
+
+        fn on_message(&mut self, from: ReplicaId, msg: u32, _: &mut dyn Context<u32>) {
+            self.seen.push(Seen::Got(from, msg));
+        }
+
+        fn on_input(&mut self, input: Do, ctx: &mut dyn Context<u32>) {
+            match input {
+                Do::Note(k) => self.seen.push(Seen::Noted(k)),
+                Do::Send(to, k) => {
+                    ctx.send(to, k);
+                    self.seen.push(Seen::Sent(k));
+                }
+                Do::Held(entered, release, send) => {
+                    entered.send(()).expect("test waits for the handler");
+                    release.recv().expect("test releases the handler");
+                    if let Some((to, k)) = send {
+                        self.on_input(Do::Send(to, k), ctx);
+                    }
+                }
+                Do::Timer(after) => {
+                    self.armed = Some(Instant::now());
+                    ctx.set_timer(VirtualTime::from_nanos(after.as_nanos() as u64));
+                }
+            }
+        }
+
+        fn on_timer(&mut self, _: TimerId, _: &mut dyn Context<u32>) {
+            let armed = self.armed.take().expect("a timer was armed");
+            self.seen.push(Seen::Fired(armed.elapsed()));
+        }
+
+        fn drain_outputs(&mut self) -> Vec<Seen> {
+            std::mem::take(&mut self.seen)
+        }
+    }
+
+    fn r(i: u32) -> ReplicaId {
+        ReplicaId::new(i)
+    }
+
+    fn next(cluster: &LiveCluster<Probe>) -> (ReplicaId, Seen) {
+        cluster
+            .recv_output(Duration::from_secs(5))
+            .expect("an output is due")
+    }
+
+    /// The next two outputs, which come from two replicas in no fixed
+    /// order.
+    fn next_two(cluster: &LiveCluster<Probe>, a: (ReplicaId, Seen), b: (ReplicaId, Seen)) {
+        let got = [next(cluster), next(cluster)];
+        assert!(got.contains(&a) && got.contains(&b), "{got:?}");
+    }
+
+    /// `n` started probes behind channels of `cap` slots.
+    fn probes(n: usize, cap: usize) -> LiveCluster<Probe> {
+        let config = LiveConfig::new(n).with_channel_capacity(cap);
+        let cluster = LiveCluster::new(config, |_, _| Probe::default());
+        for _ in 0..n {
+            assert_eq!(next(&cluster).1, Seen::Started);
+        }
+        cluster
+    }
+
+    /// Parks `replica` inside a handler; the returned sender lets it go.
+    fn hold(
+        cluster: &LiveCluster<Probe>,
+        replica: ReplicaId,
+        send: Option<(ReplicaId, u32)>,
+    ) -> mpsc::Sender<()> {
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel();
+        cluster.invoke(replica, Do::Held(entered_tx, release_rx, send));
+        entered_rx.recv().expect("the replica reaches the handler");
+        release_tx
+    }
+
+    #[test]
+    fn each_senders_events_are_handled_in_the_order_sent() {
+        const EACH: u32 = 200;
+        let cluster = probes(3, 4096);
+        for k in 0..EACH {
+            cluster.invoke(r(0), Do::Send(r(2), k));
+            cluster.invoke(r(1), Do::Send(r(2), k));
+            cluster.invoke(r(2), Do::Note(k));
+        }
+        let (mut from_0, mut from_1, mut from_client) = (Vec::new(), Vec::new(), Vec::new());
+        while from_0.len() + from_1.len() + from_client.len() < 3 * EACH as usize {
+            match next(&cluster) {
+                (at, Seen::Got(from, k)) if at == r(2) && from == r(0) => from_0.push(k),
+                (at, Seen::Got(from, k)) if at == r(2) && from == r(1) => from_1.push(k),
+                (at, Seen::Noted(k)) if at == r(2) => from_client.push(k),
+                (_, Seen::Sent(_)) => {}
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        let in_order: Vec<u32> = (0..EACH).collect();
+        assert_eq!(from_0, in_order);
+        assert_eq!(from_1, in_order);
+        assert_eq!(from_client, in_order);
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn a_full_mailbox_drops_a_peers_frame_and_delays_a_clients_input() {
+        let cluster = probes(2, 2);
+        let release = hold(&cluster, r(1), None);
+        // replica 1's mailbox is empty and has two slots: the third
+        // frame finds it full
+        for k in [10, 11, 12] {
+            cluster.invoke(r(0), Do::Send(r(1), k));
+            assert_eq!(next(&cluster), (r(0), Seen::Sent(k)));
+        }
+        std::thread::scope(|s| {
+            let (done_tx, done_rx) = mpsc::channel();
+            let cluster = &cluster;
+            s.spawn(move || {
+                cluster.invoke(r(1), Do::Note(1));
+                done_tx.send(()).expect("test waits for the invoke");
+            });
+            assert!(
+                done_rx.recv_timeout(Duration::from_millis(50)).is_err(),
+                "invoke returned though the mailbox was full"
+            );
+            release.send(()).expect("replica 1 is held");
+            done_rx
+                .recv_timeout(Duration::from_secs(5))
+                .expect("invoke completes once there is room");
+        });
+        assert_eq!(next(&cluster), (r(1), Seen::Got(r(0), 10)));
+        assert_eq!(next(&cluster), (r(1), Seen::Got(r(0), 11)));
+        assert_eq!(next(&cluster), (r(1), Seen::Noted(1)));
+        // 12 is lost, not late: it would precede 13
+        cluster.invoke(r(0), Do::Send(r(1), 13));
+        next_two(
+            &cluster,
+            (r(0), Seen::Sent(13)),
+            (r(1), Seen::Got(r(0), 13)),
+        );
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn faults_drop_frames_at_send_until_heal_or_restart() {
+        let cluster = probes(3, 64);
+        // each dropped frame is followed by a delivered one on the same
+        // link: FIFO would have put the dropped one first
+        cluster.control().isolate(r(2));
+        cluster.invoke(r(0), Do::Send(r(2), 1));
+        assert_eq!(next(&cluster), (r(0), Seen::Sent(1)));
+        cluster.control().heal();
+        cluster.invoke(r(0), Do::Send(r(2), 2));
+        next_two(&cluster, (r(0), Seen::Sent(2)), (r(2), Seen::Got(r(0), 2)));
+
+        // to a crashed replica
+        cluster.control().crash(r(2));
+        cluster.invoke(r(0), Do::Send(r(2), 3));
+        assert_eq!(next(&cluster), (r(0), Seen::Sent(3)));
+        // from one: replica 1 crashes inside the step that sends 4
+        let release = hold(&cluster, r(1), Some((r(0), 4)));
+        cluster.control().crash(r(1));
+        release.send(()).expect("replica 1 is held");
+
+        // a restart is handled after that step and its flush
+        cluster.restart(r(1));
+        assert_eq!(next(&cluster), (r(1), Seen::Started));
+        cluster.restart(r(2));
+        assert_eq!(next(&cluster), (r(2), Seen::Started));
+        cluster.invoke(r(1), Do::Send(r(0), 5));
+        next_two(&cluster, (r(1), Seen::Sent(5)), (r(0), Seen::Got(r(1), 5)));
+        cluster.invoke(r(0), Do::Send(r(2), 6));
+        next_two(&cluster, (r(0), Seen::Sent(6)), (r(2), Seen::Got(r(0), 6)));
+        cluster.shutdown();
+    }
+
+    /// Runs a lone crashed replica over a mailbox filled beforehand, on
+    /// this thread: the loop returns at the `Stop` that ends `events`.
+    fn run_crashed(events: Vec<ReplicaEvent<Probe>>) -> (Vec<Seen>, Probe) {
+        let (mailbox_tx, mailbox) = bounded(events.len() + 1);
+        let (out, outputs) = bounded(64);
+        let (ret_tx, ret_rx) = bounded(1);
+        for event in events {
+            mailbox_tx.send(event).expect("room for every event");
+        }
+        mailbox_tx
+            .send(ReplicaEvent::Stop(ret_tx))
+            .expect("room for every event");
+        let ctl = PartitionControl::new(1);
+        ctl.crash(r(0));
+        let factory = Arc::new(|_, _| Probe::default());
+        replica_loop(r(0), 1, factory, mailbox, Weak::new(), out, ctl, 0);
+        let reported = std::iter::from_fn(|| outputs.try_recv().ok())
+            .map(|(_, seen)| seen)
+            .collect();
+        (
+            reported,
+            ret_rx.try_recv().expect("Stop returns the process"),
+        )
+    }
+
+    #[test]
+    fn restart_and_stop_behind_discarded_traffic_are_honoured() {
+        let (reported, _) = run_crashed(vec![
+            ReplicaEvent::Input(Do::Note(1)),
+            ReplicaEvent::Message(r(0), 2),
+            ReplicaEvent::Restart,
+            ReplicaEvent::Input(Do::Note(3)),
+        ]);
+        assert_eq!(reported, [Seen::Started, Seen::Noted(3)]);
+
+        let (reported, process) = run_crashed(vec![
+            ReplicaEvent::Input(Do::Note(1)),
+            ReplicaEvent::Message(r(0), 2),
+        ]);
+        assert!(reported.is_empty());
+        assert_eq!(process.seen, [Seen::Started], "the traffic was discarded");
+    }
+
+    #[test]
+    fn a_timer_on_a_silent_mailbox_fires_at_its_deadline() {
+        const AFTER: Duration = Duration::from_millis(2);
+        let cluster = probes(1, 8);
+        // with no timer armed the replica sleeps until the input
+        let mut took: Vec<Duration> = (0..5)
+            .map(|_| {
+                cluster.invoke(r(0), Do::Timer(AFTER));
+                match next(&cluster) {
+                    (_, Seen::Fired(took)) => took,
+                    other => panic!("unexpected {other:?}"),
+                }
+            })
+            .collect();
+        took.sort_unstable();
+        assert!(took[0] >= AFTER, "fired early: {took:?}");
+        // the median, so that one descheduling of this busy test
+        // binary's threads fails nothing
+        assert!(took[2] <= Duration::from_millis(10), "fired late: {took:?}");
+        cluster.shutdown();
     }
 }

@@ -3,16 +3,18 @@
 //!
 //! Where `bayou-sim` executes protocols deterministically in virtual
 //! time, this crate runs the *same* [`bayou_types::Process`]
-//! implementations as a real in-process cluster: one OS thread per
-//! replica, crossbeam channels as links, a router thread that injects
-//! configurable delay, partitions and crash faults, and wall-clock
-//! timers. It exists to demonstrate that the protocol code is
-//! runtime-agnostic and to host the `examples/live_cluster.rs` demo and
-//! wall-clock benches.
+//! implementations as a real in-process cluster: one OS thread and one
+//! bounded mailbox per replica, and wall-clock timers. A replica sleeps
+//! on its mailbox until an event arrives or its next timer is due, and
+//! at the end of each step puts the frames it produced straight into
+//! its peers' mailboxes, dropping those that partitions or crash faults
+//! cut off. It exists to demonstrate that the protocol code is
+//! runtime-agnostic and to host the `examples/live_cluster.rs` demo, the
+//! server and the wall-clock benches.
 //!
-//! The Ω failure detector is provided by the router (which knows which
-//! replicas are crashed) through a shared atomic cell — replicas read it
-//! through [`bayou_types::Context::omega`] exactly as in the simulator.
+//! The Ω failure detector is provided by [`PartitionControl`] (which
+//! knows which replicas are crashed) — replicas read it through
+//! [`bayou_types::Context::omega`] exactly as in the simulator.
 //!
 //! Fault injection goes through [`PartitionControl`], which mirrors the
 //! simulator's partition constructors (`split_at`, `isolate`,

@@ -1,20 +1,11 @@
-//! The router thread: delivers messages between replica threads,
-//! applying delay, partitions and crash faults.
+//! The fault state of the links: partitions, crashes and the Ω leader.
+//! No thread sits between two replicas: the sender consults this state
+//! itself at the end of each step (`cluster::deliver`).
 
 use bayou_types::ReplicaId;
-use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// A routed frame.
-pub(crate) struct Frame<M> {
-    pub from: ReplicaId,
-    pub to: ReplicaId,
-    pub msg: M,
-}
 
 /// Shared control surface for fault injection, used by
 /// [`crate::LiveCluster`] and readable from tests.
@@ -22,14 +13,15 @@ pub(crate) struct Frame<M> {
 /// Partitions are block lists exactly as in the simulator: messages
 /// between different blocks are dropped (protocol-level retransmission
 /// recovers them after healing). Crashed replicas neither send nor
-/// receive, and the Ω leader cell is updated to the lowest-id live
-/// replica.
+/// receive, and Ω names the lowest-id live replica.
 #[derive(Debug)]
 pub struct PartitionControl {
     n: usize,
     blocks: Mutex<Option<Vec<Vec<ReplicaId>>>>,
-    crashed: Mutex<Vec<bool>>,
-    leader: AtomicU32,
+    /// One flag per replica, each independent of the others: `is_crashed`
+    /// runs several times per replica step and once per outgoing frame,
+    /// so it takes no lock.
+    crashed: Vec<AtomicBool>,
 }
 
 impl PartitionControl {
@@ -37,8 +29,7 @@ impl PartitionControl {
         Arc::new(PartitionControl {
             n,
             blocks: Mutex::new(None),
-            crashed: Mutex::new(vec![false; n]),
-            leader: AtomicU32::new(0),
+            crashed: (0..n).map(|_| AtomicBool::new(false)).collect(),
         })
     }
 
@@ -87,21 +78,22 @@ impl PartitionControl {
     }
 
     fn set_crashed(&self, r: ReplicaId, value: bool) {
-        let mut crashed = self.crashed.lock();
-        if r.index() < crashed.len() {
-            crashed[r.index()] = value;
+        if let Some(flag) = self.crashed.get(r.index()) {
+            flag.store(value, Ordering::SeqCst);
         }
-        let leader = crashed
-            .iter()
-            .position(|c| !c)
-            .map(|i| i as u32)
-            .unwrap_or(0);
-        self.leader.store(leader, Ordering::SeqCst);
+    }
+
+    /// Ids of the replicas not crashed, ascending.
+    fn live(&self) -> impl Iterator<Item = u32> + '_ {
+        (0u32..)
+            .zip(&self.crashed)
+            .filter(|(_, c)| !c.load(Ordering::SeqCst))
+            .map(|(i, _)| i)
     }
 
     /// The current Ω output (lowest-id live replica).
     pub fn leader(&self) -> ReplicaId {
-        ReplicaId::new(self.leader.load(Ordering::SeqCst))
+        ReplicaId::new(self.live().next().unwrap_or(0))
     }
 
     /// The current Ω output for protocol *lane* `lane` (a replication
@@ -110,25 +102,20 @@ impl PartitionControl {
     /// of funnelling it through the lowest id. Lane 0 is exactly
     /// [`PartitionControl::leader`].
     pub fn leader_for(&self, lane: u32) -> ReplicaId {
-        let crashed = self.crashed.lock();
-        let live: Vec<u32> = crashed
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !**c)
-            .map(|(i, _)| i as u32)
-            .collect();
-        match live.is_empty() {
-            true => ReplicaId::new(0),
-            false => ReplicaId::new(live[lane as usize % live.len()]),
-        }
+        let live = self.live().count().max(1);
+        // `None` when all are crashed, or a crash fell between the scans
+        ReplicaId::new(self.live().nth(lane as usize % live).unwrap_or(0))
     }
 
     /// Whether `r` has crashed.
     pub fn is_crashed(&self, r: ReplicaId) -> bool {
-        self.crashed.lock().get(r.index()).copied().unwrap_or(false)
+        self.crashed
+            .get(r.index())
+            .is_some_and(|c| c.load(Ordering::SeqCst))
     }
 
-    fn separated(&self, a: ReplicaId, b: ReplicaId) -> bool {
+    /// Whether a partition currently cuts the link between `a` and `b`.
+    pub(crate) fn separated(&self, a: ReplicaId, b: ReplicaId) -> bool {
         let guard = self.blocks.lock();
         let Some(blocks) = guard.as_ref() else {
             return false;
@@ -141,92 +128,6 @@ impl PartitionControl {
             (Some(x), Some(y)) => x != y,
             _ => true,
         }
-    }
-}
-
-struct Delayed<M> {
-    due: Instant,
-    seq: u64,
-    frame: Frame<M>,
-}
-
-impl<M> PartialEq for Delayed<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl<M> Eq for Delayed<M> {}
-impl<M> PartialOrd for Delayed<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Delayed<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (other.due, other.seq).cmp(&(self.due, self.seq))
-    }
-}
-
-/// The router loop: moves frames from the shared ingress channel to
-/// per-replica inboxes, applying the configured delay and the fault
-/// state. Exits when the ingress channel disconnects.
-pub(crate) fn run_router<M: Send>(
-    ingress: Receiver<Frame<M>>,
-    inboxes: Vec<Sender<(ReplicaId, M)>>,
-    ctl: Arc<PartitionControl>,
-    delay: Duration,
-) {
-    let mut heap: BinaryHeap<Delayed<M>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    loop {
-        // deliver everything due
-        let now = Instant::now();
-        while let Some(top) = heap.peek() {
-            if top.due > now {
-                break;
-            }
-            let d = heap.pop().expect("peeked");
-            deliver(&inboxes, &ctl, d.frame);
-        }
-        let timeout = heap
-            .peek()
-            .map(|d| d.due.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_millis(20));
-        match ingress.recv_timeout(timeout) {
-            Ok(frame) => {
-                if delay.is_zero() {
-                    deliver(&inboxes, &ctl, frame);
-                } else {
-                    heap.push(Delayed {
-                        due: Instant::now() + delay,
-                        seq,
-                        frame,
-                    });
-                    seq += 1;
-                }
-            }
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
-        }
-    }
-}
-
-fn deliver<M>(inboxes: &[Sender<(ReplicaId, M)>], ctl: &PartitionControl, frame: Frame<M>) {
-    // Fault model mirrors the simulator: crashed endpoints and partition
-    // crossings drop the frame; protocol retransmission recovers.
-    if ctl.is_crashed(frame.from) || ctl.is_crashed(frame.to) {
-        return;
-    }
-    if ctl.separated(frame.from, frame.to) {
-        return;
-    }
-    if let Some(tx) = inboxes.get(frame.to.index()) {
-        // Never block the router: a full inbox behaves like a lossy link
-        // (the channels are bounded for backpressure) and protocol-level
-        // retransmission recovers the frame. Blocking here could
-        // deadlock the router against a replica that is itself blocked
-        // sending into the shared ingress channel.
-        let _ = tx.try_send((frame.from, frame.msg)); // full/gone = dropped
     }
 }
 

@@ -281,10 +281,8 @@ impl Server {
         assert!(n > 0, "server needs at least one replica");
         assert!(shards > 0, "server needs at least one shard");
         let live = LiveConfig {
-            n,
             seed: config.seed,
-            delay: Duration::ZERO,
-            channel_capacity: 4096,
+            ..LiveConfig::new(n)
         };
         let lease = config.lease;
         let cluster = match config.data_dir.clone() {

@@ -1,11 +1,11 @@
 //! Offline shim for `crossbeam`: the `channel` module subset the live
-//! runtime uses (`unbounded`, `bounded`, `send`/`recv_timeout`/`try_recv`
-//! and a polling `select!`), implemented over `std::sync::mpsc`.
+//! runtime uses (`unbounded`, `bounded`, `send`/`try_send`,
+//! `recv`/`recv_timeout`/`try_recv`), implemented over `std::sync::mpsc`.
 //!
-//! The `select!` here polls its receivers (200 µs granularity) instead of
-//! parking on an event list; for the live-cluster runtime, whose timer
-//! resolution is already in the millisecond range, the difference is not
-//! observable.
+//! Every blocking call parks the thread until a message, a disconnect or
+//! the deadline; nothing here polls. Waiting on several receivers at once
+//! is not offered: a thread with several sources gives them one channel
+//! and an enum.
 
 #![forbid(unsafe_code)]
 
@@ -158,49 +158,6 @@ pub mod channel {
         let (tx, rx) = mpsc::sync_channel(cap);
         (Sender(Tx::Bounded(tx)), Receiver(Mutex::new(rx)))
     }
-
-    /// Internal `select!` helper: ties the `Ok` type of a select-arm
-    /// result to its receiver so inference works when the arm ignores it.
-    #[doc(hidden)]
-    pub fn __arm_result<T>(_rx: &Receiver<T>, got: Option<T>) -> Result<T, RecvError> {
-        got.ok_or(RecvError)
-    }
-
-    /// Polling stand-in for `crossbeam::channel::select!`, supporting
-    /// `recv(rx) -> pat => arm` arms plus one `default(timeout) => arm`.
-    #[macro_export]
-    macro_rules! channel_select {
-        (
-            $(recv($rx:expr) -> $res:ident => $arm:expr,)+
-            default($timeout:expr) => $default:expr $(,)?
-        ) => {{
-            let deadline = ::std::time::Instant::now() + $timeout;
-            'select: loop {
-                $(
-                    match $rx.try_recv() {
-                        Ok(msg) => {
-                            let $res = $crate::channel::__arm_result(&$rx, Some(msg));
-                            { $arm }
-                            break 'select;
-                        }
-                        Err($crate::channel::TryRecvError::Disconnected) => {
-                            let $res = $crate::channel::__arm_result(&$rx, None);
-                            { $arm }
-                            break 'select;
-                        }
-                        Err($crate::channel::TryRecvError::Empty) => {}
-                    }
-                )+
-                if ::std::time::Instant::now() >= deadline {
-                    { $default }
-                    break 'select;
-                }
-                ::std::thread::sleep(::std::time::Duration::from_micros(200));
-            }
-        }};
-    }
-
-    pub use crate::channel_select as select;
 }
 
 #[cfg(test)]
@@ -240,40 +197,5 @@ mod tests {
             rx.recv_timeout(Duration::from_millis(10)),
             Err(channel::RecvTimeoutError::Timeout)
         );
-    }
-
-    #[test]
-    fn select_picks_ready_channel_or_default() {
-        let (tx1, rx1) = channel::unbounded::<u32>();
-        let (_tx2, rx2) = channel::unbounded::<u32>();
-        let mut got: Option<u32> = None;
-        assert_eq!(got, None);
-        tx1.send(5).unwrap();
-        channel::select! {
-            recv(rx1) -> m => got = Some(m.unwrap()),
-            recv(rx2) -> m => got = m.ok(),
-            default(Duration::from_millis(5)) => got = Some(0),
-        }
-        assert_eq!(got, Some(5));
-
-        let mut fell_through = false;
-        channel::select! {
-            recv(rx1) -> _m => {},
-            recv(rx2) -> _m => {},
-            default(Duration::from_millis(5)) => fell_through = true,
-        }
-        assert!(fell_through);
-    }
-
-    #[test]
-    fn select_observes_disconnect() {
-        let (tx, rx) = channel::unbounded::<u32>();
-        drop(tx);
-        let mut disconnected = false;
-        channel::select! {
-            recv(rx) -> m => disconnected = m.is_err(),
-            default(Duration::from_millis(5)) => {},
-        }
-        assert!(disconnected);
     }
 }
