@@ -308,8 +308,10 @@ impl<M> Context<M> for StepCoalescer<'_, M> {
 /// fires with the owner idle ([`StepDeferral::flush`]), at which point
 /// everything parked flushes as one set of per-peer frames. Parking
 /// sends nothing: the coalescer's buffers simply come back here intact.
-/// Without a budget (`None`) every step flushes at its end. Either way a
-/// frame waits here at most one budget, and never wedges.
+/// Without a budget (`None`) every step flushes at its end, and so does
+/// an *urgent* step — one the owner knows an operation is waiting on —
+/// taking everything parked with it. Either way a frame waits here at
+/// most one budget, and never wedges.
 ///
 /// The owner — a single replica, or a multi-group host parking for all
 /// of its groups — keeps its write-ahead contract by settling the
@@ -367,10 +369,15 @@ impl<M> StepDeferral<M> {
 
     /// Closes a step that did work: flushes the step's frames, or parks
     /// them until the deadline (arming the flush timer on first park).
-    pub fn close(&mut self, mut cctx: StepCoalescer<'_, M>) {
-        let Some(budget) = self.budget else {
-            self.frames = cctx.finish();
-            return;
+    ///
+    /// An `urgent` step — one whose frames an operation is blocked on —
+    /// never parks: it flushes everything parked plus its own frames
+    /// now, exactly like [`StepDeferral::flush`], and forgets the armed
+    /// timer (its later fire is no longer [`StepDeferral::owns_timer`]).
+    pub fn close(&mut self, mut cctx: StepCoalescer<'_, M>, urgent: bool) {
+        let budget = match self.budget {
+            Some(budget) if !urgent => budget,
+            _ => return self.flush(cctx),
         };
         if cctx.store.order.is_empty() {
             self.defer_deadline = None;
@@ -399,7 +406,7 @@ impl<M> StepDeferral<M> {
     }
 
     /// The deferred-flush timer fired with the owner idle: flushes
-    /// everything parked, unconditionally.
+    /// everything parked, unconditionally, and forgets deadline and timer.
     pub fn flush(&mut self, cctx: StepCoalescer<'_, M>) {
         self.defer_timer = None;
         self.defer_deadline = None;
@@ -490,19 +497,37 @@ mod tests {
         assert_eq!(outer.sent, vec![(ReplicaId::new(2), "L1:1".to_string())]);
     }
 
+    fn join(msgs: Vec<String>) -> String {
+        msgs.join("+")
+    }
+
+    // one step sending each `(to, msg)`, closed through `d`
+    fn step_to(
+        d: &mut StepDeferral<String>,
+        outer: &mut Collect,
+        sends: &[(u32, &str)],
+        urgent: bool,
+    ) {
+        let mut cctx = d.open(outer, join, None);
+        for (to, msg) in sends {
+            cctx.send(ReplicaId::new(*to), msg.to_string());
+        }
+        d.close(cctx, urgent);
+    }
+
+    // one ordinary step sending `msg` to replica 1
+    fn step(d: &mut StepDeferral<String>, outer: &mut Collect, msg: &str) {
+        step_to(d, outer, &[(1, msg)], false);
+    }
+
+    fn sent_to(to: u32, frame: &str) -> (ReplicaId, String) {
+        (ReplicaId::new(to), frame.to_string())
+    }
+
     #[test]
     fn deferral_parks_to_the_deadline_and_flushes_on_the_idle_timer() {
-        fn join(msgs: Vec<String>) -> String {
-            msgs.join("+")
-        }
-        // one step sending `msg` to replica 1, closed through `d`
-        fn step(d: &mut StepDeferral<String>, outer: &mut Collect, msg: &str) {
-            let mut cctx = d.open(outer, join, None);
-            cctx.send(ReplicaId::new(1), msg.to_string());
-            d.close(cctx);
-        }
         let us = VirtualTime::from_micros;
-        let sent_to_1 = |frame: &str| (ReplicaId::new(1), frame.to_string());
+        let sent_to_1 = |frame: &str| sent_to(1, frame);
         let mut outer = Collect::default();
         let mut d = StepDeferral::new(Some(us(40)));
 
@@ -541,5 +566,58 @@ mod tests {
         step(&mut d, &mut outer, "f");
         assert_eq!(outer.sent[2..], [sent_to_1("e"), sent_to_1("f")]);
         assert_eq!(outer.armed.len(), 2);
+    }
+
+    #[test]
+    fn urgent_close_flushes_everything_parked_and_forgets_the_timer() {
+        let us = VirtualTime::from_micros;
+        let mut outer = Collect::default();
+        let mut d = StepDeferral::new(Some(us(40)));
+
+        // an ordinary step parks frames for two peers and arms the timer
+        step_to(&mut d, &mut outer, &[(1, "a"), (2, "b")], false);
+        assert!(outer.sent.is_empty());
+        assert_eq!(outer.armed, vec![us(40)]);
+        let stale = TimerId::new(outer.timers);
+
+        // an urgent step inside the budget sends the parked frames and its
+        // own as one frame per peer, in first-send order
+        outer.elapsed = us(10);
+        step_to(&mut d, &mut outer, &[(2, "c"), (1, "d")], true);
+        assert_eq!(outer.sent, vec![sent_to(1, "a+d"), sent_to(2, "b+c")]);
+        assert!(!d.owns_timer(stale), "the urgent flush forgets the timer");
+
+        // the stale timer fires: the owner no longer recognises it, so it
+        // runs an ordinary step, which finds nothing to flush or arm
+        outer.elapsed = us(40);
+        step_to(&mut d, &mut outer, &[], false);
+        assert_eq!((outer.sent.len(), outer.armed.len()), (2, 1));
+
+        // the next park gets a fresh deadline, one budget from its own
+        // time (a kept deadline would fire at +50 µs and arm a 5 µs timer)
+        outer.elapsed = us(45);
+        step(&mut d, &mut outer, "e");
+        assert_eq!(outer.armed, vec![us(40), us(40)]);
+        outer.elapsed = us(84);
+        step(&mut d, &mut outer, "f");
+        assert_eq!(outer.sent.len(), 2, "inside the fresh budget: parked");
+        outer.elapsed = us(85);
+        step(&mut d, &mut outer, "g");
+        assert_eq!(outer.sent[2..], [sent_to(1, "e+f+g")]);
+
+        // without a budget a close resets the same way: a frame parked
+        // before the budget was cleared leaves with the next step, the
+        // timer is forgotten, and a restored budget starts a fresh park
+        step(&mut d, &mut outer, "h");
+        let parked = TimerId::new(outer.timers);
+        d.set_budget(None);
+        step(&mut d, &mut outer, "i");
+        assert_eq!(outer.sent[3..], [sent_to(1, "h+i")]);
+        assert!(!d.owns_timer(parked));
+        d.set_budget(Some(us(40)));
+        outer.elapsed = us(200);
+        step(&mut d, &mut outer, "j");
+        assert_eq!(outer.sent.len(), 4, "parked under the restored budget");
+        assert_eq!(outer.armed[3..], [us(40)]);
     }
 }

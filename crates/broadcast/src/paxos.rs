@@ -213,6 +213,15 @@ pub enum PaxosMsg<M> {
         /// The follower's clock (µs) when it installed the guard.
         clock: i64,
     },
+    /// An acceptor refused a `Prepare` or `Accept` because it promised a
+    /// higher ballot. A proposer that missed that ballot's `Prepare`
+    /// (crashed or cut off at the time) learns of it only here; without
+    /// it, a stale leader that Ω trusts again retransmits into the void
+    /// forever.
+    Nack {
+        /// The acceptor's promised ballot.
+        promised: Ballot,
+    },
 }
 
 /// Tuning knobs for [`PaxosTob`].
@@ -306,6 +315,10 @@ pub struct PaxosTob<M> {
     /// cursor; the pump resets the cursor to the peer's acked prefix
     /// once per period, which re-ships (bounded) after message loss.
     catchup_sent: Vec<u64>,
+    /// The decided prefix we owed every peer when we last stopped
+    /// leading (or restarted): we keep shipping it as a follower to each
+    /// peer until it acks (see `owes_catchup`).
+    catchup_owed: u64,
     /// Our own replica index (set in `on_start`).
     me: Option<ReplicaId>,
 
@@ -382,6 +395,7 @@ impl<M: Clone + fmt::Debug> PaxosTob<M> {
             proposed_keys: HashSet::new(),
             acked_upto: vec![0; n],
             catchup_sent: vec![0; n],
+            catchup_owed: 0,
             me: None,
             pump_timer: None,
             durable_on: false,
@@ -443,6 +457,19 @@ impl<M: Clone + fmt::Debug> PaxosTob<M> {
                 });
             }
         }
+    }
+
+    /// Gives up leading (or preparing): what we proposed under our ballot
+    /// is someone else's to finish, but what we decided stays ours to
+    /// ship to the peers that have not acknowledged it.
+    fn step_down(&mut self) {
+        if matches!(self.role, Role::Leading { .. }) {
+            self.catchup_owed = self.catchup_owed.max(self.prefix);
+        }
+        self.role = Role::Follower;
+        self.inflight.clear();
+        self.proposed_keys.clear();
+        self.lease_drop_leadership();
     }
 
     /// Records an acceptance, mirroring `accepted.insert`.
@@ -1013,7 +1040,7 @@ impl<M: Clone + fmt::Debug> PaxosTob<M> {
             || !self.inflight.is_empty()
             || matches!(self.role, Role::Preparing { .. })
             || self.has_gap()
-            || self.leading_with_laggards()
+            || self.owes_catchup()
             // decided-but-undrained slots: `cast` can decide immediately
             // (single-replica quorum) but deliveries only drain in
             // on_message/on_timer — the pump must come back for them
@@ -1031,13 +1058,37 @@ impl<M: Clone + fmt::Debug> PaxosTob<M> {
             .unwrap_or(false)
     }
 
-    fn leading_with_laggards(&self) -> bool {
-        matches!(self.role, Role::Leading { .. })
-            && self
-                .acked_upto
-                .iter()
-                .enumerate()
-                .any(|(i, a)| Some(ReplicaId::new(i as u32)) != self.me && *a < self.prefix)
+    /// Whether a peer still lacks decided slots we owe it: as leader,
+    /// anything below our prefix; otherwise, what we had decided when we
+    /// stopped leading or restarted. The second keeps a former leader
+    /// shipping to a laggard Ω may trust next: in an idle group nothing
+    /// else would ever tell that laggard what it missed.
+    fn owes_catchup(&self) -> bool {
+        let leading = matches!(self.role, Role::Leading { .. });
+        self.acked_upto.iter().enumerate().any(|(i, a)| {
+            Some(ReplicaId::new(i as u32)) != self.me
+                && if leading {
+                    *a < self.prefix
+                } else {
+                    self.still_owed(i)
+                }
+        })
+    }
+
+    /// Whether peer `i` still lacks what `catchup_owed` says it does. Slots
+    /// below the compaction floor are delivered everywhere (the floor
+    /// trails every replica's cursor), so they are owed to no one — and
+    /// acks no longer come our way to say so once we stopped leading.
+    fn still_owed(&self, i: usize) -> bool {
+        self.acked_upto[i] < self.catchup_owed && self.catchup_owed > self.comp.floor.slot_floor
+    }
+
+    /// Re-ships catch-up to `peer` from its acknowledged prefix: what we
+    /// shipped a full pump period ago and it has not acked counts as lost.
+    fn reship_catchup(&mut self, peer: ReplicaId, ctx: &mut dyn Context<PaxosMsg<M>>) {
+        let from = self.acked_upto[peer.index()];
+        self.catchup_sent[peer.index()] = self.catchup_sent[peer.index()].min(from);
+        self.send_catchup(peer, from, ctx);
     }
 
     fn ensure_pump(&mut self, ctx: &mut dyn Context<PaxosMsg<M>>) {
@@ -1052,10 +1103,7 @@ impl<M: Clone + fmt::Debug> PaxosTob<M> {
 
         // step down if Ω no longer trusts us
         if leader != me && !matches!(self.role, Role::Follower) {
-            self.role = Role::Follower;
-            self.inflight.clear();
-            self.proposed_keys.clear();
-            self.lease_drop_leadership();
+            self.step_down();
         }
 
         if leader == me {
@@ -1094,14 +1142,10 @@ impl<M: Clone + fmt::Debug> PaxosTob<M> {
                             }
                         }
                     }
-                    // catch up laggards; shipped-but-unacked slots count
-                    // as lost after a full pump period and are re-shipped
+                    // catch up laggards
                     for peer in ReplicaId::all(self.n) {
                         if peer != me && self.acked_upto[peer.index()] < self.prefix {
-                            let from = self.acked_upto[peer.index()];
-                            self.catchup_sent[peer.index()] =
-                                self.catchup_sent[peer.index()].min(from);
-                            self.send_catchup(peer, from, ctx);
+                            self.reship_catchup(peer, ctx);
                         }
                     }
                     // fill persistent holes: a slot below our decided top
@@ -1187,6 +1231,13 @@ impl<M: Clone + fmt::Debug> PaxosTob<M> {
                 }
             }
         } else {
+            // ship what we owe since we stopped leading or restarted
+            // (see `owes_catchup`)
+            for peer in ReplicaId::all(self.n) {
+                if peer != me && self.still_owed(peer.index()) {
+                    self.reship_catchup(peer, ctx);
+                }
+            }
             // follower: nag the leader with pending and relayed payloads
             if !self.pending.is_empty() || !self.standby.is_empty() {
                 let entries: Vec<Entry<M>> = self
@@ -1249,6 +1300,11 @@ impl<M: Clone + fmt::Debug> Tob<M> for PaxosTob<M> {
                 });
         }
         self.refresh_stable();
+        // A restored endpoint forgot which peers acknowledged what it
+        // decided: it owes each of them its whole prefix until they ack
+        // (a peer that missed those decisions may be the one Ω trusts
+        // next, in a group nobody writes to again).
+        self.catchup_owed = self.prefix;
         if self.lease_boot_mute {
             self.lease_boot_mute = false;
             if let Some(cfg) = self.lease {
@@ -1319,6 +1375,20 @@ impl<M: Clone + fmt::Debug> Tob<M> for PaxosTob<M> {
         }
     }
 
+    /// A round's forward hops: `Submit` and `Accept` carry their entries,
+    /// and an `Accepted` names a slot still in flight under our ballot.
+    fn advances(&self, msg: &PaxosMsg<M>, pred: &dyn Fn(&M) -> bool) -> bool {
+        match msg {
+            PaxosMsg::Submit { entries, .. } => entries.iter().any(|e| pred(&e.payload)),
+            PaxosMsg::Accept { entry, .. } => pred(&entry.payload),
+            PaxosMsg::Accepted { slot, .. } => self
+                .inflight
+                .get(slot)
+                .is_some_and(|(e, _)| pred(&e.payload)),
+            _ => false,
+        }
+    }
+
     fn on_message(
         &mut self,
         from: ReplicaId,
@@ -1348,13 +1418,17 @@ impl<M: Clone + fmt::Debug> Tob<M> for PaxosTob<M> {
                 ballot,
                 decided_upto,
             } => {
-                if ballot > self.promised && !self.lease_blocks(ballot.leader, ctx) {
+                if ballot < self.promised {
+                    ctx.send(
+                        from,
+                        PaxosMsg::Nack {
+                            promised: self.promised,
+                        },
+                    );
+                } else if ballot > self.promised && !self.lease_blocks(ballot.leader, ctx) {
                     self.promise(ballot);
                     if !matches!(self.role, Role::Follower) {
-                        self.role = Role::Follower;
-                        self.inflight.clear();
-                        self.proposed_keys.clear();
-                        self.lease_drop_leadership();
+                        self.step_down();
                     }
                     let mut accepted: Vec<(u64, Ballot, Entry<M>)> = self
                         .accepted
@@ -1414,11 +1488,31 @@ impl<M: Clone + fmt::Debug> Tob<M> for PaxosTob<M> {
                 slot,
                 entry,
             } => {
-                if ballot >= self.promised && !self.lease_blocks(ballot.leader, ctx) {
+                if ballot < self.promised {
+                    ctx.send(
+                        from,
+                        PaxosMsg::Nack {
+                            promised: self.promised,
+                        },
+                    );
+                } else if !self.lease_blocks(ballot.leader, ctx) {
                     self.promise(ballot);
                     self.record_accept(slot, ballot, &entry);
                     self.accepted.insert(slot, (ballot, entry));
                     ctx.send(ballot.leader, PaxosMsg::Accepted { ballot, slot });
+                }
+            }
+            PaxosMsg::Nack { promised } => {
+                let ours = match &self.role {
+                    Role::Leading { ballot } | Role::Preparing { ballot, .. } => Some(*ballot),
+                    Role::Follower => None,
+                };
+                if ours.is_some_and(|b| b < promised) {
+                    // adopt the ballot the cluster moved to, so our next
+                    // candidacy (the pump's, while Ω trusts us) outbids it
+                    self.promise(promised);
+                    self.step_down();
+                    self.ensure_pump(ctx);
                 }
             }
             PaxosMsg::Accepted { ballot, slot } => {
@@ -1996,6 +2090,150 @@ mod tests {
         sim.run_until(ms(3_000));
         let mut procs = sim.into_processes();
         assert!(procs[0].tob.drain_durable().is_empty());
+    }
+
+    /// A hand-driven endpoint context: sends queue up for the test to
+    /// route, timers are recorded, and Ω is whatever the test says.
+    struct Hand {
+        me: ReplicaId,
+        trusts: ReplicaId,
+        sent: Vec<(ReplicaId, PaxosMsg<String>)>,
+        timers: Vec<TimerId>,
+    }
+
+    impl Context<PaxosMsg<String>> for Hand {
+        fn id(&self) -> ReplicaId {
+            self.me
+        }
+        fn cluster_size(&self) -> usize {
+            3
+        }
+        fn now(&self) -> VirtualTime {
+            VirtualTime::ZERO
+        }
+        fn clock(&mut self) -> bayou_types::Timestamp {
+            bayou_types::Timestamp::new(0)
+        }
+        fn send(&mut self, to: ReplicaId, msg: PaxosMsg<String>) {
+            self.sent.push((to, msg));
+        }
+        fn set_timer(&mut self, _delay: VirtualTime) -> TimerId {
+            let t = TimerId::new(self.timers.len() as u64 + 1);
+            self.timers.push(t);
+            t
+        }
+        fn random(&mut self) -> u64 {
+            0
+        }
+        fn omega(&mut self) -> ReplicaId {
+            self.trusts
+        }
+    }
+
+    /// Three endpoints routed by hand until nothing moves: messages
+    /// (dropped when `cut` separates their endpoints), then each
+    /// endpoint's armed pump. Returns every endpoint's deliveries.
+    fn settle(
+        tobs: &mut [PaxosTob<String>],
+        ctxs: &mut [Hand],
+        cut: &dyn Fn(ReplicaId, ReplicaId) -> bool,
+    ) -> Vec<Vec<String>> {
+        let mut out = vec![Vec::new(); tobs.len()];
+        for _ in 0..8 {
+            while let Some((from, to, msg)) = ctxs
+                .iter_mut()
+                .find_map(|c| c.sent.pop().map(|(to, m)| (c.me, to, m)))
+            {
+                if !cut(from, to) {
+                    let ds = tobs[to.index()].on_message(from, msg, &mut ctxs[to.index()]);
+                    out[to.index()].extend(ds.into_iter().map(|d| d.payload));
+                }
+            }
+            for (i, tob) in tobs.iter_mut().enumerate() {
+                for t in std::mem::take(&mut ctxs[i].timers) {
+                    if tob.owns_timer(t) {
+                        let ds = tob.on_timer(t, &mut ctxs[i]);
+                        out[i].extend(ds.into_iter().map(|d| d.payload));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// A leader that missed a higher ballot's `Prepare` while cut off,
+    /// and that Ω trusts again, learns the ballot from the acceptors'
+    /// `Nack`s and outbids it — instead of retransmitting `Accept`s the
+    /// acceptors ignore, forever (the grouped DST's non-quiescing seeds
+    /// 513 and 5485).
+    #[test]
+    fn stale_leader_is_nacked_and_outbids_the_newer_ballot() {
+        let (r0, r2) = (ReplicaId::new(0), ReplicaId::new(2));
+        let mut tobs: Vec<PaxosTob<String>> = (0..3).map(|_| PaxosTob::with_defaults(3)).collect();
+        let mut ctxs: Vec<Hand> = ReplicaId::all(3)
+            .map(|me| Hand {
+                me,
+                trusts: r2,
+                sent: Vec::new(),
+                timers: Vec::new(),
+            })
+            .collect();
+        let never = |_: ReplicaId, _: ReplicaId| false;
+
+        // r2 leads and orders "a"
+        tobs[2].cast(0, "a".into(), &mut ctxs[2]);
+        let mut delivered = settle(&mut tobs, &mut ctxs, &never);
+
+        // r2 is cut off while the others trust r0, which outbids r2's
+        // ballot and orders "b"; r2 still believes it leads
+        ctxs[0].trusts = r0;
+        ctxs[1].trusts = r0;
+        tobs[0].cast(0, "b".into(), &mut ctxs[0]);
+        let cut_off = settle(&mut tobs, &mut ctxs, &|a, b| a == r2 || b == r2);
+        assert!(cut_off[2].is_empty());
+
+        // healed, and Ω trusts r2 again: its next proposal still carries
+        // the old ballot, the acceptors refuse it, and only the refusal
+        // can tell r2 to start a higher one
+        ctxs[0].trusts = r2;
+        ctxs[1].trusts = r2;
+        tobs[2].cast(1, "c".into(), &mut ctxs[2]);
+        let healed = settle(&mut tobs, &mut ctxs, &never);
+        for ((all, cut), heal) in delivered.iter_mut().zip(cut_off).zip(healed) {
+            all.extend(cut.into_iter().chain(heal));
+        }
+        assert_eq!(delivered, vec![vec!["a", "b", "c"]; 3]);
+    }
+
+    /// A leader that steps down keeps shipping the catch-up it owes: a
+    /// strong-only group (no reliable broadcast to relay the payload)
+    /// whose one decision a cut-off replica missed, and whose lane Ω then
+    /// moves to that replica, goes idle — only the former leader knows
+    /// the new one lags (the grouped DST's diverging seeds 7894, 12692).
+    #[test]
+    fn stepped_down_leader_still_catches_up_the_laggard() {
+        let (r0, r2) = (ReplicaId::new(0), ReplicaId::new(2));
+        let mut tobs: Vec<PaxosTob<String>> = (0..3).map(|_| PaxosTob::with_defaults(3)).collect();
+        let mut ctxs: Vec<Hand> = ReplicaId::all(3)
+            .map(|me| Hand {
+                me,
+                trusts: r0,
+                sent: Vec::new(),
+                timers: Vec::new(),
+            })
+            .collect();
+
+        // r0 orders "a" with r1 while r2 is cut off
+        tobs[0].cast(0, "a".into(), &mut ctxs[0]);
+        let cut_off = settle(&mut tobs, &mut ctxs, &|a, b| a == r2 || b == r2);
+        assert_eq!(cut_off[2], Vec::<String>::new());
+
+        // healed, Ω now trusts r2, and nothing else is ever cast
+        for c in &mut ctxs {
+            c.trusts = r2;
+        }
+        let healed = settle(&mut tobs, &mut ctxs, &|_, _| false);
+        assert_eq!(healed[2], ["a"]);
     }
 
     #[test]

@@ -74,6 +74,17 @@ pub trait Tob<M: Clone + fmt::Debug> {
     /// Whether `timer` was armed by this component.
     fn owns_timer(&self, timer: TimerId) -> bool;
 
+    /// Whether handling `msg` advances agreement on a payload for which
+    /// `pred` holds — so whatever the handler sends is on that payload's
+    /// critical path. Asked *before* [`Tob::on_message`] (which may
+    /// retire the state the answer depends on); the owner flushes such a
+    /// step's frames at once instead of deferring them. Default `false`:
+    /// every step may defer.
+    fn advances(&self, msg: &Self::Msg, pred: &dyn Fn(&M) -> bool) -> bool {
+        let _ = (msg, pred);
+        false
+    }
+
     /// Number of messages TOB-delivered so far (the next `tob_no`).
     fn delivered_count(&self) -> u64;
 

@@ -140,6 +140,10 @@ impl<M: Wire> Wire for PaxosMsg<M> {
                 grant.encode(out);
                 clock.encode(out);
             }
+            PaxosMsg::Nack { promised } => {
+                out.push(10);
+                promised.encode(out);
+            }
         }
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -193,6 +197,9 @@ impl<M: Wire> Wire for PaxosMsg<M> {
                 ballot: Ballot::decode(r)?,
                 grant: u64::decode(r)?,
                 clock: i64::decode(r)?,
+            }),
+            10 => Ok(PaxosMsg::Nack {
+                promised: Ballot::decode(r)?,
             }),
             tag => Err(WireError::BadTag {
                 ty: "PaxosMsg",
@@ -354,6 +361,12 @@ mod tests {
             grant: 17,
             clock: -123_456,
         });
+        rt(PaxosMsg::<u64>::Nack {
+            promised: Ballot {
+                round: 5,
+                leader: ReplicaId::new(0),
+            },
+        });
         rt(LinkMsg::Data {
             seq: 12,
             payloads: vec![5u64, 6, 7],
@@ -405,10 +418,10 @@ mod tests {
     #[test]
     fn bad_tags_fail_cleanly() {
         assert!(matches!(
-            PaxosMsg::<u64>::from_bytes(&[10]),
+            PaxosMsg::<u64>::from_bytes(&[11]),
             Err(WireError::BadTag {
                 ty: "PaxosMsg",
-                tag: 10
+                tag: 11
             })
         ));
         assert!(matches!(

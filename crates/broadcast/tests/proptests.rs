@@ -254,7 +254,7 @@ fn entries(rng: &mut StdRng) -> Vec<Entry<u64>> {
 
 /// A random frame covering every `PaxosMsg` variant.
 fn random_paxos_msg(rng: &mut StdRng) -> PaxosMsg<u64> {
-    match rng.gen_range(0..10u8) {
+    match rng.gen_range(0..11u8) {
         0 => PaxosMsg::Submit {
             entries: entries(rng),
             decided_upto: rng.gen_range(0..1_000),
@@ -320,10 +320,13 @@ fn random_paxos_msg(rng: &mut StdRng) -> PaxosMsg<u64> {
             grant: rng.gen_range(0..1_000),
             duration_us: rng.gen_range(0..1_000_000),
         },
-        _ => PaxosMsg::LeaseAck {
+        9 => PaxosMsg::LeaseAck {
             ballot: ballot(rng),
             grant: rng.gen_range(0..1_000),
             clock: rng.gen_range(-1_000_000..1_000_000),
+        },
+        _ => PaxosMsg::Nack {
+            promised: ballot(rng),
         },
     }
 }

@@ -374,10 +374,11 @@ where
 
     /// Closes one host step: settle the shared fsync barrier first, then
     /// run the cross-step deferral over the coalesced frames — once for
-    /// all groups.
-    fn close_host_step(&mut self, cctx: StepCoalescer<'_, HostMsg<F, T>>) {
+    /// all groups, flushing at once when the step was `urgent` for any
+    /// (by the replica's own rule, [`BayouReplica::take_step_urgent`]).
+    fn close_host_step(&mut self, cctx: StepCoalescer<'_, HostMsg<F, T>>, urgent: bool) {
         self.settle_barrier();
-        self.deferral.close(cctx);
+        self.deferral.close(cctx, urgent);
     }
 
     /// Runs `f` on group `gid` inside the host step `cctx`: the group
@@ -405,23 +406,24 @@ where
     /// batches) and hands each group-tagged inner frame to its group —
     /// unless the group is muted or out of range, in which case the
     /// frame is dropped exactly as a crashed replica would drop it.
+    /// Returns whether any group's step was urgent.
     fn dispatch(
         &mut self,
         from: ReplicaId,
         msg: HostMsg<F, T>,
         cctx: &mut StepCoalescer<'_, HostMsg<F, T>>,
-    ) {
+    ) -> bool {
         match msg {
             GroupedMsg::One(gid, m) => {
-                if self.serves(gid) {
-                    self.in_group(gid, cctx, |g, gctx| g.on_message(from, m, gctx));
-                }
+                self.serves(gid)
+                    && self.in_group(gid, cctx, |g, gctx| {
+                        g.on_message(from, m, gctx);
+                        g.take_step_urgent()
+                    })
             }
-            GroupedMsg::Batch(msgs) => {
-                for m in msgs {
-                    self.dispatch(from, m, cctx);
-                }
-            }
+            GroupedMsg::Batch(msgs) => msgs
+                .into_iter()
+                .fold(false, |urgent, m| self.dispatch(from, m, cctx) | urgent),
         }
     }
 }
@@ -441,7 +443,7 @@ where
         for gid in GroupId::all(self.groups.len()) {
             self.in_group(gid, &mut cctx, |g, gctx| g.on_start(gctx));
         }
-        self.close_host_step(cctx);
+        self.close_host_step(cctx, false);
     }
 
     fn on_input(&mut self, (gid, inv): Self::Input, ctx: &mut dyn Context<Self::Msg>) {
@@ -449,14 +451,17 @@ where
             return;
         }
         let mut cctx = self.host_step(ctx);
-        self.in_group(gid, &mut cctx, |g, gctx| g.on_input(inv, gctx));
-        self.close_host_step(cctx);
+        let urgent = self.in_group(gid, &mut cctx, |g, gctx| {
+            g.on_input(inv, gctx);
+            g.take_step_urgent()
+        });
+        self.close_host_step(cctx, urgent);
     }
 
     fn on_message(&mut self, from: ReplicaId, msg: Self::Msg, ctx: &mut dyn Context<Self::Msg>) {
         let mut cctx = self.host_step(ctx);
-        self.dispatch(from, msg, &mut cctx);
-        self.close_host_step(cctx);
+        let urgent = self.dispatch(from, msg, &mut cctx);
+        self.close_host_step(cctx, urgent);
     }
 
     fn on_timer(&mut self, timer: TimerId, ctx: &mut dyn Context<Self::Msg>) {
@@ -477,7 +482,7 @@ where
         }
         let mut cctx = self.host_step(ctx);
         self.in_group(gid, &mut cctx, |g, gctx| g.on_timer(timer, gctx));
-        self.close_host_step(cctx);
+        self.close_host_step(cctx, false);
     }
 
     fn on_internal(&mut self, ctx: &mut dyn Context<Self::Msg>) -> bool {
@@ -496,7 +501,7 @@ where
             }
         }
         if stepped {
-            self.close_host_step(cctx);
+            self.close_host_step(cctx, false);
         } else {
             // a passive poll must be side-effect free: the runtime
             // refunds it and discards anything it buffered

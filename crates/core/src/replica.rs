@@ -346,6 +346,10 @@ where
     /// parked across consecutive handler steps for up to the budget
     /// ([`BayouReplica::set_flush_deferral`]).
     deferral: StepDeferral<Msg<F, T>>,
+    /// Whether the last step closed was urgent (a strong operation waits
+    /// on its frames); a multi-group host takes it to close its own step
+    /// by the same rule ([`BayouReplica::take_step_urgent`]).
+    step_urgent: bool,
     /// Reusable buffer: the TOB deliveries collected across one handler
     /// step (all messages of a frame), committed as one batch.
     delivery_scratch: Vec<TobDelivery<SharedReq<F::Op>>>,
@@ -430,6 +434,7 @@ where
             commit_scratch: Vec::new(),
             adjust_scratch: Vec::new(),
             deferral: StepDeferral::new(Some(DEFAULT_FLUSH_DELAY)),
+            step_urgent: false,
             delivery_scratch: Vec::new(),
             wire_meter: None,
             lease: None,
@@ -1216,11 +1221,39 @@ where
     }
 
     /// Closes one handler step: settles the step's sync, then flushes
-    /// the coalesced frames — or, with cross-step flush deferral on,
-    /// parks them until their deadline ([`StepDeferral::close`]).
-    fn close_step(&mut self, cctx: StepCoalescer<'_, BayouMsg<F::Op, F::State, T::Msg>>) {
+    /// the coalesced frames — or, with cross-step flush deferral on and
+    /// the step not `urgent`, parks them until their deadline
+    /// ([`StepDeferral::close`]).
+    fn close_step(
+        &mut self,
+        cctx: StepCoalescer<'_, BayouMsg<F::Op, F::State, T::Msg>>,
+        urgent: bool,
+    ) {
         self.sync_step();
-        self.deferral.close(cctx);
+        self.step_urgent = urgent;
+        self.deferral.close(cctx, urgent);
+    }
+
+    /// Whether the step this replica last closed was urgent, clearing the
+    /// answer: a multi-group host asks after each of its groups' steps.
+    pub(crate) fn take_step_urgent(&mut self) -> bool {
+        std::mem::take(&mut self.step_urgent)
+    }
+
+    /// Whether a strong operation waits on the frames of the step that
+    /// handles `msg`: it advances TOB agreement on a strong request
+    /// ([`Tob::advances`]), looking inside step-end frames. Asked before
+    /// dispatch, which may retire the TOB state the answer depends on.
+    /// (The other half of the rule: a step handling a strong invocation
+    /// that goes to the TOB is urgent too.)
+    fn urgent_message(&self, msg: &BayouMsg<F::Op, F::State, T::Msg>) -> bool {
+        match msg {
+            BayouMsg::Tob(tm) => self
+                .tob
+                .advances(tm, &|r: &SharedReq<F::Op>| r.level.is_strong()),
+            BayouMsg::Batch(msgs) => msgs.iter().any(|m| self.urgent_message(m)),
+            _ => false,
+        }
     }
 
     /// Ends the TOB half of a step: logs the step's durable TOB facts,
@@ -1324,7 +1357,7 @@ where
             }
         }
         self.persist_tob_events();
-        self.close_step(cctx);
+        self.close_step(cctx, false);
     }
 
     /// Lines 9–15 (Algorithm 1) / Algorithm 2.
@@ -1368,6 +1401,9 @@ where
                 !lease_read && (r.level.is_strong() || !F::is_read_only(&r.op))
             }
         };
+        // a strong op waits on this step's frames — its TOB round starts
+        // here — unless the lease answers it within the step
+        let urgent = r.level.is_strong() && tob_cast;
         self.journal.push(EventRecord {
             meta: r.meta(),
             op: r.op.clone(),
@@ -1411,7 +1447,7 @@ where
                                     committed,
                                 };
                                 self.respond(&r, Value::Unit, Vec::new(), served);
-                                self.close_step(cctx);
+                                self.close_step(cctx, false);
                                 return;
                             }
                         }
@@ -1444,19 +1480,20 @@ where
                 }
             }
         }
-        self.close_step(cctx);
+        self.close_step(cctx, urgent);
     }
 
     fn on_message(&mut self, from: ReplicaId, msg: Self::Msg, ctx: &mut dyn Context<Self::Msg>) {
         if self.failure.is_some() {
             return; // crash-stopped: silent to the cluster
         }
+        let urgent = self.urgent_message(&msg);
         let mut cctx = self.step_ctx(ctx);
         let mut deliveries = std::mem::take(&mut self.delivery_scratch);
         debug_assert!(deliveries.is_empty());
         self.dispatch(from, msg, &mut cctx, &mut deliveries);
         self.settle_deliveries(deliveries, &mut cctx);
-        self.close_step(cctx);
+        self.close_step(cctx, urgent);
     }
 
     fn on_timer(&mut self, timer: TimerId, ctx: &mut dyn Context<Self::Msg>) {
@@ -1486,7 +1523,7 @@ where
             }
             self.settle_deliveries(deliveries, &mut cctx);
         }
-        self.close_step(cctx);
+        self.close_step(cctx, false);
     }
 
     /// Lines 41–55: one `rollback` or one `execute` step.

@@ -202,6 +202,53 @@ fn deferral_reduces_messages_under_saturation() {
     );
 }
 
+/// A strong operation waits on no flush timer: every step on its round
+/// (the invocation, then `Submit`, `Accept` and `Accepted` for its entry)
+/// flushes at its end, so in an idle cluster it completes at exactly the
+/// virtual time a cluster without deferral gives it — at the leader
+/// (two hops) and at each follower (four). Parking those hops cost
+/// ~40 µs each.
+#[test]
+fn lone_strong_op_completes_as_if_deferral_were_off() {
+    let latency = |deferral: bool, origin: u32| {
+        let sim = bayou_sim::SimConfig::new(3, 9)
+            .with_net(bayou_sim::NetworkConfig::fixed(VirtualTime::from_millis(1)));
+        let mut cfg = ClusterConfig::new(3, 9).with_sim(sim);
+        if !deferral {
+            cfg = cfg.without_flush_deferral();
+        }
+        let mut c: BayouCluster<Counter> = BayouCluster::new(cfg);
+        // the first strong op elects the leader; the cluster then idles
+        c.invoke_at(
+            VirtualTime::from_millis(1),
+            ReplicaId::new(0),
+            bayou_data::CounterOp::Add(1),
+            Level::Strong,
+        );
+        c.invoke_at(
+            VirtualTime::from_millis(500),
+            ReplicaId::new(origin),
+            bayou_data::CounterOp::Add(2),
+            Level::Strong,
+        );
+        let trace = c.run_until(VirtualTime::from_secs(2));
+        c.assert_convergence(&[]);
+        let lone = trace
+            .events
+            .iter()
+            .max_by_key(|e| e.invoked_at)
+            .expect("two events");
+        lone.returned_at.expect("completed") - lone.invoked_at
+    };
+    for origin in 0..3 {
+        assert_eq!(
+            latency(true, origin),
+            latency(false, origin),
+            "a strong op invoked at replica {origin} waited on a flush timer"
+        );
+    }
+}
+
 /// An isolated invocation must still go out promptly: with nothing else
 /// happening, the deferral budget (not a retransmission timeout) bounds
 /// the extra latency, so a single op completes in far under a

@@ -70,18 +70,19 @@ fn gkey(gid: GroupId, k: u64) -> String {
     format!("g{}k{}", gid.index(), k)
 }
 
-/// The seed's sharded workload: `(time, replica, group, op)` tuples,
-/// every key namespaced by its group.
+/// The seed's sharded workload: `(time, replica, group, op, level)`
+/// tuples, every key namespaced by its group. Every 8th op is strong, so
+/// the host's urgent (flush-at-step-end) path runs under every fault.
 fn grouped_workload(
     seed: u64,
     n: usize,
     groups: usize,
     work_until: u64,
-) -> Vec<(VirtualTime, ReplicaId, GroupId, KvOp)> {
+) -> Vec<(VirtualTime, ReplicaId, GroupId, KvOp, Level)> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5348_4152); // "SHAR"
     let n_ops = rng.gen_range(40..100u64);
     (0..n_ops)
-        .map(|_| {
+        .map(|k| {
             let at = ms(rng.gen_range(1..work_until));
             let replica = ReplicaId::new(rng.gen_range(0..n as u32));
             let gid = GroupId::new(rng.gen_range(0..groups as u32));
@@ -90,7 +91,12 @@ fn grouped_workload(
                 1 => KvOp::remove(gkey(gid, rng.gen_range(0..6))),
                 _ => KvOp::get(gkey(gid, rng.gen_range(0..6))),
             };
-            (at, replica, gid, op)
+            let level = if k % 8 == 7 {
+                Level::Strong
+            } else {
+                Level::Weak
+            };
+            (at, replica, gid, op, level)
         })
         .collect()
 }
@@ -215,8 +221,8 @@ fn run_grouped_case(seed: u64, opts: GroupedOpts) -> GroupedOutcome {
         groups,
         grouped_factory(n, groups, disks.clone(), store_cfg, compaction, seed),
     );
-    for (at, replica, gid, op) in grouped_workload(seed, n, groups, work_until) {
-        cluster.invoke_at(at, replica, gid, op, Level::Weak);
+    for (at, replica, gid, op, level) in grouped_workload(seed, n, groups, work_until) {
+        cluster.invoke_at(at, replica, gid, op, level);
     }
 
     cluster.run_until(deadline);
@@ -512,6 +518,28 @@ fn neighbour_watermark_advances_while_group_is_stalled() {
         );
     }
     assert_grouped_durable_prefix("stalled neighbour", &cluster, &disks, store_cfg, n, groups);
+}
+
+/// Grouped DST seeds that never quiesced or never converged before two
+/// Paxos liveness fixes (ROADMAP item 1): 5485, a stale leader that Ω
+/// trusted again retransmitting under a ballot the acceptors had
+/// promised past (now refused with a `Nack`, and outbid); 7894, 12692
+/// and 17637, a laggard Ω trusted next in an idle group that was never
+/// caught up once the old leader stepped down or restarted (now the
+/// former leader, or the restarted replica, keeps shipping what it
+/// decided). Four groups, no compaction — seed 513, the original
+/// report, failed the first way under the weak-only workload of the
+/// time.
+#[test]
+fn pinned_liveness_seeds() {
+    for seed in [5485, 7894, 12692, 17637] {
+        let opts = GroupedOpts {
+            n: 3,
+            groups: 4,
+            compaction: false,
+        };
+        run_grouped_case(seed, opts);
+    }
 }
 
 // ---- seeded proptests (the bounded always-on tier) ----------------------
