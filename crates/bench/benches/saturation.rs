@@ -35,7 +35,7 @@
 use bayou_core::{recover_paxos_replica, BayouCluster, ClusterConfig, ProtocolMode};
 use bayou_data::{DeltaState, KvOp, KvStore};
 use bayou_storage::{MemDisk, StoreConfig};
-use bayou_types::{Level, ReplicaId, VirtualTime};
+use bayou_types::{GroupId, Level, ReplicaId, VirtualTime};
 use criterion::{
     criterion_group, criterion_main, record_metric, BenchmarkId, Criterion, Throughput,
 };
@@ -201,7 +201,11 @@ fn measure(cfg: Config) -> Measured {
     let mut slice = step;
     let committed_at = loop {
         cluster.run_until(slice);
-        if cluster.committed_totals().iter().all(|c| *c >= target) {
+        if cluster
+            .committed_totals(GroupId::new(0))
+            .iter()
+            .all(|c| *c >= target)
+        {
             break cluster.now();
         }
         assert!(

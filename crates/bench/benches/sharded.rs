@@ -38,7 +38,7 @@
 //! `SATURATION_SMOKE=1` shrinks the grid to a seconds-long CI smoke run.
 
 use bayou_broadcast::PaxosConfig;
-use bayou_core::{recover_grouped_paxos, GroupedCluster, ProtocolMode};
+use bayou_core::{recover_grouped_paxos, BayouCluster, Invocation, ProtocolMode};
 use bayou_data::{DeltaState, KvStore};
 use bayou_sim::{NetworkConfig, SimConfig};
 use bayou_storage::{MemDisk, StoreConfig};
@@ -109,7 +109,7 @@ impl Config {
     }
 }
 
-fn build_cluster(cfg: Config) -> GroupedCluster<KvStore> {
+fn build_cluster(cfg: Config) -> BayouCluster<KvStore> {
     // per-replica in-memory disks: all of a host's groups share one
     // backend (per-group WAL namespaces inside it) and one group-commit
     // fsync barrier — exactly the durable server wiring
@@ -129,7 +129,7 @@ fn build_cluster(cfg: Config) -> GroupedCluster<KvStore> {
         max_inflight: WINDOW,
         ..Default::default()
     };
-    GroupedCluster::with_factory(sim, groups, move |id: ReplicaId| {
+    BayouCluster::with_factory(sim, move |id: ReplicaId| {
         recover_grouped_paxos::<KvStore, DeltaState<KvStore>, _>(
             id,
             n,
@@ -144,7 +144,7 @@ fn build_cluster(cfg: Config) -> GroupedCluster<KvStore> {
 
 /// Schedules the open-loop workload; returns each group's share (every
 /// op is an update, so every share commits in full).
-fn schedule_ops(cluster: &mut GroupedCluster<KvStore>, cfg: Config) -> Vec<u64> {
+fn schedule_ops(cluster: &mut BayouCluster<KvStore>, cfg: Config) -> Vec<u64> {
     let mut share = vec![0u64; cfg.groups];
     for k in 0..cfg.ops {
         let level = if cfg.strong_every > 0 && k % cfg.strong_every == cfg.strong_every - 1 {
@@ -155,12 +155,11 @@ fn schedule_ops(cluster: &mut GroupedCluster<KvStore>, cfg: Config) -> Vec<u64> 
         let key = format!("k{}", k % KEYS);
         let gid = route(&key, cfg.groups);
         share[gid.index()] += 1;
-        cluster.invoke_at(
+        cluster.schedule_in(
             VirtualTime::from_micros(2 * k as u64 + 1),
             ReplicaId::new((k % cfg.n) as u32),
             gid,
-            bayou_data::KvOp::Put(key, k as i64),
-            level,
+            Invocation::new(bayou_data::KvOp::Put(key, k as i64), level),
         );
     }
     share
@@ -194,7 +193,7 @@ fn measure(cfg: Config) -> Measured {
     let share = schedule_ops(&mut cluster, cfg);
     let step = VirtualTime::from_millis(if cfg.ops > 1_000 { 25 } else { 5 });
     let deadline = VirtualTime::from_secs(55);
-    let done = |cluster: &GroupedCluster<KvStore>| {
+    let done = |cluster: &BayouCluster<KvStore>| {
         share.iter().enumerate().all(|(g, target)| {
             cluster
                 .committed_totals(GroupId::new(g as u32))

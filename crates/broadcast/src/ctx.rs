@@ -85,7 +85,7 @@ impl<I, O> Context<I> for MapCtx<'_, I, O> {
 /// Accounts the encoded size of every frame leaving a
 /// [`StepCoalescer`] (attach at [`StepDeferral::open`]).
 ///
-/// `measure` computes a frame's serialized size under the owner's wire
+/// Each frame's serialized size is computed under the owner's wire
 /// codec; the byte counter is shared (the owner keeps a clone of the
 /// meter and drains it via [`FrameMeter::take_bytes`], typically from
 /// `Process::take_wire_bytes`). The counter is atomic only so the meter
@@ -114,14 +114,6 @@ impl<M> std::fmt::Debug for FrameMeter<M> {
 }
 
 impl<M> FrameMeter<M> {
-    /// Creates a meter around a frame-size function.
-    pub fn new(measure: Arc<dyn Fn(&M) -> u64 + Send + Sync>) -> Self {
-        FrameMeter {
-            measure,
-            bytes: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
     /// A meter measuring each frame under its real [`Wire`] codec
     /// (encoded into a reused scratch buffer, counted, discarded).
     pub fn wire() -> Self
@@ -129,12 +121,15 @@ impl<M> FrameMeter<M> {
         M: Wire,
     {
         let scratch = Mutex::new(Vec::<u8>::new());
-        Self::new(Arc::new(move |m: &M| {
-            let mut buf = scratch.lock().unwrap_or_else(|e| e.into_inner());
-            buf.clear();
-            m.encode(&mut buf);
-            buf.len() as u64
-        }))
+        FrameMeter {
+            measure: Arc::new(move |m: &M| {
+                let mut buf = scratch.lock().unwrap_or_else(|e| e.into_inner());
+                buf.clear();
+                m.encode(&mut buf);
+                buf.len() as u64
+            }),
+            bytes: Arc::new(AtomicU64::new(0)),
+        }
     }
 
     /// Accounts one outgoing frame.
@@ -313,10 +308,10 @@ impl<M> Context<M> for StepCoalescer<'_, M> {
 /// taking everything parked with it. Either way a frame waits here at
 /// most one budget, and never wedges.
 ///
-/// The owner — a single replica, or a multi-group host parking for all
-/// of its groups — keeps its write-ahead contract by settling the
-/// step's storage sync *before* calling `close`/`flush`: nothing leaves
-/// the process from anywhere else.
+/// The owner — the process hosting a replica's groups, parking once for
+/// all of them — keeps its write-ahead contract by settling the step's
+/// storage sync *before* calling `close`/`flush`: nothing leaves the
+/// process from anywhere else.
 #[derive(Debug)]
 pub struct StepDeferral<M> {
     /// The coalescer's reusable backing store; carries parked frames

@@ -96,19 +96,9 @@ impl PeerIn {
 /// step produces for one peer — an eager-relay fan-out of a multi-payload
 /// frame, a retransmission backlog draining after a partition heal —
 /// travels as a single frame with a single ack and a single retransmit
-/// slot, cutting the cluster's messages/op and ack chatter.
-///
-/// # Cross-step flush deferral
-///
-/// With a flush delay set ([`PerfectLink::set_flush_deferral`]),
-/// [`PerfectLink::flush`] does not frame the outboxes at the end of the
-/// step: it arms a short timer and lets payloads from *consecutive*
-/// handler steps accumulate, so a burst of client invocations shares one
-/// `Data` frame (one seq, one ack, one retransmit slot) instead of one
-/// per step — Nagle's algorithm under a bounded sim-time latency budget.
-/// The timer guarantees a deferred frame can never wedge: even if the
-/// owner goes idle, the frame leaves at most one delay after the first
-/// deferred flush.
+/// slot, cutting the cluster's messages/op and ack chatter. Holding
+/// frames back across steps is not this layer's business: the process
+/// hosting the link parks whole step-end frames itself.
 #[derive(Debug)]
 pub struct PerfectLink<M> {
     out: Vec<PeerOut<M>>,
@@ -118,10 +108,6 @@ pub struct PerfectLink<M> {
     burst: usize,
     /// The delayed-ack tick (armed only while acks are owed).
     ack_armed: Option<TimerId>,
-    /// Cross-step flush deferral budget; `None` flushes at step end.
-    flush_delay: Option<VirtualTime>,
-    /// The deferred-flush timer (armed only while a flush is deferred).
-    flush_armed: Option<TimerId>,
 }
 
 impl<M: Clone> PerfectLink<M> {
@@ -148,20 +134,12 @@ impl<M: Clone> PerfectLink<M> {
             period,
             burst: Self::RETRANSMIT_BURST,
             ack_armed: None,
-            flush_delay: None,
-            flush_armed: None,
         }
     }
 
     /// A link with the default 100 ms retransmission period.
     pub fn with_default_period(n: usize) -> Self {
         Self::new(n, VirtualTime::from_millis(100))
-    }
-
-    /// Sets (or clears) the cross-step flush deferral budget; `None`
-    /// flushes at step end.
-    pub fn set_flush_deferral(&mut self, delay: Option<VirtualTime>) {
-        self.flush_delay = delay;
     }
 
     /// Buffers `payload` for `to`; it leaves in the next flushed frame
@@ -194,26 +172,7 @@ impl<M: Clone> PerfectLink<M> {
     /// Flushes every non-empty per-peer outbox as one framed
     /// [`LinkMsg::Data`] each. Owners call this exactly once at the end
     /// of any handler step that may have buffered sends.
-    ///
-    /// With a flush-deferral budget set this instead arms the
-    /// deferred-flush timer and returns: the outboxes keep
-    /// accumulating across steps until the timer fires (at most one
-    /// budget after the first deferred flush) or a retransmit tick
-    /// force-flushes them.
     pub fn flush(&mut self, ctx: &mut dyn Context<LinkMsg<M>>) {
-        if let Some(delay) = self.flush_delay {
-            if self.out.iter().any(|p| !p.outbox.is_empty()) && self.flush_armed.is_none() {
-                self.flush_armed = Some(ctx.set_timer(delay));
-            }
-            return;
-        }
-        self.flush_now(ctx);
-    }
-
-    /// Frames and sends every non-empty per-peer outbox immediately,
-    /// bypassing any deferral.
-    pub fn flush_now(&mut self, ctx: &mut dyn Context<LinkMsg<M>>) {
-        self.flush_armed = None;
         for idx in 0..self.out.len() {
             let peer = &mut self.out[idx];
             if peer.outbox.is_empty() {
@@ -281,11 +240,6 @@ impl<M: Clone> PerfectLink<M> {
     /// Handles a timer fire; returns `true` if the timer belonged to this
     /// link (callers route unrecognised timers to other layers).
     pub fn on_timer(&mut self, timer: TimerId, ctx: &mut dyn Context<LinkMsg<M>>) -> bool {
-        if self.flush_armed == Some(timer) {
-            // the deferred-flush budget expired: frame what accumulated
-            self.flush_now(ctx);
-            return true;
-        }
         if self.ack_armed == Some(timer) {
             self.ack_armed = None;
             for idx in 0..self.inc.len() {
@@ -303,10 +257,8 @@ impl<M: Clone> PerfectLink<M> {
         // and must not be re-sent by the retransmit loop too
         let fresh: Vec<u64> = self.out.iter().map(|p| p.next_seq).collect();
         // safety net: a step that buffered without flushing still drains
-        // (one period late); correctly-flushing owners leave this a no-op.
-        // Force past any deferral — a retransmit tick means the frames
-        // are already a full period old.
-        self.flush_now(ctx);
+        // (one period late); correctly-flushing owners leave this a no-op
+        self.flush(ctx);
         let me = ctx.id();
         for (idx, peer) in self.out.iter().enumerate() {
             let to = ReplicaId::new(idx as u32);

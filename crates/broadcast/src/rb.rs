@@ -58,12 +58,6 @@ impl<M: Clone> ReliableBroadcast<M> {
         }
     }
 
-    /// Sets (or clears) the link's cross-step flush deferral budget (see
-    /// [`PerfectLink::set_flush_deferral`]).
-    pub fn set_flush_deferral(&mut self, delay: Option<bayou_types::VirtualTime>) {
-        self.link.set_flush_deferral(delay);
-    }
-
     /// RB-casts `payload`; returns its [`RbId`]. The caller should treat
     /// the message as locally RB-delivered at this point.
     pub fn broadcast(&mut self, payload: M, ctx: &mut dyn Context<LinkMsg<RbMsg<M>>>) -> RbId {

@@ -1,54 +1,64 @@
-//! Addressable replication groups: N independent Bayou instances
-//! multiplexed in one process.
+//! The Bayou process: a host multiplexing N ≥ 1 replication groups.
 //!
 //! The paper's protocol gives one replication group one total order,
 //! which caps committed throughput at a single leader's commit
-//! pipeline. [`GroupedReplica`] lifts the one-replica-per-process
-//! assumption: a host owns N [`BayouReplica`] instances — one per
-//! [`GroupId`] — and multiplexes them behind a single [`Process`]
-//! endpoint, so the runtimes (`bayou-sim`, `bayou-net`) route by
-//! `(replica, group)` without multiplying OS threads or sim processes.
+//! pipeline. [`GroupedReplica`] is the one [`Process`] every runtime
+//! drives (`bayou-sim`, `bayou-net`, the server): it owns one
+//! [`BayouReplica`] — the protocol — per [`GroupId`] and calls its
+//! step-level methods inside its own handler steps, so the runtimes
+//! route by `(replica, group)` without multiplying OS threads or sim
+//! processes. A single-group deployment is a host with one group.
 //! Groups never exchange protocol state; a keyspace partition above
 //! them (the server's `ShardRouter`) guarantees no request crosses a
 //! group boundary.
 //!
-//! What the groups *share* is exactly the per-process resources:
+//! What the host owns is exactly the per-process machinery:
 //!
-//! - **one handler-step loop** — every inner handler runs inside the
+//! - **one handler-step loop** — every group handler runs inside the
 //!   host's step; internal (`rollback`/`execute`) steps are served
 //!   round-robin across groups;
+//! - **one frame dispatch** — an incoming host frame hands each group
+//!   its messages in frame order, then settles every group it touched
+//!   once, so a group commits one delivery batch per frame however many
+//!   sender steps the frame carries;
 //! - **one WAL group-commit barrier** — per-group stores write through
 //!   one shared backend ([`bayou_storage::SharedBackend`], namespaced by
 //!   [`bayou_storage::Prefixed`]) and funnel their deferred record syncs
 //!   into one [`SyncBarrier`] the host settles with a *single* physical
-//!   fsync per step, before any frame leaves (the write-ahead contract
-//!   is unchanged: an inner step's "sends" only ever reach the host's
-//!   buffers);
-//! - **one flush-deferral budget** — the host runs the cross-step
-//!   park/flush state machine ([`StepDeferral`]) over its own step-end
-//!   coalescer, whose per-peer buffers hold frames from *all* groups, so
-//!   frames for different groups headed to the same peer merge into one
-//!   link frame.
+//!   fsync per step, before any frame leaves (the write-ahead contract:
+//!   a group's "sends" only ever reach the host's buffers);
+//! - **one flush deferral** — the host runs the cross-step park/flush
+//!   state machine ([`StepDeferral`]) over its step-end coalescer, whose
+//!   per-peer buffers hold frames from *all* groups, so frames for
+//!   different groups headed to the same peer merge into one link frame.
+//!   A step a strong operation waits on flushes at its end (the groups
+//!   report it from [`BayouReplica::invoke`] / [`BayouReplica::receive`]);
+//! - **timer routing, failure and the runtime hooks** — which group
+//!   armed which timer, `has_failed`, and the fsync, stall and wire-byte
+//!   meters.
 //!
-//! [`recover_grouped_paxos`] is the durable factory ([`GroupId`]-sharded
-//! twin of [`crate::recover_paxos_replica`]): one physical store, N
-//! namespaced recoveries. [`GroupedCluster`] wires hosts over the
-//! simulator for tests and benches.
+//! [`crate::recover_grouped_paxos`] is the durable factory (one physical
+//! store, N namespaced recoveries) and [`crate::recover_paxos_replica`]
+//! its one-group case; [`crate::BayouCluster`] wires hosts over the
+//! simulator.
 
 use crate::api::{Invocation, Response};
-use crate::harness::assert_converged;
-use crate::persist::recover_paxos_replica_on;
-use crate::replica::{BayouMsg, BayouReplica, ProtocolMode};
-use bayou_broadcast::{FrameMeter, PaxosConfig, PaxosTob, StepCoalescer, StepDeferral, Tob};
-use bayou_data::{DataType, DeltaState, StateObject};
-use bayou_sim::{OutputRecord, Sim, SimConfig};
-use bayou_storage::{Prefixed, SharedBackend, Storage, StorageError, StoreConfig, SyncBarrier};
+use crate::replica::{BayouMsg, BayouReplica};
+use bayou_broadcast::{FrameMeter, StepCoalescer, StepDeferral, Tob};
+use bayou_data::{DataType, StateObject};
+use bayou_storage::{StorageError, SyncBarrier};
 use bayou_types::{
-    Context, GroupId, Level, Process, ReplicaId, SharedReq, TimerId, Timestamp, VirtualTime, Wire,
-    WireError, WireReader,
+    Context, GroupId, LeaseConfig, Process, ReplicaId, SharedReq, TimerId, Timestamp, VirtualTime,
+    Wire, WireError, WireReader,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// Default cross-step flush-deferral budget: 4× the simulator's default
+/// 10µs handler step, so a saturated host's consecutive invocations
+/// share step frames while an isolated invocation is delayed by well
+/// under any protocol timeout. See [`GroupedReplica::set_flush_deferral`].
+pub const DEFAULT_FLUSH_DELAY: VirtualTime = VirtualTime::from_micros(40);
 
 /// The inner wire enum of one group's replica.
 type InnerMsg<F, T> = BayouMsg<
@@ -57,22 +67,26 @@ type InnerMsg<F, T> = BayouMsg<
     <T as Tob<SharedReq<<F as DataType>::Op>>>::Msg,
 >;
 
-/// The host's wire enum: a group-tagged inner frame, or a step-end
+/// The host's wire enum: a group-tagged inner message, or a step-end
 /// frame coalescing several of them (possibly for *different* groups)
 /// to the same peer.
 type HostMsg<F, T> = GroupedMsg<InnerMsg<F, T>>;
 
 /// A group-addressed wire message.
 ///
-/// `One` tags an inner protocol frame with its destination group;
+/// `One` tags an inner protocol message with its destination group;
 /// `Batch` is the host-level step-end frame — the per-peer coalescing
-/// of everything the host's groups sent in one step, which is what lets
-/// frames for different groups share one link frame.
+/// of everything the host's groups sent in one step (or in several
+/// consecutive steps, under flush deferral). Under saturation this is
+/// what turns per-slot message storms (64 `Accept`s from one `Submit`
+/// batch, 64 `Decide`s from one `Accepted` frame) into one message,
+/// one handler step, one delivery batch per group and one WAL sync at
+/// the receiver.
 #[derive(Debug, Clone)]
 pub enum GroupedMsg<M> {
-    /// One inner frame, addressed to `GroupId` at the receiving host.
+    /// One inner message, addressed to `GroupId` at the receiving host.
     One(GroupId, M),
-    /// A host step-end frame: several group-tagged frames to one peer.
+    /// A host step-end frame: several group-tagged messages to one peer.
     Batch(Vec<GroupedMsg<M>>),
 }
 
@@ -148,7 +162,7 @@ impl<M> Context<M> for GroupCtx<'_, M> {
         // each group queries its own Ω lane: eventual leadership spreads
         // over the live replicas instead of every co-hosted group
         // funnelling its ordering work through the lowest id (lane 0 is
-        // the plain single-group oracle, so groups=1 is unchanged)
+        // the plain single-group oracle)
         self.outer.omega_for(self.gid.as_u32())
     }
 
@@ -178,10 +192,11 @@ impl std::fmt::Debug for HostBarrier {
     }
 }
 
-/// N addressable [`BayouReplica`] instances multiplexed behind one
-/// [`Process`] endpoint. See the module docs for what is shared (step
-/// loop, fsync barrier, flush-deferral budget, link frames) and what is
-/// not (total orders, WALs, compaction watermarks).
+/// The Bayou process: N addressable [`BayouReplica`] groups behind one
+/// [`Process`] endpoint. See the module docs for what the host owns
+/// (step loop, frame dispatch, fsync barrier, flush deferral, timers,
+/// runtime hooks) and what each group keeps (its total order, WAL and
+/// compaction watermark).
 pub struct GroupedReplica<F, T, S>
 where
     F: DataType,
@@ -192,9 +207,8 @@ where
     /// Which group armed which timer (fires route back to the owner).
     timer_owner: HashMap<TimerId, GroupId>,
     /// The host-level step-end coalescer's per-peer buffers — frames
-    /// from all groups, merged per destination — under the single
-    /// cross-step flush-deferral budget shared by all groups (inner
-    /// replicas have their own deferral disabled by the host).
+    /// from all groups, merged per destination — under the cross-step
+    /// flush-deferral budget.
     deferral: StepDeferral<HostMsg<F, T>>,
     barrier: Option<HostBarrier>,
     /// Muted groups: the host drops their messages, inputs and timers —
@@ -202,6 +216,9 @@ where
     muted: Vec<bool>,
     /// Round-robin cursor for internal (`rollback`/`execute`) steps.
     rr_cursor: usize,
+    /// Reusable buffer: the groups one incoming frame touched, in frame
+    /// order — each settles once after the whole frame dispatched.
+    touched: Vec<GroupId>,
     wire_meter: Option<FrameMeter<HostMsg<F, T>>>,
 }
 
@@ -211,31 +228,24 @@ where
     T: Tob<SharedReq<F::Op>>,
     S: StateObject<F>,
 {
-    /// Builds a host over `groups` (one inner replica per [`GroupId`],
-    /// in index order). The host takes over the cross-step
-    /// flush-deferral budget: it adopts group 0's budget and disables
-    /// deferral inside every group, so all groups share one budget and
-    /// one deadline.
+    /// Builds a host over `groups` (one replica per [`GroupId`], in
+    /// index order), parking step-end frames for up to
+    /// [`DEFAULT_FLUSH_DELAY`].
     ///
     /// # Panics
     ///
     /// Panics if `groups` is empty.
-    pub fn new(mut groups: Vec<BayouReplica<F, T, S>>) -> Self {
+    pub fn new(groups: Vec<BayouReplica<F, T, S>>) -> Self {
         assert!(!groups.is_empty(), "a grouped replica hosts >= 1 group");
-        let flush_deferral = groups[0].flush_deferral();
-        for g in &mut groups {
-            // the host owns the (single) deferral budget; inner step
-            // frames flush into the host's buffers every inner step
-            g.set_flush_deferral(None);
-        }
         let muted = vec![false; groups.len()];
         GroupedReplica {
             groups,
             timer_owner: HashMap::new(),
-            deferral: StepDeferral::new(flush_deferral),
+            deferral: StepDeferral::new(Some(DEFAULT_FLUSH_DELAY)),
             barrier: None,
             muted,
             rr_cursor: 0,
+            touched: Vec::new(),
             wire_meter: None,
         }
     }
@@ -254,14 +264,6 @@ where
         &self.groups[gid.index()]
     }
 
-    /// Iterates over `(group, replica)` pairs in group order.
-    pub fn groups(&self) -> impl Iterator<Item = (GroupId, &BayouReplica<F, T, S>)> {
-        self.groups
-            .iter()
-            .enumerate()
-            .map(|(i, g)| (GroupId::new(i as u32), g))
-    }
-
     /// Mutes (or unmutes) one group on this host: while muted, the host
     /// drops the group's incoming messages, inputs and timer fires — a
     /// crash scoped to `(replica, group)`, leaving every other group on
@@ -272,17 +274,11 @@ where
         }
     }
 
-    /// Whether `gid` is currently muted on this host.
-    pub fn group_muted(&self, gid: GroupId) -> bool {
-        self.muted.get(gid.index()).copied().unwrap_or(false)
-    }
-
     /// Routes every group's deferred group-commit sync debt through
     /// `barrier`, settled by `sync` (one physical fsync of the shared
-    /// backend) at each host step end. Installed by
-    /// [`recover_grouped_paxos`]; a sync failure crash-stops the whole
-    /// host, since the store is shared.
-    pub fn set_sync_barrier(
+    /// backend) at each host step end. A sync failure crash-stops the
+    /// whole host, since the store is shared.
+    pub(crate) fn set_sync_barrier(
         &mut self,
         barrier: Arc<SyncBarrier>,
         sync: impl FnMut() -> Result<(), StorageError> + Send + 'static,
@@ -307,14 +303,20 @@ where
     /// runs its own lease over its own lane Ω (`Context::omega_for`
     /// with the group's lane), so different groups may hold leases on
     /// different hosts concurrently.
-    pub fn set_lease(&mut self, lease: Option<bayou_types::LeaseConfig>) {
+    pub fn set_lease(&mut self, lease: Option<LeaseConfig>) {
         for g in &mut self.groups {
             g.set_lease(lease);
         }
     }
 
-    /// Sets (or clears) the host's single cross-step flush-deferral
-    /// budget. Inner deferral stays off — the host parks for everyone.
+    /// Sets (or clears) cross-step flush deferral: with a budget, the
+    /// host's step-end frames may be *parked* across consecutive handler
+    /// steps, so a saturated burst of invocations shares wire frames
+    /// instead of emitting one set per step. A timer guarantees parked
+    /// frames flush within the budget even if the host goes idle, so no
+    /// frame waits longer than one budget; a step a strong operation
+    /// waits on flushes at its end. On by default with
+    /// [`DEFAULT_FLUSH_DELAY`]; `None` flushes at every step end.
     pub fn set_flush_deferral(&mut self, delay: Option<VirtualTime>) {
         self.deferral.set_budget(delay);
     }
@@ -324,9 +326,16 @@ where
         self.deferral.budget()
     }
 
-    /// Enables wire-bytes metering of the host's outgoing frames under
-    /// the group-tagged codec (see [`BayouReplica::meter_wire_bytes`];
-    /// inner meters stay off — every frame leaves through the host).
+    /// Enables wire-bytes metering: every frame leaving the host is
+    /// measured under the real group-tagged [`Wire`] codec
+    /// ([`FrameMeter::wire`]) and drained by the runtime through
+    /// [`Process::take_wire_bytes`] into the simulator's `wire_bytes`
+    /// metric — the network-side analogue of the WAL's bytes
+    /// accounting.
+    ///
+    /// Off by default. Metering consumes no randomness and changes no
+    /// message or timer, so deterministic schedules (DST) are unaffected
+    /// by toggling it; the cost is one extra encode per outgoing frame.
     pub fn meter_wire_bytes(&mut self)
     where
         F::Op: Wire,
@@ -336,16 +345,12 @@ where
         self.wire_meter = Some(FrameMeter::wire());
     }
 
-    /// The barrier failure that crash-stopped this host, if any.
-    pub fn barrier_failure(&self) -> Option<&StorageError> {
-        self.barrier.as_ref().and_then(|b| b.failed.as_ref())
-    }
-
     /// Opens the host-level step-end coalescer for one handler step.
-    /// Every inner send of the step lands here (group-tagged — frames of
+    /// Every group send of the step lands here (group-tagged — frames of
     /// different groups to one peer merge into one
-    /// [`GroupedMsg::Batch`] link frame); the caller must run
-    /// [`GroupedReplica::close_host_step`] on it.
+    /// [`GroupedMsg::Batch`] link frame); the caller must end the step
+    /// in [`GroupedReplica::close_host_step`] or the deferral's
+    /// `flush`/`put_back`.
     fn host_step<'a>(
         &mut self,
         ctx: &'a mut dyn Context<HostMsg<F, T>>,
@@ -354,13 +359,17 @@ where
             .open(ctx, GroupedMsg::Batch, self.wire_meter.clone())
     }
 
-    /// Settles the shared WAL barrier: if any group dirtied the shared
-    /// log this step, one physical fsync covers them all. Runs before
-    /// any frame leaves the host (write-ahead: inner "sends" only ever
-    /// reached the host's buffers), mirroring the inner replicas'
-    /// `sync_step`-before-flush contract. A failure latches — the host
-    /// crash-stops and the runtime discards the step's output.
-    fn settle_barrier(&mut self) {
+    /// Settles the step's WAL syncs: each group's own deferred sync
+    /// (a no-op for stores routed to the shared barrier), then the shared
+    /// barrier — if any group dirtied the shared log this step, one
+    /// physical fsync covers them all. Runs before any frame leaves the
+    /// host (write-ahead: group "sends" only ever reached the host's
+    /// buffers). A failure crash-stops the host and the runtime discards
+    /// the step's output.
+    fn sync_step(&mut self) {
+        for g in &mut self.groups {
+            g.sync_step();
+        }
         if let Some(hb) = &mut self.barrier {
             if hb.failed.is_some() || !hb.barrier.settle() {
                 return;
@@ -372,12 +381,11 @@ where
         }
     }
 
-    /// Closes one host step: settle the shared fsync barrier first, then
-    /// run the cross-step deferral over the coalesced frames — once for
-    /// all groups, flushing at once when the step was `urgent` for any
-    /// (by the replica's own rule, [`BayouReplica::take_step_urgent`]).
+    /// Closes one host step: settle the WAL syncs first, then run the
+    /// cross-step deferral over the coalesced frames — once for all
+    /// groups, flushing at once when a strong operation waits on them.
     fn close_host_step(&mut self, cctx: StepCoalescer<'_, HostMsg<F, T>>, urgent: bool) {
-        self.settle_barrier();
+        self.sync_step();
         self.deferral.close(cctx, urgent);
     }
 
@@ -402,28 +410,32 @@ where
         gid.index() < self.groups.len() && !self.muted[gid.index()]
     }
 
-    /// Unwraps one incoming host frame (recursing into host step-end
-    /// batches) and hands each group-tagged inner frame to its group —
-    /// unless the group is muted or out of range, in which case the
-    /// frame is dropped exactly as a crashed replica would drop it.
-    /// Returns whether any group's step was urgent.
+    /// Unwraps one incoming host frame (recursing into step-end batches)
+    /// and hands each group-tagged message to its group, recording the
+    /// group in `touched` on first sight — unless the group is muted or
+    /// out of range, in which case the message is dropped exactly as a
+    /// crashed replica would drop it. Returns whether a strong operation
+    /// waits on the step.
     fn dispatch(
         &mut self,
         from: ReplicaId,
         msg: HostMsg<F, T>,
         cctx: &mut StepCoalescer<'_, HostMsg<F, T>>,
+        touched: &mut Vec<GroupId>,
     ) -> bool {
         match msg {
             GroupedMsg::One(gid, m) => {
-                self.serves(gid)
-                    && self.in_group(gid, cctx, |g, gctx| {
-                        g.on_message(from, m, gctx);
-                        g.take_step_urgent()
-                    })
+                if !self.serves(gid) {
+                    return false;
+                }
+                if !touched.contains(&gid) {
+                    touched.push(gid);
+                }
+                self.in_group(gid, cctx, |g, gctx| g.receive(from, m, gctx))
             }
-            GroupedMsg::Batch(msgs) => msgs
-                .into_iter()
-                .fold(false, |urgent, m| self.dispatch(from, m, cctx) | urgent),
+            GroupedMsg::Batch(msgs) => msgs.into_iter().fold(false, |urgent, m| {
+                self.dispatch(from, m, cctx, touched) | urgent
+            }),
         }
     }
 }
@@ -441,7 +453,7 @@ where
     fn on_start(&mut self, ctx: &mut dyn Context<Self::Msg>) {
         let mut cctx = self.host_step(ctx);
         for gid in GroupId::all(self.groups.len()) {
-            self.in_group(gid, &mut cctx, |g, gctx| g.on_start(gctx));
+            self.in_group(gid, &mut cctx, |g, gctx| g.start(gctx));
         }
         self.close_host_step(cctx, false);
     }
@@ -451,16 +463,19 @@ where
             return;
         }
         let mut cctx = self.host_step(ctx);
-        let urgent = self.in_group(gid, &mut cctx, |g, gctx| {
-            g.on_input(inv, gctx);
-            g.take_step_urgent()
-        });
+        let urgent = self.in_group(gid, &mut cctx, |g, gctx| g.invoke(inv, gctx));
         self.close_host_step(cctx, urgent);
     }
 
     fn on_message(&mut self, from: ReplicaId, msg: Self::Msg, ctx: &mut dyn Context<Self::Msg>) {
         let mut cctx = self.host_step(ctx);
-        let urgent = self.dispatch(from, msg, &mut cctx);
+        let mut touched = std::mem::take(&mut self.touched);
+        let urgent = self.dispatch(from, msg, &mut cctx, &mut touched);
+        // every group the frame reached commits its share as one batch
+        for gid in touched.drain(..) {
+            self.in_group(gid, &mut cctx, |g, gctx| g.settle(gctx));
+        }
+        self.touched = touched;
         self.close_host_step(cctx, urgent);
     }
 
@@ -470,7 +485,7 @@ where
             // idle: flush the parked frames of all groups now (not
             // through close_host_step, which would re-park them)
             let cctx = self.host_step(ctx);
-            self.settle_barrier();
+            self.sync_step();
             self.deferral.flush(cctx);
             return;
         }
@@ -489,31 +504,29 @@ where
         // one shared step loop: internal (rollback/execute) steps are
         // served round-robin across groups, so a group with a deep
         // redo queue cannot starve the others
-        let n = self.groups.len();
-        let mut cctx = self.host_step(ctx);
-        let mut stepped = false;
-        for k in 0..n {
-            let gid = GroupId::new(((self.rr_cursor + k) % n) as u32);
-            if self.serves(gid) && self.in_group(gid, &mut cctx, |g, gctx| g.on_internal(gctx)) {
-                self.rr_cursor = (gid.index() + 1) % n;
-                stepped = true;
-                break;
+        let (n, first) = (self.groups.len(), self.rr_cursor);
+        let stepped = (0..n)
+            .map(|k| (first + k) % n)
+            .find(|&i| !self.muted[i] && self.groups[i].step());
+        let cctx = self.host_step(ctx);
+        match stepped {
+            Some(i) => {
+                self.rr_cursor = (i + 1) % n;
+                self.close_host_step(cctx, false);
+                true
+            }
+            None => {
+                // a passive poll must be side-effect free: the runtime
+                // refunds it and discards anything it buffered
+                self.deferral.put_back(cctx);
+                false
             }
         }
-        if stepped {
-            self.close_host_step(cctx, false);
-        } else {
-            // a passive poll must be side-effect free: the runtime
-            // refunds it and discards anything it buffered
-            self.deferral.put_back(cctx);
-        }
-        stepped
     }
 
     fn drain_outputs(&mut self) -> Vec<(GroupId, Response)> {
         let mut out = Vec::new();
-        for (i, group) in self.groups.iter_mut().enumerate() {
-            let gid = GroupId::new(i as u32);
+        for (gid, group) in GroupId::all(self.groups.len()).zip(&mut self.groups) {
             out.extend(group.drain_outputs().into_iter().map(|r| (gid, r)));
         }
         out
@@ -522,18 +535,13 @@ where
     fn take_storage_stall(&mut self) -> VirtualTime {
         // the per-group stores share one backend whose stall counter is
         // drained destructively, so the per-group drains sum correctly
-        self.groups
-            .iter_mut()
-            .fold(VirtualTime::ZERO, |acc, g| acc + g.take_storage_stall())
+        self.groups.iter_mut().fold(VirtualTime::ZERO, |acc, g| {
+            acc + g.persistence().take_sync_stall()
+        })
     }
 
     fn take_wire_bytes(&mut self) -> u64 {
-        let host = self.wire_meter.as_ref().map_or(0, FrameMeter::take_bytes);
-        host + self
-            .groups
-            .iter_mut()
-            .map(Process::take_wire_bytes)
-            .sum::<u64>()
+        self.wire_meter.as_ref().map_or(0, FrameMeter::take_bytes)
     }
 
     fn take_fsyncs(&mut self) -> u64 {
@@ -545,7 +553,7 @@ where
             + self
                 .groups
                 .iter_mut()
-                .map(Process::take_fsyncs)
+                .map(|g| g.persistence().take_fsyncs())
                 .sum::<u64>()
     }
 
@@ -553,7 +561,7 @@ where
         // the store is shared: one group's persistence failure (or the
         // shared barrier's) is a whole-process crash-stop
         self.barrier.as_ref().is_some_and(|hb| hb.failed.is_some())
-            || self.groups.iter().any(Process::has_failed)
+            || self.groups.iter().any(|g| g.failure().is_some())
     }
 }
 
@@ -572,240 +580,151 @@ where
     }
 }
 
-/// Opens one shared `backend` and recovers `groups` Bayou instances
-/// from it — the durable factory of a sharded process. Each group's
-/// WAL segments, snapshots and manifest live under its own `g{index}-`
-/// prefix inside the one store ([`Prefixed`]); all groups' deferred
-/// group-commit syncs funnel into one [`SyncBarrier`] the returned host
-/// settles with a single physical fsync per step.
-///
-/// On an empty store this degenerates to `groups` fresh replicas, which
-/// makes it usable as a runtime *factory*: the same closure builds the
-/// initial host and, over the same backend handle, its post-crash
-/// successor with every group restored.
-///
-/// # Panics
-///
-/// Panics if any group's store cannot be opened or fails validation.
-pub fn recover_grouped_paxos<F, S, B>(
-    me: ReplicaId,
-    n: usize,
-    groups: usize,
-    mode: ProtocolMode,
-    paxos: PaxosConfig,
-    backend: B,
-    store_cfg: StoreConfig,
-) -> GroupedReplica<F, PaxosTob<SharedReq<F::Op>>, S>
-where
-    F: DataType,
-    F::Op: Wire,
-    F::State: Wire,
-    S: StateObject<F>,
-    B: Storage + Send + 'static,
-{
-    let shared = SharedBackend::new(backend);
-    let barrier = Arc::new(SyncBarrier::new());
-    let replicas = GroupId::all(groups)
-        .map(|gid| {
-            recover_paxos_replica_on(
-                me,
-                n,
-                mode,
-                paxos,
-                Prefixed::new(shared.clone(), gid),
-                store_cfg,
-                Some(barrier.clone()),
-            )
-        })
-        .collect();
-    let mut host = GroupedReplica::new(replicas);
-    let mut sync_handle = shared;
-    host.set_sync_barrier(barrier, move || sync_handle.sync());
-    host
-}
-
-/// The grouped host type [`GroupedCluster`] simulates: Paxos groups
-/// over the shared request codec.
-type GroupedPaxosHost<F, S> = GroupedReplica<F, PaxosTob<SharedReq<<F as DataType>::Op>>, S>;
-
-/// `n` grouped hosts wired over the simulator: the multi-group twin of
-/// [`crate::BayouCluster`], routing invocations and assertions by
-/// `(replica, group)`.
-pub struct GroupedCluster<F, S = DeltaState<F>>
-where
-    F: DataType,
-    S: StateObject<F>,
-{
-    sim: Sim<GroupedPaxosHost<F, S>>,
-    n: usize,
-    groups: usize,
-    responses: Vec<OutputRecord<(GroupId, Response)>>,
-    quiescent: bool,
-}
-
-impl<F, S> GroupedCluster<F, S>
-where
-    F: DataType,
-    S: StateObject<F> + Default,
-{
-    /// Creates a cluster of fresh (non-durable) hosts: `groups`
-    /// independent Bayou instances on each of `sim_config.n` replicas.
-    pub fn new(sim_config: SimConfig, groups: usize, mode: ProtocolMode) -> Self {
-        let n = sim_config.n;
-        Self::with_factory(sim_config, groups, move |_| {
-            let replicas = (0..groups)
-                .map(|_| BayouReplica::new(n, mode, PaxosTob::new(n, PaxosConfig::default())))
-                .collect();
-            GroupedReplica::new(replicas)
-        })
-    }
-
-    /// Creates a cluster from an arbitrary host factory. The factory is
-    /// retained for scheduled restarts ([`SimConfig::with_restart`]) —
-    /// build hosts with [`recover_grouped_paxos`] over a shared disk
-    /// handle to express multi-group crash-recovery schedules.
-    pub fn with_factory(
-        sim_config: SimConfig,
-        groups: usize,
-        make: impl FnMut(ReplicaId) -> GroupedReplica<F, PaxosTob<SharedReq<F::Op>>, S> + 'static,
-    ) -> Self {
-        let n = sim_config.n;
-        GroupedCluster {
-            sim: Sim::new(sim_config, make),
-            n,
-            groups,
-            responses: Vec::new(),
-            quiescent: false,
-        }
-    }
-
-    /// Number of replicas.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the cluster is empty (never true; clusters have ≥ 1
-    /// replica).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Number of groups per replica.
-    pub fn group_count(&self) -> usize {
-        self.groups
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> VirtualTime {
-        self.sim.now()
-    }
-
-    /// Simulator metrics (messages, fsyncs, wire bytes — host-wide).
-    pub fn metrics(&self) -> &bayou_sim::Metrics {
-        self.sim.metrics()
-    }
-
-    /// Read access to one host.
-    pub fn host(&self, r: ReplicaId) -> &GroupedReplica<F, PaxosTob<SharedReq<F::Op>>, S> {
-        self.sim.process(r)
-    }
-
-    /// Read access to one group's replica on one host.
-    pub fn replica(
-        &self,
-        r: ReplicaId,
-        gid: GroupId,
-    ) -> &BayouReplica<F, PaxosTob<SharedReq<F::Op>>, S> {
-        self.host(r).group(gid)
-    }
-
-    /// Schedules an open-loop invocation addressed to `(replica, group)`.
-    pub fn invoke_at(
-        &mut self,
-        at: VirtualTime,
-        replica: ReplicaId,
-        gid: GroupId,
-        op: F::Op,
-        level: Level,
-    ) {
-        self.sim
-            .schedule_input(at, replica, (gid, Invocation::new(op, level)));
-    }
-
-    /// Schedules a fully-formed invocation (tags, session guards)
-    /// addressed to `(replica, group)` — the grouped twin of
-    /// [`crate::BayouCluster::schedule_at`].
-    pub fn schedule_at(
-        &mut self,
-        at: VirtualTime,
-        replica: ReplicaId,
-        gid: GroupId,
-        inv: Invocation<F::Op>,
-    ) {
-        self.sim.schedule_input(at, replica, (gid, inv));
-    }
-
-    /// Mutes (or unmutes) `gid` on `replica` — a `(replica, group)`
-    /// scoped crash. The simulator has no scheduled control inputs, so
-    /// this applies immediately, between runs.
-    pub fn mute(&mut self, replica: ReplicaId, gid: GroupId, muted: bool) {
-        self.sim.process_mut(replica).mute_group(gid, muted);
-    }
-
-    /// Runs until the deadline (or quiescence/limits), accumulating
-    /// responses; returns how many responses have arrived in total.
-    pub fn run_until(&mut self, deadline: VirtualTime) -> usize {
-        let report = self.sim.run_until(deadline);
-        self.responses.extend(report.outputs);
-        self.quiescent = report.quiescent;
-        self.responses.len()
-    }
-
-    /// Whether the last [`GroupedCluster::run_until`] ended in
-    /// quiescence (no pending events before the deadline).
-    pub fn quiescent(&self) -> bool {
-        self.quiescent
-    }
-
-    /// Whether `r` is currently dead: crashed by the fault schedule, or
-    /// crash-stopped by a persistence failure in any group (the store is
-    /// shared, so one group's failure takes the whole host down).
-    pub fn is_down(&self, r: ReplicaId) -> bool {
-        self.sim.is_crashed(r) || self.host(r).has_failed()
-    }
-
-    /// All responses recorded so far, with time, replica and group.
-    pub fn responses(&self) -> &[OutputRecord<(GroupId, Response)>] {
-        &self.responses
-    }
-
-    /// Per-replica committed totals of one group, in replica order.
-    pub fn committed_totals(&self, gid: GroupId) -> Vec<u64> {
-        ReplicaId::all(self.n)
-            .map(|r| self.replica(r, gid).committed_total())
-            .collect()
-    }
-
-    /// Asserts that every replica of group `gid` (minus `skip`) has
-    /// converged: equal committed totals and orders over the retained
-    /// overlap, empty tentative lists, identical materialized states.
-    ///
-    /// # Panics
-    ///
-    /// Panics (with a diagnostic) if any two checked replicas disagree.
-    pub fn assert_group_convergence(&self, gid: GroupId, skip: &[ReplicaId]) {
-        let checked: Vec<_> = ReplicaId::all(self.n)
-            .filter(|r| !skip.contains(r))
-            .map(|r| (r, self.replica(r, gid)))
-            .collect();
-        assert_converged(&format!("group {gid}: "), &checked);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bayou_data::{KvOp, KvStore};
+    use crate::replica::tests::stub;
+    use crate::replica::ProtocolMode;
+    use bayou_broadcast::TobDelivery;
+    use bayou_data::{Counter, CounterOp, DeltaState};
+    use bayou_storage::Persistence;
+    use bayou_types::{Dot, Level, Req};
+    use std::ops::Range;
+    use std::sync::Mutex;
+
+    /// A scripted TOB: each of its messages is the delivery batch it
+    /// yields, so a test decides exactly what one frame delivers.
+    #[derive(Debug)]
+    struct FeedTob;
+
+    type Deliveries = Vec<TobDelivery<SharedReq<CounterOp>>>;
+
+    impl Tob<SharedReq<CounterOp>> for FeedTob {
+        type Msg = Deliveries;
+
+        fn on_start(&mut self, _ctx: &mut dyn Context<Deliveries>) {}
+        fn cast(&mut self, _: u64, _: SharedReq<CounterOp>, _: &mut dyn Context<Deliveries>) {}
+        fn ensure(
+            &mut self,
+            _: ReplicaId,
+            _: u64,
+            _: SharedReq<CounterOp>,
+            _: &mut dyn Context<Deliveries>,
+        ) {
+        }
+        fn on_message(
+            &mut self,
+            _from: ReplicaId,
+            msg: Deliveries,
+            _ctx: &mut dyn Context<Deliveries>,
+        ) -> Deliveries {
+            msg
+        }
+        fn on_timer(&mut self, _: TimerId, _: &mut dyn Context<Deliveries>) -> Deliveries {
+            Vec::new()
+        }
+        fn owns_timer(&self, _timer: TimerId) -> bool {
+            false
+        }
+        fn delivered_count(&self) -> u64 {
+            0
+        }
+    }
+
+    /// Every commit batch the host's groups write, as `(group, size)`.
+    type CommitLog = Arc<Mutex<Vec<(GroupId, usize)>>>;
+
+    /// A store that records each group-commit call and persists nothing.
+    struct CountCommits {
+        gid: GroupId,
+        log: CommitLog,
+    }
+
+    impl Persistence<Counter> for CountCommits {
+        fn log_invoke(&mut self, _: &SharedReq<CounterOp>, _: u64) -> Result<(), StorageError> {
+            Ok(())
+        }
+        fn log_tentative(&mut self, _: &SharedReq<CounterOp>, _: u64) -> Result<(), StorageError> {
+            Ok(())
+        }
+        fn log_tob_events(
+            &mut self,
+            _: Vec<bayou_broadcast::TobEvent<SharedReq<CounterOp>>>,
+        ) -> Result<(), StorageError> {
+            Ok(())
+        }
+        fn log_commit_batch(&mut self, reqs: &[SharedReq<CounterOp>]) -> Result<(), StorageError> {
+            self.log.lock().unwrap().push((self.gid, reqs.len()));
+            Ok(())
+        }
+    }
+
+    /// One sender step's TOB message for `gid`, delivering the requests
+    /// numbered `nos` (from replica 1).
+    fn deliver(gid: GroupId, nos: Range<u64>) -> GroupedMsg<BayouMsg<CounterOp, i64, Deliveries>> {
+        let batch = nos
+            .map(|no| TobDelivery {
+                sender: ReplicaId::new(1),
+                seq: no,
+                tob_no: no,
+                payload: Arc::new(Req::new(
+                    Timestamp::new(no as i64),
+                    Dot::new(ReplicaId::new(1), no + 1),
+                    Level::Weak,
+                    CounterOp::Add(1),
+                )),
+            })
+            .collect();
+        GroupedMsg::One(gid, BayouMsg::Tob(batch))
+    }
+
+    /// The property the host's frame dispatch carries: whatever one
+    /// incoming frame holds — several groups' TOB messages interleaved,
+    /// or many parked sender steps for one group — each group it reaches
+    /// commits exactly once, and groups commit in the order the frame
+    /// first reaches them.
+    #[test]
+    fn a_frame_commits_once_per_group_in_frame_order() {
+        let log = CommitLog::default();
+        let mut host = GroupedReplica::new(
+            GroupId::all(2)
+                .map(|gid| {
+                    let store = CountCommits {
+                        gid,
+                        log: log.clone(),
+                    };
+                    let state = DeltaState::default();
+                    BayouReplica::with_persistence(
+                        2,
+                        ProtocolMode::Improved,
+                        FeedTob,
+                        state,
+                        Box::new(store),
+                    )
+                })
+                .collect(),
+        );
+        let (g0, g1) = (GroupId::new(0), GroupId::new(1));
+        let (from, mut ctx) = (ReplicaId::new(1), stub(0));
+
+        let interleaved = vec![
+            deliver(g1, 0..2),
+            deliver(g0, 0..1),
+            deliver(g1, 2..3),
+            deliver(g0, 1..3),
+        ];
+        host.on_message(from, GroupedMsg::Batch(interleaved), &mut ctx);
+        assert_eq!(*log.lock().unwrap(), [(g1, 3), (g0, 3)]);
+
+        // four parked sender steps for one group, carried by one frame
+        log.lock().unwrap().clear();
+        let steps = (3..7).map(|no| deliver(g0, no..no + 1)).collect();
+        host.on_message(from, GroupedMsg::Batch(steps), &mut ctx);
+        assert_eq!(*log.lock().unwrap(), [(g0, 4)]);
+
+        assert_eq!(host.group(g0).committed_total(), 7);
+        assert_eq!(host.group(g1).committed_total(), 3);
+    }
 
     #[test]
     fn grouped_msg_wire_round_trip() {
@@ -823,43 +742,5 @@ mod tests {
             other => panic!("decoded {other:?}"),
         }
         assert!(GroupedMsg::<u64>::from_bytes(&[9]).is_err());
-    }
-
-    #[test]
-    fn two_groups_commit_independently_in_sim() {
-        let sim = SimConfig::new(3, 11).with_max_time(VirtualTime::from_secs(30));
-        let mut c: GroupedCluster<KvStore> = GroupedCluster::new(sim, 2, ProtocolMode::Improved);
-        let ms = VirtualTime::from_millis;
-        c.invoke_at(
-            ms(1),
-            ReplicaId::new(0),
-            GroupId::new(0),
-            KvOp::put("a", 1),
-            Level::Weak,
-        );
-        c.invoke_at(
-            ms(2),
-            ReplicaId::new(1),
-            GroupId::new(1),
-            KvOp::put("b", 2),
-            Level::Weak,
-        );
-        c.invoke_at(
-            ms(3),
-            ReplicaId::new(2),
-            GroupId::new(0),
-            KvOp::put("c", 3),
-            Level::Weak,
-        );
-        c.run_until(VirtualTime::from_secs(30));
-        for gid in GroupId::all(2) {
-            c.assert_group_convergence(gid, &[]);
-        }
-        assert_eq!(c.committed_totals(GroupId::new(0)), vec![2, 2, 2]);
-        assert_eq!(c.committed_totals(GroupId::new(1)), vec![1, 1, 1]);
-        // keyspaces never mix
-        let g0 = c.replica(ReplicaId::new(0), GroupId::new(0)).materialize();
-        assert_eq!(g0.get("a"), Some(&1));
-        assert_eq!(g0.get("b"), None);
     }
 }

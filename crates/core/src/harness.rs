@@ -1,12 +1,13 @@
-//! The cluster harness: `n` Bayou replicas in the simulator, with
+//! The cluster harness: `n` Bayou processes in the simulator, with
 //! open-loop and closed-loop clients and history recording.
 
 use crate::api::{EventRecord, Invocation, Response, RunTrace};
+use crate::group::GroupedReplica;
 use crate::replica::{BayouReplica, ProtocolMode};
 use bayou_broadcast::{PaxosConfig, PaxosTob, Tob};
 use bayou_data::{DataType, DeltaState, StateObject};
 use bayou_sim::{OutputRecord, Sim, SimConfig};
-use bayou_types::{LeaseConfig, Level, ReplicaId, ReqId, SharedReq, VirtualTime, Wire};
+use bayou_types::{GroupId, LeaseConfig, Level, Process, ReplicaId, ReqId, SharedReq, VirtualTime};
 use std::collections::HashMap;
 
 /// Configuration of a simulated Bayou cluster.
@@ -23,7 +24,7 @@ pub struct ClusterConfig {
     /// globally-stable watermark ([`BayouReplica::set_compaction`]).
     pub compaction: bool,
     /// Cross-step flush-deferral budget
-    /// ([`BayouReplica::set_flush_deferral`];
+    /// ([`GroupedReplica::set_flush_deferral`];
     /// [`crate::DEFAULT_FLUSH_DELAY`] by default — `None` flushes at
     /// every step end).
     pub flush_deferral: Option<VirtualTime>,
@@ -67,17 +68,10 @@ impl ClusterConfig {
         self
     }
 
-    /// Disables cross-step flush deferral on every replica (builder
+    /// Disables cross-step flush deferral on every process (builder
     /// style): frames flush at every step end.
     pub fn without_flush_deferral(mut self) -> Self {
         self.flush_deferral = None;
-        self
-    }
-
-    /// Sets an explicit cross-step flush-deferral budget (builder
-    /// style).
-    pub fn with_flush_deferral(mut self, delay: VirtualTime) -> Self {
-        self.flush_deferral = Some(delay);
         self
     }
 
@@ -86,65 +80,6 @@ impl ClusterConfig {
         self.lease = Some(lease);
         self
     }
-}
-
-/// Asserts that `replicas` have converged: equal committed totals,
-/// agreeing committed orders (compaction-offset aware — a replica that
-/// truncated more history is compared on the retained overlap), empty
-/// tentative lists and identical materialised states. `what` prefixes
-/// every diagnostic (e.g. the group the replicas belong to).
-///
-/// # Panics
-///
-/// Panics (with a diagnostic) if any two replicas disagree.
-pub(crate) fn assert_converged<F, T, S>(
-    what: &str,
-    replicas: &[(ReplicaId, &BayouReplica<F, T, S>)],
-) where
-    F: DataType,
-    T: Tob<SharedReq<F::Op>>,
-    S: StateObject<F>,
-{
-    let Some((first, a)) = replicas.first() else {
-        return;
-    };
-    let total = a.committed_total();
-    let state = a.materialize();
-    let a_off = a.compacted_count() as usize;
-    let a_ids = a.committed_ids();
-    for (r, b) in &replicas[1..] {
-        assert_eq!(
-            b.committed_total(),
-            total,
-            "{what}committed totals diverge between {first} and {r}"
-        );
-        // retained suffixes must agree wherever they overlap
-        let (b_off, b_ids) = (b.compacted_count() as usize, b.committed_ids());
-        let from = a_off.max(b_off);
-        let until = (a_off + a_ids.len()).min(b_off + b_ids.len());
-        assert!(
-            from <= until,
-            "{what}retained committed suffixes of {first} and {r} do not overlap"
-        );
-        assert_eq!(
-            &a_ids[from - a_off..until - a_off],
-            &b_ids[from - b_off..until - b_off],
-            "{what}committed orders diverge between {first} and {r}"
-        );
-        assert!(
-            b.tentative_ids().is_empty(),
-            "{what}replica {r} still has tentative requests"
-        );
-        assert_eq!(
-            b.materialize(),
-            state,
-            "{what}states diverge between {first} and {r}"
-        );
-    }
-    assert!(
-        a.tentative_ids().is_empty(),
-        "{what}replica {first} still has tentative requests"
-    );
 }
 
 /// A closed-loop client session bound to one replica: each step is
@@ -175,8 +110,16 @@ impl<Op> SessionScript<Op> {
     }
 }
 
-/// `n` Bayou replicas wired over the simulator with the chosen TOB and
-/// state object.
+/// `n` Bayou processes ([`GroupedReplica`] hosts, the process the
+/// server runs) wired over the simulator with the chosen TOB and state
+/// object: one replication group per host by default, N on request
+/// ([`BayouCluster::grouped`], or a factory building N-group hosts).
+///
+/// The single-group surface — [`BayouCluster::invoke_at`],
+/// [`BayouCluster::replica`], the [`RunTrace`] returned by the runs —
+/// addresses group 0; [`BayouCluster::schedule_in`],
+/// [`BayouCluster::host`], [`BayouCluster::committed_totals`] and
+/// [`BayouCluster::assert_group_convergence`] take a group.
 ///
 /// See the crate-level example.
 pub struct BayouCluster<F, T = PaxosTob<SharedReq<<F as DataType>::Op>>, S = DeltaState<F>>
@@ -185,9 +128,9 @@ where
     T: Tob<SharedReq<F::Op>>,
     S: StateObject<F> + Default,
 {
-    sim: Sim<BayouReplica<F, T, S>>,
+    sim: Sim<GroupedReplica<F, T, S>>,
     n: usize,
-    responses: Vec<OutputRecord<Response>>,
+    responses: Vec<OutputRecord<(GroupId, Response)>>,
     quiescent: bool,
     /// Whether the schedule restarts replicas: a rebuilt replica loses
     /// its in-memory journal, so pre-crash responses legitimately have
@@ -201,33 +144,9 @@ where
     F: DataType,
     S: StateObject<F> + Default,
 {
-    /// Creates a cluster with the default (Paxos) TOB.
+    /// Creates a cluster of one-group hosts with the default (Paxos)
+    /// TOB, every process configured from `config`.
     pub fn new(config: ClusterConfig) -> Self {
-        Self::from_config(config, |_| {})
-    }
-
-    /// Like [`BayouCluster::new`], but with wire-bytes metering installed
-    /// on every replica ([`BayouReplica::meter_wire_bytes`]): the encoded
-    /// size of every frame the replicas send accumulates into
-    /// [`bayou_sim::Metrics::wire_bytes`], the numerator of the bytes/op
-    /// saturation metric. Requires the data type's operations and state
-    /// to be wire-encodable; metering consumes no randomness or timers,
-    /// so runs stay schedule-identical to unmetered ones.
-    pub fn new_metered(config: ClusterConfig) -> Self
-    where
-        F::Op: Wire,
-        F::State: Wire,
-    {
-        Self::from_config(config, |r| r.meter_wire_bytes())
-    }
-
-    /// The factory behind [`BayouCluster::new`] and
-    /// [`BayouCluster::new_metered`]: every replica is configured from
-    /// `config`, then handed to `finish`.
-    fn from_config(
-        config: ClusterConfig,
-        finish: impl Fn(&mut BayouReplica<F, PaxosTob<SharedReq<F::Op>>, S>) + 'static,
-    ) -> Self {
         let ClusterConfig {
             sim,
             mode,
@@ -238,12 +157,25 @@ where
         } = config;
         let n = sim.n;
         Self::with_factory(sim, move |_| {
-            let mut r = BayouReplica::new(n, mode, PaxosTob::new(n, paxos));
-            r.set_compaction(compaction);
-            r.set_flush_deferral(flush_deferral);
-            r.set_lease(lease);
-            finish(&mut r);
-            r
+            let mut host =
+                GroupedReplica::new(vec![BayouReplica::new(n, mode, PaxosTob::new(n, paxos))]);
+            host.set_compaction(compaction);
+            host.set_flush_deferral(flush_deferral);
+            host.set_lease(lease);
+            host
+        })
+    }
+
+    /// Creates a cluster of fresh (non-durable) hosts running `groups`
+    /// independent Bayou instances each, with default settings.
+    pub fn grouped(sim_config: SimConfig, groups: usize, mode: ProtocolMode) -> Self {
+        let n = sim_config.n;
+        Self::with_factory(sim_config, move |_| {
+            GroupedReplica::new(
+                (0..groups)
+                    .map(|_| BayouReplica::new(n, mode, PaxosTob::new(n, PaxosConfig::default())))
+                    .collect(),
+            )
         })
     }
 }
@@ -254,9 +186,9 @@ where
     T: Tob<SharedReq<F::Op>>,
     S: StateObject<F> + Default,
 {
-    /// Creates a cluster with a custom TOB per replica (e.g.
-    /// [`crate::NullTob`] for the eventual-only baseline, or
-    /// `SequencerTob` for the A2 ablation).
+    /// Creates a cluster of one-group hosts with a custom TOB per
+    /// replica (e.g. [`crate::NullTob`] for the eventual-only baseline,
+    /// or `SequencerTob` for the A2 ablation).
     pub fn with_tob(
         sim_config: SimConfig,
         mode: ProtocolMode,
@@ -264,22 +196,24 @@ where
     ) -> Self {
         let n = sim_config.n;
         Self::with_factory(sim_config, move |id| {
-            BayouReplica::new(n, mode, make_tob(id))
+            GroupedReplica::new(vec![BayouReplica::new(n, mode, make_tob(id))])
         })
     }
 
-    /// Creates a cluster from an arbitrary replica factory.
+    /// Creates a cluster from an arbitrary host factory. Every host must
+    /// run the same number of groups.
     ///
     /// The factory is retained by the simulator: a scheduled restart
     /// ([`SimConfig::with_restart`]) re-invokes it for the bounced
     /// replica, which is how crash-recovery schedules are expressed —
-    /// build the replica with [`crate::recover_paxos_replica`] over a
+    /// build the host with [`crate::recover_paxos_replica`] (or
+    /// [`crate::recover_grouped_paxos`]) over a
     /// [`bayou_storage::MemDisk`] handle and the same factory produces
-    /// the fresh replica at start and its recovered successor after a
+    /// the fresh host at start and its recovered successor after a
     /// crash.
     pub fn with_factory(
         sim_config: SimConfig,
-        make: impl FnMut(ReplicaId) -> BayouReplica<F, T, S> + 'static,
+        make: impl FnMut(ReplicaId) -> GroupedReplica<F, T, S> + 'static,
     ) -> Self {
         let n = sim_config.n;
         let has_restarts = !sim_config.restarts.is_empty();
@@ -304,9 +238,19 @@ where
         self.n == 0
     }
 
-    /// Read access to a replica.
-    pub fn replica(&self, r: ReplicaId) -> &BayouReplica<F, T, S> {
+    /// Number of groups per host.
+    pub fn group_count(&self) -> usize {
+        self.host(ReplicaId::new(0)).group_count()
+    }
+
+    /// Read access to one host (the process of replica `r`).
+    pub fn host(&self, r: ReplicaId) -> &GroupedReplica<F, T, S> {
         self.sim.process(r)
+    }
+
+    /// Read access to replica `r` of group 0.
+    pub fn replica(&self, r: ReplicaId) -> &BayouReplica<F, T, S> {
+        self.host(r).group(GroupId::new(0))
     }
 
     /// Current virtual time.
@@ -325,45 +269,78 @@ where
     }
 
     /// Whether `r` is currently dead: crashed by the fault schedule, or
-    /// crash-stopped by a persistence failure.
+    /// crash-stopped by a persistence failure in any group (the store is
+    /// shared, so one group's failure takes the whole host down).
     pub fn is_down(&self, r: ReplicaId) -> bool {
-        self.sim.is_crashed(r) || self.replica(r).failure().is_some()
+        self.sim.is_crashed(r) || self.host(r).has_failed()
     }
 
-    /// Per-replica committed totals (compacted prefix + retained list),
-    /// in replica order. The cluster-wide maximum can only grow while a
-    /// quorum of replicas is alive and connected — quorum-loss tests
-    /// snapshot this before and after a loss window to assert that no
-    /// new commit was decided inside it.
-    pub fn committed_totals(&self) -> Vec<u64> {
+    /// Per-replica committed totals of group `gid` (compacted prefix +
+    /// retained list), in replica order. The cluster-wide maximum can
+    /// only grow while a quorum of replicas is alive and connected —
+    /// quorum-loss tests snapshot this before and after a loss window to
+    /// assert that no new commit was decided inside it.
+    pub fn committed_totals(&self, gid: GroupId) -> Vec<u64> {
         ReplicaId::all(self.n)
-            .map(|r| self.replica(r).committed_total())
+            .map(|r| self.host(r).group(gid).committed_total())
             .collect()
     }
 
-    /// Schedules an open-loop invocation.
+    /// Schedules an open-loop invocation at group 0.
     pub fn invoke_at(&mut self, at: VirtualTime, replica: ReplicaId, op: F::Op, level: Level) {
-        self.sim
-            .schedule_input(at, replica, Invocation::new(op, level));
+        self.schedule_at(at, replica, Invocation::new(op, level));
     }
 
-    /// Schedules a fully-formed invocation (tags, session guards).
+    /// Schedules a fully-formed invocation (tags, session guards) at
+    /// group 0.
     pub fn schedule_at(&mut self, at: VirtualTime, replica: ReplicaId, inv: Invocation<F::Op>) {
-        self.sim.schedule_input(at, replica, inv);
+        self.schedule_in(at, replica, GroupId::new(0), inv);
+    }
+
+    /// Schedules a fully-formed invocation addressed to `(replica,
+    /// group)`.
+    pub fn schedule_in(
+        &mut self,
+        at: VirtualTime,
+        replica: ReplicaId,
+        gid: GroupId,
+        inv: Invocation<F::Op>,
+    ) {
+        self.sim.schedule_input(at, replica, (gid, inv));
+    }
+
+    /// Mutes (or unmutes) `gid` on `replica` — a `(replica, group)`
+    /// scoped crash ([`GroupedReplica::mute_group`]). The simulator has
+    /// no scheduled control inputs, so this applies immediately, between
+    /// runs.
+    pub fn mute(&mut self, replica: ReplicaId, gid: GroupId, muted: bool) {
+        self.sim.process_mut(replica).mute_group(gid, muted);
     }
 
     /// Runs until quiescence or the configured limits; returns the
-    /// recorded trace.
+    /// recorded trace of group 0.
     pub fn run(&mut self) -> RunTrace<F::Op> {
         self.run_until(VirtualTime::MAX)
     }
 
-    /// Runs until the deadline (or quiescence/limits) and records.
+    /// Runs until the deadline (or quiescence/limits) and records;
+    /// returns the trace of group 0.
     pub fn run_until(&mut self, deadline: VirtualTime) -> RunTrace<F::Op> {
         let report = self.sim.run_until(deadline);
         self.responses.extend(report.outputs);
         self.quiescent = report.quiescent;
-        self.build_trace()
+        self.trace(GroupId::new(0))
+    }
+
+    /// Whether the last run ended in quiescence (no pending events
+    /// before the deadline).
+    pub fn quiescent(&self) -> bool {
+        self.quiescent
+    }
+
+    /// All responses recorded so far, with time, replica and group.
+    pub fn responses(&self) -> &[OutputRecord<(GroupId, Response)>] {
+        &self.responses
     }
 
     /// Runs closed-loop sessions to completion (or until the simulation
@@ -382,8 +359,7 @@ where
                 s.replica
             );
             if !s.steps.is_empty() {
-                self.sim
-                    .schedule_input(s.start_at, s.replica, s.steps[0].clone());
+                self.schedule_at(s.start_at, s.replica, s.steps[0].clone());
             }
             cursors.insert(s.replica, (s, 1));
         }
@@ -395,7 +371,7 @@ where
                         let inv = script.steps[*next].clone();
                         *next += 1;
                         let at = out.time + script.think_time;
-                        self.sim.schedule_input(at, out.replica, inv);
+                        self.schedule_at(at, out.replica, inv);
                     }
                 }
                 self.responses.push(out);
@@ -405,7 +381,7 @@ where
             }
         }
         self.quiescent = true; // step_one drained everything reachable
-        self.build_trace()
+        self.trace(GroupId::new(0))
     }
 
     /// Quorum-loss-aware convergence: like
@@ -425,29 +401,81 @@ where
         self.assert_convergence(&down);
     }
 
-    /// Asserts that all replicas have converged: agreeing committed
-    /// orders (compaction-offset aware — a replica that truncated more
-    /// history is compared on the retained overlap, with equal committed
-    /// *totals*), empty tentative lists, and identical materialised
-    /// states.
+    /// Asserts that all replicas of every group have converged:
+    /// agreeing committed orders (compaction-offset aware — a replica
+    /// that truncated more history is compared on the retained overlap,
+    /// with equal committed *totals*), empty tentative lists, and
+    /// identical materialised states.
     ///
     /// # Panics
     ///
     /// Panics (with a diagnostic) if any replica disagrees. `skip` lists
     /// replicas excluded from the check (e.g. crashed ones).
     pub fn assert_convergence(&self, skip: &[ReplicaId]) {
-        let checked: Vec<_> = ReplicaId::all(self.n)
-            .filter(|r| !skip.contains(r))
-            .map(|r| (r, self.replica(r)))
-            .collect();
-        assert_converged("", &checked);
+        for gid in GroupId::all(self.group_count()) {
+            self.assert_group_convergence(gid, skip);
+        }
     }
 
-    /// Builds the recorded trace from journals and collected responses.
-    fn build_trace(&self) -> RunTrace<F::Op> {
+    /// [`BayouCluster::assert_convergence`] for group `gid` alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics (with a diagnostic) if any two checked replicas disagree.
+    pub fn assert_group_convergence(&self, gid: GroupId, skip: &[ReplicaId]) {
+        let mut checked = ReplicaId::all(self.n)
+            .filter(|r| !skip.contains(r))
+            .map(|r| (r, self.host(r).group(gid)));
+        let Some((first, a)) = checked.next() else {
+            return;
+        };
+        let what = format!("group {gid}: ");
+        let total = a.committed_total();
+        let state = a.materialize();
+        let a_off = a.compacted_count() as usize;
+        let a_ids = a.committed_ids();
+        for (r, b) in checked {
+            assert_eq!(
+                b.committed_total(),
+                total,
+                "{what}committed totals diverge between {first} and {r}"
+            );
+            // retained suffixes must agree wherever they overlap
+            let (b_off, b_ids) = (b.compacted_count() as usize, b.committed_ids());
+            let from = a_off.max(b_off);
+            let until = (a_off + a_ids.len()).min(b_off + b_ids.len());
+            assert!(
+                from <= until,
+                "{what}retained committed suffixes of {first} and {r} do not overlap"
+            );
+            assert_eq!(
+                &a_ids[from - a_off..until - a_off],
+                &b_ids[from - b_off..until - b_off],
+                "{what}committed orders diverge between {first} and {r}"
+            );
+            assert!(
+                b.tentative_ids().is_empty(),
+                "{what}replica {r} still has tentative requests"
+            );
+            assert_eq!(
+                b.materialize(),
+                state,
+                "{what}states diverge between {first} and {r}"
+            );
+        }
+        assert!(
+            a.tentative_ids().is_empty(),
+            "{what}replica {first} still has tentative requests"
+        );
+    }
+
+    /// The recorded trace of group `gid`, built from its journals and
+    /// the responses collected so far.
+    fn trace(&self, gid: GroupId) -> RunTrace<F::Op> {
+        let group = |r: ReplicaId| self.host(r).group(gid);
         let mut events: Vec<EventRecord<F::Op>> = Vec::new();
         for r in ReplicaId::all(self.n) {
-            events.extend(self.replica(r).journal().iter().cloned());
+            events.extend(group(r).journal().iter().cloned());
         }
         // fill in responses (exactly one per request)
         let mut by_id: HashMap<ReqId, usize> = events
@@ -455,16 +483,21 @@ where
             .enumerate()
             .map(|(i, e)| (e.meta.id(), i))
             .collect();
-        for out in &self.responses {
+        for (out_time, out) in self
+            .responses
+            .iter()
+            .filter(|o| o.output.0 == gid)
+            .map(|o| (o.time, &o.output.1))
+        {
             // a restarted replica loses its in-memory journal, so
             // responses it produced before crashing have no event record
             // in crash-recovery schedules; in any other schedule an
             // unmatched response is a protocol bug
-            let Some(idx) = by_id.get(&out.output.meta.id()).copied() else {
+            let Some(idx) = by_id.get(&out.meta.id()).copied() else {
                 assert!(
                     self.has_restarts,
                     "response for unknown request {}",
-                    out.output.meta.id()
+                    out.meta.id()
                 );
                 continue;
             };
@@ -485,10 +518,10 @@ where
                 );
                 continue;
             }
-            ev.returned_at = Some(out.time);
-            ev.value = Some(out.output.value.clone());
-            ev.exec_trace = Some(out.output.exec_trace.clone());
-            ev.served = Some(out.output.served);
+            ev.returned_at = Some(out_time);
+            ev.value = Some(out.value.clone());
+            ev.exec_trace = Some(out.exec_trace.clone());
+            ev.served = Some(out.served);
         }
         by_id.clear();
 
@@ -497,13 +530,7 @@ where
         // wherever they overlap; without compaction every offset is 0
         // and this is exactly the old longest-view-with-prefix check.
         let mut views: Vec<(usize, ReplicaId, &[ReqId])> = ReplicaId::all(self.n)
-            .map(|r| {
-                (
-                    self.replica(r).compacted_count() as usize,
-                    r,
-                    self.replica(r).tob_order(),
-                )
-            })
+            .map(|r| (group(r).compacted_count() as usize, r, group(r).tob_order()))
             .collect();
         views.retain(|(_, _, view)| !view.is_empty());
         views.sort_by_key(|(off, r, _)| (*off, *r));
@@ -709,5 +736,24 @@ mod tests {
             )
         };
         assert_eq!(run(42), run(42));
+    }
+
+    #[test]
+    fn two_groups_commit_independently_in_sim() {
+        let sim = SimConfig::new(3, 11).with_max_time(VirtualTime::from_secs(30));
+        let mut c: BayouCluster<KvStore> = BayouCluster::grouped(sim, 2, ProtocolMode::Improved);
+        let (g0, g1) = (GroupId::new(0), GroupId::new(1));
+        let put = |k: &str, v| Invocation::weak(KvOp::put(k, v));
+        c.schedule_in(ms(1), ReplicaId::new(0), g0, put("a", 1));
+        c.schedule_in(ms(2), ReplicaId::new(1), g1, put("b", 2));
+        c.schedule_in(ms(3), ReplicaId::new(2), g0, put("c", 3));
+        c.run_until(VirtualTime::from_secs(30));
+        c.assert_convergence(&[]);
+        assert_eq!(c.committed_totals(g0), vec![2, 2, 2]);
+        assert_eq!(c.committed_totals(g1), vec![1, 1, 1]);
+        // keyspaces never mix
+        let state = c.replica(ReplicaId::new(0)).materialize();
+        assert_eq!(state.get("a"), Some(&1));
+        assert_eq!(state.get("b"), None);
     }
 }

@@ -19,12 +19,20 @@
 //!   read-only operations are purely local. This variant avoids circular
 //!   causality and makes weak operations bounded wait-free (Appendix A.1).
 //!
+//! The replica is the protocol, not a process. [`GroupedReplica`] is the
+//! one [`bayou_types::Process`] every runtime drives: it hosts one
+//! `BayouReplica` per replication group (one, unless the keyspace is
+//! sharded) and owns what is per process — the step-end frame coalescer
+//! and its flush deferral, the WAL sync barrier, timer routing and the
+//! runtime hooks. [`recover_grouped_paxos`] builds a durable host from
+//! one store, and [`recover_paxos_replica`] is its one-group case.
+//!
 //! The crate also ships:
 //!
-//! * [`BayouCluster`] — a simulation harness wiring `n` replicas over
-//!   `bayou-sim` + `bayou-broadcast`, with open-loop and closed-loop
-//!   (session) clients and full history recording for the checkers in
-//!   `bayou-spec`;
+//! * [`BayouCluster`] — a simulation harness wiring `n` hosts over
+//!   `bayou-sim` + `bayou-broadcast` (one group each by default), with
+//!   open-loop and closed-loop (session) clients and full history
+//!   recording for the checkers in `bayou-spec`;
 //! * comparator protocols for the impossibility demonstration and the
 //!   baseline benches: [`NullTob`] (turns Bayou into an eventual-only
 //!   store) and [`NaiveMixed`] (a system that *tries* to provide
@@ -68,11 +76,9 @@ mod persist;
 mod replica;
 
 pub use api::{EventRecord, Invocation, Response, RunTrace, Served, SessionGuard};
-pub use group::{recover_grouped_paxos, GroupedCluster, GroupedMsg, GroupedReplica};
+pub use group::{GroupedMsg, GroupedReplica, DEFAULT_FLUSH_DELAY};
 pub use harness::{BayouCluster, ClusterConfig, SessionScript};
 pub use naive::{NaiveMixed, NaiveMsg};
 pub use nulltob::NullTob;
-pub use persist::{recover_paxos_replica, recover_paxos_replica_on};
-pub use replica::{
-    BayouMsg, BayouReplica, ProtocolMode, ReplicaStats, WireReq, DEFAULT_FLUSH_DELAY,
-};
+pub use persist::{recover_grouped_paxos, recover_paxos_replica};
+pub use replica::{BayouMsg, BayouReplica, ProtocolMode, ReplicaStats, WireReq};

@@ -1,25 +1,35 @@
-//! Standard wiring of a durable Bayou replica: `ReplicaStore` +
-//! `PaxosTob::restore` + [`BayouReplica::recover`].
+//! Standard wiring of a durable Bayou process: one physical store,
+//! one `ReplicaStore` + `PaxosTob::restore` + [`BayouReplica::recover`]
+//! per group, hosted by a [`GroupedReplica`].
 //!
-//! [`recover_paxos_replica`] is the one call a runtime needs: it opens
-//! (or creates) the replica's store on a [`Storage`] backend, rebuilds
-//! the Paxos endpoint from the durable event stream, derives the
-//! high-water marks that keep new dots and TOB-cast numbers collision
-//! free, and hands everything to the replica's recovery constructor. On
-//! an empty store it degenerates to a fresh replica with persistence
-//! attached — which is what makes it usable as a *factory*: the same
-//! closure builds the initial replica and, given the same backend
-//! handle, its post-crash successor.
+//! [`recover_grouped_paxos`] is the one call a runtime needs: it opens
+//! (or creates) every group's store on a shared [`Storage`] backend,
+//! rebuilds each Paxos endpoint from its durable event stream, derives
+//! the high-water marks that keep new dots and TOB-cast numbers
+//! collision free, and hands everything to the replicas' recovery
+//! constructor. On an empty store it degenerates to fresh replicas with
+//! persistence attached — which is what makes it usable as a *factory*:
+//! the same closure builds the initial host and, given the same backend
+//! handle, its post-crash successor. [`recover_paxos_replica`] is its
+//! one-group case, the process a single-group server runs.
 
+use crate::group::GroupedReplica;
 use crate::replica::{BayouReplica, ProtocolMode};
 use bayou_broadcast::{PaxosConfig, PaxosTob, Tob, TobEvent};
 use bayou_data::{DataType, StateObject};
-use bayou_storage::{PendingKind, ReplicaStore, Storage, StoreConfig, SyncBarrier};
-use bayou_types::{ReplicaId, SharedReq, Wire};
+use bayou_storage::{
+    PendingKind, Prefixed, ReplicaStore, SharedBackend, Storage, StoreConfig, SyncBarrier,
+};
+use bayou_types::{GroupId, ReplicaId, SharedReq, Wire};
 use std::sync::Arc;
 
-/// Opens `backend` and returns the replica it describes: fresh when the
-/// store is empty, recovered from snapshot + WAL otherwise.
+/// A host of Paxos-ordered groups, as the durable factories build it.
+type PaxosHost<F, S> = GroupedReplica<F, PaxosTob<SharedReq<<F as DataType>::Op>>, S>;
+
+/// Opens `backend` and returns the one-group process it describes:
+/// fresh when the store is empty, recovered from snapshot + WAL
+/// otherwise. Exactly [`recover_grouped_paxos`] with one group — the
+/// group's files live under the `g0000-` prefix.
 ///
 /// The restarted replica rejoins the cluster through the TOB's existing
 /// cursor-deduplicated catch-up: its restored decided prefix keeps
@@ -37,7 +47,7 @@ pub fn recover_paxos_replica<F, S, B>(
     paxos: PaxosConfig,
     backend: B,
     store_cfg: StoreConfig,
-) -> BayouReplica<F, PaxosTob<SharedReq<F::Op>>, S>
+) -> PaxosHost<F, S>
 where
     F: DataType,
     F::Op: Wire,
@@ -45,28 +55,65 @@ where
     S: StateObject<F>,
     B: Storage + Send + 'static,
 {
-    recover_paxos_replica_on(me, n, mode, paxos, backend, store_cfg, None)
+    recover_grouped_paxos(me, n, 1, mode, paxos, backend, store_cfg)
 }
 
-/// Like [`recover_paxos_replica`], but optionally routing the store's
-/// deferred group-commit syncs to a shared [`SyncBarrier`]
-/// ([`bayou_storage::ReplicaStore::defer_sync_to_barrier`]) — the
-/// multi-group wiring, where N per-group stores inside one process
-/// share one backend and the host settles one physical fsync per step
-/// for all of them. With `barrier = None` this is exactly
-/// [`recover_paxos_replica`].
+/// Opens one shared `backend` and recovers `groups` Bayou instances
+/// from it — the durable factory of a sharded process. Each group's
+/// WAL segments, snapshots and manifest live under its own `g{index}-`
+/// prefix inside the one store ([`Prefixed`]); all groups' deferred
+/// group-commit syncs funnel into one [`SyncBarrier`] the returned host
+/// settles with a single physical fsync per step.
+///
+/// On an empty store this degenerates to `groups` fresh replicas, which
+/// makes it usable as a runtime *factory*: the same closure builds the
+/// initial host and, over the same backend handle, its post-crash
+/// successor with every group restored.
 ///
 /// # Panics
 ///
-/// Panics if the store cannot be opened or its contents fail validation.
-pub fn recover_paxos_replica_on<F, S, B>(
+/// Panics if any group's store cannot be opened or fails validation.
+pub fn recover_grouped_paxos<F, S, B>(
+    me: ReplicaId,
+    n: usize,
+    groups: usize,
+    mode: ProtocolMode,
+    paxos: PaxosConfig,
+    backend: B,
+    store_cfg: StoreConfig,
+) -> PaxosHost<F, S>
+where
+    F: DataType,
+    F::Op: Wire,
+    F::State: Wire,
+    S: StateObject<F>,
+    B: Storage + Send + 'static,
+{
+    let shared = SharedBackend::new(backend);
+    let barrier = Arc::new(SyncBarrier::new());
+    let replicas = GroupId::all(groups)
+        .map(|gid| {
+            let view = Prefixed::new(shared.clone(), gid);
+            recover_group(me, n, mode, paxos, view, store_cfg, barrier.clone())
+        })
+        .collect();
+    let mut host = GroupedReplica::new(replicas);
+    let mut sync_handle = shared;
+    host.set_sync_barrier(barrier, move || sync_handle.sync());
+    host
+}
+
+/// Recovers one group's replica from its namespace of the shared store,
+/// routing the store's deferred group-commit syncs to the host's
+/// `barrier` ([`bayou_storage::ReplicaStore::defer_sync_to_barrier`]).
+fn recover_group<F, S, B>(
     me: ReplicaId,
     n: usize,
     mode: ProtocolMode,
     paxos: PaxosConfig,
     backend: B,
     store_cfg: StoreConfig,
-    barrier: Option<Arc<SyncBarrier>>,
+    barrier: Arc<SyncBarrier>,
 ) -> BayouReplica<F, PaxosTob<SharedReq<F::Op>>, S>
 where
     F: DataType,
@@ -77,9 +124,7 @@ where
 {
     let (mut store, recovered) = ReplicaStore::<F, B>::open(backend, n, store_cfg)
         .unwrap_or_else(|e| panic!("replica {me} cannot open its store: {e}"));
-    if let Some(barrier) = barrier {
-        store.defer_sync_to_barrier(barrier);
-    }
+    store.defer_sync_to_barrier(barrier);
 
     // High-water marks: never reuse a TOB-cast number or an event
     // number. Scanned over the *full* durable event stream, not just the
@@ -159,7 +204,7 @@ mod tests {
     use bayou_data::{DeltaState, KvStore};
     use bayou_storage::{MemDisk, NullStorage};
 
-    type R = BayouReplica<KvStore, PaxosTob<SharedReq<bayou_data::KvOp>>, DeltaState<KvStore>>;
+    type R = PaxosHost<KvStore, DeltaState<KvStore>>;
 
     #[test]
     fn empty_store_yields_a_fresh_replica() {
@@ -171,9 +216,10 @@ mod tests {
             MemDisk::new(),
             StoreConfig::default(),
         );
-        assert!(r.committed_ids().is_empty());
-        assert!(r.tentative_ids().is_empty());
-        assert!(r.materialize().is_empty());
+        let g = r.group(GroupId::new(0));
+        assert!(g.committed_ids().is_empty());
+        assert!(g.tentative_ids().is_empty());
+        assert!(g.materialize().is_empty());
     }
 
     #[test]
@@ -201,8 +247,9 @@ mod tests {
             ))
         };
         {
+            let view = Prefixed::new(SharedBackend::new(disk.clone()), GroupId::new(0));
             let (mut store, _) =
-                ReplicaStore::<KvStore, _>::open(disk.clone(), 1, StoreConfig::default()).unwrap();
+                ReplicaStore::<KvStore, _>::open(view, 1, StoreConfig::default()).unwrap();
             let r1 = req(1, KvOp::put("a", 1)); // cast with seq 0, still pending
             let r2 = req(2, KvOp::put("b", 2)); // cast with seq 1, decided first
             store.log_invoke(&r1, 0).unwrap();
@@ -257,6 +304,6 @@ mod tests {
             NullStorage,
             StoreConfig::default(),
         );
-        assert!(r.committed_ids().is_empty());
+        assert!(r.group(GroupId::new(0)).committed_ids().is_empty());
     }
 }

@@ -75,15 +75,12 @@
 //! replayable.
 
 use crate::api::{EventRecord, Invocation, Response, Served};
-use bayou_broadcast::{
-    BaselineMark, FrameMeter, LinkMsg, MapCtx, RbMsg, ReliableBroadcast, StepCoalescer,
-    StepDeferral, Tob, TobDelivery,
-};
+use bayou_broadcast::{BaselineMark, LinkMsg, MapCtx, RbMsg, ReliableBroadcast, Tob, TobDelivery};
 use bayou_data::{DataType, DeltaState, StateObject};
 use bayou_storage::{NullPersistence, PendingKind, Persistence, StorageError};
 use bayou_types::{
-    Context, Dot, LeaseConfig, Process, ReplicaId, Req, ReqId, SharedReq, TimerId, Value,
-    VirtualTime, Wire, WireError, WireReader,
+    Context, Dot, LeaseConfig, ReplicaId, Req, ReqId, SharedReq, TimerId, Value, VirtualTime, Wire,
+    WireError, WireReader,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -95,12 +92,6 @@ type Msg<F, T> = BayouMsg<
     <F as DataType>::State,
     <T as Tob<SharedReq<<F as DataType>::Op>>>::Msg,
 >;
-
-/// Default cross-step flush-deferral budget: 4× the simulator's default
-/// 10µs handler step, so a saturated replica's consecutive invocations
-/// share step frames while an isolated invocation is delayed by well
-/// under any protocol timeout. See [`BayouReplica::set_flush_deferral`].
-pub const DEFAULT_FLUSH_DELAY: VirtualTime = VirtualTime::from_micros(40);
 
 /// Which variant of the protocol a replica runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -158,17 +149,6 @@ pub enum BayouMsg<Op, St, TM> {
         /// The compaction floor the state sits on.
         mark: BaselineMark,
     },
-    /// A step-end frame: every wire message one handler step produced
-    /// for this peer, coalesced by [`bayou_broadcast::StepCoalescer`]
-    /// into a single delivery event. Under saturation this is what
-    /// turns per-slot message storms (64 `Accept`s from one `Submit`
-    /// batch, 64 `Decide`s from one `Accepted` frame) into one message,
-    /// one handler step and one WAL sync at the receiver — and what
-    /// makes multi-request TOB delivery batches actually arrive as
-    /// batches. The receiver processes the inner messages in order
-    /// within one atomic step and commits their combined delivery batch
-    /// once.
-    Batch(Vec<BayouMsg<Op, St, TM>>),
 }
 
 impl<Op: Wire> Wire for WireReq<Op> {
@@ -184,10 +164,12 @@ impl<Op: Wire> Wire for WireReq<Op> {
     }
 }
 
-/// The replica's complete frame codec: what one [`BayouMsg`] costs on a
-/// real wire. Used by the wire-bytes meter
-/// ([`BayouReplica::meter_wire_bytes`]) and available to byte-oriented
-/// transports. Tags are append-only, like every other codec in the tree.
+/// The replica's complete message codec: what one [`BayouMsg`] costs on
+/// a real wire. Used by the host's wire-bytes meter
+/// ([`crate::GroupedReplica::meter_wire_bytes`]) and available to
+/// byte-oriented transports. Tags are append-only, like every other
+/// codec in the tree (tag 4, a per-replica step-end frame, is retired:
+/// the host frames steps).
 impl<Op, St, TM> Wire for BayouMsg<Op, St, TM>
 where
     Op: Wire,
@@ -210,10 +192,6 @@ where
                 state.encode(out);
                 mark.encode(out);
             }
-            BayouMsg::Batch(msgs) => {
-                out.push(4);
-                msgs.encode(out);
-            }
         }
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
@@ -225,7 +203,6 @@ where
                 state: St::decode(r)?,
                 mark: BaselineMark::decode(r)?,
             }),
-            4 => Ok(BayouMsg::Batch(Vec::decode(r)?)),
             tag => Err(WireError::BadTag {
                 ty: "BayouMsg",
                 tag,
@@ -263,8 +240,18 @@ pub struct ReplicaStats {
 /// `tentative`, `executed`, `to_be_executed`, `to_be_rolled_back`,
 /// `reqs_awaiting_resp`, `adjust_tentative_order`, `adjust_execution`.
 /// Rollback and execute are *separate internal steps*
-/// ([`Process::on_internal`]) so the simulator can count and charge them
+/// ([`BayouReplica::step`]) so the simulator can count and charge them
 /// individually — the §2.3 progress experiment depends on this.
+///
+/// The replica is the protocol, not a process: a
+/// [`crate::GroupedReplica`] hosts one per replication group and calls
+/// its step-level methods ([`BayouReplica::start`],
+/// [`BayouReplica::invoke`], [`BayouReplica::receive`] +
+/// [`BayouReplica::settle`], [`BayouReplica::on_timer`],
+/// [`BayouReplica::step`]) inside its own handler steps. The host owns
+/// everything that is per process: the step-end frame coalescer and its
+/// flush deferral, the WAL sync barrier, timer routing and the runtime
+/// hooks.
 pub struct BayouReplica<F, T, S = DeltaState<F>>
 where
     F: DataType,
@@ -340,23 +327,10 @@ where
     /// Reusable buffer: the revoked executed suffix moved aside by
     /// `adjust_execution` on its way into the rollback queue.
     adjust_scratch: Vec<SharedReq<F::Op>>,
-    /// The step-end frame coalescer's buffers and the cross-step
-    /// flush-deferral state machine over them: outgoing wire messages
-    /// coalesce into per-peer frames ([`BayouMsg::Batch`]) that may stay
-    /// parked across consecutive handler steps for up to the budget
-    /// ([`BayouReplica::set_flush_deferral`]).
-    deferral: StepDeferral<Msg<F, T>>,
-    /// Whether the last step closed was urgent (a strong operation waits
-    /// on its frames); a multi-group host takes it to close its own step
-    /// by the same rule ([`BayouReplica::take_step_urgent`]).
-    step_urgent: bool,
-    /// Reusable buffer: the TOB deliveries collected across one handler
-    /// step (all messages of a frame), committed as one batch.
-    delivery_scratch: Vec<TobDelivery<SharedReq<F::Op>>>,
-    /// Wire-bytes meter attached to every step's frame coalescer
-    /// ([`BayouReplica::meter_wire_bytes`]); `None` (the default) costs
-    /// nothing.
-    wire_meter: Option<FrameMeter<Msg<F, T>>>,
+    /// The TOB deliveries received since the last
+    /// [`BayouReplica::settle`] — every message of one incoming frame —
+    /// committed there as one batch (the buffer is reused).
+    deliveries: Vec<TobDelivery<SharedReq<F::Op>>>,
     // ---- read scalability ----------------------------------------------
     /// Leader-lease configuration ([`BayouReplica::set_lease`]): with a
     /// config, the TOB endpoint runs the lease protocol and strong
@@ -399,8 +373,6 @@ where
     /// state object (e.g. [`bayou_data::ReplayState`] for comparison
     /// runs).
     pub fn with_state_object(n: usize, mode: ProtocolMode, tob: T, state: S) -> Self {
-        let mut rb = ReliableBroadcast::new(n, VirtualTime::from_millis(60));
-        rb.set_flush_deferral(Some(DEFAULT_FLUSH_DELAY));
         BayouReplica {
             mode,
             state,
@@ -416,7 +388,7 @@ where
             to_be_rolled_back: VecDeque::new(),
             reqs_awaiting_resp: HashMap::new(),
             client_tags: HashMap::new(),
-            rb,
+            rb: ReliableBroadcast::new(n, VirtualTime::from_millis(60)),
             tob,
             tob_seq: 0,
             tob_order: Vec::new(),
@@ -433,10 +405,7 @@ where
             failure: None,
             commit_scratch: Vec::new(),
             adjust_scratch: Vec::new(),
-            deferral: StepDeferral::new(Some(DEFAULT_FLUSH_DELAY)),
-            step_urgent: false,
-            delivery_scratch: Vec::new(),
-            wire_meter: None,
+            deliveries: Vec::new(),
             lease: None,
             committed_state: F::State::default(),
             seen_seq: vec![0; n],
@@ -463,7 +432,7 @@ where
     /// Rebuilds a replica from its durable storage: the crash-recovery
     /// constructor.
     ///
-    /// The caller (see `bayou_core::recover_paxos_replica` for the
+    /// The caller (see `bayou_core::recover_grouped_paxos` for the
     /// standard wiring) has already restored the TOB endpoint from the
     /// durable event stream and derived:
     ///
@@ -637,52 +606,6 @@ where
         if let Some(slot) = self.seen_seq.get_mut(id.replica().index()) {
             *slot = (*slot).max(id.event_no());
         }
-    }
-
-    /// Sets (or clears) cross-step flush deferral: with a budget, the
-    /// replica's step-end frames may be *parked* across consecutive
-    /// handler steps (and the RB link defers framing its outboxes
-    /// likewise), so a saturated burst of invocations shares wire frames
-    /// instead of emitting one set per step. A timer guarantees parked
-    /// frames flush within the budget even if the replica goes idle; the
-    /// worst-case added latency for any message is twice the budget (a
-    /// link-deferred payload flushed by the link timer can be parked once
-    /// more at the step level). On by default with
-    /// [`DEFAULT_FLUSH_DELAY`]; `None` flushes at every step end (what a
-    /// multi-group host sets inside its groups, parking once for all of
-    /// them).
-    pub fn set_flush_deferral(&mut self, delay: Option<VirtualTime>) {
-        self.deferral.set_budget(delay);
-        self.rb.set_flush_deferral(delay);
-    }
-
-    /// The current cross-step flush-deferral budget, if any.
-    pub fn flush_deferral(&self) -> Option<VirtualTime> {
-        self.deferral.budget()
-    }
-
-    /// Whether wire-bytes metering is enabled.
-    pub fn wire_metering(&self) -> bool {
-        self.wire_meter.is_some()
-    }
-
-    /// Enables wire-bytes metering: every frame leaving the replica is
-    /// measured under the real [`Wire`] codec ([`FrameMeter::wire`]) and
-    /// drained by the runtime
-    /// through [`Process::take_wire_bytes`] into the simulator's
-    /// `wire_bytes` metric — the network-side analogue of the WAL's
-    /// bytes accounting.
-    ///
-    /// Off by default. Metering consumes no randomness and changes no
-    /// message or timer, so deterministic schedules (DST) are unaffected
-    /// by toggling it; the cost is one extra encode per outgoing frame.
-    pub fn meter_wire_bytes(&mut self)
-    where
-        F::Op: Wire,
-        F::State: Wire,
-        T::Msg: Wire,
-    {
-        self.wire_meter = Some(FrameMeter::wire());
     }
 
     /// Committed entries dropped below the watermark so far. The
@@ -1048,20 +971,13 @@ where
 
     /// Reacts to the TOB flagging that our prefix fell below a peer's
     /// compaction floor: ask that peer for its baseline.
-    fn request_baseline_if_needed(
-        &mut self,
-        ctx: &mut dyn Context<BayouMsg<F::Op, F::State, T::Msg>>,
-    ) {
+    fn request_baseline_if_needed(&mut self, ctx: &mut dyn Context<Msg<F, T>>) {
         if let Some(peer) = self.tob.take_baseline_needed() {
             ctx.send(peer, BayouMsg::BaselineRequest);
         }
     }
 
-    fn handle_rb_deliver(
-        &mut self,
-        wire: WireReq<F::Op>,
-        ctx: &mut dyn Context<BayouMsg<F::Op, F::State, T::Msg>>,
-    ) {
+    fn handle_rb_deliver(&mut self, wire: WireReq<F::Op>, ctx: &mut dyn Context<Msg<F, T>>) {
         let r = wire.req;
         if r.origin() == ctx.id() {
             return; // lines 23–24: issued locally
@@ -1096,7 +1012,7 @@ where
     fn broadcast_req(
         &mut self,
         r: &SharedReq<F::Op>,
-        ctx: &mut dyn Context<BayouMsg<F::Op, F::State, T::Msg>>,
+        ctx: &mut dyn Context<Msg<F, T>>,
         rb_too: bool,
     ) -> Option<u64> {
         let seq = self.tob_seq;
@@ -1121,13 +1037,13 @@ where
         Some(seq)
     }
 
-    /// Lines 27–34, for one handler step's whole TOB delivery batch
+    /// Lines 27–34, for one incoming frame's whole TOB delivery batch
     /// (drains `batch`): TOB delivery fixes the final position of every
     /// request in it. The batch is spliced into the committed order with
     /// one group-commit persistence call, one rollback/replay adjustment
     /// and one stable-prefix refresh — instead of one of each per request
     /// — and the caller follows with one compaction check
-    /// (`settle_deliveries`).
+    /// ([`BayouReplica::settle`]).
     ///
     /// Observably equivalent to committing the entries one by one (the
     /// digests recorded in `tests/batching.rs`): committed/tentative/
@@ -1199,174 +1115,33 @@ where
     T: Tob<SharedReq<F::Op>>,
     S: StateObject<F>,
 {
-    /// Opens the step-end frame coalescer over `ctx` for one handler
-    /// step. The caller must run [`BayouReplica::close_step`] on it
-    /// before returning.
-    fn step_ctx<'a>(
-        &mut self,
-        ctx: &'a mut dyn Context<BayouMsg<F::Op, F::State, T::Msg>>,
-    ) -> StepCoalescer<'a, BayouMsg<F::Op, F::State, T::Msg>> {
-        self.deferral
-            .open(ctx, BayouMsg::Batch, self.wire_meter.clone())
-    }
-
-    /// Settles the step's deferred group-commit sync: one fsync for
-    /// everything the step logged. Runs *before* any frame leaves, which
-    /// preserves the write-ahead contract. A sync failure crash-stops
-    /// the replica; the runtime then discards the step's buffered sends
-    /// and outputs, so nothing backed by the failed sync escapes.
-    fn sync_step(&mut self) {
-        let res = self.persist.sync_step();
-        self.persist_ok(res);
-    }
-
-    /// Closes one handler step: settles the step's sync, then flushes
-    /// the coalesced frames — or, with cross-step flush deferral on and
-    /// the step not `urgent`, parks them until their deadline
-    /// ([`StepDeferral::close`]).
-    fn close_step(
-        &mut self,
-        cctx: StepCoalescer<'_, BayouMsg<F::Op, F::State, T::Msg>>,
-        urgent: bool,
-    ) {
-        self.sync_step();
-        self.step_urgent = urgent;
-        self.deferral.close(cctx, urgent);
-    }
-
-    /// Whether the step this replica last closed was urgent, clearing the
-    /// answer: a multi-group host asks after each of its groups' steps.
-    pub(crate) fn take_step_urgent(&mut self) -> bool {
-        std::mem::take(&mut self.step_urgent)
-    }
-
-    /// Whether a strong operation waits on the frames of the step that
-    /// handles `msg`: it advances TOB agreement on a strong request
-    /// ([`Tob::advances`]), looking inside step-end frames. Asked before
-    /// dispatch, which may retire the TOB state the answer depends on.
-    /// (The other half of the rule: a step handling a strong invocation
-    /// that goes to the TOB is urgent too.)
-    fn urgent_message(&self, msg: &BayouMsg<F::Op, F::State, T::Msg>) -> bool {
-        match msg {
-            BayouMsg::Tob(tm) => self
-                .tob
-                .advances(tm, &|r: &SharedReq<F::Op>| r.level.is_strong()),
-            BayouMsg::Batch(msgs) => msgs.iter().any(|m| self.urgent_message(m)),
-            _ => false,
-        }
-    }
-
-    /// Ends the TOB half of a step: logs the step's durable TOB facts,
-    /// commits its combined delivery batch and follows the compaction
-    /// floor.
-    fn settle_deliveries(
-        &mut self,
-        mut deliveries: Vec<TobDelivery<SharedReq<F::Op>>>,
-        ctx: &mut dyn Context<BayouMsg<F::Op, F::State, T::Msg>>,
-    ) {
-        // durable TOB facts (promises, acceptances, decisions) hit the
-        // WAL — one write, one sync — before the deliveries they imply
-        // execute and before any coalesced frame leaves the step
-        self.persist_tob_events();
-        self.commit_batch(&mut deliveries);
-        self.delivery_scratch = deliveries;
-        // the TOB floor can advance on delivery-free steps too (a cursor
-        // report arriving): follow it, or the baseline we serve to
-        // laggards would lag the floor forever in a quiescent cluster
-        self.maybe_compact();
-        self.request_baseline_if_needed(ctx);
-    }
-
-    /// Processes one wire message (recursing into step-end frames),
-    /// appending every TOB delivery it produced to `deliveries`. The
-    /// caller persists the step's durable TOB facts and commits the
-    /// combined batch once, after the whole frame dispatched.
-    fn dispatch(
-        &mut self,
-        from: ReplicaId,
-        msg: BayouMsg<F::Op, F::State, T::Msg>,
-        ctx: &mut dyn Context<BayouMsg<F::Op, F::State, T::Msg>>,
-        deliveries: &mut Vec<TobDelivery<SharedReq<F::Op>>>,
-    ) {
-        match msg {
-            BayouMsg::Rb(frame) => {
-                let delivered = {
-                    let mut rctx = MapCtx::new(ctx, BayouMsg::Rb);
-                    self.rb.on_message(from, frame, &mut rctx)
-                };
-                for (_id, wire) in delivered {
-                    self.handle_rb_deliver(wire, ctx);
-                }
-            }
-            BayouMsg::Tob(tm) => {
-                let batch = {
-                    let mut tctx = MapCtx::new(ctx, BayouMsg::Tob);
-                    self.tob.on_message(from, tm, &mut tctx)
-                };
-                deliveries.extend(batch);
-            }
-            BayouMsg::BaselineRequest => {
-                // serve our baseline to a replica that fell below the
-                // cluster-wide compaction floor
-                if self.compaction && self.compacted > 0 {
-                    ctx.send(
-                        from,
-                        BayouMsg::Baseline {
-                            state: self.baseline.clone(),
-                            mark: self.baseline_mark.clone(),
-                        },
-                    );
-                }
-            }
-            BayouMsg::Baseline { state, mark } => {
-                let me = ctx.id();
-                self.install_baseline(me, state, mark);
-            }
-            BayouMsg::Batch(msgs) => {
-                for m in msgs {
-                    self.dispatch(from, m, ctx, deliveries);
-                }
-            }
-        }
-    }
-}
-
-impl<F, T, S> Process for BayouReplica<F, T, S>
-where
-    F: DataType,
-    T: Tob<SharedReq<F::Op>>,
-    S: StateObject<F>,
-{
-    type Msg = BayouMsg<F::Op, F::State, T::Msg>;
-    type Input = Invocation<F::Op>;
-    type Output = Response;
-
-    fn on_start(&mut self, ctx: &mut dyn Context<Self::Msg>) {
+    /// Starts the replica inside its host's first step: starts the TOB
+    /// endpoint and re-submits recovered pending requests, so they are
+    /// decided even though their original cast/relay messages are gone
+    /// (the relay guarantee must hold across restarts).
+    pub fn start(&mut self, ctx: &mut dyn Context<Msg<F, T>>) {
         if self.failure.is_some() {
             return;
         }
-        let mut cctx = self.step_ctx(ctx);
         {
-            let mut tctx = MapCtx::new(&mut cctx, BayouMsg::Tob);
+            let mut tctx = MapCtx::new(ctx, BayouMsg::Tob);
             self.tob.on_start(&mut tctx);
-            // re-submit recovered pending requests so they are decided
-            // even though their original cast/relay messages are gone
-            // (the relay guarantee must hold across restarts)
             for (seq, req) in std::mem::take(&mut self.recovered_pending) {
                 self.tob.ensure(req.origin(), seq, req, &mut tctx);
             }
         }
         self.persist_tob_events();
-        self.close_step(cctx, false);
     }
 
-    /// Lines 9–15 (Algorithm 1) / Algorithm 2.
-    fn on_input(&mut self, inv: Invocation<F::Op>, outer: &mut dyn Context<Self::Msg>) {
+    /// Lines 9–15 (Algorithm 1) / Algorithm 2: handles one client
+    /// invocation. Returns whether a strong operation waits on this
+    /// step's frames — its TOB round starts here — in which case the
+    /// host flushes them at step end instead of parking them. A strong
+    /// read the lease answers within the step is not waited on.
+    pub fn invoke(&mut self, inv: Invocation<F::Op>, ctx: &mut dyn Context<Msg<F, T>>) -> bool {
         if self.failure.is_some() {
-            return; // crash-stopped: no new work is accepted
+            return false; // crash-stopped: no new work is accepted
         }
-        let mut cctx = self.step_ctx(outer);
-        let ctx = &mut cctx;
         self.stats.invocations += 1;
         self.curr_event_no += 1;
         let tag = inv.tag;
@@ -1401,8 +1176,6 @@ where
                 !lease_read && (r.level.is_strong() || !F::is_read_only(&r.op))
             }
         };
-        // a strong op waits on this step's frames — its TOB round starts
-        // here — unless the lease answers it within the step
         let urgent = r.level.is_strong() && tob_cast;
         self.journal.push(EventRecord {
             meta: r.meta(),
@@ -1447,8 +1220,7 @@ where
                                     committed,
                                 };
                                 self.respond(&r, Value::Unit, Vec::new(), served);
-                                self.close_step(cctx, false);
-                                return;
+                                return false;
                             }
                         }
                     }
@@ -1480,54 +1252,113 @@ where
                 }
             }
         }
-        self.close_step(cctx, urgent);
+        urgent
     }
 
-    fn on_message(&mut self, from: ReplicaId, msg: Self::Msg, ctx: &mut dyn Context<Self::Msg>) {
+    /// Handles one wire message from `from`. The TOB deliveries it
+    /// produces wait for [`BayouReplica::settle`], which the host calls
+    /// once after every message of the incoming frame, so a frame
+    /// commits as one delivery batch.
+    ///
+    /// Returns whether a strong operation waits on this step's frames:
+    /// the message advances TOB agreement on a strong request
+    /// ([`Tob::advances`], asked before dispatch, which may retire the
+    /// TOB state the answer depends on).
+    pub fn receive(
+        &mut self,
+        from: ReplicaId,
+        msg: Msg<F, T>,
+        ctx: &mut dyn Context<Msg<F, T>>,
+    ) -> bool {
         if self.failure.is_some() {
-            return; // crash-stopped: silent to the cluster
+            return false; // crash-stopped: silent to the cluster
         }
-        let urgent = self.urgent_message(&msg);
-        let mut cctx = self.step_ctx(ctx);
-        let mut deliveries = std::mem::take(&mut self.delivery_scratch);
-        debug_assert!(deliveries.is_empty());
-        self.dispatch(from, msg, &mut cctx, &mut deliveries);
-        self.settle_deliveries(deliveries, &mut cctx);
-        self.close_step(cctx, urgent);
+        match msg {
+            BayouMsg::Rb(frame) => {
+                let delivered = {
+                    let mut rctx = MapCtx::new(ctx, BayouMsg::Rb);
+                    self.rb.on_message(from, frame, &mut rctx)
+                };
+                for (_id, wire) in delivered {
+                    self.handle_rb_deliver(wire, ctx);
+                }
+                false
+            }
+            BayouMsg::Tob(tm) => {
+                let urgent = self
+                    .tob
+                    .advances(&tm, &|r: &SharedReq<F::Op>| r.level.is_strong());
+                let batch = {
+                    let mut tctx = MapCtx::new(ctx, BayouMsg::Tob);
+                    self.tob.on_message(from, tm, &mut tctx)
+                };
+                self.deliveries.extend(batch);
+                urgent
+            }
+            BayouMsg::BaselineRequest => {
+                // serve our baseline to a replica that fell below the
+                // cluster-wide compaction floor
+                if self.compaction && self.compacted > 0 {
+                    ctx.send(
+                        from,
+                        BayouMsg::Baseline {
+                            state: self.baseline.clone(),
+                            mark: self.baseline_mark.clone(),
+                        },
+                    );
+                }
+                false
+            }
+            BayouMsg::Baseline { state, mark } => {
+                let me = ctx.id();
+                self.install_baseline(me, state, mark);
+                false
+            }
+        }
     }
 
-    fn on_timer(&mut self, timer: TimerId, ctx: &mut dyn Context<Self::Msg>) {
+    /// Ends the TOB half of a step: logs the step's durable TOB facts,
+    /// commits every delivery received since the last settle as one
+    /// batch and follows the compaction floor.
+    pub fn settle(&mut self, ctx: &mut dyn Context<Msg<F, T>>) {
+        // durable TOB facts (promises, acceptances, decisions) hit the
+        // WAL — one write, one sync — before the deliveries they imply
+        // execute and before any coalesced frame leaves the step
+        self.persist_tob_events();
+        let mut deliveries = std::mem::take(&mut self.deliveries);
+        self.commit_batch(&mut deliveries);
+        self.deliveries = deliveries;
+        // the TOB floor can advance on delivery-free steps too (a cursor
+        // report arriving): follow it, or the baseline we serve to
+        // laggards would lag the floor forever in a quiescent cluster
+        self.maybe_compact();
+        self.request_baseline_if_needed(ctx);
+    }
+
+    /// Handles the fire of a timer this replica armed: an RB link
+    /// retransmit or ack tick, or a TOB timer (which may deliver, and
+    /// then settles).
+    pub fn on_timer(&mut self, timer: TimerId, ctx: &mut dyn Context<Msg<F, T>>) {
         if self.failure.is_some() {
             return;
         }
-        if self.deferral.owns_timer(timer) {
-            // the parked frames' latency budget expired with the replica
-            // idle: flush them now (must not go through close_step, which
-            // would re-park them with a fresh deadline)
-            let cctx = self.step_ctx(ctx);
-            self.sync_step();
-            self.deferral.flush(cctx);
-            return;
-        }
-        let mut cctx = self.step_ctx(ctx);
         let mine = {
-            let mut rctx = MapCtx::new(&mut cctx, BayouMsg::Rb);
+            let mut rctx = MapCtx::new(ctx, BayouMsg::Rb);
             self.rb.on_timer(timer, &mut rctx)
         };
         if !mine && self.tob.owns_timer(timer) {
-            let mut deliveries = std::mem::take(&mut self.delivery_scratch);
-            debug_assert!(deliveries.is_empty());
-            {
-                let mut tctx = MapCtx::new(&mut cctx, BayouMsg::Tob);
-                deliveries.extend(self.tob.on_timer(timer, &mut tctx));
-            }
-            self.settle_deliveries(deliveries, &mut cctx);
+            let batch = {
+                let mut tctx = MapCtx::new(ctx, BayouMsg::Tob);
+                self.tob.on_timer(timer, &mut tctx)
+            };
+            self.deliveries.extend(batch);
+            self.settle(ctx);
         }
-        self.close_step(cctx, false);
     }
 
-    /// Lines 41–55: one `rollback` or one `execute` step.
-    fn on_internal(&mut self, _ctx: &mut dyn Context<Self::Msg>) -> bool {
+    /// Lines 41–55: one `rollback` or one `execute` internal step.
+    /// Returns `false` when neither is enabled (the replica is passive).
+    pub fn step(&mut self) -> bool {
         if self.failure.is_some() {
             return false;
         }
@@ -1579,24 +1410,25 @@ where
         false
     }
 
-    fn drain_outputs(&mut self) -> Vec<Response> {
+    /// Drains the client responses produced since the last call.
+    pub fn drain_outputs(&mut self) -> Vec<Response> {
         std::mem::take(&mut self.outputs)
     }
 
-    fn take_storage_stall(&mut self) -> VirtualTime {
-        self.persist.take_sync_stall()
+    /// Settles the step's deferred group-commit sync: one fsync for
+    /// everything the step logged (a no-op for a store that defers to
+    /// its host's shared barrier). The host runs this *before* any frame
+    /// leaves, which preserves the write-ahead contract; a sync failure
+    /// crash-stops the replica, and the runtime then discards the step's
+    /// buffered sends and outputs.
+    pub(crate) fn sync_step(&mut self) {
+        let res = self.persist.sync_step();
+        self.persist_ok(res);
     }
 
-    fn take_wire_bytes(&mut self) -> u64 {
-        self.wire_meter.as_ref().map_or(0, FrameMeter::take_bytes)
-    }
-
-    fn take_fsyncs(&mut self) -> u64 {
-        self.persist.take_fsyncs()
-    }
-
-    fn has_failed(&self) -> bool {
-        self.failure.is_some()
+    /// The durable-storage hooks, for the host's fsync and stall meters.
+    pub(crate) fn persistence(&mut self) -> &mut (dyn Persistence<F> + Send) {
+        self.persist.as_mut()
     }
 }
 
@@ -1619,15 +1451,16 @@ where
 }
 
 // unit tests live in harness.rs where a full cluster is available; pure
-// list-surgery behaviours are tested here through a stub TOB.
+// list-surgery behaviours are tested here through a stub TOB. The stub
+// context serves the host's unit tests too.
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::nulltob::NullTob;
     use bayou_data::{AppendList, KvOp, KvStore, ListOp, ReplayState};
     use bayou_types::{Level, Timestamp};
 
-    struct StubCtx {
+    pub(crate) struct StubCtx {
         clock: i64,
         id: ReplicaId,
     }
@@ -1660,7 +1493,7 @@ mod tests {
 
     type R = BayouReplica<AppendList, NullTob<SharedReq<ListOp>>>;
 
-    fn stub(id: u32) -> StubCtx {
+    pub(crate) fn stub(id: u32) -> StubCtx {
         StubCtx {
             clock: 0,
             id: ReplicaId::new(id),
@@ -1671,8 +1504,8 @@ mod tests {
         (BayouReplica::new(2, mode, NullTob::new()), stub(0))
     }
 
-    fn drive(r: &mut R, ctx: &mut StubCtx) {
-        while r.on_internal(ctx) {}
+    fn drive(r: &mut R) {
+        while r.step() {}
     }
 
     /// TOB-delivers `req` as a batch of one.
@@ -1700,12 +1533,12 @@ mod tests {
     #[test]
     fn original_mode_returns_tentative_response_at_execution() {
         let (mut r, mut ctx) = replica(ProtocolMode::Original);
-        r.on_input(Invocation::weak(ListOp::append("a")), &mut ctx);
+        r.invoke(Invocation::weak(ListOp::append("a")), &mut ctx);
         assert!(
             r.drain_outputs().is_empty(),
             "response needs an execute step"
         );
-        drive(&mut r, &mut ctx);
+        drive(&mut r);
         let out = r.drain_outputs();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].value, Value::from("a"));
@@ -1715,11 +1548,11 @@ mod tests {
     #[test]
     fn improved_mode_weak_response_is_immediate() {
         let (mut r, mut ctx) = replica(ProtocolMode::Improved);
-        r.on_input(Invocation::weak(ListOp::append("a")), &mut ctx);
+        r.invoke(Invocation::weak(ListOp::append("a")), &mut ctx);
         let out = r.drain_outputs();
         assert_eq!(out.len(), 1, "improved mode responds at invoke");
         assert_eq!(out[0].value, Value::from("a"));
-        drive(&mut r, &mut ctx);
+        drive(&mut r);
         // the op re-executed into the tentative order
         assert_eq!(r.executed_ids().len(), 1);
     }
@@ -1727,10 +1560,10 @@ mod tests {
     #[test]
     fn improved_mode_weak_ro_is_local_only() {
         let (mut r, mut ctx) = replica(ProtocolMode::Improved);
-        r.on_input(Invocation::weak(ListOp::Read), &mut ctx);
+        r.invoke(Invocation::weak(ListOp::Read), &mut ctx);
         let out = r.drain_outputs();
         assert_eq!(out[0].value, Value::from(""));
-        drive(&mut r, &mut ctx);
+        drive(&mut r);
         assert!(r.tentative_ids().is_empty(), "RO op never enters tentative");
         assert!(r.executed_ids().is_empty());
     }
@@ -1739,8 +1572,8 @@ mod tests {
     fn tentative_order_sorts_by_timestamp_then_dot() {
         let (mut r, mut ctx) = replica(ProtocolMode::Original);
         // local op with clock 1
-        r.on_input(Invocation::weak(ListOp::append("x")), &mut ctx);
-        drive(&mut r, &mut ctx);
+        r.invoke(Invocation::weak(ListOp::append("x")), &mut ctx);
+        drive(&mut r);
         // remote op with an older timestamp must sort in front
         let remote = shared(0, 1, 1, Level::Weak, ListOp::append("y"));
         r.handle_rb_deliver(
@@ -1750,7 +1583,7 @@ mod tests {
             },
             &mut ctx,
         );
-        drive(&mut r, &mut ctx);
+        drive(&mut r);
         assert_eq!(r.stats().rollbacks, 1, "x must be rolled back");
         assert_eq!(r.materialize(), vec!["y".to_string(), "x".to_string()]);
     }
@@ -1758,8 +1591,8 @@ mod tests {
     #[test]
     fn own_rb_delivery_is_ignored() {
         let (mut r, mut ctx) = replica(ProtocolMode::Original);
-        r.on_input(Invocation::weak(ListOp::append("x")), &mut ctx);
-        drive(&mut r, &mut ctx);
+        r.invoke(Invocation::weak(ListOp::append("x")), &mut ctx);
+        drive(&mut r);
         let own = shared(1, 0, 1, Level::Weak, ListOp::append("x"));
         r.handle_rb_deliver(
             WireReq {
@@ -1774,13 +1607,13 @@ mod tests {
     #[test]
     fn tob_delivery_moves_req_to_committed() {
         let (mut r, mut ctx) = replica(ProtocolMode::Original);
-        r.on_input(Invocation::weak(ListOp::append("x")), &mut ctx);
-        drive(&mut r, &mut ctx);
+        r.invoke(Invocation::weak(ListOp::append("x")), &mut ctx);
+        drive(&mut r);
         let req = shared(1, 0, 1, Level::Weak, ListOp::append("x"));
         commit(&mut r, req);
         assert_eq!(r.committed_ids().len(), 1);
         assert!(r.tentative_ids().is_empty());
-        drive(&mut r, &mut ctx);
+        drive(&mut r);
         // already executed in the right order: no rollback
         assert_eq!(r.stats().rollbacks, 0);
     }
@@ -1788,13 +1621,13 @@ mod tests {
     #[test]
     fn commit_of_earlier_remote_req_forces_rollback_and_reexecution() {
         let (mut r, mut ctx) = replica(ProtocolMode::Original);
-        r.on_input(Invocation::weak(ListOp::append("x")), &mut ctx);
-        drive(&mut r, &mut ctx);
+        r.invoke(Invocation::weak(ListOp::append("x")), &mut ctx);
+        drive(&mut r);
         assert_eq!(r.materialize(), vec!["x".to_string()]);
         // a remote request commits first (TOB order beats timestamps)
         let remote = shared(100, 1, 1, Level::Weak, ListOp::append("z"));
         commit(&mut r, remote);
-        drive(&mut r, &mut ctx);
+        drive(&mut r);
         assert_eq!(r.stats().rollbacks, 1);
         assert_eq!(r.materialize(), vec!["z".to_string(), "x".to_string()]);
         assert_eq!(r.executed_ids().len(), 2);
@@ -1804,11 +1637,11 @@ mod tests {
     fn redelivered_commits_are_idempotent() {
         // after a crash-restart, catch-up may re-deliver commits the
         // recovered state already contains
-        let (mut r, mut ctx) = replica(ProtocolMode::Original);
+        let (mut r, _) = replica(ProtocolMode::Original);
         let a = shared(1, 1, 1, Level::Weak, ListOp::append("a"));
         let b = shared(2, 1, 2, Level::Weak, ListOp::append("b"));
         commit(&mut r, a.clone());
-        drive(&mut r, &mut ctx);
+        drive(&mut r);
         // a duplicate alone, then a duplicate ahead of a fresh request
         commit(&mut r, a.clone());
         r.commit_batch(&mut vec![
@@ -1825,7 +1658,7 @@ mod tests {
                 payload: b,
             },
         ]);
-        drive(&mut r, &mut ctx);
+        drive(&mut r);
         assert_eq!(r.committed_ids().len(), 2);
         assert_eq!(r.stats().tob_deliveries, 2);
         assert_eq!(r.stats().rollbacks, 0);
@@ -1835,8 +1668,8 @@ mod tests {
     #[test]
     fn strong_op_response_waits_for_commit_in_original_mode() {
         let (mut r, mut ctx) = replica(ProtocolMode::Original);
-        r.on_input(Invocation::strong(ListOp::Duplicate), &mut ctx);
-        drive(&mut r, &mut ctx);
+        r.invoke(Invocation::strong(ListOp::Duplicate), &mut ctx);
+        drive(&mut r);
         assert!(
             r.drain_outputs().is_empty(),
             "strong response must wait for TOB"
@@ -1845,7 +1678,7 @@ mod tests {
         // commit it
         let req = shared(1, 0, 1, Level::Strong, ListOp::Duplicate);
         commit(&mut r, req);
-        drive(&mut r, &mut ctx);
+        drive(&mut r);
         let out = r.drain_outputs();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].value, Value::from(""));
@@ -1855,8 +1688,8 @@ mod tests {
     #[test]
     fn strong_op_in_improved_mode_never_enters_tentative() {
         let (mut r, mut ctx) = replica(ProtocolMode::Improved);
-        r.on_input(Invocation::strong(ListOp::append("s")), &mut ctx);
-        drive(&mut r, &mut ctx);
+        r.invoke(Invocation::strong(ListOp::append("s")), &mut ctx);
+        drive(&mut r);
         assert!(r.tentative_ids().is_empty());
         assert!(r.executed_ids().is_empty());
         assert_eq!(r.awaiting_responses(), 1);
@@ -1865,9 +1698,9 @@ mod tests {
     #[test]
     fn current_order_is_committed_then_tentative() {
         let (mut r, mut ctx) = replica(ProtocolMode::Original);
-        r.on_input(Invocation::weak(ListOp::append("a")), &mut ctx);
-        r.on_input(Invocation::weak(ListOp::append("b")), &mut ctx);
-        drive(&mut r, &mut ctx);
+        r.invoke(Invocation::weak(ListOp::append("a")), &mut ctx);
+        r.invoke(Invocation::weak(ListOp::append("b")), &mut ctx);
+        drive(&mut r);
         let t1 = shared(1, 0, 1, Level::Weak, ListOp::append("a"));
         let t1_id = t1.id();
         commit(&mut r, t1);
@@ -1882,8 +1715,8 @@ mod tests {
         let mut r: BayouReplica<AppendList, NullTob<SharedReq<ListOp>>, ReplayState<AppendList>> =
             BayouReplica::new(2, ProtocolMode::Improved, NullTob::new());
         let mut ctx = stub(0);
-        r.on_input(Invocation::weak(ListOp::append("a")), &mut ctx);
-        while r.on_internal(&mut ctx) {}
+        r.invoke(Invocation::weak(ListOp::append("a")), &mut ctx);
+        while r.step() {}
         assert_eq!(r.materialize(), vec!["a".to_string()]);
     }
 
@@ -1894,7 +1727,7 @@ mod tests {
         // over the lifetime of the replica
         let mut r: BayouReplica<KvStore, NullTob<SharedReq<KvOp>>> =
             BayouReplica::new(2, ProtocolMode::Original, NullTob::new());
-        let mut ctx = stub(1); // remote ids so TOB delivery is the only source
+        // remote ids, so TOB delivery is the only source
         for i in 1..=500u64 {
             let req = Arc::new(Req::new(
                 Timestamp::new(i as i64),
@@ -1903,7 +1736,7 @@ mod tests {
                 KvOp::put(format!("k{}", i % 10), i as i64),
             ));
             commit(&mut r, req);
-            while r.on_internal(&mut ctx) {}
+            while r.step() {}
             assert!(
                 r.state_object().retained_records() <= 1,
                 "bookkeeping leak: {} records after {} committed ops",

@@ -22,22 +22,34 @@ use bayou_core::{BayouMsg, BayouReplica, ProtocolMode};
 use bayou_data::{KvOp, KvOpView, KvStore};
 use bayou_storage::{frame_into, FRAME_OVERHEAD};
 use bayou_types::{
-    BufPool, Context, Dot, Level, Process, ReplicaId, Req, SharedReq, TimerId, Timestamp,
-    VirtualTime, Wire, WireView,
+    BufPool, Context, Dot, Level, ReplicaId, Req, SharedReq, TimerId, Timestamp, VirtualTime, Wire,
+    WireView,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Per thread, so a test
+    /// counts only its own work — never the harness's other threads or
+    /// a test running in parallel. `const`-initialised and `Drop`-free,
+    /// so touching it never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation on the current thread (none while the thread's
+/// locals are being torn down).
+fn count() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: delegates directly to the system allocator; the counter is a
-// relaxed atomic with no further invariants.
+// thread-local cell with no further invariants.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
@@ -46,7 +58,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -54,13 +66,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Allocations the calling thread has made so far.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
-
-/// The counter is process-wide, so the tests must not overlap: each
-/// holds this lock while it measures.
-static MEASURING: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 struct StubCtx;
 
@@ -101,7 +110,7 @@ fn req(no: u64) -> SharedReq<KvOp> {
 
 /// A scripted TOB: whatever delivery batch the test sends as a wire
 /// message comes straight out — the replica's real batched-commit path
-/// (`on_message` → dispatch → `deliver_batch`) runs on top of it.
+/// (`receive` → `settle` → `commit_batch`) runs on top of it.
 #[derive(Debug, Default)]
 struct FeedTob;
 
@@ -165,15 +174,15 @@ fn commit_window(r: &mut R, next: &mut u64, batches: usize, batch: usize) -> f64
             });
             *next += 1;
         }
-        r.on_message(ReplicaId::new(0), BayouMsg::Tob(deliveries), &mut ctx);
-        while r.on_internal(&mut ctx) {}
+        r.receive(ReplicaId::new(0), BayouMsg::Tob(deliveries), &mut ctx);
+        r.settle(&mut ctx);
+        while r.step() {}
     }
     (allocations() - before) as f64 / batches as f64
 }
 
 #[test]
 fn steady_state_delivery_allocations_stay_bounded() {
-    let _alone = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
     let mut r: R = BayouReplica::new(2, ProtocolMode::Original, FeedTob);
     let mut next = 1u64;
     const BATCH: usize = 8;
@@ -215,7 +224,6 @@ fn steady_state_delivery_allocations_stay_bounded() {
 /// materializing `String`s.
 #[test]
 fn wire_layer_steady_state_allocates_zero_per_frame() {
-    let _alone = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
     let request: Req<KvOp> = Req::new(
         Timestamp::new(7),
         Dot::new(ReplicaId::new(1), 42),

@@ -4,11 +4,13 @@
 //! replica which fell below the cluster-wide compaction floor.
 
 use bayou_broadcast::PaxosConfig;
-use bayou_core::{recover_paxos_replica, BayouCluster, BayouReplica, ClusterConfig, ProtocolMode};
+use bayou_core::{
+    recover_paxos_replica, BayouCluster, BayouReplica, ClusterConfig, GroupedReplica, ProtocolMode,
+};
 use bayou_data::{Counter, CounterOp, DeltaState, KvOp, KvStore};
 use bayou_sim::SimConfig;
-use bayou_storage::{MemDisk, Snapshot, Storage, StoreConfig};
-use bayou_types::{Level, ReplicaId, VirtualTime};
+use bayou_storage::{MemDisk, Prefixed, Snapshot, Storage, StoreConfig};
+use bayou_types::{GroupId, Level, ReplicaId, VirtualTime};
 
 fn ms(v: u64) -> VirtualTime {
     VirtualTime::from_millis(v)
@@ -119,7 +121,7 @@ fn durable_compacting_factory(
     store_cfg: StoreConfig,
 ) -> impl FnMut(
     ReplicaId,
-) -> BayouReplica<
+) -> GroupedReplica<
     KvStore,
     bayou_broadcast::PaxosTob<bayou_types::SharedReq<KvOp>>,
     DeltaState<KvStore>,
@@ -174,7 +176,7 @@ fn restart_recovers_from_a_compact_snapshot() {
         "the restarted replica compacts too"
     );
     // the disk the replica recovered from holds a compact-form snapshot
-    let disk = &disks[1];
+    let disk = Prefixed::new(disks[1].clone(), GroupId::new(0));
     let snap_name = disk
         .list()
         .into_iter()
@@ -211,7 +213,7 @@ fn laggard_below_the_watermark_is_served_the_baseline() {
             bayou_broadcast::PaxosTob::with_defaults(n),
         );
         r.set_compaction(true);
-        r
+        GroupedReplica::new(vec![r])
     });
     // plenty of pre-crash traffic so the cluster compacts a real prefix,
     // and continued post-restart traffic so catch-up traffic reaches the

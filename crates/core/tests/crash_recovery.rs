@@ -26,7 +26,7 @@ fn durable_factory(
     store_cfg: StoreConfig,
 ) -> impl FnMut(
     ReplicaId,
-) -> bayou_core::BayouReplica<
+) -> bayou_core::GroupedReplica<
     KvStore,
     bayou_broadcast::PaxosTob<bayou_types::SharedReq<KvOp>>,
     DeltaState<KvStore>,

@@ -1,5 +1,5 @@
 //! Equivalence of cross-step flush deferral
-//! (`BayouReplica::set_flush_deferral`, the default-on half of the
+//! (`GroupedReplica::set_flush_deferral`, the default-on half of the
 //! zero-copy wire path).
 //!
 //! Unlike delivery batching, deferral *does* change the message flow —

@@ -24,12 +24,12 @@
 
 use bayou_broadcast::PaxosConfig;
 use bayou_core::{
-    recover_paxos_replica, BayouCluster, BayouReplica, ProtocolMode, RunTrace, Served,
+    recover_paxos_replica, BayouCluster, GroupedReplica, ProtocolMode, RunTrace, Served,
 };
 use bayou_data::{DataType, DeltaState, KvOp, KvStore};
 use bayou_sim::{shrink, Fault, Nemesis, NemesisConfig, SimConfig};
-use bayou_storage::{MemDisk, ReplicaStore, StoreConfig};
-use bayou_types::{LeaseConfig, Level, ReplicaId, ReqId, VirtualTime};
+use bayou_storage::{MemDisk, Prefixed, ReplicaStore, StoreConfig};
+use bayou_types::{GroupId, LeaseConfig, Level, ReplicaId, ReqId, VirtualTime};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -40,7 +40,7 @@ fn ms(v: u64) -> VirtualTime {
     VirtualTime::from_millis(v)
 }
 
-type DurableReplica = BayouReplica<
+type DurableReplica = GroupedReplica<
     KvStore,
     bayou_broadcast::PaxosTob<bayou_types::SharedReq<KvOp>>,
     DeltaState<KvStore>,
@@ -384,7 +384,7 @@ fn assert_durable_prefix_equivalence(
     n: usize,
 ) {
     for r in ReplicaId::all(n) {
-        let probe = disks[r.index()].fork();
+        let probe = Prefixed::new(disks[r.index()].fork(), GroupId::new(0));
         let (_s, recovered) = ReplicaStore::<KvStore, _>::open(probe, n, store_cfg)
             .unwrap_or_else(|e| panic!("{label}: durable image of {r} unreadable: {e}"));
         let rec_off = recovered.mark.delivered as usize;
@@ -447,7 +447,10 @@ fn run_faults(seed: u64, faults: &[Fault], opts: CaseOpts, work_until: u64) -> O
         // deadline (a lease wedging elections would show up here), and
         // no lease-served read may ever be stale
         assert!(
-            cluster.committed_totals().iter().all(|&t| t > 0),
+            cluster
+                .committed_totals(GroupId::new(0))
+                .iter()
+                .all(|&t| t > 0),
             "seed {seed}: a lease run made no commit progress"
         );
         lease_reads = assert_no_stale_lease_reads(seed, &trace, opts.compaction);
@@ -499,7 +502,7 @@ fn run_faults(seed: u64, faults: &[Fault], opts: CaseOpts, work_until: u64) -> O
         states: ReplicaId::all(n)
             .map(|r| cluster.replica(r).materialize())
             .collect(),
-        totals: cluster.committed_totals(),
+        totals: cluster.committed_totals(GroupId::new(0)),
         lease_reads,
         trace: (trace.end_time, cluster.metrics().total_steps()),
     }
@@ -929,13 +932,13 @@ fn quorum_loss_window_case(compaction: bool) {
     // delivered by 2.5s (delays are ~1ms, pumps 40ms)
     cluster.run_until(ms(2_500));
     assert!(cluster.is_down(ReplicaId::new(1)), "window is open");
-    let totals_mid = cluster.committed_totals();
+    let totals_mid = cluster.committed_totals(GroupId::new(0));
 
     // run to just before the heal: commits must not have advanced —
     // with 3 of 5 replicas down there is no quorum to decide anything
     let trace = cluster.run_until(ms(3_950));
     assert!(!trace.quiescent, "still inside the schedule");
-    let totals_late = cluster.committed_totals();
+    let totals_late = cluster.committed_totals(GroupId::new(0));
     assert_eq!(
         totals_mid, totals_late,
         "commits were decided during a quorum-loss window"
@@ -971,7 +974,7 @@ fn quorum_loss_window_case(compaction: bool) {
         assert!(!cluster.is_down(r), "{r} still down after the heal");
     }
     cluster.assert_convergence_alive();
-    let totals_end = cluster.committed_totals();
+    let totals_end = cluster.committed_totals(GroupId::new(0));
     assert!(
         totals_end[0] > totals_mid[0],
         "commits resume after the heal"
@@ -1207,13 +1210,14 @@ fn inspect() {
         ),
     );
     for (at, replica, op) in workload_ops(seed, n, work_until) {
-        sim.schedule_input(at, replica, Invocation::new(op, Level::Weak));
+        let inv = Invocation::new(op, Level::Weak);
+        sim.schedule_input(at, replica, (GroupId::new(0), inv));
     }
     let report = sim.run_until(deadline);
     eprintln!("quiescent={} end={}", report.quiescent, report.end_time);
     for r in ReplicaId::all(n) {
         use bayou_broadcast::Tob;
-        let rep = sim.process(r);
+        let rep = sim.process(r).group(GroupId::new(0));
         let tob = rep.tob();
         eprintln!(
             "{r}: compacted={} total={} tentative={} awaiting={} | tob delivered={} floor={} log={:?} released={:?}",

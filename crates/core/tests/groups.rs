@@ -13,7 +13,7 @@
 //! determinism and durable-prefix equivalence.
 
 use bayou_broadcast::PaxosConfig;
-use bayou_core::{recover_grouped_paxos, GroupedCluster, GroupedReplica, ProtocolMode};
+use bayou_core::{recover_grouped_paxos, BayouCluster, GroupedReplica, Invocation, ProtocolMode};
 use bayou_data::{DeltaState, KvOp, KvStore};
 use bayou_sim::{Nemesis, NemesisConfig, SimConfig};
 use bayou_storage::{MemDisk, Prefixed, ReplicaStore, StoreConfig};
@@ -108,7 +108,7 @@ fn grouped_workload(
 /// its own live history, never ahead of it.
 fn assert_grouped_durable_prefix(
     label: &str,
-    cluster: &GroupedCluster<KvStore>,
+    cluster: &BayouCluster<KvStore>,
     disks: &[MemDisk],
     store_cfg: StoreConfig,
     n: usize,
@@ -122,7 +122,7 @@ fn assert_grouped_durable_prefix(
                 .unwrap_or_else(|e| panic!("{label}: durable image of {r}/{gid} unreadable: {e}"));
             let rec_off = recovered.mark.delivered as usize;
             let rec_ids: Vec<ReqId> = recovered.deliveries.iter().map(|q| q.id()).collect();
-            let live = cluster.replica(r, gid);
+            let live = cluster.host(r).group(gid);
             let live_off = live.compacted_count() as usize;
             let live_ids = live.committed_ids();
             let from = rec_off.max(live_off);
@@ -144,11 +144,11 @@ fn assert_grouped_durable_prefix(
 
 /// No cross-group leakage: every key in a group's materialized state
 /// carries that group's namespace prefix.
-fn assert_no_foreign_keys(cluster: &GroupedCluster<KvStore>, n: usize, groups: usize) {
+fn assert_no_foreign_keys(cluster: &BayouCluster<KvStore>, n: usize, groups: usize) {
     for r in ReplicaId::all(n) {
         for gid in GroupId::all(groups) {
             let prefix = format!("g{}k", gid.index());
-            for key in cluster.replica(r, gid).materialize().keys() {
+            for key in cluster.host(r).group(gid).materialize().keys() {
                 assert!(
                     key.starts_with(&prefix),
                     "{r}/{gid} holds foreign key {key:?} — groups leaked state"
@@ -216,13 +216,12 @@ fn run_grouped_case(seed: u64, opts: GroupedOpts) -> GroupedOutcome {
         ..Default::default()
     };
     let sim = nem.apply(SimConfig::new(n, seed).with_max_time(deadline));
-    let mut cluster: GroupedCluster<KvStore> = GroupedCluster::with_factory(
+    let mut cluster: BayouCluster<KvStore> = BayouCluster::with_factory(
         sim,
-        groups,
         grouped_factory(n, groups, disks.clone(), store_cfg, compaction, seed),
     );
     for (at, replica, gid, op, level) in grouped_workload(seed, n, groups, work_until) {
-        cluster.invoke_at(at, replica, gid, op, level);
+        cluster.schedule_in(at, replica, gid, Invocation::new(op, level));
     }
 
     cluster.run_until(deadline);
@@ -239,7 +238,7 @@ fn run_grouped_case(seed: u64, opts: GroupedOpts) -> GroupedOutcome {
         cluster.assert_group_convergence(gid, &[]);
         if compaction {
             for r in ReplicaId::all(n) {
-                let live = cluster.replica(r, gid);
+                let live = cluster.host(r).group(gid);
                 assert_eq!(
                     live.compacted_count(),
                     live.committed_total(),
@@ -263,7 +262,7 @@ fn run_grouped_case(seed: u64, opts: GroupedOpts) -> GroupedOutcome {
             .map(|gid| {
                 ReplicaId::all(n)
                     .map(|r| {
-                        let rep = cluster.replica(r, gid);
+                        let rep = cluster.host(r).group(gid);
                         (rep.compacted_count(), rep.committed_ids())
                     })
                     .collect()
@@ -272,7 +271,7 @@ fn run_grouped_case(seed: u64, opts: GroupedOpts) -> GroupedOutcome {
         states: GroupId::all(groups)
             .map(|gid| {
                 ReplicaId::all(n)
-                    .map(|r| cluster.replica(r, gid).materialize())
+                    .map(|r| cluster.host(r).group(gid).materialize())
                     .collect()
             })
             .collect(),
@@ -292,24 +291,27 @@ fn fresh_hosts_converge_at_every_group_count() {
     for groups in 1..=4usize {
         let n = 3;
         let sim = SimConfig::new(n, 17).with_max_time(VirtualTime::from_secs(30));
-        let mut cluster: GroupedCluster<KvStore> =
-            GroupedCluster::new(sim, groups, ProtocolMode::Improved);
+        let mut cluster: BayouCluster<KvStore> =
+            BayouCluster::grouped(sim, groups, ProtocolMode::Improved);
         let mut per_group = vec![0u64; groups];
         for k in 0..24u64 {
             let gid = GroupId::new((k % groups as u64) as u32);
             let replica = ReplicaId::new((k % n as u64) as u32);
-            cluster.invoke_at(
+            cluster.schedule_in(
                 ms(1 + k * 3),
                 replica,
                 gid,
-                KvOp::put(gkey(gid, k % 5), k as i64),
-                Level::Weak,
+                Invocation::new(KvOp::put(gkey(gid, k % 5), k as i64), Level::Weak),
             );
             per_group[gid.index()] += 1;
         }
-        let responses = cluster.run_until(VirtualTime::from_secs(30));
+        cluster.run_until(VirtualTime::from_secs(30));
         assert!(cluster.quiescent(), "{groups} groups: must quiesce");
-        assert_eq!(responses, 24, "{groups} groups: every op responds");
+        assert_eq!(
+            cluster.responses().len(),
+            24,
+            "{groups} groups: every op responds"
+        );
         for gid in GroupId::all(groups) {
             cluster.assert_group_convergence(gid, &[]);
             assert_eq!(
@@ -340,21 +342,19 @@ fn crash_restart_recovers_every_group_from_one_store() {
         .with_max_time(deadline)
         .with_crash(ms(60), ReplicaId::new(1))
         .with_restart(ms(300), ReplicaId::new(1));
-    let mut cluster: GroupedCluster<KvStore> = GroupedCluster::with_factory(
+    let mut cluster: BayouCluster<KvStore> = BayouCluster::with_factory(
         sim,
-        groups,
         grouped_factory(n, groups, disks.clone(), store_cfg, true, seed),
     );
     for k in 0..30u64 {
         let gid = GroupId::new((k % groups as u64) as u32);
         // all ops go through replica 0 (never down) so none are dropped
         // at a dead process; replica 1 must still recover and converge
-        cluster.invoke_at(
+        cluster.schedule_in(
             ms(1 + k * 20), // spans the crash window
             ReplicaId::new(0),
             gid,
-            KvOp::put(gkey(gid, k % 4), k as i64),
-            Level::Weak,
+            Invocation::new(KvOp::put(gkey(gid, k % 4), k as i64), Level::Weak),
         );
     }
     cluster.run_until(deadline);
@@ -379,18 +379,17 @@ fn stalled_group_does_not_block_or_regress_its_neighbour() {
     let groups = 2;
     let (g0, g1) = (GroupId::new(0), GroupId::new(1));
     let sim = SimConfig::new(n, 7).with_max_time(VirtualTime::from_secs(120));
-    let mut cluster: GroupedCluster<KvStore> =
-        GroupedCluster::new(sim, groups, ProtocolMode::Improved);
+    let mut cluster: BayouCluster<KvStore> =
+        BayouCluster::grouped(sim, groups, ProtocolMode::Improved);
 
     // phase 1: both groups commit normally
     for k in 0..6u64 {
         let gid = GroupId::new((k % 2) as u32);
-        cluster.invoke_at(
+        cluster.schedule_in(
             ms(1 + k),
             ReplicaId::new((k % n as u64) as u32),
             gid,
-            KvOp::put(gkey(gid, k), k as i64),
-            Level::Weak,
+            Invocation::new(KvOp::put(gkey(gid, k), k as i64), Level::Weak),
         );
     }
     cluster.run_until(ms(2_000));
@@ -406,12 +405,11 @@ fn stalled_group_does_not_block_or_regress_its_neighbour() {
     // phase 2: traffic to both groups
     for k in 0..8u64 {
         let gid = GroupId::new((k % 2) as u32);
-        cluster.invoke_at(
+        cluster.schedule_in(
             ms(2_100 + k * 10),
             ReplicaId::new(0),
             gid,
-            KvOp::put(gkey(gid, 10 + k), k as i64),
-            Level::Weak,
+            Invocation::new(KvOp::put(gkey(gid, 10 + k), k as i64), Level::Weak),
         );
     }
     cluster.run_until(ms(30_000));
@@ -464,20 +462,18 @@ fn neighbour_watermark_advances_while_group_is_stalled() {
     };
     let disks: Vec<MemDisk> = (0..n).map(|_| MemDisk::new()).collect();
     let sim = SimConfig::new(n, seed).with_max_time(VirtualTime::from_secs(120));
-    let mut cluster: GroupedCluster<KvStore> = GroupedCluster::with_factory(
+    let mut cluster: BayouCluster<KvStore> = BayouCluster::with_factory(
         sim,
-        groups,
         grouped_factory(n, groups, disks.clone(), store_cfg, true, seed),
     );
 
     for k in 0..4u64 {
         for gid in GroupId::all(groups) {
-            cluster.invoke_at(
+            cluster.schedule_in(
                 ms(1 + k * 2 + gid.as_u32() as u64),
                 ReplicaId::new((k % n as u64) as u32),
                 gid,
-                KvOp::put(gkey(gid, k), k as i64),
-                Level::Weak,
+                Invocation::new(KvOp::put(gkey(gid, k), k as i64), Level::Weak),
             );
         }
     }
@@ -487,16 +483,15 @@ fn neighbour_watermark_advances_while_group_is_stalled() {
     cluster.mute(ReplicaId::new(1), g0, true);
     cluster.mute(ReplicaId::new(2), g0, true);
     let g0_watermarks: Vec<u64> = ReplicaId::all(n)
-        .map(|r| cluster.replica(r, g0).compacted_count())
+        .map(|r| cluster.host(r).group(g0).compacted_count())
         .collect();
 
     for k in 0..10u64 {
-        cluster.invoke_at(
+        cluster.schedule_in(
             ms(2_100 + k * 10),
             ReplicaId::new((k % n as u64) as u32),
             g1,
-            KvOp::put(gkey(g1, 10 + k), k as i64),
-            Level::Weak,
+            Invocation::new(KvOp::put(gkey(g1, 10 + k), k as i64), Level::Weak),
         );
     }
     cluster.run_until(ms(60_000));
@@ -505,7 +500,7 @@ fn neighbour_watermark_advances_while_group_is_stalled() {
     assert_eq!(cluster.committed_totals(g1), vec![14; n]);
     cluster.assert_group_convergence(g1, &[]);
     for r in ReplicaId::all(n) {
-        let live = cluster.replica(r, g1);
+        let live = cluster.host(r).group(g1);
         assert_eq!(
             live.compacted_count(),
             live.committed_total(),
@@ -513,7 +508,7 @@ fn neighbour_watermark_advances_while_group_is_stalled() {
         );
         // group 0's watermark froze, it must not have regressed
         assert!(
-            cluster.replica(r, g0).compacted_count() >= g0_watermarks[r.index()],
+            cluster.host(r).group(g0).compacted_count() >= g0_watermarks[r.index()],
             "group 0's watermark regressed at {r}"
         );
     }
@@ -527,16 +522,20 @@ fn neighbour_watermark_advances_while_group_is_stalled() {
 /// and 17637, a laggard Ω trusted next in an idle group that was never
 /// caught up once the old leader stepped down or restarted (now the
 /// former leader, or the restarted replica, keeps shipping what it
-/// decided). Four groups, no compaction — seed 513, the original
-/// report, failed the first way under the weak-only workload of the
-/// time.
+/// decided). Four groups, no compaction. Seed 513, the original report,
+/// failed the first way under the weak-only workload of the time, with
+/// compaction on as reported and off alike: it runs both ways.
 #[test]
 fn pinned_liveness_seeds() {
-    for seed in [5485, 7894, 12692, 17637] {
+    let cases = [5485, 7894, 12692, 17637]
+        .map(|seed| (seed, false))
+        .into_iter()
+        .chain([(513, true), (513, false)]);
+    for (seed, compaction) in cases {
         let opts = GroupedOpts {
             n: 3,
             groups: 4,
-            compaction: false,
+            compaction,
         };
         run_grouped_case(seed, opts);
     }

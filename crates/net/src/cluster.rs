@@ -466,18 +466,31 @@ fn replica_loop<P>(
 mod tests {
     use super::*;
     use bayou_broadcast::PaxosTob;
-    use bayou_core::{BayouReplica, Invocation, ProtocolMode, Response};
-    use bayou_data::{Counter, CounterOp, KvOp, KvStore};
-    use bayou_types::{Level, Value};
+    use bayou_core::{BayouReplica, GroupedReplica, Invocation, ProtocolMode, Response};
+    use bayou_data::{Counter, CounterOp, DataType, DeltaState, KvOp, KvStore};
+    use bayou_types::{GroupId, Level, SharedReq, Value};
 
-    type LiveBayou<F> = LiveCluster<
-        BayouReplica<F, PaxosTob<bayou_types::SharedReq<<F as bayou_data::DataType>::Op>>>,
-    >;
+    type Host<F> = GroupedReplica<F, PaxosTob<SharedReq<<F as DataType>::Op>>, DeltaState<F>>;
+    type LiveBayou<F> = LiveCluster<Host<F>>;
 
-    fn bayou_cluster<F: bayou_data::InvertibleDataType>(n: usize) -> LiveBayou<F> {
-        LiveCluster::new(LiveConfig::new(n), |_, n| {
-            BayouReplica::new(n, ProtocolMode::Improved, PaxosTob::with_defaults(n))
+    /// The one group every test addresses.
+    const G0: GroupId = GroupId::new(0);
+
+    fn bayou_cluster<F: bayou_data::InvertibleDataType>(config: LiveConfig) -> LiveBayou<F> {
+        LiveCluster::new(config, |_, n| {
+            let group = BayouReplica::new(n, ProtocolMode::Improved, PaxosTob::with_defaults(n));
+            GroupedReplica::new(vec![group])
         })
+    }
+
+    /// A weak invocation addressed to the one group.
+    fn weak<Op>(op: Op) -> (GroupId, Invocation<Op>) {
+        (G0, Invocation::weak(op))
+    }
+
+    /// A strong invocation addressed to the one group.
+    fn strong<Op>(op: Op) -> (GroupId, Invocation<Op>) {
+        (G0, Invocation::strong(op))
     }
 
     fn wait_for(
@@ -486,7 +499,7 @@ mod tests {
     ) -> Option<Response> {
         let deadline = Instant::now() + Duration::from_secs(10);
         while Instant::now() < deadline {
-            if let Some((_, r)) = cluster.recv_output(Duration::from_millis(100)) {
+            if let Some((_, (_, r))) = cluster.recv_output(Duration::from_millis(100)) {
                 if pred(&r) {
                     return Some(r);
                 }
@@ -495,17 +508,25 @@ mod tests {
         None
     }
 
+    /// Asserts the hosts' group-0 replicas converged with nothing
+    /// tentative; returns replica 0's state.
+    fn converged<F: bayou_data::InvertibleDataType>(hosts: &[Host<F>]) -> F::State {
+        let s0 = hosts[0].group(G0).materialize();
+        for h in &hosts[1..] {
+            assert_eq!(h.group(G0).materialize(), s0, "replicas diverged");
+            assert!(h.group(G0).tentative_ids().is_empty());
+        }
+        s0
+    }
+
     #[test]
     fn weak_and_strong_ops_complete_live() {
-        let cluster = bayou_cluster::<KvStore>(3);
-        cluster.invoke(ReplicaId::new(0), Invocation::weak(KvOp::put("k", 7)));
+        let cluster = bayou_cluster::<KvStore>(LiveConfig::new(3));
+        cluster.invoke(ReplicaId::new(0), weak(KvOp::put("k", 7)));
         let weak = wait_for(&cluster, |r| r.meta.level == Level::Weak).expect("weak response");
         assert_eq!(weak.value, Value::None); // no previous binding
         std::thread::sleep(Duration::from_millis(100));
-        cluster.invoke(
-            ReplicaId::new(1),
-            Invocation::strong(KvOp::put_if_absent("k", 9)),
-        );
+        cluster.invoke(ReplicaId::new(1), strong(KvOp::put_if_absent("k", 9)));
         let strong =
             wait_for(&cluster, |r| r.meta.level == Level::Strong).expect("strong response");
         assert_eq!(strong.value, Value::Bool(false), "weak put won the race");
@@ -514,40 +535,38 @@ mod tests {
 
     #[test]
     fn replicas_converge_after_shutdown() {
-        let cluster = bayou_cluster::<KvStore>(3);
+        let cluster = bayou_cluster::<KvStore>(LiveConfig::new(3));
         for k in 0..5 {
             let r = ReplicaId::new(k % 3);
-            cluster.invoke(r, Invocation::weak(KvOp::put(format!("k{k}"), k as i64)));
+            cluster.invoke(r, weak(KvOp::put(format!("k{k}"), k as i64)));
         }
         // wait for all five weak responses, then let TOB settle
         for _ in 0..5 {
             assert!(cluster.recv_output(Duration::from_secs(5)).is_some());
         }
         std::thread::sleep(Duration::from_millis(600));
-        let replicas = cluster.shutdown();
-        assert_eq!(replicas.len(), 3);
-        let s0 = replicas[0].materialize();
-        assert_eq!(s0.len(), 5);
-        for r in &replicas[1..] {
-            assert_eq!(r.materialize(), s0, "replicas diverged");
-            assert!(r.tentative_ids().is_empty());
-        }
-        assert_eq!(replicas[0].committed_ids(), replicas[1].committed_ids());
+        let hosts = cluster.shutdown();
+        assert_eq!(hosts.len(), 3);
+        assert_eq!(converged(&hosts).len(), 5);
+        assert_eq!(
+            hosts[0].group(G0).committed_ids(),
+            hosts[1].group(G0).committed_ids()
+        );
     }
 
     #[test]
     fn strong_ops_block_under_partition_and_resume_after_heal() {
-        let cluster = bayou_cluster::<KvStore>(3);
+        let cluster = bayou_cluster::<KvStore>(LiveConfig::new(3));
         // full partition: every replica alone
         cluster.control().partition(vec![
             vec![ReplicaId::new(0)],
             vec![ReplicaId::new(1)],
             vec![ReplicaId::new(2)],
         ]);
-        cluster.invoke(ReplicaId::new(0), Invocation::weak(KvOp::put("w", 1)));
+        cluster.invoke(ReplicaId::new(0), weak(KvOp::put("w", 1)));
         let weak = cluster.recv_output(Duration::from_secs(5));
         assert!(weak.is_some(), "weak op available under partition");
-        cluster.invoke(ReplicaId::new(1), Invocation::strong(KvOp::get("w")));
+        cluster.invoke(ReplicaId::new(1), strong(KvOp::get("w")));
         let strong = cluster.recv_output(Duration::from_millis(400));
         assert!(strong.is_none(), "strong op must block without quorum");
         cluster.control().heal();
@@ -560,7 +579,6 @@ mod tests {
     fn crashed_replica_restarts_from_file_storage_and_converges() {
         use bayou_broadcast::PaxosConfig;
         use bayou_core::recover_paxos_replica;
-        use bayou_data::DeltaState;
         use bayou_storage::{FileStorage, StoreConfig};
 
         let n = 3;
@@ -594,7 +612,7 @@ mod tests {
         for k in 0..6 {
             cluster.invoke(
                 ReplicaId::new(k % 3),
-                Invocation::weak(KvOp::put(format!("a{k}"), k as i64)),
+                weak(KvOp::put(format!("a{k}"), k as i64)),
             );
         }
         for _ in 0..6 {
@@ -610,7 +628,7 @@ mod tests {
         for k in 6..12 {
             cluster.invoke(
                 ReplicaId::new((k % 2) * 2), // replicas 0 and 2 only
-                Invocation::weak(KvOp::put(format!("b{k}"), k as i64)),
+                weak(KvOp::put(format!("b{k}"), k as i64)),
             );
         }
         for _ in 6..12 {
@@ -623,27 +641,20 @@ mod tests {
         // phase 3: restart replica 1 from its on-disk state
         cluster.restart(ReplicaId::new(1));
         std::thread::sleep(Duration::from_millis(200));
-        cluster.invoke(
-            ReplicaId::new(1),
-            Invocation::weak(KvOp::put("post-restart", 99)),
-        );
+        cluster.invoke(ReplicaId::new(1), weak(KvOp::put("post-restart", 99)));
         assert!(
             cluster.recv_output(Duration::from_secs(5)).is_some(),
             "restarted replica serves again"
         );
         std::thread::sleep(Duration::from_millis(800));
 
-        let replicas = cluster.shutdown();
-        assert_eq!(replicas.len(), 3);
-        let s0 = replicas[0].materialize();
+        let hosts = cluster.shutdown();
+        assert_eq!(hosts.len(), 3);
+        let s0 = converged(&hosts);
         assert_eq!(s0.len(), 13, "all 13 writes committed: {s0:?}");
-        for r in &replicas[1..] {
-            assert_eq!(r.materialize(), s0, "replicas diverged after recovery");
-            assert!(r.tentative_ids().is_empty());
-        }
         assert_eq!(
-            replicas[0].committed_ids(),
-            replicas[1].committed_ids(),
+            hosts[0].group(G0).committed_ids(),
+            hosts[1].group(G0).committed_ids(),
             "restarted replica holds the identical committed order"
         );
         let _ = std::fs::remove_dir_all(&root);
@@ -654,26 +665,21 @@ mod tests {
         // regression: a replica blocked publishing into a full (bounded)
         // output channel must still be able to reach its Stop event —
         // shutdown drains the channel while waiting
-        let cluster: LiveBayou<Counter> =
-            LiveCluster::new(LiveConfig::new(2).with_channel_capacity(8), |_, n| {
-                BayouReplica::new(n, ProtocolMode::Improved, PaxosTob::with_defaults(n))
-            });
+        let cluster = bayou_cluster::<Counter>(LiveConfig::new(2).with_channel_capacity(8));
         for _ in 0..12 {
-            cluster.invoke(ReplicaId::new(0), Invocation::weak(CounterOp::Add(1)));
+            cluster.invoke(ReplicaId::new(0), weak(CounterOp::Add(1)));
         }
         // give the replica time to wedge against the full output channel
         std::thread::sleep(Duration::from_millis(300));
-        let replicas = cluster.shutdown();
-        assert_eq!(replicas.len(), 2, "shutdown returned all replicas");
+        let hosts = cluster.shutdown();
+        assert_eq!(hosts.len(), 2, "shutdown returned all replicas");
     }
 
     #[test]
     fn counter_sessions_accumulate() {
-        let cluster: LiveBayou<Counter> = LiveCluster::new(LiveConfig::new(2), |_, n| {
-            BayouReplica::new(n, ProtocolMode::Improved, PaxosTob::with_defaults(n))
-        });
+        let cluster = bayou_cluster::<Counter>(LiveConfig::new(2));
         for _ in 0..10 {
-            cluster.invoke(ReplicaId::new(0), Invocation::weak(CounterOp::Add(1)));
+            cluster.invoke(ReplicaId::new(0), weak(CounterOp::Add(1)));
         }
         let mut got = 0;
         while got < 10 {
@@ -684,9 +690,7 @@ mod tests {
             got += 1;
         }
         std::thread::sleep(Duration::from_millis(400));
-        let replicas = cluster.shutdown();
-        assert_eq!(replicas[0].materialize(), 10);
-        assert_eq!(replicas[1].materialize(), 10);
+        assert_eq!(converged(&cluster.shutdown()), 10);
     }
 }
 

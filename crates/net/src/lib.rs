@@ -27,24 +27,28 @@
 //! # Examples
 //!
 //! ```
-//! use bayou_core::{BayouReplica, Invocation, ProtocolMode};
+//! use bayou_core::{BayouReplica, GroupedReplica, Invocation, ProtocolMode};
 //! use bayou_broadcast::PaxosTob;
 //! use bayou_data::{Counter, CounterOp};
 //! use bayou_net::{LiveCluster, LiveConfig};
-//! use bayou_types::{ReplicaId};
+//! use bayou_types::{GroupId, ReplicaId};
 //! use std::time::Duration;
 //!
+//! // the Bayou process: a host of one replication group
 //! let cfg = LiveConfig::new(3);
 //! let mut cluster = LiveCluster::new(cfg, |_, n| {
-//!     BayouReplica::<Counter, _>::new(n, ProtocolMode::Improved, PaxosTob::with_defaults(n))
+//!     let group =
+//!         BayouReplica::<Counter, _>::new(n, ProtocolMode::Improved, PaxosTob::with_defaults(n));
+//!     GroupedReplica::new(vec![group])
 //! });
-//! cluster.invoke(ReplicaId::new(0), Invocation::weak(CounterOp::Add(5)));
-//! let (_, resp) = cluster
+//! let g0 = GroupId::new(0);
+//! cluster.invoke(ReplicaId::new(0), (g0, Invocation::weak(CounterOp::Add(5))));
+//! let (_, (_, resp)) = cluster
 //!     .recv_output(Duration::from_secs(5))
 //!     .expect("weak op responds");
 //! assert_eq!(resp.value, bayou_types::Value::Unit);
-//! let replicas = cluster.shutdown();
-//! assert_eq!(replicas.len(), 3);
+//! let hosts = cluster.shutdown();
+//! assert_eq!(hosts.len(), 3);
 //! ```
 
 #![forbid(unsafe_code)]

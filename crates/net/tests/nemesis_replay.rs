@@ -10,15 +10,17 @@
 //! translation.
 
 use bayou_broadcast::{PaxosConfig, PaxosTob};
-use bayou_core::{recover_paxos_replica, BayouReplica, Invocation, ProtocolMode};
+use bayou_core::{recover_paxos_replica, GroupedReplica, Invocation, ProtocolMode};
 use bayou_data::{DeltaState, KvOp, KvStore};
 use bayou_net::{LiveCluster, LiveConfig, PartitionControl};
 use bayou_sim::{Fault, Nemesis};
 use bayou_storage::{FileStorage, StoreConfig};
-use bayou_types::{ReplicaId, VirtualTime};
+use bayou_types::{GroupId, ReplicaId, VirtualTime};
 use std::time::{Duration, Instant};
 
-type LiveBayou = LiveCluster<BayouReplica<KvStore, PaxosTob<bayou_types::SharedReq<KvOp>>>>;
+type LiveBayou = LiveCluster<
+    GroupedReplica<KvStore, PaxosTob<bayou_types::SharedReq<KvOp>>, DeltaState<KvStore>>,
+>;
 
 /// Walks a nemesis schedule in wall-clock time, applying each supported
 /// fault through the live control surface (outages become
@@ -163,20 +165,20 @@ fn simulated_schedule_replays_against_the_live_cluster() {
     );
 
     // workload on replica 0 (never faulted) ahead of the schedule
-    for k in 0..6u32 {
-        cluster.invoke(
-            ReplicaId::new(0),
+    let put = |k: u32| {
+        (
+            GroupId::new(0),
             Invocation::weak(KvOp::put(format!("k{k}"), k as i64)),
-        );
+        )
+    };
+    for k in 0..6u32 {
+        cluster.invoke(ReplicaId::new(0), put(k));
         std::thread::sleep(Duration::from_millis(40));
     }
     let applied = replay(&cluster, cluster.control(), &nem);
     assert_eq!(applied, 4, "two outage edges + two partition edges");
     for k in 6..10u32 {
-        cluster.invoke(
-            ReplicaId::new(0),
-            Invocation::weak(KvOp::put(format!("k{k}"), k as i64)),
-        );
+        cluster.invoke(ReplicaId::new(0), put(k));
     }
     // drain the weak responses, then let the TOB settle post-heal
     for _ in 0..10 {
@@ -187,8 +189,9 @@ fn simulated_schedule_replays_against_the_live_cluster() {
     }
     std::thread::sleep(Duration::from_millis(900));
 
-    let replicas = cluster.shutdown();
-    assert_eq!(replicas.len(), n);
+    let hosts = cluster.shutdown();
+    assert_eq!(hosts.len(), n);
+    let replicas: Vec<_> = hosts.iter().map(|h| h.group(GroupId::new(0))).collect();
     let s0 = replicas[0].materialize();
     assert_eq!(s0.len(), 10, "all writes committed: {s0:?}");
     for r in &replicas[1..] {

@@ -1,8 +1,9 @@
 //! Wake-latency regression: how long a request sits between the threads
 //! of an in-memory 3-replica cluster, with nothing else to wait for.
 //!
-//! A weak operation is one wake-up of its home replica and one of the
-//! caller; a strong one adds a broadcast round (a wake-up per hop — the
+//! The replicas are the one-group `GroupedReplica` hosts the server
+//! runs. A weak operation is one wake-up of its home replica and one of
+//! the caller; a strong one adds a broadcast round (a wake-up per hop — the
 //! steps a strong op waits on flush at their end instead of parking
 //! behind the flush-deferral timer). Sequential round trips leave every
 //! thread parked between requests, so the medians are what a wake-up
@@ -14,13 +15,14 @@
 //! `cargo test --release -p bayou-net --test wake_latency -- --ignored`.
 
 use bayou_broadcast::PaxosTob;
-use bayou_core::{BayouReplica, Invocation, ProtocolMode};
-use bayou_data::{KvOp, KvStore};
+use bayou_core::{BayouReplica, GroupedReplica, Invocation, ProtocolMode};
+use bayou_data::{DeltaState, KvOp, KvStore};
 use bayou_net::{LiveCluster, LiveConfig};
-use bayou_types::{Level, ReplicaId, SharedReq};
+use bayou_types::{GroupId, Level, ReplicaId, SharedReq};
 use std::time::{Duration, Instant};
 
-type LiveBayou = LiveCluster<BayouReplica<KvStore, PaxosTob<SharedReq<KvOp>>>>;
+type LiveBayou =
+    LiveCluster<GroupedReplica<KvStore, PaxosTob<SharedReq<KvOp>>, DeltaState<KvStore>>>;
 
 /// Median latency of `count` sequential `invoke` → `recv_output` round
 /// trips at `level`, homed round-robin.
@@ -29,8 +31,9 @@ fn median_round_trip(cluster: &LiveBayou, level: Level, count: usize) -> Duratio
         .map(|i| {
             let op = KvOp::put(format!("k{}", i % 16), i as i64);
             let sent = Instant::now();
-            cluster.invoke(ReplicaId::new(i as u32 % 3), Invocation::new(op, level));
-            let (_, response) = cluster
+            let inv = Invocation::new(op, level);
+            cluster.invoke(ReplicaId::new(i as u32 % 3), (GroupId::new(0), inv));
+            let (_, (_, response)) = cluster
                 .recv_output(Duration::from_secs(10))
                 .expect("the operation is answered");
             assert_eq!(response.meta.level, level);
@@ -45,7 +48,8 @@ fn median_round_trip(cluster: &LiveBayou, level: Level, count: usize) -> Duratio
 #[ignore = "timing-sensitive: run in release on a quiet host"]
 fn sequential_round_trips_wake_promptly() {
     let cluster: LiveBayou = LiveCluster::new(LiveConfig::new(3), |_, n| {
-        BayouReplica::new(n, ProtocolMode::Improved, PaxosTob::with_defaults(n))
+        let group = BayouReplica::new(n, ProtocolMode::Improved, PaxosTob::with_defaults(n));
+        GroupedReplica::new(vec![group])
     });
     // leader election and lazy set-up are not what is timed
     median_round_trip(&cluster, Level::Strong, 5);

@@ -12,17 +12,29 @@ use bayou_server::protocol::{
 use bayou_server::Request;
 use bayou_types::{Level, Value, WireView};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Per thread, so a test
+    /// counts only its own work — never the harness's other threads or
+    /// a test running in parallel. `const`-initialised and `Drop`-free,
+    /// so touching it never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation on the current thread (none while the thread's
+/// locals are being torn down).
+fn count() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: delegates directly to the system allocator; the counter is a
-// relaxed atomic with no further invariants.
+// thread-local cell with no further invariants.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
@@ -31,7 +43,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -39,43 +51,21 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Allocations the calling thread has made so far.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
-/// Runs a measurement window up to 5 times and returns the minimum
-/// allocation count observed. The counter is process-wide, so the
-/// libtest harness's own threads occasionally contribute a couple of
-/// stray allocations; a genuine per-frame cost would show up in *every*
-/// window (as ≥ one allocation per frame), while ambient noise does
-/// not, so requiring one strictly-clean window keeps the gate exact
-/// without flaking.
-fn min_allocations_over_windows(mut window: impl FnMut()) -> u64 {
-    let mut best = u64::MAX;
-    for _ in 0..5 {
-        let before = allocations();
-        window();
-        best = best.min(allocations() - before);
-        if best == 0 {
-            break;
-        }
-    }
-    best
-}
-
-/// Both directions in one test: the process-wide allocation counter
-/// cannot distinguish threads, so the two measurement windows must run
-/// sequentially, never as parallel `#[test]`s.
-#[test]
-fn codec_allocates_zero_per_frame_at_steady_state() {
-    request_decode_path();
-    response_encode_path();
-    borrowed_response_encode_path();
-    borrowed_retry_encode_path();
+/// Allocations the calling thread makes while `window` runs.
+fn allocations_in(window: impl FnOnce()) -> u64 {
+    let before = allocations();
+    window();
+    allocations() - before
 }
 
 /// The server's receive path: reusable encode buffer on the client side,
 /// reusable frame buffer on the server side, borrowed request view.
+#[test]
 fn request_decode_path() {
     let request = Request::Op {
         tag: 7,
@@ -96,8 +86,7 @@ fn request_decode_path() {
 
     const FRAMES: u64 = 1_000;
     let mut decoded_total = 0i64;
-    let spent = min_allocations_over_windows(|| {
-        decoded_total = 0;
+    let spent = allocations_in(|| {
         for i in 0..FRAMES {
             enc.clear();
             encode_frame(&mut enc, &request);
@@ -127,6 +116,7 @@ fn request_decode_path() {
 
 /// The server's transmit path: framing a non-`Str` response into the
 /// connection's reusable write buffer allocates nothing per frame.
+#[test]
 fn response_encode_path() {
     let msg = ResponseMsg {
         tag: 3,
@@ -139,7 +129,7 @@ fn response_encode_path() {
     }
 
     const FRAMES: u64 = 1_000;
-    let spent = min_allocations_over_windows(|| {
+    let spent = allocations_in(|| {
         for _ in 0..FRAMES {
             buf.clear();
             encode_frame(&mut buf, &msg);
@@ -156,6 +146,7 @@ fn response_encode_path() {
 /// frame by building a `Reply::Ok` around it — encodes into the
 /// connection's reusable write buffer with zero allocations per frame,
 /// and the bytes are identical to the owned encode.
+#[test]
 fn borrowed_response_encode_path() {
     let values = [Value::Int(42), Value::Str("a steady-state reply".into())];
 
@@ -181,7 +172,7 @@ fn borrowed_response_encode_path() {
     }
 
     const FRAMES: u64 = 1_000;
-    let spent = min_allocations_over_windows(|| {
+    let spent = allocations_in(|| {
         for i in 0..FRAMES {
             let value = &values[(i % 2) as usize];
             buf.clear();
@@ -199,6 +190,7 @@ fn borrowed_response_encode_path() {
 /// `Retry` cursor frames straight into the connection's reusable write
 /// buffer — a lagging follower sheds guarded reads without allocating,
 /// so retry storms cannot create memory pressure.
+#[test]
 fn borrowed_retry_encode_path() {
     // byte-identity against the owned path, checked outside the window
     let mut owned = Vec::new();
@@ -217,7 +209,7 @@ fn borrowed_retry_encode_path() {
     assert_eq!(buf, owned, "borrowed retry encode diverged from owned");
 
     const FRAMES: u64 = 1_000;
-    let spent = min_allocations_over_windows(|| {
+    let spent = allocations_in(|| {
         for i in 0..FRAMES {
             buf.clear();
             encode_retry_response(&mut buf, i, i, i * 3);

@@ -16,8 +16,7 @@
 //! reads check the guarantee half.
 
 use bayou_core::{
-    BayouCluster, ClusterConfig, GroupedCluster, Invocation, ProtocolMode, Served, SessionGuard,
-    SessionScript,
+    BayouCluster, ClusterConfig, Invocation, ProtocolMode, Served, SessionGuard, SessionScript,
 };
 use bayou_data::{
     AddRemoveSet, AppendList, Bank, Calendar, Counter, InvertibleDataType, KvOp, KvStore, RandomOp,
@@ -192,27 +191,17 @@ session_guarantee_props! {
 #[test]
 fn grouped_follower_reads_honor_per_group_floors() {
     let sim = SimConfig::new(3, 71).with_max_time(VirtualTime::from_secs(30));
-    let mut cluster: GroupedCluster<KvStore> = GroupedCluster::new(sim, 2, ProtocolMode::Improved);
+    let mut cluster: BayouCluster<KvStore> = BayouCluster::grouped(sim, 2, ProtocolMode::Improved);
     let g = |i: u32| GroupId::new(i);
 
     // Session writes from replica 0: four to group 0, three to group 1.
     for i in 0..4i64 {
-        cluster.invoke_at(
-            ms(1 + 2 * i as u64),
-            r(0),
-            g(0),
-            KvOp::put("a", i),
-            Level::Weak,
-        );
+        let put = Invocation::new(KvOp::put("a", i), Level::Weak);
+        cluster.schedule_in(ms(1 + 2 * i as u64), r(0), g(0), put);
     }
     for i in 0..3i64 {
-        cluster.invoke_at(
-            ms(2 + 2 * i as u64),
-            r(0),
-            g(1),
-            KvOp::put("b", 10 + i),
-            Level::Weak,
-        );
+        let put = Invocation::new(KvOp::put("b", 10 + i), Level::Weak);
+        cluster.schedule_in(ms(2 + 2 * i as u64), r(0), g(1), put);
     }
 
     let guard = |min_seq: u64| SessionGuard {
@@ -226,13 +215,13 @@ fn grouped_follower_reads_honor_per_group_floors() {
             .with_tag(tag)
     };
     // Too early for group 0's four writes: typed refusal.
-    cluster.schedule_at(ms(3), r(1), g(0), read("a", 4, 100));
+    cluster.schedule_in(ms(3), r(1), g(0), read("a", 4, 100));
     // After quiescence both groups' floors are met at their own counts…
-    cluster.schedule_at(ms(700), r(1), g(0), read("a", 4, 101));
-    cluster.schedule_at(ms(700), r(1), g(1), read("b", 3, 102));
+    cluster.schedule_in(ms(700), r(1), g(0), read("a", 4, 101));
+    cluster.schedule_in(ms(700), r(1), g(1), read("b", 3, 102));
     // …but a floor counting *all seven* writes is unreachable in group 1:
     // dots are numbered per group, so the guard cursor is group-local.
-    cluster.schedule_at(ms(900), r(1), g(1), read("b", 7, 103));
+    cluster.schedule_in(ms(900), r(1), g(1), read("b", 7, 103));
 
     cluster.run_until(VirtualTime::from_secs(20));
 
@@ -266,7 +255,5 @@ fn grouped_follower_reads_honor_per_group_floors() {
         other => panic!("unreachable floor served as {other:?}"),
     }
 
-    for gid in [g(0), g(1)] {
-        cluster.assert_group_convergence(gid, &[]);
-    }
+    cluster.assert_convergence(&[]);
 }

@@ -1,6 +1,8 @@
-//! The same Bayou replica code, on a real threaded runtime: one OS
-//! thread per replica, channel links, wall-clock timers, and a partition
-//! injected mid-run.
+//! The same Bayou process the server runs, on a real threaded runtime:
+//! one OS thread per replica, channel links, wall-clock timers, and a
+//! partition injected mid-run. Each replica is a one-group
+//! `GroupedReplica` host, so invocations and responses carry the group
+//! they belong to.
 //!
 //! Run with: `cargo run --example live_cluster`
 
@@ -11,15 +13,18 @@ use std::time::Duration;
 fn main() {
     println!("=== live (threaded) Bayou cluster ===\n");
     let n = 3;
+    let g0 = GroupId::new(0);
     let cluster = LiveCluster::new(LiveConfig::new(n), |_, n| {
-        BayouReplica::<KvStore, _>::new(n, ProtocolMode::Improved, PaxosTob::with_defaults(n))
+        let group =
+            BayouReplica::<KvStore, _>::new(n, ProtocolMode::Improved, PaxosTob::with_defaults(n));
+        GroupedReplica::new(vec![group])
     });
 
     // normal operation
-    cluster.invoke(ReplicaId::new(0), Invocation::weak(KvOp::put("a", 1)));
-    cluster.invoke(ReplicaId::new(1), Invocation::weak(KvOp::put("b", 2)));
+    cluster.invoke(ReplicaId::new(0), (g0, Invocation::weak(KvOp::put("a", 1))));
+    cluster.invoke(ReplicaId::new(1), (g0, Invocation::weak(KvOp::put("b", 2))));
     for _ in 0..2 {
-        let (r, resp) = cluster
+        let (r, (_, resp)) = cluster
             .recv_output(Duration::from_secs(5))
             .expect("weak ops respond");
         println!("  {r}: {:?} -> {} (tentative)", resp.meta.dot, resp.value);
@@ -31,8 +36,8 @@ fn main() {
         vec![ReplicaId::new(0), ReplicaId::new(1)],
         vec![ReplicaId::new(2)],
     ]);
-    cluster.invoke(ReplicaId::new(2), Invocation::weak(KvOp::put("c", 3)));
-    let (r, resp) = cluster
+    cluster.invoke(ReplicaId::new(2), (g0, Invocation::weak(KvOp::put("c", 3))));
+    let (r, (_, resp)) = cluster
         .recv_output(Duration::from_secs(5))
         .expect("weak op on the isolated replica still responds");
     println!(
@@ -40,27 +45,28 @@ fn main() {
         resp.value
     );
 
-    cluster.invoke(ReplicaId::new(2), Invocation::strong(KvOp::get("c")));
+    cluster.invoke(ReplicaId::new(2), (g0, Invocation::strong(KvOp::get("c"))));
     match cluster.recv_output(Duration::from_millis(300)) {
         None => println!("  R2: strong get during partition -> still pending (needs quorum)"),
-        Some((r, resp)) => println!("  {r}: unexpected early response {}", resp.value),
+        Some((r, (_, resp))) => println!("  {r}: unexpected early response {}", resp.value),
     }
 
     println!("\nhealing partition");
     cluster.control().heal();
-    let (r, resp) = cluster
+    let (r, (_, resp)) = cluster
         .recv_output(Duration::from_secs(10))
         .expect("strong op completes after heal");
     println!("  {r}: strong get -> {} (final)", resp.value);
 
     // give TOB a moment to stabilise everything, then inspect final states
     std::thread::sleep(Duration::from_millis(500));
-    let replicas = cluster.shutdown();
+    let hosts = cluster.shutdown();
     println!("\nfinal states:");
-    let first = replicas[0].materialize();
-    for (i, rep) in replicas.iter().enumerate() {
-        println!("  R{i}: {:?}", rep.materialize());
-        assert_eq!(rep.materialize(), first, "replicas must converge");
+    let first = hosts[0].group(g0).materialize();
+    for (i, host) in hosts.iter().enumerate() {
+        let state = host.group(g0).materialize();
+        println!("  R{i}: {state:?}");
+        assert_eq!(state, first, "replicas must converge");
     }
     println!("\nall replicas converged ✓");
 }

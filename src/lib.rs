@@ -10,7 +10,7 @@
 //! | [`data`] | replicated data types + undo-capable state objects (Alg. 3) |
 //! | [`sim`] | deterministic discrete-event simulator (network, partitions, clocks, CPUs, Ω) |
 //! | [`broadcast`] | links, reliable broadcast, FIFO release, Paxos & sequencer TOB |
-//! | [`core`] | the Bayou replica (Alg. 1 & Alg. 2), cluster harness, comparators |
+//! | [`core`] | the Bayou replica (Alg. 1 & Alg. 2), the process hosting it, cluster harness, comparators |
 //! | [`storage`] | durable replicas: segmented WAL, snapshots, manifest, crash recovery |
 //! | [`spec`] | the formal framework: histories, BEC/FEC/Seq checkers, Theorem 1 solver |
 //! | [`net`] | live threaded runtime |
@@ -68,8 +68,8 @@ pub use bayou_types as types;
 pub mod prelude {
     pub use bayou_broadcast::{PaxosTob, SequencerTob, Tob};
     pub use bayou_core::{
-        recover_paxos_replica, BayouCluster, BayouReplica, ClusterConfig, Invocation, NullTob,
-        ProtocolMode, Response, RunTrace, SessionScript,
+        recover_paxos_replica, BayouCluster, BayouReplica, ClusterConfig, GroupedReplica,
+        Invocation, NullTob, ProtocolMode, Response, RunTrace, SessionScript,
     };
     pub use bayou_data::{
         AddRemoveSet, AppendList, Bank, BankOp, Calendar, CalendarOp, Counter, CounterOp, DataType,
@@ -88,6 +88,7 @@ pub mod prelude {
         FileStorage, MemDisk, NullStorage, Persistence, ReplicaStore, Storage, StoreConfig,
     };
     pub use bayou_types::{
-        BayouError, Dot, Level, ReplicaId, Req, ReqId, SharedReq, Timestamp, Value, VirtualTime,
+        BayouError, Dot, GroupId, Level, ReplicaId, Req, ReqId, SharedReq, Timestamp, Value,
+        VirtualTime,
     };
 }

@@ -1,4 +1,5 @@
-//! Cross-runtime test: the identical `BayouReplica` code produces
+//! Cross-runtime test: the identical Bayou process — a one-group
+//! `GroupedReplica` host, the process the server runs — produces
 //! equivalent outcomes on the deterministic simulator and on the live
 //! threaded runtime.
 
@@ -32,11 +33,14 @@ fn sim_and_live_agree_on_final_state() {
     let sim_state = sim_cluster.replica(ReplicaId::new(0)).materialize();
 
     // --- live runtime ----------------------------------------------------
+    let g0 = GroupId::new(0);
     let live = LiveCluster::new(LiveConfig::new(3), |_, n| {
-        BayouReplica::<KvStore, _>::new(n, ProtocolMode::Improved, PaxosTob::with_defaults(n))
+        let group =
+            BayouReplica::<KvStore, _>::new(n, ProtocolMode::Improved, PaxosTob::with_defaults(n));
+        GroupedReplica::new(vec![group])
     });
     for (r, op) in &ops {
-        live.invoke(ReplicaId::new(*r), Invocation::weak(op.clone()));
+        live.invoke(ReplicaId::new(*r), (g0, Invocation::weak(op.clone())));
         // sequential submission, mirroring the simulated spacing
         assert!(
             live.recv_output(Duration::from_secs(10)).is_some(),
@@ -45,10 +49,11 @@ fn sim_and_live_agree_on_final_state() {
         std::thread::sleep(Duration::from_millis(30));
     }
     std::thread::sleep(Duration::from_millis(800)); // let TOB settle
-    let replicas = live.shutdown();
+    let hosts = live.shutdown();
 
-    let live_state = replicas[0].materialize();
-    for rep in &replicas {
+    let live_state = hosts[0].group(g0).materialize();
+    for host in &hosts {
+        let rep = host.group(g0);
         assert_eq!(rep.materialize(), live_state, "live replicas diverged");
         assert!(rep.tentative_ids().is_empty());
     }
@@ -60,16 +65,19 @@ fn sim_and_live_agree_on_final_state() {
 
 #[test]
 fn live_strong_op_is_sequentially_consistent_with_weak_history() {
+    let g0 = GroupId::new(0);
     let live = LiveCluster::new(LiveConfig::new(3), |_, n| {
-        BayouReplica::<Counter, _>::new(n, ProtocolMode::Improved, PaxosTob::with_defaults(n))
+        let group =
+            BayouReplica::<Counter, _>::new(n, ProtocolMode::Improved, PaxosTob::with_defaults(n));
+        GroupedReplica::new(vec![group])
     });
     for _ in 0..5 {
-        live.invoke(ReplicaId::new(0), Invocation::weak(CounterOp::Add(2)));
+        live.invoke(ReplicaId::new(0), (g0, Invocation::weak(CounterOp::Add(2))));
         assert!(live.recv_output(Duration::from_secs(5)).is_some());
     }
     std::thread::sleep(Duration::from_millis(500)); // let the adds commit
-    live.invoke(ReplicaId::new(1), Invocation::strong(CounterOp::Read));
-    let (_, resp) = live
+    live.invoke(ReplicaId::new(1), (g0, Invocation::strong(CounterOp::Read)));
+    let (_, (_, resp)) = live
         .recv_output(Duration::from_secs(10))
         .expect("strong read completes");
     assert_eq!(
