@@ -137,7 +137,7 @@ pub fn theorem1() -> Theorem1Result {
                 invoked_at: invoked,
                 returned_at: Some(out.time),
                 value: Some(out.output.value.clone()),
-                exec_trace: Some(out.output.exec_trace.clone()),
+                exec_trace: Some(out.output.exec_trace.ids().to_vec()),
                 tob_cast: out.output.meta.level == Level::Strong,
                 served: Some(out.output.served),
             }

@@ -1734,8 +1734,8 @@ impl<M: Clone + fmt::Debug> Tob<M> for PaxosTob<M> {
         self.comp.floor.delivered
     }
 
-    fn baseline_mark(&self) -> Option<BaselineMark> {
-        Some(self.comp.floor.clone())
+    fn baseline_mark(&self) -> Option<&BaselineMark> {
+        Some(&self.comp.floor)
     }
 
     fn install_baseline(&mut self, mark: &BaselineMark) {

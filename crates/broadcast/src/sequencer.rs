@@ -419,8 +419,8 @@ impl<M: Clone + fmt::Debug> Tob<M> for SequencerTob<M> {
         self.comp.floor.delivered
     }
 
-    fn baseline_mark(&self) -> Option<BaselineMark> {
-        Some(self.comp.floor.clone())
+    fn baseline_mark(&self) -> Option<&BaselineMark> {
+        Some(&self.comp.floor)
     }
 
     fn install_baseline(&mut self, mark: &BaselineMark) {

@@ -165,8 +165,9 @@ pub trait Tob<M: Clone + fmt::Debug> {
     }
 
     /// The current compaction floor as an installable mark, or `None`
-    /// when the implementation does not compact.
-    fn baseline_mark(&self) -> Option<BaselineMark> {
+    /// when the implementation does not compact. Borrowed: the owner
+    /// asks on every step and copies it only when the floor moved.
+    fn baseline_mark(&self) -> Option<&BaselineMark> {
         None
     }
 

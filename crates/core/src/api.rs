@@ -111,17 +111,89 @@ impl Served {
     }
 }
 
+/// The paper's `exec(e)` in the form a replica can afford to attach to
+/// every response: the identifiers of the requests executed (and not
+/// rolled back) on the replica's state object when the response was
+/// computed, starting where that state object was created.
+///
+/// Copying the whole trace would cost O(lifetime) per response. But its
+/// leading `stable` entries are committed and executed — nothing ever
+/// rolls them back — so they stay in the state object's own trace for as
+/// long as that object lives, and only the `tail` after them (the
+/// speculation window) is copied. [`ExecTrace::resolve`] turns the pair
+/// back into the full id list; it must read the trace of the state
+/// object that produced the response, which a restart or a baseline
+/// install replaces (the simulator harness resolves each response as it
+/// takes it from the step that produced it).
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct ExecTrace {
+    /// Length of the stable prefix, read by reference from the producing
+    /// state object's trace. 0 once resolved.
+    stable: usize,
+    /// The ids after the stable prefix, in execution order (the whole
+    /// trace once resolved).
+    tail: Vec<ReqId>,
+}
+
+impl ExecTrace {
+    /// A trace whose first `stable` ids are still to be read from the
+    /// producing state object's trace.
+    pub(crate) fn new(stable: usize, tail: Vec<ReqId>) -> Self {
+        ExecTrace { stable, tail }
+    }
+
+    /// A self-contained trace: every id carried in the tail.
+    pub fn full(ids: Vec<ReqId>) -> Self {
+        ExecTrace::new(0, ids)
+    }
+
+    /// Copies the stable prefix in from `origin`, the trace of the state
+    /// object that produced this one, leaving a self-contained trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `origin` is shorter than the stable prefix: it is not
+    /// the state object the response came from.
+    pub fn resolve(&mut self, origin: &[ReqId]) {
+        if self.stable == 0 {
+            return;
+        }
+        assert!(
+            self.stable <= origin.len(),
+            "exec trace resolved against the wrong state object: stable={} > trace={}",
+            self.stable,
+            origin.len()
+        );
+        let mut ids = Vec::with_capacity(self.stable + self.tail.len());
+        ids.extend_from_slice(&origin[..self.stable]);
+        ids.append(&mut self.tail);
+        *self = ExecTrace::full(ids);
+    }
+
+    /// The ids of a self-contained trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stable prefix has not been resolved.
+    pub fn ids(&self) -> &[ReqId] {
+        assert_eq!(self.stable, 0, "exec trace not resolved");
+        &self.tail
+    }
+}
+
 /// A response returned to the client.
 ///
 /// Per the paper (§2.1 footnote 3), each invocation yields exactly one
 /// response: tentative for weak operations, stable for strong ones.
 ///
 /// `exec_trace` is the instrumentation the correctness witness needs: the
-/// identifiers of the requests that were executed (and not rolled back)
-/// on the replica's state object *at the moment this response was
-/// computed* — the paper's `exec(e)` from the proof of Theorem 2. It is
-/// genuinely observable information (it is how the response value came to
-/// be), not an oracle.
+/// requests that were executed (and not rolled back) on the replica's
+/// state object *at the moment this response was computed* — the paper's
+/// `exec(e)` from the proof of Theorem 2. It is genuinely observable
+/// information (it is how the response value came to be), not an oracle.
+/// It travels as an [`ExecTrace`] — stable prefix by length, speculative
+/// tail by value — so producing it costs O(speculation window); a lease-
+/// served read carries the committed order in the same form.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
     /// Metadata of the request being answered.
@@ -130,7 +202,7 @@ pub struct Response {
     pub value: Value,
     /// The state-object trace used to compute `value`, excluding the
     /// request itself.
-    pub exec_trace: Vec<ReqId>,
+    pub exec_trace: ExecTrace,
     /// The client correlation tag of the [`Invocation`], echoed back.
     /// `None` for untagged invocations and for responses re-derived
     /// after a crash restart (tags are in-memory only).
@@ -244,6 +316,25 @@ mod tests {
         assert_eq!(Invocation::weak("x").level, Level::Weak);
         assert_eq!(Invocation::strong("x").level, Level::Strong);
         assert_eq!(Invocation::new("x", Level::Weak), Invocation::weak("x"));
+    }
+
+    #[test]
+    fn exec_trace_resolves_its_stable_prefix() {
+        let origin: Vec<ReqId> = (1..=5).map(|n| meta(n).id()).collect();
+        let mut t = ExecTrace::new(3, vec![meta(9).id()]);
+        t.resolve(&origin);
+        let expected = [origin[0], origin[1], origin[2], meta(9).id()];
+        assert_eq!(t.ids(), expected);
+        // resolved traces are self-contained: a second resolve is a no-op
+        t.resolve(&[]);
+        assert_eq!(t.ids(), expected);
+    }
+
+    #[test]
+    #[should_panic(expected = "wrong state object")]
+    fn exec_trace_refuses_a_shorter_origin() {
+        let mut t = ExecTrace::new(2, Vec::new());
+        t.resolve(&[meta(1).id()]);
     }
 
     #[test]

@@ -326,10 +326,40 @@ where
     /// Runs until the deadline (or quiescence/limits) and records;
     /// returns the trace of group 0.
     pub fn run_until(&mut self, deadline: VirtualTime) -> RunTrace<F::Op> {
-        let report = self.sim.run_until(deadline);
-        self.responses.extend(report.outputs);
-        self.quiescent = report.quiescent;
+        self.quiescent = loop {
+            match self.step_until(deadline) {
+                Some(true) => {}
+                Some(false) => break false,
+                None => break true,
+            }
+        };
         self.trace(GroupId::new(0))
+    }
+
+    /// Dispatches one simulator event due by `deadline` and records the
+    /// responses it produced ([`Sim::step_until`] gives the meaning of
+    /// the result). Lets a test look at the cluster between any two
+    /// steps.
+    pub fn step_until(&mut self, deadline: VirtualTime) -> Option<bool> {
+        let stepped = self.sim.step_until(deadline);
+        if stepped == Some(true) {
+            self.record_outputs();
+        }
+        stepped
+    }
+
+    /// Takes the responses of the step that just ran, resolving each
+    /// exec trace against the state object that produced it. That object
+    /// lives only as long as its incarnation (a restart rebuilds the
+    /// host, a baseline install the state object), so resolution cannot
+    /// wait for the end of the run.
+    fn record_outputs(&mut self) {
+        for mut out in self.sim.take_outputs() {
+            let (gid, response) = &mut out.output;
+            let origin = self.sim.process(out.replica).group(*gid);
+            response.exec_trace.resolve(origin.state_object().trace());
+            self.responses.push(out);
+        }
     }
 
     /// Whether the last run ended in quiescence (no pending events
@@ -338,7 +368,8 @@ where
         self.quiescent
     }
 
-    /// All responses recorded so far, with time, replica and group.
+    /// All responses recorded so far, with time, replica and group; every
+    /// exec trace is resolved ([`crate::ExecTrace::ids`]).
     pub fn responses(&self) -> &[OutputRecord<(GroupId, Response)>] {
         &self.responses
     }
@@ -364,23 +395,22 @@ where
             cursors.insert(s.replica, (s, 1));
         }
         loop {
-            let stepped = self.sim.step_one();
-            for out in self.sim.take_outputs() {
-                if let Some((script, next)) = cursors.get_mut(&out.replica) {
+            let seen = self.responses.len();
+            if self.step_until(VirtualTime::MAX) != Some(true) {
+                break;
+            }
+            for k in seen..self.responses.len() {
+                let (replica, time) = (self.responses[k].replica, self.responses[k].time);
+                if let Some((script, next)) = cursors.get_mut(&replica) {
                     if *next < script.steps.len() {
                         let inv = script.steps[*next].clone();
                         *next += 1;
-                        let at = out.time + script.think_time;
-                        self.schedule_at(at, out.replica, inv);
+                        self.schedule_at(time + script.think_time, replica, inv);
                     }
                 }
-                self.responses.push(out);
-            }
-            if !stepped {
-                break;
             }
         }
-        self.quiescent = true; // step_one drained everything reachable
+        self.quiescent = true; // the steps drained everything reachable
         self.trace(GroupId::new(0))
     }
 
@@ -520,7 +550,7 @@ where
             }
             ev.returned_at = Some(out_time);
             ev.value = Some(out.value.clone());
-            ev.exec_trace = Some(out.exec_trace.clone());
+            ev.exec_trace = Some(out.exec_trace.ids().to_vec());
             ev.served = Some(out.served);
         }
         by_id.clear();

@@ -75,7 +75,7 @@ mod nulltob;
 mod persist;
 mod replica;
 
-pub use api::{EventRecord, Invocation, Response, RunTrace, Served, SessionGuard};
+pub use api::{EventRecord, ExecTrace, Invocation, Response, RunTrace, Served, SessionGuard};
 pub use group::{GroupedMsg, GroupedReplica, DEFAULT_FLUSH_DELAY};
 pub use harness::{BayouCluster, ClusterConfig, SessionScript};
 pub use naive::{NaiveMixed, NaiveMsg};

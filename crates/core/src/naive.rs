@@ -2,7 +2,7 @@
 //! `BEC(weak, F)` together with `Seq(strong, F)` — which Theorem 1 proves
 //! impossible for arbitrary `F`.
 
-use crate::api::{Invocation, Response, Served};
+use crate::api::{ExecTrace, Invocation, Response, Served};
 use bayou_broadcast::{LinkMsg, MapCtx, PaxosTob, RbMsg, ReliableBroadcast, Tob};
 use bayou_data::DataType;
 use bayou_types::{
@@ -93,7 +93,7 @@ impl<F: DataType> NaiveMixed<F> {
         self.outputs.push(Response {
             meta: r.meta(),
             value,
-            exec_trace: trace,
+            exec_trace: ExecTrace::full(trace),
             tag: None,
             served,
         });

@@ -74,7 +74,7 @@
 //! pass its last durable report, so its missing suffix is always still
 //! replayable.
 
-use crate::api::{EventRecord, Invocation, Response, Served};
+use crate::api::{EventRecord, ExecTrace, Invocation, Response, Served};
 use bayou_broadcast::{BaselineMark, LinkMsg, MapCtx, RbMsg, ReliableBroadcast, Tob, TobDelivery};
 use bayou_data::{DataType, DeltaState, StateObject};
 use bayou_storage::{NullPersistence, PendingKind, Persistence, StorageError};
@@ -278,7 +278,7 @@ where
     stable_len: usize,
     to_be_executed: VecDeque<SharedReq<F::Op>>,
     to_be_rolled_back: VecDeque<SharedReq<F::Op>>,
-    reqs_awaiting_resp: HashMap<ReqId, Option<(Value, Vec<ReqId>)>>,
+    reqs_awaiting_resp: HashMap<ReqId, Option<(Value, ExecTrace)>>,
     /// Client correlation tags of locally-invoked requests still owed a
     /// response ([`Invocation::tag`]). In-memory only: recovery starts
     /// empty, so post-restart re-emissions carry no tag.
@@ -627,6 +627,14 @@ where
         &self.baseline
     }
 
+    /// The compaction floor and baseline state the durable store holds
+    /// — folded forward by the store itself, and required to match
+    /// [`BayouReplica::baseline_state`] at the same floor. `None` without
+    /// a durable store.
+    pub fn durable_baseline(&self) -> Option<(&BaselineMark, &F::State)> {
+        self.persist.baseline()
+    }
+
     /// The storage failure that crash-stopped this replica, if any. A
     /// failed replica executes nothing and sends nothing — the cluster
     /// sees it as crashed.
@@ -794,9 +802,27 @@ where
         }
     }
 
+    /// Length of the retained stable (executed ∧ committed) prefix.
+    /// `executed` is always a prefix of `committed · tentative` (every
+    /// order change re-plans through [`BayouReplica::adjust_execution`]),
+    /// so that prefix is exactly the shorter of the two lists.
+    fn stable_prefix(&self) -> usize {
+        self.executed.len().min(self.committed.len())
+    }
+
+    /// The state object's current trace as a response carries it: the
+    /// prefix that can never roll back (what compaction dropped since the
+    /// state object was created, plus the retained stable prefix) by
+    /// length, the speculation window after it by value — O(window),
+    /// never O(lifetime).
+    fn exec_trace(&self) -> ExecTrace {
+        let stable = self.dropped_since_state + self.stable_prefix();
+        ExecTrace::new(stable, self.state.trace()[stable..].to_vec())
+    }
+
     /// Answers `r`'s client: releases the request's correlation tag and
     /// queues the response.
-    fn respond(&mut self, r: &Req<F::Op>, value: Value, exec_trace: Vec<ReqId>, served: Served) {
+    fn respond(&mut self, r: &Req<F::Op>, value: Value, exec_trace: ExecTrace, served: Served) {
         let tag = self.client_tags.remove(&r.id());
         self.outputs.push(Response {
             meta: r.meta(),
@@ -830,7 +856,7 @@ where
     /// trace still contains everything compaction dropped from the
     /// replica's lists since the state object was created.
     fn refresh_stable_prefix(&mut self) {
-        let stable = self.executed.len().min(self.committed.len());
+        let stable = self.stable_prefix();
         debug_assert!(self
             .executed
             .iter()
@@ -854,6 +880,7 @@ where
         if !self.compaction {
             return;
         }
+        // borrowed: a settle where the floor did not move copies nothing
         let Some(mark) = self.tob.baseline_mark() else {
             return;
         };
@@ -862,7 +889,7 @@ where
             // no-delivery duplicate slots): adopt the higher-slot mark so
             // the baseline we serve to laggards can step them over it
             if mark.delivered == self.compacted && mark.slot_floor > self.baseline_mark.slot_floor {
-                self.baseline_mark = mark;
+                self.baseline_mark = mark.clone();
                 self.persist_stable();
             }
             return;
@@ -871,6 +898,7 @@ where
         if k > self.stable_len {
             return; // executions below the floor still outstanding
         }
+        let mark = mark.clone();
         for r in self.committed.drain(..k) {
             self.committed_set.remove(&r.id());
             F::apply(&mut self.baseline, &r.op);
@@ -1219,7 +1247,7 @@ where
                                     seen_seq: seen,
                                     committed,
                                 };
-                                self.respond(&r, Value::Unit, Vec::new(), served);
+                                self.respond(&r, Value::Unit, ExecTrace::default(), served);
                                 return false;
                             }
                         }
@@ -1229,7 +1257,7 @@ where
                     // replica has executed so far (no concurrent request
                     // can sneak in front — this is what prevents circular
                     // causality).
-                    let trace_before = self.state.trace().to_vec();
+                    let trace_before = self.exec_trace();
                     let value = self.state.execute(r.id(), &r.op);
                     self.respond(&r, value, trace_before, Served::Speculative);
                     self.state.rollback(r.id());
@@ -1245,7 +1273,15 @@ where
                     let served = Served::Lease {
                         committed: self.committed_total(),
                     };
-                    self.respond(&r, value, self.tob_order.clone(), served);
+                    // the committed order from the state object's origin:
+                    // its stable prefix by length, then the committed
+                    // requests not executed yet
+                    let stable = self.stable_prefix();
+                    let trace = ExecTrace::new(
+                        self.dropped_since_state + stable,
+                        self.committed[stable..].iter().map(|c| c.id()).collect(),
+                    );
+                    self.respond(&r, value, trace, served);
                 } else {
                     self.reqs_awaiting_resp.insert(r.id(), None);
                     self.broadcast_req(&r, ctx, false);
@@ -1369,12 +1405,12 @@ where
         }
         if let Some(head) = self.to_be_executed.pop_front() {
             // the trace snapshot is only needed for a response to a local
-            // client; remote requests must not pay an O(trace) copy
+            // client; remote requests must not pay even the window copy
             let awaiting = self.reqs_awaiting_resp.contains_key(&head.id());
             let trace_before = if awaiting {
-                self.state.trace().to_vec()
+                self.exec_trace()
             } else {
-                Vec::new()
+                ExecTrace::default()
             };
             let value = self.state.execute(head.id(), &head.op);
             self.stats.executions += 1;
@@ -1542,7 +1578,7 @@ pub(crate) mod tests {
         let out = r.drain_outputs();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].value, Value::from("a"));
-        assert!(out[0].exec_trace.is_empty());
+        assert_eq!(out[0].exec_trace, ExecTrace::default());
     }
 
     #[test]

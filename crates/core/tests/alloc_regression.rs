@@ -16,11 +16,15 @@
 //! are far below the O(batch · suffix) allocation storm the
 //! pre-batching per-request path would produce, and they do not grow
 //! between an early and a late measurement window.
+//!
+//! Compaction has the same rule: a floor advance folds the requests it
+//! passes into the baselines (O(requests passed), never a copy of the
+//! state), and a step where the floor stays put costs nothing.
 
-use bayou_broadcast::{Tob, TobDelivery};
+use bayou_broadcast::{BaselineMark, Tob, TobDelivery};
 use bayou_core::{BayouMsg, BayouReplica, ProtocolMode};
-use bayou_data::{KvOp, KvOpView, KvStore};
-use bayou_storage::{frame_into, FRAME_OVERHEAD};
+use bayou_data::{DeltaState, KvOp, KvOpView, KvStore};
+use bayou_storage::{frame_into, MemDisk, ReplicaStore, StoreConfig, FRAME_OVERHEAD};
 use bayou_types::{
     BufPool, Context, Dot, Level, ReplicaId, Req, SharedReq, TimerId, Timestamp, VirtualTime, Wire,
     WireView,
@@ -98,24 +102,26 @@ impl<M> Context<M> for StubCtx {
     }
 }
 
-fn req(no: u64) -> SharedReq<KvOp> {
-    Arc::new(Req::new(
-        Timestamp::new(no as i64),
-        Dot::new(ReplicaId::new(0), no),
-        Level::Weak,
-        // a bounded key space: the state stays small, history grows
-        KvOp::put(format!("k{}", no % 16), no as i64),
-    ))
+/// What the test feeds the scripted TOB as a wire message.
+#[derive(Debug, Clone)]
+enum Feed {
+    /// A delivery batch, handed straight to the replica.
+    Deliver(Vec<TobDelivery<SharedReq<KvOp>>>),
+    /// A new compaction floor, reported from then on.
+    Floor(BaselineMark),
 }
 
 /// A scripted TOB: whatever delivery batch the test sends as a wire
 /// message comes straight out — the replica's real batched-commit path
-/// (`receive` → `settle` → `commit_batch`) runs on top of it.
+/// (`receive` → `settle` → `commit_batch`) runs on top of it — and
+/// whatever floor it sends is the compaction floor the replica follows.
 #[derive(Debug, Default)]
-struct FeedTob;
+struct FeedTob {
+    floor: Option<BaselineMark>,
+}
 
 impl Tob<SharedReq<KvOp>> for FeedTob {
-    type Msg = Vec<TobDelivery<SharedReq<KvOp>>>;
+    type Msg = Feed;
 
     fn on_start(&mut self, _ctx: &mut dyn Context<Self::Msg>) {}
     fn cast(&mut self, _seq: u64, _payload: SharedReq<KvOp>, _ctx: &mut dyn Context<Self::Msg>) {}
@@ -134,7 +140,13 @@ impl Tob<SharedReq<KvOp>> for FeedTob {
         msg: Self::Msg,
         _ctx: &mut dyn Context<Self::Msg>,
     ) -> Vec<TobDelivery<SharedReq<KvOp>>> {
-        msg
+        match msg {
+            Feed::Deliver(batch) => batch,
+            Feed::Floor(mark) => {
+                self.floor = Some(mark);
+                Vec::new()
+            }
+        }
     }
 
     fn on_timer(
@@ -152,38 +164,152 @@ impl Tob<SharedReq<KvOp>> for FeedTob {
     fn delivered_count(&self) -> u64 {
         0
     }
+
+    fn baseline_mark(&self) -> Option<&BaselineMark> {
+        self.floor.as_ref()
+    }
 }
 
 type R = BayouReplica<KvStore, FeedTob>;
 
-/// Commits `batches` delivery batches of `batch` requests each through
-/// the replica's real wire path (one TOB message per batch, exactly
-/// like a coalesced Decide frame), draining execution after each;
-/// returns allocations per batch.
-fn commit_window(r: &mut R, next: &mut u64, batches: usize, batch: usize) -> f64 {
+/// Commits one delivery batch of `n` requests from replica 0, numbered
+/// from `next` with operation `op(no)`, through the replica's real wire
+/// path (one TOB message, exactly like a coalesced Decide frame), and
+/// drains execution.
+fn deliver(r: &mut R, next: &mut u64, n: u64, op: impl Fn(u64) -> KvOp) {
     let mut ctx = StubCtx;
+    let batch = (*next..*next + n)
+        .map(|no| TobDelivery {
+            sender: ReplicaId::new(0),
+            seq: no - 1,
+            tob_no: no - 1,
+            payload: Arc::new(Req::new(
+                Timestamp::new(no as i64),
+                Dot::new(ReplicaId::new(0), no),
+                Level::Weak,
+                op(no),
+            )),
+        })
+        .collect();
+    *next += n;
+    r.receive(
+        ReplicaId::new(0),
+        BayouMsg::Tob(Feed::Deliver(batch)),
+        &mut ctx,
+    );
+    r.settle(&mut ctx);
+    while r.step() {}
+}
+
+/// Commits `batches` delivery batches of `batch` requests each,
+/// draining execution after each; returns allocations per batch.
+fn commit_window(r: &mut R, next: &mut u64, batches: usize, batch: usize) -> f64 {
     let before = allocations();
     for _ in 0..batches {
-        let mut deliveries = Vec::with_capacity(batch);
-        for _ in 0..batch {
-            deliveries.push(TobDelivery {
-                sender: ReplicaId::new(0),
-                seq: *next - 1,
-                tob_no: *next - 1,
-                payload: req(*next),
-            });
-            *next += 1;
-        }
-        r.receive(ReplicaId::new(0), BayouMsg::Tob(deliveries), &mut ctx);
-        r.settle(&mut ctx);
-        while r.step() {}
+        // a bounded key space: the state stays small, history grows
+        deliver(r, next, batch as u64, |no| {
+            KvOp::put(format!("k{}", no % 16), no as i64)
+        });
     }
     (allocations() - before) as f64 / batches as f64
 }
 
+/// The compaction floor after `delivered` deliveries, all from replica 0
+/// (one slot each) in a two-replica cluster.
+fn floor_at(delivered: u64) -> BaselineMark {
+    BaselineMark {
+        slot_floor: delivered,
+        delivered,
+        fifo_next: vec![delivered, 0],
+    }
+}
+
+/// Reports `mark` as the TOB's floor and settles; returns the
+/// allocations of the receive and the settle alone.
+fn move_floor(r: &mut R, mark: BaselineMark) -> u64 {
+    let mut ctx = StubCtx;
+    let msg = BayouMsg::Tob(Feed::Floor(mark));
+    let before = allocations();
+    r.receive(ReplicaId::new(0), msg, &mut ctx);
+    r.settle(&mut ctx);
+    allocations() - before
+}
+
+/// A durable compacting replica whose baseline already holds `keys`
+/// distinct keys (folded in through one floor advance).
+fn compacting_replica_over(keys: u64) -> (R, u64) {
+    let cfg = StoreConfig {
+        snapshot_every: u64::MAX,
+        sync_every_record: false,
+        ..StoreConfig::default()
+    };
+    let (store, _) = ReplicaStore::<KvStore, _>::open(MemDisk::new(), 2, cfg).unwrap();
+    let mut r: R = BayouReplica::with_persistence(
+        2,
+        ProtocolMode::Original,
+        FeedTob::default(),
+        DeltaState::default(),
+        Box::new(store),
+    );
+    r.set_compaction(true);
+    let mut next = 1u64;
+    deliver(&mut r, &mut next, keys, |no| {
+        KvOp::put(format!("key{no}"), 0)
+    });
+    move_floor(&mut r, floor_at(next - 1));
+    assert_eq!(r.compacted_count(), keys);
+    assert_eq!(r.baseline_state().len() as u64, keys);
+    (r, next)
+}
+
+/// A floor advance over `k` commits folds those `k` requests into the
+/// replica's and the store's baselines: O(k) allocations, whatever the
+/// size of the state. Copying the state instead (10⁴ keys, one `String`
+/// each) costs thousands.
+#[test]
+fn floor_advance_allocates_per_request_passed_not_per_key() {
+    const K: u64 = 64;
+    let (mut r, mut next) = compacting_replica_over(10_000);
+    for _ in 0..3 {
+        deliver(&mut r, &mut next, K, |no| {
+            KvOp::put(format!("key{}", no % K), 1)
+        });
+        let spent = move_floor(&mut r, floor_at(next - 1));
+        assert_eq!(r.compacted_count(), next - 1, "the floor advanced");
+        assert!(
+            spent <= 4 * K,
+            "a floor advance over {K} commits made {spent} allocations: it copies the state"
+        );
+    }
+    let (_, durable) = r.durable_baseline().expect("a durable store");
+    assert_eq!(
+        durable,
+        r.baseline_state(),
+        "the store folded the same prefix"
+    );
+}
+
+/// A settle where the compaction floor did not move touches the floor by
+/// reference: no `BaselineMark` copy, no allocation at all.
+#[test]
+fn settle_with_a_still_floor_allocates_nothing() {
+    let (mut r, next) = compacting_replica_over(16);
+    let mut ctx = StubCtx;
+    let before = allocations();
+    for _ in 0..100 {
+        r.settle(&mut ctx);
+    }
+    let spent = allocations() - before;
+    assert_eq!(
+        spent, 0,
+        "100 settles on an unchanged floor made {spent} allocations"
+    );
+    assert_eq!(r.compacted_count(), next - 1);
+}
+
 #[test]
 fn steady_state_delivery_allocations_stay_bounded() {
-    let mut r: R = BayouReplica::new(2, ProtocolMode::Original, FeedTob);
+    let mut r: R = BayouReplica::new(2, ProtocolMode::Original, FeedTob::default());
     let mut next = 1u64;
     const BATCH: usize = 8;
 

@@ -844,6 +844,25 @@ fn partitioned_leaseholder_never_serves_stale() {
     run_faults(17, &faults, opts, 3_000);
 }
 
+/// Exec traces resolve against the incarnation that produced them: in
+/// this schedule a replica answers, crashes and recovers, and resolving
+/// the pre-crash response against the recovered state object (whose
+/// trace is shorter than the response's stable prefix) panics. Found by
+/// the lease fuzz slice with compaction pinned on
+/// (`DST_SEED=109 DST_N=3 DST_COMPACTION=1 DST_DEFERRAL_US=80
+/// DST_LEASE_MS=100 DST_EPSILON_US=10000`).
+#[test]
+fn pinned_trace_resolution_seed() {
+    let opts = CaseOpts {
+        n: 3,
+        compaction: true,
+        deferral: Some(VirtualTime::from_micros(80)),
+        lease: Some(LeaseConfig::new(100_000, 10_000)),
+        canary: false,
+    };
+    check_case(109, opts);
+}
+
 // ---- quorum-loss windows (deterministic schedules) ----------------------
 
 /// Builds the quorum-loss schedule used by the window tests: a

@@ -4,7 +4,7 @@
 //! configuration stays on the all-TOB baseline.
 
 use bayou_core::{BayouCluster, ClusterConfig, Invocation, Served, SessionGuard};
-use bayou_data::{KvOp, KvStore};
+use bayou_data::{KvOp, KvStore, StateObject};
 use bayou_sim::{NetworkConfig, Partition, PartitionSchedule, SimConfig};
 use bayou_types::{LeaseConfig, Level, ReplicaId, Value, VirtualTime};
 
@@ -57,6 +57,47 @@ fn lease_serves_strong_reads_locally_at_the_leader() {
     assert_eq!(c.replica(r(0)).stats().lease_reads, 2);
     // lease-served reads are invisible to the TOB order
     assert_eq!(trace.tob_order.len(), 2); // put + early read
+}
+
+/// Under compaction a lease-served read still reports the whole committed
+/// order it read, from where the replica's state object began — the
+/// origin every speculative response's trace starts at — not just the
+/// suffix the replica happens to retain.
+#[test]
+fn leased_read_trace_is_the_committed_order_from_the_state_origin() {
+    let cfg = ClusterConfig::new(3, 11)
+        .with_lease(LeaseConfig::default())
+        .with_compaction();
+    let mut c: BayouCluster<KvStore> = BayouCluster::new(cfg);
+    for k in 0..40u64 {
+        c.invoke_at(
+            ms(1 + 10 * k),
+            r(k as u32 % 3),
+            KvOp::put("k", k as i64),
+            Level::Strong,
+        );
+    }
+    c.invoke_at(ms(1_000), r(0), KvOp::get("k"), Level::Strong);
+    let trace = c.run_until(ms(1_500));
+
+    let read = trace
+        .events
+        .iter()
+        .find(|e| e.op == KvOp::get("k"))
+        .unwrap();
+    let Some(Served::Lease { committed }) = read.served else {
+        panic!("the read was not lease-served: {:?}", read.served);
+    };
+    assert_eq!(committed, 40, "every write committed before the read");
+    let leader = c.replica(r(0));
+    assert!(
+        leader.compacted_count() > 0,
+        "compaction must have truncated the retained order"
+    );
+    // replica 0 never restarted: its state object's trace starts at the
+    // first commit, and its committed prefix is the committed order
+    let from_origin = &leader.state_object().trace()[..committed as usize];
+    assert_eq!(read.exec_trace.as_deref(), Some(from_origin));
 }
 
 /// A strong read at a *follower* never uses the fast path: it goes

@@ -21,6 +21,14 @@
 //! default) is the classic single-group server: one group, every key in
 //! it, identical wire behavior.
 //!
+//! ## Bounded history
+//!
+//! Every group compacts its committed history
+//! ([`BayouReplica::set_compaction`]): once all replicas hold a committed
+//! prefix it lives on only as a baseline state, so replica memory and
+//! each snapshot stay O(state + speculation window) however long the
+//! server runs.
+//!
 //! ## Backpressure and load shedding
 //!
 //! Two explicit limits keep overload typed instead of silent:
@@ -301,6 +309,7 @@ impl Server {
                         backend,
                         store,
                     );
+                    host.set_compaction(true);
                     host.set_lease(lease);
                     host
                 })
@@ -313,6 +322,7 @@ impl Server {
                         })
                         .collect(),
                 );
+                host.set_compaction(true);
                 host.set_lease(lease);
                 host
             }),

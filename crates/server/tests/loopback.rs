@@ -7,9 +7,10 @@
 
 use bayou_data::KvOp;
 use bayou_server::{Client, KvHost, KvReplica, Reply, Server, ServerConfig, Session};
+use bayou_storage::StoreConfig;
 use bayou_types::{GroupId, LeaseConfig, Level, ReadGuard, ReplicaId, Value};
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 fn start(cfg: ServerConfig) -> (Server, String) {
@@ -239,6 +240,71 @@ fn replica_crash_fails_pending_ops_and_durable_restart_converges() {
             "replica {i} diverged after recovery"
         );
         assert!(g0(r).tentative_ids().is_empty());
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The largest snapshot file any replica of a three-replica, one-group
+/// server keeps under `root` (0 before the first snapshot).
+fn largest_snapshot(root: &Path) -> u64 {
+    (0..3)
+        .filter_map(|i| std::fs::read_dir(root.join(format!("replica-{i}"))).ok())
+        .flatten()
+        .filter_map(Result::ok)
+        .filter(|e| {
+            let name = e.file_name().to_string_lossy().into_owned();
+            name.starts_with("g0000-snap-") && !name.ends_with(".tmp")
+        })
+        .filter_map(|e| e.metadata().ok())
+        .map(|m| m.len())
+        .max()
+        .unwrap_or(0)
+}
+
+#[test]
+fn snapshots_stay_bounded_as_history_grows() {
+    // the server compacts its committed history: a snapshot holds the
+    // state (8 keys here) and the speculation window, never the history,
+    // so its size does not grow with the number of operations served
+    const BOUND: u64 = 16 * 1024;
+    let root = fresh_dir("snapshots");
+    let (server, addr) = start(ServerConfig {
+        data_dir: Some(root.clone()),
+        store: StoreConfig {
+            snapshot_every: 64,
+            sync_every_record: false,
+            ..StoreConfig::default()
+        },
+        ..ServerConfig::default()
+    });
+    let mut client = connect(&addr);
+    // strong puts, 10 in flight: every snapshot is written with at most
+    // a burst (plus the cursor round trip) above the compaction floor
+    const ROUND: i64 = 500;
+    let mut sizes = Vec::new();
+    for round in 0..3 {
+        for burst in 0..ROUND / 10 {
+            for i in 0..10 {
+                let v = round * ROUND + burst * 10 + i;
+                client
+                    .send(Level::Strong, KvOp::put(format!("k{}", v % 8), v))
+                    .expect("send");
+            }
+            for _ in 0..10 {
+                let (tag, reply) = client.recv().expect("response");
+                assert!(matches!(reply, Reply::Ok(_)), "op {tag}: {reply:?}");
+            }
+        }
+        sizes.push(largest_snapshot(&root));
+    }
+    server.stop();
+    assert!(sizes[0] > 0, "no snapshot was written");
+    for (round, size) in sizes.iter().enumerate() {
+        assert!(
+            *size <= BOUND,
+            "after {} ops a snapshot holds {size} bytes (bound {BOUND}): {sizes:?}",
+            (round as i64 + 1) * ROUND
+        );
     }
     let _ = std::fs::remove_dir_all(&root);
 }

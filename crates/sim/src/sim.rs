@@ -321,15 +321,24 @@ impl<P: Process> Sim<P> {
     /// Dispatches exactly one event. Returns `false` when the queue is
     /// empty or a limit was reached.
     pub fn step_one(&mut self) -> bool {
-        let Some(ev) = self.queue.pop() else {
-            return false;
-        };
-        if ev.at > self.config.max_time || self.events >= self.config.max_events {
-            return false;
+        self.step_until(VirtualTime::MAX) == Some(true)
+    }
+
+    /// Dispatches the next event if it is due by `deadline` and no limit
+    /// holds it back. `Some(true)`: one event ran; `Some(false)`: the
+    /// deadline or a limit stopped the run; `None`: the queue drained
+    /// (quiescence). The step-wise form of [`Sim::run_until`], for
+    /// callers that must look at every step's outputs before the next
+    /// step changes the process that produced them.
+    pub fn step_until(&mut self, deadline: VirtualTime) -> Option<bool> {
+        let next = self.queue.peek_time()?;
+        if next > deadline || next > self.config.max_time || self.events >= self.config.max_events {
+            return Some(false);
         }
+        let ev = self.queue.pop().expect("peeked event vanished");
         self.apply_crashes(ev.at);
         self.dispatch(ev);
-        true
+        Some(true)
     }
 
     /// Runs until the queue drains or a limit is hit; returns the report.
@@ -340,19 +349,13 @@ impl<P: Process> Sim<P> {
     /// Runs until virtual time `deadline`, the queue drains, or a limit is
     /// hit.
     pub fn run_until(&mut self, deadline: VirtualTime) -> RunReport<P::Output> {
-        let mut quiescent = true;
-        while let Some(next) = self.queue.peek_time() {
-            if next > deadline
-                || next > self.config.max_time
-                || self.events >= self.config.max_events
-            {
-                quiescent = false;
-                break;
+        let quiescent = loop {
+            match self.step_until(deadline) {
+                Some(true) => {}
+                Some(false) => break false,
+                None => break true,
             }
-            let ev = self.queue.pop().expect("peeked event vanished");
-            self.apply_crashes(ev.at);
-            self.dispatch(ev);
-        }
+        };
         RunReport {
             outputs: self.take_outputs(),
             metrics: self.metrics.clone(),

@@ -33,7 +33,7 @@ use crate::snapshot::{PendingKind, Snapshot};
 use bayou_broadcast::{BaselineMark, FifoRelease, TobEvent};
 use bayou_data::DataType;
 use bayou_types::{BufPool, ReplicaId, ReqId, SharedReq, VirtualTime, Wire};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 const SEGMENT_MAGIC: &[u8; 4] = b"BSEG";
@@ -133,6 +133,11 @@ pub trait Persistence<F: DataType> {
     /// its decided-log mirror below the floor, so the next snapshot is
     /// compact (O(state + window)) and the WAL bytes below the watermark
     /// die with the segments that snapshot deletes.
+    ///
+    /// A store that mirrors deliveries folds its own baseline forward
+    /// over the ones the floor passed; `baseline` is only needed when
+    /// the mark lies beyond every delivery the store has seen (a live
+    /// baseline transfer).
     fn note_stable(
         &mut self,
         mark: &BaselineMark,
@@ -165,6 +170,13 @@ pub trait Persistence<F: DataType> {
     /// Hook-less implementations report zero.
     fn take_fsyncs(&mut self) -> u64 {
         0
+    }
+
+    /// The compaction floor this store last adopted and the state it
+    /// keeps materialized at that floor — what its next snapshot records
+    /// as mark and baseline. `None` for stores that keep no baseline.
+    fn baseline(&self) -> Option<(&BaselineMark, &F::State)> {
+        None
     }
 }
 
@@ -282,6 +294,11 @@ pub struct ReplicaStore<F: DataType, B: Storage> {
     mark: BaselineMark,
     /// State materialized at exactly `mark.delivered` deliveries.
     baseline_state: F::State,
+    /// The deliveries above the mark, in delivery order (`delivered -
+    /// mark.delivered` of them): what the next floor advance folds into
+    /// `baseline_state`, so an advance costs O(requests passed) instead
+    /// of a copy of the state.
+    above_mark: VecDeque<SharedReq<F::Op>>,
     /// Per-origin high-water `event_no` over every request ever seen.
     event_high: Vec<u64>,
     commits_since_snapshot: u64,
@@ -335,6 +352,7 @@ where
             decided_ids: std::collections::HashSet::new(),
             mark: BaselineMark::zero(n),
             baseline_state: F::State::default(),
+            above_mark: VecDeque::new(),
             event_high: vec![0; n],
             commits_since_snapshot: 0,
             snapshots_written: 0,
@@ -488,6 +506,7 @@ where
             F::apply(&mut self.stable_state, &req.op);
         }
         self.delivered = self.mark.delivered + recovered.deliveries.len() as u64;
+        self.above_mark = recovered.deliveries.iter().cloned().collect();
 
         recovered.mark = self.mark.clone();
         recovered.baseline = self.baseline_state.clone();
@@ -852,6 +871,7 @@ where
         for req in reqs {
             F::apply(&mut self.stable_state, &req.op);
         }
+        self.above_mark.extend(reqs.iter().cloned());
         self.delivered += reqs.len() as u64;
         self.commits_since_snapshot += reqs.len() as u64;
         if self.commits_since_snapshot >= self.cfg.snapshot_every {
@@ -877,12 +897,12 @@ where
         }
         let keep = self.accepted.split_off(&mark.slot_floor);
         self.accepted = keep;
+        let passed = mark.delivered - self.mark.delivered;
         let jumped = mark.delivered > self.delivered;
         self.mark = mark.clone();
         if self.mark.fifo_next.len() < self.n {
             self.mark.fifo_next.resize(self.n, 0);
         }
-        self.baseline_state = baseline.clone();
         if jumped {
             // a live baseline install: the replica adopted a transferred
             // state *ahead* of everything this store ever mirrored. Our
@@ -890,12 +910,20 @@ where
             // below the mark's cast cursors are gone, and the new prefix
             // is made durable immediately (snapshot) so a crash cannot
             // fall back below the cluster-wide floor again.
+            self.baseline_state = baseline.clone();
             self.stable_state = baseline.clone();
+            self.above_mark.clear();
             self.delivered = mark.delivered;
             let cursor_mark = self.mark.clone();
             self.pending
                 .retain(|_, (_, seq, req)| *seq >= cursor_mark.next_for(req.origin()));
             self.write_snapshot()?;
+        } else {
+            // the committed prefix never rolls back: move the baseline
+            // forward over exactly the deliveries the floor passed
+            for req in self.above_mark.drain(..passed as usize) {
+                F::apply(&mut self.baseline_state, &req.op);
+            }
         }
         Ok(())
     }
@@ -915,6 +943,10 @@ where
 
     fn take_fsyncs(&mut self) -> u64 {
         std::mem::take(&mut self.fsyncs)
+    }
+
+    fn baseline(&self) -> Option<(&BaselineMark, &F::State)> {
+        self.enabled.then_some((&self.mark, &self.baseline_state))
     }
 }
 
@@ -1078,6 +1110,43 @@ mod tests {
         drop(store);
         let (_s, recovered) = KvStore8::open(disk, 1, cfg).unwrap();
         assert_eq!(recovered.pending.len(), 20);
+    }
+
+    #[test]
+    fn floor_advance_folds_the_passed_deliveries_into_the_baseline() {
+        let cfg = StoreConfig {
+            snapshot_every: u64::MAX,
+            ..Default::default()
+        };
+        let (mut store, _) = KvStore8::open(MemDisk::new(), 1, cfg).unwrap();
+        let reqs: Vec<_> = (0..10u64)
+            .map(|i| shared(i + 1, 0, KvOp::put(format!("k{}", i % 3), i as i64)))
+            .collect();
+        store.log_commit_batch(&reqs).unwrap();
+        let mark = |delivered: u64| BaselineMark {
+            slot_floor: delivered,
+            delivered,
+            fifo_next: vec![delivered],
+        };
+        let state_after = |upto: usize| {
+            let mut state = Default::default();
+            for r in &reqs[..upto] {
+                KvStore::apply(&mut state, &r.op);
+            }
+            state
+        };
+        // below the mirror the store folds its own deliveries: the
+        // baseline it is handed is not consulted
+        let ignored = Default::default();
+        store.note_stable(&mark(4), &ignored).unwrap();
+        assert_eq!(store.baseline(), Some((&mark(4), &state_after(4))));
+        store.note_stable(&mark(10), &ignored).unwrap();
+        assert_eq!(store.baseline(), Some((&mark(10), &state_after(10))));
+        // a mark past every mirrored delivery is a transfer: adopted as is
+        let transferred = state_after(3);
+        store.note_stable(&mark(12), &transferred).unwrap();
+        assert_eq!(store.baseline(), Some((&mark(12), &transferred)));
+        assert_eq!(store.snapshots_written(), 1, "the jump is made durable");
     }
 
     #[test]
