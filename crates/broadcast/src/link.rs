@@ -13,6 +13,16 @@ pub enum LinkMsg<M> {
     /// so coalescing `k` payloads costs one ack and one retransmit slot
     /// instead of `k` of each.
     Data {
+        /// The sending endpoint's incarnation: its clock reading when it
+        /// first sent. A restarted sender numbers its frames from 0
+        /// again under a newer incarnation, which tells the receiver to
+        /// forget the old numbering.
+        incarnation: u64,
+        /// The sender's lowest unacknowledged frame sequence number for
+        /// this receiver: every frame below it was acknowledged, so the
+        /// receiver counts it as delivered — which a receiver that
+        /// restarted and lost that record needs to hear.
+        floor: u64,
         /// Link-level frame sequence number.
         seq: u64,
         /// The coalesced payloads, in send order.
@@ -26,6 +36,9 @@ pub enum LinkMsg<M> {
     /// riding a same-step data frame) instead of one ack per received
     /// frame.
     Ack {
+        /// The incarnation of the data sender whose frames are
+        /// acknowledged; a sender ignores acks for another incarnation.
+        incarnation: u64,
         /// Frame sequence numbers `< upto` are all delivered.
         upto: u64,
         /// Delivered frame sequence numbers `>= upto`.
@@ -52,27 +65,71 @@ impl<M> Default for PeerOut<M> {
     }
 }
 
-#[derive(Debug, Clone, Default)]
-struct PeerIn {
-    /// All sequence numbers `< prefix` have been delivered.
-    prefix: u64,
-    /// Delivered sequence numbers `>= prefix` (sparse).
-    sparse: BTreeSet<u64>,
-    /// Whether frames arrived since the last ack we sent this peer.
-    ack_owed: bool,
+impl<M> PeerOut<M> {
+    /// The lowest unacknowledged frame: every frame below it is acked.
+    fn floor(&self) -> u64 {
+        self.unacked.keys().next().copied().unwrap_or(self.next_seq)
+    }
 }
 
-impl PeerIn {
-    fn is_new(&mut self, seq: u64) -> bool {
+/// A set of sequence numbers from one source, held as the contiguous
+/// prefix every number below which is in the set, plus the sparse
+/// numbers above it. It costs what arrives out of order, never the
+/// lifetime: the link deduplicates frames with one per peer, the
+/// reliable broadcast its messages with one per origin.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SeqWindow {
+    /// All sequence numbers `< prefix` are in the set.
+    prefix: u64,
+    /// Members `>= prefix` (sparse).
+    sparse: BTreeSet<u64>,
+}
+
+impl SeqWindow {
+    /// Adds `seq`; returns whether it was new.
+    pub(crate) fn insert(&mut self, seq: u64) -> bool {
         if seq < self.prefix || self.sparse.contains(&seq) {
             return false;
         }
         self.sparse.insert(seq);
+        self.collapse();
+        true
+    }
+
+    /// Counts every number below `floor` as a member.
+    pub(crate) fn lift(&mut self, floor: u64) {
+        if floor > self.prefix {
+            self.prefix = floor;
+            self.sparse = self.sparse.split_off(&floor);
+            self.collapse();
+        }
+    }
+
+    fn collapse(&mut self) {
         while self.sparse.remove(&self.prefix) {
             self.prefix += 1;
         }
-        true
     }
+
+    /// Every number below this is a member.
+    pub(crate) fn prefix(&self) -> u64 {
+        self.prefix
+    }
+
+    /// The members above the prefix.
+    pub(crate) fn sparse(&self) -> &BTreeSet<u64> {
+        &self.sparse
+    }
+}
+
+#[derive(Debug, Clone, Default)]
+struct PeerIn {
+    /// The peer's incarnation the window numbers frames for.
+    incarnation: u64,
+    /// Delivered frame sequence numbers.
+    window: SeqWindow,
+    /// Whether frames arrived since the last ack we sent this peer.
+    ack_owed: bool,
 }
 
 /// A *perfect* (reliable) point-to-point link built from the fair-lossy
@@ -99,10 +156,31 @@ impl PeerIn {
 /// slot, cutting the cluster's messages/op and ack chatter. Holding
 /// frames back across steps is not this layer's business: the process
 /// hosting the link parks whole step-end frames itself.
+///
+/// # Restarts
+///
+/// An endpoint rebuilt after a crash numbers its frames from 0 again
+/// and has forgotten what it delivered, while its peers carry on. Two
+/// header fields keep both directions working, and keep every receive
+/// window the size of what is unacknowledged rather than the lifetime:
+///
+/// * every frame carries the sender's *incarnation* — the clock reading
+///   of its first send, which a restarted sender reads later. A
+///   receiver that sees a newer incarnation drops its window for that
+///   peer and starts over; frames of an older one are stale and dropped
+///   unacknowledged, and so are acks naming another incarnation than
+///   the sender's own;
+/// * every frame carries the sender's *floor*, its lowest unacknowledged
+///   sequence number for this receiver. A receiver counts everything
+///   below it as delivered: a restarted receiver thereby skips the
+///   frames its previous incarnation acknowledged instead of holding a
+///   hole below them forever.
 #[derive(Debug)]
 pub struct PerfectLink<M> {
     out: Vec<PeerOut<M>>,
     inc: Vec<PeerIn>,
+    /// Our incarnation, read from the clock at the first flush.
+    incarnation: Option<u64>,
     armed: Option<TimerId>,
     period: VirtualTime,
     burst: usize,
@@ -130,6 +208,7 @@ impl<M: Clone> PerfectLink<M> {
         PerfectLink {
             out: (0..n).map(|_| PeerOut::default()).collect(),
             inc: (0..n).map(|_| PeerIn::default()).collect(),
+            incarnation: None,
             armed: None,
             period,
             burst: Self::RETRANSMIT_BURST,
@@ -179,11 +258,20 @@ impl<M: Clone> PerfectLink<M> {
                 continue;
             }
             let to = ReplicaId::new(idx as u32);
+            let incarnation = *self.incarnation.get_or_insert_with(|| ctx.now().as_nanos());
             let seq = peer.next_seq;
             peer.next_seq += 1;
             let payloads = std::mem::take(&mut peer.outbox);
             peer.unacked.insert(seq, payloads.clone());
-            ctx.send(to, LinkMsg::Data { seq, payloads });
+            ctx.send(
+                to,
+                LinkMsg::Data {
+                    incarnation,
+                    floor: peer.floor(),
+                    seq,
+                    payloads,
+                },
+            );
             if self.inc[idx].ack_owed {
                 // an owed ack rides along with the data frame (the two
                 // coalesce into one wire message at the step frame)
@@ -201,11 +289,28 @@ impl<M: Clone> PerfectLink<M> {
         ctx: &mut dyn Context<LinkMsg<M>>,
     ) -> Vec<M> {
         match msg {
-            LinkMsg::Data { seq, payloads } => {
-                let delivered = self.inc[from.index()].is_new(seq);
+            LinkMsg::Data {
+                incarnation,
+                floor,
+                seq,
+                payloads,
+            } => {
+                let peer = &mut self.inc[from.index()];
+                if incarnation < peer.incarnation {
+                    return Vec::new(); // from the peer's previous life
+                }
+                if incarnation > peer.incarnation {
+                    // the peer restarted and numbers from 0 again
+                    *peer = PeerIn {
+                        incarnation,
+                        ..PeerIn::default()
+                    };
+                }
+                peer.window.lift(floor);
+                let delivered = peer.window.insert(seq);
                 // delayed cumulative ack: batched on the ack tick (or
                 // riding a same-step data frame at the flush)
-                self.inc[from.index()].ack_owed = true;
+                peer.ack_owed = true;
                 self.ensure_ack_timer(ctx);
                 if delivered {
                     payloads
@@ -213,7 +318,14 @@ impl<M: Clone> PerfectLink<M> {
                     Vec::new()
                 }
             }
-            LinkMsg::Ack { upto, sparse } => {
+            LinkMsg::Ack {
+                incarnation,
+                upto,
+                sparse,
+            } => {
+                if self.incarnation != Some(incarnation) {
+                    return Vec::new(); // acks frames of our previous life
+                }
                 let peer = &mut self.out[from.index()];
                 peer.unacked = peer.unacked.split_off(&upto);
                 for seq in sparse {
@@ -231,8 +343,9 @@ impl<M: Clone> PerfectLink<M> {
         ctx.send(
             to,
             LinkMsg::Ack {
-                upto: inc.prefix,
-                sparse: inc.sparse.iter().copied().collect(),
+                incarnation: inc.incarnation,
+                upto: inc.window.prefix(),
+                sparse: inc.window.sparse().iter().copied().collect(),
             },
         );
     }
@@ -274,6 +387,9 @@ impl<M: Clone> PerfectLink<M> {
                 ctx.send(
                     to,
                     LinkMsg::Data {
+                        // an unacked frame was flushed, so we have one
+                        incarnation: self.incarnation.unwrap_or_default(),
+                        floor: peer.floor(),
                         seq: *seq,
                         payloads: payloads.clone(),
                     },
@@ -287,6 +403,23 @@ impl<M: Clone> PerfectLink<M> {
     /// Number of frames awaiting acknowledgement across all peers.
     pub fn unacked(&self) -> usize {
         self.out.iter().map(|p| p.unacked.len()).sum()
+    }
+
+    /// Delivered frame numbers held above the per-peer delivered
+    /// prefixes, across all peers: what arrived out of order and has not
+    /// been filled in below (a gauge of the receive windows).
+    pub fn retained_sparse(&self) -> usize {
+        self.inc.iter().map(|p| p.window.sparse().len()).sum()
+    }
+
+    /// Frames flushed to `peer` so far (its next frame's number).
+    pub(crate) fn sent_to(&self, peer: usize) -> u64 {
+        self.out[peer].next_seq
+    }
+
+    /// `peer` acknowledged every frame below this.
+    pub(crate) fn acked_below(&self, peer: usize) -> u64 {
+        self.out[peer].floor()
     }
 
     fn ensure_timer(&mut self, ctx: &mut dyn Context<LinkMsg<M>>) {
@@ -445,10 +578,13 @@ mod tests {
         // Deliver the same Data frame twice directly.
         let mut link: PerfectLink<u64> = PerfectLink::with_default_period(2);
         let mut ctx = Collect::new(1, 2);
-        let d = LinkMsg::Data {
-            seq: 0,
-            payloads: vec![9],
+        let data = |seq, payloads| LinkMsg::Data {
+            incarnation: 0,
+            floor: 0,
+            seq,
+            payloads,
         };
+        let d = data(0, vec![9]);
         assert_eq!(
             link.on_message(ReplicaId::new(0), d.clone(), &mut ctx),
             vec![9]
@@ -456,14 +592,8 @@ mod tests {
         assert!(link.on_message(ReplicaId::new(0), d, &mut ctx).is_empty());
         // out-of-order arrival then the gap filling in; a multi-payload
         // frame delivers (or is suppressed) as a unit
-        let d2 = LinkMsg::Data {
-            seq: 2,
-            payloads: vec![11, 12],
-        };
-        let d1 = LinkMsg::Data {
-            seq: 1,
-            payloads: vec![10],
-        };
+        let d2 = data(2, vec![11, 12]);
+        let d1 = data(1, vec![10]);
         assert_eq!(
             link.on_message(ReplicaId::new(0), d2.clone(), &mut ctx),
             vec![11, 12]
@@ -487,6 +617,8 @@ mod tests {
             vec![(
                 peer,
                 LinkMsg::Data {
+                    incarnation: 0,
+                    floor: 0,
                     seq: 0,
                     payloads: vec![1, 2, 3],
                 }
@@ -498,6 +630,7 @@ mod tests {
         link.on_message(
             peer,
             LinkMsg::Ack {
+                incarnation: 0,
                 upto: 1,
                 sparse: vec![],
             },
@@ -514,17 +647,177 @@ mod tests {
     }
 
     #[test]
-    fn peer_in_prefix_compaction() {
-        let mut p = PeerIn::default();
-        assert!(p.is_new(0));
-        assert!(p.is_new(1));
-        assert_eq!(p.prefix, 2);
-        assert!(p.sparse.is_empty());
-        assert!(p.is_new(5));
-        assert_eq!(p.prefix, 2);
-        assert!(p.is_new(2) && p.is_new(3) && p.is_new(4));
-        assert_eq!(p.prefix, 6);
-        assert!(p.sparse.is_empty());
-        assert!(!p.is_new(3));
+    fn seq_window_keeps_a_prefix_and_what_sits_above_it() {
+        let mut w = SeqWindow::default();
+        assert!(w.insert(0));
+        assert!(w.insert(1));
+        assert_eq!(w.prefix(), 2);
+        assert!(w.sparse().is_empty());
+        assert!(w.insert(5));
+        assert_eq!(w.prefix(), 2);
+        assert!(w.insert(2) && w.insert(3) && w.insert(4));
+        assert_eq!(w.prefix(), 6);
+        assert!(w.sparse().is_empty());
+        assert!(!w.insert(3));
+        // a lifted floor counts everything below it in, and collapses
+        // what it reaches
+        assert!(w.insert(9) && w.insert(12));
+        w.lift(8);
+        assert_eq!((w.prefix(), w.sparse().len()), (8, 2));
+        assert!(!w.insert(7), "below the floor");
+        w.lift(10);
+        assert_eq!(w.prefix(), 10);
+        assert_eq!(w.sparse().iter().copied().collect::<Vec<_>>(), [12]);
+        w.lift(3); // a lower floor changes nothing
+        assert_eq!(w.prefix(), 10);
+    }
+
+    /// A context with a settable clock that records sends and timers.
+    #[derive(Debug)]
+    struct Clocked {
+        id: ReplicaId,
+        now: VirtualTime,
+        sent: Vec<(ReplicaId, LinkMsg<u64>)>,
+        timers: Vec<TimerId>,
+        next_timer: u64,
+    }
+
+    impl Context<LinkMsg<u64>> for Clocked {
+        fn id(&self) -> ReplicaId {
+            self.id
+        }
+        fn cluster_size(&self) -> usize {
+            2
+        }
+        fn now(&self) -> VirtualTime {
+            self.now
+        }
+        fn clock(&mut self) -> bayou_types::Timestamp {
+            bayou_types::Timestamp::new(self.now.as_micros() as i64)
+        }
+        fn send(&mut self, to: ReplicaId, m: LinkMsg<u64>) {
+            self.sent.push((to, m));
+        }
+        fn set_timer(&mut self, _d: VirtualTime) -> TimerId {
+            self.next_timer += 1;
+            self.timers.push(TimerId::new(self.next_timer));
+            TimerId::new(self.next_timer)
+        }
+        fn random(&mut self) -> u64 {
+            0
+        }
+        fn omega(&mut self) -> ReplicaId {
+            ReplicaId::new(0)
+        }
+    }
+
+    /// Two link endpoints over a lossless wire, driven by hand.
+    struct Pair {
+        links: Vec<PerfectLink<u64>>,
+        ctxs: Vec<Clocked>,
+        /// Payloads each endpoint delivered.
+        got: Vec<Vec<u64>>,
+        /// The last ack endpoint 1 sent endpoint 0: `(upto, sparse)`.
+        last_ack_from_1: Option<(u64, usize)>,
+    }
+
+    impl Pair {
+        fn new(now: VirtualTime) -> Self {
+            let mut pair = Pair {
+                links: Vec::new(),
+                ctxs: Vec::new(),
+                got: vec![Vec::new(); 2],
+                last_ack_from_1: None,
+            };
+            for i in 0..2 {
+                pair.links.push(PerfectLink::new(2, ms(50)));
+                pair.ctxs.push(Clocked {
+                    id: ReplicaId::new(i),
+                    now,
+                    sent: Vec::new(),
+                    timers: Vec::new(),
+                    next_timer: 0,
+                });
+            }
+            pair
+        }
+
+        /// Endpoint `i` loses everything, as a restarted process does.
+        fn rebuild(&mut self, i: usize, now: VirtualTime) {
+            self.links[i] = PerfectLink::new(2, ms(50));
+            self.ctxs[i].sent.clear();
+            self.ctxs[i].timers.clear();
+            for ctx in &mut self.ctxs {
+                ctx.now = now;
+            }
+        }
+
+        /// Each endpoint sends `k` one-payload frames to the other
+        /// (endpoint `i` sends `1000 * i + base + j`); then every frame,
+        /// ack and timer runs until the wire is quiet.
+        fn exchange(&mut self, base: u64, k: u64) {
+            for j in 0..k {
+                for i in 0..2 {
+                    let to = ReplicaId::new(1 - i as u32);
+                    self.links[i].send(to, 1000 * i as u64 + base + j, &mut self.ctxs[i]);
+                    self.links[i].flush(&mut self.ctxs[i]);
+                }
+            }
+            for _ in 0..50 {
+                let mut quiet = true;
+                for i in 0..2 {
+                    for (to, m) in std::mem::take(&mut self.ctxs[i].sent) {
+                        quiet = false;
+                        if let (1, LinkMsg::Ack { upto, sparse, .. }) = (i, &m) {
+                            self.last_ack_from_1 = Some((*upto, sparse.len()));
+                        }
+                        let j = to.index();
+                        let from = ReplicaId::new(i as u32);
+                        let got = self.links[j].on_message(from, m, &mut self.ctxs[j]);
+                        self.got[j].extend(got);
+                        self.links[j].flush(&mut self.ctxs[j]);
+                    }
+                }
+                if quiet {
+                    for i in 0..2 {
+                        for t in std::mem::take(&mut self.ctxs[i].timers) {
+                            self.links[i].on_timer(t, &mut self.ctxs[i]);
+                        }
+                        quiet &= self.ctxs[i].sent.is_empty();
+                    }
+                }
+                if quiet {
+                    return;
+                }
+            }
+        }
+    }
+
+    /// A rebuilt endpoint numbers its frames from 0 and has forgotten
+    /// what it delivered, while its peer carries on. Both directions
+    /// keep working: the peer takes the new frames (the incarnation
+    /// changed), and the rebuilt side skips what its previous life
+    /// acknowledged (the floor), so its receive window stays empty.
+    #[test]
+    fn a_rebuilt_endpoint_and_its_peer_resume_exchanging_frames() {
+        let mut pair = Pair::new(ms(1));
+        pair.exchange(0, 100);
+        assert_eq!(pair.got[0], (1000..1100).collect::<Vec<_>>());
+        assert_eq!(pair.got[1], (0..100).collect::<Vec<_>>());
+        assert_eq!(pair.last_ack_from_1, Some((100, 0)));
+
+        pair.rebuild(1, ms(2));
+        pair.exchange(100, 100);
+        assert_eq!(
+            pair.got[0][100..],
+            (1100..1200).collect::<Vec<_>>(),
+            "the peer must deliver the rebuilt side's frames"
+        );
+        assert_eq!(pair.got[1][100..], (100..200).collect::<Vec<_>>());
+        assert_eq!(
+            pair.last_ack_from_1,
+            Some((200, 0)),
+            "the rebuilt side acks the peer's frames with no holes below them"
+        );
     }
 }

@@ -294,15 +294,19 @@ pub struct PaxosTob<M> {
     /// Proposals in flight under our ballot: slot → (entry, acks).
     inflight: BTreeMap<u64, (Entry<M>, HashSet<ReplicaId>)>,
     /// Payloads we must get ordered (ours or actively submitted), not
-    /// yet decided.
+    /// yet decided. An entry is live while its key is in `pending_keys`:
+    /// a decision retires it by dropping the key alone, and retired
+    /// entries leave from the front (see [`trim_front`]).
     pending: VecDeque<Entry<M>>,
     pending_keys: HashSet<(ReplicaId, u64)>,
     /// Relayed payloads (from [`Tob::ensure`]) held in standby: they are
     /// promoted to `pending` only by the pump, so a relay can never
-    /// overtake the origin's own submission order.
+    /// overtake the origin's own submission order. Live while the key
+    /// is in `standby_keys`, like `pending`.
     standby: VecDeque<Entry<M>>,
     standby_keys: HashSet<(ReplicaId, u64)>,
-    /// Keys proposed under the current ballot (avoid double-proposing).
+    /// Keys proposed under the current ballot and not yet decided (avoid
+    /// double-proposing; a decided key is answered by `key_decided`).
     proposed_keys: HashSet<(ReplicaId, u64)>,
     /// What we believe each peer has decided (drives catch-up).
     acked_upto: Vec<u64>,
@@ -578,7 +582,7 @@ impl<M: Clone + fmt::Debug> PaxosTob<M> {
         }
         // an actively-submitted entry outranks its standby (relay) copy
         if self.standby_keys.remove(&key) {
-            self.standby.retain(|e| e.key() != key);
+            trim_front(&mut self.standby, &self.standby_keys);
         }
         self.pending_keys.insert(key);
         self.pending.push_back(entry);
@@ -592,20 +596,21 @@ impl<M: Clone + fmt::Debug> PaxosTob<M> {
         let Role::Leading { ballot } = self.role else {
             return;
         };
-        if self.inflight.len() >= self.config.max_inflight {
-            return;
-        }
-        let pending: Vec<Entry<M>> = self.pending.iter().cloned().collect();
-        for entry in pending {
-            if self.inflight.len() >= self.config.max_inflight {
-                break;
-            }
+        // walk the queue in place, counting positions from the back: a
+        // proposal decided inline (a one-replica quorum) pops retired
+        // entries off the front, which leaves back-relative positions be
+        let mut rest = self.pending.len();
+        while rest > 0 && self.inflight.len() < self.config.max_inflight {
+            let entry = &self.pending[self.pending.len() - rest];
+            rest -= 1;
             if self.proposed_keys.contains(&entry.key()) || self.key_decided(entry.key()) {
                 continue;
             }
+            let entry = entry.clone();
             let slot = self.next_slot;
             self.next_slot += 1;
             self.propose_at(ballot, slot, entry, ctx);
+            rest = rest.min(self.pending.len());
         }
     }
 
@@ -668,6 +673,9 @@ impl<M: Clone + fmt::Debug> PaxosTob<M> {
 
     /// Records a decided slot and advances the contiguous prefix.
     fn learn(&mut self, slot: u64, entry: Entry<M>) {
+        // decided now (or long ago, below the floor or in this very
+        // slot): from here on `key_decided` answers for it
+        self.proposed_keys.remove(&entry.key());
         if slot < self.comp.floor.slot_floor || self.decided.contains_key(&slot) {
             // below the compaction floor the decision is ancient history
             // (delivered everywhere); re-learning it would resurrect
@@ -684,10 +692,10 @@ impl<M: Clone + fmt::Debug> PaxosTob<M> {
         }
         self.decided_keys.insert(entry.key());
         if self.pending_keys.remove(&entry.key()) {
-            self.pending.retain(|e| e.key() != entry.key());
+            trim_front(&mut self.pending, &self.pending_keys);
         }
         if self.standby_keys.remove(&entry.key()) {
-            self.standby.retain(|e| e.key() != entry.key());
+            trim_front(&mut self.standby, &self.standby_keys);
         }
         self.decided.insert(slot, entry);
         while self.decided.contains_key(&self.prefix) {
@@ -1240,10 +1248,8 @@ impl<M: Clone + fmt::Debug> PaxosTob<M> {
             }
             // follower: nag the leader with pending and relayed payloads
             if !self.pending.is_empty() || !self.standby.is_empty() {
-                let entries: Vec<Entry<M>> = self
-                    .pending
-                    .iter()
-                    .chain(self.standby.iter())
+                let entries: Vec<Entry<M>> = live(&self.pending, &self.pending_keys)
+                    .chain(live(&self.standby, &self.standby_keys))
                     .take(self.config.batch_limit)
                     .cloned()
                     .collect();
@@ -1276,6 +1282,26 @@ impl<M: Clone + fmt::Debug> PaxosTob<M> {
         self.pump_timer = None;
         self.ensure_pump(ctx);
     }
+}
+
+/// Pops retired entries off the front of `queue` — an entry is live
+/// while its key is in `keys`. Retiring an entry drops only its key, so
+/// a decision costs O(1) instead of a scan of the backlog; a retired
+/// entry behind a live one is skipped by every reader and leaves once it
+/// reaches the front. The queue is thus empty exactly when nothing in
+/// it is live.
+fn trim_front<M>(queue: &mut VecDeque<Entry<M>>, keys: &HashSet<(ReplicaId, u64)>) {
+    while queue.front().is_some_and(|e| !keys.contains(&e.key())) {
+        queue.pop_front();
+    }
+}
+
+/// The live entries of a queue [`trim_front`] keeps, in queue order.
+fn live<'a, M>(
+    queue: &'a VecDeque<Entry<M>>,
+    keys: &'a HashSet<(ReplicaId, u64)>,
+) -> impl Iterator<Item = &'a Entry<M>> {
+    queue.iter().filter(|e| keys.contains(&e.key()))
 }
 
 impl<M: Clone + fmt::Debug> Tob<M> for PaxosTob<M> {
@@ -1763,6 +1789,8 @@ impl<M: Clone + fmt::Debug> Tob<M> for PaxosTob<M> {
         self.standby.retain(|e| e.seq >= mark.next_for(e.sender));
         self.pending_keys.retain(|(s, q)| *q >= mark.next_for(*s));
         self.standby_keys.retain(|(s, q)| *q >= mark.next_for(*s));
+        trim_front(&mut self.pending, &self.pending_keys);
+        trim_front(&mut self.standby, &self.standby_keys);
         self.fifo_cursor = self.fifo_cursor.max(mark.slot_floor);
         self.prefix = self.prefix.max(mark.slot_floor);
         while self.decided.contains_key(&self.prefix) {
@@ -1780,6 +1808,13 @@ impl<M: Clone + fmt::Debug> Tob<M> for PaxosTob<M> {
 
     fn released_seq(&self, sender: ReplicaId) -> u64 {
         self.fifo.next_seq(sender)
+    }
+
+    fn retained_keys(&self) -> usize {
+        self.decided_keys.len()
+            + self.pending_keys.len()
+            + self.standby_keys.len()
+            + self.proposed_keys.len()
     }
 }
 

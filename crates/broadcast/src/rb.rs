@@ -1,8 +1,8 @@
 //! Eager reliable broadcast.
 
-use crate::link::{LinkMsg, PerfectLink};
+use crate::link::{LinkMsg, PerfectLink, SeqWindow};
 use bayou_types::{Context, ReplicaId, TimerId, VirtualTime};
-use std::collections::HashSet;
+use std::collections::VecDeque;
 
 /// System-wide unique identifier of a reliably-broadcast message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -18,6 +18,10 @@ pub struct RbId {
 pub struct RbMsg<M> {
     /// Unique id of the broadcast.
     pub id: RbId,
+    /// The origin's acknowledged floor when it broadcast this: every
+    /// peer's link acknowledged all of the origin's broadcasts below
+    /// this seq, so a receiver counts them as seen.
+    pub floor: u64,
     /// The broadcast payload.
     pub payload: M,
 }
@@ -41,11 +45,30 @@ pub struct RbMsg<M> {
 /// at its end, so every broadcast first delivered by one incoming frame
 /// — however many it coalesced — is relayed onward as a single framed
 /// [`LinkMsg`] per peer with one ack and one retransmit slot.
+///
+/// # Deduplication keeps watermarks
+///
+/// What an endpoint has seen is, per origin, a prefix of broadcast
+/// seqs plus the ones that arrived above it out of order — the link's
+/// receive window again — never a set of every broadcast. A replica
+/// rebuilt after a crash has forgotten what it saw, and the broadcasts
+/// it missed are not resent; so every message carries its origin's
+/// *floor* (all of the origin's broadcasts below it were acknowledged
+/// by every peer's link), and the receiver lifts the origin's prefix
+/// to it. A replica that never restarted has seen all of those
+/// already, so for it the lift changes nothing.
 #[derive(Debug)]
 pub struct ReliableBroadcast<M> {
     link: PerfectLink<RbMsg<M>>,
     next_seq: u64,
-    seen: HashSet<RbId>,
+    /// Per origin: the broadcast seqs seen.
+    seen: Vec<SeqWindow>,
+    /// Our broadcasts below this are acknowledged by every peer.
+    floor: u64,
+    /// Our broadcasts from `floor` on, oldest first: for each, the
+    /// number of frames the link had sent each replica once it left
+    /// (`n` entries per broadcast, ours unused).
+    awaiting: VecDeque<u64>,
 }
 
 impl<M: Clone> ReliableBroadcast<M> {
@@ -54,7 +77,9 @@ impl<M: Clone> ReliableBroadcast<M> {
         ReliableBroadcast {
             link: PerfectLink::new(n, retransmit_period),
             next_seq: 0,
-            seen: HashSet::new(),
+            seen: vec![SeqWindow::default(); n],
+            floor: 0,
+            awaiting: VecDeque::new(),
         }
     }
 
@@ -66,10 +91,26 @@ impl<M: Clone> ReliableBroadcast<M> {
             seq: self.next_seq,
         };
         self.next_seq += 1;
-        self.seen.insert(id);
-        self.link.send_all(RbMsg { id, payload }, ctx);
+        self.seen[id.origin.index()].insert(id.seq);
+        let floor = self.floor;
+        self.link.send_all(RbMsg { id, floor, payload }, ctx);
         self.link.flush(ctx);
+        let n = self.seen.len();
+        self.awaiting.extend((0..n).map(|p| self.link.sent_to(p)));
+        self.advance_floor();
         id
+    }
+
+    /// Moves our floor past every broadcast whose frames all peers
+    /// acknowledged.
+    fn advance_floor(&mut self) {
+        let n = self.seen.len();
+        while self.awaiting.len() >= n
+            && (0..n).all(|p| self.link.acked_below(p) >= self.awaiting[p])
+        {
+            self.awaiting.drain(..n);
+            self.floor += 1;
+        }
     }
 
     /// Handles an incoming link frame; returns newly RB-delivered
@@ -85,7 +126,9 @@ impl<M: Clone> ReliableBroadcast<M> {
         let me = ctx.id();
         let n = ctx.cluster_size();
         for rb in self.link.on_message(from, msg, ctx) {
-            if self.seen.insert(rb.id) {
+            let seen = &mut self.seen[rb.id.origin.index()];
+            seen.lift(rb.floor);
+            if seen.insert(rb.id.seq) {
                 // eager relay before delivery (buffered; flushed below)
                 // — but not to the two replicas that provably hold the
                 // message already: its origin (it broadcast it, and a
@@ -103,6 +146,7 @@ impl<M: Clone> ReliableBroadcast<M> {
                 out.push((rb.id, rb.payload));
             }
         }
+        self.advance_floor();
         self.link.flush(ctx);
         out
     }
@@ -112,9 +156,30 @@ impl<M: Clone> ReliableBroadcast<M> {
         self.link.on_timer(timer, ctx)
     }
 
-    /// Number of distinct broadcasts seen so far.
+    /// Number of distinct broadcasts seen so far (those a restart made
+    /// us skip included).
     pub fn seen_count(&self) -> usize {
-        self.seen.len()
+        self.seen
+            .iter()
+            .map(|w| w.prefix() as usize + w.sparse().len())
+            .sum()
+    }
+
+    /// Broadcast seqs held above the per-origin seen prefixes: what
+    /// arrived out of order and has not been filled in below.
+    pub fn retained_seen(&self) -> usize {
+        self.seen.iter().map(|w| w.sparse().len()).sum()
+    }
+
+    /// Our broadcasts some peer's link has not acknowledged yet (the
+    /// ones above our floor).
+    pub fn unacked_broadcasts(&self) -> usize {
+        self.awaiting.len() / self.seen.len()
+    }
+
+    /// The underlying link (read-only, for its gauges).
+    pub fn link(&self) -> &PerfectLink<RbMsg<M>> {
+        &self.link
     }
 }
 
@@ -123,6 +188,7 @@ mod tests {
     use super::*;
     use bayou_sim::{NetworkConfig, Partition, PartitionSchedule, Sim, SimConfig};
     use bayou_types::Process;
+    use std::collections::HashSet;
 
     type Wire = LinkMsg<RbMsg<u64>>;
 
@@ -282,9 +348,12 @@ mod tests {
         let mut ctx = Collect::default();
         let origin = ReplicaId::new(0);
         let frame = LinkMsg::Data {
+            incarnation: 0,
+            floor: 0,
             seq: 0,
             payloads: vec![RbMsg {
                 id: RbId { origin, seq: 0 },
+                floor: 0,
                 payload: 9,
             }],
         };
@@ -304,6 +373,29 @@ mod tests {
             !ctx.sent.iter().any(|(to, _)| *to == origin),
             "nothing goes back to the origin in the delivery step"
         );
+    }
+
+    /// A replica rebuilt mid-run has forgotten every broadcast it saw
+    /// and will never see the ones it missed. The origins' floors lift
+    /// its watermarks past them: it delivers what is broadcast after its
+    /// restart and holds nothing above its prefixes.
+    #[test]
+    fn a_rebuilt_replica_keeps_no_holes_below_the_origins_floors() {
+        let n = 3;
+        let cfg = SimConfig::new(n, 7).with_restart(ms(500), ReplicaId::new(2));
+        let mut sim = Sim::new(cfg, move |_| RbProc::new(n));
+        for k in 0..40u64 {
+            // two origins, before and after the restart
+            sim.schedule_input(ms(10 + 25 * k), ReplicaId::new((k % 2) as u32), k);
+        }
+        sim.run();
+        let rebuilt = sim.process(ReplicaId::new(2));
+        let after: Vec<u64> = rebuilt.delivered.iter().map(|(_, v)| *v).collect();
+        assert_eq!(after, (20..40).collect::<Vec<_>>());
+        for r in ReplicaId::all(n) {
+            assert_eq!(sim.process(r).rb.retained_seen(), 0, "holes at {r}");
+            assert_eq!(sim.process(r).rb.link().retained_sparse(), 0);
+        }
     }
 
     #[test]

@@ -199,6 +199,14 @@ pub trait Tob<M: Clone + fmt::Debug> {
         let _ = sender;
         0
     }
+
+    /// Broadcast keys the endpoint holds in its bookkeeping sets
+    /// (decided-but-unreleased, pending, relayed, proposed): a gauge
+    /// that stays O(window) rather than growing per broadcast. Default
+    /// 0 for implementations without such sets.
+    fn retained_keys(&self) -> usize {
+        0
+    }
 }
 
 /// A compaction floor of a Total Order Broadcast endpoint: everything

@@ -212,13 +212,25 @@ impl<M: Wire> Wire for PaxosMsg<M> {
 impl<M: Wire> Wire for LinkMsg<M> {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            LinkMsg::Data { seq, payloads } => {
+            LinkMsg::Data {
+                incarnation,
+                floor,
+                seq,
+                payloads,
+            } => {
                 out.push(0);
+                incarnation.encode(out);
+                floor.encode(out);
                 seq.encode(out);
                 payloads.encode(out);
             }
-            LinkMsg::Ack { upto, sparse } => {
+            LinkMsg::Ack {
+                incarnation,
+                upto,
+                sparse,
+            } => {
                 out.push(1);
+                incarnation.encode(out);
                 upto.encode(out);
                 sparse.encode(out);
             }
@@ -227,10 +239,13 @@ impl<M: Wire> Wire for LinkMsg<M> {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         match u8::decode(r)? {
             0 => Ok(LinkMsg::Data {
+                incarnation: u64::decode(r)?,
+                floor: u64::decode(r)?,
                 seq: u64::decode(r)?,
                 payloads: Vec::decode(r)?,
             }),
             1 => Ok(LinkMsg::Ack {
+                incarnation: u64::decode(r)?,
                 upto: u64::decode(r)?,
                 sparse: Vec::decode(r)?,
             }),
@@ -255,11 +270,13 @@ impl Wire for RbId {
 impl<M: Wire> Wire for RbMsg<M> {
     fn encode(&self, out: &mut Vec<u8>) {
         self.id.encode(out);
+        self.floor.encode(out);
         self.payload.encode(out);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(RbMsg {
             id: RbId::decode(r)?,
+            floor: u64::decode(r)?,
             payload: M::decode(r)?,
         })
     }
@@ -368,10 +385,13 @@ mod tests {
             },
         });
         rt(LinkMsg::Data {
+            incarnation: 1_000_000,
+            floor: 9,
             seq: 12,
             payloads: vec![5u64, 6, 7],
         });
         rt(LinkMsg::<u64>::Ack {
+            incarnation: 1_000_000,
             upto: 12,
             sparse: vec![14, 16],
         });
@@ -384,6 +404,7 @@ mod tests {
                 origin: ReplicaId::new(1),
                 seq: 44,
             },
+            floor: 40,
             payload: 9u64,
         });
     }
@@ -432,6 +453,8 @@ mod tests {
             })
         ));
         let msg = LinkMsg::Data {
+            incarnation: 3,
+            floor: 1,
             seq: 1,
             payloads: vec![1u64, 2],
         };

@@ -336,6 +336,8 @@ fn random_paxos_msg(rng: &mut StdRng) -> PaxosMsg<u64> {
 fn random_link_msg(rng: &mut StdRng) -> LinkMsg<RbMsg<u64>> {
     if rng.gen_range(0..2u8) == 0 {
         LinkMsg::Data {
+            incarnation: rng.gen_range(0..u64::MAX),
+            floor: rng.gen_range(0..1_000),
             seq: rng.gen_range(0..1_000),
             payloads: (0..rng.gen_range(0..5u64))
                 .map(|_| RbMsg {
@@ -343,12 +345,14 @@ fn random_link_msg(rng: &mut StdRng) -> LinkMsg<RbMsg<u64>> {
                         origin: ReplicaId::new(rng.gen_range(0..5u32)),
                         seq: rng.gen_range(0..1_000),
                     },
+                    floor: rng.gen_range(0..1_000),
                     payload: rng.gen_range(0..u64::MAX),
                 })
                 .collect(),
         }
     } else {
         LinkMsg::Ack {
+            incarnation: rng.gen_range(0..u64::MAX),
             upto: rng.gen_range(0..1_000),
             sparse: (0..rng.gen_range(0..4u64))
                 .map(|_| rng.gen_range(0..1_000))

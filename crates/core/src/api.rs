@@ -116,19 +116,22 @@ impl Served {
 /// rolled back) on the replica's state object when the response was
 /// computed, starting where that state object was created.
 ///
-/// Copying the whole trace would cost O(lifetime) per response. But its
-/// leading `stable` entries are committed and executed — nothing ever
-/// rolls them back — so they stay in the state object's own trace for as
-/// long as that object lives, and only the `tail` after them (the
-/// speculation window) is copied. [`ExecTrace::resolve`] turns the pair
-/// back into the full id list; it must read the trace of the state
-/// object that produced the response, which a restart or a baseline
-/// install replaces (the simulator harness resolves each response as it
-/// takes it from the step that produced it).
+/// Copying the whole trace would cost O(lifetime) per response, and the
+/// replica does not even keep it. Its leading `stable` entries are
+/// committed and executed — nothing ever rolls them back — so they are a
+/// stretch of the group's committed order: the `stable` requests
+/// delivered from position `from`, where the state object began (its
+/// replica's first commit, or the last recovery or baseline install).
+/// Only the `tail` after them, the speculation window, is carried by
+/// value. [`ExecTrace::resolve`] turns the triple back into the full id
+/// list given the committed order, which a caller recording deliveries
+/// has (`BayouCluster` does, step by step).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ExecTrace {
-    /// Length of the stable prefix, read by reference from the producing
-    /// state object's trace. 0 once resolved.
+    /// Committed-order position of the stable prefix. 0 once resolved.
+    from: u64,
+    /// Length of the stable prefix, read from the committed order. 0
+    /// once resolved.
     stable: usize,
     /// The ids after the stable prefix, in execution order (the whole
     /// trace once resolved).
@@ -136,36 +139,39 @@ pub struct ExecTrace {
 }
 
 impl ExecTrace {
-    /// A trace whose first `stable` ids are still to be read from the
-    /// producing state object's trace.
-    pub(crate) fn new(stable: usize, tail: Vec<ReqId>) -> Self {
-        ExecTrace { stable, tail }
+    /// A trace whose first `stable` ids are the committed requests at
+    /// positions `from..from + stable`.
+    pub(crate) fn new(from: u64, stable: usize, tail: Vec<ReqId>) -> Self {
+        ExecTrace { from, stable, tail }
     }
 
     /// A self-contained trace: every id carried in the tail.
     pub fn full(ids: Vec<ReqId>) -> Self {
-        ExecTrace::new(0, ids)
+        ExecTrace::new(0, 0, ids)
     }
 
-    /// Copies the stable prefix in from `origin`, the trace of the state
-    /// object that produced this one, leaving a self-contained trace.
+    /// Copies the stable prefix in from `committed`, the group's
+    /// committed order from its first delivery, leaving a self-contained
+    /// trace.
     ///
     /// # Panics
     ///
-    /// Panics if `origin` is shorter than the stable prefix: it is not
-    /// the state object the response came from.
-    pub fn resolve(&mut self, origin: &[ReqId]) {
+    /// Panics if `committed` does not reach the end of the stable
+    /// prefix: it is not the order the response was computed against.
+    pub fn resolve(&mut self, committed: &[ReqId]) {
         if self.stable == 0 {
             return;
         }
+        let from = self.from as usize;
         assert!(
-            self.stable <= origin.len(),
-            "exec trace resolved against the wrong state object: stable={} > trace={}",
-            self.stable,
-            origin.len()
+            from + self.stable <= committed.len(),
+            "exec trace resolved against too short a committed order: needs {}..{}, has {}",
+            from,
+            from + self.stable,
+            committed.len()
         );
         let mut ids = Vec::with_capacity(self.stable + self.tail.len());
-        ids.extend_from_slice(&origin[..self.stable]);
+        ids.extend_from_slice(&committed[from..from + self.stable]);
         ids.append(&mut self.tail);
         *self = ExecTrace::full(ids);
     }
@@ -237,7 +243,36 @@ pub struct EventRecord<Op> {
     pub served: Option<Served>,
 }
 
+/// What a replica notes about the invocation it just handled, for a
+/// history recorder to take before the next one (the replica keeps no
+/// history itself): with the operation, which the recorder already
+/// holds as the input it delivered, it makes a pending [`EventRecord`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Invoked {
+    /// Request metadata (timestamp, dot, level).
+    pub(crate) meta: ReqMeta,
+    /// Virtual time of the invocation.
+    pub(crate) invoked_at: VirtualTime,
+    /// Whether the request was TOB-cast.
+    pub(crate) tob_cast: bool,
+}
+
 impl<Op> EventRecord<Op> {
+    /// The pending record of an invocation made on `replica`.
+    pub(crate) fn invoked(inv: Invoked, op: Op, replica: ReplicaId) -> Self {
+        EventRecord {
+            meta: inv.meta,
+            op,
+            replica,
+            invoked_at: inv.invoked_at,
+            returned_at: None,
+            value: None,
+            exec_trace: None,
+            tob_cast: inv.tob_cast,
+            served: None,
+        }
+    }
+
     /// Whether the operation is pending (never returned in this run).
     pub fn is_pending(&self) -> bool {
         self.value.is_none()
@@ -320,21 +355,25 @@ mod tests {
 
     #[test]
     fn exec_trace_resolves_its_stable_prefix() {
-        let origin: Vec<ReqId> = (1..=5).map(|n| meta(n).id()).collect();
-        let mut t = ExecTrace::new(3, vec![meta(9).id()]);
-        t.resolve(&origin);
-        let expected = [origin[0], origin[1], origin[2], meta(9).id()];
+        let committed: Vec<ReqId> = (1..=5).map(|n| meta(n).id()).collect();
+        let mut t = ExecTrace::new(0, 3, vec![meta(9).id()]);
+        t.resolve(&committed);
+        let expected = [committed[0], committed[1], committed[2], meta(9).id()];
         assert_eq!(t.ids(), expected);
         // resolved traces are self-contained: a second resolve is a no-op
         t.resolve(&[]);
         assert_eq!(t.ids(), expected);
+        // a state object that began at the third commit
+        let mut t = ExecTrace::new(2, 2, Vec::new());
+        t.resolve(&committed);
+        assert_eq!(t.ids(), [committed[2], committed[3]]);
     }
 
     #[test]
-    #[should_panic(expected = "wrong state object")]
-    fn exec_trace_refuses_a_shorter_origin() {
-        let mut t = ExecTrace::new(2, Vec::new());
-        t.resolve(&[meta(1).id()]);
+    #[should_panic(expected = "too short a committed order")]
+    fn exec_trace_refuses_a_shorter_committed_order() {
+        let mut t = ExecTrace::new(1, 2, Vec::new());
+        t.resolve(&[meta(1).id(), meta(2).id()]);
     }
 
     #[test]

@@ -42,7 +42,7 @@
 //! its one-group case; [`crate::BayouCluster`] wires hosts over the
 //! simulator.
 
-use crate::api::{Invocation, Response};
+use crate::api::{Invocation, Invoked, Response};
 use crate::replica::{BayouMsg, BayouReplica};
 use bayou_broadcast::{FrameMeter, StepCoalescer, StepDeferral, Tob};
 use bayou_data::{DataType, StateObject};
@@ -262,6 +262,13 @@ where
     /// Panics if `gid` is out of range.
     pub fn group(&self, gid: GroupId) -> &BayouReplica<F, T, S> {
         &self.groups[gid.index()]
+    }
+
+    /// Takes the record of the invocation group `gid` handled since the
+    /// last call ([`BayouReplica::take_invoked`]); `None` for a group out
+    /// of range.
+    pub(crate) fn take_invoked(&mut self, gid: GroupId) -> Option<Invoked> {
+        self.groups.get_mut(gid.index())?.take_invoked()
     }
 
     /// Mutes (or unmutes) one group on this host: while muted, the host

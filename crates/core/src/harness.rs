@@ -115,6 +115,13 @@ impl<Op> SessionScript<Op> {
 /// object: one replication group per host by default, N on request
 /// ([`BayouCluster::grouped`], or a factory building N-group hosts).
 ///
+/// The cluster is also the run's recorder. The replicas keep no history
+/// — it is a record kept for checking, not replica state — so after
+/// every step the cluster notes the invocation the step handled (the
+/// input it delivered, with the record the replica left), each group's
+/// committed order as far as the step extended it, and the responses,
+/// whose exec traces it resolves against that order.
+///
 /// The single-group surface — [`BayouCluster::invoke_at`],
 /// [`BayouCluster::replica`], the [`RunTrace`] returned by the runs —
 /// addresses group 0; [`BayouCluster::schedule_in`],
@@ -130,12 +137,19 @@ where
 {
     sim: Sim<GroupedReplica<F, T, S>>,
     n: usize,
+    /// Per host, the invocations of its current incarnation, in order:
+    /// the group each went to and its record (responses are matched in
+    /// when a trace is built).
+    invocations: Vec<Vec<(GroupId, EventRecord<F::Op>)>>,
+    /// Per group, every request committed so far in TOB order — also the
+    /// prefix compaction dropped from every replica's retained list.
+    committed: Vec<Vec<ReqId>>,
     responses: Vec<OutputRecord<(GroupId, Response)>>,
     quiescent: bool,
-    /// Whether the schedule restarts replicas: a rebuilt replica loses
-    /// its in-memory journal, so pre-crash responses legitimately have
-    /// no event record. Without restarts an unmatched response is a
-    /// protocol bug and trace building asserts on it.
+    /// Whether the schedule restarts replicas: a rebuilt replica's
+    /// invocation records are dropped with it, so pre-crash responses
+    /// legitimately have no event record. Without restarts an unmatched
+    /// response is a protocol bug and trace building asserts on it.
     has_restarts: bool,
 }
 
@@ -218,9 +232,12 @@ where
         let n = sim_config.n;
         let has_restarts = !sim_config.restarts.is_empty();
         let sim = Sim::new(sim_config, make);
+        let groups = sim.process(ReplicaId::new(0)).group_count();
         BayouCluster {
             sim,
             n,
+            invocations: vec![Vec::new(); n],
+            committed: vec![Vec::new(); groups],
             responses: Vec::new(),
             quiescent: false,
             has_restarts,
@@ -336,28 +353,52 @@ where
         self.trace(GroupId::new(0))
     }
 
-    /// Dispatches one simulator event due by `deadline` and records the
-    /// responses it produced ([`Sim::step_until`] gives the meaning of
-    /// the result). Lets a test look at the cluster between any two
-    /// steps.
+    /// Dispatches one simulator event due by `deadline` and records what
+    /// it did ([`Sim::step_until`] gives the meaning of the result). Lets
+    /// a test look at the cluster between any two steps.
     pub fn step_until(&mut self, deadline: VirtualTime) -> Option<bool> {
+        // the step consumes its input: keep the operation for the record
+        let next = self
+            .sim
+            .peek_next()
+            .map(|(r, input)| (r, input.map(|(gid, inv)| (*gid, inv.op.clone()))));
+        let restarts = self.sim.metrics().restarts;
         let stepped = self.sim.step_until(deadline);
-        if stepped == Some(true) {
-            self.record_outputs();
+        if let (Some(true), Some((r, input))) = (stepped, next) {
+            if self.sim.metrics().restarts > restarts {
+                // a rebuilt host's invocation records go with it
+                self.invocations[r.index()].clear();
+            }
+            self.record_step(r, input);
         }
         stepped
     }
 
-    /// Takes the responses of the step that just ran, resolving each
-    /// exec trace against the state object that produced it. That object
-    /// lives only as long as its incarnation (a restart rebuilds the
-    /// host, a baseline install the state object), so resolution cannot
-    /// wait for the end of the run.
-    fn record_outputs(&mut self) {
+    /// Records the step host `r` just ran: the invocation it handled (if
+    /// the step delivered one), the deliveries it added to each group's
+    /// committed order, and its responses, whose exec traces resolve
+    /// against that order.
+    fn record_step(&mut self, r: ReplicaId, input: Option<(GroupId, F::Op)>) {
+        if let Some((gid, op)) = input {
+            if let Some(inv) = self.sim.process_mut(r).take_invoked(gid) {
+                let record = EventRecord::invoked(inv, op, r);
+                self.invocations[r.index()].push((gid, record));
+            }
+        }
+        // a step delivers only at its own host, and every position of the
+        // order is delivered by some replica's commit batch first, so the
+        // order grows without gaps
+        let host = self.sim.process(r);
+        for (gid, order) in GroupId::all(self.committed.len()).zip(&mut self.committed) {
+            let (from, batch) = host.group(gid).last_commit();
+            let from = from as usize;
+            if from <= order.len() && from + batch.len() > order.len() {
+                order.extend_from_slice(&batch[order.len() - from..]);
+            }
+        }
         for mut out in self.sim.take_outputs() {
             let (gid, response) = &mut out.output;
-            let origin = self.sim.process(out.replica).group(*gid);
-            response.exec_trace.resolve(origin.state_object().trace());
+            response.exec_trace.resolve(&self.committed[gid.index()]);
             self.responses.push(out);
         }
     }
@@ -372,6 +413,13 @@ where
     /// exec trace is resolved ([`crate::ExecTrace::ids`]).
     pub fn responses(&self) -> &[OutputRecord<(GroupId, Response)>] {
         &self.responses
+    }
+
+    /// Every request group `gid` committed so far, in TOB order, as the
+    /// cluster recorded the deliveries step by step — the whole order,
+    /// including what compaction dropped from every replica.
+    pub fn committed_order(&self, gid: GroupId) -> &[ReqId] {
+        &self.committed[gid.index()]
     }
 
     /// Runs closed-loop sessions to completion (or until the simulation
@@ -499,14 +547,17 @@ where
         );
     }
 
-    /// The recorded trace of group `gid`, built from its journals and
-    /// the responses collected so far.
+    /// The recorded trace of group `gid`, built from its invocation
+    /// records and the responses collected so far.
     fn trace(&self, gid: GroupId) -> RunTrace<F::Op> {
         let group = |r: ReplicaId| self.host(r).group(gid);
-        let mut events: Vec<EventRecord<F::Op>> = Vec::new();
-        for r in ReplicaId::all(self.n) {
-            events.extend(group(r).journal().iter().cloned());
-        }
+        let mut events: Vec<EventRecord<F::Op>> = self
+            .invocations
+            .iter()
+            .flatten()
+            .filter(|(g, _)| *g == gid)
+            .map(|(_, e)| e.clone())
+            .collect();
         // fill in responses (exactly one per request)
         let mut by_id: HashMap<ReqId, usize> = events
             .iter()
@@ -519,7 +570,7 @@ where
             .filter(|o| o.output.0 == gid)
             .map(|o| (o.time, &o.output.1))
         {
-            // a restarted replica loses its in-memory journal, so
+            // a restarted replica's invocation records go with it, so
             // responses it produced before crashing have no event record
             // in crash-recovery schedules; in any other schedule an
             // unmatched response is a protocol bug
@@ -535,12 +586,12 @@ where
             if ev.value.is_some() {
                 // a purely-local read-only invocation leaves no durable
                 // trace, so a restarted replica may reuse its dot; the
-                // pre-crash invocation's journal entry died with the
-                // restart, leaving only its stray response — which then
-                // collides with the reused dot's event. The lost journal
-                // makes the collision undetectable from the surviving
-                // events, so restart schedules get a blanket waiver;
-                // anywhere else a duplicate response is a protocol bug.
+                // pre-crash invocation's record died with the restart,
+                // leaving only its stray response — which then collides
+                // with the reused dot's event. The lost record makes the
+                // collision undetectable from the surviving events, so
+                // restart schedules get a blanket waiver; anywhere else a
+                // duplicate response is a protocol bug.
                 assert!(
                     self.has_restarts,
                     "duplicate response for request {}",

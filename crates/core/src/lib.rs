@@ -81,4 +81,4 @@ pub use harness::{BayouCluster, ClusterConfig, SessionScript};
 pub use naive::{NaiveMixed, NaiveMsg};
 pub use nulltob::NullTob;
 pub use persist::{recover_grouped_paxos, recover_paxos_replica};
-pub use replica::{BayouMsg, BayouReplica, ProtocolMode, ReplicaStats, WireReq};
+pub use replica::{BayouMsg, BayouReplica, ProtocolMode, ReplicaStats, Retained, WireReq};

@@ -20,8 +20,15 @@
 //!   O(suffix), not O(n²);
 //! * checkpoints/undo records of the stable prefix are dropped
 //!   ([`StateObject::truncate_checkpoints`]) every time the committed
-//!   list grows, keeping rollback bookkeeping proportional to the
-//!   speculative window rather than the lifetime of the replica;
+//!   list grows, and the state object's trace ids with them, keeping
+//!   rollback bookkeeping and the trace proportional to the speculative
+//!   window rather than the lifetime of the replica;
+//! * nothing else grows per operation either ([`BayouReplica::retained`]
+//!   is the gauge): reliable-broadcast dedup and the links keep
+//!   watermarks, the TOB forgets keys once they are decided and
+//!   released, and the replica keeps no history of its invocations — it
+//!   leaves a one-slot record for a recorder such as the simulator
+//!   harness to take;
 //! * TOB deliveries commit **batched**: one handler step's whole
 //!   delivery batch is spliced into the committed list with a *single*
 //!   re-planning pass (`adjust_execution`), a single stable-prefix
@@ -74,7 +81,7 @@
 //! pass its last durable report, so its missing suffix is always still
 //! replayable.
 
-use crate::api::{EventRecord, ExecTrace, Invocation, Response, Served};
+use crate::api::{ExecTrace, Invocation, Invoked, Response, Served};
 use bayou_broadcast::{BaselineMark, LinkMsg, MapCtx, RbMsg, ReliableBroadcast, Tob, TobDelivery};
 use bayou_data::{DataType, DeltaState, StateObject};
 use bayou_storage::{NullPersistence, PendingKind, Persistence, StorageError};
@@ -232,6 +239,26 @@ pub struct ReplicaStats {
     pub session_retries: u64,
 }
 
+/// What a replica holds in the structures that used to gain an entry
+/// for every operation it served — a read-only gauge
+/// ([`BayouReplica::retained`]). Each count is bounded by what is out
+/// of order, unacknowledged, undecided or speculative at the moment,
+/// never by the replica's lifetime.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Retained {
+    /// Reliable-broadcast ids seen above the per-origin watermarks.
+    pub rb_seen: usize,
+    /// Own broadcasts not yet acknowledged by every peer's link.
+    pub rb_unacked: usize,
+    /// Link frame numbers delivered above the per-peer prefixes.
+    pub link_sparse: usize,
+    /// Broadcast keys in the TOB's bookkeeping sets
+    /// ([`Tob::retained_keys`]).
+    pub tob_keys: usize,
+    /// Ids on the state object's trace above its stable prefix.
+    pub trace: usize,
+}
+
 /// A Bayou replica (Algorithm 1 of the paper) for data type `F` over a
 /// Total Order Broadcast implementation `T`, speculating through the
 /// state object `S` ([`DeltaState`] unless overridden).
@@ -290,7 +317,14 @@ where
     tob_order: Vec<ReqId>,
     outputs: Vec<Response>,
     stats: ReplicaStats,
-    journal: Vec<EventRecord<F::Op>>,
+    /// The last invocation's record, until a history recorder takes it
+    /// ([`BayouReplica::take_invoked`]). One slot: the replica keeps no
+    /// history of its own.
+    invoked: Option<Invoked>,
+    /// The ids the last commit batch appended, and the committed
+    /// position of the first ([`BayouReplica::last_commit`]); the next
+    /// batch overwrites them.
+    last_commit: (u64, Vec<ReqId>),
     /// Durable-storage hooks ([`bayou_storage::NullPersistence`] unless
     /// the replica was built with [`BayouReplica::with_persistence`] or
     /// [`BayouReplica::recover`]).
@@ -394,7 +428,8 @@ where
             tob_order: Vec::new(),
             outputs: Vec::new(),
             stats: ReplicaStats::default(),
-            journal: Vec::new(),
+            invoked: None,
+            last_commit: (0, Vec::new()),
             persist: Box::new(NullPersistence),
             recovered_pending: Vec::new(),
             compaction: false,
@@ -472,7 +507,7 @@ where
         let stable = (snapshot_delivered.saturating_sub(compacted) as usize).min(deliveries.len());
         let committed_set: HashSet<ReqId> = deliveries.iter().map(|r| r.id()).collect();
         let tob_order: Vec<ReqId> = deliveries.iter().map(|r| r.id()).collect();
-        let state = S::with_committed_trace(snapshot_state, tob_order[..stable].to_vec());
+        let state = S::with_committed_prefix(snapshot_state, stable);
 
         // the snapshot-covered prefix is executed; the rest re-executes
         let executed: Vec<SharedReq<F::Op>> = deliveries[..stable].to_vec();
@@ -690,11 +725,31 @@ where
         &self.tob_order
     }
 
-    /// The invocation journal: one [`EventRecord`] per invocation handled
-    /// by this replica, with response fields unset (the harness fills
-    /// them in from the output stream).
-    pub fn journal(&self) -> &[EventRecord<F::Op>] {
-        &self.journal
+    /// Takes the record of the invocation handled since the last call,
+    /// if any — the hook a history recorder (the simulator harness)
+    /// pairs with the input it delivered.
+    pub(crate) fn take_invoked(&mut self) -> Option<Invoked> {
+        self.invoked.take()
+    }
+
+    /// The requests the last commit batch appended, with the committed
+    /// position of the first — what a recorder reads after each step to
+    /// rebuild the whole committed order (compaction may drop the batch
+    /// from the retained list within the step that delivered it).
+    pub(crate) fn last_commit(&self) -> (u64, &[ReqId]) {
+        (self.last_commit.0, &self.last_commit.1)
+    }
+
+    /// What this replica holds in its per-operation bookkeeping (see
+    /// [`Retained`]).
+    pub fn retained(&self) -> Retained {
+        Retained {
+            rb_seen: self.rb.retained_seen(),
+            rb_unacked: self.rb.unacked_broadcasts(),
+            link_sparse: self.rb.link().retained_sparse(),
+            tob_keys: self.tob.retained_keys(),
+            trace: self.state.trace().len(),
+        }
     }
 
     /// Read access to the TOB component (diagnostics).
@@ -810,14 +865,23 @@ where
         self.executed.len().min(self.committed.len())
     }
 
+    /// Committed-order position of the state object's first trace id:
+    /// where it began, which compaction does not move.
+    fn state_origin(&self) -> u64 {
+        self.compacted - self.dropped_since_state as u64
+    }
+
     /// The state object's current trace as a response carries it: the
     /// prefix that can never roll back (what compaction dropped since the
     /// state object was created, plus the retained stable prefix) by
-    /// length, the speculation window after it by value — O(window),
-    /// never O(lifetime).
+    /// position in the committed order, the speculation window after it
+    /// by value — O(window), never O(lifetime). The state object keeps
+    /// its trace only from its last stable-prefix truncation on, which
+    /// never passes the current stable prefix.
     fn exec_trace(&self) -> ExecTrace {
         let stable = self.dropped_since_state + self.stable_prefix();
-        ExecTrace::new(stable, self.state.trace()[stable..].to_vec())
+        let tail = &self.state.trace()[stable - self.state.trace_offset()..];
+        ExecTrace::new(self.state_origin(), stable, tail.to_vec())
     }
 
     /// Answers `r`'s client: releases the request's correlation tag and
@@ -1104,10 +1168,13 @@ where
         }
         let mut reqs = std::mem::take(&mut self.commit_scratch);
         self.stats.tob_deliveries += reqs.len() as u64;
+        self.last_commit.0 = self.committed_total();
+        self.last_commit.1.clear();
         let mut any_tentative = false;
         for r in &reqs {
             let id = r.id();
             self.tob_order.push(id);
+            self.last_commit.1.push(id);
             self.committed_set.insert(id);
             self.note_seen(id);
             if self.lease.is_some() {
@@ -1205,16 +1272,10 @@ where
             }
         };
         let urgent = r.level.is_strong() && tob_cast;
-        self.journal.push(EventRecord {
+        self.invoked = Some(Invoked {
             meta: r.meta(),
-            op: r.op.clone(),
-            replica: ctx.id(),
             invoked_at: ctx.now(),
-            returned_at: None,
-            value: None,
-            exec_trace: None,
             tob_cast,
-            served: None,
         });
         match self.mode {
             ProtocolMode::Original => {
@@ -1278,6 +1339,7 @@ where
                     // requests not executed yet
                     let stable = self.stable_prefix();
                     let trace = ExecTrace::new(
+                        self.state_origin(),
                         self.dropped_since_state + stable,
                         self.committed[stable..].iter().map(|c| c.id()).collect(),
                     );

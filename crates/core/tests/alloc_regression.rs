@@ -19,9 +19,10 @@
 //!
 //! Compaction has the same rule: a floor advance folds the requests it
 //! passes into the baselines (O(requests passed), never a copy of the
-//! state), and a step where the floor stays put costs nothing.
+//! state), and a step where the floor stays put costs nothing. So does
+//! the Paxos leader: proposing behind a backlog walks it in place.
 
-use bayou_broadcast::{BaselineMark, Tob, TobDelivery};
+use bayou_broadcast::{Ballot, BaselineMark, PaxosConfig, PaxosMsg, PaxosTob, Tob, TobDelivery};
 use bayou_core::{BayouMsg, BayouReplica, ProtocolMode};
 use bayou_data::{DeltaState, KvOp, KvOpView, KvStore};
 use bayou_storage::{frame_into, MemDisk, ReplicaStore, StoreConfig, FRAME_OVERHEAD};
@@ -339,6 +340,79 @@ fn steady_state_delivery_allocations_stay_bounded() {
         per_req_late <= per_req_early * 1.5 + 2.0,
         "delivery allocations grow with history: early {per_req_early:.1}, late {per_req_late:.1} per request"
     );
+}
+
+/// Replica 0 of three, trusted by Ω: the leader's view of the world. It
+/// counts the `Accept`s it is asked to send.
+struct LeaderCtx {
+    accepts: usize,
+}
+
+impl Context<PaxosMsg<String>> for LeaderCtx {
+    fn id(&self) -> ReplicaId {
+        ReplicaId::new(0)
+    }
+    fn cluster_size(&self) -> usize {
+        3
+    }
+    fn now(&self) -> VirtualTime {
+        VirtualTime::ZERO
+    }
+    fn clock(&mut self) -> Timestamp {
+        Timestamp::new(0)
+    }
+    fn send(&mut self, _to: ReplicaId, m: PaxosMsg<String>) {
+        self.accepts += usize::from(matches!(m, PaxosMsg::Accept { .. }));
+    }
+    fn set_timer(&mut self, _d: VirtualTime) -> TimerId {
+        TimerId::new(0)
+    }
+    fn random(&mut self) -> u64 {
+        0
+    }
+    fn omega(&mut self) -> ReplicaId {
+        ReplicaId::new(0)
+    }
+}
+
+/// A Paxos leader proposes a new entry by walking its pending queue in
+/// place: an enqueue behind 1 000 proposed-but-undecided entries costs
+/// O(1) allocations, however deep the backlog. The payloads are
+/// `String`s, whose clones allocate, so copying the queue — which the
+/// leader used to do on every enqueue — would cost a thousand.
+#[test]
+fn paxos_enqueue_behind_a_backlog_allocates_o1() {
+    let mut tob: PaxosTob<String> = PaxosTob::new(3, PaxosConfig::default());
+    let mut ctx = LeaderCtx { accepts: 0 };
+    tob.on_start(&mut ctx);
+    tob.cast(0, "op-0".to_string(), &mut ctx); // opens phase 1
+    let ballot = Ballot {
+        round: 1,
+        leader: ReplicaId::new(0),
+    };
+    // a second promise completes the quorum: replica 0 leads
+    let promise = PaxosMsg::Promise {
+        ballot,
+        accepted: Vec::new(),
+        decided_upto: 0,
+        committed_upto: 0,
+    };
+    tob.on_message(ReplicaId::new(1), promise, &mut ctx);
+    // no acceptor answers: every proposal stays pending
+    for seq in 1..1_000 {
+        tob.cast(seq, format!("op-{seq}"), &mut ctx);
+    }
+    assert_eq!(ctx.accepts, 2 * 1_000, "the leader proposed every entry");
+    for seq in 1_000..1_004 {
+        let payload = format!("op-{seq}");
+        let before = allocations();
+        tob.cast(seq, payload, &mut ctx);
+        let spent = allocations() - before;
+        assert!(
+            spent <= 32,
+            "an enqueue behind {seq} pending entries made {spent} allocations"
+        );
+    }
 }
 
 /// The wire layer itself: steady-state encode (pooled buffer + in-place

@@ -4,9 +4,9 @@
 //! configuration stays on the all-TOB baseline.
 
 use bayou_core::{BayouCluster, ClusterConfig, Invocation, Served, SessionGuard};
-use bayou_data::{KvOp, KvStore, StateObject};
+use bayou_data::{KvOp, KvStore};
 use bayou_sim::{NetworkConfig, Partition, PartitionSchedule, SimConfig};
-use bayou_types::{LeaseConfig, Level, ReplicaId, Value, VirtualTime};
+use bayou_types::{GroupId, LeaseConfig, Level, ReplicaId, Value, VirtualTime};
 
 fn ms(v: u64) -> VirtualTime {
     VirtualTime::from_millis(v)
@@ -95,8 +95,8 @@ fn leased_read_trace_is_the_committed_order_from_the_state_origin() {
         "compaction must have truncated the retained order"
     );
     // replica 0 never restarted: its state object's trace starts at the
-    // first commit, and its committed prefix is the committed order
-    let from_origin = &leader.state_object().trace()[..committed as usize];
+    // first commit, so the read saw the committed order from there
+    let from_origin = &c.committed_order(GroupId::new(0))[..committed as usize];
     assert_eq!(read.exec_trace.as_deref(), Some(from_origin));
 }
 

@@ -25,7 +25,7 @@
 //! of breaking.
 
 use crate::datatype::DataType;
-use crate::state_object::StateObject;
+use crate::state_object::{StateObject, Trace};
 use bayou_types::{ReqId, Value};
 use std::collections::VecDeque;
 use std::fmt;
@@ -151,7 +151,7 @@ pub struct DeltaState<F: InvertibleDataType> {
     log_offset: usize,
     /// Number of `Snapshot` entries currently in `log`.
     snapshots: usize,
-    trace: Vec<ReqId>,
+    trace: Trace,
 }
 
 impl<F: InvertibleDataType> DeltaState<F> {
@@ -161,23 +161,18 @@ impl<F: InvertibleDataType> DeltaState<F> {
 
     /// Creates a state object with the data type's initial state.
     pub fn new() -> Self {
-        DeltaState {
-            state: F::State::default(),
-            log: VecDeque::new(),
-            log_offset: 0,
-            snapshots: 0,
-            trace: Vec::new(),
-        }
+        Self::with_state(F::State::default())
     }
 
-    /// Number of requests currently on the trace.
+    /// Number of requests on the trace, the dropped stable prefix
+    /// included.
     pub fn len(&self) -> usize {
         self.trace.len()
     }
 
     /// Whether the trace is empty.
     pub fn is_empty(&self) -> bool {
-        self.trace.is_empty()
+        self.len() == 0
     }
 
     /// Read-only view of the current logical state.
@@ -210,24 +205,18 @@ impl<F: InvertibleDataType> Default for DeltaState<F> {
 
 impl<F: InvertibleDataType> StateObject<F> for DeltaState<F> {
     fn with_state(state: F::State) -> Self {
-        DeltaState {
-            state,
-            log: VecDeque::new(),
-            log_offset: 0,
-            snapshots: 0,
-            trace: Vec::new(),
-        }
+        Self::with_committed_prefix(state, 0)
     }
 
-    fn with_committed_trace(state: F::State, trace: Vec<ReqId>) -> Self {
-        // the committed prefix carries no undo records; the log starts
-        // immediately after it
+    fn with_committed_prefix(state: F::State, len: usize) -> Self {
+        // the committed prefix carries no undo records and no ids; the
+        // log and the trace start immediately after it
         DeltaState {
             state,
             log: VecDeque::new(),
-            log_offset: trace.len(),
+            log_offset: len,
             snapshots: 0,
-            trace,
+            trace: Trace::starting_at(len),
         }
     }
 
@@ -263,16 +252,7 @@ impl<F: InvertibleDataType> StateObject<F> for DeltaState<F> {
     }
 
     fn rollback(&mut self, id: ReqId) {
-        let last = self
-            .trace
-            .last()
-            .copied()
-            .expect("rollback on an empty trace");
-        assert_eq!(
-            last, id,
-            "non-LIFO rollback: asked to roll back {id} but the most recent request is {last}"
-        );
-        self.trace.pop();
+        self.trace.pop(id);
         let entry = self
             .log
             .pop_back()
@@ -308,7 +288,11 @@ impl<F: InvertibleDataType> StateObject<F> for DeltaState<F> {
     }
 
     fn trace(&self) -> &[ReqId] {
-        &self.trace
+        self.trace.live()
+    }
+
+    fn trace_offset(&self) -> usize {
+        self.trace.offset()
     }
 
     fn materialize(&self) -> F::State {
@@ -316,6 +300,8 @@ impl<F: InvertibleDataType> StateObject<F> for DeltaState<F> {
     }
 
     fn truncate_checkpoints(&mut self, committed_len: usize) {
+        // the ids go whole: unlike undo records, no rollback needs them
+        self.trace.drop_below(committed_len);
         let mut cut = committed_len
             .saturating_sub(self.log_offset)
             .min(self.log.len());
@@ -411,6 +397,8 @@ mod tests {
         }
         d.truncate_checkpoints(99);
         assert_eq!(d.retained_records(), 1);
+        assert_eq!(d.trace(), &[id(100)], "the stable prefix's ids are gone");
+        assert_eq!(d.trace_offset(), 99);
         d.rollback(id(100));
         assert_eq!(d.materialize(), 99);
         assert_eq!(d.len(), 99);

@@ -17,6 +17,19 @@ use bayou_types::ReqId;
 /// The *current trace* (the paper's `α` in Appendix A.2.2) is the sequence
 /// of executed-and-not-rolled-back requests; responses must be consistent
 /// with a deterministic serial execution of the trace.
+///
+/// # The trace is kept above the stable prefix
+///
+/// A state object holds only the part of its trace that can still
+/// change. [`StateObject::truncate_checkpoints`] tells it how long the
+/// stable prefix is (requests that are committed and can never roll
+/// back); implementations drop those ids together with their rollback
+/// bookkeeping and keep only their count, [`StateObject::trace_offset`].
+/// [`StateObject::trace`] is the rest: the ids at trace positions
+/// `trace_offset()..`. A caller that needs the ids of the stable prefix
+/// reads them from the committed order instead — the prefix *is* a
+/// stretch of it — which keeps a long-running replica's trace
+/// O(speculation window) rather than O(lifetime).
 pub trait StateObject<F: DataType> {
     /// Creates a state object whose trace is empty but whose logical
     /// state starts from `state` (bootstrapping from a snapshot, e.g.
@@ -25,14 +38,14 @@ pub trait StateObject<F: DataType> {
     where
         Self: Sized;
 
-    /// Creates a state object from a snapshot of a *committed* prefix:
-    /// the logical state already reflects every request in `trace`, and
-    /// none of them can ever be rolled back, so no rollback bookkeeping
-    /// is created for them. This is the crash-recovery constructor used
-    /// by `bayou-storage`: the replica resumes speculating on top of the
-    /// snapshot exactly as if it had executed and committed the prefix
-    /// itself.
-    fn with_committed_trace(state: F::State, trace: Vec<ReqId>) -> Self
+    /// Creates a state object from a snapshot of a *committed* prefix of
+    /// `len` requests: the logical state already reflects all of them,
+    /// and none can ever be rolled back, so the object keeps neither
+    /// their ids nor any rollback bookkeeping for them — its trace
+    /// starts at offset `len`. This is the crash-recovery constructor:
+    /// the replica resumes speculating on top of the snapshot exactly as
+    /// if it had executed, committed and truncated the prefix itself.
+    fn with_committed_prefix(state: F::State, len: usize) -> Self
     where
         Self: Sized;
 
@@ -48,23 +61,34 @@ pub trait StateObject<F: DataType> {
     /// the trace (see the LIFO discipline above).
     fn rollback(&mut self, id: ReqId);
 
-    /// The current trace `α`: executed-and-not-rolled-back request ids,
-    /// in execution order.
+    /// The retained part of the current trace `α`: the
+    /// executed-and-not-rolled-back request ids at trace positions
+    /// [`StateObject::trace_offset`] onwards, in execution order. The ids
+    /// before them form a stable prefix the object was told about and
+    /// dropped (see the trait docs).
     fn trace(&self) -> &[ReqId];
+
+    /// How many leading trace ids were dropped: the trace position of
+    /// `trace()[0]`. Never exceeds the last stable-prefix length handed
+    /// to [`StateObject::truncate_checkpoints`] (or to
+    /// [`StateObject::with_committed_prefix`]).
+    fn trace_offset(&self) -> usize;
 
     /// Materialises the current logical state (primarily for tests and
     /// convergence checks).
     fn materialize(&self) -> F::State;
 
-    /// Discards rollback bookkeeping for a committed prefix of the
-    /// trace.
+    /// Discards rollback bookkeeping — and the trace ids — for a
+    /// committed prefix of the trace.
     ///
     /// Committed requests can never roll back, so their undo records or
-    /// pre-state checkpoints are dead weight; the replica calls this as
-    /// its committed list grows. `committed_len` is the length of the
-    /// stable trace prefix. Implementations must remain able to roll
-    /// back everything *after* that prefix. The default is a no-op
-    /// (correct, but leaks memory on long committed runs).
+    /// pre-state checkpoints are dead weight, and so are their ids; the
+    /// replica calls this as its committed list grows. `committed_len`
+    /// is the length of the stable trace prefix. Implementations must
+    /// remain able to roll back everything *after* that prefix, and may
+    /// drop the ids before it (reporting the count through
+    /// [`StateObject::trace_offset`]). The default is a no-op (correct,
+    /// but leaks memory on long committed runs).
     fn truncate_checkpoints(&mut self, committed_len: usize) {
         let _ = committed_len;
     }
@@ -74,6 +98,79 @@ pub trait StateObject<F: DataType> {
     /// [`StateObject::truncate_checkpoints`] keeps memory bounded.
     fn retained_records(&self) -> usize {
         0
+    }
+}
+
+/// A state object's trace, kept above the stable prefix: the ids at
+/// positions below `offset` are dropped and only counted. The dropped
+/// ids leave the buffer in bulk, once they outnumber the live ones, so
+/// dropping costs amortised O(1) per executed request.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Trace {
+    ids: Vec<ReqId>,
+    /// Leading entries of `ids` that are already dropped.
+    dead: usize,
+    /// Trace position of the first live id.
+    offset: usize,
+}
+
+impl Trace {
+    /// An empty trace whose first id will sit at position `offset`.
+    pub(crate) fn starting_at(offset: usize) -> Self {
+        Trace {
+            offset,
+            ..Trace::default()
+        }
+    }
+
+    /// The live ids, at positions `offset()..`.
+    pub(crate) fn live(&self) -> &[ReqId] {
+        &self.ids[self.dead..]
+    }
+
+    /// Ids dropped so far.
+    pub(crate) fn offset(&self) -> usize {
+        self.offset
+    }
+
+    /// Length of the whole trace, dropped prefix included.
+    pub(crate) fn len(&self) -> usize {
+        self.offset + self.live().len()
+    }
+
+    pub(crate) fn push(&mut self, id: ReqId) {
+        self.ids.push(id);
+    }
+
+    /// Pops `id`, which must be the most recent live id.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty trace or a non-LIFO rollback.
+    pub(crate) fn pop(&mut self, id: ReqId) {
+        let last = self
+            .live()
+            .last()
+            .copied()
+            .expect("rollback on an empty trace");
+        assert_eq!(
+            last, id,
+            "non-LIFO rollback: asked to roll back {id} but the most recent request is {last}"
+        );
+        self.ids.pop();
+    }
+
+    /// Drops the ids at positions below `stable_len`.
+    pub(crate) fn drop_below(&mut self, stable_len: usize) {
+        let k = stable_len
+            .saturating_sub(self.offset)
+            .min(self.live().len());
+        self.dead += k;
+        self.offset += k;
+        if self.dead >= self.ids.len() - self.dead {
+            self.ids.drain(..self.dead);
+            self.dead = 0;
+        }
     }
 }
 
@@ -103,27 +200,24 @@ pub struct ReplayState<F: DataType> {
     /// Always covers a contiguous *suffix* of `trace` (execute pushes,
     /// rollback pops, truncation drops from the front).
     checkpoints: std::collections::VecDeque<(ReqId, F::State)>,
-    trace: Vec<ReqId>,
+    trace: Trace,
 }
 
 impl<F: DataType> ReplayState<F> {
     /// Creates a state object with the data type's initial state.
     pub fn new() -> Self {
-        ReplayState {
-            state: F::State::default(),
-            checkpoints: std::collections::VecDeque::new(),
-            trace: Vec::new(),
-        }
+        Self::with_state(F::State::default())
     }
 
-    /// Number of requests currently on the trace.
+    /// Number of requests on the trace, the dropped stable prefix
+    /// included.
     pub fn len(&self) -> usize {
         self.trace.len()
     }
 
     /// Whether the trace is empty.
     pub fn is_empty(&self) -> bool {
-        self.trace.is_empty()
+        self.len() == 0
     }
 
     /// Read-only view of the current logical state.
@@ -145,19 +239,15 @@ impl<F: DataType> Default for ReplayState<F> {
 
 impl<F: DataType> StateObject<F> for ReplayState<F> {
     fn with_state(state: F::State) -> Self {
-        ReplayState {
-            state,
-            checkpoints: std::collections::VecDeque::new(),
-            trace: Vec::new(),
-        }
+        Self::with_committed_prefix(state, 0)
     }
 
-    fn with_committed_trace(state: F::State, trace: Vec<ReqId>) -> Self {
+    fn with_committed_prefix(state: F::State, len: usize) -> Self {
         // the prefix is committed: no checkpoints are retained for it
         ReplayState {
             state,
             checkpoints: std::collections::VecDeque::new(),
-            trace,
+            trace: Trace::starting_at(len),
         }
     }
 
@@ -168,16 +258,7 @@ impl<F: DataType> StateObject<F> for ReplayState<F> {
     }
 
     fn rollback(&mut self, id: ReqId) {
-        let last = self
-            .trace
-            .last()
-            .copied()
-            .expect("rollback on an empty trace");
-        assert_eq!(
-            last, id,
-            "non-LIFO rollback: asked to roll back {id} but the most recent request is {last}"
-        );
-        self.trace.pop();
+        self.trace.pop(id);
         let (cid, pre) = self
             .checkpoints
             .pop_back()
@@ -187,7 +268,11 @@ impl<F: DataType> StateObject<F> for ReplayState<F> {
     }
 
     fn trace(&self) -> &[ReqId] {
-        &self.trace
+        self.trace.live()
+    }
+
+    fn trace_offset(&self) -> usize {
+        self.trace.offset()
     }
 
     fn materialize(&self) -> F::State {
@@ -204,6 +289,7 @@ impl<F: DataType> StateObject<F> for ReplayState<F> {
         for _ in 0..drop {
             self.checkpoints.pop_front();
         }
+        self.trace.drop_below(committed_len);
     }
 
     fn retained_records(&self) -> usize {
@@ -278,9 +364,34 @@ mod tests {
         so.execute(id(2), &CounterOp::Add(2));
         so.execute(id(3), &CounterOp::Add(4));
         so.truncate_checkpoints(2); // ids 1 and 2 committed
+        assert_eq!(so.trace(), &[id(3)]);
         so.rollback(id(3));
         assert_eq!(so.materialize(), 3);
-        assert_eq!(so.trace(), &[id(1), id(2)]);
+        // the stable prefix is counted, not kept
+        assert!(so.trace().is_empty());
+        assert_eq!(so.trace_offset(), 2);
+        assert_eq!(so.len(), 2);
+    }
+
+    #[test]
+    fn trace_drops_its_stable_prefix_in_bulk() {
+        let mut t = Trace::starting_at(5);
+        for n in 1..=10 {
+            t.push(id(n));
+        }
+        t.drop_below(9); // positions 5..9: ids 1–4
+        assert_eq!(t.live(), &[id(5), id(6), id(7), id(8), id(9), id(10)]);
+        assert_eq!((t.offset(), t.len()), (9, 15));
+        // the dead ids stay in the buffer until they outnumber the live
+        assert_eq!(t.ids.len(), 10);
+        t.drop_below(11);
+        assert_eq!(t.live(), &[id(7), id(8), id(9), id(10)]);
+        assert_eq!(t.ids.len(), 4, "six dead ids against four live: drained");
+        // a stable length below the offset drops nothing
+        t.drop_below(3);
+        assert_eq!(t.offset(), 11);
+        t.pop(id(10));
+        assert_eq!(t.len(), 14);
     }
 
     #[test]

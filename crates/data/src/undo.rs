@@ -9,7 +9,7 @@
 //! every register the request overwrote.
 
 use crate::datatype::{DataType, RandomOp};
-use crate::state_object::StateObject;
+use crate::state_object::{StateObject, Trace};
 use bayou_types::{ReqId, Value};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -214,9 +214,9 @@ pub struct UndoLogState {
     /// Pre-images per request: register → value before the request
     /// (or `None` when the register was absent).
     undo_log: BTreeMap<ReqId, BTreeMap<String, Option<i64>>>,
-    trace: Vec<ReqId>,
-    /// Trace prefix whose undo entries were already dropped as committed.
-    truncated: usize,
+    /// The trace above the committed prefix, whose undo entries and ids
+    /// were dropped together.
+    trace: Trace,
 }
 
 impl UndoLogState {
@@ -245,13 +245,11 @@ impl StateObject<Script> for UndoLogState {
         }
     }
 
-    fn with_committed_trace(state: BTreeMap<String, i64>, trace: Vec<ReqId>) -> Self {
-        let truncated = trace.len();
+    fn with_committed_prefix(state: BTreeMap<String, i64>, len: usize) -> Self {
         UndoLogState {
             db: state,
             undo_log: BTreeMap::new(),
-            trace,
-            truncated,
+            trace: Trace::starting_at(len),
         }
     }
 
@@ -280,16 +278,7 @@ impl StateObject<Script> for UndoLogState {
     }
 
     fn rollback(&mut self, id: ReqId) {
-        let last = self
-            .trace
-            .last()
-            .copied()
-            .expect("rollback on an empty trace");
-        assert_eq!(
-            last, id,
-            "non-LIFO rollback: asked to roll back {id} but the most recent request is {last}"
-        );
-        self.trace.pop();
+        self.trace.pop(id);
         let undo_map = self
             .undo_log
             .remove(&id)
@@ -307,7 +296,11 @@ impl StateObject<Script> for UndoLogState {
     }
 
     fn trace(&self) -> &[ReqId] {
-        &self.trace
+        self.trace.live()
+    }
+
+    fn trace_offset(&self) -> usize {
+        self.trace.offset()
     }
 
     fn materialize(&self) -> BTreeMap<String, i64> {
@@ -315,11 +308,13 @@ impl StateObject<Script> for UndoLogState {
     }
 
     fn truncate_checkpoints(&mut self, committed_len: usize) {
-        let upto = committed_len.min(self.trace.len());
-        for id in &self.trace[self.truncated..upto] {
+        let k = committed_len
+            .saturating_sub(self.trace.offset())
+            .min(self.trace.live().len());
+        for id in &self.trace.live()[..k] {
             self.undo_log.remove(id);
         }
-        self.truncated = self.truncated.max(upto);
+        self.trace.drop_below(committed_len);
     }
 
     fn retained_records(&self) -> usize {

@@ -137,7 +137,10 @@ macro_rules! state_object_equivalence {
                         rep.rollback(*id);
                         prop_assert_eq!(delta.materialize(), rep.materialize());
                     }
+                    // both keep only the ids above the stable prefix
                     prop_assert_eq!(delta.trace(), rep.trace());
+                    prop_assert_eq!(delta.trace_offset(), committed);
+                    prop_assert_eq!(rep.trace_offset(), committed);
                 }
             }
         }

@@ -305,6 +305,19 @@ impl<P: Process> Sim<P> {
         self.cpus[r.index()].backlog(self.now)
     }
 
+    /// The replica the next event is addressed to, and the client input
+    /// it carries if it is one: what a caller recording invocations
+    /// reads before [`Sim::step_until`] hands the input to the process.
+    pub fn peek_next(&self) -> Option<(ReplicaId, Option<&P::Input>)> {
+        self.queue.peek().map(|ev| {
+            let input = match &ev.kind {
+                EventKind::Input { input } => Some(input),
+                _ => None,
+            };
+            (ev.replica, input)
+        })
+    }
+
     /// Takes the outputs produced since the previous call.
     pub fn take_outputs(&mut self) -> Vec<OutputRecord<P::Output>> {
         std::mem::take(&mut self.outputs)
