@@ -1,8 +1,8 @@
 //! Criterion bench: end-to-end saturation throughput of the batched
 //! commit pipeline — whole simulated-cluster runs (links + RB + Paxos +
 //! replica + storage) under open-loop overload, at 10²–10⁴ ops, 3 and 5
-//! replicas, weak-only and mixed weak/strong workloads, compaction on
-//! and off.
+//! replicas, weak-only and mixed weak/strong workloads, on compacting
+//! replicas.
 //!
 //! Every configuration runs the one commit pipeline (delivery batching,
 //! step-end frame coalescing, delayed cumulative acks, WAL group commit)
@@ -84,7 +84,6 @@ struct Config {
     ops: usize,
     /// Every `strong_every`-th op is strong (0 = weak-only).
     strong_every: usize,
-    compaction: bool,
     /// Cross-step flush deferral.
     deferral: bool,
 }
@@ -92,7 +91,7 @@ struct Config {
 impl Config {
     fn label(&self) -> String {
         format!(
-            "batched/n{}/ops{}/{}{}{}",
+            "batched/n{}/ops{}/{}{}",
             self.n,
             self.ops,
             if self.strong_every > 0 {
@@ -100,7 +99,6 @@ impl Config {
             } else {
                 "weak"
             },
-            if self.compaction { "+compact" } else { "" },
             if self.deferral { "+defer" } else { "" },
         )
     }
@@ -129,7 +127,6 @@ fn build_cluster(cfg: Config) -> (BayouCluster<KvStore>, Vec<MemDisk>) {
             factory_disks[id.index()].clone(),
             store_cfg,
         );
-        r.set_compaction(cfg.compaction);
         r.set_flush_deferral(cfg.deferral.then_some(bayou_core::DEFAULT_FLUSH_DELAY));
         r.meter_wire_bytes();
         r
@@ -238,7 +235,6 @@ fn grid() -> Vec<Config> {
         n: 3,
         ops: 1_000,
         strong_every: 0,
-        compaction: false,
         deferral: false,
     };
     if smoke() {
@@ -262,8 +258,8 @@ fn grid() -> Vec<Config> {
                 ..base
             });
         }
-        // 5 replicas, a mixed weak/strong workload, and compaction, all
-        // at the 10³ point
+        // 5 replicas and a mixed weak/strong workload, both at the 10³
+        // point
         grid.push(Config {
             n: 5,
             deferral,
@@ -271,11 +267,6 @@ fn grid() -> Vec<Config> {
         });
         grid.push(Config {
             strong_every: 8,
-            deferral,
-            ..base
-        });
-        grid.push(Config {
-            compaction: true,
             deferral,
             ..base
         });
@@ -316,7 +307,6 @@ fn bench_saturation(c: &mut Criterion) {
         n: 3,
         ops: if smoke() { 100 } else { 1_000 },
         strong_every: 0,
-        compaction: false,
         deferral,
     };
     let on = measure(defer_point(true));

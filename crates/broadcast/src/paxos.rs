@@ -18,7 +18,7 @@
 //!   decided;
 //! * **catch-up** for replicas that missed decisions during a partition,
 //!   driven by `DecideAck`/`Catchup` exchanges;
-//! * **committed-prefix compaction** ([`Tob::set_compaction`]): every
+//! * **committed-prefix compaction**, always on: every
 //!   replica piggybacks its contiguous delivered cursor on the traffic
 //!   it already sends (`Submit`/`Promise`/`DecideAck` upward,
 //!   `Decide`/`Catchup` downward), each endpoint computes the
@@ -156,12 +156,12 @@ pub enum PaxosMsg<M> {
         /// The decided entry.
         entry: Entry<M>,
         /// The sender's view of the globally-stable delivered watermark
-        /// (compaction dissemination; 0 when compaction is off).
+        /// (compaction dissemination).
         stable_upto: u64,
     },
     /// Acknowledges a contiguous decided prefix (flow control for
-    /// catch-up; doubles as a status/gap report, and — with compaction —
-    /// as a *watermark poll*: a receiver holding a newer stable
+    /// catch-up; doubles as a status/gap report, a delivered-cursor
+    /// report, and a *watermark poll*: a receiver holding a newer stable
     /// watermark than `stable_upto` answers with an empty `Catchup`
     /// carrying it, so the final speculation window compacts at
     /// quiescence even when individual messages are lost).
@@ -170,8 +170,7 @@ pub enum PaxosMsg<M> {
         upto: u64,
         /// The sender's contiguous delivered cursor (compaction).
         committed_upto: u64,
-        /// The sender's currently-adopted stable watermark (compaction;
-        /// 0 when off).
+        /// The sender's currently-adopted stable watermark.
         stable_upto: u64,
     },
     /// Bulk re-delivery of decided slots `first..first+entries.len()`.
@@ -735,7 +734,7 @@ impl<M: Clone + fmt::Debug> PaxosTob<M> {
                 // already-released broadcast: covered by the cursor
                 self.decided_keys.remove(&pushed_key);
             }
-            if self.comp.on && self.fifo.held_count() == 0 {
+            if self.fifo.held_count() == 0 {
                 // a clean point: the deliveries so far are exactly the
                 // slots processed so far — a valid truncation boundary
                 let (fifo, n) = (&self.fifo, self.n);
@@ -757,9 +756,6 @@ impl<M: Clone + fmt::Debug> PaxosTob<M> {
     /// minimum delivered cursor across all replicas — conservative:
     /// unheard-from peers count as 0) and truncates up to it.
     fn refresh_stable(&mut self) {
-        if !self.comp.on {
-            return;
-        }
         self.comp.refresh_min();
         self.maybe_compact();
     }
@@ -782,7 +778,7 @@ impl<M: Clone + fmt::Debug> PaxosTob<M> {
     /// the regression, floor-clamp, and trigger the baseline transfer.
     fn note_peer_decided(&mut self, from: ReplicaId, upto: u64) {
         let i = from.index();
-        if self.comp.on && upto < self.comp.floor.slot_floor && upto < self.acked_upto[i] {
+        if upto < self.comp.floor.slot_floor && upto < self.acked_upto[i] {
             self.acked_upto[i] = upto;
             self.catchup_sent[i] = self.catchup_sent[i].min(upto);
         } else {
@@ -930,7 +926,7 @@ impl<M: Clone + fmt::Debug> PaxosTob<M> {
     /// at the next pump tick, and the exchange terminates because the
     /// adopted watermark rises monotonically to the delivered cursor.
     fn watermark_poll_owed(&self) -> bool {
-        self.comp.on && self.comp.stable() < self.delivered
+        self.comp.stable() < self.delivered
     }
 
     // ---- leader lease ---------------------------------------------------
@@ -1070,13 +1066,16 @@ impl<M: Clone + fmt::Debug> PaxosTob<M> {
     /// anything below our prefix; otherwise, what we had decided when we
     /// stopped leading or restarted. The second keeps a former leader
     /// shipping to a laggard Ω may trust next: in an idle group nothing
-    /// else would ever tell that laggard what it missed.
+    /// else would ever tell that laggard what it missed. Either way
+    /// nothing below the compaction floor is owed (see `still_owed`): a
+    /// peer that caught up from someone else never acks us, and a leader
+    /// that counted it owed would pump forever with nothing to send.
     fn owes_catchup(&self) -> bool {
         let leading = matches!(self.role, Role::Leading { .. });
         self.acked_upto.iter().enumerate().any(|(i, a)| {
             Some(ReplicaId::new(i as u32)) != self.me
                 && if leading {
-                    *a < self.prefix
+                    (*a).max(self.comp.floor.slot_floor) < self.prefix
                 } else {
                     self.still_owed(i)
                 }
@@ -1262,21 +1261,19 @@ impl<M: Clone + fmt::Debug> PaxosTob<M> {
                     },
                 );
             }
-            if self.has_gap() || self.comp.on {
-                // with compaction on, acks double as cursor reports that
-                // keep the leader's watermark fresh, and as *watermark
-                // polls*: while our adopted watermark trails our
-                // delivered cursor, this ack solicits an answer carrying
-                // a newer one (see `watermark_poll_owed`)
-                ctx.send(
-                    leader,
-                    PaxosMsg::DecideAck {
-                        upto: self.prefix,
-                        committed_upto: self.delivered,
-                        stable_upto: self.comp.stable(),
-                    },
-                );
-            }
+            // the ack reports our gap, doubles as the cursor report that
+            // keeps the leader's watermark fresh, and as a *watermark
+            // poll*: while our adopted watermark trails our delivered
+            // cursor, it solicits an answer carrying a newer one (see
+            // `watermark_poll_owed`)
+            ctx.send(
+                leader,
+                PaxosMsg::DecideAck {
+                    upto: self.prefix,
+                    committed_upto: self.delivered,
+                    stable_upto: self.comp.stable(),
+                },
+            );
         }
 
         self.pump_timer = None;
@@ -1576,7 +1573,7 @@ impl<M: Clone + fmt::Debug> Tob<M> for PaxosTob<M> {
                 self.note_peer_delivered(from, committed_upto);
                 if upto < self.prefix {
                     self.send_catchup(from, upto, ctx);
-                } else if self.comp.on && stable_upto < self.comp.stable() {
+                } else if stable_upto < self.comp.stable() {
                     // watermark poll: the sender has delivered everything
                     // it knows of but its adopted watermark is stale —
                     // answer with ours (an empty catch-up), so the final
@@ -1602,7 +1599,7 @@ impl<M: Clone + fmt::Debug> Tob<M> for PaxosTob<M> {
                 floor,
             } => {
                 self.note_stable_upto(stable_upto);
-                if self.comp.on && floor > self.prefix && floor > self.comp.floor.slot_floor {
+                if floor > self.prefix && floor > self.comp.floor.slot_floor {
                     // the sender has compacted past our prefix: the slots
                     // we are missing no longer exist as replayable
                     // history — only a baseline state transfer can help
@@ -1750,10 +1747,6 @@ impl<M: Clone + fmt::Debug> Tob<M> for PaxosTob<M> {
 
     fn drain_durable(&mut self) -> Vec<TobEvent<M>> {
         std::mem::take(&mut self.durable)
-    }
-
-    fn set_compaction(&mut self, on: bool) {
-        self.comp.set_on(on);
     }
 
     fn stable_delivered(&self) -> u64 {

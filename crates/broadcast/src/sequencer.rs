@@ -31,10 +31,10 @@ pub enum SequencerMsg<M> {
         /// The payload.
         payload: M,
         /// The sequencer's view of the globally-stable delivered
-        /// watermark (compaction dissemination; 0 when off).
+        /// watermark (compaction dissemination).
         stable_upto: u64,
     },
-    /// A delivered-cursor report (compaction only): sent back to the
+    /// A delivered-cursor report: sent back to the
     /// sequencer after processing an `Order`, so replicas that never
     /// cast anything themselves still feed the watermark minimum. Also
     /// the idle-time *watermark poll*: a receiver holding a newer stable
@@ -45,7 +45,7 @@ pub enum SequencerMsg<M> {
         /// The sender's currently-adopted stable watermark.
         stable_upto: u64,
     },
-    /// The poll answer (compaction only): the sequencer hands its
+    /// The poll answer: the sequencer hands its
     /// globally-stable watermark to a replica whose adopted value is
     /// stale, so the final speculation window compacts at quiescence
     /// without fresh traffic. Receivers adopt and answer with an
@@ -124,9 +124,6 @@ impl<M: Clone + fmt::Debug> SequencerTob<M> {
     /// Recomputes the locally-known stable watermark and truncates the
     /// ordered log below it (at a clean FIFO boundary).
     fn refresh_stable(&mut self) {
-        if !self.comp.on {
-            return;
-        }
         self.comp.refresh_min();
         if self.comp.advance_floor() {
             self.log = self.log.split_off(&self.comp.floor.slot_floor);
@@ -205,7 +202,7 @@ impl<M: Clone + fmt::Debug> SequencerTob<M> {
     /// delays the exchange by one period instead of wedging the final
     /// compaction window.
     fn watermark_poll_owed(&self) -> bool {
-        self.comp.on && self.comp.stable() < self.delivered
+        self.comp.stable() < self.delivered
     }
 
     /// Arms the pump if a watermark poll is owed and no timer is
@@ -264,7 +261,7 @@ impl<M: Clone + fmt::Debug> SequencerTob<M> {
             if seq < self.fifo.next_seq(sender) {
                 self.ordered_keys.remove(&(sender, seq));
             }
-            if self.comp.on && self.fifo.held_count() == 0 {
+            if self.fifo.held_count() == 0 {
                 let (fifo, n) = (&self.fifo, self.n);
                 self.comp
                     .record_clean_point(self.cursor, self.delivered, || {
@@ -333,9 +330,7 @@ impl<M: Clone + fmt::Debug> Tob<M> for SequencerTob<M> {
             } => {
                 self.comp.adopt(stable_upto);
                 self.record(global, sender, seq, payload);
-                if self.comp.on {
-                    ack_to = Some(from);
-                }
+                ack_to = Some(from);
             }
             SequencerMsg::Ack {
                 committed_upto,
@@ -343,7 +338,7 @@ impl<M: Clone + fmt::Debug> Tob<M> for SequencerTob<M> {
             } => {
                 self.comp.note_peer(from.index(), committed_upto);
                 self.refresh_stable();
-                if self.comp.on && stable_upto < self.comp.stable() {
+                if stable_upto < self.comp.stable() {
                     // watermark poll: the reporter's adopted watermark is
                     // stale — answer with ours (retried by the poller's
                     // pump until it catches up, so message loss never
@@ -360,9 +355,7 @@ impl<M: Clone + fmt::Debug> Tob<M> for SequencerTob<M> {
                 if self.comp.adopt(stable_upto) && self.comp.advance_floor() {
                     self.log = self.log.split_off(&self.comp.floor.slot_floor);
                 }
-                if self.comp.on {
-                    ack_to = Some(from);
-                }
+                ack_to = Some(from);
             }
         }
         let out = self.drain();
@@ -409,10 +402,6 @@ impl<M: Clone + fmt::Debug> Tob<M> for SequencerTob<M> {
 
     fn delivered_count(&self) -> u64 {
         self.delivered
-    }
-
-    fn set_compaction(&mut self, on: bool) {
-        self.comp.set_on(on);
     }
 
     fn stable_delivered(&self) -> u64 {

@@ -146,20 +146,15 @@ pub trait Tob<M: Clone + fmt::Debug> {
     // its disk) is served a *baseline* — a state instead of a replay —
     // through the owner (see `bayou_core::BayouMsg::Baseline`).
     //
-    // All methods default to "no compaction" so implementations without
-    // durable history (e.g. a null TOB) need not care.
-
-    /// Enables (or disables) committed-prefix compaction: cursor
-    /// piggybacking, watermark computation and decided-log truncation.
-    /// Disabled by default; implementations may ignore it.
-    fn set_compaction(&mut self, on: bool) {
-        let _ = on;
-    }
+    // Compaction is not optional: every implementation with a decided
+    // log runs it. The methods default to "nothing compacted" so
+    // implementations without durable history (e.g. a null TOB) need
+    // not care.
 
     /// The compaction floor in delivery space: the number of leading TOB
     /// deliveries that are globally stable *and* have been truncated
     /// from this endpoint's decided log. The owner may drop the payloads
-    /// of exactly that committed prefix. Always 0 without compaction.
+    /// of exactly that committed prefix. Default 0.
     fn stable_delivered(&self) -> u64 {
         0
     }
@@ -270,11 +265,11 @@ impl Wire for BaselineMark {
 /// and any adopted dissemination), clean truncation points and the
 /// installed floor. The log truncation itself stays with each
 /// implementation (the decided maps differ); everything else lives here
-/// once, used by both `PaxosTob` and `SequencerTob`.
+/// once, used by both `PaxosTob` and `SequencerTob`. It is always live:
+/// an endpoint's committed prefix never rolls back, so whatever every
+/// replica has delivered is dropped once a clean point reaches it.
 #[derive(Debug)]
 pub(crate) struct CompactionState {
-    /// Whether compaction is enabled on this endpoint.
-    pub on: bool,
     /// The installed floor (see [`BaselineMark`]).
     pub floor: BaselineMark,
     peer_delivered: Vec<u64>,
@@ -289,18 +284,10 @@ pub(crate) struct CompactionState {
 impl CompactionState {
     pub fn new(n: usize) -> Self {
         CompactionState {
-            on: false,
             floor: BaselineMark::zero(n),
             peer_delivered: vec![0; n],
             stable: 0,
             clean_points: std::collections::VecDeque::new(),
-        }
-    }
-
-    pub fn set_on(&mut self, on: bool) {
-        self.on = on;
-        if !on {
-            self.clean_points.clear();
         }
     }
 
@@ -318,7 +305,7 @@ impl CompactionState {
 
     /// Adopts a disseminated watermark; returns whether it advanced.
     pub fn adopt(&mut self, stable_upto: u64) -> bool {
-        if self.on && stable_upto > self.stable {
+        if stable_upto > self.stable {
             self.stable = stable_upto;
             true
         } else {
@@ -329,10 +316,8 @@ impl CompactionState {
     /// Recomputes the watermark as the minimum cursor across all
     /// replicas (conservative: unheard-from peers count as 0).
     pub fn refresh_min(&mut self) {
-        if self.on {
-            let min = self.peer_delivered.iter().copied().min().unwrap_or(0);
-            self.stable = self.stable.max(min);
-        }
+        let min = self.peer_delivered.iter().copied().min().unwrap_or(0);
+        self.stable = self.stable.max(min);
     }
 
     /// Records a clean truncation point (the gate held nothing back
@@ -345,9 +330,6 @@ impl CompactionState {
         delivered: u64,
         next: impl FnOnce() -> Vec<u64>,
     ) {
-        if !self.on {
-            return;
-        }
         match self.clean_points.back_mut() {
             Some(p) if p.1 == delivered => *p = (slot_cursor, delivered, next()),
             _ => self

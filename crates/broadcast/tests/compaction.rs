@@ -1,6 +1,7 @@
-//! TOB-level committed-prefix compaction: the cursor-piggyback watermark
-//! protocol truncates the decided log at every endpoint while the
-//! delivery stream (order and completeness) is unaffected.
+//! TOB-level committed-prefix compaction, which every endpoint runs: the
+//! cursor-piggyback watermark protocol truncates the decided log at
+//! every endpoint while the delivery stream (order and completeness) is
+//! unaffected.
 
 use bayou_broadcast::{PaxosMsg, PaxosTob, Tob, TobDelivery};
 use bayou_sim::{Sim, SimConfig};
@@ -11,6 +12,16 @@ struct TobProc {
     tob: PaxosTob<String>,
     next_seq: u64,
     delivered: Vec<TobDelivery<String>>,
+}
+
+impl TobProc {
+    fn new(n: usize) -> Self {
+        TobProc {
+            tob: PaxosTob::with_defaults(n),
+            next_seq: 0,
+            delivered: Vec::new(),
+        }
+    }
 }
 
 impl Process for TobProc {
@@ -59,15 +70,7 @@ fn ms(v: u64) -> VirtualTime {
 #[test]
 fn single_replica_compaction_keeps_delivering() {
     let cfg = SimConfig::new(1, 4).with_max_time(ms(60_000));
-    let mut sim = Sim::new(cfg, move |_| {
-        let mut tob = PaxosTob::with_defaults(1);
-        tob.set_compaction(true);
-        TobProc {
-            tob,
-            next_seq: 0,
-            delivered: Vec::new(),
-        }
-    });
+    let mut sim = Sim::new(cfg, move |_| TobProc::new(1));
     for k in 0..100u64 {
         sim.schedule_input(ms(1 + 5 * k), ReplicaId::new(0), format!("m{k}"));
     }
@@ -81,15 +84,7 @@ fn single_replica_compaction_keeps_delivering() {
 fn three_replica_compaction_keeps_delivering() {
     let n = 3;
     let cfg = SimConfig::new(n, 21).with_max_time(ms(60_000));
-    let mut sim = Sim::new(cfg, move |_| {
-        let mut tob = PaxosTob::with_defaults(n);
-        tob.set_compaction(true);
-        TobProc {
-            tob,
-            next_seq: 0,
-            delivered: Vec::new(),
-        }
-    });
+    let mut sim = Sim::new(cfg, move |_| TobProc::new(n));
     for k in 0..90u64 {
         let r = ReplicaId::new((k % n as u64) as u32);
         sim.schedule_input(ms(1 + 7 * k), r, format!("m{k}"));
@@ -138,15 +133,7 @@ fn three_replica_compaction_keeps_delivering() {
 fn paxos_watermark_catches_up_at_quiescence() {
     let n = 3;
     let cfg = SimConfig::new(n, 21).with_max_time(ms(120_000));
-    let mut sim = Sim::new(cfg, move |_| {
-        let mut tob = PaxosTob::with_defaults(n);
-        tob.set_compaction(true);
-        TobProc {
-            tob,
-            next_seq: 0,
-            delivered: Vec::new(),
-        }
-    });
+    let mut sim = Sim::new(cfg, move |_| TobProc::new(n));
     for k in 0..30u64 {
         let r = ReplicaId::new((k % n as u64) as u32);
         sim.schedule_input(ms(1 + 7 * k), r, format!("m{k}"));
@@ -186,15 +173,7 @@ fn paxos_watermark_poll_survives_message_loss() {
     let cfg = SimConfig::new(n, 77)
         .with_net(net)
         .with_max_time(ms(120_000));
-    let mut sim = Sim::new(cfg, move |_| {
-        let mut tob = PaxosTob::with_defaults(n);
-        tob.set_compaction(true);
-        TobProc {
-            tob,
-            next_seq: 0,
-            delivered: Vec::new(),
-        }
-    });
+    let mut sim = Sim::new(cfg, move |_| TobProc::new(n));
     for k in 0..12u64 {
         let r = ReplicaId::new((k % n as u64) as u32);
         sim.schedule_input(ms(1 + 15 * k), r, format!("m{k}"));
@@ -214,25 +193,6 @@ fn paxos_watermark_poll_survives_message_loss() {
             "floor lags at {r} — a dropped poll/answer wedged the final window"
         );
     }
-}
-
-/// Compaction off (the default) must leave the decided log untouched.
-#[test]
-fn compaction_off_retains_the_full_decided_log() {
-    let cfg = SimConfig::new(1, 4).with_max_time(ms(60_000));
-    let mut sim = Sim::new(cfg, move |_| TobProc {
-        tob: PaxosTob::with_defaults(1),
-        next_seq: 0,
-        delivered: Vec::new(),
-    });
-    for k in 0..50u64 {
-        sim.schedule_input(ms(1 + 5 * k), ReplicaId::new(0), format!("m{k}"));
-    }
-    sim.run_until(ms(60_000));
-    let p = sim.process(ReplicaId::new(0));
-    assert_eq!(p.delivered.len(), 50);
-    assert_eq!(p.tob.decided_log().len(), 50, "no truncation by default");
-    assert_eq!(p.tob.stable_delivered(), 0);
 }
 
 /// The sequencer equivalent: replicas that never cast anything report
@@ -282,14 +242,10 @@ fn sequencer_compaction_truncates_even_with_silent_replicas() {
 
     let n = 3;
     let cfg = SimConfig::new(n, 31).with_max_time(ms(60_000));
-    let mut sim = Sim::new(cfg, move |_| {
-        let mut tob = SequencerTob::new(n);
-        tob.set_compaction(true);
-        SeqProc {
-            tob,
-            next_seq: 0,
-            delivered: Vec::new(),
-        }
+    let mut sim = Sim::new(cfg, move |_| SeqProc {
+        tob: SequencerTob::new(n),
+        next_seq: 0,
+        delivered: Vec::new(),
     });
     // only replica 0 (the Ω-trusted sequencer) ever casts: replicas 1
     // and 2 would never send a Submit, so without Order-acks their

@@ -287,7 +287,9 @@ pub struct RunTrace<Op> {
     /// One record per invocation, in invocation order.
     pub events: Vec<EventRecord<Op>>,
     /// The TOB delivery order (the paper's `tobNo`), identical on all
-    /// replicas; request ids in delivery order.
+    /// replicas; request ids in delivery order. Recorded by the cluster
+    /// as the replicas commit, so it is whole even where every replica
+    /// has compacted its prefix away.
     pub tob_order: Vec<ReqId>,
     /// Virtual time at the end of the run.
     pub end_time: VirtualTime,

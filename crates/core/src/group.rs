@@ -298,14 +298,6 @@ where
         });
     }
 
-    /// Enables (or disables) committed-history compaction in every
-    /// group (each group keeps its *own* watermark).
-    pub fn set_compaction(&mut self, on: bool) {
-        for g in &mut self.groups {
-            g.set_compaction(on);
-        }
-    }
-
     /// Enables (or disables) leader leases in every group. Each group
     /// runs its own lease over its own lane Ω (`Context::omega_for`
     /// with the group's lane), so different groups may hold leases on

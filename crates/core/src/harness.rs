@@ -20,9 +20,6 @@ pub struct ClusterConfig {
     pub mode: ProtocolMode,
     /// Tuning of the default Paxos TOB.
     pub paxos: PaxosConfig,
-    /// Whether replicas truncate their committed history at the
-    /// globally-stable watermark ([`BayouReplica::set_compaction`]).
-    pub compaction: bool,
     /// Cross-step flush-deferral budget
     /// ([`GroupedReplica::set_flush_deferral`];
     /// [`crate::DEFAULT_FLUSH_DELAY`] by default — `None` flushes at
@@ -43,7 +40,6 @@ impl ClusterConfig {
             sim: SimConfig::new(n, seed),
             mode: ProtocolMode::default(),
             paxos: PaxosConfig::default(),
-            compaction: false,
             flush_deferral: Some(crate::DEFAULT_FLUSH_DELAY),
             lease: None,
         }
@@ -58,13 +54,6 @@ impl ClusterConfig {
     /// Replaces the simulator configuration (builder style).
     pub fn with_sim(mut self, sim: SimConfig) -> Self {
         self.sim = sim;
-        self
-    }
-
-    /// Enables committed-history compaction on every replica (builder
-    /// style).
-    pub fn with_compaction(mut self) -> Self {
-        self.compaction = true;
         self
     }
 
@@ -141,8 +130,9 @@ where
     /// the group each went to and its record (responses are matched in
     /// when a trace is built).
     invocations: Vec<Vec<(GroupId, EventRecord<F::Op>)>>,
-    /// Per group, every request committed so far in TOB order — also the
-    /// prefix compaction dropped from every replica's retained list.
+    /// Per group, every request committed so far in TOB order — the
+    /// whole order, of which each replica retains only the suffix above
+    /// its compaction floor.
     committed: Vec<Vec<ReqId>>,
     responses: Vec<OutputRecord<(GroupId, Response)>>,
     quiescent: bool,
@@ -165,7 +155,6 @@ where
             sim,
             mode,
             paxos,
-            compaction,
             flush_deferral,
             lease,
         } = config;
@@ -173,7 +162,6 @@ where
         Self::with_factory(sim, move |_| {
             let mut host =
                 GroupedReplica::new(vec![BayouReplica::new(n, mode, PaxosTob::new(n, paxos))]);
-            host.set_compaction(compaction);
             host.set_flush_deferral(flush_deferral);
             host.set_lease(lease);
             host
@@ -378,6 +366,16 @@ where
     /// the step delivered one), the deliveries it added to each group's
     /// committed order, and its responses, whose exec traces resolve
     /// against that order.
+    ///
+    /// This is also where total order is checked: each group's last
+    /// commit batch must equal the recorded order wherever the two
+    /// overlap, so every delivery of every replica is compared once it
+    /// happens — compaction may drop it from the replica right after.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a batch disagrees with the recorded order, or starts
+    /// beyond its end.
     fn record_step(&mut self, r: ReplicaId, input: Option<(GroupId, F::Op)>) {
         if let Some((gid, op)) = input {
             if let Some(inv) = self.sim.process_mut(r).take_invoked(gid) {
@@ -392,9 +390,19 @@ where
         for (gid, order) in GroupId::all(self.committed.len()).zip(&mut self.committed) {
             let (from, batch) = host.group(gid).last_commit();
             let from = from as usize;
-            if from <= order.len() && from + batch.len() > order.len() {
-                order.extend_from_slice(&batch[order.len() - from..]);
-            }
+            assert!(
+                from <= order.len(),
+                "group {gid}: {r} committed position {from} beyond the recorded order \
+                 ({} entries) — coverage gap",
+                order.len()
+            );
+            let overlap = (order.len() - from).min(batch.len());
+            assert_eq!(
+                &order[from..from + overlap],
+                &batch[..overlap],
+                "group {gid}: TOB orders disagree at {r} — total order broken"
+            );
+            order.extend_from_slice(&batch[overlap..]);
         }
         for mut out in self.sim.take_outputs() {
             let (gid, response) = &mut out.output;
@@ -417,7 +425,8 @@ where
 
     /// Every request group `gid` committed so far, in TOB order, as the
     /// cluster recorded the deliveries step by step — the whole order,
-    /// including what compaction dropped from every replica.
+    /// including what compaction dropped from every replica. Position
+    /// `i` is the paper's `tobNo` `i`.
     pub fn committed_order(&self, gid: GroupId) -> &[ReqId] {
         &self.committed[gid.index()]
     }
@@ -479,11 +488,10 @@ where
         self.assert_convergence(&down);
     }
 
-    /// Asserts that all replicas of every group have converged:
-    /// agreeing committed orders (compaction-offset aware — a replica
-    /// that truncated more history is compared on the retained overlap,
-    /// with equal committed *totals*), empty tentative lists, and
-    /// identical materialised states.
+    /// Asserts that all replicas of every group have converged: equal
+    /// committed totals, each replica's retained committed list equal to
+    /// the recorded order at its compaction offset, empty tentative
+    /// lists, and identical materialised states.
     ///
     /// # Panics
     ///
@@ -510,26 +518,19 @@ where
         let what = format!("group {gid}: ");
         let total = a.committed_total();
         let state = a.materialize();
-        let a_off = a.compacted_count() as usize;
-        let a_ids = a.committed_ids();
-        for (r, b) in checked {
+        let order = self.committed_order(gid);
+        for (r, b) in std::iter::once((first, a)).chain(checked) {
             assert_eq!(
                 b.committed_total(),
                 total,
                 "{what}committed totals diverge between {first} and {r}"
             );
-            // retained suffixes must agree wherever they overlap
-            let (b_off, b_ids) = (b.compacted_count() as usize, b.committed_ids());
-            let from = a_off.max(b_off);
-            let until = (a_off + a_ids.len()).min(b_off + b_ids.len());
-            assert!(
-                from <= until,
-                "{what}retained committed suffixes of {first} and {r} do not overlap"
-            );
+            let off = b.compacted_count() as usize;
+            let ids = b.committed_ids();
             assert_eq!(
-                &a_ids[from - a_off..until - a_off],
-                &b_ids[from - b_off..until - b_off],
-                "{what}committed orders diverge between {first} and {r}"
+                order.get(off..off + ids.len()),
+                Some(&ids[..]),
+                "{what}the committed order of {r} diverges from the recorded one"
             );
             assert!(
                 b.tentative_ids().is_empty(),
@@ -541,16 +542,12 @@ where
                 "{what}states diverge between {first} and {r}"
             );
         }
-        assert!(
-            a.tentative_ids().is_empty(),
-            "{what}replica {first} still has tentative requests"
-        );
     }
 
     /// The recorded trace of group `gid`, built from its invocation
-    /// records and the responses collected so far.
+    /// records, the responses collected so far and its recorded
+    /// committed order.
     fn trace(&self, gid: GroupId) -> RunTrace<F::Op> {
-        let group = |r: ReplicaId| self.host(r).group(gid);
         let mut events: Vec<EventRecord<F::Op>> = self
             .invocations
             .iter()
@@ -559,7 +556,7 @@ where
             .map(|(_, e)| e.clone())
             .collect();
         // fill in responses (exactly one per request)
-        let mut by_id: HashMap<ReqId, usize> = events
+        let by_id: HashMap<ReqId, usize> = events
             .iter()
             .enumerate()
             .map(|(i, e)| (e.meta.id(), i))
@@ -604,40 +601,10 @@ where
             ev.exec_trace = Some(out.exec_trace.ids().to_vec());
             ev.served = Some(out.served);
         }
-        by_id.clear();
-
-        // TOB order: stitch the per-replica views together, offset-aware
-        // (a compacting replica only retains a suffix). Views must agree
-        // wherever they overlap; without compaction every offset is 0
-        // and this is exactly the old longest-view-with-prefix check.
-        let mut views: Vec<(usize, ReplicaId, &[ReqId])> = ReplicaId::all(self.n)
-            .map(|r| (group(r).compacted_count() as usize, r, group(r).tob_order()))
-            .collect();
-        views.retain(|(_, _, view)| !view.is_empty());
-        views.sort_by_key(|(off, r, _)| (*off, *r));
-        let base_off = views.first().map(|(off, _, _)| *off).unwrap_or(0);
-        let mut tob_order: Vec<ReqId> = Vec::new();
-        for (off, r, view) in views {
-            let idx = off - base_off;
-            assert!(
-                idx <= tob_order.len(),
-                "TOB view of replica {r} starts beyond the stitched order — coverage gap"
-            );
-            let overlap = (tob_order.len() - idx).min(view.len());
-            assert_eq!(
-                &tob_order[idx..idx + overlap],
-                &view[..overlap],
-                "TOB orders disagree at replica {r} — total order broken"
-            );
-            if view.len() > overlap {
-                tob_order.extend_from_slice(&view[overlap..]);
-            }
-        }
-
         events.sort_by_key(|e| (e.invoked_at, e.meta.dot));
         RunTrace {
             events,
-            tob_order,
+            tob_order: self.committed_order(gid).to_vec(),
             end_time: self.sim.now(),
             quiescent: self.quiescent,
         }
@@ -707,6 +674,33 @@ mod tests {
         for e in &trace.events {
             assert!(trace.tob_delivered(e.meta.id()));
         }
+    }
+
+    /// A quiet run compacts every replica down to nothing retained, yet
+    /// the trace's TOB order is whole: it comes from the recorder, so
+    /// `tob_no` is the global position of every update.
+    #[test]
+    fn tob_order_is_whole_after_full_compaction() {
+        let mut c: BayouCluster<Counter> = BayouCluster::new(ClusterConfig::new(3, 5));
+        for k in 0..30u64 {
+            let r = ReplicaId::new((k % 3) as u32);
+            c.invoke_at(ms(1 + 3 * k), r, CounterOp::Add(1), Level::Weak);
+        }
+        let trace = c.run_until(ms(30_000));
+        assert!(trace.quiescent);
+        for r in ReplicaId::all(3) {
+            let rep = c.replica(r);
+            assert_eq!(rep.committed_total(), 30, "all committed at {r}");
+            assert_eq!(rep.compacted_count(), 30, "fully compacted at {r}");
+        }
+        assert_eq!(trace.tob_order.len(), 30);
+        let mut positions: Vec<usize> = trace
+            .events
+            .iter()
+            .map(|e| trace.tob_no(e.meta.id()).expect("every update delivered"))
+            .collect();
+        positions.sort_unstable();
+        assert_eq!(positions, (0..30).collect::<Vec<_>>());
     }
 
     #[test]

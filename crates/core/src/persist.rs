@@ -285,7 +285,7 @@ mod tests {
             Level::Weak,
         );
         cluster.run_until(VirtualTime::from_secs(20));
-        let committed = cluster.replica(me).committed_ids().len();
+        let committed = cluster.replica(me).committed_total();
         assert_eq!(
             committed, 3,
             "r1, r2 and the post-restart invoke must all commit"

@@ -44,10 +44,13 @@
 //!
 //! # Committed-history compaction
 //!
-//! The paper's protocol keeps every committed request forever; with
-//! [`BayouReplica::set_compaction`] a replica instead truncates its
-//! committed prefix at the **globally-stable watermark** and runs in
-//! O(state + speculation window) memory indefinitely.
+//! The paper's protocol keeps every committed request forever; a replica
+//! instead truncates its committed prefix at the **globally-stable
+//! watermark** and runs in O(state + speculation window) memory
+//! indefinitely. This is the only mode: a committed prefix never rolls
+//! back, so once every replica holds it nothing needs its payloads. The
+//! whole history lives with a recorder (`BayouCluster` in the
+//! simulator), never in the replica.
 //!
 //! *Message flow.* Every replica piggybacks its contiguous-delivered
 //! cursor on the TOB traffic it already sends (in Paxos:
@@ -68,8 +71,9 @@
 //! the cluster truncates, and no current replica can ever need a
 //! truncated payload for catch-up. Truncation changes no visible
 //! behaviour: `baseline · retained committed · tentative` materializes
-//! to the same state the full history would (the equivalence and DST
-//! tests in `tests/compaction.rs` / `tests/dst.rs` enforce this).
+//! to the same state the full history would (the digests banked in
+//! `tests/batching.rs`, recorded with and without truncation, and the
+//! DST suite in `tests/dst.rs` enforce this).
 //!
 //! *The laggard path.* The one party that can still need truncated
 //! history is a replica that lost its disk: its catch-up request comes
@@ -313,8 +317,6 @@ where
     rb: ReliableBroadcast<WireReq<F::Op>>,
     tob: T,
     tob_seq: u64,
-    /// Delivery order of the retained suffix (`tob_no = compacted + i`).
-    tob_order: Vec<ReqId>,
     outputs: Vec<Response>,
     stats: ReplicaStats,
     /// The last invocation's record, until a history recorder takes it
@@ -334,9 +336,6 @@ where
     /// restarts). `(tob_seq, request)`, the origin being the request's.
     recovered_pending: Vec<(u64, SharedReq<F::Op>)>,
     // ---- committed-history compaction ----------------------------------
-    /// Whether this replica truncates its committed prefix at the
-    /// globally-stable watermark ([`BayouReplica::set_compaction`]).
-    compaction: bool,
     /// Committed entries dropped so far (the high-water mark: the first
     /// `compacted` TOB deliveries exist only as `baseline`).
     compacted: u64,
@@ -425,14 +424,12 @@ where
             rb: ReliableBroadcast::new(n, VirtualTime::from_millis(60)),
             tob,
             tob_seq: 0,
-            tob_order: Vec::new(),
             outputs: Vec::new(),
             stats: ReplicaStats::default(),
             invoked: None,
             last_commit: (0, Vec::new()),
             persist: Box::new(NullPersistence),
             recovered_pending: Vec::new(),
-            compaction: false,
             compacted: 0,
             baseline: F::State::default(),
             baseline_mark: BaselineMark::zero(n),
@@ -506,7 +503,6 @@ where
         let compacted = mark.delivered;
         let stable = (snapshot_delivered.saturating_sub(compacted) as usize).min(deliveries.len());
         let committed_set: HashSet<ReqId> = deliveries.iter().map(|r| r.id()).collect();
-        let tob_order: Vec<ReqId> = deliveries.iter().map(|r| r.id()).collect();
         let state = S::with_committed_prefix(snapshot_state, stable);
 
         // the snapshot-covered prefix is executed; the rest re-executes
@@ -556,7 +552,6 @@ where
             stable_len: stable,
             to_be_executed,
             tob_seq,
-            tob_order,
             persist,
             recovered_pending,
             compacted,
@@ -575,26 +570,6 @@ where
     /// Protocol activity counters.
     pub fn stats(&self) -> ReplicaStats {
         self.stats
-    }
-
-    /// Enables (or disables) committed-history compaction on this
-    /// replica and its TOB endpoint: once all replicas have durably
-    /// delivered a committed prefix (the globally-stable watermark,
-    /// agreed through cursors piggybacked on TOB traffic), the request
-    /// payloads below it are dropped and replaced by a baseline state +
-    /// high-water mark, keeping replica memory and snapshot size
-    /// O(state + speculation window) instead of O(lifetime).
-    ///
-    /// Off by default: the full committed list is the paper's model and
-    /// what the spec checkers consume.
-    pub fn set_compaction(&mut self, on: bool) {
-        self.compaction = on;
-        self.tob.set_compaction(on);
-    }
-
-    /// Whether committed-history compaction is enabled.
-    pub fn compaction_enabled(&self) -> bool {
-        self.compaction
     }
 
     /// Enables (or disables) leader leases on this replica and its TOB
@@ -717,12 +692,6 @@ where
     /// Number of requests whose responses are still owed to clients.
     pub fn awaiting_responses(&self) -> usize {
         self.reqs_awaiting_resp.len()
-    }
-
-    /// The TOB delivery order observed by this replica (ids, in `tobNo`
-    /// order). A prefix of every other replica's view.
-    pub fn tob_order(&self) -> &[ReqId] {
-        &self.tob_order
     }
 
     /// Takes the record of the invocation handled since the last call,
@@ -941,9 +910,6 @@ where
     /// execution still lags the floor the truncation waits for the next
     /// delivery instead of splitting the difference.
     fn maybe_compact(&mut self) {
-        if !self.compaction {
-            return;
-        }
         // borrowed: a settle where the floor did not move copies nothing
         let Some(mark) = self.tob.baseline_mark() else {
             return;
@@ -970,7 +936,6 @@ where
         for r in self.executed.drain(..k) {
             self.executed_set.remove(&r.id());
         }
-        self.tob_order.drain(..k);
         self.stable_len -= k;
         self.dropped_since_state += k;
         self.compacted = mark.delivered;
@@ -1044,7 +1009,6 @@ where
         self.committed_set.clear();
         self.executed.clear();
         self.executed_set.clear();
-        self.tob_order.clear();
         self.to_be_rolled_back.clear();
         self.stable_len = 0;
         self.compacted = mark.delivered;
@@ -1173,7 +1137,6 @@ where
         let mut any_tentative = false;
         for r in &reqs {
             let id = r.id();
-            self.tob_order.push(id);
             self.last_commit.1.push(id);
             self.committed_set.insert(id);
             self.note_seen(id);
@@ -1396,7 +1359,7 @@ where
             BayouMsg::BaselineRequest => {
                 // serve our baseline to a replica that fell below the
                 // cluster-wide compaction floor
-                if self.compaction && self.compacted > 0 {
+                if self.compacted > 0 {
                     ctx.send(
                         from,
                         BayouMsg::Baseline {

@@ -252,7 +252,6 @@ fn compacting_replica_over(keys: u64) -> (R, u64) {
         DeltaState::default(),
         Box::new(store),
     );
-    r.set_compaction(true);
     let mut next = 1u64;
     deliver(&mut r, &mut next, keys, |no| {
         KvOp::put(format!("key{no}"), 0)

@@ -1,81 +1,56 @@
-//! The commit pipeline reproduces the recorded per-request histories.
+//! The replica reproduces banked histories of the arms it no longer has.
 //!
-//! Until PR 13 the replica kept a per-request sequential commit path
-//! beside the batched one, and this suite ran both and compared them.
-//! The equivalence is now stated once, as a predicate over recorded
-//! histories: before the sequential arm was deleted it was run (at the
-//! parent commit) over the fixed table below — all eight data types ×
-//! {plain, compaction} × two seeds, plus a five-replica KvStore case —
-//! and an FNV-1a-64 digest of everything observable about each run was
-//! checked in. The one remaining pipeline must reproduce every digest:
-//! the same trace — every event with the same response value, execution
-//! trace and timing — the same TOB order, the same final states, the
-//! same retained committed lists and the same message count.
+//! The replica once kept switches for paths it has since lost: a
+//! per-request sequential commit beside the batched one, and a mode
+//! that kept the whole committed history instead of compacting it. Each
+//! switch was deleted only after its two arms had been run over the
+//! fixed table below — all eight data types × two seeds with every 7th
+//! operation strong, an all-weak `KvStore` pair and a five-replica
+//! `KvStore` case — and shown to agree. What is checked in is one
+//! FNV-1a-64 digest per case, and the one remaining pipeline must
+//! reproduce every digest.
 //!
-//! Every case of that table mixes in strong operations (every 7th), and
-//! PR 23 moved their timing once: a step a strong operation waits on
-//! now flushes its frames at step end instead of parking them for the
-//! deferral budget. The 34 digests were re-pinned then; each case
-//! commits the same request set as the recorded history and converges
-//! (the five-replica case commits it in a different order, hence its
-//! different final state). The all-weak table below was recorded before
-//! that change and still reproduced after it: where no strong operation
-//! runs, nothing moved.
-//!
-//! Every digest, the all-weak ones included, moved once more when the
-//! simulator started running the process the server runs (a
-//! [`bayou_core::GroupedReplica`] host over one group): the reliable
-//! broadcast link no longer parks frames on a timer of its own, the host
-//! parks step-end frames once, closes a step after internal steps too,
-//! and commits all of one incoming frame's deliveries as one batch. Each
-//! case still commits the request set and per-replica totals of the
-//! previous history and converges with nothing pending; where the order
-//! moved, it is listed with the re-pinned table in `ROADMAP.md`.
+//! The digests now pinned were recorded at b98eca0 with compaction off
+//! and on, and the two arms agreed on all 19 cases. They cover what a
+//! client and a checker can see: the cluster's recorded committed order,
+//! every event's id, response value, resolved execution trace and
+//! return time, and every replica's final state. Message counts and the
+//! lists a replica retains are not in the digest: compaction adds its
+//! cursor reports and watermark polls (6–12 messages per case), and
+//! shortens what a replica keeps, by design. The absolute message count
+//! is pinned separately, at the bottom.
 //!
 //! The digest is over the `{:?}` rendering of the observation; every
 //! `State` is a `BTree*`/`Vec`/`i64`, so the rendering is stable.
-//!
-//! (Wire frame coalescing does change the message flow relative to the
-//! historical one-frame-per-payload links; its invariants are
-//! convergence and determinism, which the DST suite drives. An absolute
-//! message ceiling lives at the bottom.)
 
 use bayou_core::{BayouCluster, ClusterConfig};
 use bayou_data::{
     AddRemoveSet, AppendList, Bank, Calendar, Counter, InvertibleDataType, KvStore, RandomOp,
     RwRegister, Script,
 };
-use bayou_types::{Level, ReplicaId, ReqId, Value, VirtualTime};
+use bayou_types::{GroupId, Level, ReplicaId, ReqId, Value, VirtualTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Everything observable about one run.
 type Observation<St> = (
-    Vec<ReqId>,  // stitched TOB order
-    VirtualTime, // end time
+    Vec<ReqId>, // recorded committed order
     Vec<(
         ReqId,
-        Option<VirtualTime>,
         Option<Value>,
         Option<Vec<ReqId>>,
-    )>, // trace
-    Vec<St>,     // final states
-    Vec<Vec<ReqId>>, // retained committed lists
-    u64,         // messages sent
+        Option<VirtualTime>,
+    )>, // events: value, resolved exec trace, return time
+    Vec<St>,    // final states
 );
 
 fn observe<F: InvertibleDataType + RandomOp>(
     seed: u64,
     ops: usize,
     n: usize,
-    compaction: bool,
     mixed: bool,
 ) -> Observation<F::State> {
-    let mut cfg = ClusterConfig::new(n, seed);
-    if compaction {
-        cfg = cfg.with_compaction();
-    }
-    let mut c: BayouCluster<F> = BayouCluster::new(cfg);
+    let mut c: BayouCluster<F> = BayouCluster::new(ClusterConfig::new(n, seed));
     let mut rng = StdRng::seed_from_u64(seed ^ 0xB47C);
     for k in 0..ops {
         let op = F::random_op(&mut rng);
@@ -89,43 +64,28 @@ fn observe<F: InvertibleDataType + RandomOp>(
         c.invoke_at(at, ReplicaId::new((k % n) as u32), op, level);
     }
     let trace = c.run_until(VirtualTime::from_secs(120));
+    assert!(trace.quiescent, "seed {seed}: the run must quiesce");
     let events = trace
         .events
         .iter()
         .map(|e| {
             (
                 e.meta.id(),
-                e.returned_at,
                 e.value.clone(),
                 e.exec_trace.clone(),
+                e.returned_at,
             )
         })
         .collect();
     let states = ReplicaId::all(n)
         .map(|r| c.replica(r).materialize())
         .collect();
-    let committed = ReplicaId::all(n)
-        .map(|r| c.replica(r).committed_ids())
-        .collect();
-    (
-        trace.tob_order.clone(),
-        trace.end_time,
-        events,
-        states,
-        committed,
-        c.metrics().messages_sent,
-    )
+    (c.committed_order(GroupId::new(0)).to_vec(), events, states)
 }
 
 /// FNV-1a-64 of the observation's `{:?}` rendering.
-fn digest<F: InvertibleDataType + RandomOp>(
-    seed: u64,
-    ops: usize,
-    n: usize,
-    compaction: bool,
-    mixed: bool,
-) -> u64 {
-    let rendered = format!("{:?}", observe::<F>(seed, ops, n, compaction, mixed));
+fn digest<F: InvertibleDataType + RandomOp>(seed: u64, ops: usize, n: usize, mixed: bool) -> u64 {
+    let rendered = format!("{:?}", observe::<F>(seed, ops, n, mixed));
     rendered.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
@@ -136,142 +96,96 @@ const SEEDS: [u64; 2] = [17, 4242];
 /// Operations per three-replica case.
 const OPS: usize = 24;
 
-/// Asserts that the pipeline reproduces the four digests recorded for
-/// one data type's mixed (or all-weak) runs: `[plain, compaction] ×
-/// SEEDS`.
-fn assert_reproduces<F: InvertibleDataType + RandomOp>(
-    name: &str,
-    mixed: bool,
-    recorded: [[u64; 2]; 2],
-) {
-    for (compaction, row) in [false, true].into_iter().zip(recorded) {
-        for (seed, want) in SEEDS.into_iter().zip(row) {
-            let got = digest::<F>(seed, OPS, 3, compaction, mixed);
-            assert_eq!(
-                got, want,
-                "{name}: the pipeline diverged from the recorded sequential history \
-                 (seed {seed}, compaction {compaction}; got {got:#018x}, recorded {want:#018x})"
-            );
-        }
+/// Asserts that the pipeline reproduces the digests banked for one data
+/// type's mixed (or all-weak) runs, one per seed of [`SEEDS`].
+fn assert_reproduces<F: InvertibleDataType + RandomOp>(name: &str, mixed: bool, banked: [u64; 2]) {
+    for (seed, want) in SEEDS.into_iter().zip(banked) {
+        let got = digest::<F>(seed, OPS, 3, mixed);
+        assert_eq!(
+            got, want,
+            "{name}: the pipeline diverged from the banked history \
+             (seed {seed}; got {got:#018x}, banked {want:#018x})"
+        );
     }
 }
 
-macro_rules! reproduces_recorded {
-    ($name:ident, $ty:ty, $recorded:expr) => {
+macro_rules! reproduces_banked {
+    ($name:ident, $ty:ty, $banked:expr) => {
         #[test]
         fn $name() {
-            assert_reproduces::<$ty>(stringify!($ty), true, $recorded);
+            assert_reproduces::<$ty>(stringify!($ty), true, $banked);
         }
     };
 }
 
-// Recorded at d729dfd on the per-request arm (delivery batching switched
-// off), re-pinned when strong steps stopped parking and again when the
-// simulator moved to the host process: rows are [plain, compaction],
-// columns SEEDS.
-reproduces_recorded!(
+// Banked at b98eca0, compaction off and on agreeing; columns SEEDS.
+reproduces_banked!(
     append_list,
     AppendList,
-    [
-        [0x838f_af48_987d_586c, 0x1458_0428_8de3_a6bd],
-        [0xa95f_d6d4_0c28_4c65, 0x4abb_7098_3288_4eff],
-    ]
+    [0x798b_09f8_aad0_8d61, 0x0cb6_40c0_c86c_0994]
 );
-reproduces_recorded!(
+reproduces_banked!(
     kv_store,
     KvStore,
-    [
-        [0xe96f_97b4_2932_3f1e, 0xa6c0_e80d_278d_1cdc],
-        [0x56eb_5a7e_1a9f_4661, 0xf9ff_d7d1_13d0_2d30],
-    ]
+    [0x60a0_cf52_fb16_2077, 0x9b44_f1aa_fdba_3dfc]
 );
-reproduces_recorded!(
+reproduces_banked!(
     counter,
     Counter,
-    [
-        [0xb4a6_907d_c445_32ca, 0x8bdb_39f5_d7e2_1554],
-        [0xb376_c39c_a092_5218, 0x4a5d_4190_6571_24fe],
-    ]
+    [0x1614_2d7e_5721_16fd, 0xf584_9ddb_b365_a5f8]
 );
-reproduces_recorded!(
+reproduces_banked!(
     add_remove_set,
     AddRemoveSet,
-    [
-        [0x6e3c_9b29_e248_6f3e, 0xf89f_fa42_45c1_f1ac],
-        [0x9f00_cb7d_6cf4_239d, 0x558b_fc2b_ee60_aa05],
-    ]
+    [0x6d90_0c85_ccfc_2c57, 0xd36b_a8e9_a48c_b912]
 );
-reproduces_recorded!(
-    bank,
-    Bank,
-    [
-        [0xeef2_3f49_5df0_01fe, 0x786a_25e2_be63_3638],
-        [0xf8b1_1f41_bc19_417b, 0xd265_cddf_9a5b_56a9],
-    ]
-);
-reproduces_recorded!(
+reproduces_banked!(bank, Bank, [0x2022_bbac_85cf_9b0b, 0x3946_b97d_9dc1_20f9]);
+reproduces_banked!(
     calendar,
     Calendar,
-    [
-        [0xa065_d079_1276_d854, 0xd042_fa3d_f968_dbef],
-        [0xb6c9_ac7c_bb77_efcd, 0x1a9b_b59d_fd32_6f24],
-    ]
+    [0xd037_7b13_ec70_4edc, 0x392f_544a_39cc_6dc2]
 );
-reproduces_recorded!(
+reproduces_banked!(
     rw_register,
     RwRegister,
-    [
-        [0x772b_44e1_aa12_68e9, 0x6baa_04bb_1e16_d2fb],
-        [0x3ee2_2513_d2a8_80e4, 0xb06c_50e3_2172_dae0],
-    ]
+    [0x449f_b837_33af_6e67, 0x87ca_e1e3_b82b_3d1a]
 );
-reproduces_recorded!(
+reproduces_banked!(
     script,
     Script,
-    [
-        [0xc708_9000_fe9c_847c, 0xf0d7_4af7_859c_2831],
-        [0x8889_be56_b9e8_c446, 0x9f70_f63c_a275_bbab],
-    ]
+    [0xcfc4_4602_95d6_3d31, 0x2f10_5899_db0c_5d4f]
 );
 
 /// Five replicas and a deeper backlog, on one representative type.
 #[test]
 fn five_replicas() {
-    for (compaction, want) in [
-        (false, 0xaab2_24c2_8447_25a7u64),
-        (true, 0xc11f_8b78_a9ee_6d57u64),
-    ] {
-        let got = digest::<KvStore>(7, 40, 5, compaction, true);
-        assert_eq!(
-            got, want,
-            "five-replica KvStore diverged from the recorded sequential history \
-             (compaction {compaction}; got {got:#018x}, recorded {want:#018x})"
-        );
-    }
+    let (got, want) = (digest::<KvStore>(7, 40, 5, true), 0x7309_647c_bebd_487f);
+    assert_eq!(
+        got, want,
+        "five-replica KvStore diverged from the banked history \
+         (got {got:#018x}, banked {want:#018x})"
+    );
 }
 
-/// All-weak histories, recorded at 0b10447 (before strong steps stopped
-/// parking) and re-pinned once when the simulator moved to the host
-/// process — link deferral had paced weak traffic too. The urgency rule
-/// of the flush deferral only fires for strong operations, so a change
-/// to it must not move these by a single event.
+/// All-weak histories. The urgency rule of the flush deferral only
+/// fires for strong operations, so a change to it must not move these
+/// by a single event.
 #[test]
 fn all_weak() {
     assert_reproduces::<KvStore>(
         "KvStore (all weak)",
         false,
-        [
-            [0x0598_d5f2_bad1_b587, 0x6308_0baa_e650_81b5],
-            [0x165e_bf96_5b8b_cbfc, 0x2488_e35a_d320_1397],
-        ],
+        [0x5198_6eb3_b714_f3ae, 0xa0cf_05f3_a5ff_eac8],
     );
 }
 
 /// `messages_sent` of the 200-op saturated workload below with one
-/// level of flush deferral (the host's); 183 at d729dfd, when the link
-/// deferred as well. The one-frame-per-payload links coalescing replaced
-/// sent more than twice as many.
-const COALESCED_MESSAGES: u64 = 190;
+/// level of flush deferral (the host's). 196 at b98eca0 with compaction
+/// on, against 190 with it off (its cursor reports and watermark polls);
+/// 183 at d729dfd, when the link deferred as well. The
+/// one-frame-per-payload links coalescing replaced sent more than twice
+/// as many.
+const COALESCED_MESSAGES: u64 = 196;
 
 /// Wire frame coalescing keeps the saturated (all-weak) message count
 /// exactly where it was when the per-frame arm was deleted.

@@ -8,7 +8,7 @@ use bayou_core::{recover_paxos_replica, BayouCluster, ClusterConfig, ProtocolMod
 use bayou_data::{DeltaState, KvOp, KvStore};
 use bayou_sim::SimConfig;
 use bayou_storage::{MemDisk, StoreConfig};
-use bayou_types::{Level, ReplicaId, ReqId, VirtualTime};
+use bayou_types::{GroupId, Level, ReplicaId, ReqId, VirtualTime};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -79,7 +79,7 @@ fn crash_restart_run(seed: u64) -> (Vec<ReqId>, Vec<MemDisk>) {
         "crash/restart schedule must reach quiescence"
     );
     cluster.assert_convergence(&[]);
-    let committed = cluster.replica(ReplicaId::new(0)).committed_ids();
+    let committed = cluster.committed_order(GroupId::new(0)).to_vec();
     (committed, disks)
 }
 

@@ -10,7 +10,7 @@
 //!
 //! * **completion & convergence**: every invocation completes and all
 //!   replicas converge to one state, with and without deferral, across
-//!   all eight data types, ± compaction;
+//!   all eight data types;
 //! * **same committed set**: the two modes commit exactly the same
 //!   requests (deferral delays frames, it never drops or duplicates);
 //! * **determinism**: a deferred run is a pure function of the seed —
@@ -31,7 +31,7 @@ use std::collections::BTreeSet;
 
 /// Everything observable about one run.
 type Observation<St> = (
-    Vec<ReqId>,  // stitched TOB order
+    Vec<ReqId>,  // recorded TOB order
     VirtualTime, // end time
     Vec<(
         ReqId,
@@ -48,13 +48,9 @@ fn observe<F: InvertibleDataType + RandomOp>(
     seed: u64,
     ops: usize,
     n: usize,
-    compaction: bool,
     deferral: bool,
 ) -> Observation<F::State> {
     let mut cfg = ClusterConfig::new(n, seed);
-    if compaction {
-        cfg = cfg.with_compaction();
-    }
     if !deferral {
         cfg = cfg.without_flush_deferral();
     }
@@ -106,21 +102,16 @@ fn observe<F: InvertibleDataType + RandomOp>(
     )
 }
 
-fn assert_deferral_equivalent<F: InvertibleDataType + RandomOp>(
-    seed: u64,
-    ops: usize,
-    n: usize,
-    compaction: bool,
-) {
-    let deferred = observe::<F>(seed, ops, n, compaction, true);
-    let flushed = observe::<F>(seed, ops, n, compaction, false);
+fn assert_deferral_equivalent<F: InvertibleDataType + RandomOp>(seed: u64, ops: usize, n: usize) {
+    let deferred = observe::<F>(seed, ops, n, true);
+    let flushed = observe::<F>(seed, ops, n, false);
 
     // deferral is deterministic: same seed, same run, bit for bit
-    let deferred_again = observe::<F>(seed, ops, n, compaction, true);
+    let deferred_again = observe::<F>(seed, ops, n, true);
     assert_eq!(
         deferred, deferred_again,
         "deferred run must be a pure function of the seed \
-         (seed {seed}, ops {ops}, n {n}, compaction {compaction})"
+         (seed {seed}, ops {ops}, n {n})"
     );
 
     // same requests committed, whatever the frame timing did to the order
@@ -130,7 +121,7 @@ fn assert_deferral_equivalent<F: InvertibleDataType + RandomOp>(
         committed_set(&deferred),
         committed_set(&flushed),
         "deferral must commit exactly the flushed run's requests \
-         (seed {seed}, ops {ops}, n {n}, compaction {compaction})"
+         (seed {seed}, ops {ops}, n {n})"
     );
     assert_eq!(deferred.0.len(), flushed.0.len(), "no duplicates");
 }
@@ -141,19 +132,11 @@ macro_rules! deferral_equivalence {
             use super::*;
 
             proptest! {
-                #![proptest_config(ProptestConfig { cases: 4, ..Default::default() })]
+                #![proptest_config(ProptestConfig { cases: 8, ..Default::default() })]
 
                 #[test]
                 fn deferred_matches_flushed(seed in 0u64..10_000, ops in 8usize..24) {
-                    assert_deferral_equivalent::<$ty>(seed, ops, 3, false);
-                }
-
-                #[test]
-                fn deferred_matches_flushed_with_compaction(
-                    seed in 0u64..10_000,
-                    ops in 8usize..24,
-                ) {
-                    assert_deferral_equivalent::<$ty>(seed, ops, 3, true);
+                    assert_deferral_equivalent::<$ty>(seed, ops, 3);
                 }
             }
         }

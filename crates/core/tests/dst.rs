@@ -11,8 +11,8 @@
 //! * re-running the same seed reproduces the identical outcome;
 //! * each replica's durable image, reopened after the run, is
 //!   *equivalent to a prefix of the live history*;
-//! * with compaction on, the watermark catches all the way up at
-//!   quiescence (the idle-time beacon closes the final window).
+//! * the compaction watermark catches all the way up at quiescence (the
+//!   idle-time beacon closes the final window).
 //!
 //! On failure the harness prints a one-line repro
 //! (`DST_SEED=… cargo test -p bayou-core --test dst -- --ignored fuzz
@@ -52,7 +52,6 @@ fn dst_factory(
     n: usize,
     disks: Vec<MemDisk>,
     store_cfg: StoreConfig,
-    compaction: bool,
     deferral: Option<VirtualTime>,
     lease: Option<LeaseConfig>,
     crash_seed: u64,
@@ -72,7 +71,6 @@ fn dst_factory(
             disks[id.index()].clone(),
             store_cfg,
         );
-        r.set_compaction(compaction);
         r.set_flush_deferral(deferral);
         r.set_lease(lease);
         r
@@ -98,7 +96,6 @@ struct Outcome {
 #[derive(Debug, Clone, Copy)]
 struct CaseOpts {
     n: usize,
-    compaction: bool,
     /// Cross-step flush deferral: `None` runs the flush-every-step
     /// pipeline, `Some(budget)` parks frames for up to that long.
     deferral: Option<VirtualTime>,
@@ -118,7 +115,6 @@ fn case_opts(seed: u64) -> CaseOpts {
     CaseOpts {
         // mostly 3-replica clusters, every 4th case a 5-replica one
         n: if seed % 4 == 3 { 5 } else { 3 },
-        compaction: (seed >> 2).is_multiple_of(2),
         deferral: seed_deferral(seed),
         lease: seed_lease(seed),
         canary: false,
@@ -315,23 +311,19 @@ fn lease_workload_ops(
 /// frontier (its global TOB position below `committed`). A violation is
 /// a stale strong read — the one thing the lease machinery must never
 /// produce, under any combination of skew, drift, crashes and
-/// partitions.
+/// partitions. The trace's TOB order is the cluster's record of every
+/// commit, so an update's position is always known: a missing one is a
+/// hard failure, however much the replicas compacted.
 ///
-/// Two classes of record are excluded as unreadable rather than wrong:
-///
-/// * **restart chimeras** — a lease-served read leaves no durable trace,
-///   so a restarted replica may reuse its dot; the harness then pairs
-///   the *new* invocation's journal entry with the *old* invocation's
-///   stray response (see `build_trace`). The surviving journal is always
-///   from the final incarnation while the stray response predates the
-///   restart, so a chimera is exactly a record that returned before it
-///   was invoked — skip those on both sides of the comparison;
-/// * **fully-compacted updates** — with compaction on, an id compacted
-///   at *every* replica drops out of all retained TOB views and its
-///   global position is unrecoverable. Such ids are the oldest
-///   deliveries, far below any later frontier, so they are skipped;
-///   with compaction off a missing position stays a hard failure.
-fn assert_no_stale_lease_reads(seed: u64, trace: &RunTrace<KvOp>, compaction: bool) -> u64 {
+/// One class of record is excluded as unreadable rather than wrong:
+/// **restart chimeras**. A lease-served read leaves no durable trace, so
+/// a restarted replica may reuse its dot; the harness then pairs the
+/// *new* invocation's record with the *old* invocation's stray response.
+/// The surviving record is always from the final incarnation while the
+/// stray response predates the restart, so a chimera is exactly a
+/// record that returned before it was invoked — skip those on both
+/// sides of the comparison.
+fn assert_no_stale_lease_reads(seed: u64, trace: &RunTrace<KvOp>) -> u64 {
     let chimera =
         |e: &bayou_core::EventRecord<KvOp>| e.returned_at.is_some_and(|r| r < e.invoked_at);
     let mut lease_reads = 0u64;
@@ -351,14 +343,12 @@ fn assert_no_stale_lease_reads(seed: u64, trace: &RunTrace<KvOp>, compaction: bo
             if ret >= e.invoked_at {
                 continue;
             }
-            let no = match trace.tob_no(w.meta.id()) {
-                Some(no) => no,
-                None if compaction => continue,
-                None => panic!(
+            let no = trace.tob_no(w.meta.id()).unwrap_or_else(|| {
+                panic!(
                     "seed {seed}: strong update {} returned without a TOB delivery",
                     w.meta.id()
-                ),
-            };
+                )
+            });
             assert!(
                 (no as u64) < committed,
                 "seed {seed}: STALE lease read {} (invoked {}, frontier {committed}) \
@@ -417,15 +407,7 @@ fn run_faults(seed: u64, faults: &[Fault], opts: CaseOpts, work_until: u64) -> O
     let (sim, disks, store_cfg, deadline) = case_env(seed, faults, n, work_until);
     let mut cluster: BayouCluster<KvStore> = BayouCluster::with_factory(
         sim,
-        dst_factory(
-            n,
-            disks.clone(),
-            store_cfg,
-            opts.compaction,
-            opts.deferral,
-            opts.lease,
-            seed,
-        ),
+        dst_factory(n, disks.clone(), store_cfg, opts.deferral, opts.lease, seed),
     );
     if opts.lease.is_some() {
         for (at, replica, op, level) in lease_workload_ops(seed, n, work_until) {
@@ -453,7 +435,7 @@ fn run_faults(seed: u64, faults: &[Fault], opts: CaseOpts, work_until: u64) -> O
                 .all(|&t| t > 0),
             "seed {seed}: a lease run made no commit progress"
         );
-        lease_reads = assert_no_stale_lease_reads(seed, &trace, opts.compaction);
+        lease_reads = assert_no_stale_lease_reads(seed, &trace);
     }
     if opts.canary {
         let dropped = cluster.metrics().messages_dropped_partition;
@@ -476,7 +458,7 @@ fn run_faults(seed: u64, faults: &[Fault], opts: CaseOpts, work_until: u64) -> O
     // closed the final speculation window — every replica's committed
     // prefix is fully compacted, nothing stays resident forever (lease
     // runs are exempt: without quiescence the final window never closes)
-    if opts.compaction && opts.lease.is_none() {
+    if opts.lease.is_none() {
         for r in ReplicaId::all(n) {
             let live = cluster.replica(r);
             assert_eq!(
@@ -587,14 +569,13 @@ fn failure_kind(msg: &str) -> String {
 /// The one-line repro for a failing case. The failing check may have
 /// run with options other than `case_opts(seed)` (the proptests pin
 /// their own), so the line pins them explicitly via `DST_N` /
-/// `DST_COMPACTION` / `DST_DEFERRAL_US` (0 = off) — the fuzz entry
+/// `DST_DEFERRAL_US` (0 = off) and the lease pair — the fuzz entry
 /// honours the overrides, making the replay exact regardless of which
 /// tier found the failure.
 fn repro_line(seed: u64, opts: CaseOpts) -> String {
     format!(
-        "DST_SEED={seed} DST_N={} DST_COMPACTION={} DST_DEFERRAL_US={} DST_LEASE_MS={} DST_EPSILON_US={} cargo test -p bayou-core --test dst -- --ignored fuzz --nocapture",
+        "DST_SEED={seed} DST_N={} DST_DEFERRAL_US={} DST_LEASE_MS={} DST_EPSILON_US={} cargo test -p bayou-core --test dst -- --ignored fuzz --nocapture",
         opts.n,
-        opts.compaction as u8,
         opts.deferral.map_or(0, |d| d.as_nanos() / 1_000),
         opts.lease.map_or(0, |l| l.duration_us / 1_000),
         opts.lease.map_or(0, |l| l.epsilon_us),
@@ -644,8 +625,9 @@ fn env_u64(name: &str) -> Option<u64> {
 /// walked sequentially from `DST_SEED` (default: derived from the
 /// clock). With `DST_SEED` set and `DST_SECONDS` unset, exactly that one
 /// seed is replayed — the repro mode the failure report points at.
-/// `DST_N` / `DST_COMPACTION` (0/1) pin the case options a repro line
-/// recorded; without them each seed uses `case_opts(seed)`.
+/// `DST_N`, `DST_DEFERRAL_US` and `DST_LEASE_MS` / `DST_EPSILON_US` pin
+/// the case options a repro line recorded; without them each seed uses
+/// `case_opts(seed)`.
 ///
 /// Run with:
 /// `cargo test -p bayou-core --test dst -- --ignored fuzz --nocapture`
@@ -668,9 +650,6 @@ fn fuzz() {
         let mut opts = case_opts(seed);
         if let Some(n) = env_u64("DST_N") {
             opts.n = n as usize;
-        }
-        if let Some(c) = env_u64("DST_COMPACTION") {
-            opts.compaction = c != 0;
         }
         if let Some(us) = env_u64("DST_DEFERRAL_US") {
             opts.deferral = (us != 0).then(|| VirtualTime::from_micros(us));
@@ -704,26 +683,12 @@ proptest! {
     /// Randomized full-nemesis schedules (partitions, skew, fsync
     /// latency, loss/duplication bursts, outages incl. quorum-loss
     /// windows) converge, keep their durable images equivalent to the
-    /// live history, and quiesce (compaction off; flush deferral swept
-    /// by the seed).
+    /// live history, quiesce, and compact fully at quiescence (flush
+    /// deferral swept by the seed).
     #[test]
     fn randomized_fault_schedules_converge(seed in 0u64..1_000_000) {
         check_case(seed, CaseOpts {
             n: 3,
-            compaction: false,
-            deferral: seed_deferral(seed),
-            lease: None,
-            canary: false,
-        });
-    }
-
-    /// The same property with committed-history compaction enabled,
-    /// plus full watermark catch-up at quiescence.
-    #[test]
-    fn randomized_fault_schedules_converge_under_compaction(seed in 0u64..1_000_000) {
-        check_case(seed, CaseOpts {
-            n: 3,
-            compaction: true,
             deferral: seed_deferral(seed),
             lease: None,
             canary: false,
@@ -739,7 +704,6 @@ proptest! {
     fn randomized_lease_schedules_never_serve_stale_reads(seed in 0u64..1_000_000) {
         check_case(seed, CaseOpts {
             n: 3,
-            compaction: (seed >> 2).is_multiple_of(2),
             deferral: seed_deferral(seed),
             lease: Some(lease_sweep(seed)),
             canary: false,
@@ -767,7 +731,6 @@ proptest! {
 fn fault_free_lease_schedule_serves_lease_reads() {
     let opts = CaseOpts {
         n: 3,
-        compaction: false,
         deferral: None,
         lease: Some(LeaseConfig::default()),
         canary: false,
@@ -792,7 +755,6 @@ fn leader_clock_drift_beyond_epsilon_never_serves_stale() {
     }];
     let opts = CaseOpts {
         n: 3,
-        compaction: false,
         deferral: None,
         lease: Some(LeaseConfig::default()),
         canary: false,
@@ -813,7 +775,6 @@ fn leader_crash_mid_lease_never_serves_stale() {
     }];
     let opts = CaseOpts {
         n: 3,
-        compaction: false,
         deferral: Some(bayou_core::DEFAULT_FLUSH_DELAY),
         lease: Some(LeaseConfig::default()),
         canary: false,
@@ -836,7 +797,6 @@ fn partitioned_leaseholder_never_serves_stale() {
     }];
     let opts = CaseOpts {
         n: 3,
-        compaction: true,
         deferral: None,
         lease: Some(LeaseConfig::default()),
         canary: false,
@@ -848,14 +808,12 @@ fn partitioned_leaseholder_never_serves_stale() {
 /// this schedule a replica answers, crashes and recovers, and resolving
 /// the pre-crash response against the recovered state object (whose
 /// trace is shorter than the response's stable prefix) panics. Found by
-/// the lease fuzz slice with compaction pinned on
-/// (`DST_SEED=109 DST_N=3 DST_COMPACTION=1 DST_DEFERRAL_US=80
+/// the lease fuzz slice (`DST_SEED=109 DST_N=3 DST_DEFERRAL_US=80
 /// DST_LEASE_MS=100 DST_EPSILON_US=10000`).
 #[test]
 fn pinned_trace_resolution_seed() {
     let opts = CaseOpts {
         n: 3,
-        compaction: true,
         deferral: Some(VirtualTime::from_micros(80)),
         lease: Some(LeaseConfig::new(100_000, 10_000)),
         canary: false,
@@ -902,8 +860,9 @@ fn quorum_loss_faults() -> Vec<Fault> {
 /// During a quorum-loss window no new commit is decided anywhere; weak
 /// operations on the survivors stay available; after the heal the
 /// cluster converges, the durable images match the live history, and
-/// (with compaction) the watermark catches all the way up.
-fn quorum_loss_window_case(compaction: bool) {
+/// the watermark catches all the way up.
+#[test]
+fn quorum_loss_window_blocks_commits_until_heal() {
     let n = 5;
     let seed = 42;
     let faults = quorum_loss_faults();
@@ -927,7 +886,6 @@ fn quorum_loss_window_case(compaction: bool) {
             n,
             disks.clone(),
             store_cfg,
-            compaction,
             Some(bayou_core::DEFAULT_FLUSH_DELAY),
             None,
             seed,
@@ -1002,26 +960,14 @@ fn quorum_loss_window_case(compaction: bool) {
     assert_durable_prefix_equivalence("quorum-loss window", &cluster, &disks, store_cfg, n);
 
     // compaction watermark catch-up after the heal
-    if compaction {
-        for r in ReplicaId::all(n) {
-            let live = cluster.replica(r);
-            assert_eq!(
-                live.compacted_count(),
-                live.committed_total(),
-                "watermark never caught up at {r} after the quorum-loss window"
-            );
-        }
+    for r in ReplicaId::all(n) {
+        let live = cluster.replica(r);
+        assert_eq!(
+            live.compacted_count(),
+            live.committed_total(),
+            "watermark never caught up at {r} after the quorum-loss window"
+        );
     }
-}
-
-#[test]
-fn quorum_loss_window_blocks_commits_until_heal() {
-    quorum_loss_window_case(false);
-}
-
-#[test]
-fn quorum_loss_window_blocks_commits_until_heal_with_compaction() {
-    quorum_loss_window_case(true);
 }
 
 /// A total outage: *every* replica is down at once, all restart from
@@ -1040,7 +986,6 @@ fn full_cluster_outage_recovers_from_disks() {
     assert!(!nem.quorum_loss_windows().is_empty(), "total outage");
     let opts = CaseOpts {
         n,
-        compaction: true,
         deferral: Some(bayou_core::DEFAULT_FLUSH_DELAY),
         lease: None,
         canary: false,
@@ -1069,7 +1014,6 @@ fn idle_sender_deferred_frame_is_timer_flushed() {
             n,
             disks.clone(),
             store_cfg,
-            false,
             Some(VirtualTime::from_millis(2)),
             None,
             seed,
@@ -1117,7 +1061,6 @@ fn injected_failure_reproduces_and_shrinks_to_the_culprit() {
     let seed = 11;
     let opts = CaseOpts {
         n,
-        compaction: true,
         deferral: Some(bayou_core::DEFAULT_FLUSH_DELAY),
         lease: None,
         canary: true,
@@ -1169,7 +1112,7 @@ fn injected_failure_reproduces_and_shrinks_to_the_culprit() {
     assert_eq!(
         repro_line(seed, opts),
         format!(
-            "DST_SEED={seed} DST_N=3 DST_COMPACTION=1 DST_DEFERRAL_US=40 DST_LEASE_MS=0 DST_EPSILON_US=0 cargo test -p bayou-core --test dst -- --ignored fuzz --nocapture"
+            "DST_SEED={seed} DST_N=3 DST_DEFERRAL_US=40 DST_LEASE_MS=0 DST_EPSILON_US=0 cargo test -p bayou-core --test dst -- --ignored fuzz --nocapture"
         )
     );
 
@@ -1203,9 +1146,6 @@ fn inspect() {
     if let Some(n) = env_u64("DST_N") {
         opts.n = n as usize;
     }
-    if let Some(c) = env_u64("DST_COMPACTION") {
-        opts.compaction = c != 0;
-    }
     if let Some(us) = env_u64("DST_DEFERRAL_US") {
         opts.deferral = (us != 0).then(|| VirtualTime::from_micros(us));
     }
@@ -1218,15 +1158,7 @@ fn inspect() {
     let (sim_cfg, disks, store_cfg, deadline) = case_env(seed, nem.faults(), n, work_until);
     let mut sim = bayou_sim::Sim::new(
         sim_cfg,
-        dst_factory(
-            n,
-            disks.clone(),
-            store_cfg,
-            opts.compaction,
-            opts.deferral,
-            opts.lease,
-            seed,
-        ),
+        dst_factory(n, disks.clone(), store_cfg, opts.deferral, opts.lease, seed),
     );
     for (at, replica, op) in workload_ops(seed, n, work_until) {
         let inv = Invocation::new(op, Level::Weak);

@@ -40,7 +40,6 @@ fn grouped_factory(
     groups: usize,
     disks: Vec<MemDisk>,
     store_cfg: StoreConfig,
-    compaction: bool,
     crash_seed: u64,
 ) -> impl FnMut(ReplicaId) -> DurableHost {
     let incarnations = Rc::new(RefCell::new(vec![0u64; n]));
@@ -50,7 +49,7 @@ fn grouped_factory(
         if inc[id.index()] > 1 {
             disks[id.index()].crash(crash_seed ^ (id.as_u32() as u64) ^ inc[id.index()]);
         }
-        let mut host = recover_grouped_paxos::<KvStore, DeltaState<KvStore>, _>(
+        recover_grouped_paxos::<KvStore, DeltaState<KvStore>, _>(
             id,
             n,
             groups,
@@ -58,9 +57,7 @@ fn grouped_factory(
             PaxosConfig::default(),
             disks[id.index()].clone(),
             store_cfg,
-        );
-        host.set_compaction(compaction);
-        host
+        )
     }
 }
 
@@ -176,7 +173,6 @@ struct GroupedOutcome {
 struct GroupedOpts {
     n: usize,
     groups: usize,
-    compaction: bool,
 }
 
 fn grouped_opts(seed: u64) -> GroupedOpts {
@@ -184,20 +180,15 @@ fn grouped_opts(seed: u64) -> GroupedOpts {
         n: 3,
         // the DST_GROUPS dimension: 1–4 groups per seed
         groups: (seed % 4) as usize + 1,
-        compaction: (seed >> 2).is_multiple_of(2),
     }
 }
 
 /// Runs one full-nemesis grouped schedule and asserts every invariant:
 /// quiescence, per-group convergence, no cross-group leakage, per-group
-/// durable-prefix equivalence, and (with compaction) full watermark
-/// catch-up in every group.
+/// durable-prefix equivalence, and full watermark catch-up in every
+/// group.
 fn run_grouped_case(seed: u64, opts: GroupedOpts) -> GroupedOutcome {
-    let GroupedOpts {
-        n,
-        groups,
-        compaction,
-    } = opts;
+    let GroupedOpts { n, groups } = opts;
     let nem = Nemesis::generate(
         n,
         seed,
@@ -218,7 +209,7 @@ fn run_grouped_case(seed: u64, opts: GroupedOpts) -> GroupedOutcome {
     let sim = nem.apply(SimConfig::new(n, seed).with_max_time(deadline));
     let mut cluster: BayouCluster<KvStore> = BayouCluster::with_factory(
         sim,
-        grouped_factory(n, groups, disks.clone(), store_cfg, compaction, seed),
+        grouped_factory(n, groups, disks.clone(), store_cfg, seed),
     );
     for (at, replica, gid, op, level) in grouped_workload(seed, n, groups, work_until) {
         cluster.schedule_in(at, replica, gid, Invocation::new(op, level));
@@ -236,15 +227,13 @@ fn run_grouped_case(seed: u64, opts: GroupedOpts) -> GroupedOutcome {
     }
     for gid in GroupId::all(groups) {
         cluster.assert_group_convergence(gid, &[]);
-        if compaction {
-            for r in ReplicaId::all(n) {
-                let live = cluster.host(r).group(gid);
-                assert_eq!(
-                    live.compacted_count(),
-                    live.committed_total(),
-                    "seed {seed}: watermark never caught up at {r}/{gid}"
-                );
-            }
+        for r in ReplicaId::all(n) {
+            let live = cluster.host(r).group(gid);
+            assert_eq!(
+                live.compacted_count(),
+                live.committed_total(),
+                "seed {seed}: watermark never caught up at {r}/{gid}"
+            );
         }
     }
     assert_no_foreign_keys(&cluster, n, groups);
@@ -344,7 +333,7 @@ fn crash_restart_recovers_every_group_from_one_store() {
         .with_restart(ms(300), ReplicaId::new(1));
     let mut cluster: BayouCluster<KvStore> = BayouCluster::with_factory(
         sim,
-        grouped_factory(n, groups, disks.clone(), store_cfg, true, seed),
+        grouped_factory(n, groups, disks.clone(), store_cfg, seed),
     );
     for k in 0..30u64 {
         let gid = GroupId::new((k % groups as u64) as u32);
@@ -424,9 +413,8 @@ fn stalled_group_does_not_block_or_regress_its_neighbour() {
     let g1_mid = cluster.committed_totals(g1);
     assert_eq!(g1_mid, vec![7; n], "group 1 commits while group 0 stalls");
     cluster.assert_group_convergence(g1, &[]);
-    // …and its watermark advanced past the stall (compaction is off by
-    // default here, so the equivalent check is that group 1's committed
-    // history kept growing monotonically)
+    // …and its history kept growing (the next test checks that its
+    // compaction watermark catches up meanwhile)
     assert!(
         g1_mid[0] > g1_before[0],
         "group 1's history must advance during group 0's stall"
@@ -446,7 +434,7 @@ fn stalled_group_does_not_block_or_regress_its_neighbour() {
     assert_no_foreign_keys(&cluster, n, groups);
 }
 
-/// The same isolation property with compaction on and durable stores:
+/// The same isolation property with durable stores:
 /// while group 0 is stalled, group 1's compaction watermark must catch
 /// all the way up to its committed total — a stalled neighbour must not
 /// pin group 1's retained history.
@@ -464,7 +452,7 @@ fn neighbour_watermark_advances_while_group_is_stalled() {
     let sim = SimConfig::new(n, seed).with_max_time(VirtualTime::from_secs(120));
     let mut cluster: BayouCluster<KvStore> = BayouCluster::with_factory(
         sim,
-        grouped_factory(n, groups, disks.clone(), store_cfg, true, seed),
+        grouped_factory(n, groups, disks.clone(), store_cfg, seed),
     );
 
     for k in 0..4u64 {
@@ -522,22 +510,15 @@ fn neighbour_watermark_advances_while_group_is_stalled() {
 /// and 17637, a laggard Ω trusted next in an idle group that was never
 /// caught up once the old leader stepped down or restarted (now the
 /// former leader, or the restarted replica, keeps shipping what it
-/// decided). Four groups, no compaction. Seed 513, the original report,
-/// failed the first way under the weak-only workload of the time, with
-/// compaction on as reported and off alike: it runs both ways.
+/// decided). Four groups. Seed 513, the original report, failed the
+/// first way under the weak-only workload of the time. 12452 never
+/// quiesced once every group compacted: a leader counted a peer that
+/// had caught up from someone else as owed the slots below the
+/// compaction floor, and pumped forever with nothing to send.
 #[test]
 fn pinned_liveness_seeds() {
-    let cases = [5485, 7894, 12692, 17637]
-        .map(|seed| (seed, false))
-        .into_iter()
-        .chain([(513, true), (513, false)]);
-    for (seed, compaction) in cases {
-        let opts = GroupedOpts {
-            n: 3,
-            groups: 4,
-            compaction,
-        };
-        run_grouped_case(seed, opts);
+    for seed in [5485, 7894, 12692, 17637, 513, 12452] {
+        run_grouped_case(seed, GroupedOpts { n: 3, groups: 4 });
     }
 }
 
@@ -548,8 +529,8 @@ proptest! {
 
     /// Randomized full-nemesis schedules over 1–4 groups: every group
     /// converges independently, durable images stay prefix-equivalent
-    /// per group, no state leaks across groups, and (when the seed turns
-    /// compaction on) every group's watermark catches up.
+    /// per group, no state leaks across groups, and every group's
+    /// watermark catches up.
     #[test]
     fn grouped_fault_schedules_converge_per_group(seed in 0u64..1_000_000) {
         run_grouped_case(seed, grouped_opts(seed));
@@ -573,7 +554,7 @@ fn env_u64(name: &str) -> Option<u64> {
 /// The grouped fuzz loop: like the `dst` fuzz but with the group-count
 /// dimension. `DST_SECONDS` (default 10) of wall-clock budget, seeds
 /// walked from `DST_SEED`; `DST_GROUPS` (1–4) pins the group count,
-/// `DST_N` / `DST_COMPACTION` pin the other case options.
+/// `DST_N` the cluster size.
 ///
 /// Run with:
 /// `cargo test -p bayou-core --test groups -- --ignored fuzz --nocapture`
@@ -600,14 +581,11 @@ fn fuzz() {
         if let Some(n) = env_u64("DST_N") {
             opts.n = n as usize;
         }
-        if let Some(c) = env_u64("DST_COMPACTION") {
-            opts.compaction = c != 0;
-        }
         if let Err(e) = std::panic::catch_unwind(|| run_grouped_case(seed, opts)) {
             eprintln!(
-                "repro: DST_SEED={seed} DST_GROUPS={} DST_N={} DST_COMPACTION={} \
+                "repro: DST_SEED={seed} DST_GROUPS={} DST_N={} \
                  cargo test -p bayou-core --test groups -- --ignored fuzz --nocapture",
-                opts.groups, opts.n, opts.compaction as u8
+                opts.groups, opts.n
             );
             std::panic::resume_unwind(e);
         }

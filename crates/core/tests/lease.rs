@@ -59,15 +59,13 @@ fn lease_serves_strong_reads_locally_at_the_leader() {
     assert_eq!(trace.tob_order.len(), 2); // put + early read
 }
 
-/// Under compaction a lease-served read still reports the whole committed
+/// A compacting replica's lease-served read still reports the whole committed
 /// order it read, from where the replica's state object began — the
 /// origin every speculative response's trace starts at — not just the
 /// suffix the replica happens to retain.
 #[test]
 fn leased_read_trace_is_the_committed_order_from_the_state_origin() {
-    let cfg = ClusterConfig::new(3, 11)
-        .with_lease(LeaseConfig::default())
-        .with_compaction();
+    let cfg = ClusterConfig::new(3, 11).with_lease(LeaseConfig::default());
     let mut c: BayouCluster<KvStore> = BayouCluster::new(cfg);
     for k in 0..40u64 {
         c.invoke_at(

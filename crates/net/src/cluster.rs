@@ -519,6 +519,25 @@ mod tests {
         s0
     }
 
+    /// Asserts two hosts' group-0 committed orders agree: equal totals,
+    /// and equal ids wherever the suffixes they retain above their
+    /// compaction floors overlap.
+    fn assert_same_committed<F: bayou_data::InvertibleDataType>(a: &Host<F>, b: &Host<F>) {
+        let (a, b) = (a.group(G0), b.group(G0));
+        assert_eq!(a.committed_total(), b.committed_total(), "committed totals");
+        let (a_off, a_ids) = (a.compacted_count() as usize, a.committed_ids());
+        let (b_off, b_ids) = (b.compacted_count() as usize, b.committed_ids());
+        let from = a_off.max(b_off);
+        let until = (a_off + a_ids.len()).min(b_off + b_ids.len());
+        if from < until {
+            assert_eq!(
+                a_ids[from - a_off..until - a_off],
+                b_ids[from - b_off..until - b_off],
+                "committed orders diverge"
+            );
+        }
+    }
+
     #[test]
     fn weak_and_strong_ops_complete_live() {
         let cluster = bayou_cluster::<KvStore>(LiveConfig::new(3));
@@ -548,10 +567,7 @@ mod tests {
         let hosts = cluster.shutdown();
         assert_eq!(hosts.len(), 3);
         assert_eq!(converged(&hosts).len(), 5);
-        assert_eq!(
-            hosts[0].group(G0).committed_ids(),
-            hosts[1].group(G0).committed_ids()
-        );
+        assert_same_committed(&hosts[0], &hosts[1]);
     }
 
     #[test]
@@ -652,11 +668,8 @@ mod tests {
         assert_eq!(hosts.len(), 3);
         let s0 = converged(&hosts);
         assert_eq!(s0.len(), 13, "all 13 writes committed: {s0:?}");
-        assert_eq!(
-            hosts[0].group(G0).committed_ids(),
-            hosts[1].group(G0).committed_ids(),
-            "restarted replica holds the identical committed order"
-        );
+        // the restarted replica holds the identical committed order
+        assert_same_committed(&hosts[0], &hosts[1]);
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -23,9 +23,9 @@
 //!
 //! ## Bounded history
 //!
-//! Every group compacts its committed history
-//! ([`BayouReplica::set_compaction`]): once all replicas hold a committed
-//! prefix it lives on only as a baseline state, so replica memory and
+//! Every group compacts its committed history, as every [`BayouReplica`]
+//! does: once all replicas hold a committed prefix it lives on only as
+//! a baseline state, so replica memory and
 //! each snapshot stay O(state + speculation window) however long the
 //! server runs.
 //!
@@ -309,7 +309,6 @@ impl Server {
                         backend,
                         store,
                     );
-                    host.set_compaction(true);
                     host.set_lease(lease);
                     host
                 })
@@ -322,7 +321,6 @@ impl Server {
                         })
                         .collect(),
                 );
-                host.set_compaction(true);
                 host.set_lease(lease);
                 host
             }),

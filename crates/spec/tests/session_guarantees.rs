@@ -1,8 +1,8 @@
 //! Session guarantees on the follower read path: read-your-writes and
 //! monotonic-reads ([`check_session`]) hold for guarded weak reads
-//! served from speculative follower state, across all eight data types,
-//! with and without log compaction, and — value-level — across
-//! replication groups.
+//! served from speculative follower state, across all eight data types
+//! on compacting replicas, and — value-level — across replication
+//! groups.
 //!
 //! The scenario mirrors the serving path's session reads: one session
 //! writes at replica 0, a disjoint session mixes operations at
@@ -45,13 +45,11 @@ const WRITES: u64 = 5;
 
 /// Runs the three-session scenario for one data type and seed and
 /// checks RYW + MR on the resulting witness.
-fn session_guarantees_hold<F>(name: &str, seed: u64, compaction: bool)
+fn session_guarantees_hold<F>(name: &str, seed: u64)
 where
     F: InvertibleDataType + RandomOp,
 {
-    let mut cfg = ClusterConfig::new(3, seed);
-    cfg.compaction = compaction;
-    let mut cluster: BayouCluster<F> = BayouCluster::new(cfg);
+    let mut cluster: BayouCluster<F> = BayouCluster::new(ClusterConfig::new(3, seed));
 
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9).wrapping_add(1));
 
@@ -139,21 +137,20 @@ where
         // late ones were served.
         assert_eq!(
             refused, 1,
-            "{name} seed {seed} (compaction: {compaction}): early guarded read not refused"
+            "{name} seed {seed}: early guarded read not refused"
         );
         assert_eq!(
             served, 3,
-            "{name} seed {seed} (compaction: {compaction}): late guarded reads not served"
+            "{name} seed {seed}: late guarded reads not served"
         );
     }
 
-    let a = build_witness::<F>(&trace).unwrap_or_else(|e| {
-        panic!("{name} seed {seed} (compaction: {compaction}): witness failed: {e}")
-    });
+    let a = build_witness::<F>(&trace)
+        .unwrap_or_else(|e| panic!("{name} seed {seed}: witness failed: {e}"));
     let report = check_session(&a);
     assert!(
         report.ok(),
-        "{name} seed {seed} (compaction: {compaction}): session guarantees violated:\n{report}"
+        "{name} seed {seed}: session guarantees violated:\n{report}"
     );
 }
 
@@ -161,12 +158,10 @@ macro_rules! session_guarantee_props {
     ($($test:ident => $ty:ty),+ $(,)?) => {
         $(
             proptest! {
-                #![proptest_config(ProptestConfig { cases: 4, ..Default::default() })]
+                #![proptest_config(ProptestConfig { cases: 8, ..Default::default() })]
                 #[test]
                 fn $test(seed in 0u64..100_000) {
-                    for compaction in [false, true] {
-                        session_guarantees_hold::<$ty>(stringify!($ty), seed, compaction);
-                    }
+                    session_guarantees_hold::<$ty>(stringify!($ty), seed);
                 }
             }
         )+

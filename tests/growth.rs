@@ -98,16 +98,14 @@ fn retained_state_stays_bounded_as_operations_accumulate() {
         .with_restart(ms(320), r0)
         .with_max_time(VirtualTime::from_secs(3_600));
     let mut c: BayouCluster<KvStore> = BayouCluster::with_factory(sim, move |id| {
-        let mut host = recover_paxos_replica::<KvStore, DeltaState<KvStore>, _>(
+        recover_paxos_replica::<KvStore, DeltaState<KvStore>, _>(
             id,
             REPLICAS,
             ProtocolMode::Improved,
             PaxosConfig::default(),
             disks[id.index()].clone(),
             StoreConfig::default(),
-        );
-        host.set_compaction(true);
-        host
+        )
     });
 
     let (peak_n, end_n) = serve(&mut c, 0..N, 1);
