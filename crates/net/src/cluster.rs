@@ -16,12 +16,13 @@ pub struct LiveConfig {
     /// Seed for the replicas' random streams.
     pub seed: u64,
     /// Capacity of every channel in the cluster (the per-replica
-    /// mailboxes and the output channel). Bounded channels give
-    /// backpressure instead of unbounded memory growth under heavy
-    /// load: a client blocks in [`LiveCluster::invoke`] while the
-    /// replica's mailbox is full, whereas a peer treats a full mailbox
-    /// as a lossy link (dropped frames are recovered by protocol
-    /// retransmission, exactly like a partition drop).
+    /// mailboxes and, for [`LiveCluster::new`], the output channel).
+    /// Bounded channels give backpressure instead of unbounded memory
+    /// growth under heavy load: a client blocks in
+    /// [`LiveCluster::invoke`] while the replica's mailbox is full,
+    /// whereas a peer treats a full mailbox as a lossy link (dropped
+    /// frames are recovered by protocol retransmission, exactly like a
+    /// partition drop).
     pub channel_capacity: usize,
 }
 
@@ -59,18 +60,25 @@ enum ReplicaEvent<P: Process> {
 
 type Mailboxes<P> = Vec<Sender<ReplicaEvent<P>>>;
 
+/// Where a replica's outputs go: called on the replica's own thread,
+/// once per output, right after the step that produced it.
+type Sink<P> = Arc<dyn Fn(ReplicaId, <P as Process>::Output) + Send + Sync>;
+
 /// A running in-process cluster of `n` replicas executing a
 /// [`Process`].
 ///
-/// See the crate-level example. Outputs from all replicas arrive on a
-/// single channel ([`LiveCluster::recv_output`]); faults are injected
-/// through [`LiveCluster::control`].
+/// See the crate-level example. Each replica hands its outputs to a
+/// sink on its own thread: a cluster built with [`LiveCluster::new`]
+/// puts them on one bounded channel for [`LiveCluster::recv_output`],
+/// one built with [`LiveCluster::with_sink`] runs the caller's closure
+/// in place. Faults are injected through [`LiveCluster::control`].
 pub struct LiveCluster<P: Process> {
     /// The only strong reference to the mailbox senders: replica threads
     /// reach their peers through a [`Weak`] one, so dropping the cluster
     /// disconnects every mailbox and the threads exit.
     mailboxes: Arc<Mailboxes<P>>,
-    outputs: Receiver<(ReplicaId, P::Output)>,
+    /// The output channel, when the sink is the channel.
+    outputs: Option<Receiver<(ReplicaId, P::Output)>>,
     ctl: Arc<PartitionControl>,
     threads: Vec<JoinHandle<()>>,
     n: usize,
@@ -84,6 +92,9 @@ where
     P::Output: Send + 'static,
 {
     /// Spawns the cluster; `make(id, n)` builds each replica's process.
+    /// Outputs go to one bounded channel, read with
+    /// [`LiveCluster::recv_output`]; a replica whose output finds the
+    /// channel full waits for room.
     ///
     /// The factory is retained (shared across replica threads): a
     /// [`LiveCluster::restart`] re-invokes it for the bounced replica,
@@ -95,12 +106,32 @@ where
         config: LiveConfig,
         make: impl Fn(ReplicaId, usize) -> P + Send + Sync + 'static,
     ) -> Self {
+        let (out_tx, out_rx) = bounded::<(ReplicaId, P::Output)>(config.channel_capacity);
+        let mut cluster = Self::with_sink(config, make, move |id, o| {
+            // fails only once `shutdown` has dropped the receiver
+            let _ = out_tx.send((id, o));
+        });
+        cluster.outputs = Some(out_rx);
+        cluster
+    }
+
+    /// Spawns the cluster as [`LiveCluster::new`] does, but each replica
+    /// hands every output to `sink` on its own thread, right after the
+    /// step that produced it — no channel, no thread in between. The
+    /// replica runs nothing else meanwhile, so `sink` must not block for
+    /// long. [`LiveCluster::recv_output`] and
+    /// [`LiveCluster::try_outputs`] are not available on such a cluster.
+    pub fn with_sink(
+        config: LiveConfig,
+        make: impl Fn(ReplicaId, usize) -> P + Send + Sync + 'static,
+        sink: impl Fn(ReplicaId, P::Output) + Send + Sync + 'static,
+    ) -> Self {
         let n = config.n;
         let cap = config.channel_capacity;
         assert!(n > 0, "cluster must contain at least one replica");
         let make: Arc<dyn Fn(ReplicaId, usize) -> P + Send + Sync> = Arc::new(make);
+        let sink: Sink<P> = Arc::new(sink);
         let ctl = PartitionControl::new(n);
-        let (out_tx, out_rx) = bounded::<(ReplicaId, P::Output)>(cap);
         let (mailbox_txs, mailbox_rxs): (Mailboxes<P>, Vec<_>) =
             (0..n).map(|_| bounded::<ReplicaEvent<P>>(cap)).unzip();
         let mailboxes = Arc::new(mailbox_txs);
@@ -112,7 +143,7 @@ where
                 let id = ReplicaId::new(i as u32);
                 let factory = Arc::clone(&make);
                 let peers = Arc::downgrade(&mailboxes);
-                let out = out_tx.clone();
+                let out = Arc::clone(&sink);
                 let rctl = Arc::clone(&ctl);
                 let seed = config.seed.wrapping_add(i as u64);
                 std::thread::Builder::new()
@@ -124,7 +155,7 @@ where
 
         LiveCluster {
             mailboxes,
-            outputs: out_rx,
+            outputs: None,
             ctl,
             threads,
             n,
@@ -172,15 +203,30 @@ where
             .expect("replica thread alive");
     }
 
+    /// The output channel of a cluster built with [`LiveCluster::new`].
+    fn outputs(&self) -> &Receiver<(ReplicaId, P::Output)> {
+        self.outputs
+            .as_ref()
+            .expect("this cluster hands its outputs to a sink, not a channel")
+    }
+
     /// Waits up to `timeout` for the next output from any replica.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a cluster built with [`LiveCluster::with_sink`].
     pub fn recv_output(&self, timeout: Duration) -> Option<(ReplicaId, P::Output)> {
-        self.outputs.recv_timeout(timeout).ok()
+        self.outputs().recv_timeout(timeout).ok()
     }
 
     /// Drains any outputs that are immediately available.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a cluster built with [`LiveCluster::with_sink`].
     pub fn try_outputs(&self) -> Vec<(ReplicaId, P::Output)> {
         let mut out = Vec::new();
-        while let Ok(o) = self.outputs.try_recv() {
+        while let Ok(o) = self.outputs().try_recv() {
             out.push(o);
         }
         out
@@ -189,10 +235,12 @@ where
     /// Stops all threads and returns the final process states (for
     /// convergence inspection).
     ///
-    /// Keeps draining the (bounded) output channel while waiting: a
-    /// replica blocked publishing a response into a full channel must
-    /// be able to make progress to reach its Stop event — otherwise an
-    /// undrained cluster could never shut down.
+    /// With the channel sink, keeps draining the (bounded) output
+    /// channel while waiting: a replica blocked publishing a response
+    /// into a full channel must be able to make progress to reach its
+    /// Stop event — otherwise an undrained cluster could never shut
+    /// down. A [`LiveCluster::with_sink`] sink is the caller's to keep
+    /// from blocking.
     pub fn shutdown(self) -> Vec<P> {
         let mut processes = Vec::with_capacity(self.n);
         for tx in self.mailboxes.iter() {
@@ -209,7 +257,9 @@ where
                         Err(TrySendError::Disconnected(_)) => break,
                     }
                 }
-                while self.outputs.try_recv().is_ok() {}
+                if let Some(outputs) = &self.outputs {
+                    while outputs.try_recv().is_ok() {}
+                }
                 match ret_rx.recv_timeout(Duration::from_millis(1)) {
                     Ok(p) => {
                         processes.push(p);
@@ -344,7 +394,7 @@ fn replica_loop<P>(
     factory: Arc<dyn Fn(ReplicaId, usize) -> P + Send + Sync>,
     mailbox: Receiver<ReplicaEvent<P>>,
     peers: Weak<Mailboxes<P>>,
-    out: Sender<(ReplicaId, P::Output)>,
+    out: Sink<P>,
     ctl: Arc<PartitionControl>,
     seed: u64,
 ) where
@@ -415,9 +465,9 @@ fn replica_loop<P>(
             while process.on_internal(&mut ctx!()) {
                 flush!();
             }
-            // 3. flush outputs
+            // 3. hand the outputs to the sink
             for o in process.drain_outputs() {
-                let _ = out.send((id, o));
+                out(id, o);
             }
         }
         // 4. sleep until the next event arrives or the next timer is due
@@ -933,11 +983,41 @@ mod mailbox_contract {
         cluster.shutdown();
     }
 
+    #[test]
+    fn a_sink_runs_on_the_thread_of_the_replica_that_produced_the_output() {
+        let (tx, rx) = mpsc::channel();
+        let config = LiveConfig::new(2);
+        let cluster = LiveCluster::with_sink(
+            config,
+            |_, _| Probe::default(),
+            move |id, seen| {
+                let thread = std::thread::current().name().map(str::to_owned);
+                let _ = tx.send((id, seen, thread));
+            },
+        );
+        cluster.invoke(r(1), Do::Note(7));
+        let got: Vec<_> = (0..3)
+            .map(|_| rx.recv_timeout(Duration::from_secs(5)).expect("an output"))
+            .collect();
+        for (id, _, thread) in &got {
+            assert_eq!(
+                thread.as_deref(),
+                Some(&*format!("bayou-replica-{}", id.index()))
+            );
+        }
+        let seen: Vec<_> = got.into_iter().map(|(id, seen, _)| (id, seen)).collect();
+        assert!(seen.contains(&(r(0), Seen::Started)), "{seen:?}");
+        assert!(seen.contains(&(r(1), Seen::Started)), "{seen:?}");
+        assert!(seen.contains(&(r(1), Seen::Noted(7))), "{seen:?}");
+        cluster.shutdown();
+    }
+
     /// Runs a lone crashed replica over a mailbox filled beforehand, on
     /// this thread: the loop returns at the `Stop` that ends `events`.
     fn run_crashed(events: Vec<ReplicaEvent<Probe>>) -> (Vec<Seen>, Probe) {
         let (mailbox_tx, mailbox) = bounded(events.len() + 1);
         let (out, outputs) = bounded(64);
+        let sink: Sink<Probe> = Arc::new(move |id, seen| out.send((id, seen)).expect("room"));
         let (ret_tx, ret_rx) = bounded(1);
         for event in events {
             mailbox_tx.send(event).expect("room for every event");
@@ -948,7 +1028,7 @@ mod mailbox_contract {
         let ctl = PartitionControl::new(1);
         ctl.crash(r(0));
         let factory = Arc::new(|_, _| Probe::default());
-        replica_loop(r(0), 1, factory, mailbox, Weak::new(), out, ctl, 0);
+        replica_loop(r(0), 1, factory, mailbox, Weak::new(), sink, ctl, 0);
         let reported = std::iter::from_fn(|| outputs.try_recv().ok())
             .map(|(_, seen)| seen)
             .collect();

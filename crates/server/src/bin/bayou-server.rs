@@ -129,8 +129,8 @@ fn main() {
         durable,
         lease
     );
-    // Serve until killed. The accept/dispatch/reader threads own all the
-    // work; this thread just keeps the Server alive.
+    // Serve until killed. The accept, connection-reader and replica
+    // threads own all the work; this thread just keeps the Server alive.
     loop {
         std::thread::park();
     }

@@ -284,8 +284,8 @@ pub fn write_frame<T: Wire>(w: &mut impl Write, buf: &mut Vec<u8>, msg: &T) -> i
 }
 
 /// Appends one framed `ResponseMsg { tag, reply: Reply::Ok(value) }` to
-/// `out` without constructing either enum — the dispatcher's hot path
-/// encodes the replica's `Value` in place by reference. Byte-identical
+/// `out` without constructing either enum — the reply path, run on the
+/// replica thread, encodes the replica's `Value` in place by reference. Byte-identical
 /// to [`encode_frame`] of the owned message (gated by a unit test here
 /// and by `tests/alloc.rs` at steady state).
 pub fn encode_ok_response(out: &mut Vec<u8>, tag: u64, value: &Value) {

@@ -4,11 +4,22 @@
 //! reader thread that decodes pipelined request frames straight out of a
 //! reusable buffer ([`crate::protocol::RequestView`] borrow-decoding —
 //! no allocation per frame on the hot path) and dispatches operations
-//! into the [`LiveCluster`]; a single dispatcher thread routes replica
-//! responses back to the owning connection by correlation tag, encoding
+//! into the [`LiveCluster`]. Replies leave from the replica thread that
+//! produced them: the cluster's output sink routes each response to the
+//! owning connection by correlation tag and writes it there, encoding
 //! `Ok` replies through the borrow path
 //! ([`crate::protocol::encode_ok_response`]) so the response side is as
-//! allocation-free as the request side.
+//! allocation-free as the request side. No thread sits between a
+//! replica's step and the socket.
+//!
+//! ## Slow readers
+//!
+//! A replica thread that writes a reply must not wait on a client: a
+//! replica that stalls stalls its groups' Paxos rounds with it. Every
+//! connection's write half has a short timeout (`WRITE_TIMEOUT`), and
+//! a write that fails or times out shuts the connection down — a
+//! partial frame poisons the stream. A client that stops reading loses
+//! its own connection; nobody else waits.
 //!
 //! ## Sharding
 //!
@@ -52,8 +63,8 @@
 //! is crashed through [`Server::crash_replica`], its in-flight ops
 //! (across every group it hosts) fail immediately with a typed
 //! [`Reply::Err`] (their tags were in-memory only, so the recovered
-//! replica re-derives responses without tags and the dispatcher drops
-//! them), and new ops fail over to the next live replica until
+//! replica re-derives responses without tags and the sink drops them),
+//! and new ops fail over to the next live replica until
 //! [`Server::restart_replica`] brings it back.
 
 use crate::protocol::{
@@ -179,9 +190,14 @@ impl Default for ServerConfig {
     }
 }
 
+/// How long a reply may wait for room in a connection's socket buffer
+/// before the connection is given up: a replica thread writes replies,
+/// so this bounds what a client that stops reading can cost it.
+const WRITE_TIMEOUT: Duration = Duration::from_millis(100);
+
 /// One connection's server-side state: the write half (stream + reusable
-/// encode buffer behind one lock, so pipelined responses from the
-/// dispatcher and immediate Busy/Pong replies from the reader interleave
+/// encode buffer behind one lock, so responses from every replica thread
+/// and immediate Busy/Pong/Err replies from other threads interleave
 /// whole-frame) and the outstanding-op count.
 struct Conn {
     writer: Mutex<ConnWriter>,
@@ -194,28 +210,35 @@ struct ConnWriter {
 }
 
 impl Conn {
-    /// Best-effort response write; a dead connection just drops it.
-    fn reply(&self, tag: u64, reply: Reply) {
+    /// Writes one frame under the writer lock. On any error — a dead
+    /// peer, or `WRITE_TIMEOUT` spent on a full socket buffer — the
+    /// frame may be partly written, which poisons the stream, so both
+    /// halves are shut down: the reader thread sees the close and ends,
+    /// and later replies fail at once.
+    fn write(&self, frame: impl FnOnce(&mut TcpStream, &mut Vec<u8>) -> io::Result<()>) {
         let mut w = self.writer.lock();
         let ConnWriter { stream, buf } = &mut *w;
-        let _ = write_frame(stream, buf, &ResponseMsg { tag, reply });
+        if frame(stream, buf).is_err() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+    }
+
+    /// Best-effort response write; a dead connection just drops it.
+    fn reply(&self, tag: u64, reply: Reply) {
+        self.write(|stream, buf| write_frame(stream, buf, &ResponseMsg { tag, reply }));
     }
 
     /// Best-effort `Ok(value)` write through the borrow-encode path —
     /// no `Reply`/`ResponseMsg` constructed, the value encodes by
     /// reference into the connection's reusable buffer.
     fn reply_ok(&self, tag: u64, value: &Value) {
-        let mut w = self.writer.lock();
-        let ConnWriter { stream, buf } = &mut *w;
-        let _ = write_ok_response(stream, buf, tag, value);
+        self.write(|stream, buf| write_ok_response(stream, buf, tag, value));
     }
 
     /// Best-effort `Retry` write through the borrow-encode path (the
     /// replica's catch-up cursor goes straight into the frame buffer).
     fn reply_retry(&self, tag: u64, seen_seq: u64, committed: u64) {
-        let mut w = self.writer.lock();
-        let ConnWriter { stream, buf } = &mut *w;
-        let _ = write_retry_response(stream, buf, tag, seen_seq, committed);
+        self.write(|stream, buf| write_retry_response(stream, buf, tag, seen_seq, committed));
     }
 }
 
@@ -240,12 +263,25 @@ struct SessionCursor {
     seq: u64,
 }
 
-struct Shared {
-    cluster: LiveCluster<KvHost>,
+/// What a response needs to find its connection: shared by the reader
+/// threads, which register ops, and the cluster's output sink, which
+/// runs on the replica threads and completes them.
+struct Routes {
     /// Outstanding ops by server-global tag, one table per group. Each
     /// table's size is that group's load-shed signal; entries leave on
     /// response or on replica crash.
     pending: Vec<Mutex<HashMap<u64, Pending>>>,
+    /// Per-session write cursors, advanced by completed guarded writes
+    /// and merged into every guarded read's floors. Sessions are client
+    /// chosen identifiers; the table is in-memory only (a restarted
+    /// server starts sessions fresh, which only weakens floors — never
+    /// unsafe, the replica still enforces whatever guard it is sent).
+    sessions: Mutex<HashMap<u64, SessionCursor>>,
+}
+
+struct Shared {
+    cluster: LiveCluster<KvHost>,
+    routes: Arc<Routes>,
     router: ShardRouter,
     next_tag: AtomicU64,
     crashed: Vec<AtomicBool>,
@@ -263,12 +299,6 @@ struct Shared {
     /// Whether leader leases are armed — gates the strong-read-to-leader
     /// routing so a lease-off server is bit-for-bit the old one.
     lease_on: bool,
-    /// Per-session write cursors, advanced by completed guarded writes
-    /// and merged into every guarded read's floors. Sessions are client
-    /// chosen identifiers; the table is in-memory only (a restarted
-    /// server starts sessions fresh, which only weakens floors — never
-    /// unsafe, the replica still enforces whatever guard it is sent).
-    sessions: Mutex<HashMap<u64, SessionCursor>>,
 }
 
 /// A running server. Dropping it leaks the threads; call
@@ -277,12 +307,11 @@ pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
     accept: Option<JoinHandle<()>>,
-    dispatcher: Option<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Builds the cluster, binds the listener and spawns the accept and
-    /// dispatcher threads.
+    /// Builds the cluster, binds the listener and spawns the accept
+    /// thread.
     pub fn start(config: ServerConfig) -> io::Result<Server> {
         let n = config.replicas;
         let shards = config.shards;
@@ -293,11 +322,19 @@ impl Server {
             ..LiveConfig::new(n)
         };
         let lease = config.lease;
+        // replies leave from the replica thread that produced them: the
+        // sink routes each response to its connection and writes it
+        let routes = Arc::new(Routes {
+            pending: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            sessions: Mutex::new(HashMap::new()),
+        });
+        let sink_routes = Arc::clone(&routes);
+        let sink = move |_, (gid, resp)| route_response(&sink_routes, gid, resp);
         let cluster = match config.data_dir.clone() {
             Some(root) => {
                 std::fs::create_dir_all(&root)?;
                 let store = config.store;
-                LiveCluster::new(live, move |id, n| {
+                let make = move |id: ReplicaId, n| {
                     let dir = root.join(format!("replica-{}", id.index()));
                     let backend = FileStorage::open(dir).expect("open replica data dir");
                     let mut host = recover_grouped_paxos::<KvStore, DeltaState<KvStore>, _>(
@@ -311,26 +348,34 @@ impl Server {
                     );
                     host.set_lease(lease);
                     host
-                })
+                };
+                LiveCluster::with_sink(live, make, sink)
             }
-            None => LiveCluster::new(live, move |_, n| {
-                let mut host = GroupedReplica::new(
-                    (0..shards)
-                        .map(|_| {
-                            BayouReplica::new(n, ProtocolMode::Improved, PaxosTob::with_defaults(n))
-                        })
-                        .collect(),
-                );
-                host.set_lease(lease);
-                host
-            }),
+            None => {
+                let make = move |_, n| {
+                    let mut host = GroupedReplica::new(
+                        (0..shards)
+                            .map(|_| {
+                                BayouReplica::new(
+                                    n,
+                                    ProtocolMode::Improved,
+                                    PaxosTob::with_defaults(n),
+                                )
+                            })
+                            .collect(),
+                    );
+                    host.set_lease(lease);
+                    host
+                };
+                LiveCluster::with_sink(live, make, sink)
+            }
         };
 
         let listener = TcpListener::bind(&config.listen)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             cluster,
-            pending: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            routes,
             router: ShardRouter::new(shards),
             next_tag: AtomicU64::new(1),
             crashed: (0..n).map(|_| AtomicBool::new(false)).collect(),
@@ -343,23 +388,17 @@ impl Server {
             high_water: config.high_water,
             n,
             lease_on: lease.is_some(),
-            sessions: Mutex::new(HashMap::new()),
         });
 
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::Builder::new()
             .name("bayou-accept".into())
             .spawn(move || accept_loop(listener, accept_shared))?;
-        let disp_shared = Arc::clone(&shared);
-        let dispatcher = std::thread::Builder::new()
-            .name("bayou-dispatch".into())
-            .spawn(move || dispatch_loop(disp_shared))?;
 
         Ok(Server {
             shared,
             addr,
             accept: Some(accept),
-            dispatcher: Some(dispatcher),
         })
     }
 
@@ -401,7 +440,7 @@ impl Server {
         self.shared.crashed[r.index()].store(true, Ordering::SeqCst);
         self.shared.cluster.control().crash(r);
         let mut failed: Vec<(Arc<Conn>, u64)> = Vec::new();
-        for table in &self.shared.pending {
+        for table in &self.shared.routes.pending {
             let mut pending = table.lock();
             pending.retain(|_, p| {
                 if p.replica == r {
@@ -445,10 +484,7 @@ impl Server {
         for h in readers {
             let _ = h.join();
         }
-        if let Some(h) = self.dispatcher.take() {
-            let _ = h.join();
-        }
-        for table in &self.shared.pending {
+        for table in &self.shared.routes.pending {
             table.lock().clear();
         }
         let shared = match Arc::try_unwrap(self.shared) {
@@ -483,21 +519,15 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
-/// Routes replica responses back to connections until stopped.
-fn dispatch_loop(shared: Arc<Shared>) {
-    while !shared.stop.load(Ordering::SeqCst) {
-        if let Some((_, (gid, resp))) = shared.cluster.recv_output(Duration::from_millis(50)) {
-            route_response(&shared, gid, resp);
-        }
-    }
-}
-
-fn route_response(shared: &Shared, gid: GroupId, resp: Response) {
+/// The cluster's output sink: completes a response's pending op and
+/// writes the reply to its connection, on the replica thread that
+/// produced it.
+fn route_response(routes: &Routes, gid: GroupId, resp: Response) {
     // untagged responses are re-derivations after a crash restart: the
     // session that asked is gone (its ops were failed at crash time)
     let Some(tag) = resp.tag else { return };
     // already failed over / failed at crash time
-    let Some(p) = shared.pending[gid.index()].lock().remove(&tag) else {
+    let Some(p) = routes.pending[gid.index()].lock().remove(&tag) else {
         return;
     };
     p.conn.inflight.fetch_sub(1, Ordering::SeqCst);
@@ -516,7 +546,7 @@ fn route_response(shared: &Shared, gid: GroupId, resp: Response) {
         // a completed session write advances the read-your-writes
         // cursor to the dot its replica assigned
         let id = resp.meta.id();
-        let mut sessions = shared.sessions.lock();
+        let mut sessions = routes.sessions.lock();
         let cur = sessions.entry(session).or_insert(SessionCursor {
             origin: id.replica(),
             seq: 0,
@@ -557,6 +587,9 @@ fn reader_loop(shared: Arc<Shared>, mut stream: TcpStream, conn_id: u64) {
         Ok(s) => s,
         Err(_) => return,
     };
+    if write_stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err() {
+        return;
+    }
     let conn = Arc::new(Conn {
         writer: Mutex::new(ConnWriter {
             stream: write_stream,
@@ -628,7 +661,7 @@ fn handle_op(
     let mut session_write = None;
     if let Some(g) = guard {
         if read_only {
-            let cursor = shared.sessions.lock().get(&g.session).copied();
+            let cursor = shared.routes.sessions.lock().get(&g.session).copied();
             session_guard = Some(match cursor {
                 Some(c) => SessionGuard {
                     origin: c.origin,
@@ -649,7 +682,7 @@ fn handle_op(
         }
     }
     let tag = {
-        let mut pending = shared.pending[gid.index()].lock();
+        let mut pending = shared.routes.pending[gid.index()].lock();
         // per-group high-water mark: shed before the cluster sees the
         // op, without letting one hot shard starve the others
         if pending.len() >= shared.high_water {
@@ -673,7 +706,7 @@ fn handle_op(
     };
     // outside the pending lock: a full replica input channel blocks here
     // (bounded memory), and the pending entry is already in place for
-    // the dispatcher
+    // the replica's reply
     let mut inv = Invocation::new(op.into_owned(), level).with_tag(tag);
     if let Some(sg) = session_guard {
         inv = inv.with_guard(sg);

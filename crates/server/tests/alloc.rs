@@ -141,7 +141,7 @@ fn response_encode_path() {
     );
 }
 
-/// The dispatcher's actual transmit path ([`encode_ok_response`]): a
+/// The replica thread's actual reply path ([`encode_ok_response`]): a
 /// borrowed `Value` — including a `Str`, which the owned path could only
 /// frame by building a `Reply::Ok` around it — encodes into the
 /// connection's reusable write buffer with zero allocations per frame,

@@ -2,14 +2,16 @@
 //! sockets, driven by the pipelined client — request pipelining across
 //! weak and strong levels, typed load shedding under backpressure, a
 //! replica crash + durable restart mid-run, leased strong reads across a
-//! leader failover, and session-guarded follower reads with typed
-//! `Retry` refusals.
+//! leader failover, session-guarded follower reads with typed `Retry`
+//! refusals, and the two hazards of replies written by replica threads:
+//! a client that stops reading, and one connection answered by two
+//! replica threads at once.
 
 use bayou_data::KvOp;
 use bayou_server::{Client, KvHost, KvReplica, Reply, Server, ServerConfig, Session};
 use bayou_storage::StoreConfig;
 use bayou_types::{GroupId, LeaseConfig, Level, ReadGuard, ReplicaId, Value};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -140,10 +142,11 @@ fn high_water_mark_sheds_new_ops_server_wide() {
     let mut b = connect(&addr);
 
     a.send(Level::Strong, KvOp::put("hw", 1)).expect("send");
-    // the two connections race at the dispatcher: whichever op lands
-    // second while the other is still pending is shed (the expected
-    // case — commit takes a Paxos round); both may be Ok if the first
-    // drained before the second arrived — always typed, never a stall
+    // the two connections race at the group's pending table: whichever
+    // op lands second while the other is still pending is shed (the
+    // expected case — commit takes a Paxos round); both may be Ok if the
+    // first drained before the second arrived — always typed, never a
+    // stall
     let probe_busy = match b
         .call(Level::Weak, KvOp::put("probe", 1))
         .expect("probe answered")
@@ -188,24 +191,33 @@ fn replica_crash_fails_pending_ops_and_durable_restart_converges() {
     }
 
     // phase 2: pipeline strong ops at replica 0, then crash it mid-run.
-    // Every in-flight op must be answered — Ok if it committed first,
-    // a typed Err if the crash beat it — never dropped.
+    // Every in-flight op must be answered exactly once — Ok if it
+    // committed first, a typed Err if the crash beat it — never dropped
+    // and never both: the crash and the replica's own reply race for the
+    // op's pending entry.
     const INFLIGHT: u64 = 6;
-    for i in 0..INFLIGHT {
-        client
-            .send(Level::Strong, KvOp::put("racing", i as i64))
-            .expect("send");
-    }
+    let mut unanswered: HashSet<u64> = (0..INFLIGHT)
+        .map(|i| {
+            client
+                .send(Level::Strong, KvOp::put("racing", i as i64))
+                .expect("send")
+        })
+        .collect();
     server.crash_replica(ReplicaId::new(0));
     let (mut oks, mut errs) = (0u64, 0u64);
     for _ in 0..INFLIGHT {
-        match client.recv().expect("in-flight op answered after crash") {
-            (_, Reply::Ok(_)) => oks += 1,
-            (_, Reply::Err(msg)) => {
+        let (tag, reply) = client.recv().expect("in-flight op answered after crash");
+        assert!(
+            unanswered.remove(&tag),
+            "tag {tag} unknown or answered twice"
+        );
+        match reply {
+            Reply::Ok(_) => oks += 1,
+            Reply::Err(msg) => {
                 assert!(msg.contains("crashed"), "unexpected error: {msg}");
                 errs += 1;
             }
-            (tag, reply) => panic!("op {tag}: unexpected {reply:?}"),
+            reply => panic!("op {tag}: unexpected {reply:?}"),
         }
     }
     assert_eq!(oks + errs, INFLIGHT);
@@ -516,5 +528,99 @@ fn malformed_frame_closes_only_that_connection() {
         .call(Level::Weak, KvOp::put("still-serving", 1))
         .expect("well-formed op after another conn was dropped");
     assert!(matches!(reply, Reply::Ok(_)));
+    server.stop();
+}
+
+#[test]
+fn a_client_that_stops_reading_costs_only_its_own_connection() {
+    let (server, addr) = start(ServerConfig::default());
+    // connection A (home: replica 0, the presumed Paxos leader) stores a
+    // ~256 KB key — the store's values are integers, so the bulk rides
+    // in a key — then pipelines weak `keys()` reads, each answered with
+    // that key, and never reads a reply: its socket buffers fill within
+    // a few dozen replies
+    let mut a = connect(&addr);
+    let big = "x".repeat(256 * 1024);
+    let reply = a.call(Level::Weak, KvOp::put(big, 1)).expect("big put");
+    assert!(matches!(reply, Reply::Ok(_)), "big put: {reply:?}");
+    for _ in 0..256 {
+        a.send(Level::Weak, KvOp::Keys).expect("pipelined read");
+    }
+
+    // connection B keeps being served, weak ops on replica 1 and strong
+    // ones through replica 0's Paxos rounds, each within 2 s
+    let mut b = connect(&addr);
+    b.set_recv_timeout(Some(Duration::from_secs(2)))
+        .expect("set timeout");
+    for i in 0..40 {
+        let level = if i % 2 == 0 {
+            Level::Weak
+        } else {
+            Level::Strong
+        };
+        let reply = b
+            .call(level, KvOp::put("b", i))
+            .unwrap_or_else(|e| panic!("op {i} ({level:?}) stalled behind a slow reader: {e}"));
+        assert!(matches!(reply, Reply::Ok(_)), "op {i}: {reply:?}");
+    }
+
+    // A was closed: what was written drains, then the stream ends (a
+    // close or a reset), rather than the read timing out
+    a.set_recv_timeout(Some(Duration::from_secs(10)))
+        .expect("set timeout");
+    let end = loop {
+        if let Err(e) = a.recv() {
+            break e;
+        }
+    };
+    assert!(
+        !matches!(
+            end.kind(),
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+        ),
+        "connection A is still open: {end}"
+    );
+    server.stop();
+}
+
+#[test]
+fn replies_from_two_replica_threads_share_one_connection_whole() {
+    // leases on: strong gets go to the leader (replica 0) while puts
+    // stay on the connection's home, so two replica threads write
+    // replies to one socket at once
+    let (server, addr) = start(ServerConfig {
+        lease: Some(LeaseConfig::new(200_000, 20_000)),
+        window: 1024,
+        ..ServerConfig::default()
+    });
+    let _home_0 = connect(&addr);
+    let mut client = connect(&addr);
+    // the second connection's home is replica 1; let replica 0 get its
+    // lease, so most strong gets are answered at once and their replies
+    // interleave densely with the puts'
+    std::thread::sleep(Duration::from_millis(300));
+
+    const OPS: i64 = 500;
+    let mut unanswered: HashSet<u64> = (0..OPS)
+        .map(|i| {
+            let (level, op) = if i % 2 == 0 {
+                (Level::Strong, KvOp::get(format!("k{}", i % 16)))
+            } else {
+                (Level::Weak, KvOp::put(format!("k{}", i % 16), i))
+            };
+            client.send(level, op).expect("send")
+        })
+        .collect();
+    for _ in 0..OPS {
+        // recv fails on a frame that does not decode
+        let (tag, reply) = client.recv().expect("a whole reply frame");
+        assert!(
+            unanswered.remove(&tag),
+            "tag {tag} unknown or answered twice"
+        );
+        assert!(matches!(reply, Reply::Ok(_)), "op {tag}: {reply:?}");
+    }
+    assert!(unanswered.is_empty(), "unanswered: {unanswered:?}");
+    assert_eq!(server.shed_count(), 0, "nothing shed");
     server.stop();
 }
