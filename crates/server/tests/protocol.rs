@@ -232,3 +232,109 @@ fn reply_values_round_trip() {
         assert_eq!(ResponseMsg::from_bytes(&msg.to_bytes()).unwrap(), msg);
     }
 }
+
+/// Golden bytes of the client protocol: one hex-pinned sample per
+/// variant of `Request`, `Reply` and `ResponseMsg`, plus the two
+/// in-place reply encoders (whole frames, length prefix included). A
+/// sample that moves is a broken codec, never a test to re-pin. Each
+/// sample also decodes back to itself, fails to decode from every strict
+/// prefix, and names its type in `BadTag` when its tag byte is replaced
+/// by the type's first unused tag.
+#[test]
+fn golden_bytes_of_every_protocol_variant() {
+    use bayou_server::protocol::{encode_ok_response, encode_retry_response};
+    use bayou_types::{ReadGuard, WireError};
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+    fn sweep<T: Wire + PartialEq + std::fmt::Debug>(
+        v: &T,
+        pin: &str,
+        at: usize,
+        tag: Option<(&'static str, u8)>,
+    ) {
+        let bytes = v.to_bytes();
+        assert_eq!(hex(&bytes), pin, "{v:?}");
+        assert_eq!(&T::from_bytes(&bytes).unwrap(), v);
+        for cut in 0..bytes.len() {
+            assert!(T::from_bytes(&bytes[..cut]).is_err(), "{v:?} cut at {cut}");
+        }
+        if let Some((ty, unused)) = tag {
+            let mut bad = bytes.clone();
+            bad[at] = unused;
+            assert_eq!(
+                T::from_bytes(&bad),
+                Err(WireError::BadTag { ty, tag: unused })
+            );
+        }
+    }
+
+    let requests = [
+        (
+            Request::Op {
+                tag: 1,
+                level: Level::Strong,
+                op: KvOp::put("k", 2),
+            },
+            "0001000000000000000101010000006b0200000000000000",
+        ),
+        (Request::Ping { tag: 3 }, "010300000000000000"),
+        (
+            Request::GuardedOp {
+                tag: 4,
+                guard: ReadGuard {
+                    session: 5,
+                    min_seq: 6,
+                    min_commit: 7,
+                },
+                op: KvOp::get("k"),
+            },
+            "02040000000000000005000000000000000600000000000000070000000000000000010000006b",
+        ),
+    ];
+    for (req, pin) in &requests {
+        sweep(req, pin, 0, Some(("Request", 3)));
+        let bytes = req.to_bytes();
+        assert_eq!(
+            &RequestView::view_from_bytes(&bytes).unwrap().into_owned(),
+            req
+        );
+    }
+    let replies = [
+        (Reply::Ok(Value::Int(-1)), "0002ffffffffffffffff"),
+        (Reply::Busy, "01"),
+        (Reply::Err("e".into()), "020100000065"),
+        (Reply::Pong, "03"),
+        (
+            Reply::Retry {
+                seen_seq: 8,
+                committed: 9,
+            },
+            "0408000000000000000900000000000000",
+        ),
+    ];
+    for (reply, pin) in &replies {
+        sweep(reply, pin, 0, Some(("Reply", 5)));
+    }
+    let msg = ResponseMsg {
+        tag: 10,
+        reply: Reply::Ok(Value::Str("v".into())),
+    };
+    sweep(
+        &msg,
+        "0a0000000000000000030100000076",
+        8,
+        Some(("Reply", 5)),
+    );
+
+    let mut out = Vec::new();
+    encode_ok_response(&mut out, 11, &Value::Int(12));
+    assert_eq!(hex(&out), "120000000b0000000000000000020c00000000000000");
+    out.clear();
+    encode_retry_response(&mut out, 13, 14, 15);
+    assert_eq!(
+        hex(&out),
+        "190000000d00000000000000040e000000000000000f00000000000000"
+    );
+}
