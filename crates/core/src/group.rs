@@ -48,8 +48,8 @@ use bayou_broadcast::{FrameMeter, StepCoalescer, StepDeferral, Tob};
 use bayou_data::{DataType, StateObject};
 use bayou_storage::{StorageError, SyncBarrier};
 use bayou_types::{
-    Context, GroupId, LeaseConfig, Process, ReplicaId, SharedReq, TimerId, Timestamp, VirtualTime,
-    Wire, WireError, WireReader,
+    wire, Context, GroupId, LeaseConfig, Process, ReplicaId, SharedReq, TimerId, Timestamp,
+    VirtualTime, Wire,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -90,30 +90,10 @@ pub enum GroupedMsg<M> {
     Batch(Vec<GroupedMsg<M>>),
 }
 
-impl<M: Wire> Wire for GroupedMsg<M> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            GroupedMsg::One(gid, m) => {
-                out.push(0);
-                gid.encode(out);
-                m.encode(out);
-            }
-            GroupedMsg::Batch(msgs) => {
-                out.push(1);
-                msgs.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(GroupedMsg::One(GroupId::decode(r)?, M::decode(r)?)),
-            1 => Ok(GroupedMsg::Batch(Vec::decode(r)?)),
-            tag => Err(WireError::BadTag {
-                ty: "GroupedMsg",
-                tag,
-            }),
-        }
+wire! {
+    GroupedMsg<M> {
+        0 => One(gid, m),
+        1 => Batch(msgs),
     }
 }
 

@@ -90,8 +90,7 @@ use bayou_broadcast::{BaselineMark, LinkMsg, MapCtx, RbMsg, ReliableBroadcast, T
 use bayou_data::{DataType, DeltaState, StateObject};
 use bayou_storage::{NullPersistence, PendingKind, Persistence, StorageError};
 use bayou_types::{
-    Context, Dot, LeaseConfig, ReplicaId, Req, ReqId, SharedReq, TimerId, Value, VirtualTime, Wire,
-    WireError, WireReader,
+    wire, Context, Dot, LeaseConfig, ReplicaId, Req, ReqId, SharedReq, TimerId, Value, VirtualTime,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -162,63 +161,19 @@ pub enum BayouMsg<Op, St, TM> {
     },
 }
 
-impl<Op: Wire> Wire for WireReq<Op> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.req.encode(out);
-        self.tob_seq.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(WireReq {
-            req: SharedReq::decode(r)?,
-            tob_seq: u64::decode(r)?,
-        })
-    }
-}
+wire! { WireReq<Op> { req, tob_seq } }
 
-/// The replica's complete message codec: what one [`BayouMsg`] costs on
-/// a real wire. Used by the host's wire-bytes meter
-/// ([`crate::GroupedReplica::meter_wire_bytes`]) and available to
-/// byte-oriented transports. Tags are append-only, like every other
-/// codec in the tree (tag 4, a per-replica step-end frame, is retired:
-/// the host frames steps).
-impl<Op, St, TM> Wire for BayouMsg<Op, St, TM>
-where
-    Op: Wire,
-    St: Wire,
-    TM: Wire,
-{
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            BayouMsg::Rb(frame) => {
-                out.push(0);
-                frame.encode(out);
-            }
-            BayouMsg::Tob(tm) => {
-                out.push(1);
-                tm.encode(out);
-            }
-            BayouMsg::BaselineRequest => out.push(2),
-            BayouMsg::Baseline { state, mark } => {
-                out.push(3);
-                state.encode(out);
-                mark.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(BayouMsg::Rb(LinkMsg::decode(r)?)),
-            1 => Ok(BayouMsg::Tob(TM::decode(r)?)),
-            2 => Ok(BayouMsg::BaselineRequest),
-            3 => Ok(BayouMsg::Baseline {
-                state: St::decode(r)?,
-                mark: BaselineMark::decode(r)?,
-            }),
-            tag => Err(WireError::BadTag {
-                ty: "BayouMsg",
-                tag,
-            }),
-        }
+wire! {
+    /// The replica's complete message codec: what one [`BayouMsg`] costs
+    /// on a real wire. Used by the host's wire-bytes meter
+    /// ([`crate::GroupedReplica::meter_wire_bytes`]) and available to
+    /// byte-oriented transports. Tag 4, a per-replica step-end frame, is
+    /// retired (the host frames steps) and must not be reused.
+    BayouMsg<Op, St, TM> {
+        0 => Rb(frame),
+        1 => Tob(tm),
+        2 => BaselineRequest,
+        3 => Baseline { state, mark },
     }
 }
 

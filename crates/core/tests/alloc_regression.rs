@@ -27,8 +27,8 @@ use bayou_core::{BayouMsg, BayouReplica, ProtocolMode};
 use bayou_data::{DeltaState, KvOp, KvOpView, KvStore};
 use bayou_storage::{frame_into, MemDisk, ReplicaStore, StoreConfig, FRAME_OVERHEAD};
 use bayou_types::{
-    BufPool, Context, Dot, Level, ReplicaId, Req, SharedReq, TimerId, Timestamp, VirtualTime, Wire,
-    WireView,
+    BufPool, Context, Dot, Level, ReplicaId, Req, ReqMeta, SharedReq, TimerId, Timestamp,
+    VirtualTime, Wire, WireReader, WireView,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -415,12 +415,11 @@ fn paxos_enqueue_behind_a_backlog_allocates_o1() {
 }
 
 /// The wire layer itself: steady-state encode (pooled buffer + in-place
-/// framing) and decode (borrowing views) of a serve-path frame must
-/// perform **zero** heap allocations per frame after warm-up. This is
-/// the gate behind the PR-6 zero-copy codec: `BufPool` keeps grown
-/// buffers, `frame_into` patches the header in place, and `WireView`
-/// decoding yields `&str` slices of the received bytes instead of
-/// materializing `String`s.
+/// framing) and decode (fixed-width metadata, then a borrowing op view)
+/// of a request frame must perform **zero** heap allocations per frame
+/// after warm-up: `BufPool` keeps grown buffers, `frame_into` patches
+/// the header in place, and `KvOpView` decoding yields `&str` slices of
+/// the received bytes instead of materializing `String`s.
 #[test]
 fn wire_layer_steady_state_allocates_zero_per_frame() {
     let request: Req<KvOp> = Req::new(
@@ -446,17 +445,19 @@ fn wire_layer_steady_state_allocates_zero_per_frame() {
         // encode: pooled checkout, in-place framing, no fresh Vec
         let mut buf = pool.checkout();
         frame_into(&mut buf, |out| request.encode(out));
-        // decode: a borrowed view of the framed payload — key bytes stay
-        // in `buf`, nothing is copied out
-        let view = Req::<KvOpView>::view_from_bytes(&buf[FRAME_OVERHEAD..])
-            .expect("framed request decodes");
-        match &view.op {
+        // decode: the request's metadata, then a borrowed view of its op
+        // — key bytes stay in `buf`, nothing is copied out
+        let mut r = WireReader::new(&buf[FRAME_OVERHEAD..]);
+        let meta = ReqMeta::decode(&mut r).expect("framed request decodes");
+        assert_eq!(meta.dot, request.dot);
+        match KvOpView::decode_view(&mut r).expect("framed op decodes") {
             KvOpView::Put(key, v) => {
-                assert_eq!(*key, "steady-state-key");
-                decoded_total += *v;
+                assert_eq!(key, "steady-state-key");
+                decoded_total += v;
             }
             _ => panic!("wrong op"),
         }
+        assert!(r.is_empty());
         pool.checkin(buf);
     }
     let spent = allocations() - before;

@@ -3,7 +3,6 @@
 use crate::datatype::{DataType, RandomOp};
 use bayou_types::Value;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -30,7 +29,7 @@ fn slot_key(room: &str, slot: u32) -> String {
 }
 
 /// Operations of [`Calendar`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum CalendarOp {
     /// Reserves `(room, slot)` for `who`; returns `true` iff the slot was
     /// free.

@@ -3,7 +3,6 @@
 use crate::datatype::{DataType, RandomOp};
 use bayou_types::Value;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A replicated integer counter.
@@ -16,7 +15,7 @@ use std::fmt;
 pub struct Counter;
 
 /// Operations of [`Counter`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CounterOp {
     /// Blind increment (may be negative); returns [`Value::Unit`].
     Add(i64),

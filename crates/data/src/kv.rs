@@ -3,7 +3,6 @@
 use crate::datatype::{DataType, RandomOp};
 use bayou_types::Value;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -19,7 +18,7 @@ use std::fmt;
 pub struct KvStore;
 
 /// Operations of [`KvStore`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum KvOp {
     /// Returns the value bound to the key, or [`Value::None`].
     Get(String),

@@ -91,6 +91,4 @@ pub use register::{RegisterOp, RwRegister};
 pub use set::{AddRemoveSet, SetOp, SetUndo};
 pub use state_object::{ReplayState, StateObject};
 pub use undo::{Expr, Instr, Script, ScriptOp, UndoLogState};
-pub use wire::{
-    BankOpView, CalendarOpView, ExprView, InstrView, KvOpView, ListOpView, ScriptOpView, SetOpView,
-};
+pub use wire::KvOpView;

@@ -3,7 +3,6 @@
 use crate::datatype::{DataType, RandomOp};
 use bayou_types::Value;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The replicated list used throughout the paper's examples.
@@ -18,7 +17,7 @@ use std::fmt;
 pub struct AppendList;
 
 /// Operations of [`AppendList`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ListOp {
     /// Appends an element; returns the resulting list contents.
     Append(String),

@@ -3,7 +3,6 @@
 use crate::datatype::{DataType, RandomOp};
 use bayou_types::Value;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A single integer read/write register.
@@ -17,7 +16,7 @@ use std::fmt;
 pub struct RwRegister;
 
 /// Operations of [`RwRegister`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RegisterOp {
     /// Blind write; returns [`Value::Unit`].
     Write(i64),

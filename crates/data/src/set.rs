@@ -3,7 +3,6 @@
 use crate::datatype::{DataType, RandomOp};
 use bayou_types::Value;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -20,7 +19,7 @@ use std::fmt;
 pub struct AddRemoveSet;
 
 /// Operations of [`AddRemoveSet`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum SetOp {
     /// Adds an element; returns `true` iff it was not already present.
     Add(String),

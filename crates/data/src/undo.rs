@@ -12,7 +12,6 @@ use crate::datatype::{DataType, RandomOp};
 use crate::state_object::{StateObject, Trace};
 use bayou_types::{ReqId, Value};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -21,7 +20,7 @@ use std::fmt;
 /// `Acc` refers to the value produced by the most recent `Read`
 /// instruction of the same program (0 before any read) — the "local
 /// computation" of the paper's operation model.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Expr {
     /// A constant.
     Const(i64),
@@ -45,7 +44,7 @@ impl fmt::Display for Expr {
 }
 
 /// One instruction of a [`Script`] program (Algorithm 3's `read`/`write`).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Instr {
     /// Reads a register into the accumulator; the value is also appended
     /// to the program's return list.
@@ -69,7 +68,7 @@ impl fmt::Display for Instr {
 /// The return value of a program is the list of values its `Read`
 /// instructions observed, making execution order fully observable —
 /// the adversarial case for temporary operation reordering.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct ScriptOp {
     /// The instruction sequence.
     pub instrs: Vec<Instr>,

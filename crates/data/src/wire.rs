@@ -16,280 +16,84 @@
 use crate::{
     BankOp, CalendarOp, CounterOp, Expr, Instr, KvOp, ListOp, RegisterOp, ScriptOp, SetOp,
 };
-use bayou_types::{Wire, WireError, WireReader, WireView};
+use bayou_types::{wire, Wire, WireError, WireReader, WireView};
 
-impl Wire for ListOp {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ListOp::Append(s) => {
-                out.push(0);
-                s.encode(out);
-            }
-            ListOp::Duplicate => out.push(1),
-            ListOp::Read => out.push(2),
-            ListOp::GetFirst => out.push(3),
-            ListOp::Size => out.push(4),
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(ListOp::Append(String::decode(r)?)),
-            1 => Ok(ListOp::Duplicate),
-            2 => Ok(ListOp::Read),
-            3 => Ok(ListOp::GetFirst),
-            4 => Ok(ListOp::Size),
-            tag => Err(WireError::BadTag { ty: "ListOp", tag }),
-        }
+wire! {
+    ListOp {
+        0 => Append(s),
+        1 => Duplicate,
+        2 => Read,
+        3 => GetFirst,
+        4 => Size,
     }
 }
 
-impl Wire for RegisterOp {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            RegisterOp::Write(v) => {
-                out.push(0);
-                v.encode(out);
-            }
-            RegisterOp::Read => out.push(1),
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(RegisterOp::Write(i64::decode(r)?)),
-            1 => Ok(RegisterOp::Read),
-            tag => Err(WireError::BadTag {
-                ty: "RegisterOp",
-                tag,
-            }),
-        }
+wire! {
+    RegisterOp {
+        0 => Write(v),
+        1 => Read,
     }
 }
 
-impl Wire for CounterOp {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            CounterOp::Add(v) => {
-                out.push(0);
-                v.encode(out);
-            }
-            CounterOp::AddAndGet(v) => {
-                out.push(1);
-                v.encode(out);
-            }
-            CounterOp::Read => out.push(2),
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(CounterOp::Add(i64::decode(r)?)),
-            1 => Ok(CounterOp::AddAndGet(i64::decode(r)?)),
-            2 => Ok(CounterOp::Read),
-            tag => Err(WireError::BadTag {
-                ty: "CounterOp",
-                tag,
-            }),
-        }
+wire! {
+    CounterOp {
+        0 => Add(v),
+        1 => AddAndGet(v),
+        2 => Read,
     }
 }
 
-impl Wire for KvOp {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            KvOp::Get(k) => {
-                out.push(0);
-                k.encode(out);
-            }
-            KvOp::Put(k, v) => {
-                out.push(1);
-                k.encode(out);
-                v.encode(out);
-            }
-            KvOp::PutIfAbsent(k, v) => {
-                out.push(2);
-                k.encode(out);
-                v.encode(out);
-            }
-            KvOp::Remove(k) => {
-                out.push(3);
-                k.encode(out);
-            }
-            KvOp::Keys => out.push(4),
-            KvOp::Size => out.push(5),
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(KvOp::Get(String::decode(r)?)),
-            1 => Ok(KvOp::Put(String::decode(r)?, i64::decode(r)?)),
-            2 => Ok(KvOp::PutIfAbsent(String::decode(r)?, i64::decode(r)?)),
-            3 => Ok(KvOp::Remove(String::decode(r)?)),
-            4 => Ok(KvOp::Keys),
-            5 => Ok(KvOp::Size),
-            tag => Err(WireError::BadTag { ty: "KvOp", tag }),
-        }
+wire! {
+    KvOp {
+        0 => Get(k),
+        1 => Put(k, v),
+        2 => PutIfAbsent(k, v),
+        3 => Remove(k),
+        4 => Keys,
+        5 => Size,
     }
 }
 
-impl Wire for SetOp {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            SetOp::Add(e) => {
-                out.push(0);
-                e.encode(out);
-            }
-            SetOp::Remove(e) => {
-                out.push(1);
-                e.encode(out);
-            }
-            SetOp::Contains(e) => {
-                out.push(2);
-                e.encode(out);
-            }
-            SetOp::Elements => out.push(3),
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(SetOp::Add(String::decode(r)?)),
-            1 => Ok(SetOp::Remove(String::decode(r)?)),
-            2 => Ok(SetOp::Contains(String::decode(r)?)),
-            3 => Ok(SetOp::Elements),
-            tag => Err(WireError::BadTag { ty: "SetOp", tag }),
-        }
+wire! {
+    SetOp {
+        0 => Add(e),
+        1 => Remove(e),
+        2 => Contains(e),
+        3 => Elements,
     }
 }
 
-impl Wire for BankOp {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            BankOp::Deposit(a, v) => {
-                out.push(0);
-                a.encode(out);
-                v.encode(out);
-            }
-            BankOp::Withdraw(a, v) => {
-                out.push(1);
-                a.encode(out);
-                v.encode(out);
-            }
-            BankOp::Balance(a) => {
-                out.push(2);
-                a.encode(out);
-            }
-            BankOp::Total => out.push(3),
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(BankOp::Deposit(String::decode(r)?, i64::decode(r)?)),
-            1 => Ok(BankOp::Withdraw(String::decode(r)?, i64::decode(r)?)),
-            2 => Ok(BankOp::Balance(String::decode(r)?)),
-            3 => Ok(BankOp::Total),
-            tag => Err(WireError::BadTag { ty: "BankOp", tag }),
-        }
+wire! {
+    BankOp {
+        0 => Deposit(a, v),
+        1 => Withdraw(a, v),
+        2 => Balance(a),
+        3 => Total,
     }
 }
 
-impl Wire for CalendarOp {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            CalendarOp::Reserve { room, slot, who } => {
-                out.push(0);
-                room.encode(out);
-                slot.encode(out);
-                who.encode(out);
-            }
-            CalendarOp::Cancel { room, slot, who } => {
-                out.push(1);
-                room.encode(out);
-                slot.encode(out);
-                who.encode(out);
-            }
-            CalendarOp::Holder { room, slot } => {
-                out.push(2);
-                room.encode(out);
-                slot.encode(out);
-            }
-            CalendarOp::Schedule(room) => {
-                out.push(3);
-                room.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(CalendarOp::Reserve {
-                room: String::decode(r)?,
-                slot: u32::decode(r)?,
-                who: String::decode(r)?,
-            }),
-            1 => Ok(CalendarOp::Cancel {
-                room: String::decode(r)?,
-                slot: u32::decode(r)?,
-                who: String::decode(r)?,
-            }),
-            2 => Ok(CalendarOp::Holder {
-                room: String::decode(r)?,
-                slot: u32::decode(r)?,
-            }),
-            3 => Ok(CalendarOp::Schedule(String::decode(r)?)),
-            tag => Err(WireError::BadTag {
-                ty: "CalendarOp",
-                tag,
-            }),
-        }
+wire! {
+    CalendarOp {
+        0 => Reserve { room, slot, who },
+        1 => Cancel { room, slot, who },
+        2 => Holder { room, slot },
+        3 => Schedule(room),
     }
 }
 
-impl Wire for Expr {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Expr::Const(v) => {
-                out.push(0);
-                v.encode(out);
-            }
-            Expr::Load(k) => {
-                out.push(1);
-                k.encode(out);
-            }
-            Expr::Acc => out.push(2),
-            Expr::AccPlus(v) => {
-                out.push(3);
-                v.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(Expr::Const(i64::decode(r)?)),
-            1 => Ok(Expr::Load(String::decode(r)?)),
-            2 => Ok(Expr::Acc),
-            3 => Ok(Expr::AccPlus(i64::decode(r)?)),
-            tag => Err(WireError::BadTag { ty: "Expr", tag }),
-        }
+wire! {
+    Expr {
+        0 => Const(v),
+        1 => Load(k),
+        2 => Acc,
+        3 => AccPlus(v),
     }
 }
 
-impl Wire for Instr {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Instr::Read(k) => {
-                out.push(0);
-                k.encode(out);
-            }
-            Instr::Write(k, e) => {
-                out.push(1);
-                k.encode(out);
-                e.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(Instr::Read(String::decode(r)?)),
-            1 => Ok(Instr::Write(String::decode(r)?, Expr::decode(r)?)),
-            tag => Err(WireError::BadTag { ty: "Instr", tag }),
-        }
+wire! {
+    Instr {
+        0 => Read(k),
+        1 => Write(k, e),
     }
 }
 
@@ -302,73 +106,9 @@ impl Wire for ScriptOp {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Borrow-decoding views
-//
-// One view enum per string-carrying op type, decoding the *same byte
-// layout* as the owned [`Wire`] impl above but yielding `&str` slices of
-// the input frame instead of allocating `String`s. Ops whose fields are
-// all fixed-width (`RegisterOp`, `CounterOp`) are their own view. The
-// proptests in `tests/proptests.rs` assert `decode_view ∘ into_owned ≡
-// decode` for every op type, including decodes from dirty reused pool
-// buffers.
-// ---------------------------------------------------------------------------
-
-macro_rules! fixed_width_view {
-    ($($t:ty),* $(,)?) => {$(
-        impl<'a> WireView<'a> for $t {
-            type Owned = $t;
-            fn decode_view(r: &mut WireReader<'a>) -> Result<Self, WireError> {
-                <$t as Wire>::decode(r)
-            }
-            fn into_owned(self) -> $t {
-                self
-            }
-        }
-    )*};
-}
-
-fixed_width_view!(RegisterOp, CounterOp);
-
-/// Borrowed view of a [`ListOp`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ListOpView<'a> {
-    /// See [`ListOp::Append`].
-    Append(&'a str),
-    /// See [`ListOp::Duplicate`].
-    Duplicate,
-    /// See [`ListOp::Read`].
-    Read,
-    /// See [`ListOp::GetFirst`].
-    GetFirst,
-    /// See [`ListOp::Size`].
-    Size,
-}
-
-impl<'a> WireView<'a> for ListOpView<'a> {
-    type Owned = ListOp;
-    fn decode_view(r: &mut WireReader<'a>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(ListOpView::Append(<&str>::decode_view(r)?)),
-            1 => Ok(ListOpView::Duplicate),
-            2 => Ok(ListOpView::Read),
-            3 => Ok(ListOpView::GetFirst),
-            4 => Ok(ListOpView::Size),
-            tag => Err(WireError::BadTag { ty: "ListOp", tag }),
-        }
-    }
-    fn into_owned(self) -> ListOp {
-        match self {
-            ListOpView::Append(s) => ListOp::Append(s.to_owned()),
-            ListOpView::Duplicate => ListOp::Duplicate,
-            ListOpView::Read => ListOp::Read,
-            ListOpView::GetFirst => ListOp::GetFirst,
-            ListOpView::Size => ListOp::Size,
-        }
-    }
-}
-
-/// Borrowed view of a [`KvOp`].
+/// Borrowed view of a [`KvOp`]: the key is a slice of the input frame,
+/// so the server routes a client request without allocating. It decodes
+/// the same layout as `KvOp`'s codec above.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum KvOpView<'a> {
     /// See [`KvOp::Get`].
@@ -436,241 +176,6 @@ impl<'a> WireView<'a> for KvOpView<'a> {
     }
 }
 
-/// Borrowed view of a [`SetOp`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SetOpView<'a> {
-    /// See [`SetOp::Add`].
-    Add(&'a str),
-    /// See [`SetOp::Remove`].
-    Remove(&'a str),
-    /// See [`SetOp::Contains`].
-    Contains(&'a str),
-    /// See [`SetOp::Elements`].
-    Elements,
-}
-
-impl<'a> WireView<'a> for SetOpView<'a> {
-    type Owned = SetOp;
-    fn decode_view(r: &mut WireReader<'a>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(SetOpView::Add(<&str>::decode_view(r)?)),
-            1 => Ok(SetOpView::Remove(<&str>::decode_view(r)?)),
-            2 => Ok(SetOpView::Contains(<&str>::decode_view(r)?)),
-            3 => Ok(SetOpView::Elements),
-            tag => Err(WireError::BadTag { ty: "SetOp", tag }),
-        }
-    }
-    fn into_owned(self) -> SetOp {
-        match self {
-            SetOpView::Add(e) => SetOp::Add(e.to_owned()),
-            SetOpView::Remove(e) => SetOp::Remove(e.to_owned()),
-            SetOpView::Contains(e) => SetOp::Contains(e.to_owned()),
-            SetOpView::Elements => SetOp::Elements,
-        }
-    }
-}
-
-/// Borrowed view of a [`BankOp`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BankOpView<'a> {
-    /// See [`BankOp::Deposit`].
-    Deposit(&'a str, i64),
-    /// See [`BankOp::Withdraw`].
-    Withdraw(&'a str, i64),
-    /// See [`BankOp::Balance`].
-    Balance(&'a str),
-    /// See [`BankOp::Total`].
-    Total,
-}
-
-impl<'a> WireView<'a> for BankOpView<'a> {
-    type Owned = BankOp;
-    fn decode_view(r: &mut WireReader<'a>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(BankOpView::Deposit(
-                <&str>::decode_view(r)?,
-                i64::decode(r)?,
-            )),
-            1 => Ok(BankOpView::Withdraw(
-                <&str>::decode_view(r)?,
-                i64::decode(r)?,
-            )),
-            2 => Ok(BankOpView::Balance(<&str>::decode_view(r)?)),
-            3 => Ok(BankOpView::Total),
-            tag => Err(WireError::BadTag { ty: "BankOp", tag }),
-        }
-    }
-    fn into_owned(self) -> BankOp {
-        match self {
-            BankOpView::Deposit(a, v) => BankOp::Deposit(a.to_owned(), v),
-            BankOpView::Withdraw(a, v) => BankOp::Withdraw(a.to_owned(), v),
-            BankOpView::Balance(a) => BankOp::Balance(a.to_owned()),
-            BankOpView::Total => BankOp::Total,
-        }
-    }
-}
-
-/// Borrowed view of a [`CalendarOp`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CalendarOpView<'a> {
-    /// See [`CalendarOp::Reserve`].
-    Reserve {
-        /// The room.
-        room: &'a str,
-        /// The slot.
-        slot: u32,
-        /// The reserver.
-        who: &'a str,
-    },
-    /// See [`CalendarOp::Cancel`].
-    Cancel {
-        /// The room.
-        room: &'a str,
-        /// The slot.
-        slot: u32,
-        /// The canceller.
-        who: &'a str,
-    },
-    /// See [`CalendarOp::Holder`].
-    Holder {
-        /// The room.
-        room: &'a str,
-        /// The slot.
-        slot: u32,
-    },
-    /// See [`CalendarOp::Schedule`].
-    Schedule(&'a str),
-}
-
-impl<'a> WireView<'a> for CalendarOpView<'a> {
-    type Owned = CalendarOp;
-    fn decode_view(r: &mut WireReader<'a>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(CalendarOpView::Reserve {
-                room: <&str>::decode_view(r)?,
-                slot: u32::decode(r)?,
-                who: <&str>::decode_view(r)?,
-            }),
-            1 => Ok(CalendarOpView::Cancel {
-                room: <&str>::decode_view(r)?,
-                slot: u32::decode(r)?,
-                who: <&str>::decode_view(r)?,
-            }),
-            2 => Ok(CalendarOpView::Holder {
-                room: <&str>::decode_view(r)?,
-                slot: u32::decode(r)?,
-            }),
-            3 => Ok(CalendarOpView::Schedule(<&str>::decode_view(r)?)),
-            tag => Err(WireError::BadTag {
-                ty: "CalendarOp",
-                tag,
-            }),
-        }
-    }
-    fn into_owned(self) -> CalendarOp {
-        match self {
-            CalendarOpView::Reserve { room, slot, who } => CalendarOp::Reserve {
-                room: room.to_owned(),
-                slot,
-                who: who.to_owned(),
-            },
-            CalendarOpView::Cancel { room, slot, who } => CalendarOp::Cancel {
-                room: room.to_owned(),
-                slot,
-                who: who.to_owned(),
-            },
-            CalendarOpView::Holder { room, slot } => CalendarOp::Holder {
-                room: room.to_owned(),
-                slot,
-            },
-            CalendarOpView::Schedule(room) => CalendarOp::Schedule(room.to_owned()),
-        }
-    }
-}
-
-/// Borrowed view of an [`Expr`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ExprView<'a> {
-    /// See [`Expr::Const`].
-    Const(i64),
-    /// See [`Expr::Load`].
-    Load(&'a str),
-    /// See [`Expr::Acc`].
-    Acc,
-    /// See [`Expr::AccPlus`].
-    AccPlus(i64),
-}
-
-impl<'a> WireView<'a> for ExprView<'a> {
-    type Owned = Expr;
-    fn decode_view(r: &mut WireReader<'a>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(ExprView::Const(i64::decode(r)?)),
-            1 => Ok(ExprView::Load(<&str>::decode_view(r)?)),
-            2 => Ok(ExprView::Acc),
-            3 => Ok(ExprView::AccPlus(i64::decode(r)?)),
-            tag => Err(WireError::BadTag { ty: "Expr", tag }),
-        }
-    }
-    fn into_owned(self) -> Expr {
-        match self {
-            ExprView::Const(v) => Expr::Const(v),
-            ExprView::Load(k) => Expr::Load(k.to_owned()),
-            ExprView::Acc => Expr::Acc,
-            ExprView::AccPlus(v) => Expr::AccPlus(v),
-        }
-    }
-}
-
-/// Borrowed view of an [`Instr`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum InstrView<'a> {
-    /// See [`Instr::Read`].
-    Read(&'a str),
-    /// See [`Instr::Write`].
-    Write(&'a str, ExprView<'a>),
-}
-
-impl<'a> WireView<'a> for InstrView<'a> {
-    type Owned = Instr;
-    fn decode_view(r: &mut WireReader<'a>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(InstrView::Read(<&str>::decode_view(r)?)),
-            1 => Ok(InstrView::Write(
-                <&str>::decode_view(r)?,
-                ExprView::decode_view(r)?,
-            )),
-            tag => Err(WireError::BadTag { ty: "Instr", tag }),
-        }
-    }
-    fn into_owned(self) -> Instr {
-        match self {
-            InstrView::Read(k) => Instr::Read(k.to_owned()),
-            InstrView::Write(k, e) => Instr::Write(k.to_owned(), e.into_owned()),
-        }
-    }
-}
-
-/// Borrowed view of a [`ScriptOp`]: the instruction list spine is owned,
-/// every key and expression string borrows.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScriptOpView<'a> {
-    /// The instructions (see [`ScriptOp`]).
-    pub instrs: Vec<InstrView<'a>>,
-}
-
-impl<'a> WireView<'a> for ScriptOpView<'a> {
-    type Owned = ScriptOp;
-    fn decode_view(r: &mut WireReader<'a>) -> Result<Self, WireError> {
-        Ok(ScriptOpView {
-            instrs: Vec::decode_view(r)?,
-        })
-    }
-    fn into_owned(self) -> ScriptOp {
-        ScriptOp::new(self.instrs.into_iter().map(InstrView::into_owned).collect())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -703,28 +208,14 @@ mod tests {
         round_trips::<crate::Script>(8);
     }
 
-    macro_rules! view_round_trips {
-        ($f:ty, $v:ident, $seed:expr) => {{
-            let mut rng = StdRng::seed_from_u64($seed);
-            for _ in 0..200 {
-                let op = <$f as RandomOp>::random_op(&mut rng);
-                let bytes = op.to_bytes();
-                let view = $v::view_from_bytes(&bytes).unwrap();
-                assert_eq!(view.into_owned(), op, "{}", stringify!($v));
-            }
-        }};
-    }
-
     #[test]
     fn op_views_decode_the_owned_layout() {
-        view_round_trips!(crate::AppendList, ListOpView, 21);
-        view_round_trips!(crate::RwRegister, RegisterOp, 22);
-        view_round_trips!(crate::Counter, CounterOp, 23);
-        view_round_trips!(crate::KvStore, KvOpView, 24);
-        view_round_trips!(crate::AddRemoveSet, SetOpView, 25);
-        view_round_trips!(crate::Bank, BankOpView, 26);
-        view_round_trips!(crate::Calendar, CalendarOpView, 27);
-        view_round_trips!(crate::Script, ScriptOpView, 28);
+        let mut rng = StdRng::seed_from_u64(24);
+        for _ in 0..200 {
+            let op = <crate::KvStore as RandomOp>::random_op(&mut rng);
+            let bytes = op.to_bytes();
+            assert_eq!(KvOpView::view_from_bytes(&bytes).unwrap().into_owned(), op);
+        }
     }
 
     #[test]
@@ -736,23 +227,6 @@ mod tests {
             KvOpView::Put(k, 9) => assert!(range.contains(&(k.as_ptr() as usize))),
             other => panic!("decoded {other:?}"),
         }
-    }
-
-    #[test]
-    fn op_views_reject_bad_input_like_owned_decode() {
-        let op = CalendarOp::Reserve {
-            room: "aurora".into(),
-            slot: 4,
-            who: "kim".into(),
-        };
-        let bytes = op.to_bytes();
-        for cut in 0..bytes.len() {
-            assert!(CalendarOpView::view_from_bytes(&bytes[..cut]).is_err());
-        }
-        assert!(matches!(
-            ListOpView::view_from_bytes(&[9]),
-            Err(WireError::BadTag { ty: "ListOp", .. })
-        ));
     }
 
     #[test]
@@ -780,14 +254,5 @@ mod tests {
         state_round_trip::<crate::Bank>(16);
         state_round_trip::<crate::Calendar>(17);
         state_round_trip::<crate::Script>(18);
-    }
-
-    #[test]
-    fn truncated_op_bytes_fail_cleanly() {
-        let op = KvOp::put("key", 7);
-        let bytes = op.to_bytes();
-        for cut in 0..bytes.len() {
-            assert!(KvOp::from_bytes(&bytes[..cut]).is_err());
-        }
     }
 }

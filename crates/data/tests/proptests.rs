@@ -1,16 +1,15 @@
 //! Property-based tests of the data-type layer: determinism, read-only
 //! laws, state-object equivalence under arbitrary LIFO schedules, and
-//! round-trips of the pooled/borrowing wire codec.
+//! round-trips of the pooled wire codec.
 
 use bayou_data::{
     apply_all, replay, AddRemoveSet, AppendList, Bank, Calendar, Counter, DataType, DeltaState,
     KvStore, RandomOp, ReplayState, RwRegister, Script, ScriptOp, StateObject, UndoLogState,
 };
-use bayou_data::{
-    BankOpView, CalendarOpView, CounterOp, KvOpView, ListOpView, RegisterOp, ScriptOpView,
-    SetOpView,
+use bayou_data::{KvOp, KvOpView};
+use bayou_types::{
+    BufPool, Dot, Level, ReplicaId, Req, ReqMeta, Timestamp, Wire, WireReader, WireView,
 };
-use bayou_types::{BufPool, Dot, Level, ReplicaId, Req, Timestamp, Wire, WireView};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -224,14 +223,20 @@ proptest! {
     }
 }
 
-/// The pooled/borrowing wire codec: random requests of every data type
-/// must survive pooled encode → borrowing view decode → `into_owned`,
-/// with the pooled buffer deliberately *dirty* — it previously carried a
-/// different, larger frame (plus trailing garbage), so any decode that
-/// peeked past the encoded length or depended on a fresh zeroed `Vec`
-/// would surface here.
+/// The pooled wire codec: random requests of every data type must
+/// survive pooled encode → decode, with the pooled buffer deliberately
+/// *dirty* — it previously carried a different, larger frame (plus
+/// trailing garbage), so any decode that peeked past the encoded length
+/// or depended on a fresh zeroed `Vec` would surface here. Requests
+/// decode owned; the key-value store's also decode through the
+/// borrowing `KvOpView` the server uses.
 macro_rules! pooled_codec_round_trips {
-    ($name:ident, $ty:ty, $view:ty) => {
+    ($name:ident, $ty:ty) => {
+        pooled_codec_round_trips!($name, $ty, |buf: &[u8]| {
+            Req::<<$ty as DataType>::Op>::from_bytes(buf).expect("pooled frame decodes")
+        });
+    };
+    ($name:ident, $ty:ty, $decode:expr) => {
         mod $name {
             use super::*;
 
@@ -263,9 +268,7 @@ macro_rules! pooled_codec_round_trips {
                             op.clone(),
                         );
                         let buf = pool.encode(&req);
-                        let owned = Req::<$view>::view_from_bytes(&buf)
-                            .expect("pooled frame decodes as a view")
-                            .into_owned();
+                        let owned = ($decode)(&buf);
                         prop_assert_eq!(owned.timestamp, req.timestamp);
                         prop_assert_eq!(owned.dot, req.dot);
                         prop_assert_eq!(owned.level, req.level);
@@ -279,11 +282,21 @@ macro_rules! pooled_codec_round_trips {
     };
 }
 
-pooled_codec_round_trips!(codec_append_list, AppendList, ListOpView);
-pooled_codec_round_trips!(codec_kv_store, KvStore, KvOpView);
-pooled_codec_round_trips!(codec_counter, Counter, CounterOp);
-pooled_codec_round_trips!(codec_add_remove_set, AddRemoveSet, SetOpView);
-pooled_codec_round_trips!(codec_bank, Bank, BankOpView);
-pooled_codec_round_trips!(codec_calendar, Calendar, CalendarOpView);
-pooled_codec_round_trips!(codec_rw_register, RwRegister, RegisterOp);
-pooled_codec_round_trips!(codec_script, Script, ScriptOpView);
+/// A request decoded as the server does: fixed-width metadata, then a
+/// borrowing view of the op, promoted to owned at the end.
+fn kv_request_via_view(buf: &[u8]) -> Req<KvOp> {
+    let mut r = WireReader::new(buf);
+    let meta = ReqMeta::decode(&mut r).expect("pooled frame decodes");
+    let op = KvOpView::decode_view(&mut r).expect("pooled op decodes as a view");
+    assert!(r.is_empty(), "the view spans the frame");
+    Req::new(meta.timestamp, meta.dot, meta.level, op.into_owned())
+}
+
+pooled_codec_round_trips!(codec_append_list, AppendList);
+pooled_codec_round_trips!(codec_kv_store, KvStore, kv_request_via_view);
+pooled_codec_round_trips!(codec_counter, Counter);
+pooled_codec_round_trips!(codec_add_remove_set, AddRemoveSet);
+pooled_codec_round_trips!(codec_bank, Bank);
+pooled_codec_round_trips!(codec_calendar, Calendar);
+pooled_codec_round_trips!(codec_rw_register, RwRegister);
+pooled_codec_round_trips!(codec_script, Script);

@@ -16,7 +16,7 @@
 //! counting-allocator gate).
 
 use bayou_data::{KvOp, KvOpView};
-use bayou_types::{Level, ReadGuard, Value, Wire, WireError, WireReader, WireView};
+use bayou_types::{wire, Level, ReadGuard, Value, Wire, WireError, WireReader, WireView};
 use std::io::{self, Read, Write};
 
 /// Hard ceiling on a frame's payload length. Larger prefixes are
@@ -61,45 +61,11 @@ pub enum Request {
     },
 }
 
-impl Wire for Request {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Request::Op { tag, level, op } => {
-                out.push(0);
-                tag.encode(out);
-                level.encode(out);
-                op.encode(out);
-            }
-            Request::Ping { tag } => {
-                out.push(1);
-                tag.encode(out);
-            }
-            Request::GuardedOp { tag, guard, op } => {
-                out.push(2);
-                tag.encode(out);
-                guard.encode(out);
-                op.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(Request::Op {
-                tag: u64::decode(r)?,
-                level: Level::decode(r)?,
-                op: KvOp::decode(r)?,
-            }),
-            1 => Ok(Request::Ping {
-                tag: u64::decode(r)?,
-            }),
-            2 => Ok(Request::GuardedOp {
-                tag: u64::decode(r)?,
-                guard: ReadGuard::decode(r)?,
-                op: KvOp::decode(r)?,
-            }),
-            tag => Err(WireError::BadTag { ty: "Request", tag }),
-        }
+wire! {
+    Request {
+        0 => Op { tag, level, op },
+        1 => Ping { tag },
+        2 => GuardedOp { tag, guard, op },
     }
 }
 
@@ -201,42 +167,13 @@ pub enum Reply {
     },
 }
 
-impl Wire for Reply {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Reply::Ok(v) => {
-                out.push(0);
-                v.encode(out);
-            }
-            Reply::Busy => out.push(1),
-            Reply::Err(msg) => {
-                out.push(2);
-                msg.encode(out);
-            }
-            Reply::Pong => out.push(3),
-            Reply::Retry {
-                seen_seq,
-                committed,
-            } => {
-                out.push(4);
-                seen_seq.encode(out);
-                committed.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(Reply::Ok(Value::decode(r)?)),
-            1 => Ok(Reply::Busy),
-            2 => Ok(Reply::Err(String::decode(r)?)),
-            3 => Ok(Reply::Pong),
-            4 => Ok(Reply::Retry {
-                seen_seq: u64::decode(r)?,
-                committed: u64::decode(r)?,
-            }),
-            tag => Err(WireError::BadTag { ty: "Reply", tag }),
-        }
+wire! {
+    Reply {
+        0 => Ok(v),
+        1 => Busy,
+        2 => Err(msg),
+        3 => Pong,
+        4 => Retry { seen_seq, committed },
     }
 }
 
@@ -249,19 +186,7 @@ pub struct ResponseMsg {
     pub reply: Reply,
 }
 
-impl Wire for ResponseMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.tag.encode(out);
-        self.reply.encode(out);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(ResponseMsg {
-            tag: u64::decode(r)?,
-            reply: Reply::decode(r)?,
-        })
-    }
-}
+wire! { ResponseMsg { tag, reply } }
 
 /// Appends one framed message (`u32` LE payload length + payload) to
 /// `out` — the caller's reusable encode buffer, so steady-state encodes

@@ -1,7 +1,6 @@
 //! Per-replica local clocks: skewed, but strictly monotonic.
 
 use bayou_types::{Timestamp, VirtualTime};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of one replica's local clock.
 ///
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// let slow = ClockConfig::with_rate(0.5);
 /// assert_eq!(slow.rate, 0.5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClockConfig {
     /// Constant offset, in microseconds (may be negative).
     pub offset_us: i64,

@@ -1,7 +1,6 @@
 //! The per-replica CPU model.
 
 use bayou_types::VirtualTime;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of one replica's processing speed.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// let slow = CpuConfig::with_slowdown(8.0);
 /// assert!(slow.slowdown > normal.slowdown);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuConfig {
     /// Cost of one handler execution before scaling.
     pub base_cost: VirtualTime,

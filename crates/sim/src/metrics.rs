@@ -1,7 +1,6 @@
 //! Run-wide counters collected by the simulator.
 
 use bayou_types::ReplicaId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Counters describing what happened during a simulated run.
@@ -14,7 +13,7 @@ use std::fmt;
 /// assert_eq!(m.messages_sent, 0);
 /// assert_eq!(m.steps.len(), 3);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Metrics {
     /// Messages handed to the network.
     pub messages_sent: u64,

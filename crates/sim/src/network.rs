@@ -2,7 +2,6 @@
 
 use bayou_types::{ReplicaId, VirtualTime};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A temporary network partition: during `[from, until)` the replica set
 /// is split into disjoint blocks, and messages between different blocks
@@ -36,7 +35,7 @@ use serde::{Deserialize, Serialize};
 ///     VirtualTime::from_millis(200)
 /// ));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     from: VirtualTime,
     until: VirtualTime,
@@ -106,7 +105,7 @@ impl Partition {
 }
 
 /// An ordered collection of [`Partition`]s.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PartitionSchedule {
     partitions: Vec<Partition>,
 }
@@ -160,7 +159,7 @@ impl PartitionSchedule {
 /// links, Paxos pumps), and every protocol message is idempotent, so a
 /// duplicate may cost extra work but never changes an outcome — which
 /// is exactly what the DST harness uses these windows to check.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkFault {
     /// Start of the window (inclusive).
     pub from: VirtualTime,
@@ -201,7 +200,7 @@ impl LinkFault {
 }
 
 /// Network delay and partition configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkConfig {
     /// Minimum one-way delay.
     pub base_delay: VirtualTime,

@@ -1,7 +1,6 @@
 //! The Ω failure-detector oracle and run stability.
 
 use bayou_types::{ReplicaId, VirtualTime};
-use serde::{Deserialize, Serialize};
 
 /// Whether a run is *stable* or *asynchronous*, in the paper's sense
 /// (Appendix A.2.1).
@@ -27,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// let unstable = Stability::Asynchronous;
 /// assert!(matches!(unstable, Stability::Asynchronous));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stability {
     /// Enough synchrony for Ω to stabilise after `gst` (global
     /// stabilisation time).

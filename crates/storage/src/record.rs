@@ -17,7 +17,7 @@
 
 use crate::crc::crc32;
 use bayou_broadcast::TobEvent;
-use bayou_types::{ReplicaId, Req, SharedReq, Wire, WireError, WireReader};
+use bayou_types::{wire, ReplicaId, Req, SharedReq, Wire};
 
 /// Bytes of framing overhead per record (`len` + `crc`).
 pub const FRAME_OVERHEAD: usize = 8;
@@ -153,10 +153,10 @@ impl<Op> WalRecord<Op> {
     }
 }
 
-/// A WAL record borrowed from live replica state: encodes byte-identically
-/// to the owned [`WalRecord`] (enforced by tests) without cloning the
-/// request — the hot write path never deep-copies payloads just to frame
-/// them.
+/// A WAL record borrowed from live replica state: its `encode` comes
+/// from the owned [`WalRecord`]'s layout, so it writes the same bytes
+/// without cloning the request — the hot write path never deep-copies
+/// payloads just to frame them.
 #[derive(Debug)]
 pub enum WalRecordRef<'a, Op> {
     /// See [`WalRecord::Invoke`].
@@ -246,146 +246,15 @@ impl<'a, Op> WalRecordRef<'a, Op> {
     }
 }
 
-impl<Op: Wire> WalRecordRef<'_, Op> {
-    /// Appends the encoding (identical to the owned form's) to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            WalRecordRef::Invoke { tob_seq, req } => {
-                out.push(1);
-                tob_seq.encode(out);
-                req.encode(out);
-            }
-            WalRecordRef::Tentative { tob_seq, req } => {
-                out.push(2);
-                tob_seq.encode(out);
-                req.encode(out);
-            }
-            WalRecordRef::Promised { round, leader } => {
-                out.push(3);
-                round.encode(out);
-                leader.encode(out);
-            }
-            WalRecordRef::Accepted {
-                slot,
-                round,
-                leader,
-                sender,
-                seq,
-                req,
-            } => {
-                out.push(4);
-                slot.encode(out);
-                round.encode(out);
-                leader.encode(out);
-                sender.encode(out);
-                seq.encode(out);
-                req.encode(out);
-            }
-            WalRecordRef::Decided {
-                slot,
-                sender,
-                seq,
-                req,
-            } => {
-                out.push(5);
-                slot.encode(out);
-                sender.encode(out);
-                seq.encode(out);
-                req.encode(out);
-            }
-        }
-    }
-
-    /// Encodes into a fresh buffer.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.encode(&mut out);
-        out
-    }
-}
-
-impl<Op: Wire> Wire for WalRecord<Op> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            WalRecord::Invoke { tob_seq, req } => {
-                out.push(1);
-                tob_seq.encode(out);
-                req.encode(out);
-            }
-            WalRecord::Tentative { tob_seq, req } => {
-                out.push(2);
-                tob_seq.encode(out);
-                req.encode(out);
-            }
-            WalRecord::Promised { round, leader } => {
-                out.push(3);
-                round.encode(out);
-                leader.encode(out);
-            }
-            WalRecord::Accepted {
-                slot,
-                round,
-                leader,
-                sender,
-                seq,
-                req,
-            } => {
-                out.push(4);
-                slot.encode(out);
-                round.encode(out);
-                leader.encode(out);
-                sender.encode(out);
-                seq.encode(out);
-                req.encode(out);
-            }
-            WalRecord::Decided {
-                slot,
-                sender,
-                seq,
-                req,
-            } => {
-                out.push(5);
-                slot.encode(out);
-                sender.encode(out);
-                seq.encode(out);
-                req.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            1 => Ok(WalRecord::Invoke {
-                tob_seq: u64::decode(r)?,
-                req: Req::decode(r)?,
-            }),
-            2 => Ok(WalRecord::Tentative {
-                tob_seq: u64::decode(r)?,
-                req: Req::decode(r)?,
-            }),
-            3 => Ok(WalRecord::Promised {
-                round: u64::decode(r)?,
-                leader: ReplicaId::decode(r)?,
-            }),
-            4 => Ok(WalRecord::Accepted {
-                slot: u64::decode(r)?,
-                round: u64::decode(r)?,
-                leader: ReplicaId::decode(r)?,
-                sender: ReplicaId::decode(r)?,
-                seq: u64::decode(r)?,
-                req: Req::decode(r)?,
-            }),
-            5 => Ok(WalRecord::Decided {
-                slot: u64::decode(r)?,
-                sender: ReplicaId::decode(r)?,
-                seq: u64::decode(r)?,
-                req: Req::decode(r)?,
-            }),
-            tag => Err(WireError::BadTag {
-                ty: "WalRecord",
-                tag,
-            }),
-        }
+wire! {
+    /// The WAL layout, stated once: [`WalRecordRef`] encodes through the
+    /// same entries. Tag 0 is unused.
+    WalRecord<Op> & WalRecordRef {
+        1 => Invoke { tob_seq, req },
+        2 => Tentative { tob_seq, req },
+        3 => Promised { round, leader },
+        4 => Accepted { slot, round, leader, sender, seq, req },
+        5 => Decided { slot, sender, seq, req },
     }
 }
 
@@ -589,6 +458,12 @@ mod tests {
         assert_eq!(scan.clean_len, first_len);
     }
 
+    fn ref_bytes(rec: &WalRecordRef<'_, u64>) -> Vec<u8> {
+        let mut out = Vec::new();
+        rec.encode(&mut out);
+        out
+    }
+
     #[test]
     fn borrowed_encoding_is_byte_identical_to_owned() {
         for rec in sample_records() {
@@ -632,7 +507,7 @@ mod tests {
                     req,
                 },
             };
-            assert_eq!(borrowed.to_bytes(), rec.to_bytes());
+            assert_eq!(ref_bytes(&borrowed), rec.to_bytes());
         }
         // and through the TobEvent borrow path too
         let ev = TobEvent::Decided {
@@ -642,7 +517,7 @@ mod tests {
             payload: std::sync::Arc::new(req(3)),
         };
         assert_eq!(
-            WalRecordRef::from_tob_event(&ev).to_bytes(),
+            ref_bytes(&WalRecordRef::from_tob_event(&ev)),
             WalRecord::from_tob_event(ev).to_bytes()
         );
     }

@@ -24,7 +24,7 @@
 use crate::backend::StorageError;
 use bayou_broadcast::BaselineMark;
 use bayou_data::DataType;
-use bayou_types::{ReplicaId, Req, Wire, WireError, WireReader};
+use bayou_types::{wire, ReplicaId, Req, Wire, WireError, WireReader};
 
 const MAGIC: &[u8; 4] = b"BSNP";
 const VERSION: u32 = 2;
@@ -38,22 +38,10 @@ pub enum PendingKind {
     Tentative,
 }
 
-impl Wire for PendingKind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            PendingKind::Invoke => 0,
-            PendingKind::Tentative => 1,
-        });
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(PendingKind::Invoke),
-            1 => Ok(PendingKind::Tentative),
-            tag => Err(WireError::BadTag {
-                ty: "PendingKind",
-                tag,
-            }),
-        }
+wire! {
+    PendingKind {
+        0 => Invoke,
+        1 => Tentative,
     }
 }
 

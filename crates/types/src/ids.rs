@@ -1,6 +1,5 @@
 //! Replica identifiers and dots (unique per-replica event counters).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a replica (a Bayou server process).
@@ -18,9 +17,7 @@ use std::fmt;
 /// assert!(a < b);
 /// assert_eq!(a.index(), 0);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ReplicaId(u32);
 
 impl ReplicaId {
@@ -84,9 +81,7 @@ impl From<u32> for ReplicaId {
 /// assert_eq!(b.index(), 1);
 /// assert_eq!(b.to_string(), "G1");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct GroupId(u32);
 
 impl GroupId {
@@ -152,9 +147,7 @@ impl From<u32> for GroupId {
 /// assert!(d2 < d3);
 /// assert!(Dot::new(ReplicaId::new(0), 99) < d3);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Dot {
     replica: ReplicaId,
     event_no: u64,

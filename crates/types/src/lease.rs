@@ -20,8 +20,6 @@
 //! (monotonic reads across replica switches); a lagging replica rejects
 //! the read with a typed retry instead of serving a stale value.
 
-use crate::{Wire, WireError, WireReader};
-
 /// Parameters of the leader lease (all in microseconds of local clock).
 ///
 /// # Examples
@@ -65,27 +63,6 @@ impl Default for LeaseConfig {
     }
 }
 
-impl Wire for LeaseConfig {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.duration_us.encode(out);
-        self.epsilon_us.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let duration_us = u64::decode(r)?;
-        let epsilon_us = u64::decode(r)?;
-        if epsilon_us >= duration_us {
-            return Err(WireError::BadTag {
-                ty: "LeaseConfig",
-                tag: 0,
-            });
-        }
-        Ok(LeaseConfig {
-            duration_us,
-            epsilon_us,
-        })
-    }
-}
-
 /// A session cursor carried on weak reads over the client protocol.
 ///
 /// `min_seq` is the highest per-session operation counter the session
@@ -114,38 +91,12 @@ pub struct ReadGuard {
     pub min_commit: u64,
 }
 
-impl Wire for ReadGuard {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.session.encode(out);
-        self.min_seq.encode(out);
-        self.min_commit.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(ReadGuard {
-            session: u64::decode(r)?,
-            min_seq: u64::decode(r)?,
-            min_commit: u64::decode(r)?,
-        })
-    }
-}
+crate::wire! { ReadGuard { session, min_seq, min_commit } }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lease_config_round_trips() {
-        let cfg = LeaseConfig::new(250_000, 25_000);
-        assert_eq!(LeaseConfig::from_bytes(&cfg.to_bytes()).unwrap(), cfg);
-    }
-
-    #[test]
-    fn degenerate_lease_config_is_rejected_on_decode() {
-        let mut bytes = Vec::new();
-        10_000u64.encode(&mut bytes);
-        10_000u64.encode(&mut bytes);
-        assert!(LeaseConfig::from_bytes(&bytes).is_err());
-    }
+    use crate::Wire;
 
     #[test]
     #[should_panic(expected = "must be below")]

@@ -1,6 +1,5 @@
 //! Consistency levels of operations.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The consistency level of an operation (the `lvl` attribute of a history
@@ -20,7 +19,7 @@ use std::fmt;
 /// assert!(Level::Strong.is_strong());
 /// assert_ne!(Level::Weak, Level::Strong);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Level {
     /// Highly-available, eventually-consistent execution.
     Weak,

@@ -40,7 +40,7 @@ pub use req::{Req, ReqMeta, SharedReq};
 pub use runtime::{Context, Process, TimerId};
 pub use time::{Timestamp, VirtualTime};
 pub use value::Value;
-pub use wire::{BufPool, ValueView, Wire, WireError, WireReader, WireView};
+pub use wire::{BufPool, Wire, WireError, WireReader, WireView};
 
 /// Result alias used across the workspace.
 pub type Result<T> = std::result::Result<T, BayouError>;

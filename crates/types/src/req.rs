@@ -1,7 +1,6 @@
 //! Requests: the unit of client work disseminated between replicas.
 
 use crate::{Dot, Level, ReplicaId, ReqId, Timestamp};
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -24,7 +23,7 @@ use std::fmt;
 /// let r2 = Req::new(Timestamp::new(6), Dot::new(ReplicaId::new(1), 1), Level::Strong, "op-b");
 /// assert!(r1 < r2); // lower timestamp wins
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Req<Op> {
     /// The invoking replica's local clock reading at invocation.
     pub timestamp: Timestamp,
@@ -128,7 +127,7 @@ pub type SharedReq<Op> = std::sync::Arc<Req<Op>>;
 /// Traces and checker inputs only need to identify requests and know their
 /// level and timestamp; carrying the payload everywhere would force `Op`
 /// type parameters through the whole checker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ReqMeta {
     /// The invoking replica's local clock reading at invocation.
     pub timestamp: Timestamp,

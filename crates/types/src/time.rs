@@ -1,6 +1,5 @@
 //! Virtual time and logical timestamps.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -19,9 +18,7 @@ use std::ops::{Add, AddAssign, Sub};
 /// let t = VirtualTime::from_millis(2) + VirtualTime::from_micros(500);
 /// assert_eq!(t.as_nanos(), 2_500_000);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VirtualTime(u64);
 
 impl VirtualTime {
@@ -148,9 +145,7 @@ impl fmt::Display for VirtualTime {
 /// assert!(Timestamp::new(10) < Timestamp::new(11));
 /// assert_eq!(Timestamp::new(5).value(), 5);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp(i64);
 
 impl Timestamp {

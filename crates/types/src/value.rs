@@ -1,6 +1,5 @@
 //! Dynamic values returned by operations.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -25,7 +24,7 @@ use std::fmt;
 /// assert_eq!(Value::from(3i64), Value::Int(3));
 /// assert_eq!(Value::from(true), Value::Bool(true));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Value {
     /// No interesting return value (e.g. a blind write).
     #[default]

@@ -1,11 +1,12 @@
 //! A stable, versioned byte format for durable storage and wire framing.
 //!
-//! The serde shim used in this offline workspace provides only marker
-//! traits, so anything that must survive a crash — WAL records, snapshots,
-//! manifests in `bayou-storage` — needs an explicit, hand-stable byte
+//! Nothing in this workspace serializes through serde, so anything that
+//! must survive a crash or cross a socket — WAL records, snapshots,
+//! manifests, peer and client frames — uses an explicit, stable byte
 //! encoding. The [`Wire`] trait is that encoding: little-endian
 //! fixed-width integers, `u32`-length-prefixed strings and collections,
-//! and one tag byte per enum variant. The format is *stable by contract*:
+//! and one tag byte per enum variant. Composite types state their layout
+//! once, in a [`wire!`] invocation. The format is *stable by contract*:
 //! changing an existing impl's layout is a breaking change to every byte
 //! already on disk, so new fields must come with a new record kind or a
 //! format version bump in the container (see `docs/STORAGE.md`).
@@ -170,6 +171,111 @@ pub trait Wire: Sized {
         }
         Ok(v)
     }
+}
+
+/// Derives [`Wire`] from a layout stated once: the workspace convention
+/// of one `u8` tag per enum variant, then the fields in the order they
+/// are written.
+///
+/// An enum lists `tag => Variant` entries, with the variant's fields
+/// named `Variant(a, b)` or `Variant { f, g }` (or absent for a unit
+/// variant); a struct lists its fields. Every type parameter gets a
+/// `Wire` bound, and only the `impl Wire` is emitted: the type's
+/// declaration, docs and derives stay where they are. Decoding builds
+/// the value in one literal, `Wire::decode` per field, so field types
+/// are inferred and bytes are read in the written order; an unknown tag
+/// is [`WireError::BadTag`] naming the type. Tags are append-only: a new
+/// variant takes the next free tag, and a retired tag is never reused.
+///
+/// `Owned<G> & Borrowed { … }` additionally gives `Borrowed<'_, G>` —
+/// an enum with the same variants holding some fields by reference — an
+/// inherent `encode` writing the same bytes from the same entries, so a
+/// hot path can log live state without cloning it.
+///
+/// # Examples
+///
+/// ```
+/// use bayou_types::{wire, Wire, WireError};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Point { x: u32, y: u32 }
+/// wire! { Point { x, y } }
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Shape<T> { Dot(T), Line { from: T, to: T }, Empty }
+/// wire! {
+///     Shape<T> {
+///         0 => Dot(at),
+///         1 => Line { from, to },
+///         2 => Empty,
+///     }
+/// }
+///
+/// let line = Shape::Line { from: Point { x: 1, y: 2 }, to: Point { x: 3, y: 4 } };
+/// let bytes = line.to_bytes();
+/// assert_eq!(bytes[0], 1); // the tag, then the fields in order
+/// assert_eq!(Shape::from_bytes(&bytes), Ok(line));
+/// assert_eq!(
+///     Shape::<Point>::from_bytes(&[3]),
+///     Err(WireError::BadTag { ty: "Shape", tag: 3 })
+/// );
+/// ```
+#[macro_export]
+macro_rules! wire {
+    (@encode $s:tt $out:ident $($tag:literal => $var:ident
+        $(($($a:ident),+))? $({$($f:ident),+})?),+ $(,)?) => {{
+        #[allow(unused_imports)] // method calls auto-deref borrowed fields
+        use $crate::Wire as _;
+        match $s {
+            $(Self::$var $(($($a),+))? $({$($f),+})? => {
+                $out.push($tag);
+                $($($a.encode($out);)+)?
+                $($($f.encode($out);)+)?
+            })+
+        }
+    }};
+    (@decode $ty:ident $r:ident $($tag:literal => $var:ident
+        $(($($a:ident),+))? $({$($f:ident),+})?),+ $(,)?) => {
+        match <u8 as $crate::Wire>::decode($r)? {
+            $($tag => Ok(Self::$var
+                $(($($crate::wire!(@field $r $a)),+))?
+                $({$($f: $crate::Wire::decode($r)?),+})?),)+
+            tag => Err($crate::WireError::BadTag { ty: stringify!($ty), tag }),
+        }
+    };
+    (@field $r:ident $a:ident) => { $crate::Wire::decode($r)? };
+    ($(#[$m:meta])* $ty:ident $(<$($g:ident),+>)? { $($f:ident),+ $(,)? }) => {
+        $(#[$m])*
+        impl<$($($g: $crate::Wire),+)?> $crate::Wire for $ty<$($($g),+)?> {
+            fn encode(&self, out: &mut Vec<u8>) {
+                $($crate::Wire::encode(&self.$f, out);)+
+            }
+            fn decode(r: &mut $crate::WireReader<'_>) -> Result<Self, $crate::WireError> {
+                Ok(Self { $($f: $crate::Wire::decode(r)?),+ })
+            }
+        }
+    };
+    ($(#[$m:meta])* $ty:ident $(<$($g:ident),+>)? { $($body:tt)+ }) => {
+        $(#[$m])*
+        impl<$($($g: $crate::Wire),+)?> $crate::Wire for $ty<$($($g),+)?> {
+            fn encode(&self, out: &mut Vec<u8>) {
+                $crate::wire!(@encode self out $($body)+)
+            }
+            fn decode(r: &mut $crate::WireReader<'_>) -> Result<Self, $crate::WireError> {
+                $crate::wire!(@decode $ty r $($body)+)
+            }
+        }
+    };
+    ($(#[$m:meta])* $ty:ident $(<$($g:ident),+>)? & $twin:ident { $($body:tt)+ }) => {
+        $crate::wire! { $(#[$m])* $ty $(<$($g),+>)? { $($body)+ } }
+        impl<$($($g: $crate::Wire),+)?> $twin<'_, $($($g),+)?> {
+            /// Appends the encoding, byte-identical to the owned form's,
+            /// to `out`.
+            pub fn encode(&self, out: &mut Vec<u8>) {
+                $crate::wire!(@encode self out $($body)+)
+            }
+        }
+    };
 }
 
 macro_rules! int_wire {
@@ -366,77 +472,26 @@ impl Wire for Dot {
     }
 }
 
-impl Wire for Level {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            Level::Weak => 0,
-            Level::Strong => 1,
-        });
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(Level::Weak),
-            1 => Ok(Level::Strong),
-            tag => Err(WireError::BadTag { ty: "Level", tag }),
-        }
+wire! {
+    Level {
+        0 => Weak,
+        1 => Strong,
     }
 }
 
-impl Wire for Value {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Value::Unit => out.push(0),
-            Value::Bool(b) => {
-                out.push(1);
-                b.encode(out);
-            }
-            Value::Int(i) => {
-                out.push(2);
-                i.encode(out);
-            }
-            Value::Str(s) => {
-                out.push(3);
-                s.encode(out);
-            }
-            Value::List(items) => {
-                out.push(4);
-                items.encode(out);
-            }
-            Value::Map(m) => {
-                out.push(5);
-                m.encode(out);
-            }
-            Value::None => out.push(6),
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(Value::Unit),
-            1 => Ok(Value::Bool(bool::decode(r)?)),
-            2 => Ok(Value::Int(i64::decode(r)?)),
-            3 => Ok(Value::Str(String::decode(r)?)),
-            4 => Ok(Value::List(Vec::decode(r)?)),
-            5 => Ok(Value::Map(BTreeMap::decode(r)?)),
-            6 => Ok(Value::None),
-            tag => Err(WireError::BadTag { ty: "Value", tag }),
-        }
+wire! {
+    Value {
+        0 => Unit,
+        1 => Bool(b),
+        2 => Int(i),
+        3 => Str(s),
+        4 => List(items),
+        5 => Map(m),
+        6 => None,
     }
 }
 
-impl Wire for ReqMeta {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.timestamp.encode(out);
-        self.dot.encode(out);
-        self.level.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(ReqMeta {
-            timestamp: Timestamp::decode(r)?,
-            dot: Dot::decode(r)?,
-            level: Level::decode(r)?,
-        })
-    }
-}
+wire! { ReqMeta { timestamp, dot, level } }
 
 impl<Op: Wire> Wire for Req<Op> {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -552,17 +607,16 @@ impl BufPool {
 /// Borrow-decoding: the read-path companion of [`Wire`].
 ///
 /// A *view* decodes from a received frame's bytes without materializing
-/// owned `String`s/`Vec`s — string fields come out as `&str` slices of
-/// the input buffer. Conversion to the owned type
-/// ([`WireView::into_owned`]) happens only at the point a value is
-/// actually retained (committed to a list, stored in a map); transient
-/// decodes (CRC/shape validation, filtering, metric extraction) stay
-/// allocation-free.
+/// owned `String`s — string fields come out as `&str` slices of the
+/// input buffer. Conversion to the owned type ([`WireView::into_owned`])
+/// happens only at the point a value is retained. Views serve the
+/// server's client request frames (`RequestView` over `KvOpView`), so a
+/// request is routed with no allocation; peer frames and WAL records
+/// decode owned.
 ///
 /// Every view decodes the **same byte layout** as its `Owned` type's
 /// [`Wire`] impl — `decode_view` then `into_owned` must equal
-/// `Owned::decode` on all inputs (asserted by proptests across all op
-/// types).
+/// `Owned::decode` on all inputs.
 pub trait WireView<'a>: Sized {
     /// The owning type this view borrows from the input for.
     type Owned;
@@ -585,37 +639,6 @@ pub trait WireView<'a>: Sized {
     }
 }
 
-/// Implements [`WireView`] as the identity for types whose owned decode
-/// already borrows nothing (fixed-width fields only).
-macro_rules! identity_view {
-    ($($t:ty),* $(,)?) => {$(
-        impl<'a> WireView<'a> for $t {
-            type Owned = $t;
-            fn decode_view(r: &mut WireReader<'a>) -> Result<Self, WireError> {
-                <$t as Wire>::decode(r)
-            }
-            fn into_owned(self) -> $t {
-                self
-            }
-        }
-    )*};
-}
-
-identity_view!(
-    u8,
-    u16,
-    u32,
-    u64,
-    i64,
-    bool,
-    Timestamp,
-    VirtualTime,
-    ReplicaId,
-    Dot,
-    Level,
-    ReqMeta
-);
-
 impl<'a> WireView<'a> for &'a str {
     type Owned = String;
     fn decode_view(r: &mut WireReader<'a>) -> Result<Self, WireError> {
@@ -625,131 +648,6 @@ impl<'a> WireView<'a> for &'a str {
     }
     fn into_owned(self) -> String {
         self.to_owned()
-    }
-}
-
-/// Byte strings: same layout as `Vec<u8>` (`u32` length + raw bytes),
-/// decoded as a slice of the input.
-impl<'a> WireView<'a> for &'a [u8] {
-    type Owned = Vec<u8>;
-    fn decode_view(r: &mut WireReader<'a>) -> Result<Self, WireError> {
-        let n = r.take_len()?;
-        r.take(n)
-    }
-    fn into_owned(self) -> Vec<u8> {
-        self.to_vec()
-    }
-}
-
-impl<'a, V: WireView<'a>> WireView<'a> for Option<V> {
-    type Owned = Option<V::Owned>;
-    fn decode_view(r: &mut WireReader<'a>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(None),
-            1 => Ok(Some(V::decode_view(r)?)),
-            tag => Err(WireError::BadTag { ty: "Option", tag }),
-        }
-    }
-    fn into_owned(self) -> Option<V::Owned> {
-        self.map(V::into_owned)
-    }
-}
-
-/// Sequences of views. The `Vec` spine itself is owned (one allocation
-/// per list), but every element still borrows its strings from the
-/// input — the dominant cost for payload-bearing frames.
-impl<'a, V: WireView<'a>> WireView<'a> for Vec<V> {
-    type Owned = Vec<V::Owned>;
-    fn decode_view(r: &mut WireReader<'a>) -> Result<Self, WireError> {
-        let n = r.take_len()?;
-        let mut v = Vec::with_capacity(n);
-        for _ in 0..n {
-            v.push(V::decode_view(r)?);
-        }
-        Ok(v)
-    }
-    fn into_owned(self) -> Vec<V::Owned> {
-        self.into_iter().map(V::into_owned).collect()
-    }
-}
-
-/// A request whose op decodes as a view: `Req<KvOpView>` is the view of
-/// `Req<KvOp>` — the metadata fields are fixed-width, so only the op
-/// borrows.
-impl<'a, V: WireView<'a>> WireView<'a> for Req<V> {
-    type Owned = Req<V::Owned>;
-    fn decode_view(r: &mut WireReader<'a>) -> Result<Self, WireError> {
-        let timestamp = Timestamp::decode(r)?;
-        let dot = Dot::decode(r)?;
-        let level = Level::decode(r)?;
-        let op = V::decode_view(r)?;
-        Ok(Req::new(timestamp, dot, level, op))
-    }
-    fn into_owned(self) -> Req<V::Owned> {
-        Req::new(self.timestamp, self.dot, self.level, self.op.into_owned())
-    }
-}
-
-/// Borrowed view of a [`Value`]: strings are slices of the input; maps
-/// decode as (key, value) pairs in encoded (sorted) order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ValueView<'a> {
-    /// See [`Value::Unit`].
-    Unit,
-    /// See [`Value::Bool`].
-    Bool(bool),
-    /// See [`Value::Int`].
-    Int(i64),
-    /// See [`Value::Str`].
-    Str(&'a str),
-    /// See [`Value::List`].
-    List(Vec<ValueView<'a>>),
-    /// See [`Value::Map`] (pairs in encoded order).
-    Map(Vec<(&'a str, ValueView<'a>)>),
-    /// See [`Value::None`].
-    None,
-}
-
-impl<'a> WireView<'a> for ValueView<'a> {
-    type Owned = Value;
-    fn decode_view(r: &mut WireReader<'a>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(ValueView::Unit),
-            1 => Ok(ValueView::Bool(bool::decode(r)?)),
-            2 => Ok(ValueView::Int(i64::decode(r)?)),
-            3 => Ok(ValueView::Str(<&str>::decode_view(r)?)),
-            4 => Ok(ValueView::List(Vec::decode_view(r)?)),
-            5 => {
-                let n = r.take_len()?;
-                let mut pairs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let k = <&str>::decode_view(r)?;
-                    let v = ValueView::decode_view(r)?;
-                    pairs.push((k, v));
-                }
-                Ok(ValueView::Map(pairs))
-            }
-            6 => Ok(ValueView::None),
-            tag => Err(WireError::BadTag { ty: "Value", tag }),
-        }
-    }
-    fn into_owned(self) -> Value {
-        match self {
-            ValueView::Unit => Value::Unit,
-            ValueView::Bool(b) => Value::Bool(b),
-            ValueView::Int(i) => Value::Int(i),
-            ValueView::Str(s) => Value::Str(s.to_owned()),
-            ValueView::List(items) => {
-                Value::List(items.into_iter().map(ValueView::into_owned).collect())
-            }
-            ValueView::Map(pairs) => Value::Map(
-                pairs
-                    .into_iter()
-                    .map(|(k, v)| (k.to_owned(), v.into_owned()))
-                    .collect(),
-            ),
-            ValueView::None => Value::None,
-        }
     }
 }
 
@@ -951,36 +849,6 @@ mod tests {
     fn views_decode_the_owned_layout() {
         let s = String::from("héllo");
         view_round_trip::<&str>(&s.to_bytes(), &s);
-        let v = vec![1u8, 2, 3];
-        view_round_trip::<&[u8]>(&v.to_bytes(), &v);
-        let opt = Some(String::from("x"));
-        view_round_trip::<Option<&str>>(&opt.to_bytes(), &opt);
-        let list = vec![String::from("a"), String::from("bb")];
-        view_round_trip::<Vec<&str>>(&list.to_bytes(), &list);
-        let req = Req::new(
-            Timestamp::new(9),
-            Dot::new(ReplicaId::new(1), 2),
-            Level::Weak,
-            String::from("op"),
-        );
-        view_round_trip::<Req<&str>>(&req.to_bytes(), &req);
-    }
-
-    #[test]
-    fn value_views_cover_every_variant() {
-        let mut m = BTreeMap::new();
-        m.insert("k".to_string(), Value::List(vec![Value::Unit]));
-        for v in [
-            Value::Unit,
-            Value::None,
-            Value::Bool(true),
-            Value::Int(i64::MIN),
-            Value::Str("s".into()),
-            Value::ints([1, 2, 3]),
-            Value::Map(m),
-        ] {
-            view_round_trip::<ValueView>(&v.to_bytes(), &v);
-        }
     }
 
     #[test]
@@ -996,16 +864,10 @@ mod tests {
 
     #[test]
     fn views_reject_bad_input_like_owned_decode() {
-        let full = Req::new(
-            Timestamp::new(1),
-            Dot::new(ReplicaId::new(0), 1),
-            Level::Weak,
-            String::from("payload"),
-        )
-        .to_bytes();
+        let full = String::from("payload").to_bytes();
         for cut in 0..full.len() {
             assert!(
-                Req::<&str>::view_from_bytes(&full[..cut]).is_err(),
+                <&str>::view_from_bytes(&full[..cut]).is_err(),
                 "prefix of {cut} bytes must not decode as a view"
             );
         }
