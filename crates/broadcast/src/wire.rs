@@ -1,10 +1,10 @@
 //! [`Wire`] codecs for the broadcast-layer frame types.
 //!
 //! The simulator delivers these values as in-memory enums; the byte
-//! codec matters on the WAL path and for the future TCP front end. Every
-//! impl follows the workspace convention: one `u8` tag per enum variant,
-//! fields in declaration order, little-endian fixed-width integers and
-//! length-prefixed sequences (see `bayou_types::wire`). The proptests in
+//! codec matters on the WAL path and for the future TCP front end. Each
+//! layout is declared once with `bayou_types::wire!`: one `u8` tag per
+//! enum variant, fields in declaration order, little-endian fixed-width
+//! integers and length-prefixed sequences. The proptests in
 //! `crates/broadcast/tests/proptests.rs` round-trip these against random
 //! values, including decodes from dirty reused pool buffers.
 

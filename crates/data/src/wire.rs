@@ -7,8 +7,9 @@
 //! `i64`, `Vec<String>`, `BTreeSet<String>` or string-keyed `BTreeMap`s,
 //! which already encode).
 //!
-//! The layout contract is the same as in `bayou_types::wire`: one tag
-//! byte per enum variant, fields in declaration order, little-endian
+//! The layout contract is the same as in `bayou_types::wire`, and each
+//! op type states its layout once in a `wire!` invocation: one tag byte
+//! per enum variant, fields in declaration order, little-endian
 //! integers, length-prefixed strings. **Tags are append-only** — a new
 //! operation gets the next free tag; existing tags never change meaning,
 //! so WAL segments written by an older build keep decoding.

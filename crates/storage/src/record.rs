@@ -458,68 +458,19 @@ mod tests {
         assert_eq!(scan.clean_len, first_len);
     }
 
-    fn ref_bytes(rec: &WalRecordRef<'_, u64>) -> Vec<u8> {
-        let mut out = Vec::new();
-        rec.encode(&mut out);
-        out
-    }
-
+    /// The twin's five variants are pinned against the owned ones in
+    /// `tests/golden_bytes.rs`; this checks the `TobEvent` borrow path.
     #[test]
     fn borrowed_encoding_is_byte_identical_to_owned() {
-        for rec in sample_records() {
-            let borrowed = match &rec {
-                WalRecord::Invoke { tob_seq, req } => WalRecordRef::Invoke {
-                    tob_seq: *tob_seq,
-                    req,
-                },
-                WalRecord::Tentative { tob_seq, req } => WalRecordRef::Tentative {
-                    tob_seq: *tob_seq,
-                    req,
-                },
-                WalRecord::Promised { round, leader } => WalRecordRef::Promised {
-                    round: *round,
-                    leader: *leader,
-                },
-                WalRecord::Accepted {
-                    slot,
-                    round,
-                    leader,
-                    sender,
-                    seq,
-                    req,
-                } => WalRecordRef::Accepted {
-                    slot: *slot,
-                    round: *round,
-                    leader: *leader,
-                    sender: *sender,
-                    seq: *seq,
-                    req,
-                },
-                WalRecord::Decided {
-                    slot,
-                    sender,
-                    seq,
-                    req,
-                } => WalRecordRef::Decided {
-                    slot: *slot,
-                    sender: *sender,
-                    seq: *seq,
-                    req,
-                },
-            };
-            assert_eq!(ref_bytes(&borrowed), rec.to_bytes());
-        }
-        // and through the TobEvent borrow path too
         let ev = TobEvent::Decided {
             slot: 9,
             sender: ReplicaId::new(2),
             seq: 4,
             payload: std::sync::Arc::new(req(3)),
         };
-        assert_eq!(
-            ref_bytes(&WalRecordRef::from_tob_event(&ev)),
-            WalRecord::from_tob_event(ev).to_bytes()
-        );
+        let mut borrowed = Vec::new();
+        WalRecordRef::from_tob_event(&ev).encode(&mut borrowed);
+        assert_eq!(borrowed, WalRecord::from_tob_event(ev).to_bytes());
     }
 
     #[test]

@@ -224,7 +224,9 @@ pub trait Wire: Sized {
 macro_rules! wire {
     (@encode $s:tt $out:ident $($tag:literal => $var:ident
         $(($($a:ident),+))? $({$($f:ident),+})?),+ $(,)?) => {{
-        #[allow(unused_imports)] // method calls auto-deref borrowed fields
+        // method calls, so a twin's `&&T` fields auto-deref; the caller
+        // may have imported `Wire` already
+        #[allow(unused_imports)]
         use $crate::Wire as _;
         match $s {
             $(Self::$var $(($($a),+))? $({$($f),+})? => {
