@@ -27,31 +27,26 @@ type Paxos = PaxosMsg<SharedReq<KvOp>>;
 type Link = LinkMsg<RbMsg<WireReq<KvOp>>>;
 type Bayou = BayouMsg<KvOp, BTreeMap<String, i64>, Paxos>;
 
-/// How a sample decodes.
-enum Codec {
-    /// A [`Wire`] type: decode, then re-encode (the round trip).
-    Wire(fn(&[u8]) -> Result<Vec<u8>, WireError>),
-    /// A checksummed container with its own `from_bytes`.
-    Container(fn(&[u8]) -> Result<Vec<u8>, String>),
-}
-
 struct Sample {
     name: &'static str,
     bytes: Vec<u8>,
-    codec: Codec,
+    /// Decodes, then re-encodes (the round trip).
+    decode: fn(&[u8]) -> Result<Vec<u8>, String>,
     /// `(type name, first unused tag)` when byte 0 is the type's tag.
     tag: Option<(&'static str, u8)>,
 }
 
-fn wire<T: Wire>(bytes: &[u8]) -> Result<Vec<u8>, WireError> {
-    T::from_bytes(bytes).map(|v| v.to_bytes())
+fn wire<T: Wire>(bytes: &[u8]) -> Result<Vec<u8>, String> {
+    T::from_bytes(bytes)
+        .map(|v| v.to_bytes())
+        .map_err(|e| e.to_string())
 }
 
 fn tagged<T: Wire>(name: &'static str, v: &T, ty: &'static str, unused: u8) -> Sample {
     Sample {
         name,
         bytes: v.to_bytes(),
-        codec: Codec::Wire(wire::<T>),
+        decode: wire::<T>,
         tag: Some((ty, unused)),
     }
 }
@@ -60,7 +55,7 @@ fn plain<T: Wire>(name: &'static str, v: &T) -> Sample {
     Sample {
         name,
         bytes: v.to_bytes(),
-        codec: Codec::Wire(wire::<T>),
+        decode: wire::<T>,
         tag: None,
     }
 }
@@ -607,21 +602,21 @@ fn samples() -> Vec<Sample> {
     s.push(Sample {
         name: "Snapshot<KvStore>",
         bytes: snapshot().to_bytes(),
-        codec: Codec::Container(|b| {
+        decode: |b| {
             Snapshot::<KvStore>::from_bytes(b)
                 .map(|s| s.to_bytes())
                 .map_err(|e| e.to_string())
-        }),
+        },
         tag: None,
     });
     s.push(Sample {
         name: "Manifest",
         bytes: manifest().to_bytes(),
-        codec: Codec::Container(|b| {
+        decode: |b| {
             Manifest::from_bytes(b)
                 .map(|m| m.to_bytes())
                 .map_err(|e| e.to_string())
-        }),
+        },
         tag: None,
     });
     s
@@ -757,29 +752,16 @@ fn borrowed_wal_records_encode_to_the_owned_pins() {
 #[test]
 fn every_sample_round_trips_and_rejects_truncation_and_unknown_tags() {
     for s in samples() {
-        let name = s.name;
-        match &s.codec {
-            Codec::Wire(decode) => {
-                assert_eq!(decode(&s.bytes).as_deref(), Ok(&s.bytes[..]), "{name}");
-                for cut in 0..s.bytes.len() {
-                    assert!(decode(&s.bytes[..cut]).is_err(), "{name} cut at {cut}");
-                }
-                if let Some((ty, unused)) = s.tag {
-                    let mut bad = s.bytes.clone();
-                    bad[0] = unused;
-                    assert_eq!(
-                        decode(&bad),
-                        Err(WireError::BadTag { ty, tag: unused }),
-                        "{name}"
-                    );
-                }
-            }
-            Codec::Container(decode) => {
-                assert_eq!(decode(&s.bytes).as_deref(), Ok(&s.bytes[..]), "{name}");
-                for cut in 0..s.bytes.len() {
-                    assert!(decode(&s.bytes[..cut]).is_err(), "{name} cut at {cut}");
-                }
-            }
+        let (name, decode) = (s.name, s.decode);
+        assert_eq!(decode(&s.bytes).as_deref(), Ok(&s.bytes[..]), "{name}");
+        for cut in 0..s.bytes.len() {
+            assert!(decode(&s.bytes[..cut]).is_err(), "{name} cut at {cut}");
+        }
+        if let Some((ty, unused)) = s.tag {
+            let mut bad = s.bytes.clone();
+            bad[0] = unused;
+            let bad_tag = WireError::BadTag { ty, tag: unused };
+            assert_eq!(decode(&bad), Err(bad_tag.to_string()), "{name}");
         }
     }
 }
