@@ -6,21 +6,26 @@
 //! switch was deleted only after its two arms had been run over the
 //! fixed table below — all eight data types × two seeds with every 7th
 //! operation strong, an all-weak `KvStore` pair and a five-replica
-//! `KvStore` case — and shown to agree. What is checked in is one
-//! FNV-1a-64 digest per case, and the one remaining pipeline must
-//! reproduce every digest.
+//! `KvStore` case — and shown to agree.
 //!
-//! The digests now pinned were recorded at b98eca0 with compaction off
-//! and on, and the two arms agreed on all 19 cases. They cover what a
-//! client and a checker can see: the cluster's recorded committed order,
-//! every event's id, response value, resolved execution trace and
-//! return time, and every replica's final state. Message counts and the
-//! lists a replica retains are not in the digest: compaction adds its
-//! cursor reports and watermark polls (6–12 messages per case), and
-//! shortens what a replica keeps, by design. The absolute message count
-//! is pinned separately, at the bottom.
+//! What is checked in is four FNV-1a-64 digests per case, one per
+//! component of what a client and a checker can see:
 //!
-//! The digest is over the `{:?}` rendering of the observation; every
+//! * **order** — the cluster's recorded committed order;
+//! * **events** — every event's id, response value and resolved
+//!   execution trace;
+//! * **states** — every replica's final state;
+//! * **returns** — every event's return time.
+//!
+//! The split lets a change that only moves *when* operations answer
+//! (a shorter commit path) re-pin the return times alone and show that
+//! the history it commits — order, values, traces, final states — is
+//! bit-for-bit the banked one. Message counts and the lists a replica
+//! retains are in no digest: compaction adds its cursor reports and
+//! watermark polls, and shortens what a replica keeps, by design. The
+//! absolute message count is pinned separately, at the bottom.
+//!
+//! Each digest is over the `{:?}` rendering of its component; every
 //! `State` is a `BTree*`/`Vec`/`i64`, so the rendering is stable.
 
 use bayou_core::{BayouCluster, ClusterConfig};
@@ -28,28 +33,36 @@ use bayou_data::{
     AddRemoveSet, AppendList, Bank, Calendar, Counter, InvertibleDataType, KvStore, RandomOp,
     RwRegister, Script,
 };
-use bayou_types::{GroupId, Level, ReplicaId, ReqId, Value, VirtualTime};
+use bayou_types::{GroupId, Level, ReplicaId, VirtualTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Everything observable about one run.
-type Observation<St> = (
-    Vec<ReqId>, // recorded committed order
-    Vec<(
-        ReqId,
-        Option<Value>,
-        Option<Vec<ReqId>>,
-        Option<VirtualTime>,
-    )>, // events: value, resolved exec trace, return time
-    Vec<St>,    // final states
-);
+/// The pinned digests of one run, one per [`COMPONENTS`] entry.
+type Digests = [u64; 4];
+
+/// What each [`Digests`] entry covers.
+const COMPONENTS: [&str; 4] = [
+    "committed order",
+    "events (id, value, trace)",
+    "final states",
+    "return times",
+];
+
+/// FNV-1a-64 of `v`'s `{:?}` rendering.
+fn fnv<T: std::fmt::Debug>(v: &T) -> u64 {
+    format!("{v:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
 
 fn observe<F: InvertibleDataType + RandomOp>(
     seed: u64,
     ops: usize,
     n: usize,
     mixed: bool,
-) -> Observation<F::State> {
+) -> Digests {
     let mut c: BayouCluster<F> = BayouCluster::new(ClusterConfig::new(n, seed));
     let mut rng = StdRng::seed_from_u64(seed ^ 0xB47C);
     for k in 0..ops {
@@ -65,30 +78,33 @@ fn observe<F: InvertibleDataType + RandomOp>(
     }
     let trace = c.run_until(VirtualTime::from_secs(120));
     assert!(trace.quiescent, "seed {seed}: the run must quiesce");
-    let events = trace
+    let events: Vec<_> = trace
         .events
         .iter()
-        .map(|e| {
-            (
-                e.meta.id(),
-                e.value.clone(),
-                e.exec_trace.clone(),
-                e.returned_at,
-            )
-        })
+        .map(|e| (e.meta.id(), e.value.clone(), e.exec_trace.clone()))
         .collect();
-    let states = ReplicaId::all(n)
+    let returns: Vec<_> = trace.events.iter().map(|e| e.returned_at).collect();
+    let states: Vec<F::State> = ReplicaId::all(n)
         .map(|r| c.replica(r).materialize())
         .collect();
-    (c.committed_order(GroupId::new(0)).to_vec(), events, states)
+    [
+        fnv(&c.committed_order(GroupId::new(0))),
+        fnv(&events),
+        fnv(&states),
+        fnv(&returns),
+    ]
 }
 
-/// FNV-1a-64 of the observation's `{:?}` rendering.
-fn digest<F: InvertibleDataType + RandomOp>(seed: u64, ops: usize, n: usize, mixed: bool) -> u64 {
-    let rendered = format!("{:?}", observe::<F>(seed, ops, n, mixed));
-    rendered.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+/// Asserts each component of `got` against its banked digest, naming
+/// the first one that moved.
+fn assert_digests(case: &str, got: Digests, want: Digests) {
+    for ((component, g), w) in COMPONENTS.iter().zip(got).zip(want) {
+        assert_eq!(
+            g, w,
+            "{case}: the {component} diverged from the banked history \
+             (got {g:#018x}, banked {w:#018x}; all got {got:#018x?})"
+        );
+    }
 }
 
 /// The two seeds every three-replica case runs under.
@@ -98,72 +114,90 @@ const OPS: usize = 24;
 
 /// Asserts that the pipeline reproduces the digests banked for one data
 /// type's mixed (or all-weak) runs, one per seed of [`SEEDS`].
-fn assert_reproduces<F: InvertibleDataType + RandomOp>(name: &str, mixed: bool, banked: [u64; 2]) {
+fn assert_reproduces<F: InvertibleDataType + RandomOp>(
+    name: &str,
+    mixed: bool,
+    banked: [Digests; 2],
+) {
     for (seed, want) in SEEDS.into_iter().zip(banked) {
-        let got = digest::<F>(seed, OPS, 3, mixed);
-        assert_eq!(
-            got, want,
-            "{name}: the pipeline diverged from the banked history \
-             (seed {seed}; got {got:#018x}, banked {want:#018x})"
-        );
+        let got = observe::<F>(seed, OPS, 3, mixed);
+        assert_digests(&format!("{name}, seed {seed}"), got, want);
     }
 }
 
 macro_rules! reproduces_banked {
-    ($name:ident, $ty:ty, $banked:expr) => {
+    ($name:ident, $ty:ty, $seed_a:expr, $seed_b:expr $(,)?) => {
         #[test]
         fn $name() {
-            assert_reproduces::<$ty>(stringify!($ty), true, $banked);
+            assert_reproduces::<$ty>(stringify!($ty), true, [$seed_a, $seed_b]);
         }
     };
 }
 
-// Banked at b98eca0, compaction off and on agreeing; columns SEEDS.
-reproduces_banked!(
+// Banked at 2aece6f, whose pipeline reproduced the single whole-run
+// digests recorded at b98eca0; one row per seed of SEEDS, columns
+// COMPONENTS.
+reproduces_banked! {
     append_list,
     AppendList,
-    [0x798b_09f8_aad0_8d61, 0x0cb6_40c0_c86c_0994]
-);
-reproduces_banked!(
+    [0x0c51a5667cdc6435, 0xba93cbccbc00331e, 0x5bab93abb4bbb633, 0xf4cb653819ecf389],
+    [0x86360fba83cca28e, 0x375587e8eedb108f, 0xfb795433e21249c2, 0x7700646639977de9],
+}
+reproduces_banked! {
     kv_store,
     KvStore,
-    [0x60a0_cf52_fb16_2077, 0x9b44_f1aa_fdba_3dfc]
-);
-reproduces_banked!(
+    [0x5fb8c5339ccc3042, 0xc0120c858791e401, 0x0a54688ad6b30c28, 0x2eb9b3a6cd1a7d2a],
+    [0x30f1918d8a7193ee, 0xdf3aeafc5a52cbdd, 0x62787e0f2a61e0b3, 0x0e497fb151e362fc],
+}
+reproduces_banked! {
     counter,
     Counter,
-    [0x1614_2d7e_5721_16fd, 0xf584_9ddb_b365_a5f8]
-);
-reproduces_banked!(
+    [0xf54c68eb682c0495, 0x3c59b22393abf931, 0xa08fe4c4e712896d, 0xda2f664b93b46122],
+    [0x9acd4bdfea6c5b25, 0xf07bc937326fa92c, 0x8fd30f4a14b3badb, 0x727ca083072728aa],
+}
+reproduces_banked! {
     add_remove_set,
     AddRemoveSet,
-    [0x6d90_0c85_ccfc_2c57, 0xd36b_a8e9_a48c_b912]
-);
-reproduces_banked!(bank, Bank, [0x2022_bbac_85cf_9b0b, 0x3946_b97d_9dc1_20f9]);
-reproduces_banked!(
+    [0x45e06bd7c55fbff3, 0x9f92a9fa7e597123, 0x22a003751ba4598c, 0x579330e3c12bb717],
+    [0x1b145f7feda666f0, 0x07e00d894c8aa22f, 0x2d8c65cd1e93c9a8, 0xa545091044b855a1],
+}
+reproduces_banked! {
+    bank,
+    Bank,
+    [0x864a962251582daa, 0x3cde2b232c1e65f0, 0x0156bb105c24df50, 0xa46cddc08ef09e21],
+    [0xac74edb64848ae4c, 0x331aed4c3f80a99a, 0x7b045dbb47e36615, 0x505311cf69d820b6],
+}
+reproduces_banked! {
     calendar,
     Calendar,
-    [0xd037_7b13_ec70_4edc, 0x392f_544a_39cc_6dc2]
-);
-reproduces_banked!(
+    [0x7c2b8426aecfab50, 0x611210b0b1cedc98, 0xd2d7b606f11fbe76, 0x2670385c02a9c86c],
+    [0xb1c476aae744854a, 0xabedf9829fac8b26, 0x7ac9c91fda4217ec, 0xd4bda1a574092bd0],
+}
+reproduces_banked! {
     rw_register,
     RwRegister,
-    [0x449f_b837_33af_6e67, 0x87ca_e1e3_b82b_3d1a]
-);
-reproduces_banked!(
+    [0xf84f8347265adcd2, 0x75cb310caefb354e, 0xc2781c5bd0ee5ed7, 0xbf63123f1312d9d4],
+    [0x9c1ac679c477cfb1, 0x50aae1257c49029f, 0x1a9ce72a909a3ff1, 0x19aa028e57f1119f],
+}
+reproduces_banked! {
     script,
     Script,
-    [0xcfc4_4602_95d6_3d31, 0x2f10_5899_db0c_5d4f]
-);
+    [0xac243f3abe15cb29, 0x19319635da0d06b7, 0x9d3f53fd39b0f063, 0x045fc97db6a44902],
+    [0xf0b909c833e0ed75, 0x6dfe2826e8b9614b, 0x7f7d8fe46ad41841, 0x5f27f76e414fc0dc],
+}
 
 /// Five replicas and a deeper backlog, on one representative type.
 #[test]
 fn five_replicas() {
-    let (got, want) = (digest::<KvStore>(7, 40, 5, true), 0x7309_647c_bebd_487f);
-    assert_eq!(
-        got, want,
-        "five-replica KvStore diverged from the banked history \
-         (got {got:#018x}, banked {want:#018x})"
+    assert_digests(
+        "five-replica KvStore",
+        observe::<KvStore>(7, 40, 5, true),
+        [
+            0xcb1b67ab7ba0a15a,
+            0x8f86365db3bfdc88,
+            0xcc20237b96c14c2e,
+            0xdf0348e11e8e0b15,
+        ],
     );
 }
 
@@ -175,7 +209,20 @@ fn all_weak() {
     assert_reproduces::<KvStore>(
         "KvStore (all weak)",
         false,
-        [0x5198_6eb3_b714_f3ae, 0xa0cf_05f3_a5ff_eac8],
+        [
+            [
+                0x167e7ecd19124bf7,
+                0x13c0d1d5abe15a6f,
+                0x0a54688ad6b30c28,
+                0x24deb2ca029e9134,
+            ],
+            [
+                0xd1aa876c96215a63,
+                0xb416f89bfd676a70,
+                0x62787e0f2a61e0b3,
+                0x24deb2ca029e9134,
+            ],
+        ],
     );
 }
 

@@ -170,9 +170,15 @@ fn mixed_weak_and_strong_ops_survive_a_bounce() {
 }
 
 /// Simulated fsync latency is charged to the replica's CPU: the same
-/// durable schedule with a slow disk must consume strictly more virtual
-/// time, account the stall in the metrics, and still converge — the sim
-/// clock is no longer disk-latency-blind.
+/// durable schedule with a slow disk must make its clients wait strictly
+/// longer, account the stall in the metrics, and still converge — the
+/// sim clock is no longer disk-latency-blind.
+///
+/// What is compared is the summed invoke-to-return time of the 20 ops:
+/// each weak op answers at the end of its invoke step, which syncs the
+/// op's WAL record first, so every fsync on that path lengthens it. The
+/// end of the run would not do: quiescence is quantised by the 40 ms
+/// pump period, which can swallow the whole stall or flip the sign.
 #[test]
 fn fsync_latency_is_charged_to_the_sim_clock() {
     let run = |latency_us: u64| {
@@ -196,18 +202,21 @@ fn fsync_latency_is_charged_to_the_sim_clock() {
         let trace = cluster.run_until(ms(60_000));
         assert!(trace.quiescent);
         cluster.assert_convergence(&[]);
-        (trace.end_time, cluster.metrics().storage_stall)
+        let waited = trace.events.iter().fold(VirtualTime::ZERO, |sum, e| {
+            sum + (e.returned_at.expect("every op answers") - e.invoked_at)
+        });
+        (waited, cluster.metrics().storage_stall)
     };
-    let (fast_end, fast_stall) = run(0);
-    let (slow_end, slow_stall) = run(500);
+    let (fast_waited, fast_stall) = run(0);
+    let (slow_waited, slow_stall) = run(500);
     assert_eq!(fast_stall, VirtualTime::ZERO, "no latency, no stall");
     assert!(
         slow_stall > VirtualTime::ZERO,
         "injected fsync latency must be accounted as CPU stall"
     );
     assert!(
-        slow_end > fast_end,
-        "disk latency must stretch the schedule: fast {fast_end}, slow {slow_end}"
+        slow_waited > fast_waited,
+        "disk latency must stretch the clients' waits: fast {fast_waited}, slow {slow_waited}"
     );
 }
 
