@@ -352,12 +352,9 @@ pub struct PaxosTob<M> {
     /// Replicas counted toward the current grant's quorum (incl. self).
     lease_counted: HashSet<ReplicaId>,
     /// Local-clock bound of the held lease: committed reads may be
-    /// served while `clock < valid_until` (and the barrier is cleared).
+    /// served while `clock < valid_until` (once their read index is
+    /// delivered).
     lease_valid_until: i64,
-    /// First slot of our leadership: local reads additionally require
-    /// `prefix >= barrier`, so every slot decided under prior leaders
-    /// has been delivered into the committed state being read.
-    lease_barrier: u64,
     /// Per-peer `(follower clock, our clock at ack receipt)` from the
     /// last lease ack — the calibration pair for the rate check.
     lease_calib: Vec<Option<(i64, i64)>>,
@@ -410,7 +407,6 @@ impl<M: Clone + fmt::Debug> PaxosTob<M> {
             lease_grant_sent: i64::MIN,
             lease_counted: HashSet::new(),
             lease_valid_until: i64::MIN,
-            lease_barrier: 0,
             lease_calib: vec![None; n],
             lease_guard_leader: None,
             lease_guard_until: i64::MIN,
@@ -882,10 +878,7 @@ impl<M: Clone + fmt::Debug> PaxosTob<M> {
             .map_or(0, |m| m + 1)
             .max(self.next_slot)
             .max(self.comp.floor.slot_floor);
-        // fresh leadership: local reads must wait until every slot
-        // decided under prior leaders is delivered, and no residual
-        // lease window may carry over
-        self.lease_barrier = self.next_slot;
+        // fresh leadership: no residual lease window may carry over
         self.lease_drop_leadership();
         self.try_propose(ctx);
     }
@@ -957,10 +950,14 @@ impl<M: Clone + fmt::Debug> PaxosTob<M> {
     //   acceptances from a quorum, which intersects the guarded set: no
     //   new command can be chosen behind our back while the window
     //   lasts, so our contiguously-delivered committed state is the
-    //   linearization frontier and local reads of it are linearizable.
-    //   The `lease_barrier` (first slot of our leadership, set when
-    //   phase 1 completes) additionally gates reads until every slot
-    //   decided under prior leaders has been delivered.
+    //   linearization frontier once it covers the read's *index*.
+    // * The read index is `next_slot` when the read arrives: every slot
+    //   decided under prior leaders lies below it (phase 1 starts us
+    //   past every slot the promise quorum accepted), and so does every
+    //   slot we proposed. An acceptor may learn a slot — and answer its
+    //   client — before we do (see the `Accept` arm), so our own prefix
+    //   is not the frontier: a read is served only once every slot
+    //   below its index is delivered here.
     // * The leader self-guards for the full `duration` at each grant
     //   send — its own promise/acceptance would pierce the quorum
     //   argument just like a follower's.
@@ -993,6 +990,14 @@ impl<M: Clone + fmt::Debug> PaxosTob<M> {
             self.lease_guard_leader = None;
         }
         false
+    }
+
+    /// Whether we lead under a quorum-confirmed lease window at local
+    /// clock `now`.
+    fn lease_held(&self, now: Timestamp) -> bool {
+        self.lease.is_some()
+            && matches!(self.role, Role::Leading { .. })
+            && now.value() < self.lease_valid_until
     }
 
     /// Leader side: drops all lease-*holding* state (step-down, lost
@@ -1521,8 +1526,19 @@ impl<M: Clone + fmt::Debug> Tob<M> for PaxosTob<M> {
                 } else if !self.lease_blocks(ballot.leader, ctx) {
                     self.promise(ballot);
                     self.record_accept(slot, ballot, &entry);
-                    self.accepted.insert(slot, (ballot, entry));
                     ctx.send(ballot.leader, PaxosMsg::Accepted { ballot, slot });
+                    // every acceptor is a learner: the leader accepted
+                    // before it sent this (durably — its host syncs
+                    // before frames leave), so with our own acceptance
+                    // two acceptors hold the value. Where two make a
+                    // quorum (n ≤ 3) the slot is chosen: learn it now
+                    // instead of two hops later from the `Decide`. The
+                    // leader still needs our `Accepted`, and its
+                    // `Decide` still comes (a re-learn is a no-op).
+                    if 2 >= self.quorum() {
+                        self.learn(slot, entry.clone());
+                    }
+                    self.accepted.insert(slot, (ballot, entry));
                 }
             }
             PaxosMsg::Nack { promised } => {
@@ -1605,10 +1621,16 @@ impl<M: Clone + fmt::Debug> Tob<M> for PaxosTob<M> {
                     // history — only a baseline state transfer can help
                     self.baseline_from = Some(from);
                 }
+                // an empty batch is a watermark answer: acking it would
+                // poll again, and with acceptors delivering ahead of the
+                // leader the answer is always fresh — a loop for as long
+                // as load lasts. The pump's next `DecideAck` polls if a
+                // poll is still owed.
+                let shipped = !entries.is_empty();
                 for (k, e) in entries.into_iter().enumerate() {
                     self.learn(first + k as u64, e);
                 }
-                if self.prefix > 0 {
+                if shipped && self.prefix > 0 {
                     ack_to = Some(from);
                 }
                 self.ensure_pump(ctx);
@@ -1734,13 +1756,16 @@ impl<M: Clone + fmt::Debug> Tob<M> for PaxosTob<M> {
         }
     }
 
-    fn lease_ready(&mut self, now: Timestamp) -> bool {
-        self.lease.is_some()
-            && matches!(self.role, Role::Leading { .. })
-            && now.value() < self.lease_valid_until
-            // every slot decided under prior leaders — and everything we
-            // decided since — is delivered into the committed state
-            && self.prefix >= self.lease_barrier
+    fn lease_read_index(&self, now: Timestamp) -> Option<u64> {
+        self.lease_held(now).then_some(self.next_slot)
+    }
+
+    fn lease_ready(&mut self, now: Timestamp, index: u64) -> bool {
+        self.lease_held(now)
+            // every slot below the read's index — decided under prior
+            // leaders or proposed by us — is delivered into the
+            // committed state
+            && self.prefix >= index
             && self.fifo_cursor >= self.prefix
             && self.fifo.held_count() == 0
     }
@@ -2262,6 +2287,47 @@ mod tests {
         }
         let healed = settle(&mut tobs, &mut ctxs, &|_, _| false);
         assert_eq!(healed[2], ["a"]);
+    }
+
+    /// Every acceptor is a learner: where the leader and one acceptor
+    /// make a quorum (n ≤ 3), an acceptor delivers a slot on its `Accept`
+    /// alone, before any `Decide` reaches it. With n = 5 the two are no
+    /// quorum, and the acceptor waits for the leader's `Decide`.
+    #[test]
+    fn an_acceptor_learns_on_accept_where_two_make_a_quorum() {
+        let (r0, r1) = (ReplicaId::new(0), ReplicaId::new(1));
+        for (n, learns) in [(3, true), (5, false)] {
+            let mut tobs: Vec<PaxosTob<String>> =
+                (0..n).map(|_| PaxosTob::with_defaults(n)).collect();
+            let mut ctxs: Vec<Hand> = ReplicaId::all(n)
+                .map(|me| Hand {
+                    me,
+                    trusts: r0,
+                    sent: Vec::new(),
+                    timers: Vec::new(),
+                })
+                .collect();
+            // r0 wins the ballot and orders "a" everywhere
+            tobs[0].cast(0, "a".into(), &mut ctxs[0]);
+            let delivered = settle(&mut tobs, &mut ctxs, &|_, _| false);
+            assert_eq!(delivered[1], ["a"], "n = {n}");
+
+            // r0 proposes "b": r1 gets its `Accept` and nothing else
+            tobs[0].cast(1, "b".into(), &mut ctxs[0]);
+            let accept = ctxs[0]
+                .sent
+                .iter()
+                .find(|(to, m)| *to == r1 && matches!(m, PaxosMsg::Accept { .. }))
+                .map(|(_, m)| m.clone())
+                .expect("the leader sends r1 an Accept");
+            let got: Vec<String> = tobs[1]
+                .on_message(r0, accept, &mut ctxs[1])
+                .into_iter()
+                .map(|d| d.payload)
+                .collect();
+            let want: &[&str] = if learns { &["b"] } else { &[] };
+            assert_eq!(got, want, "n = {n}");
+        }
     }
 
     #[test]

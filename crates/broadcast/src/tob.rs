@@ -101,20 +101,34 @@ pub trait Tob<M: Clone + fmt::Debug> {
     /// Enables (or disables) the leader lease: when configured, the
     /// implementation maintains a time-bounded, quorum-acknowledged
     /// lease for the current leader so the owner can serve linearizable
-    /// reads locally from committed state (see [`Tob::lease_ready`]).
-    /// Disabled by default; implementations without a leader (e.g. a
-    /// null TOB) may ignore it — their `lease_ready` stays `false` and
-    /// every strong read takes the full broadcast round.
+    /// reads locally from committed state (see [`Tob::lease_read_index`]
+    /// and [`Tob::lease_ready`]). Disabled by default; implementations
+    /// without a leader (e.g. a null TOB) may ignore it — their
+    /// `lease_read_index` stays `None` and every strong read takes the
+    /// full broadcast round.
     fn set_lease(&mut self, config: Option<LeaseConfig>) {
         let _ = config;
     }
 
-    /// Whether this endpoint currently holds a valid leader lease *and*
-    /// has delivered every message decided up to its leadership barrier,
-    /// so a strong read served from the owner's committed state at local
-    /// clock `now` is linearizable. Always `false` by default.
-    fn lease_ready(&mut self, now: Timestamp) -> bool {
+    /// The *read index* of a strong read arriving at local clock `now`:
+    /// `Some(index)` while this endpoint holds a valid leader lease,
+    /// where every message that may have been decided — and so answered
+    /// to a client anywhere — before `now` lies below `index`. `None`
+    /// without a lease: the read takes the broadcast round. Always
+    /// `None` by default.
+    fn lease_read_index(&self, now: Timestamp) -> Option<u64> {
         let _ = now;
+        None
+    }
+
+    /// Whether a strong read with read index `index` (from
+    /// [`Tob::lease_read_index`]) can be served from the owner's
+    /// committed state at local clock `now` and be linearizable: the
+    /// lease still holds and every message below `index` is delivered.
+    /// A read whose index is not delivered yet waits for it while the
+    /// lease lasts. Always `false` by default.
+    fn lease_ready(&mut self, now: Timestamp, index: u64) -> bool {
+        let _ = (now, index);
         false
     }
 

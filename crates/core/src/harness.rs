@@ -8,7 +8,7 @@ use bayou_broadcast::{PaxosConfig, PaxosTob, Tob};
 use bayou_data::{DataType, DeltaState, StateObject};
 use bayou_sim::{OutputRecord, Sim, SimConfig};
 use bayou_types::{GroupId, LeaseConfig, Level, Process, ReplicaId, ReqId, SharedReq, VirtualTime};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Configuration of a simulated Bayou cluster.
 #[derive(Debug, Clone)]
@@ -600,6 +600,13 @@ where
             ev.value = Some(out.value.clone());
             ev.exec_trace = Some(out.exec_trace.ids().to_vec());
             ev.served = Some(out.served);
+        }
+        // a strong read parked for its lease read index takes the TOB
+        // round if the lease runs out first — after its invocation was
+        // recorded as not cast
+        let ordered: HashSet<ReqId> = self.committed_order(gid).iter().copied().collect();
+        for ev in events.iter_mut().filter(|e| e.meta.level.is_strong()) {
+            ev.tob_cast |= ordered.contains(&ev.meta.id());
         }
         events.sort_by_key(|e| (e.invoked_at, e.meta.dot));
         RunTrace {

@@ -323,9 +323,14 @@ where
     /// Leader-lease configuration ([`BayouReplica::set_lease`]): with a
     /// config, the TOB endpoint runs the lease protocol and strong
     /// read-only operations are served locally from `committed_state`
-    /// while [`Tob::lease_ready`] holds. `None` (the default) keeps the
-    /// replica bit-for-bit on the all-TOB path.
+    /// once [`Tob::lease_ready`] holds for their read index. `None` (the
+    /// default) keeps the replica bit-for-bit on the all-TOB path.
     lease: Option<LeaseConfig>,
+    /// Strong reads the lease will serve, each with its read index
+    /// ([`Tob::lease_read_index`]), waiting for that index to be
+    /// delivered; [`BayouReplica::settle`] serves them, or sends them
+    /// through the TOB round if the lease runs out first.
+    lease_parked: Vec<(SharedReq<F::Op>, u64)>,
     /// Materialization of `baseline · committed` — the linearizable
     /// snapshot lease-served reads answer from. Maintained only while
     /// `lease` is set (one [`DataType::apply`] per commit), rebuilt by
@@ -394,6 +399,7 @@ where
             adjust_scratch: Vec::new(),
             deliveries: Vec::new(),
             lease: None,
+            lease_parked: Vec::new(),
             committed_state: F::State::default(),
             seen_seq: vec![0; n],
         }
@@ -530,10 +536,11 @@ where
     /// Enables (or disables) leader leases on this replica and its TOB
     /// endpoint: the per-lane Ω leader piggybacks time-bounded lease
     /// grants on its TOB traffic and, while the quorum-confirmed window
-    /// holds ([`Tob::lease_ready`]), serves strong *read-only*
-    /// operations locally from the committed state — no TOB round, no
-    /// messages. A read that misses the window falls back to the
-    /// ordinary TOB round; it never silently downgrades.
+    /// holds ([`Tob::lease_read_index`]), serves strong *read-only*
+    /// operations locally from the committed state once it covers the
+    /// read's index ([`Tob::lease_ready`]) — no TOB round, no messages.
+    /// A read that misses the window falls back to the ordinary TOB
+    /// round; it never silently downgrades.
     ///
     /// Off by default. With `None` the replica takes no clock readings
     /// and sends no lease frames — behaviour is bit-for-bit the all-TOB
@@ -1171,22 +1178,23 @@ where
         }
         // Leader-lease fast path: a strong *read* arriving while the TOB
         // holds a quorum-confirmed lease window is served locally from
-        // the committed state — no TOB round, no messages. The check
-        // reads the (possibly skewed) local clock, so it is reached only
-        // with a lease configured: lease-off runs take the exact
-        // baseline step sequence.
-        let lease_read = self.mode == ProtocolMode::Improved
+        // the committed state once that covers the read's index — no
+        // TOB round, no messages. The check reads the (possibly skewed)
+        // local clock, so it is reached only with a lease configured:
+        // lease-off runs take the exact baseline step sequence.
+        let lease_index = if self.mode == ProtocolMode::Improved
             && r.level.is_strong()
             && F::is_read_only(&r.op)
             && self.lease.is_some()
-            && {
-                let now = ctx.clock();
-                self.tob.lease_ready(now)
-            };
+        {
+            self.tob.lease_read_index(ctx.clock())
+        } else {
+            None
+        };
         let tob_cast = match self.mode {
             ProtocolMode::Original => true,
             ProtocolMode::Improved => {
-                !lease_read && (r.level.is_strong() || !F::is_read_only(&r.op))
+                lease_index.is_none() && (r.level.is_strong() || !F::is_read_only(&r.op))
             }
         };
         let urgent = r.level.is_strong() && tob_cast;
@@ -1245,23 +1253,12 @@ where
                             self.adjust_tentative_order(r, seq);
                         }
                     }
-                } else if lease_read {
-                    // a read-only op leaves the committed state untouched
-                    self.stats.lease_reads += 1;
-                    let value = F::apply(&mut self.committed_state, &r.op);
-                    let served = Served::Lease {
-                        committed: self.committed_total(),
-                    };
-                    // the committed order from the state object's origin:
-                    // its stable prefix by length, then the committed
-                    // requests not executed yet
-                    let stable = self.stable_prefix();
-                    let trace = ExecTrace::new(
-                        self.state_origin(),
-                        self.dropped_since_state + stable,
-                        self.committed[stable..].iter().map(|c| c.id()).collect(),
-                    );
-                    self.respond(&r, value, trace, served);
+                } else if let Some(index) = lease_index {
+                    if self.tob.lease_ready(ctx.clock(), index) {
+                        self.serve_lease_read(&r);
+                    } else {
+                        self.lease_parked.push((r, index));
+                    }
                 } else {
                     self.reqs_awaiting_resp.insert(r.id(), None);
                     self.broadcast_req(&r, ctx, false);
@@ -1269,6 +1266,46 @@ where
             }
         }
         urgent
+    }
+
+    /// Answers a strong read from the committed state under the lease.
+    fn serve_lease_read(&mut self, r: &Req<F::Op>) {
+        // a read-only op leaves the committed state untouched
+        self.stats.lease_reads += 1;
+        let value = F::apply(&mut self.committed_state, &r.op);
+        let served = Served::Lease {
+            committed: self.committed_total(),
+        };
+        // the committed order from the state object's origin: its stable
+        // prefix by length, then the committed requests not executed yet
+        let stable = self.stable_prefix();
+        let trace = ExecTrace::new(
+            self.state_origin(),
+            self.dropped_since_state + stable,
+            self.committed[stable..].iter().map(|c| c.id()).collect(),
+        );
+        self.respond(r, value, trace, served);
+    }
+
+    /// Serves the parked lease reads whose index is delivered. While the
+    /// lease holds the rest keep waiting; once it is lost they take the
+    /// TOB round, like a read that arrived without a lease.
+    fn serve_parked_reads(&mut self, ctx: &mut dyn Context<Msg<F, T>>) {
+        if self.lease_parked.is_empty() {
+            return;
+        }
+        let now = ctx.clock();
+        let held = self.tob.lease_read_index(now).is_some();
+        for (r, index) in std::mem::take(&mut self.lease_parked) {
+            if self.tob.lease_ready(now, index) {
+                self.serve_lease_read(&r);
+            } else if held {
+                self.lease_parked.push((r, index));
+            } else {
+                self.reqs_awaiting_resp.insert(r.id(), None);
+                self.broadcast_req(&r, ctx, false);
+            }
+        }
     }
 
     /// Handles one wire message from `from`. The TOB deliveries it
@@ -1335,7 +1372,8 @@ where
 
     /// Ends the TOB half of a step: logs the step's durable TOB facts,
     /// commits every delivery received since the last settle as one
-    /// batch and follows the compaction floor.
+    /// batch, serves the lease reads it unblocked and follows the
+    /// compaction floor.
     pub fn settle(&mut self, ctx: &mut dyn Context<Msg<F, T>>) {
         // durable TOB facts (promises, acceptances, decisions) hit the
         // WAL — one write, one sync — before the deliveries they imply
@@ -1344,6 +1382,7 @@ where
         let mut deliveries = std::mem::take(&mut self.deliveries);
         self.commit_batch(&mut deliveries);
         self.deliveries = deliveries;
+        self.serve_parked_reads(ctx);
         // the TOB floor can advance on delivery-free steps too (a cursor
         // report arriving): follow it, or the baseline we serve to
         // laggards would lag the floor forever in a quiescent cluster

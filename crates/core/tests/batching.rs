@@ -136,54 +136,56 @@ macro_rules! reproduces_banked {
 
 // Banked at 2aece6f, whose pipeline reproduced the single whole-run
 // digests recorded at b98eca0; one row per seed of SEEDS, columns
-// COMPONENTS.
+// COMPONENTS. Only the return times were re-pinned since, when
+// acceptors began learning a slot on accept: strong ops homed on a
+// follower answer two message delays sooner, over the same history.
 reproduces_banked! {
     append_list,
     AppendList,
-    [0x0c51a5667cdc6435, 0xba93cbccbc00331e, 0x5bab93abb4bbb633, 0xf4cb653819ecf389],
-    [0x86360fba83cca28e, 0x375587e8eedb108f, 0xfb795433e21249c2, 0x7700646639977de9],
+    [0x0c51a5667cdc6435, 0xba93cbccbc00331e, 0x5bab93abb4bbb633, 0xa3740a9f701e1faf],
+    [0x86360fba83cca28e, 0x375587e8eedb108f, 0xfb795433e21249c2, 0xd26743d05191d60b],
 }
 reproduces_banked! {
     kv_store,
     KvStore,
-    [0x5fb8c5339ccc3042, 0xc0120c858791e401, 0x0a54688ad6b30c28, 0x2eb9b3a6cd1a7d2a],
-    [0x30f1918d8a7193ee, 0xdf3aeafc5a52cbdd, 0x62787e0f2a61e0b3, 0x0e497fb151e362fc],
+    [0x5fb8c5339ccc3042, 0xc0120c858791e401, 0x0a54688ad6b30c28, 0x43e2f6ba76ad6b36],
+    [0x30f1918d8a7193ee, 0xdf3aeafc5a52cbdd, 0x62787e0f2a61e0b3, 0xac4bc62ce83e6606],
 }
 reproduces_banked! {
     counter,
     Counter,
-    [0xf54c68eb682c0495, 0x3c59b22393abf931, 0xa08fe4c4e712896d, 0xda2f664b93b46122],
-    [0x9acd4bdfea6c5b25, 0xf07bc937326fa92c, 0x8fd30f4a14b3badb, 0x727ca083072728aa],
+    [0xf54c68eb682c0495, 0x3c59b22393abf931, 0xa08fe4c4e712896d, 0x1cec708341b7c403],
+    [0x9acd4bdfea6c5b25, 0xf07bc937326fa92c, 0x8fd30f4a14b3badb, 0xfcd3813a98dd4e95],
 }
 reproduces_banked! {
     add_remove_set,
     AddRemoveSet,
-    [0x45e06bd7c55fbff3, 0x9f92a9fa7e597123, 0x22a003751ba4598c, 0x579330e3c12bb717],
-    [0x1b145f7feda666f0, 0x07e00d894c8aa22f, 0x2d8c65cd1e93c9a8, 0xa545091044b855a1],
+    [0x45e06bd7c55fbff3, 0x9f92a9fa7e597123, 0x22a003751ba4598c, 0x0c0784c54c980605],
+    [0x1b145f7feda666f0, 0x07e00d894c8aa22f, 0x2d8c65cd1e93c9a8, 0x829fe70ea181a2b8],
 }
 reproduces_banked! {
     bank,
     Bank,
-    [0x864a962251582daa, 0x3cde2b232c1e65f0, 0x0156bb105c24df50, 0xa46cddc08ef09e21],
-    [0xac74edb64848ae4c, 0x331aed4c3f80a99a, 0x7b045dbb47e36615, 0x505311cf69d820b6],
+    [0x864a962251582daa, 0x3cde2b232c1e65f0, 0x0156bb105c24df50, 0xef3d18d9d2b92ed8],
+    [0xac74edb64848ae4c, 0x331aed4c3f80a99a, 0x7b045dbb47e36615, 0x127da8815a749ef9],
 }
 reproduces_banked! {
     calendar,
     Calendar,
-    [0x7c2b8426aecfab50, 0x611210b0b1cedc98, 0xd2d7b606f11fbe76, 0x2670385c02a9c86c],
-    [0xb1c476aae744854a, 0xabedf9829fac8b26, 0x7ac9c91fda4217ec, 0xd4bda1a574092bd0],
+    [0x7c2b8426aecfab50, 0x611210b0b1cedc98, 0xd2d7b606f11fbe76, 0x9eb36d7dfb6471e6],
+    [0xb1c476aae744854a, 0xabedf9829fac8b26, 0x7ac9c91fda4217ec, 0x144144559c984e5e],
 }
 reproduces_banked! {
     rw_register,
     RwRegister,
-    [0xf84f8347265adcd2, 0x75cb310caefb354e, 0xc2781c5bd0ee5ed7, 0xbf63123f1312d9d4],
-    [0x9c1ac679c477cfb1, 0x50aae1257c49029f, 0x1a9ce72a909a3ff1, 0x19aa028e57f1119f],
+    [0xf84f8347265adcd2, 0x75cb310caefb354e, 0xc2781c5bd0ee5ed7, 0x329f7d29fc81314f],
+    [0x9c1ac679c477cfb1, 0x50aae1257c49029f, 0x1a9ce72a909a3ff1, 0x810715a58224a04c],
 }
 reproduces_banked! {
     script,
     Script,
-    [0xac243f3abe15cb29, 0x19319635da0d06b7, 0x9d3f53fd39b0f063, 0x045fc97db6a44902],
-    [0xf0b909c833e0ed75, 0x6dfe2826e8b9614b, 0x7f7d8fe46ad41841, 0x5f27f76e414fc0dc],
+    [0xac243f3abe15cb29, 0x19319635da0d06b7, 0x9d3f53fd39b0f063, 0x44e30098454ed2fb],
+    [0xf0b909c833e0ed75, 0x6dfe2826e8b9614b, 0x7f7d8fe46ad41841, 0x82c7f402417ea47f],
 }
 
 /// Five replicas and a deeper backlog, on one representative type.
@@ -229,10 +231,10 @@ fn all_weak() {
 /// `messages_sent` of the 200-op saturated workload below with one
 /// level of flush deferral (the host's). 196 at b98eca0 with compaction
 /// on, against 190 with it off (its cursor reports and watermark polls);
-/// 183 at d729dfd, when the link deferred as well. The
-/// one-frame-per-payload links coalescing replaced sent more than twice
-/// as many.
-const COALESCED_MESSAGES: u64 = 196;
+/// 183 at d729dfd, when the link deferred as well; 191 once an empty
+/// watermark answer was no longer acked. The one-frame-per-payload
+/// links coalescing replaced sent more than twice as many.
+const COALESCED_MESSAGES: u64 = 191;
 
 /// Wire frame coalescing keeps the saturated (all-weak) message count
 /// exactly where it was when the per-frame arm was deleted.

@@ -98,6 +98,65 @@ fn leased_read_trace_is_the_committed_order_from_the_state_origin() {
     assert_eq!(read.exec_trace.as_deref(), Some(from_origin));
 }
 
+/// A follower may answer a strong put before the leaseholder knows the
+/// put is decided: an acceptor learns a slot on its `Accept`. A leased
+/// read at the leader that arrives after the put returned must still see
+/// it, and it does so by waiting for its *read index* — the leader's
+/// next slot at arrival — to be delivered, not by leaving the lease.
+/// Reads every 50 µs around each follower-homed put: every read invoked
+/// after the put returned sees it, and every read is lease-served.
+#[test]
+fn leased_reads_see_a_put_a_follower_already_answered() {
+    let mut served = 0;
+    for seed in 1..=4u64 {
+        let cfg = ClusterConfig::new(3, seed).with_lease(LeaseConfig::default());
+        let mut c: BayouCluster<KvStore> = BayouCluster::new(cfg);
+        c.invoke_at(ms(1), r(0), KvOp::put("k", 0), Level::Strong);
+        // once the lease is up, strong puts homed on replica 1 with
+        // reads at the leaseholder from just before each put to well
+        // after it returns
+        for v in 1..=4i64 {
+            let at = ms(500 + 100 * v as u64);
+            c.invoke_at(at, r(1), KvOp::put("k", v), Level::Strong);
+            for j in 0..100u64 {
+                let read_at = at + VirtualTime::from_micros(50 * j);
+                c.invoke_at(read_at, r(0), KvOp::get("k"), Level::Strong);
+            }
+        }
+        let trace = c.run_until(ms(2_000));
+
+        let puts: Vec<_> = trace
+            .events
+            .iter()
+            .filter(|e| e.replica == r(1))
+            .map(|e| e.returned_at.expect("the put answers"))
+            .collect();
+        for read in trace.events.iter().filter(|e| e.op == KvOp::get("k")) {
+            assert!(
+                matches!(read.served, Some(Served::Lease { .. })),
+                "seed {seed}: read at {} was not lease-served: {:?}",
+                read.invoked_at,
+                read.served
+            );
+            // the last put that returned before the read was invoked
+            let floor = puts
+                .iter()
+                .filter(|returned| **returned < read.invoked_at)
+                .count() as i64;
+            let Some(Value::Int(seen)) = read.value else {
+                panic!("seed {seed}: read returned {:?}", read.value);
+            };
+            assert!(
+                seen >= floor,
+                "seed {seed}: read at {} saw {seen}, but put {floor} had returned",
+                read.invoked_at
+            );
+            served += 1;
+        }
+    }
+    assert_eq!(served, 4 * 4 * 100);
+}
+
 /// A strong read at a *follower* never uses the fast path: it goes
 /// through the TOB round (typed as `Committed`), because only the
 /// leaseholder's committed state is the linearization frontier.

@@ -1,15 +1,23 @@
 //! Round-trip regression for the serving path: sequential weak and
-//! strong operations from one connection through an in-memory
-//! 3-replica `Server` over loopback TCP, with nothing else running.
+//! strong operations through an in-memory 3-replica `Server` over
+//! loopback TCP, with nothing else running.
 //!
 //! A weak operation is one wake-up of the connection's reader thread,
 //! one step of its home replica — which writes the reply itself — and
 //! one wake-up of the client; a strong one adds the broadcast round. So
 //! the medians are the server's fixed cost per operation above
-//! `crates/net/tests/wake_latency.rs`. On the 2-vCPU host this was last
-//! measured on (medians of ten runs each), weak 49 µs and strong 86 µs;
-//! when a dispatcher thread sat between the replicas and the sockets,
-//! 70 µs and 102 µs. The bounds are twice the former.
+//! `crates/net/tests/wake_latency.rs`. Connection `i` is homed on
+//! replica `i`: the first on the leader, the second on a follower. Since
+//! an acceptor learns a slot on its `Accept`, a strong op commits two
+//! hops after it is invoked from either home: `Accept` + `Accepted` at
+//! the leader, `Submit` + `Accept` at a follower. On the 2-vCPU host
+//! this was measured on (medians of ten runs each), weak 49 µs and
+//! strong 86 µs from the leader's connection when their bounds were set
+//! (70 µs and 102 µs while a dispatcher thread sat between the replicas
+//! and the sockets); in a later set, weak 53 µs and strong 81 µs, and
+//! strong from the follower's connection 96 µs (108 µs while it waited
+//! for the leader's `Decide`). Each bound is twice the median it was set
+//! from.
 //!
 //! Timing-sensitive, so `#[ignore]`; CI runs it in release:
 //! `cargo test --release -p bayou-server --test round_trip -- --ignored`.
@@ -17,6 +25,7 @@
 use bayou_data::KvOp;
 use bayou_server::{Client, Reply, Server, ServerConfig};
 use bayou_types::Level;
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 /// Median latency of `count` sequential `call`s at `level`.
@@ -35,25 +44,41 @@ fn median_round_trip(client: &mut Client, level: Level, count: usize) -> Duratio
     latencies[count / 2]
 }
 
+/// A connection with its set-up done: one strong op answered, so the
+/// server accepted it (and numbered it) before the next one connects,
+/// and leader election and lazy set-up are not what is timed.
+fn warm_client(addr: SocketAddr) -> Client {
+    let mut client = Client::connect(addr).expect("client connects");
+    client
+        .set_recv_timeout(Some(Duration::from_secs(10)))
+        .expect("set timeout");
+    median_round_trip(&mut client, Level::Strong, 5);
+    client
+}
+
 #[test]
 #[ignore = "timing-sensitive: run in release on a quiet host"]
 fn sequential_round_trips_through_the_server() {
     let server = Server::start(ServerConfig::default()).expect("server starts");
-    let mut client = Client::connect(server.local_addr()).expect("client connects");
-    client
-        .set_recv_timeout(Some(Duration::from_secs(10)))
-        .expect("set timeout");
-    // leader election and lazy set-up are not what is timed
-    median_round_trip(&mut client, Level::Strong, 5);
+    let mut at_leader = warm_client(server.local_addr());
+    let mut at_follower = warm_client(server.local_addr());
 
-    let weak = median_round_trip(&mut client, Level::Weak, 400);
-    let strong = median_round_trip(&mut client, Level::Strong, 100);
-    drop(client);
+    let weak = median_round_trip(&mut at_leader, Level::Weak, 400);
+    let strong = median_round_trip(&mut at_leader, Level::Strong, 100);
+    let follower_strong = median_round_trip(&mut at_follower, Level::Strong, 100);
+    drop((at_leader, at_follower));
     server.stop();
-    println!("weak median {weak:?}, strong median {strong:?}");
+    println!(
+        "weak median {weak:?}, strong median {strong:?}, \
+         strong median from a follower {follower_strong:?}"
+    );
     assert!(weak < Duration::from_micros(99), "weak median {weak:?}");
     assert!(
         strong < Duration::from_micros(172),
         "strong median {strong:?}"
+    );
+    assert!(
+        follower_strong < Duration::from_micros(192),
+        "strong median from a follower {follower_strong:?}"
     );
 }
