@@ -236,7 +236,7 @@ pub struct PaxosConfig {
     /// the leader's retransmission burst (the pump re-ships every
     /// inflight proposal each period) and caps one group's commit
     /// pipeline at roughly `max_inflight / round-trip` — the per-group
-    /// ceiling the sharded saturation bench measures. The default is
+    /// ceiling the cost table's `sharded` rows measure. The default is
     /// unbounded, preserving the fully-pipelined behaviour. Safety
     /// re-proposals after a leader change (accepted-but-undecided slots
     /// merged from promises) bypass the window: they must never be

@@ -106,9 +106,8 @@ impl LoadReport {
         self.hist.quantile(q) as f64 / 1_000.0
     }
 
-    /// One `BENCH_PR7.json`-style record (same shape as the criterion
-    /// shim's `record_metric` output: a flat object with a group, a
-    /// name and numeric fields).
+    /// One `BENCH_PR7.json`-style record: a flat JSON object with a
+    /// group, a name and numeric fields.
     pub fn json_record(&self, group: &str, name: &str, cfg: &LoadConfig) -> String {
         format!(
             concat!(

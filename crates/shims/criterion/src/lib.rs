@@ -46,51 +46,8 @@ pub struct BenchResult {
     pub throughput_elems: Option<u64>,
 }
 
-/// One custom (non-timing) measurement attached to the JSON report:
-/// arbitrary named numeric fields under a group/name pair, e.g.
-/// messages/op or snapshot bytes. Same object shape the `BENCH_*.json`
-/// archives already use for their hand-collected size rows.
-#[derive(Debug, Clone)]
-pub struct CustomRecord {
-    /// Benchmark group name.
-    pub group: String,
-    /// Benchmark id within the group.
-    pub name: String,
-    /// Named numeric fields.
-    pub fields: Vec<(String, f64)>,
-}
-
 thread_local! {
     static RESULTS: RefCell<Vec<BenchResult>> = const { RefCell::new(Vec::new()) };
-    static CUSTOM: RefCell<Vec<CustomRecord>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Records a custom metric row into the JSON report (and echoes it to
-/// stdout). Benches use this for counters the timing harness cannot
-/// see — messages/op, fsyncs/op, retained bytes.
-pub fn record_metric(group: &str, name: &str, fields: &[(&str, f64)]) {
-    let rec = CustomRecord {
-        group: group.to_string(),
-        name: name.to_string(),
-        fields: fields.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-    };
-    let rendered: Vec<String> = rec
-        .fields
-        .iter()
-        .map(|(k, v)| format!("{k}={}", fmt_num(*v)))
-        .collect();
-    println!("metric: {}/{:<45} {}", group, name, rendered.join(" "));
-    CUSTOM.with(|c| c.borrow_mut().push(rec));
-}
-
-fn fmt_num(v: f64) -> String {
-    if !v.is_finite() {
-        "null".into() // JSON has no NaN/Infinity tokens
-    } else if v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v:.3}")
-    }
 }
 
 /// Top-level harness handle (mirrors `criterion::Criterion`).
@@ -366,11 +323,9 @@ fn json_escape(s: &str) -> String {
 pub fn write_json_report() {
     let path = std::env::var("BENCH_JSON").unwrap_or_else(|_| "target/bench-results.json".into());
     let results = RESULTS.with(|r| r.borrow_mut().split_off(0));
-    let custom = CUSTOM.with(|c| c.borrow_mut().split_off(0));
-    if results.is_empty() && custom.is_empty() {
+    if results.is_empty() {
         return;
     }
-    let total = results.len() + custom.len();
     let mut out = String::from("[\n");
     for (i, r) in results.iter().enumerate() {
         out.push_str(&format!(
@@ -382,27 +337,7 @@ pub fn write_json_report() {
             r.throughput_elems
                 .map(|n| n.to_string())
                 .unwrap_or_else(|| "null".into()),
-            if i + 1 < total { "," } else { "" },
-        ));
-    }
-    for (i, c) in custom.iter().enumerate() {
-        let mut parts = vec![
-            format!("\"group\": \"{}\"", json_escape(&c.group)),
-            format!("\"name\": \"{}\"", json_escape(&c.name)),
-        ];
-        parts.extend(
-            c.fields
-                .iter()
-                .map(|(k, v)| format!("\"{}\": {}", json_escape(k), fmt_num(*v))),
-        );
-        out.push_str(&format!(
-            "  {{{}}}{}\n",
-            parts.join(", "),
-            if results.len() + i + 1 < total {
-                ","
-            } else {
-                ""
-            },
+            if i + 1 < results.len() { "," } else { "" },
         ));
     }
     out.push_str("]\n");
