@@ -279,6 +279,11 @@ pub struct PaxosTob<M> {
 
     // -- learner state ---------------------------------------------------
     decided: BTreeMap<u64, Entry<M>>,
+    /// Decided slots below the compaction floor that the owner has not
+    /// compacted yet (kept only while durable): its snapshot at its own
+    /// floor still lists them ([`Tob::durable_image`]) until
+    /// [`Tob::release_decided`].
+    truncated: BTreeMap<u64, Entry<M>>,
     decided_keys: HashSet<(ReplicaId, u64)>,
     /// Slots `< prefix` are decided contiguously.
     prefix: u64,
@@ -380,6 +385,7 @@ impl<M: Clone + fmt::Debug> PaxosTob<M> {
             promised: Ballot::default(),
             accepted: BTreeMap::new(),
             decided: BTreeMap::new(),
+            truncated: BTreeMap::new(),
             decided_keys: HashSet::new(),
             prefix: 0,
             fifo_cursor: 0,
@@ -761,7 +767,11 @@ impl<M: Clone + fmt::Debug> PaxosTob<M> {
     fn maybe_compact(&mut self) {
         if self.comp.advance_floor() {
             let floor = self.comp.floor.slot_floor;
-            self.decided = self.decided.split_off(&floor);
+            let above = self.decided.split_off(&floor);
+            let mut below = std::mem::replace(&mut self.decided, above);
+            if self.durable_on {
+                self.truncated.append(&mut below);
+            }
             self.accepted = self.accepted.split_off(&floor);
         }
     }
@@ -1770,8 +1780,45 @@ impl<M: Clone + fmt::Debug> Tob<M> for PaxosTob<M> {
             && self.fifo.held_count() == 0
     }
 
-    fn drain_durable(&mut self) -> Vec<TobEvent<M>> {
-        std::mem::take(&mut self.durable)
+    fn drain_durable(&mut self, out: &mut Vec<TobEvent<M>>) {
+        out.append(&mut self.durable);
+    }
+
+    fn durable_image(&self, slot_floor: u64) -> Vec<TobEvent<M>> {
+        let promised = TobEvent::Promised {
+            round: self.promised.round,
+            leader: self.promised.leader,
+        };
+        let accepted = self
+            .accepted
+            .range(slot_floor..)
+            .filter(|(slot, _)| !self.decided.contains_key(slot))
+            .map(|(slot, (b, e))| TobEvent::Accepted {
+                slot: *slot,
+                round: b.round,
+                leader: b.leader,
+                sender: e.sender,
+                seq: e.seq,
+                payload: e.payload.clone(),
+            });
+        let decided = (self.truncated.range(slot_floor..))
+            .chain(self.decided.range(slot_floor..))
+            .map(|(slot, e)| TobEvent::Decided {
+                slot: *slot,
+                sender: e.sender,
+                seq: e.seq,
+                payload: e.payload.clone(),
+            });
+        std::iter::once(promised)
+            .chain(accepted)
+            .chain(decided)
+            .collect()
+    }
+
+    fn release_decided(&mut self, slot_floor: u64) {
+        if (self.truncated.first_key_value()).is_some_and(|(slot, _)| *slot < slot_floor) {
+            self.truncated = self.truncated.split_off(&slot_floor);
+        }
     }
 
     fn stable_delivered(&self) -> u64 {
@@ -1796,6 +1843,7 @@ impl<M: Clone + fmt::Debug> Tob<M> for PaxosTob<M> {
         // carry it over. Found by the DST harness (prefix wedged forever
         // at a truncated no-delivery slot).
         self.decided = self.decided.split_off(&mark.slot_floor);
+        self.truncated = self.truncated.split_off(&mark.slot_floor);
         self.accepted = self.accepted.split_off(&mark.slot_floor);
         for s in ReplicaId::all(self.n) {
             self.fifo.fast_forward(s, mark.next_for(s));
@@ -1826,6 +1874,10 @@ impl<M: Clone + fmt::Debug> Tob<M> for PaxosTob<M> {
 
     fn released_seq(&self, sender: ReplicaId) -> u64 {
         self.fifo.next_seq(sender)
+    }
+
+    fn is_decided(&self, sender: ReplicaId, seq: u64) -> bool {
+        self.key_decided((sender, seq))
     }
 
     fn retained_keys(&self) -> usize {
@@ -2115,8 +2167,15 @@ mod tests {
         let p0 = &mut procs[0];
         let decided = p0.tob.decided_log();
         let delivered = p0.tob.delivered_count();
-        let events = p0.tob.drain_durable();
+        let mut events = Vec::new();
+        p0.tob.drain_durable(&mut events);
         assert!(!events.is_empty(), "durable events were recorded");
+
+        // the image a snapshot takes restores the same endpoint
+        let mut from_image = PaxosTob::<String>::with_defaults(n);
+        from_image.restore(p0.tob.durable_image(0));
+        assert_eq!(from_image.decided_log(), decided, "image: decided log");
+        assert_eq!(from_image.delivered_count(), delivered, "image: cursor");
 
         let mut fresh = PaxosTob::<String>::with_defaults(n);
         let replayed = fresh.restore(events);
@@ -2142,7 +2201,9 @@ mod tests {
         sim.schedule_input(ms(1), ReplicaId::new(0), "x".into());
         sim.run_until(ms(3_000));
         let mut procs = sim.into_processes();
-        assert!(procs[0].tob.drain_durable().is_empty());
+        let mut events = Vec::new();
+        procs[0].tob.drain_durable(&mut events);
+        assert!(events.is_empty());
     }
 
     /// A hand-driven endpoint context: sends queue up for the test to

@@ -132,15 +132,34 @@ pub trait Tob<M: Clone + fmt::Debug> {
         false
     }
 
-    /// Drains the durable state transitions recorded since the last call.
+    /// Moves the durable state transitions recorded since the last call
+    /// to the end of `out` (both buffers keep their capacity).
     ///
     /// The owner is expected to call this after every interaction
     /// ([`Tob::cast`], [`Tob::ensure`], [`Tob::on_message`],
     /// [`Tob::on_timer`]) and write the events to its write-ahead log
     /// *within the same atomic handler step*, so the durable state is on
     /// disk before any message produced by the step leaves the replica.
-    fn drain_durable(&mut self) -> Vec<TobEvent<M>> {
+    fn drain_durable(&mut self, out: &mut Vec<TobEvent<M>>) {
+        let _ = out;
+    }
+
+    /// What a snapshot records of this endpoint at and above
+    /// `slot_floor`: the promised ballot, the accepted-but-undecided
+    /// slots and the decided slots, as events whose replay restores
+    /// them. Decided slots the endpoint truncated below its own floor are
+    /// listed until the owner releases them ([`Tob::release_decided`]),
+    /// so an owner whose compaction lags still cuts a complete image.
+    /// Empty for implementations without durable state.
+    fn durable_image(&self, slot_floor: u64) -> Vec<TobEvent<M>> {
+        let _ = slot_floor;
         Vec::new()
+    }
+
+    /// The owner compacted everything below `slot_floor`: drops the
+    /// truncated decided slots [`Tob::durable_image`] still listed.
+    fn release_decided(&mut self, slot_floor: u64) {
+        let _ = slot_floor;
     }
 
     // ---- committed-prefix compaction -----------------------------------
@@ -205,6 +224,13 @@ pub trait Tob<M: Clone + fmt::Debug> {
     fn released_seq(&self, sender: ReplicaId) -> u64 {
         let _ = sender;
         0
+    }
+
+    /// Whether `sender`'s cast `seq` is known decided here — released
+    /// already, or decided and waiting in the sender-FIFO gate. Default:
+    /// released ([`Tob::released_seq`]).
+    fn is_decided(&self, sender: ReplicaId, seq: u64) -> bool {
+        seq < self.released_seq(sender)
     }
 
     /// Broadcast keys the endpoint holds in its bookkeeping sets

@@ -152,12 +152,13 @@ impl<M> Context<M> for GroupCtx<'_, M> {
 }
 
 /// The host's shared WAL group-commit barrier: the flag the per-group
-/// stores dirty, the physical sync that settles it, and the failure
-/// latch that crash-stops the whole host (the store is shared — one
-/// group's sync failure is every group's).
+/// stores dirty, the settle that hands the step's appends to the OS and
+/// pays the sync they owe, and the failure latch that crash-stops the
+/// whole host (the store is shared — one group's sync failure is every
+/// group's).
 struct HostBarrier {
     barrier: Arc<SyncBarrier>,
-    sync: Box<dyn FnMut() -> Result<(), StorageError> + Send>,
+    settle: Box<dyn FnMut(bool) -> Result<(), StorageError> + Send>,
     fsyncs: u64,
     failed: Option<StorageError>,
 }
@@ -262,17 +263,19 @@ where
     }
 
     /// Routes every group's deferred group-commit sync debt through
-    /// `barrier`, settled by `sync` (one physical fsync of the shared
-    /// backend) at each host step end. A sync failure crash-stops the
-    /// whole host, since the store is shared.
+    /// `barrier`, settled by `settle` at each host step end: it hands
+    /// the step's buffered appends to the OS (one write) and, when its
+    /// argument says the barrier was dirtied, pays one physical fsync of
+    /// the shared backend. A failure crash-stops the whole host, since
+    /// the store is shared.
     pub(crate) fn set_sync_barrier(
         &mut self,
         barrier: Arc<SyncBarrier>,
-        sync: impl FnMut() -> Result<(), StorageError> + Send + 'static,
+        settle: impl FnMut(bool) -> Result<(), StorageError> + Send + 'static,
     ) {
         self.barrier = Some(HostBarrier {
             barrier,
-            sync: Box::new(sync),
+            settle: Box::new(settle),
             fsyncs: 0,
             failed: None,
         });
@@ -338,11 +341,12 @@ where
             .open(ctx, GroupedMsg::Batch, self.wire_meter.clone())
     }
 
-    /// Settles the step's WAL syncs: each group's own deferred sync
+    /// Settles the step's WAL writes: each group's own deferred sync
     /// (a no-op for stores routed to the shared barrier), then the shared
-    /// barrier — if any group dirtied the shared log this step, one
-    /// physical fsync covers them all. Runs before any frame leaves the
-    /// host (write-ahead: group "sends" only ever reached the host's
+    /// barrier — every group's appends of the step reach the OS in one
+    /// write and, if any group dirtied the shared log, one physical
+    /// fsync covers them all. Runs before any frame leaves the host
+    /// (write-ahead: group "sends" only ever reached the host's
     /// buffers). A failure crash-stops the host and the runtime discards
     /// the step's output.
     fn sync_step(&mut self) {
@@ -350,11 +354,12 @@ where
             g.sync_step();
         }
         if let Some(hb) = &mut self.barrier {
-            if hb.failed.is_some() || !hb.barrier.settle() {
+            if hb.failed.is_some() {
                 return;
             }
-            hb.fsyncs += 1;
-            if let Err(e) = (hb.sync)() {
+            let dirty = hb.barrier.settle();
+            hb.fsyncs += u64::from(dirty);
+            if let Err(e) = (hb.settle)(dirty) {
                 hb.failed = Some(e);
             }
         }
@@ -620,18 +625,6 @@ mod tests {
     }
 
     impl Persistence<Counter> for CountCommits {
-        fn log_invoke(&mut self, _: &SharedReq<CounterOp>, _: u64) -> Result<(), StorageError> {
-            Ok(())
-        }
-        fn log_tentative(&mut self, _: &SharedReq<CounterOp>, _: u64) -> Result<(), StorageError> {
-            Ok(())
-        }
-        fn log_tob_events(
-            &mut self,
-            _: Vec<bayou_broadcast::TobEvent<SharedReq<CounterOp>>>,
-        ) -> Result<(), StorageError> {
-            Ok(())
-        }
         fn log_commit_batch(&mut self, reqs: &[SharedReq<CounterOp>]) -> Result<(), StorageError> {
             self.log.lock().unwrap().push((self.gid, reqs.len()));
             Ok(())

@@ -98,8 +98,14 @@ where
         })
         .collect();
     let mut host = GroupedReplica::new(replicas);
-    let mut sync_handle = shared;
-    host.set_sync_barrier(barrier, move || sync_handle.sync());
+    let mut handle = shared;
+    host.set_sync_barrier(barrier, move |dirty| {
+        if dirty {
+            handle.sync() // flushes first
+        } else {
+            handle.flush()
+        }
+    });
     host
 }
 
@@ -122,76 +128,53 @@ where
     S: StateObject<F>,
     B: Storage + Send + 'static,
 {
-    let (mut store, recovered) = ReplicaStore::<F, B>::open(backend, n, store_cfg)
+    let (mut store, mut recovered) = ReplicaStore::<F, B>::open(backend, n, store_cfg)
         .unwrap_or_else(|e| panic!("replica {me} cannot open its store: {e}"));
     store.defer_sync_to_barrier(barrier);
 
     // High-water marks: never reuse a TOB-cast number or an event
-    // number. Scanned over the *full* durable event stream, not just the
-    // FIFO-released deliveries: a request of ours can be decided (and
-    // pruned from pending) while an earlier cast of ours is still
-    // undecided, leaving it FIFO-blocked — reusing its (sender, seq) key
-    // would make the TOB silently drop the new request as a duplicate.
-    // Requests compacted below the snapshot's mark are covered by the
-    // mark's per-sender cast cursor and the persisted `event_high`
-    // vector (the payloads themselves are gone).
-    let mut tob_seq = recovered.mark.next_for(me);
-    let mut curr_event_no = recovered.event_high.get(me.index()).copied().unwrap_or(0);
-    let mut note = |origin: ReplicaId, seq: Option<u64>, event_no: u64| {
-        if origin == me {
-            if let Some(seq) = seq {
-                tob_seq = tob_seq.max(seq + 1);
-            }
-            curr_event_no = curr_event_no.max(event_no);
+    // number. The store's `event_high` covers every dot it ever logged,
+    // compacted requests included. Cast numbers are scanned over the
+    // *full* durable event stream, not just the FIFO-released
+    // deliveries: a request of ours can be decided (and pruned from
+    // pending) while an earlier cast of ours is still undecided, leaving
+    // it FIFO-blocked — reusing its (sender, seq) key would make the TOB
+    // silently drop the new request as a duplicate. Casts compacted
+    // below the snapshot's mark are covered by the mark's per-sender
+    // cursor.
+    let curr_event_no = recovered.event_high.get(me.index()).copied().unwrap_or(0);
+    let events = recovered.tob_events.iter().filter_map(|ev| match ev {
+        TobEvent::Promised { .. } => None,
+        TobEvent::Accepted { sender, seq, .. } | TobEvent::Decided { sender, seq, .. } => {
+            Some((*sender, *seq))
         }
-    };
-    for ev in &recovered.tob_events {
-        match ev {
-            TobEvent::Promised { .. } => {}
-            TobEvent::Accepted {
-                sender,
-                seq,
-                payload,
-                ..
-            }
-            | TobEvent::Decided {
-                sender,
-                seq,
-                payload,
-                ..
-            } => {
-                note(*sender, Some(*seq), 0);
-                note(payload.origin(), None, payload.id().event_no());
-            }
-        }
-    }
-    for (kind, seq, req) in &recovered.pending {
-        let cast_seq = (*kind == PendingKind::Invoke).then_some(*seq);
-        note(req.origin(), cast_seq, req.id().event_no());
-    }
+    });
+    let invoked = (recovered.pending.iter())
+        .filter(|(kind, ..)| *kind == PendingKind::Invoke)
+        .map(|(_, seq, req)| (req.origin(), *seq));
+    let tob_seq = events
+        .chain(invoked)
+        .filter(|(sender, _)| *sender == me)
+        .map(|(_, seq)| seq + 1)
+        .fold(recovered.mark.next_for(me), u64::max);
 
     let mut tob = PaxosTob::new(n, paxos);
     // resume the endpoint on the compaction floor first, then replay the
     // retained durable events above it
     tob.install_baseline(&recovered.mark);
-    let replayed = tob.restore(recovered.tob_events);
-    debug_assert_eq!(
-        replayed.len(),
-        recovered.deliveries.len(),
+    let replayed = tob.restore(std::mem::take(&mut recovered.tob_events));
+    debug_assert!(
+        replayed
+            .iter()
+            .map(|d| d.payload.id())
+            .eq(recovered.deliveries.iter().map(|r| r.id())),
         "TOB restore and store FIFO replay must agree on the delivery order"
     );
-
-    let deliveries: Vec<SharedReq<F::Op>> = replayed.into_iter().map(|d| d.payload).collect();
     BayouReplica::recover(
         n,
         mode,
         tob,
-        deliveries,
-        recovered.snapshot_state,
-        recovered.snapshot_delivered,
-        recovered.mark,
-        recovered.baseline,
-        recovered.pending,
+        recovered,
         curr_event_no,
         tob_seq,
         Box::new(store),

@@ -32,7 +32,7 @@
 //! * TOB deliveries commit **batched**: one handler step's whole
 //!   delivery batch is spliced into the committed list with a *single*
 //!   re-planning pass (`adjust_execution`), a single stable-prefix
-//!   refresh, a single group-commit persistence call
+//!   refresh, a single snapshot-cadence count
 //!   ([`bayou_storage::Persistence::log_commit_batch`]) and a single
 //!   compaction check — the unit of work above the state object is "the
 //!   batch this step drained", not "one request" (a lone delivery is a
@@ -60,9 +60,9 @@
 //! decided log there (at a clean sender-FIFO boundary, captured as a
 //! [`BaselineMark`]) and the replica follows: the payloads of exactly
 //! that prefix are dropped from `committed`/`executed`, their combined
-//! effect is folded into a retained *baseline state*, and the store is
-//! told ([`bayou_storage::Persistence::note_stable`]) so snapshots
-//! become compact and old WAL segments die.
+//! effect is folded into a retained *baseline state*, and the next
+//! snapshot the replica cuts sits on the new floor, so snapshots stay
+//! compact and old WAL segments die.
 //!
 //! *Safety.* A cursor is only reported once the deliveries it covers are
 //! durable at the reporter (the WAL write happens inside the same atomic
@@ -86,9 +86,11 @@
 //! replayable.
 
 use crate::api::{ExecTrace, Invocation, Invoked, Response, Served};
-use bayou_broadcast::{BaselineMark, LinkMsg, MapCtx, RbMsg, ReliableBroadcast, Tob, TobDelivery};
+use bayou_broadcast::{
+    BaselineMark, LinkMsg, MapCtx, RbMsg, ReliableBroadcast, Tob, TobDelivery, TobEvent,
+};
 use bayou_data::{DataType, DeltaState, StateObject};
-use bayou_storage::{NullPersistence, PendingKind, Persistence, StorageError};
+use bayou_storage::{NullPersistence, PendingKind, Persistence, Recovered, Snapshot, StorageError};
 use bayou_types::{
     wire, Context, Dot, LeaseConfig, ReplicaId, Req, ReqId, SharedReq, TimerId, Value, VirtualTime,
 };
@@ -286,6 +288,19 @@ where
     /// the replica was built with [`BayouReplica::with_persistence`] or
     /// [`BayouReplica::recover`]).
     persist: Box<dyn Persistence<F> + Send>,
+    /// Reusable buffer: the TOB's durable transitions of the current
+    /// step, on their way to the write-ahead log.
+    tob_events: Vec<TobEvent<SharedReq<F::Op>>>,
+    /// Own requests TOB-cast without entering the tentative order (the
+    /// Improved mode's strong operations), with their cast numbers,
+    /// until they commit: with `tentative`, the undecided requests a
+    /// snapshot lists as pending.
+    ordered_only: Vec<(u64, SharedReq<F::Op>)>,
+    /// Per-origin high-water of the dot event numbers written ahead —
+    /// every logged request and every payload of a logged TOB fact. A
+    /// snapshot records it so recovered dots never collide, even with
+    /// requests whose payloads compaction dropped.
+    event_high: Vec<u64>,
     /// Requests recovered from the WAL that are not yet decided: they
     /// are re-submitted into the TOB on start (relay guarantee across
     /// restarts). `(tob_seq, request)`, the origin being the request's.
@@ -389,6 +404,9 @@ where
             invoked: None,
             last_commit: (0, Vec::new()),
             persist: Box::new(NullPersistence),
+            tob_events: Vec::new(),
+            ordered_only: Vec::new(),
+            event_high: vec![0; n],
             recovered_pending: Vec::new(),
             compacted: 0,
             baseline: F::State::default(),
@@ -427,7 +445,10 @@ where
     ///
     /// The caller (see `bayou_core::recover_grouped_paxos` for the
     /// standard wiring) has already restored the TOB endpoint from the
-    /// durable event stream and derived:
+    /// durable event stream (`recovered.tob_events`, not read here) and
+    /// derived `curr_event_no` / `tob_seq`, high-water marks so new dots
+    /// and TOB-cast sequence numbers never collide with pre-crash ones.
+    /// From the rest of the recovered image:
     ///
     /// * `deliveries` — the local TOB delivery order *above the
     ///   compaction mark* (the retained committed list as of the crash);
@@ -438,28 +459,31 @@ where
     ///   `mark.delivered` deliveries exist only as the baseline state;
     /// * `pending` — logged requests not yet decided, to re-enter the
     ///   tentative order and be re-submitted to the TOB on start;
-    /// * `curr_event_no` / `tob_seq` — high-water marks so new dots and
-    ///   TOB-cast sequence numbers never collide with pre-crash ones.
+    /// * `event_high` — the dot high-waters the next snapshot records.
     ///
     /// Responses owed to clients at crash time are *not* recovered:
     /// Bayou clients observe a crashed replica as a lost session and
     /// retry (weak responses were tentative anyway; strong requests
     /// re-execute deduplicated by their dot).
-    #[allow(clippy::too_many_arguments)]
     pub fn recover(
         n: usize,
         mode: ProtocolMode,
         mut tob: T,
-        deliveries: Vec<SharedReq<F::Op>>,
-        snapshot_state: F::State,
-        snapshot_delivered: u64,
-        mark: BaselineMark,
-        baseline: F::State,
-        pending: Vec<(PendingKind, u64, SharedReq<F::Op>)>,
+        recovered: Recovered<F>,
         curr_event_no: u64,
         tob_seq: u64,
         persist: Box<dyn Persistence<F> + Send>,
     ) -> Self {
+        let Recovered {
+            deliveries,
+            snapshot_state,
+            snapshot_delivered,
+            pending,
+            mark,
+            baseline,
+            event_high,
+            ..
+        } = recovered;
         tob.set_durable(true); // after restore: recovery facts are already on disk
         let compacted = mark.delivered;
         let stable = (snapshot_delivered.saturating_sub(compacted) as usize).min(deliveries.len());
@@ -514,6 +538,7 @@ where
             to_be_executed,
             tob_seq,
             persist,
+            event_high,
             recovered_pending,
             compacted,
             baseline,
@@ -597,14 +622,6 @@ where
     /// [`BayouReplica::compacted_count`] committed requests.
     pub fn baseline_state(&self) -> &F::State {
         &self.baseline
-    }
-
-    /// The compaction floor and baseline state the durable store holds
-    /// — folded forward by the store itself, and required to match
-    /// [`BayouReplica::baseline_state`] at the same floor. `None` without
-    /// a durable store.
-    pub fn durable_baseline(&self) -> Option<(&BaselineMark, &F::State)> {
-        self.persist.baseline()
     }
 
     /// The storage failure that crash-stopped this replica, if any. A
@@ -779,13 +796,82 @@ where
 
     /// Collects the TOB's durable transitions from the step that just
     /// ran and writes them ahead (no-op with [`NullPersistence`] and a
-    /// TOB whose durability is off).
+    /// TOB whose durability is off). The event buffer is reused.
     fn persist_tob_events(&mut self) {
-        let events = self.tob.drain_durable();
-        if !events.is_empty() {
-            let res = self.persist.log_tob_events(events);
-            self.persist_ok(res);
+        self.tob.drain_durable(&mut self.tob_events);
+        if self.tob_events.is_empty() {
+            return;
         }
+        for ev in &self.tob_events {
+            if let TobEvent::Accepted { payload, .. } | TobEvent::Decided { payload, .. } = ev {
+                note_event(&mut self.event_high, payload);
+            }
+        }
+        match self
+            .persist
+            .log_tob_events(std::mem::take(&mut self.tob_events))
+        {
+            Ok(emptied) => self.tob_events = emptied,
+            Err(e) => {
+                self.failure.get_or_insert(e);
+            }
+        }
+    }
+
+    /// The image of this replica a snapshot records: the state at every
+    /// delivery, the compaction floor with its baseline, the TOB's
+    /// durable facts above the floor and the requests still undecided
+    /// (`me` tells own invocations from relayed ones).
+    fn snapshot_image(&self, me: ReplicaId) -> Snapshot<F> {
+        let state = if self.lease.is_some() {
+            self.committed_state.clone()
+        } else {
+            let mut state = self.baseline.clone();
+            for r in &self.committed {
+                F::apply(&mut state, &r.op);
+            }
+            state
+        };
+        let mark = &self.baseline_mark;
+        let mut image = Snapshot {
+            delivered: self.committed_total(),
+            state,
+            promised: (0, ReplicaId::new(0)),
+            accepted: Vec::new(),
+            decided: Vec::new(),
+            pending: Vec::new(),
+            mark: mark.clone(),
+            baseline: self.baseline.clone(),
+            event_high: self.event_high.clone(),
+        };
+        image.set_tob_image(self.tob.durable_image(mark.slot_floor));
+        let tentative = self
+            .tentative
+            .iter()
+            .map(|r| (self.tentative_seq[&r.id()], r));
+        let ordered = self.ordered_only.iter().map(|(seq, r)| (*seq, r));
+        image.pending = tentative
+            .chain(ordered)
+            .filter(|(seq, r)| !self.tob.is_decided(r.origin(), *seq))
+            .map(|(seq, r)| {
+                let kind = if r.origin() == me {
+                    PendingKind::Invoke
+                } else {
+                    PendingKind::Tentative
+                };
+                (kind, seq, r.as_ref().clone())
+            })
+            .collect();
+        image.pending.sort_by_key(|(_, _, r)| r.id());
+        image
+    }
+
+    /// Cuts a snapshot of this replica and hands it to the store (a
+    /// failure crash-stops the replica).
+    fn save_snapshot(&mut self, me: ReplicaId) {
+        let image = self.snapshot_image(me);
+        let res = self.persist.save_snapshot(&image);
+        self.persist_ok(res);
     }
 
     /// Length of the retained stable (executed ∧ committed) prefix.
@@ -882,7 +968,7 @@ where
             // the baseline we serve to laggards can step them over it
             if mark.delivered == self.compacted && mark.slot_floor > self.baseline_mark.slot_floor {
                 self.baseline_mark = mark.clone();
-                self.persist_stable();
+                self.tob.release_decided(self.baseline_mark.slot_floor);
             }
             return;
         }
@@ -902,15 +988,7 @@ where
         self.dropped_since_state += k;
         self.compacted = mark.delivered;
         self.baseline_mark = mark;
-        self.persist_stable();
-    }
-
-    /// Tells the store the compaction floor (and its baseline) moved.
-    fn persist_stable(&mut self) {
-        let res = self
-            .persist
-            .note_stable(&self.baseline_mark, &self.baseline);
-        self.persist_ok(res);
+        self.tob.release_decided(self.baseline_mark.slot_floor);
     }
 
     /// Installs a baseline received from a peer: this replica fell below
@@ -959,6 +1037,8 @@ where
             self.tentative_seq.remove(&r.id());
             self.reqs_awaiting_resp.remove(&r.id());
         }
+        self.ordered_only
+            .retain(|(seq, r)| *seq >= mark.next_for(r.origin()));
         // reset speculation on top of the baseline: nothing is executed,
         // the committed list restarts (empty) at the mark. Responses
         // still owed for requests inside the cleared prefix can never be
@@ -984,7 +1064,10 @@ where
         self.state = S::with_state(state);
         self.dropped_since_state = 0;
         self.adjust_execution();
-        self.persist_stable();
+        self.tob.release_decided(self.baseline_mark.slot_floor);
+        // the new prefix is made durable at once, so a crash cannot fall
+        // back below the cluster-wide floor again
+        self.save_snapshot(me);
     }
 
     /// Reacts to the TOB flagging that our prefix fell below a peer's
@@ -1016,9 +1099,14 @@ where
         }
         self.persist_tob_events();
         if !self.committed_contains(r.id()) && !self.tentative_seq.contains_key(&r.id()) {
-            let res = self.persist.log_tentative(&r, wire.tob_seq);
-            if !self.persist_ok(res) {
-                return;
+            // a request the TOB already decided is on disk as that
+            // decision: only an undecided one needs its own record
+            if !self.tob.is_decided(r.origin(), wire.tob_seq) {
+                note_event(&mut self.event_high, &r);
+                let res = self.persist.log_tentative(&r, wire.tob_seq);
+                if !self.persist_ok(res) {
+                    return;
+                }
             }
             self.adjust_tentative_order(r, wire.tob_seq);
         }
@@ -1037,6 +1125,7 @@ where
         self.tob_seq += 1;
         // write-ahead: the request (with its TOB-cast number) is durable
         // before any frame carrying it can leave this step
+        note_event(&mut self.event_high, r);
         let res = self.persist.log_invoke(r, seq);
         if !self.persist_ok(res) {
             return None;
@@ -1048,6 +1137,8 @@ where
             };
             let mut rctx = MapCtx::new(ctx, BayouMsg::Rb);
             self.rb.broadcast(wire, &mut rctx);
+        } else {
+            self.ordered_only.push((seq, r.clone()));
         }
         let mut tctx = MapCtx::new(ctx, BayouMsg::Tob);
         self.tob.cast(seq, r.clone(), &mut tctx);
@@ -1071,7 +1162,7 @@ where
     /// perform are all subsumed by the final one; the response condition
     /// (`executed` after the step) is likewise monotone across the
     /// batch, and responses are emitted in delivery order either way.
-    fn commit_batch(&mut self, batch: &mut Vec<TobDelivery<SharedReq<F::Op>>>) {
+    fn commit_batch(&mut self, batch: &mut Vec<TobDelivery<SharedReq<F::Op>>>, me: ReplicaId) {
         debug_assert!(self.commit_scratch.is_empty());
         for d in batch.drain(..) {
             let r = d.payload;
@@ -1084,9 +1175,8 @@ where
         if self.commit_scratch.is_empty() {
             return;
         }
-        // group commit: the whole batch becomes durable (and feeds the
-        // snapshot cadence once) through a single persistence call,
-        // still inside the atomic handler step
+        // the batch's decisions are on disk already; it feeds the
+        // snapshot cadence once
         let res = self.persist.log_commit_batch(&self.commit_scratch);
         if !self.persist_ok(res) {
             self.commit_scratch.clear();
@@ -1114,6 +1204,16 @@ where
             let tentative_seq = &self.tentative_seq;
             self.tentative
                 .retain(|x| tentative_seq.contains_key(&x.id()));
+        }
+        if !self.ordered_only.is_empty() {
+            let committed = &self.committed_set;
+            self.ordered_only
+                .retain(|(_, r)| !committed.contains(&r.id()));
+        }
+        // the snapshot point: the batch is committed, nothing of the
+        // step has left yet
+        if self.persist.snapshot_due() {
+            self.save_snapshot(me);
         }
         self.adjust_execution();
         // allow the state object to drop undo records of the stable
@@ -1380,7 +1480,7 @@ where
         // execute and before any coalesced frame leaves the step
         self.persist_tob_events();
         let mut deliveries = std::mem::take(&mut self.deliveries);
-        self.commit_batch(&mut deliveries);
+        self.commit_batch(&mut deliveries, ctx.id());
         self.deliveries = deliveries;
         self.serve_parked_reads(ctx);
         // the TOB floor can advance on delivery-free steps too (a cursor
@@ -1487,6 +1587,13 @@ where
     }
 }
 
+/// Raises `event_high`'s entry for `req`'s origin to its dot.
+fn note_event<Op>(event_high: &mut [u64], req: &Req<Op>) {
+    if let Some(h) = event_high.get_mut(req.origin().index()) {
+        *h = (*h).max(req.id().event_no());
+    }
+}
+
 impl<F, T, S> fmt::Debug for BayouReplica<F, T, S>
 where
     F: DataType,
@@ -1568,12 +1675,15 @@ pub(crate) mod tests {
         r: &mut BayouReplica<F, NullTob<SharedReq<F::Op>>, S>,
         req: SharedReq<F::Op>,
     ) {
-        r.commit_batch(&mut vec![TobDelivery {
-            sender: req.origin(),
-            seq: 0,
-            tob_no: r.committed_total(),
-            payload: req,
-        }]);
+        r.commit_batch(
+            &mut vec![TobDelivery {
+                sender: req.origin(),
+                seq: 0,
+                tob_no: r.committed_total(),
+                payload: req,
+            }],
+            ReplicaId::new(0),
+        );
     }
 
     fn shared(ts: i64, replica: u32, n: u64, level: Level, op: ListOp) -> SharedReq<ListOp> {
@@ -1699,20 +1809,23 @@ pub(crate) mod tests {
         drive(&mut r);
         // a duplicate alone, then a duplicate ahead of a fresh request
         commit(&mut r, a.clone());
-        r.commit_batch(&mut vec![
-            TobDelivery {
-                sender: a.origin(),
-                seq: 0,
-                tob_no: 0,
-                payload: a,
-            },
-            TobDelivery {
-                sender: b.origin(),
-                seq: 1,
-                tob_no: 1,
-                payload: b,
-            },
-        ]);
+        r.commit_batch(
+            &mut vec![
+                TobDelivery {
+                    sender: a.origin(),
+                    seq: 0,
+                    tob_no: 0,
+                    payload: a,
+                },
+                TobDelivery {
+                    sender: b.origin(),
+                    seq: 1,
+                    tob_no: 1,
+                    payload: b,
+                },
+            ],
+            ReplicaId::new(0),
+        );
         drive(&mut r);
         assert_eq!(r.committed_ids().len(), 2);
         assert_eq!(r.stats().tob_deliveries, 2);

@@ -18,16 +18,21 @@
 //! between an early and a late measurement window.
 //!
 //! Compaction has the same rule: a floor advance folds the requests it
-//! passes into the baselines (O(requests passed), never a copy of the
+//! passes into the baseline (O(requests passed), never a copy of the
 //! state), and a step where the floor stays put costs nothing. So does
-//! the Paxos leader: proposing behind a backlog walks it in place.
+//! the Paxos leader: proposing behind a backlog walks it in place, and
+//! so does the WAL: an append through the store the server wires
+//! allocates nothing.
 
 use bayou_broadcast::{Ballot, BaselineMark, PaxosConfig, PaxosMsg, PaxosTob, Tob, TobDelivery};
 use bayou_core::{BayouMsg, BayouReplica, ProtocolMode};
 use bayou_data::{DeltaState, KvOp, KvOpView, KvStore};
-use bayou_storage::{frame_into, MemDisk, ReplicaStore, StoreConfig, FRAME_OVERHEAD};
+use bayou_storage::{
+    frame_into, MemDisk, Persistence, Prefixed, ReplicaStore, SharedBackend, StoreConfig,
+    SyncBarrier, FRAME_OVERHEAD,
+};
 use bayou_types::{
-    BufPool, Context, Dot, Level, ReplicaId, Req, ReqMeta, SharedReq, TimerId, Timestamp,
+    BufPool, Context, Dot, GroupId, Level, ReplicaId, Req, ReqMeta, SharedReq, TimerId, Timestamp,
     VirtualTime, Wire, WireReader, WireView,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -263,8 +268,8 @@ fn compacting_replica_over(keys: u64) -> (R, u64) {
 }
 
 /// A floor advance over `k` commits folds those `k` requests into the
-/// replica's and the store's baselines: O(k) allocations, whatever the
-/// size of the state. Copying the state instead (10⁴ keys, one `String`
+/// replica's baseline: O(k) allocations, whatever the size of the
+/// state. Copying the state instead (10⁴ keys, one `String`
 /// each) costs thousands.
 #[test]
 fn floor_advance_allocates_per_request_passed_not_per_key() {
@@ -281,12 +286,6 @@ fn floor_advance_allocates_per_request_passed_not_per_key() {
             "a floor advance over {K} commits made {spent} allocations: it copies the state"
         );
     }
-    let (_, durable) = r.durable_baseline().expect("a durable store");
-    assert_eq!(
-        durable,
-        r.baseline_state(),
-        "the store folded the same prefix"
-    );
 }
 
 /// A settle where the compaction floor did not move touches the floor by
@@ -466,4 +465,53 @@ fn wire_layer_steady_state_allocates_zero_per_frame() {
         spent, 0,
         "steady-state wire path must allocate nothing: {spent} allocations over {FRAMES} frames"
     );
+}
+
+/// A steady-state WAL append through the stack the server wires — one
+/// group's `Prefixed` view of a `SharedBackend`, its sync demands routed
+/// to the host's barrier — allocates nothing per record: the record is
+/// framed into a pooled buffer, the prefixed file name is rebuilt in
+/// place and the disk finds the open segment by `&str`. What remains is
+/// the disk's own byte buffer growing by doubling: O(log bytes) over the
+/// run, not one per record.
+#[test]
+fn wal_append_through_the_wired_store_allocates_nothing() {
+    let shared = SharedBackend::new(MemDisk::new());
+    let view = Prefixed::new(shared.clone(), GroupId::new(0));
+    let cfg = StoreConfig {
+        snapshot_every: u64::MAX,
+        segment_max_bytes: usize::MAX,
+        sync_every_record: true,
+    };
+    let (mut store, _) = ReplicaStore::<KvStore, _>::open(view, 3, cfg).unwrap();
+    store.defer_sync_to_barrier(Arc::new(SyncBarrier::new()));
+    let reqs: Vec<SharedReq<KvOp>> = (0..64u64)
+        .map(|no| {
+            Arc::new(Req::new(
+                Timestamp::new(no as i64),
+                Dot::new(ReplicaId::new(0), no + 1),
+                Level::Weak,
+                KvOp::put(format!("key{}", no % 8), no as i64),
+            ))
+        })
+        .collect();
+    // warm-up: the pooled buffer and the name buffer reach full size
+    for (seq, r) in reqs.iter().enumerate().take(8) {
+        store.log_invoke(r, seq as u64).unwrap();
+    }
+    const RECORDS: u64 = 2_000;
+    let before = allocations();
+    for seq in 8..RECORDS {
+        let r = &reqs[seq as usize % reqs.len()];
+        store.log_invoke(r, seq).unwrap();
+    }
+    let spent = allocations() - before;
+    let doublings = u64::from(shared.with(|d| d.stats().appended_bytes).ilog2());
+    assert!(
+        spent <= doublings,
+        "a steady-state append allocated: {spent} allocations over {} records, \
+         more than the disk buffer's {doublings} doublings",
+        RECORDS - 8
+    );
+    assert_eq!(spent / RECORDS, 0, "allocations per record");
 }

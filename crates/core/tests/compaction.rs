@@ -146,69 +146,6 @@ fn restart_recovers_from_a_compact_snapshot() {
     );
 }
 
-/// The store keeps its own baseline, folded forward over the deliveries
-/// each floor advance passes, instead of copying the replica's. Stepping
-/// a durable compacting cluster through a crash and a restart event by
-/// event, the two must sit on the same floor with equal states after
-/// every step, and a recovered replica must start from the baseline its
-/// store folded before the crash.
-#[test]
-fn store_folds_the_same_baseline_as_the_replica_across_restarts() {
-    let n = 3;
-    let disks: Vec<MemDisk> = (0..n).map(|_| MemDisk::new()).collect();
-    let store_cfg = StoreConfig {
-        snapshot_every: 16,
-        ..Default::default()
-    };
-    let deadline = VirtualTime::from_secs(30);
-    let sim = SimConfig::new(n, 9)
-        .with_crash(ms(1_500), ReplicaId::new(2))
-        .with_restart(ms(2_500), ReplicaId::new(2))
-        .with_max_time(deadline);
-    let mut cluster: BayouCluster<KvStore> =
-        BayouCluster::with_factory(sim, durable_factory(n, disks, store_cfg));
-    for k in 0..150u64 {
-        cluster.invoke_at(
-            ms(1 + 25 * k),
-            ReplicaId::new((k % 3) as u32),
-            KvOp::put(format!("k{}", k % 7), k as i64),
-            Level::Weak,
-        );
-    }
-    let mut floors = [0u64; 3];
-    let mut advances = 0;
-    while cluster.step_until(deadline) == Some(true) {
-        for r in ReplicaId::all(n) {
-            let replica = cluster.replica(r);
-            let (mark, state) = replica.durable_baseline().expect("durable store");
-            assert_eq!(
-                mark.delivered,
-                replica.compacted_count(),
-                "{r}: store and replica sit on different floors"
-            );
-            assert_eq!(
-                state,
-                replica.baseline_state(),
-                "{r}: store folded a different baseline at floor {}",
-                mark.delivered
-            );
-            if mark.delivered != floors[r.index()] {
-                floors[r.index()] = mark.delivered;
-                advances += 1;
-            }
-        }
-    }
-    cluster.assert_convergence(&[]);
-    assert!(advances > 20, "the floor barely moved: {advances} advances");
-    // fully compacted at quiescence: each baseline is the whole state,
-    // the restarted replica's included (it resumed from a folded one)
-    for r in ReplicaId::all(n) {
-        let replica = cluster.replica(r);
-        assert_eq!(replica.compacted_count(), replica.committed_total());
-        assert_eq!(replica.baseline_state(), &replica.materialize());
-    }
-}
-
 /// A replica that loses its entire state (diskless restart) while the
 /// rest of the cluster has compacted past it can no longer be caught up
 /// by replay — the missing requests do not exist anywhere. It must be
@@ -352,8 +289,14 @@ impl Tob<SharedReq<KvOp>> for Counted {
     fn lease_ready(&mut self, now: Timestamp, index: u64) -> bool {
         self.tob.lease_ready(now, index)
     }
-    fn drain_durable(&mut self) -> Vec<TobEvent<SharedReq<KvOp>>> {
-        self.tob.drain_durable()
+    fn drain_durable(&mut self, out: &mut Vec<TobEvent<SharedReq<KvOp>>>) {
+        self.tob.drain_durable(out)
+    }
+    fn durable_image(&self, slot_floor: u64) -> Vec<TobEvent<SharedReq<KvOp>>> {
+        self.tob.durable_image(slot_floor)
+    }
+    fn release_decided(&mut self, slot_floor: u64) {
+        self.tob.release_decided(slot_floor)
     }
     fn stable_delivered(&self) -> u64 {
         self.tob.stable_delivered()
@@ -369,6 +312,9 @@ impl Tob<SharedReq<KvOp>> for Counted {
     }
     fn released_seq(&self, sender: ReplicaId) -> u64 {
         self.tob.released_seq(sender)
+    }
+    fn is_decided(&self, sender: ReplicaId, seq: u64) -> bool {
+        self.tob.is_decided(sender, seq)
     }
     fn retained_keys(&self) -> usize {
         self.tob.retained_keys()

@@ -2,16 +2,20 @@
 //! record, snapshot and manifest against torn writes and bit rot.
 //!
 //! Implemented locally because the build environment is offline (no
-//! `crc32fast`). A 256-entry table makes it one lookup per byte — fast
-//! enough that framing, not checksumming, dominates WAL append cost.
+//! `crc32fast`). Slicing-by-8: eight 256-entry tables fold eight input
+//! bytes per step with independent lookups, about four times the speed
+//! of the one-lookup-per-byte loop it replaces. That loop stays as the
+//! reference the tests compare against.
 
-/// Lazily built lookup table for the reflected IEEE polynomial.
-fn table() -> &'static [u32; 256] {
+/// Lazily built lookup tables for the reflected IEEE polynomial: `t[0]`
+/// is the classic per-byte table, `t[k]` advances a byte through `k`
+/// further zero bytes.
+fn tables() -> &'static [[u32; 256]; 8] {
     use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
+    static TABLES: OnceLock<[[u32; 256]; 8]> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut t = [[0u32; 256]; 8];
+        for (i, e) in t[0].iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
                 c = if c & 1 != 0 {
@@ -21,6 +25,12 @@ fn table() -> &'static [u32; 256] {
                 };
             }
             *e = c;
+        }
+        for k in 1..8 {
+            let (done, rest) = t.split_at_mut(k);
+            for (e, prev) in rest[0].iter_mut().zip(done[k - 1]) {
+                *e = (prev >> 8) ^ done[0][(prev & 0xFF) as usize];
+            }
         }
         t
     })
@@ -36,10 +46,23 @@ fn table() -> &'static [u32; 256] {
 /// assert_eq!(bayou_storage::crc32(b"123456789"), 0xCBF4_3926);
 /// ```
 pub fn crc32(data: &[u8]) -> u32 {
-    let t = table();
+    let t = tables();
     let mut c = !0u32;
-    for &b in data {
-        c = t[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -47,6 +70,17 @@ pub fn crc32(data: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The one-lookup-per-byte reference.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let t = &tables()[0];
+        let mut c = !0u32;
+        for &b in data {
+            c = t[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
 
     #[test]
     fn known_vectors() {
@@ -68,6 +102,32 @@ mod tests {
                 corrupt[i] ^= 1 << bit;
                 assert_ne!(crc32(&corrupt), good, "flip at byte {i} bit {bit}");
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..Default::default() })]
+
+        /// Every length and every start offset (so every alignment of
+        /// the 8-byte words and every remainder) agrees with the
+        /// reference.
+        #[test]
+        fn slicing_by_8_matches_the_bytewise_reference(
+            seed in 0u64..u64::MAX,
+            len in 0usize..600,
+            offset in 0usize..16,
+        ) {
+            let mut x = seed | 1;
+            let buf: Vec<u8> = (0..len + offset)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x as u8
+                })
+                .collect();
+            let data = &buf[offset..];
+            prop_assert_eq!(crc32(data), crc32_bytewise(data));
         }
     }
 }

@@ -13,11 +13,13 @@
 //!   is a framed, CRC-32-guarded [`WalRecord`] appended to the current
 //!   segment and fsynced *within the same atomic handler step* that
 //!   produced it, so nothing acknowledged or sent can be forgotten.
-//! * **Snapshots** — every [`StoreConfig::snapshot_every`] commits, the
-//!   state object materialized at the committed prefix (encoded through
-//!   the data type's `Wire` state codec from `bayou-data`) is written
-//!   atomically together with the TOB's durable facts; older segments
-//!   are then deleted, so recovery replays a bounded suffix.
+//! * **Snapshots** — every [`StoreConfig::snapshot_every`] commits the
+//!   replica cuts a [`Snapshot`] from its own state and its TOB's
+//!   durable image (the state object materialized at the committed
+//!   prefix, encoded through the data type's `Wire` state codec from
+//!   `bayou-data`), and the store writes it atomically; older segments
+//!   are then deleted, so recovery replays a bounded suffix. The store
+//!   keeps no copy of the state it persists.
 //! * **Manifest** — a checksummed, atomically-replaced blob naming the
 //!   live snapshot and segments; anything unreferenced is an orphan from
 //!   an interrupted install and is deleted on open.

@@ -79,6 +79,9 @@ impl<B: Storage> Storage for SharedBackend<B> {
     fn sync(&mut self) -> Result<(), StorageError> {
         self.lock().sync()
     }
+    fn flush(&mut self) -> Result<(), StorageError> {
+        self.lock().flush()
+    }
     fn read(&self, file: &str) -> Result<Vec<u8>, StorageError> {
         self.lock().read(file)
     }
@@ -116,6 +119,9 @@ fn group_prefix(group: GroupId) -> String {
 pub struct Prefixed<S: Storage> {
     inner: S,
     prefix: String,
+    /// The prefixed name of the last append, rebuilt in place: the
+    /// steady-state append allocates no name.
+    append_name: String,
 }
 
 impl<S: Storage> Prefixed<S> {
@@ -124,6 +130,7 @@ impl<S: Storage> Prefixed<S> {
         Prefixed {
             inner,
             prefix: group_prefix(group),
+            append_name: String::new(),
         }
     }
 
@@ -137,10 +144,16 @@ impl<S: Storage> Prefixed<S> {
 
 impl<S: Storage> Storage for Prefixed<S> {
     fn append(&mut self, file: &str, bytes: &[u8]) -> Result<(), StorageError> {
-        self.inner.append(&self.name(file), bytes)
+        self.append_name.clear();
+        self.append_name.push_str(&self.prefix);
+        self.append_name.push_str(file);
+        self.inner.append(&self.append_name, bytes)
     }
     fn sync(&mut self) -> Result<(), StorageError> {
         self.inner.sync()
+    }
+    fn flush(&mut self) -> Result<(), StorageError> {
+        self.inner.flush()
     }
     fn read(&self, file: &str) -> Result<Vec<u8>, StorageError> {
         self.inner.read(&self.name(file))

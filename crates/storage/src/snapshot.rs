@@ -22,9 +22,9 @@
 //! the compact form.
 
 use crate::backend::StorageError;
-use bayou_broadcast::BaselineMark;
+use bayou_broadcast::{BaselineMark, TobEvent};
 use bayou_data::DataType;
-use bayou_types::{wire, ReplicaId, Req, Wire, WireError, WireReader};
+use bayou_types::{wire, ReplicaId, Req, SharedReq, Wire, WireError, WireReader};
 
 const MAGIC: &[u8; 4] = b"BSNP";
 const VERSION: u32 = 2;
@@ -85,6 +85,39 @@ pub struct Snapshot<F: DataType> {
     /// this store (compacted ones included) — keeps recovered dots
     /// collision-free even when the requests themselves were truncated.
     pub event_high: Vec<u64>,
+}
+
+impl<F: DataType> Snapshot<F> {
+    /// Files a TOB endpoint's durable image
+    /// ([`bayou_broadcast::Tob::durable_image`]) as this snapshot's
+    /// promised ballot, accepted slots and decided log.
+    pub fn set_tob_image(&mut self, image: Vec<TobEvent<SharedReq<F::Op>>>) {
+        for event in image {
+            match event {
+                TobEvent::Promised { round, leader } => self.promised = (round, leader),
+                TobEvent::Accepted {
+                    slot,
+                    round,
+                    leader,
+                    sender,
+                    seq,
+                    payload,
+                } => {
+                    let req = payload.as_ref().clone();
+                    self.accepted.push((slot, round, leader, sender, seq, req));
+                }
+                TobEvent::Decided {
+                    slot,
+                    sender,
+                    seq,
+                    payload,
+                } => {
+                    let req = payload.as_ref().clone();
+                    self.decided.push((slot, sender, seq, req));
+                }
+            }
+        }
+    }
 }
 
 impl<F: DataType> Snapshot<F>

@@ -5,15 +5,20 @@
 //! # Write path
 //!
 //! Every hook appends one framed, checksummed record to the current
-//! segment; the fsync those records demand is paid once, at the *step
-//! barrier* ([`Persistence::sync_step`]) — group commit. The replica
-//! calls the hooks *inside* its atomic handler step and the barrier at
-//! its end, so a fact is on disk before any message or response
-//! produced by the same step leaves the process. Code that drives the
-//! hooks directly owes the barrier itself. Segments rotate at a size threshold; every
-//! [`StoreConfig::snapshot_every`] commits a [`Snapshot`] is written
-//! atomically, the manifest is switched over, and all older files are
-//! deleted.
+//! segment — encode, frame, hand to the backend, nothing else: the store
+//! keeps no copy of what the records say. The fsync those records demand
+//! is paid once, at the *step barrier* ([`Persistence::sync_step`]) —
+//! group commit. The replica calls the hooks *inside* its atomic handler
+//! step and the barrier at its end, so a fact is on disk before any
+//! message or response produced by the same step leaves the process.
+//! Code that drives the hooks directly owes the barrier itself. Segments
+//! rotate at a size threshold.
+//!
+//! Every [`StoreConfig::snapshot_every`] commits a snapshot is due
+//! ([`Persistence::snapshot_due`]): the replica cuts the image from its
+//! own state and its TOB endpoint and hands it to
+//! [`Persistence::save_snapshot`], which writes it atomically, switches
+//! the manifest over and deletes all older files.
 //!
 //! # Recovery path
 //!
@@ -30,10 +35,11 @@ use crate::backend::{Storage, StorageError};
 use crate::manifest::Manifest;
 use crate::record::{frame_into, scan_frames, FrameScan, WalRecord, WalRecordRef};
 use crate::snapshot::{PendingKind, Snapshot};
-use bayou_broadcast::{BaselineMark, FifoRelease, TobEvent};
+use bayou_broadcast::{BaselineMark, FifoRelease, PaxosTob, Tob, TobEvent};
 use bayou_data::DataType;
 use bayou_types::{BufPool, ReplicaId, ReqId, SharedReq, VirtualTime, Wire};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashSet};
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 const SEGMENT_MAGIC: &[u8; 4] = b"BSEG";
@@ -90,7 +96,8 @@ impl Default for StoreConfig {
     }
 }
 
-/// The persistence hooks a replica drives.
+/// The persistence hooks a replica drives. Every hook defaults to doing
+/// nothing, which is [`NullPersistence`].
 ///
 /// Every hook returns a typed [`StorageError`] on failure instead of
 /// panicking: a replica that cannot persist must **crash-stop** — stop
@@ -103,47 +110,59 @@ impl Default for StoreConfig {
 pub trait Persistence<F: DataType> {
     /// Logs a locally invoked request (before it is broadcast), with the
     /// dense TOB-cast sequence number it was assigned.
-    fn log_invoke(&mut self, req: &SharedReq<F::Op>, tob_seq: u64) -> Result<(), StorageError>;
+    fn log_invoke(&mut self, req: &SharedReq<F::Op>, tob_seq: u64) -> Result<(), StorageError> {
+        let _ = (req, tob_seq);
+        Ok(())
+    }
 
-    /// Logs a remote request entering the tentative order.
-    fn log_tentative(&mut self, req: &SharedReq<F::Op>, tob_seq: u64) -> Result<(), StorageError>;
+    /// Logs a remote request entering the tentative order. The caller
+    /// skips requests its TOB already decided.
+    fn log_tentative(&mut self, req: &SharedReq<F::Op>, tob_seq: u64) -> Result<(), StorageError> {
+        let _ = (req, tob_seq);
+        Ok(())
+    }
 
-    /// Logs the TOB layer's durable transitions from one handler step.
+    /// Logs the TOB layer's durable transitions from one handler step,
+    /// one record each, and hands the emptied buffer back so the caller
+    /// keeps its capacity for the next step.
+    #[allow(clippy::type_complexity)]
     fn log_tob_events(
         &mut self,
-        events: Vec<TobEvent<SharedReq<F::Op>>>,
-    ) -> Result<(), StorageError>;
+        mut events: Vec<TobEvent<SharedReq<F::Op>>>,
+    ) -> Result<Vec<TobEvent<SharedReq<F::Op>>>, StorageError> {
+        events.clear();
+        Ok(events)
+    }
 
-    /// Notes a TOB delivery (commit), in delivery order: a
+    /// Counts one TOB delivery toward the snapshot cadence: a
     /// [`Persistence::log_commit_batch`] of one.
     fn note_commit(&mut self, req: &SharedReq<F::Op>) -> Result<(), StorageError> {
         self.log_commit_batch(std::slice::from_ref(req))
     }
 
-    /// Notes a whole TOB delivery batch (in delivery order) in one call
-    /// — the commit hook of the batched pipeline. The per-commit work
-    /// (state-mirror application, snapshot-cadence check — and with it
-    /// the fsync a snapshot implies) is amortized over the batch, so the
-    /// whole batch costs at most one snapshot and one sync inside the
-    /// atomic handler step.
-    fn log_commit_batch(&mut self, reqs: &[SharedReq<F::Op>]) -> Result<(), StorageError>;
+    /// Counts a whole TOB delivery batch toward the snapshot cadence.
+    /// Commits write no record (the decisions behind them are already
+    /// logged); once the cadence runs out, [`Persistence::snapshot_due`]
+    /// holds until the next snapshot is saved.
+    fn log_commit_batch(&mut self, reqs: &[SharedReq<F::Op>]) -> Result<(), StorageError> {
+        let _ = reqs;
+        Ok(())
+    }
 
-    /// Notes that the replica advanced its compaction floor to `mark`
-    /// with `baseline` materialized at exactly the mark: the store drops
-    /// its decided-log mirror below the floor, so the next snapshot is
-    /// compact (O(state + window)) and the WAL bytes below the watermark
-    /// die with the segments that snapshot deletes.
-    ///
-    /// A store that mirrors deliveries folds its own baseline forward
-    /// over the ones the floor passed; `baseline` is only needed when
-    /// the mark lies beyond every delivery the store has seen (a live
-    /// baseline transfer).
-    fn note_stable(
-        &mut self,
-        mark: &BaselineMark,
-        baseline: &F::State,
-    ) -> Result<(), StorageError> {
-        let _ = (mark, baseline);
+    /// Whether the snapshot cadence ran out: the replica then cuts a
+    /// snapshot image from its own state and hands it to
+    /// [`Persistence::save_snapshot`] within the same step. Never true
+    /// for hook-less implementations.
+    fn snapshot_due(&self) -> bool {
+        false
+    }
+
+    /// Writes `image` as the new snapshot: installs it in the manifest
+    /// and deletes every older file — including every WAL byte below the
+    /// image's compaction mark, whose only summary from then on is the
+    /// mark and its baseline. Restarts the snapshot cadence.
+    fn save_snapshot(&mut self, image: &Snapshot<F>) -> Result<(), StorageError> {
+        let _ = image;
         Ok(())
     }
 
@@ -153,13 +172,13 @@ pub trait Persistence<F: DataType> {
         VirtualTime::ZERO
     }
 
-    /// The step barrier of group commit: makes every record logged since
-    /// the last barrier durable, with (at most) one fsync. The replica
-    /// calls this at the end of every handler step, *before* the step's
-    /// buffered messages and responses leave — so the per-record
-    /// durability contract ([`StoreConfig::sync_every_record`]) is
-    /// preserved while the whole step pays a single sync. A no-op when
-    /// nothing is pending.
+    /// The step barrier of group commit: hands the records logged since
+    /// the last barrier to the backend ([`Storage::flush`]) and makes
+    /// them durable with (at most) one fsync. The replica calls this at
+    /// the end of every handler step, *before* the step's buffered
+    /// messages and responses leave — so the per-record durability
+    /// contract ([`StoreConfig::sync_every_record`]) is preserved while
+    /// the whole step pays a single sync.
     fn sync_step(&mut self) -> Result<(), StorageError> {
         Ok(())
     }
@@ -171,13 +190,6 @@ pub trait Persistence<F: DataType> {
     fn take_fsyncs(&mut self) -> u64 {
         0
     }
-
-    /// The compaction floor this store last adopted and the state it
-    /// keeps materialized at that floor — what its next snapshot records
-    /// as mark and baseline. `None` for stores that keep no baseline.
-    fn baseline(&self) -> Option<(&BaselineMark, &F::State)> {
-        None
-    }
 }
 
 /// A [`Persistence`] that does nothing: the default for replicas without
@@ -185,27 +197,7 @@ pub trait Persistence<F: DataType> {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullPersistence;
 
-impl<F: DataType> Persistence<F> for NullPersistence {
-    fn log_invoke(&mut self, _req: &SharedReq<F::Op>, _tob_seq: u64) -> Result<(), StorageError> {
-        Ok(())
-    }
-    fn log_tentative(
-        &mut self,
-        _req: &SharedReq<F::Op>,
-        _tob_seq: u64,
-    ) -> Result<(), StorageError> {
-        Ok(())
-    }
-    fn log_tob_events(
-        &mut self,
-        _events: Vec<TobEvent<SharedReq<F::Op>>>,
-    ) -> Result<(), StorageError> {
-        Ok(())
-    }
-    fn log_commit_batch(&mut self, _reqs: &[SharedReq<F::Op>]) -> Result<(), StorageError> {
-        Ok(())
-    }
-}
+impl<F: DataType> Persistence<F> for NullPersistence {}
 
 /// Everything recovery reconstructed from a replica's durable storage.
 #[derive(Debug)]
@@ -268,8 +260,86 @@ impl<F: DataType> Recovered<F> {
 
 /// Decided slots: slot → `(sender, seq, request)`.
 type DecidedMap<Op> = BTreeMap<u64, (ReplicaId, u64, SharedReq<Op>)>;
-/// Accepted slots: slot → `(round, leader, sender, seq, request)`.
-type AcceptedMap<Op> = BTreeMap<u64, (u64, ReplicaId, ReplicaId, u64, SharedReq<Op>)>;
+/// Pending requests by id: `(kind, tob_seq, request)`.
+type PendingMap<Op> = BTreeMap<ReqId, (PendingKind, u64, SharedReq<Op>)>;
+
+impl<F: DataType> Recovered<F> {
+    /// Raises the per-origin `event_no` high-water for `req`.
+    fn note_event(&mut self, req: &SharedReq<F::Op>) {
+        if let Some(h) = self.event_high.get_mut(req.origin().index()) {
+            *h = (*h).max(req.id().event_no());
+        }
+    }
+
+    /// Folds one WAL record into the image: the TOB facts in log order
+    /// (decisions above the mark also into `decided`), the requests into
+    /// `pending` by id.
+    fn fold(
+        &mut self,
+        rec: WalRecord<F::Op>,
+        decided: &mut DecidedMap<F::Op>,
+        pending: &mut PendingMap<F::Op>,
+    ) {
+        let event = match rec {
+            WalRecord::Invoke { tob_seq, req } => {
+                let req = Arc::new(req);
+                self.note_event(&req);
+                pending.insert(req.id(), (PendingKind::Invoke, tob_seq, req));
+                return;
+            }
+            WalRecord::Tentative { tob_seq, req } => {
+                let req = Arc::new(req);
+                self.note_event(&req);
+                pending
+                    .entry(req.id())
+                    .or_insert((PendingKind::Tentative, tob_seq, req));
+                return;
+            }
+            WalRecord::Promised { round, leader } => TobEvent::Promised { round, leader },
+            WalRecord::Accepted {
+                slot,
+                round,
+                leader,
+                sender,
+                seq,
+                req,
+            } => {
+                let payload = Arc::new(req);
+                self.note_event(&payload);
+                TobEvent::Accepted {
+                    slot,
+                    round,
+                    leader,
+                    sender,
+                    seq,
+                    payload,
+                }
+            }
+            WalRecord::Decided {
+                slot,
+                sender,
+                seq,
+                req,
+            } => {
+                let payload = Arc::new(req);
+                self.note_event(&payload);
+                if slot < self.mark.slot_floor {
+                    // a pre-compaction record surviving in the WAL
+                    // suffix: already summarised by the snapshot's mark
+                    return;
+                }
+                decided.insert(slot, (sender, seq, payload.clone()));
+                TobEvent::Decided {
+                    slot,
+                    sender,
+                    seq,
+                    payload,
+                }
+            }
+        };
+        self.tob_events.push(event);
+    }
+}
 
 /// The per-replica durable store. See the module docs for the write and
 /// recovery paths.
@@ -280,27 +350,6 @@ pub struct ReplicaStore<F: DataType, B: Storage> {
     n: usize,
     manifest: Manifest,
     current_segment_len: usize,
-    // ---- mirrors feeding the next snapshot -----------------------------
-    stable_state: F::State,
-    delivered: u64,
-    decided: DecidedMap<F::Op>,
-    promised: (u64, ReplicaId),
-    accepted: AcceptedMap<F::Op>,
-    pending: BTreeMap<ReqId, (PendingKind, u64, SharedReq<F::Op>)>,
-    decided_ids: std::collections::HashSet<ReqId>,
-    /// The compaction floor the replica last reported (`note_stable`):
-    /// decided-log mirrors below it are dropped and the next snapshot is
-    /// written in the compact form.
-    mark: BaselineMark,
-    /// State materialized at exactly `mark.delivered` deliveries.
-    baseline_state: F::State,
-    /// The deliveries above the mark, in delivery order (`delivered -
-    /// mark.delivered` of them): what the next floor advance folds into
-    /// `baseline_state`, so an advance costs O(requests passed) instead
-    /// of a copy of the state.
-    above_mark: VecDeque<SharedReq<F::Op>>,
-    /// Per-origin high-water `event_no` over every request ever seen.
-    event_high: Vec<u64>,
     commits_since_snapshot: u64,
     snapshots_written: u64,
     /// Physical fsync barriers issued since the last
@@ -320,6 +369,7 @@ pub struct ReplicaStore<F: DataType, B: Storage> {
     /// steady-state append allocates nothing
     /// (`core/tests/alloc_regression.rs`).
     enc_pool: BufPool,
+    _data: PhantomData<fn() -> F>,
 }
 
 impl<F, B> ReplicaStore<F, B>
@@ -343,36 +393,23 @@ where
             n,
             manifest: Manifest::default(),
             current_segment_len: 0,
-            stable_state: F::State::default(),
-            delivered: 0,
-            decided: BTreeMap::new(),
-            promised: (0, ReplicaId::new(0)),
-            accepted: BTreeMap::new(),
-            pending: BTreeMap::new(),
-            decided_ids: std::collections::HashSet::new(),
-            mark: BaselineMark::zero(n),
-            baseline_state: F::State::default(),
-            above_mark: VecDeque::new(),
-            event_high: vec![0; n],
             commits_since_snapshot: 0,
             snapshots_written: 0,
             fsyncs: 0,
             dirty: false,
             barrier: None,
             enc_pool: BufPool::new(),
+            _data: PhantomData,
         };
         if !store.enabled {
             return Ok((store, Recovered::empty(n)));
         }
 
         let mut recovered = Recovered::empty(n);
-        match Manifest::load(&store.backend)? {
-            None => {}
-            Some(manifest) => {
-                manifest.remove_orphans(&mut store.backend)?;
-                store.manifest = manifest;
-                store.recover(&mut recovered)?;
-            }
+        if let Some(manifest) = Manifest::load(&store.backend)? {
+            manifest.remove_orphans(&mut store.backend)?;
+            store.manifest = manifest;
+            recovered = store.recover()?;
         }
 
         // never append to a possibly-torn tail: open a fresh segment
@@ -380,78 +417,65 @@ where
         Ok((store, recovered))
     }
 
-    /// Records that `origin` produced a request with `event_no` (keeps
-    /// recovered dots collision-free across compaction).
-    fn note_event(&mut self, origin: ReplicaId, event_no: u64) {
-        if let Some(h) = self.event_high.get_mut(origin.index()) {
-            *h = (*h).max(event_no);
-        }
-    }
-
-    /// Folds the snapshot and the WAL suffix into `recovered` and the
-    /// store's own mirrors.
-    fn recover(&mut self, recovered: &mut Recovered<F>) -> Result<(), StorageError> {
-        if let Some(name) = self.manifest.snapshot.clone() {
-            let snap = Snapshot::<F>::from_bytes(&self.backend.read(&name)?)?;
-            self.stable_state = snap.state.clone();
-            self.promised = snap.promised;
-            self.mark = snap.mark.clone();
-            if self.mark.fifo_next.len() < self.n {
-                self.mark.fifo_next.resize(self.n, 0);
+    /// Folds the snapshot and the WAL suffix the manifest names into
+    /// the recovered image.
+    fn recover(&self) -> Result<Recovered<F>, StorageError> {
+        let mut rec = Recovered::empty(self.n);
+        let mut decided = DecidedMap::new();
+        let mut pending = PendingMap::new();
+        if let Some(name) = &self.manifest.snapshot {
+            let snap = Snapshot::<F>::from_bytes(&self.backend.read(name)?)?;
+            rec.mark = snap.mark;
+            if rec.mark.fifo_next.len() < self.n {
+                rec.mark.fifo_next.resize(self.n, 0);
             }
-            self.baseline_state = snap.baseline.clone();
-            for (i, h) in snap.event_high.iter().enumerate() {
-                if let Some(mine) = self.event_high.get_mut(i) {
-                    *mine = (*mine).max(*h);
-                }
+            rec.baseline = snap.baseline;
+            for (mine, h) in rec.event_high.iter_mut().zip(&snap.event_high) {
+                *mine = (*mine).max(*h);
             }
-            recovered.snapshot_state = snap.state;
-            recovered.snapshot_delivered = snap.delivered;
-            recovered.tob_events.push(TobEvent::Promised {
-                round: snap.promised.0,
-                leader: snap.promised.1,
-            });
+            rec.snapshot_state = snap.state;
+            rec.snapshot_delivered = snap.delivered;
+            let (round, leader) = snap.promised;
+            rec.fold(
+                WalRecord::Promised { round, leader },
+                &mut decided,
+                &mut pending,
+            );
             for (slot, round, leader, sender, seq, req) in snap.accepted {
-                let req = Arc::new(req);
-                self.note_event(req.origin(), req.id().event_no());
-                self.accepted
-                    .insert(slot, (round, leader, sender, seq, req.clone()));
-                recovered.tob_events.push(TobEvent::Accepted {
+                let accepted = WalRecord::Accepted {
                     slot,
                     round,
                     leader,
                     sender,
                     seq,
-                    payload: req,
-                });
+                    req,
+                };
+                rec.fold(accepted, &mut decided, &mut pending);
             }
             for (slot, sender, seq, req) in snap.decided {
-                if slot < self.mark.slot_floor {
+                if slot < rec.mark.slot_floor {
                     return Err(StorageError::Corrupt(
                         "snapshot decided slot below its own mark".into(),
                     ));
                 }
-                let req = Arc::new(req);
-                self.note_event(req.origin(), req.id().event_no());
-                self.decided_ids.insert(req.id());
-                self.decided.insert(slot, (sender, seq, req.clone()));
-                recovered.tob_events.push(TobEvent::Decided {
+                let decision = WalRecord::Decided {
                     slot,
                     sender,
                     seq,
-                    payload: req,
-                });
+                    req,
+                };
+                rec.fold(decision, &mut decided, &mut pending);
             }
             for (kind, tob_seq, req) in snap.pending {
                 let req = Arc::new(req);
-                self.note_event(req.origin(), req.id().event_no());
-                self.pending.insert(req.id(), (kind, tob_seq, req));
+                rec.note_event(&req);
+                pending.insert(req.id(), (kind, tob_seq, req));
             }
         }
 
         // scan the WAL suffix, one segment at a time
-        for name in self.manifest.segments.clone() {
-            let data = match self.backend.read(&name) {
+        for name in &self.manifest.segments {
+            let data = match self.backend.read(name) {
                 Ok(d) => d,
                 Err(StorageError::NotFound(_)) => continue, // interrupted rotation
                 Err(e) => return Err(e),
@@ -459,13 +483,13 @@ where
             if data.len() < SEGMENT_HEADER_LEN || &data[..4] != SEGMENT_MAGIC {
                 // a header that never made it to disk intact: an empty
                 // segment from a crash during rotation
-                recovered.torn_tail = true;
+                rec.torn_tail = true;
                 continue;
             }
             let scan: FrameScan<WalRecord<F::Op>> = scan_frames(&data[SEGMENT_HEADER_LEN..]);
-            recovered.torn_tail |= scan.torn;
-            for rec in scan.records {
-                self.fold_record(rec, recovered);
+            rec.torn_tail |= scan.torn;
+            for record in scan.records {
+                rec.fold(record, &mut decided, &mut pending);
             }
         }
 
@@ -474,131 +498,41 @@ where
         // (they were decided, delivered everywhere and truncated — the
         // decided ids themselves are gone, but the per-sender FIFO
         // cursors in the mark still identify them)
-        let mark = self.mark.clone();
-        self.pending.retain(|id, (_, tob_seq, req)| {
-            !self.decided_ids.contains(id) && *tob_seq >= mark.next_for(req.origin())
-        });
+        let decided_ids: HashSet<ReqId> = decided.values().map(|(_, _, r)| r.id()).collect();
+        let mark = &rec.mark;
+        rec.pending = pending
+            .into_values()
+            .filter(|(_, tob_seq, req)| {
+                !decided_ids.contains(&req.id()) && *tob_seq >= mark.next_for(req.origin())
+            })
+            .collect();
 
         // deterministic local delivery order above the compaction floor:
         // the contiguous decided suffix, slot by slot, through the
         // sender-FIFO gate resumed at the mark (the exact release rule
         // the TOB applies after `install_baseline`); slots beyond the
         // first gap are decided-but-undeliverable and stay in the
-        // decided map only
+        // decided log only
         let mut fifo = FifoRelease::new(self.n);
         for s in ReplicaId::all(self.n) {
-            fifo.fast_forward(s, self.mark.next_for(s));
+            fifo.fast_forward(s, rec.mark.next_for(s));
         }
-        let mut next_slot = self.mark.slot_floor;
-        while let Some((sender, seq, req)) = self.decided.get(&next_slot) {
-            for released in fifo.push(*sender, *seq, req.clone()) {
-                recovered.deliveries.push(released);
-            }
+        let mut next_slot = rec.mark.slot_floor;
+        while let Some((sender, seq, req)) = decided.get(&next_slot) {
+            rec.deliveries.extend(fifo.push(*sender, *seq, req.clone()));
             next_slot += 1;
         }
-        // fast-forward the stable state over deliveries the snapshot
-        // does not cover yet (`snapshot_delivered` is absolute; the
-        // deliveries vector starts at the mark)
-        let covered = (recovered
-            .snapshot_delivered
-            .saturating_sub(self.mark.delivered)) as usize;
-        for req in recovered.deliveries.iter().skip(covered) {
-            F::apply(&mut self.stable_state, &req.op);
-        }
-        self.delivered = self.mark.delivered + recovered.deliveries.len() as u64;
-        self.above_mark = recovered.deliveries.iter().cloned().collect();
-
-        recovered.mark = self.mark.clone();
-        recovered.baseline = self.baseline_state.clone();
-        recovered.event_high = self.event_high.clone();
-        recovered.pending = self
-            .pending
-            .values()
-            .map(|(kind, seq, req)| (*kind, *seq, req.clone()))
-            .collect();
-        Ok(())
+        Ok(rec)
     }
+}
 
-    /// Applies one WAL record to the mirrors and the recovered image.
-    fn fold_record(&mut self, rec: WalRecord<F::Op>, recovered: &mut Recovered<F>) {
-        match rec {
-            WalRecord::Invoke { tob_seq, req } => {
-                let req = Arc::new(req);
-                self.note_event(req.origin(), req.id().event_no());
-                self.pending
-                    .insert(req.id(), (PendingKind::Invoke, tob_seq, req));
-            }
-            WalRecord::Tentative { tob_seq, req } => {
-                let req = Arc::new(req);
-                self.note_event(req.origin(), req.id().event_no());
-                self.pending
-                    .entry(req.id())
-                    .or_insert((PendingKind::Tentative, tob_seq, req));
-            }
-            WalRecord::Promised { round, leader } => {
-                if (round, leader) > self.promised {
-                    self.promised = (round, leader);
-                }
-                recovered
-                    .tob_events
-                    .push(TobEvent::Promised { round, leader });
-            }
-            WalRecord::Accepted {
-                slot,
-                round,
-                leader,
-                sender,
-                seq,
-                req,
-            } => {
-                let req = Arc::new(req);
-                self.note_event(req.origin(), req.id().event_no());
-                match self.accepted.get(&slot) {
-                    Some((r0, l0, ..)) if (*r0, *l0) > (round, leader) => {}
-                    _ => {
-                        self.accepted
-                            .insert(slot, (round, leader, sender, seq, req.clone()));
-                    }
-                }
-                recovered.tob_events.push(TobEvent::Accepted {
-                    slot,
-                    round,
-                    leader,
-                    sender,
-                    seq,
-                    payload: req,
-                });
-            }
-            WalRecord::Decided {
-                slot,
-                sender,
-                seq,
-                req,
-            } => {
-                let req = Arc::new(req);
-                self.note_event(req.origin(), req.id().event_no());
-                if slot < self.mark.slot_floor {
-                    // a pre-compaction record surviving in the WAL
-                    // suffix: already summarised by the snapshot's mark
-                    return;
-                }
-                if self
-                    .decided
-                    .insert(slot, (sender, seq, req.clone()))
-                    .is_none()
-                {
-                    self.decided_ids.insert(req.id());
-                }
-                recovered.tob_events.push(TobEvent::Decided {
-                    slot,
-                    sender,
-                    seq,
-                    payload: req,
-                });
-            }
-        }
-    }
-
+impl<F, B> ReplicaStore<F, B>
+where
+    F: DataType,
+    F::Op: Wire,
+    F::State: Wire,
+    B: Storage,
+{
     /// Whether this store actually persists anything.
     pub fn is_enabled(&self) -> bool {
         self.enabled
@@ -612,6 +546,43 @@ where
     /// The backend, for inspection (e.g. [`crate::MemDisk::stats`]).
     pub fn backend(&self) -> &B {
         &self.backend
+    }
+
+    /// Checkpoints the store's own files: folds the live snapshot and
+    /// WAL suffix exactly as recovery would and saves the result as the
+    /// new snapshot. For code that drives the hooks without a replica to
+    /// cut the image from (tests, benchmarks, shutdown paths); a replica
+    /// saves the image of its own state instead.
+    pub fn write_snapshot(&mut self) -> Result<(), StorageError> {
+        if !self.enabled {
+            return Ok(());
+        }
+        self.backend.flush()?;
+        let rec = self.recover()?;
+        // the TOB facts fold the way recovery restores them
+        let mut tob = PaxosTob::with_defaults(self.n);
+        tob.install_baseline(&rec.mark);
+        tob.restore(rec.tob_events);
+        let covered = rec.snapshot_delivered.saturating_sub(rec.mark.delivered) as usize;
+        let mut state = rec.snapshot_state;
+        for req in rec.deliveries.iter().skip(covered) {
+            F::apply(&mut state, &req.op);
+        }
+        let mut image = Snapshot {
+            delivered: rec.mark.delivered + rec.deliveries.len() as u64,
+            state,
+            promised: (0, ReplicaId::new(0)),
+            accepted: Vec::new(),
+            decided: Vec::new(),
+            pending: (rec.pending.iter())
+                .map(|(kind, seq, req)| (*kind, *seq, req.as_ref().clone()))
+                .collect(),
+            mark: rec.mark,
+            baseline: rec.baseline,
+            event_high: rec.event_high,
+        };
+        image.set_tob_image(tob.durable_image(image.mark.slot_floor));
+        self.save_snapshot(&image)
     }
 
     /// Syncs the backend, counting the physical barrier for the
@@ -637,11 +608,11 @@ where
     /// from now on record-level sync demands mark `barrier` dirty and
     /// [`Persistence::sync_step`] is a no-op, because the multi-group
     /// host settles the barrier itself — once per handler step, one
-    /// physical sync for every group sharing the backend, still before
-    /// any of the step's output leaves the process. Internal syncs at
-    /// rotation and snapshot boundaries are unaffected (they sync the
-    /// shared backend, which is sound — at worst another group's bytes
-    /// ride along).
+    /// write and at most one physical sync for every group sharing the
+    /// backend, still before any of the step's output leaves the
+    /// process. Internal syncs at rotation and snapshot boundaries are
+    /// unaffected (they sync the shared backend, which is sound — at
+    /// worst another group's bytes ride along).
     pub fn defer_sync_to_barrier(&mut self, barrier: Arc<crate::shared::SyncBarrier>) {
         if self.dirty {
             // debt accrued before the handoff moves to the barrier
@@ -701,45 +672,65 @@ where
         }
         Ok(())
     }
+}
 
-    /// Writes a snapshot, installs it in the manifest and deletes every
-    /// older file — including every WAL byte below the compaction
-    /// watermark, whose only summary from then on is the snapshot's
-    /// mark + baseline. Called automatically at the configured cadence;
-    /// public so tests and shutdown paths can force one.
-    pub fn write_snapshot(&mut self) -> Result<(), StorageError> {
+impl<F, B> Persistence<F> for ReplicaStore<F, B>
+where
+    F: DataType,
+    F::Op: Wire,
+    F::State: Wire,
+    B: Storage,
+{
+    fn log_invoke(&mut self, req: &SharedReq<F::Op>, tob_seq: u64) -> Result<(), StorageError> {
         if !self.enabled {
             return Ok(());
         }
-        let snap = Snapshot::<F> {
-            delivered: self.delivered,
-            state: self.stable_state.clone(),
-            promised: self.promised,
-            accepted: self
-                .accepted
-                .iter()
-                .filter(|(slot, _)| {
-                    **slot >= self.mark.slot_floor && !self.decided.contains_key(slot)
-                })
-                .map(|(slot, (round, leader, sender, seq, req))| {
-                    (*slot, *round, *leader, *sender, *seq, req.as_ref().clone())
-                })
-                .collect(),
-            decided: self
-                .decided
-                .iter()
-                .filter(|(slot, _)| **slot >= self.mark.slot_floor)
-                .map(|(slot, (sender, seq, req))| (*slot, *sender, *seq, req.as_ref().clone()))
-                .collect(),
-            pending: self
-                .pending
-                .values()
-                .map(|(kind, seq, req)| (*kind, *seq, req.as_ref().clone()))
-                .collect(),
-            mark: self.mark.clone(),
-            baseline: self.baseline_state.clone(),
-            event_high: self.event_high.clone(),
-        };
+        self.append_record(&WalRecordRef::Invoke {
+            tob_seq,
+            req: req.as_ref(),
+        })
+    }
+
+    fn log_tentative(&mut self, req: &SharedReq<F::Op>, tob_seq: u64) -> Result<(), StorageError> {
+        if !self.enabled {
+            return Ok(());
+        }
+        self.append_record(&WalRecordRef::Tentative {
+            tob_seq,
+            req: req.as_ref(),
+        })
+    }
+
+    fn log_tob_events(
+        &mut self,
+        mut events: Vec<TobEvent<SharedReq<F::Op>>>,
+    ) -> Result<Vec<TobEvent<SharedReq<F::Op>>>, StorageError> {
+        if self.enabled && !events.is_empty() {
+            for ev in &events {
+                // one sync demand for the whole event batch, below
+                self.append_record_with(&WalRecordRef::from_tob_event(ev), false)?;
+            }
+            if self.cfg.sync_every_record {
+                self.record_sync();
+            }
+        }
+        events.clear();
+        Ok(events)
+    }
+
+    fn log_commit_batch(&mut self, reqs: &[SharedReq<F::Op>]) -> Result<(), StorageError> {
+        self.commits_since_snapshot += reqs.len() as u64;
+        Ok(())
+    }
+
+    fn snapshot_due(&self) -> bool {
+        self.enabled && self.commits_since_snapshot >= self.cfg.snapshot_every
+    }
+
+    fn save_snapshot(&mut self, image: &Snapshot<F>) -> Result<(), StorageError> {
+        if !self.enabled {
+            return Ok(());
+        }
         let old_files: Vec<String> = self
             .manifest
             .segments
@@ -752,7 +743,7 @@ where
         let snap_name = snapshot_name(seq);
         // pooled encode: reuse a checkout buffer instead of a fresh Vec
         let mut encoded = self.enc_pool.checkout();
-        snap.encode_into(&mut encoded);
+        image.encode_into(&mut encoded);
         let write_res = self.backend.write_atomic(&snap_name, &encoded);
         self.enc_pool.checkin(encoded);
         write_res?;
@@ -767,176 +758,20 @@ where
         self.snapshots_written += 1;
         Ok(())
     }
-}
-
-impl<F, B> Persistence<F> for ReplicaStore<F, B>
-where
-    F: DataType,
-    F::Op: Wire,
-    F::State: Wire,
-    B: Storage,
-{
-    fn log_invoke(&mut self, req: &SharedReq<F::Op>, tob_seq: u64) -> Result<(), StorageError> {
-        if !self.enabled {
-            return Ok(());
-        }
-        self.note_event(req.origin(), req.id().event_no());
-        self.pending
-            .insert(req.id(), (PendingKind::Invoke, tob_seq, req.clone()));
-        self.append_record(&WalRecordRef::Invoke {
-            tob_seq,
-            req: req.as_ref(),
-        })
-    }
-
-    fn log_tentative(&mut self, req: &SharedReq<F::Op>, tob_seq: u64) -> Result<(), StorageError> {
-        if !self.enabled {
-            return Ok(());
-        }
-        if self.decided_ids.contains(&req.id())
-            || self.pending.contains_key(&req.id())
-            || tob_seq < self.mark.next_for(req.origin())
-        {
-            // the cast-cursor check catches requests whose decision was
-            // compacted away (their ids left `decided_ids` with it)
-            return Ok(());
-        }
-        self.note_event(req.origin(), req.id().event_no());
-        self.pending
-            .insert(req.id(), (PendingKind::Tentative, tob_seq, req.clone()));
-        self.append_record(&WalRecordRef::Tentative {
-            tob_seq,
-            req: req.as_ref(),
-        })
-    }
-
-    fn log_tob_events(
-        &mut self,
-        events: Vec<TobEvent<SharedReq<F::Op>>>,
-    ) -> Result<(), StorageError> {
-        if !self.enabled || events.is_empty() {
-            return Ok(());
-        }
-        for ev in events {
-            match &ev {
-                TobEvent::Promised { round, leader } => {
-                    if (*round, *leader) > self.promised {
-                        self.promised = (*round, *leader);
-                    }
-                }
-                TobEvent::Accepted {
-                    slot,
-                    round,
-                    leader,
-                    sender,
-                    seq,
-                    payload,
-                } => {
-                    self.note_event(payload.origin(), payload.id().event_no());
-                    self.accepted
-                        .insert(*slot, (*round, *leader, *sender, *seq, payload.clone()));
-                }
-                TobEvent::Decided {
-                    slot,
-                    sender,
-                    seq,
-                    payload,
-                } => {
-                    self.note_event(payload.origin(), payload.id().event_no());
-                    if self
-                        .decided
-                        .insert(*slot, (*sender, *seq, payload.clone()))
-                        .is_none()
-                    {
-                        self.decided_ids.insert(payload.id());
-                    }
-                    self.pending.remove(&payload.id());
-                }
-            }
-            // one sync demand for the whole event batch, below
-            self.append_record_with(&WalRecordRef::from_tob_event(&ev), false)?;
-        }
-        if self.cfg.sync_every_record {
-            self.record_sync();
-        }
-        Ok(())
-    }
-
-    fn log_commit_batch(&mut self, reqs: &[SharedReq<F::Op>]) -> Result<(), StorageError> {
-        if !self.enabled || reqs.is_empty() {
-            return Ok(());
-        }
-        // fold the whole batch into the stable-state mirror, then check
-        // the snapshot cadence once — a batch crosses it at most once
-        for req in reqs {
-            F::apply(&mut self.stable_state, &req.op);
-        }
-        self.above_mark.extend(reqs.iter().cloned());
-        self.delivered += reqs.len() as u64;
-        self.commits_since_snapshot += reqs.len() as u64;
-        if self.commits_since_snapshot >= self.cfg.snapshot_every {
-            self.write_snapshot()?;
-        }
-        Ok(())
-    }
-
-    fn note_stable(
-        &mut self,
-        mark: &BaselineMark,
-        baseline: &F::State,
-    ) -> Result<(), StorageError> {
-        if !self.enabled || mark.delivered <= self.mark.delivered {
-            return Ok(());
-        }
-        // drop the decided-log mirror below the floor: the next snapshot
-        // is compact, and with it the WAL segments holding those records
-        // are deleted — that is the on-disk GC below the watermark
-        let keep = self.decided.split_off(&mark.slot_floor);
-        for (_, (_, _, req)) in std::mem::replace(&mut self.decided, keep) {
-            self.decided_ids.remove(&req.id());
-        }
-        let keep = self.accepted.split_off(&mark.slot_floor);
-        self.accepted = keep;
-        let passed = mark.delivered - self.mark.delivered;
-        let jumped = mark.delivered > self.delivered;
-        self.mark = mark.clone();
-        if self.mark.fifo_next.len() < self.n {
-            self.mark.fifo_next.resize(self.n, 0);
-        }
-        if jumped {
-            // a live baseline install: the replica adopted a transferred
-            // state *ahead* of everything this store ever mirrored. Our
-            // own delivery mirror jumps with it, stale pending requests
-            // below the mark's cast cursors are gone, and the new prefix
-            // is made durable immediately (snapshot) so a crash cannot
-            // fall back below the cluster-wide floor again.
-            self.baseline_state = baseline.clone();
-            self.stable_state = baseline.clone();
-            self.above_mark.clear();
-            self.delivered = mark.delivered;
-            let cursor_mark = self.mark.clone();
-            self.pending
-                .retain(|_, (_, seq, req)| *seq >= cursor_mark.next_for(req.origin()));
-            self.write_snapshot()?;
-        } else {
-            // the committed prefix never rolls back: move the baseline
-            // forward over exactly the deliveries the floor passed
-            for req in self.above_mark.drain(..passed as usize) {
-                F::apply(&mut self.baseline_state, &req.op);
-            }
-        }
-        Ok(())
-    }
 
     fn take_sync_stall(&mut self) -> VirtualTime {
         self.backend.take_sync_stall()
     }
 
     fn sync_step(&mut self) -> Result<(), StorageError> {
-        // with a shared barrier the host pays the step sync for every
-        // group at once; this store no longer owes one of its own
-        if self.barrier.is_none() && self.dirty {
-            self.sync_backend()?;
+        // with a shared barrier the host hands over the step's appends
+        // and pays its sync for every group at once
+        if self.barrier.is_none() {
+            if self.dirty {
+                self.sync_backend()?;
+            } else {
+                self.backend.flush()?;
+            }
         }
         Ok(())
     }
@@ -944,19 +779,13 @@ where
     fn take_fsyncs(&mut self) -> u64 {
         std::mem::take(&mut self.fsyncs)
     }
-
-    fn baseline(&self) -> Option<(&BaselineMark, &F::State)> {
-        self.enabled.then_some((&self.mark, &self.baseline_state))
-    }
 }
 
 impl<F: DataType, B: Storage> std::fmt::Debug for ReplicaStore<F, B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReplicaStore")
             .field("enabled", &self.enabled)
-            .field("delivered", &self.delivered)
-            .field("decided_slots", &self.decided.len())
-            .field("pending", &self.pending.len())
+            .field("commits_since_snapshot", &self.commits_since_snapshot)
             .field("segments", &self.manifest.segments)
             .field("snapshot", &self.manifest.snapshot)
             .finish()
@@ -990,6 +819,30 @@ mod tests {
         }
     }
 
+    /// The image a one-replica process holds after deciding and
+    /// delivering `reqs` in slots `0..`, with nothing compacted.
+    fn image_of(reqs: &[SharedReq<KvOp>]) -> Snapshot<KvStore> {
+        let mut state = Default::default();
+        for r in reqs {
+            KvStore::apply(&mut state, &r.op);
+        }
+        Snapshot {
+            delivered: reqs.len() as u64,
+            state,
+            promised: (0, ReplicaId::new(0)),
+            accepted: Vec::new(),
+            decided: reqs
+                .iter()
+                .enumerate()
+                .map(|(slot, r)| (slot as u64, r.origin(), slot as u64, r.as_ref().clone()))
+                .collect(),
+            pending: Vec::new(),
+            mark: BaselineMark::zero(1),
+            baseline: Default::default(),
+            event_high: vec![reqs.len() as u64],
+        }
+    }
+
     #[test]
     fn null_backend_disables_everything() {
         let (mut store, recovered) =
@@ -999,6 +852,7 @@ mod tests {
         let r = shared(1, 0, KvOp::put("k", 1));
         store.log_invoke(&r, 0).unwrap();
         store.note_commit(&r).unwrap();
+        assert!(!store.snapshot_due());
     }
 
     #[test]
@@ -1039,11 +893,16 @@ mod tests {
             ..Default::default()
         };
         let (mut store, _) = KvStore8::open(disk.clone(), 1, cfg).unwrap();
+        let mut reqs = Vec::new();
         for i in 0..25u64 {
             let r = shared(i + 1, 0, KvOp::put(format!("k{}", i % 5), i as i64));
+            reqs.push(r.clone());
             store.log_invoke(&r, i).unwrap();
             store.log_tob_events(vec![decided_ev(i, &r)]).unwrap();
             store.note_commit(&r).unwrap();
+            if store.snapshot_due() {
+                store.save_snapshot(&image_of(&reqs)).unwrap();
+            }
         }
         assert_eq!(store.snapshots_written(), 2);
         drop(store);
@@ -1059,6 +918,45 @@ mod tests {
         assert_eq!(expect.get("k4"), Some(&24));
         assert!(recovered.pending.is_empty());
         drop(store2);
+    }
+
+    /// A checkpoint of the files writes the same snapshot a process with
+    /// that history would cut from its own state.
+    #[test]
+    fn checkpoint_of_the_files_matches_the_image_of_the_state() {
+        let disk = MemDisk::new();
+        let cfg = StoreConfig {
+            snapshot_every: u64::MAX,
+            segment_max_bytes: 256, // the history spans several segments
+            ..Default::default()
+        };
+        let (mut store, _) = KvStore8::open(disk.clone(), 1, cfg).unwrap();
+        let reqs: Vec<_> = (0..12u64)
+            .map(|i| shared(i + 1, 0, KvOp::put(format!("k{}", i % 4), i as i64)))
+            .collect();
+        for (i, r) in reqs.iter().enumerate() {
+            store.log_invoke(r, i as u64).unwrap();
+            store.log_tob_events(vec![decided_ev(i as u64, r)]).unwrap();
+            store.note_commit(r).unwrap();
+        }
+        let pending = shared(13, 0, KvOp::put("p", 13));
+        store.log_invoke(&pending, 12).unwrap();
+        store.write_snapshot().unwrap();
+
+        let mut expect = image_of(&reqs);
+        expect.pending = vec![(PendingKind::Invoke, 12, pending.as_ref().clone())];
+        expect.event_high = vec![13];
+        let snap = disk
+            .list()
+            .into_iter()
+            .find(|f| f.starts_with("snap-"))
+            .expect("a snapshot was written");
+        assert_eq!(disk.read(&snap).unwrap(), expect.to_bytes());
+        assert_eq!(
+            disk.list().iter().filter(|f| f.starts_with("wal-")).count(),
+            1,
+            "the checkpoint retires every older segment"
+        );
     }
 
     #[test]
@@ -1110,43 +1008,6 @@ mod tests {
         drop(store);
         let (_s, recovered) = KvStore8::open(disk, 1, cfg).unwrap();
         assert_eq!(recovered.pending.len(), 20);
-    }
-
-    #[test]
-    fn floor_advance_folds_the_passed_deliveries_into_the_baseline() {
-        let cfg = StoreConfig {
-            snapshot_every: u64::MAX,
-            ..Default::default()
-        };
-        let (mut store, _) = KvStore8::open(MemDisk::new(), 1, cfg).unwrap();
-        let reqs: Vec<_> = (0..10u64)
-            .map(|i| shared(i + 1, 0, KvOp::put(format!("k{}", i % 3), i as i64)))
-            .collect();
-        store.log_commit_batch(&reqs).unwrap();
-        let mark = |delivered: u64| BaselineMark {
-            slot_floor: delivered,
-            delivered,
-            fifo_next: vec![delivered],
-        };
-        let state_after = |upto: usize| {
-            let mut state = Default::default();
-            for r in &reqs[..upto] {
-                KvStore::apply(&mut state, &r.op);
-            }
-            state
-        };
-        // below the mirror the store folds its own deliveries: the
-        // baseline it is handed is not consulted
-        let ignored = Default::default();
-        store.note_stable(&mark(4), &ignored).unwrap();
-        assert_eq!(store.baseline(), Some((&mark(4), &state_after(4))));
-        store.note_stable(&mark(10), &ignored).unwrap();
-        assert_eq!(store.baseline(), Some((&mark(10), &state_after(10))));
-        // a mark past every mirrored delivery is a transfer: adopted as is
-        let transferred = state_after(3);
-        store.note_stable(&mark(12), &transferred).unwrap();
-        assert_eq!(store.baseline(), Some((&mark(12), &transferred)));
-        assert_eq!(store.snapshots_written(), 1, "the jump is made durable");
     }
 
     #[test]

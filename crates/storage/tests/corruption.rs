@@ -6,7 +6,7 @@
 //! index overflow or runaway allocation.
 
 use bayou_broadcast::BaselineMark;
-use bayou_data::{KvOp, KvStore};
+use bayou_data::{DataType, KvOp, KvStore};
 use bayou_storage::{
     frame, scan_frames, FrameScan, Manifest, MemDisk, ReplicaStore, Snapshot, Storage,
     StorageError, StoreConfig, WalRecord,
@@ -215,6 +215,17 @@ fn store_open_surfaces_snapshot_corruption_as_an_error() {
         use bayou_broadcast::TobEvent;
         use bayou_storage::Persistence;
         use std::sync::Arc;
+        let mut image = Snapshot::<KvStore> {
+            delivered: 0,
+            state: Default::default(),
+            promised: (0, ReplicaId::new(0)),
+            accepted: Vec::new(),
+            decided: Vec::new(),
+            pending: Vec::new(),
+            mark: BaselineMark::zero(1),
+            baseline: Default::default(),
+            event_high: vec![0],
+        };
         for slot in 0..4u64 {
             let r = Arc::new(req(slot + 1));
             store
@@ -226,6 +237,16 @@ fn store_open_surfaces_snapshot_corruption_as_an_error() {
                 }])
                 .unwrap();
             store.note_commit(&r).unwrap();
+            // the image the process holds after committing `r`
+            image.delivered += 1;
+            KvStore::apply(&mut image.state, &r.op);
+            image
+                .decided
+                .push((slot, ReplicaId::new(0), slot, r.as_ref().clone()));
+            image.event_high = vec![slot + 1];
+            if store.snapshot_due() {
+                store.save_snapshot(&image).unwrap();
+            }
         }
         assert!(store.snapshots_written() > 0);
     }

@@ -4,12 +4,13 @@
 //! durable prefix** — no lost synced records, no resurrected torn ones —
 //! for all eight data types.
 
+use bayou_broadcast::BaselineMark;
 use bayou_broadcast::TobEvent;
 use bayou_data::{
     replay, AddRemoveSet, AppendList, Bank, Calendar, Counter, DataType, KvStore, RandomOp,
     RwRegister, Script,
 };
-use bayou_storage::{MemDisk, Persistence, ReplicaStore, Storage, StoreConfig};
+use bayou_storage::{MemDisk, Persistence, ReplicaStore, Snapshot, Storage, StoreConfig};
 use bayou_types::{Dot, Level, ReplicaId, Req, SharedReq, Timestamp, Wire};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -28,6 +29,31 @@ fn shared_req<F: DataType>(i: usize, op: F::Op) -> SharedReq<F::Op> {
         Level::Weak,
         op,
     ))
+}
+
+/// The snapshot image of a one-replica process that decided and
+/// delivered `reqs` in slots `0..` with nothing compacted — what a
+/// replica cuts from its own state when the cadence runs out.
+fn image_of<F: DataType>(reqs: &[SharedReq<F::Op>]) -> Snapshot<F> {
+    let mut state = F::State::default();
+    for r in reqs {
+        F::apply(&mut state, &r.op);
+    }
+    Snapshot {
+        delivered: reqs.len() as u64,
+        state,
+        promised: (0, ReplicaId::new(0)),
+        accepted: Vec::new(),
+        decided: reqs
+            .iter()
+            .enumerate()
+            .map(|(slot, r)| (slot as u64, r.origin(), slot as u64, r.as_ref().clone()))
+            .collect(),
+        pending: Vec::new(),
+        mark: BaselineMark::zero(1),
+        baseline: F::State::default(),
+        event_high: vec![reqs.len() as u64],
+    }
 }
 
 /// The current (highest-numbered) WAL segment and its byte length.
@@ -73,8 +99,10 @@ fn crash_at_arbitrary_prefix_recovers_durable_prefix<F>(
     // the segment length — the frame boundaries a crash can cut between.
     let mut marks: Vec<(String, usize)> = Vec::new();
     let mut snapshot_covered = 0u64;
+    let mut committed = Vec::new();
     for (slot, op) in ops.iter().enumerate() {
         let req = shared_req::<F>(slot, op.clone());
+        committed.push(req.clone());
         store
             .log_tob_events(vec![TobEvent::Decided {
                 slot: slot as u64,
@@ -88,7 +116,8 @@ fn crash_at_arbitrary_prefix_recovers_durable_prefix<F>(
         store.sync_step().unwrap();
         marks.push(current_wal(&disk));
         store.note_commit(&req).unwrap();
-        if (slot as u64 + 1).is_multiple_of(snapshot_every) {
+        if store.snapshot_due() {
+            store.save_snapshot(&image_of::<F>(&committed)).unwrap();
             snapshot_covered = slot as u64 + 1;
         }
     }
