@@ -4,7 +4,7 @@
 //! Results feed `BENCH_PR2.json` (see the criterion shim's `BENCH_JSON`
 //! output) and the ROADMAP Performance section.
 
-use bayou_broadcast::TobEvent;
+use bayou_broadcast::{PaxosTob, TobEvent};
 use bayou_data::{KvOp, KvStore};
 use bayou_storage::{FileStorage, MemDisk, Persistence, ReplicaStore, StoreConfig};
 use bayou_types::{Dot, Level, ReplicaId, Req, SharedReq, Timestamp};
@@ -96,7 +96,7 @@ fn bench_snapshot_write(c: &mut Criterion) {
     g.finish();
 }
 
-/// Recovery time (`ReplicaStore::open`) for a 2 000-commit history:
+/// Recovery time (`ReplicaStore::open` + `Recovered::replay`) for a 2 000-commit history:
 /// replaying the whole WAL vs decoding a snapshot plus a short suffix.
 fn bench_recovery(c: &mut Criterion) {
     let mut g = c.benchmark_group("storage_recovery");
@@ -124,8 +124,9 @@ fn bench_recovery(c: &mut Criterion) {
                 |fork| {
                     let (_store, recovered) =
                         ReplicaStore::<KvStore, _>::open(fork, 3, cfg).unwrap();
-                    assert_eq!(recovered.deliveries.len() as u64, commits);
-                    recovered.deliveries.len()
+                    let replayed = recovered.replay(&mut PaxosTob::with_defaults(3));
+                    assert_eq!(replayed.deliveries.len() as u64, commits);
+                    replayed.deliveries.len()
                 },
                 criterion::BatchSize::SmallInput,
             );

@@ -245,6 +245,15 @@ where
         &self.groups[gid.index()]
     }
 
+    /// The storage failure that crash-stopped this host, if any. The
+    /// store is shared, so one group's persistence failure (or the
+    /// shared barrier's) is a whole-process crash-stop.
+    pub fn failure(&self) -> Option<&StorageError> {
+        (self.barrier.as_ref())
+            .and_then(|hb| hb.failed.as_ref())
+            .or_else(|| self.groups.iter().find_map(|g| g.failure()))
+    }
+
     /// Takes the record of the invocation group `gid` handled since the
     /// last call ([`BayouReplica::take_invoked`]); `None` for a group out
     /// of range.
@@ -542,10 +551,7 @@ where
     }
 
     fn has_failed(&self) -> bool {
-        // the store is shared: one group's persistence failure (or the
-        // shared barrier's) is a whole-process crash-stop
-        self.barrier.as_ref().is_some_and(|hb| hb.failed.is_some())
-            || self.groups.iter().any(|g| g.failure().is_some())
+        self.failure().is_some()
     }
 }
 

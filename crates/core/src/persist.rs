@@ -1,25 +1,26 @@
 //! Standard wiring of a durable Bayou process: one physical store,
-//! one `ReplicaStore` + `PaxosTob::restore` + [`BayouReplica::recover`]
+//! one `ReplicaStore` + [`bayou_storage::Recovered::replay`] +
+//! [`BayouReplica::recover`]
 //! per group, hosted by a [`GroupedReplica`].
 //!
 //! [`recover_grouped_paxos`] is the one call a runtime needs: it opens
 //! (or creates) every group's store on a shared [`Storage`] backend,
-//! rebuilds each Paxos endpoint from its durable event stream, derives
-//! the high-water marks that keep new dots and TOB-cast numbers
-//! collision free, and hands everything to the replicas' recovery
-//! constructor. On an empty store it degenerates to fresh replicas with
-//! persistence attached — which is what makes it usable as a *factory*:
-//! the same closure builds the initial host and, given the same backend
-//! handle, its post-crash successor. [`recover_paxos_replica`] is its
-//! one-group case, the process a single-group server runs.
+//! replays each store's records through a fresh Paxos endpoint — the
+//! replay yields the delivery order, the pending requests and the
+//! high-water marks that keep new dots and TOB-cast numbers collision
+//! free — and hands the result to the replicas' recovery constructor.
+//! On an empty store it degenerates to fresh replicas with persistence
+//! attached — which is what makes it usable as a *factory*: the same
+//! closure builds the initial host and, given the same backend handle,
+//! its post-crash successor. A store that cannot be read yields a host
+//! that is crash-stopped from the start. [`recover_paxos_replica`] is
+//! its one-group case, the process a single-group server runs.
 
 use crate::group::GroupedReplica;
 use crate::replica::{BayouReplica, ProtocolMode};
-use bayou_broadcast::{PaxosConfig, PaxosTob, Tob, TobEvent};
+use bayou_broadcast::{PaxosConfig, PaxosTob};
 use bayou_data::{DataType, StateObject};
-use bayou_storage::{
-    PendingKind, Prefixed, ReplicaStore, SharedBackend, Storage, StoreConfig, SyncBarrier,
-};
+use bayou_storage::{Prefixed, ReplicaStore, SharedBackend, Storage, StoreConfig, SyncBarrier};
 use bayou_types::{GroupId, ReplicaId, SharedReq, Wire};
 use std::sync::Arc;
 
@@ -36,10 +37,13 @@ type PaxosHost<F, S> = GroupedReplica<F, PaxosTob<SharedReq<<F as DataType>::Op>
 /// catch-up traffic proportional to what it actually missed, and
 /// re-delivered commits are idempotent at the replica.
 ///
-/// # Panics
+/// # Crash-stop
 ///
-/// Panics if the store cannot be opened or its contents fail validation
-/// — a replica with storage it cannot read must not serve.
+/// If the store cannot be opened or its contents fail validation, the
+/// host comes up crash-stopped with the typed error
+/// ([`GroupedReplica::failure`]) — a replica with storage it cannot read
+/// must not serve — and the runtime treats it as crashed, as after a
+/// failed step barrier.
 pub fn recover_paxos_replica<F, S, B>(
     me: ReplicaId,
     n: usize,
@@ -70,9 +74,11 @@ where
 /// initial host and, over the same backend handle, its post-crash
 /// successor with every group restored.
 ///
-/// # Panics
+/// # Crash-stop
 ///
-/// Panics if any group's store cannot be opened or fails validation.
+/// If any group's store cannot be opened or fails validation, that
+/// group comes up crash-stopped with the typed error, which crash-stops
+/// the whole host (the store is shared).
 pub fn recover_grouped_paxos<F, S, B>(
     me: ReplicaId,
     n: usize,
@@ -128,57 +134,14 @@ where
     S: StateObject<F>,
     B: Storage + Send + 'static,
 {
-    let (mut store, mut recovered) = ReplicaStore::<F, B>::open(backend, n, store_cfg)
-        .unwrap_or_else(|e| panic!("replica {me} cannot open its store: {e}"));
-    store.defer_sync_to_barrier(barrier);
-
-    // High-water marks: never reuse a TOB-cast number or an event
-    // number. The store's `event_high` covers every dot it ever logged,
-    // compacted requests included. Cast numbers are scanned over the
-    // *full* durable event stream, not just the FIFO-released
-    // deliveries: a request of ours can be decided (and pruned from
-    // pending) while an earlier cast of ours is still undecided, leaving
-    // it FIFO-blocked — reusing its (sender, seq) key would make the TOB
-    // silently drop the new request as a duplicate. Casts compacted
-    // below the snapshot's mark are covered by the mark's per-sender
-    // cursor.
-    let curr_event_no = recovered.event_high.get(me.index()).copied().unwrap_or(0);
-    let events = recovered.tob_events.iter().filter_map(|ev| match ev {
-        TobEvent::Promised { .. } => None,
-        TobEvent::Accepted { sender, seq, .. } | TobEvent::Decided { sender, seq, .. } => {
-            Some((*sender, *seq))
-        }
-    });
-    let invoked = (recovered.pending.iter())
-        .filter(|(kind, ..)| *kind == PendingKind::Invoke)
-        .map(|(_, seq, req)| (req.origin(), *seq));
-    let tob_seq = events
-        .chain(invoked)
-        .filter(|(sender, _)| *sender == me)
-        .map(|(_, seq)| seq + 1)
-        .fold(recovered.mark.next_for(me), u64::max);
-
     let mut tob = PaxosTob::new(n, paxos);
-    // resume the endpoint on the compaction floor first, then replay the
-    // retained durable events above it
-    tob.install_baseline(&recovered.mark);
-    let replayed = tob.restore(std::mem::take(&mut recovered.tob_events));
-    debug_assert!(
-        replayed
-            .iter()
-            .map(|d| d.payload.id())
-            .eq(recovered.deliveries.iter().map(|r| r.id())),
-        "TOB restore and store FIFO replay must agree on the delivery order"
-    );
-    BayouReplica::recover(
-        n,
-        mode,
-        tob,
-        recovered,
-        curr_event_no,
-        tob_seq,
-        Box::new(store),
-    )
+    let (mut store, recovered) = match ReplicaStore::<F, B>::open(backend, n, store_cfg) {
+        Ok(opened) => opened,
+        Err(e) => return BayouReplica::crash_stopped(n, mode, tob, e),
+    };
+    store.defer_sync_to_barrier(barrier);
+    let replayed = recovered.replay(&mut tob);
+    BayouReplica::recover(me, mode, tob, replayed, Box::new(store))
 }
 
 #[cfg(test)]
@@ -214,6 +177,7 @@ mod tests {
         // first post-restart invoke collides and is silently dropped as
         // a TOB duplicate
         use crate::harness::BayouCluster;
+        use bayou_broadcast::TobEvent;
         use bayou_data::KvOp;
         use bayou_storage::{MemDisk, Persistence};
         use bayou_types::{Dot, Level, Req, Timestamp, VirtualTime};

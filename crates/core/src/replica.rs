@@ -90,7 +90,7 @@ use bayou_broadcast::{
     BaselineMark, LinkMsg, MapCtx, RbMsg, ReliableBroadcast, Tob, TobDelivery, TobEvent,
 };
 use bayou_data::{DataType, DeltaState, StateObject};
-use bayou_storage::{NullPersistence, PendingKind, Persistence, Recovered, Snapshot, StorageError};
+use bayou_storage::{NullPersistence, PendingKind, Persistence, Replayed, Snapshot, StorageError};
 use bayou_types::{
     wire, Context, Dot, LeaseConfig, ReplicaId, Req, ReqId, SharedReq, TimerId, Value, VirtualTime,
 };
@@ -440,70 +440,66 @@ where
         replica
     }
 
-    /// Rebuilds a replica from its durable storage: the crash-recovery
-    /// constructor.
+    /// Rebuilds replica `me` from its durable storage: the
+    /// crash-recovery constructor.
     ///
     /// The caller (see `bayou_core::recover_grouped_paxos` for the
-    /// standard wiring) has already restored the TOB endpoint from the
-    /// durable event stream (`recovered.tob_events`, not read here) and
-    /// derived `curr_event_no` / `tob_seq`, high-water marks so new dots
-    /// and TOB-cast sequence numbers never collide with pre-crash ones.
-    /// From the rest of the recovered image:
+    /// standard wiring) has already restored the TOB endpoint by
+    /// replaying the store's records through it
+    /// ([`bayou_storage::Recovered::replay`]). From what the replay
+    /// yields:
     ///
-    /// * `deliveries` — the local TOB delivery order *above the
-    ///   compaction mark* (the retained committed list as of the crash);
-    /// * `snapshot_state` + `snapshot_delivered` — a state materialized
-    ///   at an absolute delivery prefix; commits beyond it re-execute
-    ///   from their logged payloads;
+    /// * `deliveries` — the TOB's delivery order *above the compaction
+    ///   mark* (the retained committed list as of the crash);
+    /// * `state` + `state_delivered` — a state materialized at an
+    ///   absolute delivery prefix; commits beyond it re-execute from
+    ///   their logged payloads;
     /// * `mark` + `baseline` — the compaction floor: the first
     ///   `mark.delivered` deliveries exist only as the baseline state;
-    /// * `pending` — logged requests not yet decided, to re-enter the
-    ///   tentative order and be re-submitted to the TOB on start;
-    /// * `event_high` — the dot high-waters the next snapshot records.
+    /// * `pending` — logged requests the TOB has not decided, to re-enter
+    ///   the tentative order and be re-submitted to the TOB on start;
+    /// * `event_high` / `cast_next` — high-waters from which new dots
+    ///   and TOB-cast numbers resume, so they never collide with
+    ///   pre-crash ones; the next snapshot records `event_high`.
     ///
     /// Responses owed to clients at crash time are *not* recovered:
     /// Bayou clients observe a crashed replica as a lost session and
     /// retry (weak responses were tentative anyway; strong requests
     /// re-execute deduplicated by their dot).
     pub fn recover(
-        n: usize,
+        me: ReplicaId,
         mode: ProtocolMode,
         mut tob: T,
-        recovered: Recovered<F>,
-        curr_event_no: u64,
-        tob_seq: u64,
+        replayed: Replayed<F>,
         persist: Box<dyn Persistence<F> + Send>,
     ) -> Self {
-        let Recovered {
+        let Replayed {
             deliveries,
-            snapshot_state,
-            snapshot_delivered,
+            state,
+            state_delivered,
             pending,
             mark,
             baseline,
             event_high,
-            ..
-        } = recovered;
+            cast_next,
+        } = replayed;
+        let n = event_high.len(); // one high-water per replica
         tob.set_durable(true); // after restore: recovery facts are already on disk
         let compacted = mark.delivered;
-        let stable = (snapshot_delivered.saturating_sub(compacted) as usize).min(deliveries.len());
+        let stable = (state_delivered.saturating_sub(compacted) as usize).min(deliveries.len());
         let committed_set: HashSet<ReqId> = deliveries.iter().map(|r| r.id()).collect();
-        let state = S::with_committed_prefix(snapshot_state, stable);
+        let state = S::with_committed_prefix(state, stable);
 
         // the snapshot-covered prefix is executed; the rest re-executes
         let executed: Vec<SharedReq<F::Op>> = deliveries[..stable].to_vec();
         let executed_set: HashSet<ReqId> = executed.iter().map(|r| r.id()).collect();
 
         // pending requests re-enter the tentative order by (ts, dot)
-        let undecided = || {
-            pending
-                .iter()
-                .filter(|(_, _, r)| !committed_set.contains(&r.id()))
-        };
-        let mut tentative: Vec<SharedReq<F::Op>> = undecided().map(|(_, _, r)| r.clone()).collect();
+        let mut tentative: Vec<SharedReq<F::Op>> =
+            pending.iter().map(|(_, _, r)| r.clone()).collect();
         tentative.sort_by_key(|r| r.sort_key());
         let tentative_seq: HashMap<ReqId, u64> =
-            undecided().map(|(_, seq, r)| (r.id(), *seq)).collect();
+            pending.iter().map(|(_, seq, r)| (r.id(), *seq)).collect();
 
         let to_be_executed: VecDeque<SharedReq<F::Op>> = deliveries[stable..]
             .iter()
@@ -527,7 +523,7 @@ where
             *slot = (*slot).max(r.id().event_no());
         }
         BayouReplica {
-            curr_event_no,
+            curr_event_no: event_high[me.index()],
             committed: deliveries,
             committed_set,
             tentative,
@@ -536,7 +532,7 @@ where
             executed_set,
             stable_len: stable,
             to_be_executed,
-            tob_seq,
+            tob_seq: cast_next[me.index()],
             persist,
             event_high,
             recovered_pending,
@@ -545,6 +541,21 @@ where
             baseline_mark: mark,
             seen_seq,
             ..Self::with_state_object(n, mode, tob, state)
+        }
+    }
+
+    /// A replica that is crash-stopped from the start with `failure`:
+    /// what a host is given for storage it cannot read, so that it goes
+    /// silent exactly as after a failed step barrier.
+    pub(crate) fn crash_stopped(
+        n: usize,
+        mode: ProtocolMode,
+        tob: T,
+        failure: StorageError,
+    ) -> Self {
+        BayouReplica {
+            failure: Some(failure),
+            ..Self::with_state_object(n, mode, tob, S::with_state(F::State::default()))
         }
     }
 

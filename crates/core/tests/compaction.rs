@@ -5,15 +5,19 @@
 //! banked in `batching.rs`: its digests were recorded with and without
 //! it.)
 
-use bayou_broadcast::{BaselineMark, PaxosConfig, PaxosMsg, PaxosTob, Tob, TobDelivery, TobEvent};
+use bayou_broadcast::{
+    BaselineMark, Entry, PaxosConfig, PaxosMsg, PaxosTob, Tob, TobDelivery, TobEvent,
+};
 use bayou_core::{
-    recover_paxos_replica, BayouCluster, BayouReplica, ClusterConfig, GroupedReplica, ProtocolMode,
+    recover_paxos_replica, BayouCluster, BayouMsg, BayouReplica, ClusterConfig, GroupedMsg,
+    GroupedReplica, ProtocolMode,
 };
 use bayou_data::{Counter, CounterOp, DeltaState, KvOp, KvStore};
 use bayou_sim::SimConfig;
-use bayou_storage::{MemDisk, Prefixed, Snapshot, Storage, StoreConfig};
+use bayou_storage::{MemDisk, Prefixed, ReplicaStore, Snapshot, Storage, StoreConfig};
 use bayou_types::{
-    Context, GroupId, LeaseConfig, Level, ReplicaId, SharedReq, TimerId, Timestamp, VirtualTime,
+    Context, Dot, GroupId, LeaseConfig, Level, Process, ReplicaId, Req, SharedReq, TimerId,
+    Timestamp, VirtualTime,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -364,4 +368,169 @@ fn a_watermark_poll_is_answered_once() {
         [2_427, 2_023, 393],
         "[DecideAck, empty Catchup, Catchup with entries] received"
     );
+}
+
+type Host = GroupedReplica<KvStore, PaxosTob<SharedReq<KvOp>>, DeltaState<KvStore>>;
+
+/// A hand-driven context: the test is the network and the clock. Sends
+/// are dropped, timers never fire, and Ω names a fixed leader.
+struct Hand {
+    me: ReplicaId,
+    n: usize,
+    leader: ReplicaId,
+    timers: u64,
+}
+
+impl<M> Context<M> for Hand {
+    fn id(&self) -> ReplicaId {
+        self.me
+    }
+    fn cluster_size(&self) -> usize {
+        self.n
+    }
+    fn now(&self) -> VirtualTime {
+        ms(1)
+    }
+    fn clock(&mut self) -> Timestamp {
+        Timestamp::new(1)
+    }
+    fn send(&mut self, _to: ReplicaId, _msg: M) {}
+    fn set_timer(&mut self, _delay: VirtualTime) -> TimerId {
+        self.timers += 1;
+        TimerId::new(self.timers)
+    }
+    fn random(&mut self) -> u64 {
+        4
+    }
+    fn omega(&mut self) -> ReplicaId {
+        self.leader
+    }
+}
+
+/// The compaction floor can advance in slot space alone: a trailing
+/// duplicate decision delivers nothing, so the clean point after it
+/// carries the same delivery count one slot further on. The replica
+/// adopts that higher floor (`slot_floor` 1 → 2 at 1 delivery) after the
+/// step's snapshot point, the next snapshot records it, and a restart
+/// from that snapshot recovers the same deliveries and committed state.
+#[test]
+fn a_floor_advance_in_slot_space_only_survives_a_restart() {
+    let (n, me, leader) = (3, ReplicaId::new(0), ReplicaId::new(1));
+    let disk = MemDisk::new();
+    let store_cfg = StoreConfig {
+        snapshot_every: 1,
+        ..Default::default()
+    };
+    let boot = || {
+        recover_paxos_replica::<KvStore, DeltaState<KvStore>, _>(
+            me,
+            n,
+            ProtocolMode::Improved,
+            PaxosConfig::default(),
+            disk.clone(),
+            store_cfg,
+        )
+    };
+    let mut ctx = Hand {
+        me,
+        n,
+        leader,
+        timers: 0,
+    };
+    let mut host = boot();
+    host.on_start(&mut ctx);
+    let req = |no: u64, op| {
+        Arc::new(Req::new(
+            Timestamp::new(no as i64),
+            Dot::new(leader, no),
+            Level::Weak,
+            op,
+        ))
+    };
+    let (a, b, c) = (
+        req(1, KvOp::put("a", 1)),
+        req(2, KvOp::put("b", 2)),
+        req(3, KvOp::put("c", 3)),
+    );
+    let tob = |m| GroupedMsg::One(GroupId::new(0), BayouMsg::Tob(m));
+    let decide = |slot, seq, r: &SharedReq<KvOp>, stable_upto| {
+        let entry = Entry::new(leader, seq, r.clone());
+        tob(PaxosMsg::Decide {
+            slot,
+            entry,
+            stable_upto,
+        })
+    };
+    let mut step = |host: &mut Host, msg| {
+        host.on_message(leader, msg, &mut ctx);
+        while host.on_internal(&mut ctx) {}
+    };
+    let mark = |host: &Host| {
+        let m = host.group(GroupId::new(0)).tob().baseline_mark().unwrap();
+        (m.slot_floor, m.delivered)
+    };
+    let view = Prefixed::new(disk.clone(), GroupId::new(0));
+    let saved = || {
+        let name = (view.list().into_iter())
+            .filter(|f| f.starts_with("snap-"))
+            .max()
+            .expect("a snapshot was written");
+        Snapshot::<KvStore>::from_bytes(&view.read(&name).unwrap()).unwrap()
+    };
+
+    // slot 0 delivers `a`; a watermark of 1 puts the floor on slot 1
+    step(&mut host, decide(0, 0, &a, 0));
+    let watermark = PaxosMsg::Catchup {
+        first: 1,
+        entries: Vec::new(),
+        stable_upto: 1,
+        floor: 0,
+    };
+    step(&mut host, tob(watermark));
+    assert_eq!(mark(&host), (1, 1));
+    assert_eq!(host.group(GroupId::new(0)).compacted_count(), 1);
+    // slot 1 decides `a` again: a duplicate, which delivers nothing
+    step(&mut host, decide(1, 0, &a, 1));
+    // slot 2 delivers `b`, and the TOB's floor moves over the duplicate
+    // in slot space only; the replica follows after the snapshot that
+    // the commit of `b` cut, which still records slot floor 1
+    step(&mut host, decide(2, 1, &b, 1));
+    assert_eq!(mark(&host), (2, 1));
+    let snap = saved();
+    assert_eq!((snap.mark.slot_floor, snap.mark.delivered), (1, 1));
+    // slot 3 delivers `c`: its snapshot is the first cut on the new floor
+    step(&mut host, decide(3, 2, &c, 1));
+    let live = host.group(GroupId::new(0));
+    let (ids, total, state) = (
+        live.committed_ids(),
+        live.committed_total(),
+        live.materialize(),
+    );
+    assert_eq!((live.compacted_count(), total), (1, 3));
+    assert!(host.failure().is_none());
+    drop(host); // crash
+
+    // the image records the replica's higher slot floor
+    let snap = saved();
+    let floor = (snap.mark.slot_floor, snap.mark.delivered, snap.delivered);
+    assert_eq!(floor, (2, 1, 3));
+    let slots: Vec<u64> = snap.decided.iter().map(|d| d.0).collect();
+    assert_eq!(slots, [2, 3], "the duplicate slot is below the floor");
+
+    // the durable facts, replayed through a TOB, give the same order
+    let probe = Prefixed::new(disk.fork(), GroupId::new(0));
+    let (_store, recovered) = ReplicaStore::<KvStore, _>::open(probe, n, store_cfg).unwrap();
+    let replayed = recovered.replay(&mut PaxosTob::with_defaults(n));
+    let replayed_ids: Vec<_> = replayed.deliveries.iter().map(|r| r.id()).collect();
+    assert_eq!(replayed_ids, ids);
+    assert_eq!(replayed.mark, snap.mark);
+
+    // and the restarted replica holds the same history and state
+    let host = boot();
+    let back = host.group(GroupId::new(0));
+    assert_eq!(back.committed_ids(), ids);
+    assert_eq!(back.committed_total(), total);
+    assert_eq!(back.compacted_count(), 1);
+    assert_eq!(back.materialize(), state);
+    assert_eq!(mark(&host), (2, 1));
 }

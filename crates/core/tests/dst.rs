@@ -22,7 +22,7 @@
 //! `DST_SECONDS` wall-clock budget runs out, or replays exactly
 //! `DST_SEED` when set. See `docs/TESTING.md`.
 
-use bayou_broadcast::PaxosConfig;
+use bayou_broadcast::{PaxosConfig, PaxosTob};
 use bayou_core::{
     recover_paxos_replica, BayouCluster, GroupedReplica, ProtocolMode, RunTrace, Served,
 };
@@ -377,8 +377,10 @@ fn assert_durable_prefix_equivalence(
         let probe = Prefixed::new(disks[r.index()].fork(), GroupId::new(0));
         let (_s, recovered) = ReplicaStore::<KvStore, _>::open(probe, n, store_cfg)
             .unwrap_or_else(|e| panic!("{label}: durable image of {r} unreadable: {e}"));
-        let rec_off = recovered.mark.delivered as usize;
-        let rec_ids: Vec<ReqId> = recovered.deliveries.iter().map(|q| q.id()).collect();
+        // the durable facts, replayed through the protocol's own TOB
+        let replayed = recovered.replay(&mut PaxosTob::with_defaults(n));
+        let rec_off = replayed.mark.delivered as usize;
+        let rec_ids: Vec<ReqId> = replayed.deliveries.iter().map(|q| q.id()).collect();
         let live = cluster.replica(r);
         let live_off = live.compacted_count() as usize;
         let live_ids = live.committed_ids();

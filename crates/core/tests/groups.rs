@@ -12,7 +12,7 @@
 //! (`DST_GROUPS` pins it) and asserts per-group convergence,
 //! determinism and durable-prefix equivalence.
 
-use bayou_broadcast::PaxosConfig;
+use bayou_broadcast::{PaxosConfig, PaxosTob};
 use bayou_core::{recover_grouped_paxos, BayouCluster, GroupedReplica, Invocation, ProtocolMode};
 use bayou_data::{DeltaState, KvOp, KvStore};
 use bayou_sim::{Nemesis, NemesisConfig, SimConfig};
@@ -117,8 +117,10 @@ fn assert_grouped_durable_prefix(
             let view = Prefixed::new(probe.clone(), gid);
             let (_s, recovered) = ReplicaStore::<KvStore, _>::open(view, n, store_cfg)
                 .unwrap_or_else(|e| panic!("{label}: durable image of {r}/{gid} unreadable: {e}"));
-            let rec_off = recovered.mark.delivered as usize;
-            let rec_ids: Vec<ReqId> = recovered.deliveries.iter().map(|q| q.id()).collect();
+            // the durable facts, replayed through the protocol's own TOB
+            let replayed = recovered.replay(&mut PaxosTob::with_defaults(n));
+            let rec_off = replayed.mark.delivered as usize;
+            let rec_ids: Vec<ReqId> = replayed.deliveries.iter().map(|q| q.id()).collect();
             let live = cluster.host(r).group(gid);
             let live_off = live.compacted_count() as usize;
             let live_ids = live.committed_ids();

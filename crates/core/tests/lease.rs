@@ -3,9 +3,14 @@
 //! survives failover without a stale read, and the lease-off
 //! configuration stays on the all-TOB baseline.
 
-use bayou_core::{BayouCluster, ClusterConfig, Invocation, Served, SessionGuard};
-use bayou_data::{KvOp, KvStore};
+use bayou_broadcast::PaxosConfig;
+use bayou_core::{
+    recover_paxos_replica, BayouCluster, ClusterConfig, Invocation, ProtocolMode, Served,
+    SessionGuard,
+};
+use bayou_data::{DeltaState, KvOp, KvStore};
 use bayou_sim::{NetworkConfig, Partition, PartitionSchedule, SimConfig};
+use bayou_storage::{MemDisk, StoreConfig};
 use bayou_types::{GroupId, LeaseConfig, Level, ReplicaId, Value, VirtualTime};
 
 fn ms(v: u64) -> VirtualTime {
@@ -57,6 +62,41 @@ fn lease_serves_strong_reads_locally_at_the_leader() {
     assert_eq!(c.replica(r(0)).stats().lease_reads, 2);
     // lease-served reads are invisible to the TOB order
     assert_eq!(trace.tob_order.len(), 2); // put + early read
+}
+
+/// Only a restart mutes the lease for a lease duration (the crashed
+/// incarnation may have promised a guard): a durable replica started on
+/// an empty store recovers no facts and leases as soon as a replica
+/// without storage does.
+#[test]
+fn a_fresh_durable_replica_leases_without_a_boot_mute() {
+    let lease = LeaseConfig::default();
+    let sim = SimConfig::new(3, 11).with_max_time(ms(1_500));
+    let mut c: BayouCluster<KvStore> = BayouCluster::with_factory(sim, move |id| {
+        let mut host = recover_paxos_replica::<KvStore, DeltaState<KvStore>, _>(
+            id,
+            3,
+            ProtocolMode::Improved,
+            PaxosConfig::default(),
+            MemDisk::new(),
+            StoreConfig::default(),
+        );
+        host.set_lease(Some(lease));
+        host
+    });
+    c.invoke_at(ms(1), r(0), KvOp::put("k", 7), Level::Strong);
+    // inside the first lease duration after boot
+    c.invoke_at(ms(300), r(0), KvOp::get("k"), Level::Strong);
+    let trace = c.run_until(ms(1_500));
+    let read = (trace.events.iter())
+        .find(|e| e.op == KvOp::get("k"))
+        .unwrap();
+    assert_eq!(read.value, Some(Value::Int(7)));
+    assert!(
+        matches!(read.served, Some(Served::Lease { .. })),
+        "a fresh store must not mute the lease: {:?}",
+        read.served
+    );
 }
 
 /// A compacting replica's lease-served read still reports the whole committed

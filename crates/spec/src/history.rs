@@ -4,6 +4,7 @@ use crate::relation::Relation;
 use bayou_core::{RunTrace, Served};
 use bayou_data::DataType;
 use bayou_types::{BayouError, Level, ReplicaId, ReqId, Timestamp, Value, VirtualTime};
+use std::collections::{BTreeMap, HashSet};
 
 /// One event of a history: an operation invocation with its observed
 /// outcome and the auxiliary attributes the witness construction uses.
@@ -114,29 +115,28 @@ impl<Op> History<Op> {
         Ok(h)
     }
 
+    /// Checks well-formedness in O(n log n): unique ids (one hash-set
+    /// pass), no return before invocation, and per session (grouped in
+    /// one pass) sequential operations with nothing after a pending one.
     fn validate(&self) -> Result<(), BayouError> {
-        // unique ids
-        for (i, a) in self.events.iter().enumerate() {
-            for b in &self.events[i + 1..] {
-                if a.id == b.id {
-                    return Err(BayouError::MalformedHistory(format!(
-                        "duplicate event id {}",
-                        a.id
-                    )));
-                }
+        let mut ids = HashSet::with_capacity(self.events.len());
+        let mut sessions: BTreeMap<ReplicaId, Vec<&HEvent<Op>>> = BTreeMap::new();
+        for e in &self.events {
+            if !ids.insert(e.id) {
+                return Err(BayouError::MalformedHistory(format!(
+                    "duplicate event id {}",
+                    e.id
+                )));
             }
-            if let Some(ret) = a.returned_at {
-                if ret < a.invoked_at {
-                    return Err(BayouError::MalformedHistory(format!(
-                        "event {} returned before it was invoked",
-                        a.id
-                    )));
-                }
+            if e.returned_at.is_some_and(|ret| ret < e.invoked_at) {
+                return Err(BayouError::MalformedHistory(format!(
+                    "event {} returned before it was invoked",
+                    e.id
+                )));
             }
+            sessions.entry(e.session).or_default().push(e);
         }
-        // per-session: sequential, nothing after a pending op
-        for s in self.sessions() {
-            let mut evs: Vec<&HEvent<Op>> = self.events.iter().filter(|e| e.session == s).collect();
+        for (s, mut evs) in sessions {
             evs.sort_by_key(|e| (e.invoked_at, e.id));
             for w in evs.windows(2) {
                 match w[0].returned_at {
@@ -323,6 +323,25 @@ mod tests {
     fn duplicate_ids_rejected() {
         let res = History::from_events(vec![ev(0, 1, 0, Some(5)), ev(0, 1, 6, Some(9))]);
         assert!(matches!(res, Err(BayouError::MalformedHistory(_))));
+    }
+
+    /// Validation is near-linear: a well-formed history of 20 000
+    /// events (the size a long DST run records) validates in
+    /// milliseconds, where comparing every pair of ids took seconds.
+    #[test]
+    fn a_large_well_formed_history_validates_quickly() {
+        let events: Vec<_> = (0..20_000u64)
+            .map(|i| {
+                let (replica, k) = ((i % 4) as u32, i / 4);
+                ev(replica, k + 1, 10 * k, Some(10 * k + 5))
+            })
+            .collect();
+        let started = std::time::Instant::now();
+        let h = History::from_events(events).expect("well-formed");
+        let took = started.elapsed();
+        assert_eq!(h.len(), 20_000);
+        assert_eq!(h.sessions().len(), 4);
+        assert!(took.as_millis() < 500, "validation took {took:?}");
     }
 
     #[test]

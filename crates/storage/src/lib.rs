@@ -23,13 +23,14 @@
 //! * **Manifest** — a checksummed, atomically-replaced blob naming the
 //!   live snapshot and segments; anything unreferenced is an orphan from
 //!   an interrupted install and is deleted on open.
-//! * **Recovery** — [`ReplicaStore::open`] folds `snapshot + WAL suffix`
-//!   into a [`Recovered`] image: TOB durable events (replayed through
-//!   `PaxosTob::restore`), the deterministic local delivery order, the
-//!   snapshot state, and the still-pending requests to re-submit. The
-//!   replica layer (`bayou_core::recover_replica`) turns that image into
-//!   a running replica that rejoins via the existing cursor-deduplicated
-//!   catch-up.
+//! * **Recovery** — [`ReplicaStore::open`] reads back the raw material
+//!   ([`Recovered`]): the snapshot as saved and the WAL suffix's records
+//!   in log order. [`Recovered::replay`] feeds them through a fresh
+//!   `PaxosTob` — the one place durable records become a delivery order
+//!   — and yields the pending requests to re-submit and the dot and cast
+//!   high-waters. The replica layer (`bayou_core::recover_paxos_replica`)
+//!   turns the result into a running replica that rejoins via the
+//!   existing cursor-deduplicated catch-up.
 //!
 //! Three [`Storage`] backends ship: [`NullStorage`] (no durability —
 //! the previous behaviour), [`MemDisk`] (simulator: shared in-memory
@@ -61,7 +62,7 @@
 //!
 //! let (_store, recovered) =
 //!     ReplicaStore::<KvStore, _>::open(disk, 3, StoreConfig::default()).unwrap();
-//! assert_eq!(recovered.pending.len(), 1); // the request survived
+//! assert_eq!(recovered.records.len(), 1); // the request survived
 //! ```
 
 #![forbid(unsafe_code)]
@@ -84,4 +85,4 @@ pub use record::{
 };
 pub use shared::{Prefixed, SharedBackend, SyncBarrier};
 pub use snapshot::{AcceptedSlot, DecidedSlot, PendingKind, PendingReq, Snapshot};
-pub use store::{NullPersistence, Persistence, Recovered, ReplicaStore, StoreConfig};
+pub use store::{NullPersistence, Persistence, Recovered, Replayed, ReplicaStore, StoreConfig};

@@ -88,6 +88,22 @@ pub struct Snapshot<F: DataType> {
 }
 
 impl<F: DataType> Snapshot<F> {
+    /// The image of a replica of an `n`-replica cluster that holds
+    /// nothing: what recovery starts from when no snapshot was saved.
+    pub fn empty(n: usize) -> Self {
+        Snapshot {
+            delivered: 0,
+            state: F::State::default(),
+            promised: (0, ReplicaId::new(0)),
+            accepted: Vec::new(),
+            decided: Vec::new(),
+            pending: Vec::new(),
+            mark: BaselineMark::zero(n),
+            baseline: F::State::default(),
+            event_high: vec![0; n],
+        }
+    }
+
     /// Files a TOB endpoint's durable image
     /// ([`bayou_broadcast::Tob::durable_image`]) as this snapshot's
     /// promised ballot, accepted slots and decided log.

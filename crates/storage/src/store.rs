@@ -23,22 +23,22 @@
 //! # Recovery path
 //!
 //! [`ReplicaStore::open`] reads the manifest, decodes the snapshot (if
-//! any), scans the WAL suffix segment by segment — stopping each
-//! segment's scan at the first torn or checksum-failing frame — and
-//! folds the records into the [`Recovered`] image: the TOB durable-event
-//! stream (to rebuild the Paxos endpoint), the local delivery order (by
-//! replaying the decided log through the same deterministic sender-FIFO
-//! gate the TOB uses), the snapshot state + its covered prefix, and the
-//! still-pending requests that must be re-submitted.
+//! any) and scans the WAL suffix segment by segment — stopping each
+//! segment's scan at the first torn or checksum-failing frame — into the
+//! [`Recovered`] raw material, deriving nothing. [`Recovered::replay`]
+//! is the only code that turns those records into a delivery order: it
+//! installs the snapshot's mark on a fresh `PaxosTob`, restores it from
+//! the snapshot's TOB image and the WAL's TOB facts, and keeps the
+//! logged requests the restored TOB does not report decided.
 
 use crate::backend::{Storage, StorageError};
 use crate::manifest::Manifest;
 use crate::record::{frame_into, scan_frames, FrameScan, WalRecord, WalRecordRef};
 use crate::snapshot::{PendingKind, Snapshot};
-use bayou_broadcast::{BaselineMark, FifoRelease, PaxosTob, Tob, TobEvent};
+use bayou_broadcast::{BaselineMark, PaxosTob, Tob, TobEvent};
 use bayou_data::DataType;
-use bayou_types::{BufPool, ReplicaId, ReqId, SharedReq, VirtualTime, Wire};
-use std::collections::{BTreeMap, HashSet};
+use bayou_types::{BufPool, ReplicaId, SharedReq, VirtualTime, Wire};
+use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
@@ -199,103 +199,96 @@ pub struct NullPersistence;
 
 impl<F: DataType> Persistence<F> for NullPersistence {}
 
-/// Everything recovery reconstructed from a replica's durable storage.
+/// What [`ReplicaStore::open`] read back: the raw material of recovery,
+/// with nothing derived from it yet. [`Recovered::replay`] turns it into
+/// a delivery order, through a TOB.
 #[derive(Debug)]
 pub struct Recovered<F: DataType> {
-    /// TOB durable events (snapshot facts first, then the WAL suffix, in
-    /// log order) — replay through `PaxosTob::restore` *after* installing
-    /// [`Recovered::mark`].
-    pub tob_events: Vec<TobEvent<SharedReq<F::Op>>>,
-    /// The local TOB delivery order **above the compaction mark**
-    /// implied by the retained decided log (computed with the same
-    /// deterministic sender-FIFO release the TOB uses). Delivery
-    /// `deliveries[i]` has absolute `tob_no == mark.delivered + i`.
-    pub deliveries: Vec<SharedReq<F::Op>>,
-    /// State materialized at `snapshot_delivered` (absolute) deliveries.
-    pub snapshot_state: F::State,
-    /// How many absolute deliveries the snapshot state already covers
-    /// (`>= mark.delivered`).
-    pub snapshot_delivered: u64,
-    /// Requests logged but not decided: `(kind, tob_seq, request)`,
-    /// sorted by request id.
-    pub pending: Vec<(PendingKind, u64, SharedReq<F::Op>)>,
-    /// The compaction floor the store sat on: the first `mark.delivered`
-    /// deliveries were truncated; their combined effect is `baseline`.
-    pub mark: BaselineMark,
-    /// State materialized at exactly `mark.delivered` deliveries — what
-    /// the recovered replica retains in place of the truncated payloads.
-    pub baseline: F::State,
-    /// Per-replica high-water `event_no` over everything the store ever
-    /// saw, compacted requests included.
-    pub event_high: Vec<u64>,
+    /// The snapshot as it was saved (`None` if there is none), its mark
+    /// and `event_high` sized to the cluster: the state at `delivered`,
+    /// the mark and its baseline, the pending list and the TOB image.
+    pub snapshot: Option<Snapshot<F>>,
+    /// The WAL suffix's records, in log order.
+    pub records: Vec<WalRecord<F::Op>>,
     /// Whether any segment ended in a torn/corrupt frame that was
     /// discarded.
     pub torn_tail: bool,
+    n: usize,
+}
+
+/// A store's durable records replayed through a TOB: what a replica is
+/// rebuilt from ([`Recovered::replay`]).
+#[derive(Debug)]
+pub struct Replayed<F: DataType> {
+    /// The deliveries the restored TOB released above the mark, in
+    /// order: delivery `i` has absolute `tob_no == mark.delivered + i`.
+    pub deliveries: Vec<SharedReq<F::Op>>,
+    /// The snapshot's state, materialized at `state_delivered`
+    /// (absolute, `>= mark.delivered`) deliveries.
+    pub state: F::State,
+    /// How many absolute deliveries `state` covers.
+    pub state_delivered: u64,
+    /// The compaction floor: the first `mark.delivered` deliveries were
+    /// truncated; their combined effect is `baseline`.
+    pub mark: BaselineMark,
+    /// State materialized at exactly `mark.delivered` deliveries.
+    pub baseline: F::State,
+    /// Logged requests the restored TOB has not decided:
+    /// `(kind, tob_seq, request)`, sorted by request id.
+    pub pending: Vec<(PendingKind, u64, SharedReq<F::Op>)>,
+    /// Per-replica high-water `event_no` over every request the store
+    /// ever saw, compacted ones included.
+    pub event_high: Vec<u64>,
+    /// Per-sender next unused TOB-cast number: one past every cast the
+    /// records show, and at least the mark's cursor. A cast of ours can
+    /// be decided while an earlier one is still undecided (FIFO-blocked),
+    /// so this counts every fact, not only the released deliveries.
+    pub cast_next: Vec<u64>,
+}
+
+/// Raises `high[who]` to at least `to`.
+fn raise(high: &mut [u64], who: ReplicaId, to: u64) {
+    if let Some(h) = high.get_mut(who.index()) {
+        *h = (*h).max(to);
+    }
 }
 
 impl<F: DataType> Recovered<F> {
-    /// An empty image (fresh store, or a non-durable backend).
-    fn empty(n: usize) -> Self {
-        Recovered {
-            tob_events: Vec::new(),
-            deliveries: Vec::new(),
-            snapshot_state: F::State::default(),
-            snapshot_delivered: 0,
-            pending: Vec::new(),
-            mark: BaselineMark::zero(n),
-            baseline: F::State::default(),
-            event_high: vec![0; n],
-            torn_tail: false,
-        }
-    }
-
     /// Whether the store held any durable facts at all.
     pub fn is_empty(&self) -> bool {
-        self.tob_events.is_empty()
-            && self.pending.is_empty()
-            && self.snapshot_delivered == 0
-            && self.mark.is_zero()
-    }
-}
-
-/// Decided slots: slot → `(sender, seq, request)`.
-type DecidedMap<Op> = BTreeMap<u64, (ReplicaId, u64, SharedReq<Op>)>;
-/// Pending requests by id: `(kind, tob_seq, request)`.
-type PendingMap<Op> = BTreeMap<ReqId, (PendingKind, u64, SharedReq<Op>)>;
-
-impl<F: DataType> Recovered<F> {
-    /// Raises the per-origin `event_no` high-water for `req`.
-    fn note_event(&mut self, req: &SharedReq<F::Op>) {
-        if let Some(h) = self.event_high.get_mut(req.origin().index()) {
-            *h = (*h).max(req.id().event_no());
-        }
+        self.snapshot.is_none() && self.records.is_empty()
     }
 
-    /// Folds one WAL record into the image: the TOB facts in log order
-    /// (decisions above the mark also into `decided`), the requests into
-    /// `pending` by id.
-    fn fold(
-        &mut self,
-        rec: WalRecord<F::Op>,
-        decided: &mut DecidedMap<F::Op>,
-        pending: &mut PendingMap<F::Op>,
-    ) {
-        let event = match rec {
-            WalRecord::Invoke { tob_seq, req } => {
-                let req = Arc::new(req);
-                self.note_event(&req);
-                pending.insert(req.id(), (PendingKind::Invoke, tob_seq, req));
-                return;
-            }
-            WalRecord::Tentative { tob_seq, req } => {
-                let req = Arc::new(req);
-                self.note_event(&req);
-                pending
-                    .entry(req.id())
-                    .or_insert((PendingKind::Tentative, tob_seq, req));
-                return;
-            }
-            WalRecord::Promised { round, leader } => TobEvent::Promised { round, leader },
+    /// Replays the durable records through `tob`, a fresh endpoint, in
+    /// one pass over the saved snapshot and then the WAL in log order:
+    /// the mark is installed first, the TOB facts feed
+    /// `PaxosTob::restore` — the deliveries come from the TOB alone —
+    /// the logged requests the restored TOB does not report decided
+    /// become the pending list, and every fact raises the dot and cast
+    /// high-waters.
+    pub fn replay(self, tob: &mut PaxosTob<SharedReq<F::Op>>) -> Replayed<F> {
+        // a store without a snapshot restores no ballot: any fact at all
+        // mutes a restored lease, and a fresh store has none
+        let saved_ballot = self.snapshot.is_some();
+        let Snapshot {
+            delivered,
+            state,
+            promised: (round, leader),
+            accepted,
+            decided,
+            pending: saved,
+            mark,
+            baseline,
+            mut event_high,
+        } = (self.snapshot).unwrap_or_else(|| Snapshot::empty(self.n));
+        let mut cast_next = mark.fifo_next.clone();
+        let mut pending = BTreeMap::new();
+        let saved = saved.into_iter().map(|(kind, tob_seq, req)| match kind {
+            PendingKind::Invoke => WalRecord::Invoke { tob_seq, req },
+            PendingKind::Tentative => WalRecord::Tentative { tob_seq, req },
+        });
+        let promised = saved_ballot.then_some(WalRecord::Promised { round, leader });
+        let accepted = (accepted.into_iter()).map(|(slot, round, leader, sender, seq, req)| {
             WalRecord::Accepted {
                 slot,
                 round,
@@ -303,41 +296,63 @@ impl<F: DataType> Recovered<F> {
                 sender,
                 seq,
                 req,
-            } => {
-                let payload = Arc::new(req);
-                self.note_event(&payload);
-                TobEvent::Accepted {
-                    slot,
-                    round,
-                    leader,
-                    sender,
-                    seq,
-                    payload,
-                }
             }
-            WalRecord::Decided {
-                slot,
-                sender,
-                seq,
-                req,
-            } => {
-                let payload = Arc::new(req);
-                self.note_event(&payload);
-                if slot < self.mark.slot_floor {
-                    // a pre-compaction record surviving in the WAL
-                    // suffix: already summarised by the snapshot's mark
-                    return;
+        });
+        let decided = (decided.into_iter()).map(|(slot, sender, seq, req)| WalRecord::Decided {
+            slot,
+            sender,
+            seq,
+            req,
+        });
+        let records = saved
+            .chain(promised)
+            .chain(accepted)
+            .chain(decided)
+            .chain(self.records);
+        let facts = records.filter_map(|rec| {
+            let (kind, tob_seq, req) = match rec {
+                WalRecord::Invoke { tob_seq, req } => (PendingKind::Invoke, tob_seq, req),
+                WalRecord::Tentative { tob_seq, req } => (PendingKind::Tentative, tob_seq, req),
+                fact => {
+                    if let WalRecord::Accepted {
+                        sender, seq, req, ..
+                    }
+                    | WalRecord::Decided {
+                        sender, seq, req, ..
+                    } = &fact
+                    {
+                        raise(&mut event_high, req.origin(), req.id().event_no());
+                        raise(&mut cast_next, *sender, seq + 1);
+                    }
+                    return fact.into_tob_event();
                 }
-                decided.insert(slot, (sender, seq, payload.clone()));
-                TobEvent::Decided {
-                    slot,
-                    sender,
-                    seq,
-                    payload,
-                }
+            };
+            raise(&mut event_high, req.origin(), req.id().event_no());
+            raise(&mut cast_next, req.origin(), tob_seq + 1);
+            let req = Arc::new(req);
+            // an invocation record supersedes a relayed copy of the request
+            if kind == PendingKind::Invoke {
+                pending.insert(req.id(), (kind, tob_seq, req));
+            } else {
+                pending.entry(req.id()).or_insert((kind, tob_seq, req));
             }
-        };
-        self.tob_events.push(event);
+            None
+        });
+        tob.install_baseline(&mark);
+        let deliveries = tob.restore(facts).into_iter().map(|d| d.payload).collect();
+        let pending = (pending.into_values())
+            .filter(|(_, seq, req)| !tob.is_decided(req.origin(), *seq))
+            .collect();
+        Replayed {
+            deliveries,
+            state,
+            state_delivered: delivered,
+            mark,
+            baseline,
+            pending,
+            event_high,
+            cast_next,
+        }
     }
 }
 
@@ -401,78 +416,41 @@ where
             enc_pool: BufPool::new(),
             _data: PhantomData,
         };
-        if !store.enabled {
-            return Ok((store, Recovered::empty(n)));
+        if store.enabled {
+            if let Some(manifest) = Manifest::load(&store.backend)? {
+                manifest.remove_orphans(&mut store.backend)?;
+                store.manifest = manifest;
+            }
         }
-
-        let mut recovered = Recovered::empty(n);
-        if let Some(manifest) = Manifest::load(&store.backend)? {
-            manifest.remove_orphans(&mut store.backend)?;
-            store.manifest = manifest;
-            recovered = store.recover()?;
+        let recovered = store.read_back()?;
+        if store.enabled {
+            // never append to a possibly-torn tail: open a fresh segment
+            store.rotate_segment()?;
         }
-
-        // never append to a possibly-torn tail: open a fresh segment
-        store.rotate_segment()?;
         Ok((store, recovered))
     }
 
-    /// Folds the snapshot and the WAL suffix the manifest names into
-    /// the recovered image.
-    fn recover(&self) -> Result<Recovered<F>, StorageError> {
-        let mut rec = Recovered::empty(self.n);
-        let mut decided = DecidedMap::new();
-        let mut pending = PendingMap::new();
+    /// Reads the snapshot and the WAL suffix the manifest names.
+    fn read_back(&self) -> Result<Recovered<F>, StorageError> {
+        let mut rec = Recovered {
+            snapshot: None,
+            records: Vec::new(),
+            torn_tail: false,
+            n: self.n,
+        };
         if let Some(name) = &self.manifest.snapshot {
-            let snap = Snapshot::<F>::from_bytes(&self.backend.read(name)?)?;
-            rec.mark = snap.mark;
-            if rec.mark.fifo_next.len() < self.n {
-                rec.mark.fifo_next.resize(self.n, 0);
+            let mut snap = Snapshot::<F>::from_bytes(&self.backend.read(name)?)?;
+            if (snap.decided.iter()).any(|(slot, ..)| *slot < snap.mark.slot_floor) {
+                return Err(StorageError::Corrupt(
+                    "snapshot decided slot below its own mark".into(),
+                ));
             }
-            rec.baseline = snap.baseline;
-            for (mine, h) in rec.event_high.iter_mut().zip(&snap.event_high) {
-                *mine = (*mine).max(*h);
+            if snap.mark.fifo_next.len() < self.n {
+                snap.mark.fifo_next.resize(self.n, 0);
             }
-            rec.snapshot_state = snap.state;
-            rec.snapshot_delivered = snap.delivered;
-            let (round, leader) = snap.promised;
-            rec.fold(
-                WalRecord::Promised { round, leader },
-                &mut decided,
-                &mut pending,
-            );
-            for (slot, round, leader, sender, seq, req) in snap.accepted {
-                let accepted = WalRecord::Accepted {
-                    slot,
-                    round,
-                    leader,
-                    sender,
-                    seq,
-                    req,
-                };
-                rec.fold(accepted, &mut decided, &mut pending);
-            }
-            for (slot, sender, seq, req) in snap.decided {
-                if slot < rec.mark.slot_floor {
-                    return Err(StorageError::Corrupt(
-                        "snapshot decided slot below its own mark".into(),
-                    ));
-                }
-                let decision = WalRecord::Decided {
-                    slot,
-                    sender,
-                    seq,
-                    req,
-                };
-                rec.fold(decision, &mut decided, &mut pending);
-            }
-            for (kind, tob_seq, req) in snap.pending {
-                let req = Arc::new(req);
-                rec.note_event(&req);
-                pending.insert(req.id(), (kind, tob_seq, req));
-            }
+            snap.event_high.resize(self.n, 0);
+            rec.snapshot = Some(snap);
         }
-
         // scan the WAL suffix, one segment at a time
         for name in &self.manifest.segments {
             let data = match self.backend.read(name) {
@@ -488,39 +466,7 @@ where
             }
             let scan: FrameScan<WalRecord<F::Op>> = scan_frames(&data[SEGMENT_HEADER_LEN..]);
             rec.torn_tail |= scan.torn;
-            for record in scan.records {
-                rec.fold(record, &mut decided, &mut pending);
-            }
-        }
-
-        // prune pending requests that were decided later in the log, or
-        // whose cast sequence number falls below the compaction floor
-        // (they were decided, delivered everywhere and truncated — the
-        // decided ids themselves are gone, but the per-sender FIFO
-        // cursors in the mark still identify them)
-        let decided_ids: HashSet<ReqId> = decided.values().map(|(_, _, r)| r.id()).collect();
-        let mark = &rec.mark;
-        rec.pending = pending
-            .into_values()
-            .filter(|(_, tob_seq, req)| {
-                !decided_ids.contains(&req.id()) && *tob_seq >= mark.next_for(req.origin())
-            })
-            .collect();
-
-        // deterministic local delivery order above the compaction floor:
-        // the contiguous decided suffix, slot by slot, through the
-        // sender-FIFO gate resumed at the mark (the exact release rule
-        // the TOB applies after `install_baseline`); slots beyond the
-        // first gap are decided-but-undeliverable and stay in the
-        // decided log only
-        let mut fifo = FifoRelease::new(self.n);
-        for s in ReplicaId::all(self.n) {
-            fifo.fast_forward(s, rec.mark.next_for(s));
-        }
-        let mut next_slot = rec.mark.slot_floor;
-        while let Some((sender, seq, req)) = decided.get(&next_slot) {
-            rec.deliveries.extend(fifo.push(*sender, *seq, req.clone()));
-            next_slot += 1;
+            rec.records.extend(scan.records);
         }
         Ok(rec)
     }
@@ -548,38 +494,34 @@ where
         &self.backend
     }
 
-    /// Checkpoints the store's own files: folds the live snapshot and
-    /// WAL suffix exactly as recovery would and saves the result as the
-    /// new snapshot. For code that drives the hooks without a replica to
-    /// cut the image from (tests, benchmarks, shutdown paths); a replica
-    /// saves the image of its own state instead.
+    /// Checkpoints the store's own files: replays the live snapshot and
+    /// WAL suffix through a throwaway TOB ([`Recovered::replay`], as
+    /// recovery does) and saves the result as the new snapshot. For code
+    /// that drives the hooks without a replica to cut the image from
+    /// (tests, benchmarks); a replica saves the image of its own state
+    /// instead.
     pub fn write_snapshot(&mut self) -> Result<(), StorageError> {
         if !self.enabled {
             return Ok(());
         }
         self.backend.flush()?;
-        let rec = self.recover()?;
-        // the TOB facts fold the way recovery restores them
         let mut tob = PaxosTob::with_defaults(self.n);
-        tob.install_baseline(&rec.mark);
-        tob.restore(rec.tob_events);
-        let covered = rec.snapshot_delivered.saturating_sub(rec.mark.delivered) as usize;
-        let mut state = rec.snapshot_state;
-        for req in rec.deliveries.iter().skip(covered) {
+        let replayed = self.read_back()?.replay(&mut tob);
+        let covered = replayed.state_delivered - replayed.mark.delivered;
+        let mut state = replayed.state;
+        for req in replayed.deliveries.iter().skip(covered as usize) {
             F::apply(&mut state, &req.op);
         }
         let mut image = Snapshot {
-            delivered: rec.mark.delivered + rec.deliveries.len() as u64,
+            delivered: replayed.mark.delivered + replayed.deliveries.len() as u64,
             state,
-            promised: (0, ReplicaId::new(0)),
-            accepted: Vec::new(),
-            decided: Vec::new(),
-            pending: (rec.pending.iter())
+            pending: (replayed.pending.iter())
                 .map(|(kind, seq, req)| (*kind, *seq, req.as_ref().clone()))
                 .collect(),
-            mark: rec.mark,
-            baseline: rec.baseline,
-            event_high: rec.event_high,
+            mark: replayed.mark,
+            baseline: replayed.baseline,
+            event_high: replayed.event_high,
+            ..Snapshot::empty(self.n)
         };
         image.set_tob_image(tob.durable_image(image.mark.slot_floor));
         self.save_snapshot(&image)
@@ -797,7 +739,7 @@ mod tests {
     use super::*;
     use crate::backend::{MemDisk, NullStorage};
     use bayou_data::{KvOp, KvStore};
-    use bayou_types::{Dot, Level, Req, Timestamp};
+    use bayou_types::{Dot, Level, Req, ReqId, Timestamp};
 
     type KvStore8 = ReplicaStore<KvStore, MemDisk>;
 
@@ -829,18 +771,19 @@ mod tests {
         Snapshot {
             delivered: reqs.len() as u64,
             state,
-            promised: (0, ReplicaId::new(0)),
-            accepted: Vec::new(),
             decided: reqs
                 .iter()
                 .enumerate()
                 .map(|(slot, r)| (slot as u64, r.origin(), slot as u64, r.as_ref().clone()))
                 .collect(),
-            pending: Vec::new(),
-            mark: BaselineMark::zero(1),
-            baseline: Default::default(),
             event_high: vec![reqs.len() as u64],
+            ..Snapshot::empty(1)
         }
+    }
+
+    /// Replays what a store read back through a fresh TOB.
+    fn replay(recovered: Recovered<KvStore>, n: usize) -> Replayed<KvStore> {
+        recovered.replay(&mut PaxosTob::with_defaults(n))
     }
 
     #[test]
@@ -872,17 +815,18 @@ mod tests {
         // "crash" (drop the store) and reopen the same disk
         drop(store);
         let (_store2, recovered) = KvStore8::open(disk, 3, StoreConfig::default()).unwrap();
-        assert_eq!(recovered.deliveries.len(), 1);
-        assert_eq!(recovered.deliveries[0].id(), r1.id());
-        assert_eq!(recovered.pending.len(), 1);
-        assert_eq!(recovered.pending[0].2.id(), r2.id());
-        assert_eq!(recovered.pending[0].0, PendingKind::Tentative);
         assert!(!recovered.torn_tail);
-        // tob events contain the decision
+        // the records contain the decision
         assert!(recovered
-            .tob_events
+            .records
             .iter()
-            .any(|e| matches!(e, TobEvent::Decided { slot: 0, .. })));
+            .any(|e| matches!(e, WalRecord::Decided { slot: 0, .. })));
+        let replayed = replay(recovered, 3);
+        assert_eq!(replayed.deliveries.len(), 1);
+        assert_eq!(replayed.deliveries[0].id(), r1.id());
+        assert_eq!(replayed.pending.len(), 1);
+        assert_eq!(replayed.pending[0].2.id(), r2.id());
+        assert_eq!(replayed.pending[0].0, PendingKind::Tentative);
     }
 
     #[test]
@@ -908,15 +852,16 @@ mod tests {
         drop(store);
 
         let (store2, recovered) = KvStore8::open(disk, 1, cfg).unwrap();
-        assert_eq!(recovered.deliveries.len(), 25);
-        assert_eq!(recovered.snapshot_delivered, 20);
+        let replayed = replay(recovered, 1);
+        assert_eq!(replayed.deliveries.len(), 25);
+        assert_eq!(replayed.state_delivered, 20);
         // snapshot state covers the first 20 commits; the rest replay
-        let mut expect = recovered.snapshot_state.clone();
-        for req in recovered.deliveries.iter().skip(20) {
+        let mut expect = replayed.state.clone();
+        for req in replayed.deliveries.iter().skip(20) {
             KvStore::apply(&mut expect, &req.op);
         }
         assert_eq!(expect.get("k4"), Some(&24));
-        assert!(recovered.pending.is_empty());
+        assert!(replayed.pending.is_empty());
         drop(store2);
     }
 
@@ -976,7 +921,9 @@ mod tests {
         disk.crash(42); // unsynced suffix torn at a random byte
 
         let (_s, recovered) = KvStore8::open(disk, 1, cfg).unwrap();
-        let ids: Vec<ReqId> = recovered.pending.iter().map(|p| p.2.id()).collect();
+        let ids: Vec<ReqId> = (replay(recovered, 1).pending.iter())
+            .map(|p| p.2.id())
+            .collect();
         assert!(ids.contains(&r1.id()), "synced record must survive");
         // r2 may or may not survive depending on the tear point — but if
         // the tail was torn mid-record it must be reported
@@ -1007,7 +954,7 @@ mod tests {
         );
         drop(store);
         let (_s, recovered) = KvStore8::open(disk, 1, cfg).unwrap();
-        assert_eq!(recovered.pending.len(), 20);
+        assert_eq!(replay(recovered, 1).pending.len(), 20);
     }
 
     #[test]
@@ -1022,8 +969,10 @@ mod tests {
         drop(store);
         let (_s1, rec1) = KvStore8::open(disk.clone(), 2, cfg).unwrap();
         let (_s2, rec2) = KvStore8::open(disk, 2, cfg).unwrap();
+        assert_eq!(rec1.records, rec2.records);
+        let (rec1, rec2) = (replay(rec1, 2), replay(rec2, 2));
         assert_eq!(rec1.deliveries.len(), rec2.deliveries.len());
         assert_eq!(rec1.pending.len(), rec2.pending.len());
-        assert_eq!(rec1.snapshot_delivered, rec2.snapshot_delivered);
+        assert_eq!(rec1.state_delivered, rec2.state_delivered);
     }
 }

@@ -4,8 +4,7 @@
 //! durable prefix** — no lost synced records, no resurrected torn ones —
 //! for all eight data types.
 
-use bayou_broadcast::BaselineMark;
-use bayou_broadcast::TobEvent;
+use bayou_broadcast::{PaxosTob, TobEvent};
 use bayou_data::{
     replay, AddRemoveSet, AppendList, Bank, Calendar, Counter, DataType, KvStore, RandomOp,
     RwRegister, Script,
@@ -42,17 +41,13 @@ fn image_of<F: DataType>(reqs: &[SharedReq<F::Op>]) -> Snapshot<F> {
     Snapshot {
         delivered: reqs.len() as u64,
         state,
-        promised: (0, ReplicaId::new(0)),
-        accepted: Vec::new(),
         decided: reqs
             .iter()
             .enumerate()
             .map(|(slot, r)| (slot as u64, r.origin(), slot as u64, r.as_ref().clone()))
             .collect(),
-        pending: Vec::new(),
-        mark: BaselineMark::zero(1),
-        baseline: F::State::default(),
         event_high: vec![reqs.len() as u64],
+        ..Snapshot::empty(1)
     }
 }
 
@@ -140,6 +135,7 @@ fn crash_at_arbitrary_prefix_recovers_durable_prefix<F>(
         .max(snapshot_covered as usize);
 
     let (_store, recovered) = ReplicaStore::<F, _>::open(disk, 1, cfg).unwrap();
+    let recovered = recovered.replay(&mut PaxosTob::with_defaults(1));
     prop_assert_eq!(
         recovered.deliveries.len(),
         durable,
@@ -147,15 +143,15 @@ fn crash_at_arbitrary_prefix_recovers_durable_prefix<F>(
         cut,
         final_len
     );
-    prop_assert!(recovered.snapshot_delivered <= durable as u64);
+    prop_assert!(recovered.state_delivered <= durable as u64);
 
     // State equivalence: snapshot state + WAL-suffix replay must equal
     // replaying exactly the durable prefix of the original op stream.
-    let mut state = recovered.snapshot_state.clone();
+    let mut state = recovered.state.clone();
     for req in recovered
         .deliveries
         .iter()
-        .skip(recovered.snapshot_delivered as usize)
+        .skip(recovered.state_delivered as usize)
     {
         F::apply(&mut state, &req.op);
     }
@@ -240,9 +236,10 @@ mod torn_unsynced_tail {
             disk.crash(crash_seed);
 
             let (_store, recovered) = ReplicaStore::<KvStore, _>::open(disk, 1, cfg).unwrap();
+            let recovered = recovered.replay(&mut PaxosTob::with_defaults(1));
             let k = recovered.deliveries.len();
             prop_assert!(k <= nops);
-            let mut state = recovered.snapshot_state.clone();
+            let mut state = recovered.state.clone();
             for req in &recovered.deliveries {
                 KvStore::apply(&mut state, &req.op);
             }
