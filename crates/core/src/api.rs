@@ -151,25 +151,26 @@ impl ExecTrace {
     }
 
     /// Copies the stable prefix in from `committed`, the group's
-    /// committed order from its first delivery, leaving a self-contained
-    /// trace.
+    /// committed order from position `base` (0: from its first
+    /// delivery), leaving a self-contained trace.
     ///
     /// # Panics
     ///
-    /// Panics if `committed` does not reach the end of the stable
-    /// prefix: it is not the order the response was computed against.
-    pub fn resolve(&mut self, committed: &[ReqId]) {
+    /// Panics if `committed` does not cover the stable prefix: it is not
+    /// the order the response was computed against.
+    pub fn resolve(&mut self, base: u64, committed: &[ReqId]) {
         if self.stable == 0 {
             return;
         }
-        let from = self.from as usize;
+        let covered = base..base + committed.len() as u64;
         assert!(
-            from + self.stable <= committed.len(),
-            "exec trace resolved against too short a committed order: needs {}..{}, has {}",
-            from,
-            from + self.stable,
-            committed.len()
+            covered.start <= self.from && self.from + self.stable as u64 <= covered.end,
+            "exec trace resolved against a committed order that misses it: needs {}..{}, has {:?}",
+            self.from,
+            self.from + self.stable as u64,
+            covered
         );
+        let from = (self.from - base) as usize;
         let mut ids = Vec::with_capacity(self.stable + self.tail.len());
         ids.extend_from_slice(&committed[from..from + self.stable]);
         ids.append(&mut self.tail);
@@ -359,23 +360,34 @@ mod tests {
     fn exec_trace_resolves_its_stable_prefix() {
         let committed: Vec<ReqId> = (1..=5).map(|n| meta(n).id()).collect();
         let mut t = ExecTrace::new(0, 3, vec![meta(9).id()]);
-        t.resolve(&committed);
+        t.resolve(0, &committed);
         let expected = [committed[0], committed[1], committed[2], meta(9).id()];
         assert_eq!(t.ids(), expected);
         // resolved traces are self-contained: a second resolve is a no-op
-        t.resolve(&[]);
+        t.resolve(0, &[]);
         assert_eq!(t.ids(), expected);
         // a state object that began at the third commit
         let mut t = ExecTrace::new(2, 2, Vec::new());
-        t.resolve(&committed);
+        t.resolve(0, &committed);
+        assert_eq!(t.ids(), [committed[2], committed[3]]);
+        // the same, against the order recorded from position 2 on
+        let mut t = ExecTrace::new(2, 2, Vec::new());
+        t.resolve(2, &committed[2..]);
         assert_eq!(t.ids(), [committed[2], committed[3]]);
     }
 
     #[test]
-    #[should_panic(expected = "too short a committed order")]
+    #[should_panic(expected = "misses it")]
     fn exec_trace_refuses_a_shorter_committed_order() {
         let mut t = ExecTrace::new(1, 2, Vec::new());
-        t.resolve(&[meta(1).id(), meta(2).id()]);
+        t.resolve(0, &[meta(1).id(), meta(2).id()]);
+    }
+
+    #[test]
+    #[should_panic(expected = "misses it")]
+    fn exec_trace_refuses_an_order_recorded_after_its_prefix() {
+        let mut t = ExecTrace::new(1, 2, Vec::new());
+        t.resolve(2, &[meta(3).id(), meta(4).id()]);
     }
 
     #[test]

@@ -25,8 +25,10 @@
 //!   one shared backend ([`bayou_storage::SharedBackend`], namespaced by
 //!   [`bayou_storage::Prefixed`]) and funnel their deferred record syncs
 //!   into one [`SyncBarrier`] the host settles with a *single* physical
-//!   fsync per step, before any frame leaves (the write-ahead contract:
-//!   a group's "sends" only ever reach the host's buffers);
+//!   fsync per runtime barrier ([`Process::barrier`]: after every
+//!   handler in the simulator, once per wake live), before any frame
+//!   leaves (the write-ahead contract: a group's "sends" only ever reach
+//!   buffers);
 //! - **one flush deferral** — the host runs the cross-step park/flush
 //!   state machine ([`StepDeferral`]) over its step-end coalescer, whose
 //!   per-peer buffers hold frames from *all* groups, so frames for
@@ -152,7 +154,7 @@ impl<M> Context<M> for GroupCtx<'_, M> {
 }
 
 /// The host's shared WAL group-commit barrier: the flag the per-group
-/// stores dirty, the settle that hands the step's appends to the OS and
+/// stores dirty, the settle that hands the logged appends to the OS and
 /// pays the sync they owe, and the failure latch that crash-stops the
 /// whole host (the store is shared — one group's sync failure is every
 /// group's).
@@ -272,8 +274,8 @@ where
     }
 
     /// Routes every group's deferred group-commit sync debt through
-    /// `barrier`, settled by `settle` at each host step end: it hands
-    /// the step's buffered appends to the OS (one write) and, when its
+    /// `barrier`, settled by `settle` at each [`Process::barrier`]: it
+    /// hands the buffered appends to the OS (one write) and, when its
     /// argument says the barrier was dirtied, pays one physical fsync of
     /// the shared backend. A failure crash-stops the whole host, since
     /// the store is shared.
@@ -350,35 +352,12 @@ where
             .open(ctx, GroupedMsg::Batch, self.wire_meter.clone())
     }
 
-    /// Settles the step's WAL writes: each group's own deferred sync
-    /// (a no-op for stores routed to the shared barrier), then the shared
-    /// barrier — every group's appends of the step reach the OS in one
-    /// write and, if any group dirtied the shared log, one physical
-    /// fsync covers them all. Runs before any frame leaves the host
-    /// (write-ahead: group "sends" only ever reached the host's
-    /// buffers). A failure crash-stops the host and the runtime discards
-    /// the step's output.
-    fn sync_step(&mut self) {
-        for g in &mut self.groups {
-            g.sync_step();
-        }
-        if let Some(hb) = &mut self.barrier {
-            if hb.failed.is_some() {
-                return;
-            }
-            let dirty = hb.barrier.settle();
-            hb.fsyncs += u64::from(dirty);
-            if let Err(e) = (hb.settle)(dirty) {
-                hb.failed = Some(e);
-            }
-        }
-    }
-
-    /// Closes one host step: settle the WAL syncs first, then run the
-    /// cross-step deferral over the coalesced frames — once for all
-    /// groups, flushing at once when a strong operation waits on them.
+    /// Closes one host step: runs the cross-step deferral over the
+    /// coalesced frames — once for all groups, flushing at once when a
+    /// strong operation waits on them. The frames reach only the
+    /// runtime's buffers; the runtime's [`Process::barrier`] makes the
+    /// step's WAL appends durable before they leave.
     fn close_host_step(&mut self, cctx: StepCoalescer<'_, HostMsg<F, T>>, urgent: bool) {
-        self.sync_step();
         self.deferral.close(cctx, urgent);
     }
 
@@ -478,7 +457,6 @@ where
             // idle: flush the parked frames of all groups now (not
             // through close_host_step, which would re-park them)
             let cctx = self.host_step(ctx);
-            self.sync_step();
             self.deferral.flush(cctx);
             return;
         }
@@ -523,6 +501,31 @@ where
             out.extend(group.drain_outputs().into_iter().map(|r| (gid, r)));
         }
         out
+    }
+
+    /// Settles every WAL append the host's steps made since the last
+    /// barrier: each group's own deferred sync (a no-op for stores
+    /// routed to the shared barrier), then the shared barrier — all the
+    /// groups' appends reach the OS in one write and, if any group
+    /// dirtied the shared log, one physical fsync covers them all. The
+    /// runtime calls it before any frame or reply of those steps leaves
+    /// (write-ahead: group "sends" only ever reached buffers). A failure
+    /// crash-stops the host and the runtime discards what the steps
+    /// produced.
+    fn barrier(&mut self) {
+        for g in &mut self.groups {
+            g.sync_step();
+        }
+        if let Some(hb) = &mut self.barrier {
+            if hb.failed.is_some() {
+                return;
+            }
+            let dirty = hb.barrier.settle();
+            hb.fsyncs += u64::from(dirty);
+            if let Err(e) = (hb.settle)(dirty) {
+                hb.failed = Some(e);
+            }
+        }
     }
 
     fn take_storage_stall(&mut self) -> VirtualTime {

@@ -130,10 +130,8 @@ where
     /// the group each went to and its record (responses are matched in
     /// when a trace is built).
     invocations: Vec<Vec<(GroupId, EventRecord<F::Op>)>>,
-    /// Per group, every request committed so far in TOB order — the
-    /// whole order, of which each replica retains only the suffix above
-    /// its compaction floor.
-    committed: Vec<Vec<ReqId>>,
+    /// Per group, every request committed so far in TOB order.
+    committed: Vec<Recorded>,
     responses: Vec<OutputRecord<(GroupId, Response)>>,
     quiescent: bool,
     /// Whether the schedule restarts replicas: a rebuilt replica's
@@ -221,11 +219,14 @@ where
         let has_restarts = !sim_config.restarts.is_empty();
         let sim = Sim::new(sim_config, make);
         let groups = sim.process(ReplicaId::new(0)).group_count();
+        let committed = GroupId::all(groups)
+            .map(|gid| Recorded::recovered(ReplicaId::all(n).map(|r| sim.process(r).group(gid))))
+            .collect();
         BayouCluster {
             sim,
             n,
             invocations: vec![Vec::new(); n],
-            committed: vec![Vec::new(); groups],
+            committed,
             responses: Vec::new(),
             quiescent: false,
             has_restarts,
@@ -387,9 +388,16 @@ where
         // order is delivered by some replica's commit batch first, so the
         // order grows without gaps
         let host = self.sim.process(r);
-        for (gid, order) in GroupId::all(self.committed.len()).zip(&mut self.committed) {
+        let groups = GroupId::all(self.committed.len());
+        for (gid, Recorded { base, order }) in groups.zip(&mut self.committed) {
+            let base = *base;
             let (from, batch) = host.group(gid).last_commit();
-            let from = from as usize;
+            // positions below the base were committed before recording
+            // began, by the cluster that wrote the recovered disks
+            let batch = batch
+                .get(base.saturating_sub(from) as usize..)
+                .unwrap_or(&[]);
+            let from = from.saturating_sub(base) as usize;
             assert!(
                 from <= order.len(),
                 "group {gid}: {r} committed position {from} beyond the recorded order \
@@ -406,7 +414,8 @@ where
         }
         for mut out in self.sim.take_outputs() {
             let (gid, response) = &mut out.output;
-            response.exec_trace.resolve(&self.committed[gid.index()]);
+            let recorded = &self.committed[gid.index()];
+            response.exec_trace.resolve(recorded.base, &recorded.order);
             self.responses.push(out);
         }
     }
@@ -426,9 +435,18 @@ where
     /// Every request group `gid` committed so far, in TOB order, as the
     /// cluster recorded the deliveries step by step — the whole order,
     /// including what compaction dropped from every replica. Position
-    /// `i` is the paper's `tobNo` `i`.
+    /// `i` is the paper's `tobNo` `i`, counted from
+    /// [`BayouCluster::committed_base`].
     pub fn committed_order(&self, gid: GroupId) -> &[ReqId] {
-        &self.committed[gid.index()]
+        &self.committed[gid.index()].order
+    }
+
+    /// The committed-order position [`BayouCluster::committed_order`]
+    /// starts at: 0, unless the factory recovered the hosts from disks an
+    /// earlier cluster wrote — then the lowest compaction floor among
+    /// them, below which no host retains the order.
+    pub fn committed_base(&self, gid: GroupId) -> u64 {
+        self.committed[gid.index()].base
     }
 
     /// Runs closed-loop sessions to completion (or until the simulation
@@ -518,14 +536,14 @@ where
         let what = format!("group {gid}: ");
         let total = a.committed_total();
         let state = a.materialize();
-        let order = self.committed_order(gid);
+        let (order, base) = (self.committed_order(gid), self.committed_base(gid));
         for (r, b) in std::iter::once((first, a)).chain(checked) {
             assert_eq!(
                 b.committed_total(),
                 total,
                 "{what}committed totals diverge between {first} and {r}"
             );
-            let off = b.compacted_count() as usize;
+            let off = (b.compacted_count() - base) as usize;
             let ids = b.committed_ids();
             assert_eq!(
                 order.get(off..off + ids.len()),
@@ -615,6 +633,68 @@ where
             end_time: self.sim.now(),
             quiescent: self.quiescent,
         }
+    }
+}
+
+/// One group's committed order as the cluster records it: the whole
+/// order from position `base`, of which each replica retains only the
+/// suffix above its compaction floor.
+struct Recorded {
+    /// 0 for fresh hosts; the lowest compaction floor for hosts
+    /// recovered from an earlier cluster's disks, below which no host
+    /// retains the order.
+    base: u64,
+    order: Vec<ReqId>,
+}
+
+impl Recorded {
+    /// The order the replicas of one group hold when the cluster is
+    /// built — nothing for fresh hosts; for recovered ones, their
+    /// retained suffixes merged from the lowest compaction floor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two replicas disagree where their suffixes overlap, or
+    /// if the suffixes leave a gap.
+    fn recovered<'a, F, T, S>(
+        replicas: impl Iterator<Item = &'a BayouReplica<F, T, S>> + Clone,
+    ) -> Recorded
+    where
+        F: DataType + 'a,
+        T: Tob<SharedReq<F::Op>> + 'a,
+        S: StateObject<F> + 'a,
+    {
+        let floors = replicas.clone().map(|g| g.compacted_count());
+        let base = floors.clone().min().unwrap_or(0);
+        let mut order = Vec::new();
+        // each pass appends what a replica holds past the order's end,
+        // until none holds more
+        loop {
+            let before = order.len();
+            for g in replicas.clone() {
+                let from = (g.compacted_count() - base) as usize;
+                if from > order.len() {
+                    continue;
+                }
+                let ids = g.committed_ids();
+                let overlap = (order.len() - from).min(ids.len());
+                assert_eq!(
+                    order[from..from + overlap],
+                    ids[..overlap],
+                    "recovered replicas disagree on the committed order"
+                );
+                order.extend_from_slice(&ids[overlap..]);
+            }
+            if order.len() == before {
+                break;
+            }
+        }
+        let reach = base + order.len() as u64;
+        assert!(
+            floors.max().unwrap_or(0) <= reach,
+            "recovered replicas leave a gap in the committed order at position {reach}"
+        );
+        Recorded { base, order }
     }
 }
 

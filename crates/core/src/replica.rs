@@ -1581,12 +1581,13 @@ where
         std::mem::take(&mut self.outputs)
     }
 
-    /// Settles the step's deferred group-commit sync: one fsync for
-    /// everything the step logged (a no-op for a store that defers to
-    /// its host's shared barrier). The host runs this *before* any frame
+    /// Settles the deferred group-commit sync: one fsync for everything
+    /// logged since the last call (a no-op for a store that defers to
+    /// its host's shared barrier). The host's
+    /// [`bayou_types::Process::barrier`] runs this *before* any frame
     /// leaves, which preserves the write-ahead contract; a sync failure
-    /// crash-stops the replica, and the runtime then discards the step's
-    /// buffered sends and outputs.
+    /// crash-stops the replica, and the runtime then discards the
+    /// buffered sends and outputs it covered.
     pub(crate) fn sync_step(&mut self) {
         let res = self.persist.sync_step();
         self.persist_ok(res);

@@ -437,8 +437,11 @@ fn a_floor_advance_in_slot_space_only_survives_a_restart() {
         leader,
         timers: 0,
     };
+    // driving the host by hand makes this test its runtime, so it owes
+    // the write-ahead barrier after every handler
     let mut host = boot();
     host.on_start(&mut ctx);
+    host.barrier();
     let req = |no: u64, op| {
         Arc::new(Req::new(
             Timestamp::new(no as i64),
@@ -463,7 +466,10 @@ fn a_floor_advance_in_slot_space_only_survives_a_restart() {
     };
     let mut step = |host: &mut Host, msg| {
         host.on_message(leader, msg, &mut ctx);
-        while host.on_internal(&mut ctx) {}
+        host.barrier();
+        while host.on_internal(&mut ctx) {
+            host.barrier();
+        }
     };
     let mark = |host: &Host| {
         let m = host.group(GroupId::new(0)).tob().baseline_mark().unwrap();

@@ -169,6 +169,65 @@ fn mixed_weak_and_strong_ops_survive_a_bounce() {
     );
 }
 
+/// A cluster can start over the disks another one left behind: its
+/// recorder starts from what the recovered replicas retain, above their
+/// lowest compaction floor, so its total-order check and the exec traces
+/// of the ops it runs resolve against that suffix.
+#[test]
+fn a_second_cluster_runs_over_the_first_clusters_disks() {
+    let (n, g0) = (3, GroupId::new(0));
+    let (first, disks) = crash_restart_run(11);
+    let store_cfg = StoreConfig {
+        snapshot_every: 8,
+        ..Default::default()
+    };
+    let sim = SimConfig::new(n, 12).with_max_time(ms(30_000));
+    let mut cluster: BayouCluster<KvStore> =
+        BayouCluster::with_factory(sim, durable_factory(n, disks, store_cfg));
+    let base = cluster.committed_base(g0) as usize;
+    assert!(base > 0, "the first cluster compacted a prefix");
+    let recovered = cluster.committed_order(g0).to_vec();
+    assert_eq!(
+        first.get(base..base + recovered.len()),
+        Some(&recovered[..]),
+        "the recorder starts from the order the first cluster committed"
+    );
+    for k in 0..12u64 {
+        let level = if k % 4 == 3 {
+            Level::Strong
+        } else {
+            Level::Weak
+        };
+        cluster.invoke_at(
+            ms(1 + 20 * k),
+            ReplicaId::new((k % 3) as u32),
+            KvOp::put(format!("k{}", k % 5), 100 + k as i64),
+            level,
+        );
+    }
+    let trace = cluster.run_until(ms(30_000));
+    assert!(trace.quiescent);
+    cluster.assert_convergence(&[]);
+    // building the trace resolved every exec trace against the suffix
+    let answered: Vec<_> = trace.events.iter().filter(|e| e.value.is_some()).collect();
+    assert_eq!(
+        answered.len(),
+        12,
+        "every op of the second cluster answered"
+    );
+    for e in answered {
+        assert!(e.exec_trace.is_some(), "{} has an exec trace", e.meta.id());
+        if e.meta.level.is_strong() {
+            assert!(trace.tob_order.contains(&e.meta.id()));
+        }
+    }
+    // the second cluster's commits follow the first's in one order
+    let order = cluster.committed_order(g0);
+    assert_eq!(order.len(), first.len() - base + 12);
+    let total = cluster.replica(ReplicaId::new(0)).committed_total() as usize;
+    assert_eq!(base + order.len(), total);
+}
+
 /// Simulated fsync latency is charged to the replica's CPU: the same
 /// durable schedule with a slow disk must make its clients wait strictly
 /// longer, account the stall in the metrics, and still converge — the

@@ -60,18 +60,25 @@ enum ReplicaEvent<P: Process> {
 
 type Mailboxes<P> = Vec<Sender<ReplicaEvent<P>>>;
 
-/// Where a replica's outputs go: called on the replica's own thread,
-/// once per output, right after the step that produced it.
-type Sink<P> = Arc<dyn Fn(ReplicaId, <P as Process>::Output) + Send + Sync>;
+/// Where one replica's outputs go: built for the replica's thread and
+/// called on it once per wake, with every output the wake released.
+type Sink<O> = Box<dyn FnMut(Vec<O>) + Send>;
+
+/// The most mailbox events one wake handles before it settles. A wake
+/// is the unit of I/O — one barrier, one sink call, one delivery of the
+/// frames — so the bound caps how long the first event's reply can wait
+/// behind the events queued after it.
+const WAKE_DRAIN: usize = 64;
 
 /// A running in-process cluster of `n` replicas executing a
 /// [`Process`].
 ///
 /// See the crate-level example. Each replica hands its outputs to a
-/// sink on its own thread: a cluster built with [`LiveCluster::new`]
-/// puts them on one bounded channel for [`LiveCluster::recv_output`],
-/// one built with [`LiveCluster::with_sink`] runs the caller's closure
-/// in place. Faults are injected through [`LiveCluster::control`].
+/// sink on its own thread, once per wake: a cluster built with
+/// [`LiveCluster::new`] puts them on one bounded channel for
+/// [`LiveCluster::recv_output`], one built with [`LiveCluster::with_sink`]
+/// runs the caller's per-replica closure in place. Faults are injected
+/// through [`LiveCluster::control`].
 pub struct LiveCluster<P: Process> {
     /// The only strong reference to the mailbox senders: replica threads
     /// reach their peers through a [`Weak`] one, so dropping the cluster
@@ -107,30 +114,40 @@ where
         make: impl Fn(ReplicaId, usize) -> P + Send + Sync + 'static,
     ) -> Self {
         let (out_tx, out_rx) = bounded::<(ReplicaId, P::Output)>(config.channel_capacity);
-        let mut cluster = Self::with_sink(config, make, move |id, o| {
-            // fails only once `shutdown` has dropped the receiver
-            let _ = out_tx.send((id, o));
+        let mut cluster = Self::with_sink(config, make, |id| {
+            let out_tx = out_tx.clone();
+            move |outputs: Vec<P::Output>| {
+                for o in outputs {
+                    // fails only once `shutdown` has dropped the receiver
+                    let _ = out_tx.send((id, o));
+                }
+            }
         });
         cluster.outputs = Some(out_rx);
         cluster
     }
 
-    /// Spawns the cluster as [`LiveCluster::new`] does, but each replica
-    /// hands every output to `sink` on its own thread, right after the
-    /// step that produced it — no channel, no thread in between. The
-    /// replica runs nothing else meanwhile, so `sink` must not block for
+    /// Spawns the cluster as [`LiveCluster::new`] does, but replica `r`
+    /// hands its outputs to `sink(r)`, a closure built once for its
+    /// thread and called on it — no channel, no thread in between, and
+    /// buffers the closure owns need no lock. It is called once per
+    /// wake, with every output of the wake, after the barrier that made
+    /// them durable and before the wake's frames leave for the peers.
+    /// The replica runs nothing else meanwhile, so it must not block for
     /// long. [`LiveCluster::recv_output`] and
     /// [`LiveCluster::try_outputs`] are not available on such a cluster.
-    pub fn with_sink(
+    pub fn with_sink<S>(
         config: LiveConfig,
         make: impl Fn(ReplicaId, usize) -> P + Send + Sync + 'static,
-        sink: impl Fn(ReplicaId, P::Output) + Send + Sync + 'static,
-    ) -> Self {
+        mut sink: impl FnMut(ReplicaId) -> S,
+    ) -> Self
+    where
+        S: FnMut(Vec<P::Output>) + Send + 'static,
+    {
         let n = config.n;
         let cap = config.channel_capacity;
         assert!(n > 0, "cluster must contain at least one replica");
         let make: Arc<dyn Fn(ReplicaId, usize) -> P + Send + Sync> = Arc::new(make);
-        let sink: Sink<P> = Arc::new(sink);
         let ctl = PartitionControl::new(n);
         let (mailbox_txs, mailbox_rxs): (Mailboxes<P>, Vec<_>) =
             (0..n).map(|_| bounded::<ReplicaEvent<P>>(cap)).unzip();
@@ -143,7 +160,7 @@ where
                 let id = ReplicaId::new(i as u32);
                 let factory = Arc::clone(&make);
                 let peers = Arc::downgrade(&mailboxes);
-                let out = Arc::clone(&sink);
+                let out: Sink<P::Output> = Box::new(sink(id));
                 let rctl = Arc::clone(&ctl);
                 let seed = config.seed.wrapping_add(i as u64);
                 std::thread::Builder::new()
@@ -288,10 +305,11 @@ struct LiveCtx<'a, M> {
     id: ReplicaId,
     n: usize,
     start: Instant,
-    /// Sends buffered during the current handler step and flushed after
-    /// it returns — handler-atomic effects, matching the simulator: a
-    /// durable replica's WAL writes (made inside the handler) always hit
-    /// disk before any message produced by the same step leaves.
+    /// Sends buffered during the wake and delivered at its end — after
+    /// the barrier that makes the wake's WAL appends durable and after
+    /// the wake's outputs went to the sink, matching the simulator's
+    /// handler-atomic effects: no frame leaves before the records it
+    /// depends on.
     outbox: &'a mut Vec<(ReplicaId, M)>,
     timers: &'a mut BinaryHeap<std::cmp::Reverse<(Instant, u64)>>,
     timer_counter: &'a mut u64,
@@ -357,12 +375,12 @@ impl<M> Context<M> for LiveCtx<'_, M> {
     }
 }
 
-/// The links: puts the frames one handler step of `from` produced into
-/// their destinations' mailboxes. The fault model mirrors the
-/// simulator's — a crashed endpoint or a partition crossing drops the
-/// frame, and protocol retransmission recovers. So does a full mailbox
-/// (a lossy link): a replica blocking on a peer's mailbox could deadlock
-/// against that peer blocking on its own.
+/// The links: puts the frames one wake of `from` produced into their
+/// destinations' mailboxes. The fault model mirrors the simulator's — a
+/// crashed endpoint or a partition crossing drops the frame, and
+/// protocol retransmission recovers. So does a full mailbox (a lossy
+/// link): a replica blocking on a peer's mailbox could deadlock against
+/// that peer blocking on its own.
 fn deliver<P: Process>(
     from: ReplicaId,
     outbox: &mut Vec<(ReplicaId, P::Msg)>,
@@ -387,6 +405,26 @@ fn deliver<P: Process>(
     }
 }
 
+/// One replica's thread. Each **wake** — the return from a blocking
+/// mailbox receive, or a timer deadline — is one unit of I/O:
+///
+/// 1. take the event that woke it, then whatever else is queued, up to
+///    [`WAKE_DRAIN`] events, each its own handler step — and after each,
+///    as when every event was its own wake, fire the due timers and run
+///    internal steps until the process is passive;
+/// 2. call [`Process::barrier`], which makes every WAL append of the wake
+///    durable at once;
+/// 3. hand the wake's outputs to the sink;
+/// 4. deliver the wake's frames to the peers.
+///
+/// So the wake changes only when bytes leave the process, never which
+/// steps run or in what order. Nothing the wake produced leaves before
+/// the barrier that covers it, and replies go before frames, so a
+/// client's reply never waits on the peers' wake-ups. A crashed or
+/// crash-stopped process (an injected crash, a failed handler, a failed
+/// barrier) releases nothing of the wake. A `Restart` or `Stop` ends the
+/// wake: the old process first settles and releases what it owes, or
+/// discards it if it is crashed.
 #[allow(clippy::too_many_arguments)]
 fn replica_loop<P>(
     id: ReplicaId,
@@ -394,7 +432,7 @@ fn replica_loop<P>(
     factory: Arc<dyn Fn(ReplicaId, usize) -> P + Send + Sync>,
     mailbox: Receiver<ReplicaEvent<P>>,
     peers: Weak<Mailboxes<P>>,
-    out: Sink<P>,
+    mut out: Sink<P::Output>,
     ctl: Arc<PartitionControl>,
     seed: u64,
 ) where
@@ -424,90 +462,97 @@ fn replica_loop<P>(
         };
     }
 
-    /// Flushes the sends buffered by the handler step that just ran — or
-    /// discards them if that step crash-stopped the process: the facts
-    /// backing them never became durable, so nothing of the step may
-    /// escape (a cursor report for unlogged deliveries would let peers
-    /// truncate history this replica cannot re-derive).
-    macro_rules! flush {
+    /// What follows every step the mailbox fed: the due timers fire and
+    /// internal steps run until passive. A crashed process executes
+    /// nothing — its due timers are discarded, as a dead process's would
+    /// be — and so does one that crash-stopped itself, until an explicit
+    /// Restart rebuilds it.
+    macro_rules! run_due {
         () => {
-            if process.has_failed() {
+            let crashed = ctl.is_crashed(id) || process.has_failed();
+            let now = Instant::now();
+            while let Some(std::cmp::Reverse((due, tid))) = timers.peek().copied() {
+                if due > now {
+                    break;
+                }
+                timers.pop();
+                if !crashed {
+                    process.on_timer(TimerId::new(tid), &mut ctx!());
+                }
+            }
+            if !crashed {
+                while process.on_internal(&mut ctx!()) {}
+            }
+        };
+    }
+
+    /// Ends a wake (steps 2–4). If the process is down once the barrier
+    /// ran, the wake's frames are dropped and its outputs stay
+    /// unreleased: the facts backing them may never have become durable
+    /// (a cursor report for unlogged deliveries would let peers truncate
+    /// history this replica cannot re-derive).
+    macro_rules! release {
+        () => {
+            if !ctl.is_crashed(id) && !process.has_failed() {
+                process.barrier();
+            }
+            if ctl.is_crashed(id) || process.has_failed() {
                 outbox.clear();
             } else {
+                let outputs = process.drain_outputs();
+                if !outputs.is_empty() {
+                    out(outputs);
+                }
                 deliver::<P>(id, &mut outbox, &peers, &ctl);
             }
         };
     }
 
     process.on_start(&mut ctx!());
-    flush!();
-
+    run_due!();
     loop {
-        // a process that crash-stopped itself (storage failure) is
-        // treated exactly like an injected crash: it executes nothing
-        // and goes silent until an explicit Restart rebuilds it
-        let crashed = ctl.is_crashed(id) || process.has_failed();
-        // 1. fire due timers (a crashed replica executes nothing; its
-        //    due timers are discarded, as a dead process's would be)
-        let now = Instant::now();
-        while let Some(std::cmp::Reverse((due, tid))) = timers.peek().copied() {
-            if due > now {
-                break;
-            }
-            timers.pop();
-            if !crashed {
-                process.on_timer(TimerId::new(tid), &mut ctx!());
-                flush!();
-            }
-        }
-        // 2. run internal steps until passive
-        if !crashed {
-            while process.on_internal(&mut ctx!()) {
-                flush!();
-            }
-            // 3. hand the outputs to the sink
-            for o in process.drain_outputs() {
-                out(id, o);
-            }
-        }
-        // 4. sleep until the next event arrives or the next timer is due
-        let event = match timers.peek() {
+        release!();
+        // sleep until the next event arrives or the next timer is due
+        let woke = match timers.peek() {
             Some(std::cmp::Reverse((due, _))) => {
                 match mailbox.recv_timeout(due.saturating_duration_since(Instant::now())) {
-                    Err(RecvTimeoutError::Timeout) => continue,
+                    Err(RecvTimeoutError::Timeout) => {
+                        run_due!();
+                        continue;
+                    }
                     got => got.ok(),
                 }
             }
             None => mailbox.recv().ok(),
         };
-        let live = !ctl.is_crashed(id) && !process.has_failed();
-        match event {
-            Some(ReplicaEvent::Input(input)) if live => {
-                process.on_input(input, &mut ctx!());
-                flush!();
-            }
-            Some(ReplicaEvent::Message(from, m)) if live => {
-                process.on_message(from, m, &mut ctx!());
-                flush!();
-            }
+        // `None`: the cluster handle was dropped
+        let Some(first) = woke else { return };
+        let queued = std::iter::from_fn(|| mailbox.try_recv().ok());
+        for event in std::iter::once(first).chain(queued).take(WAKE_DRAIN) {
             // a crashed replica discards its traffic
-            Some(ReplicaEvent::Input(_) | ReplicaEvent::Message(..)) => {}
-            Some(ReplicaEvent::Restart) => {
-                // rebuild through the factory (recovering from
-                // durable storage when one is wired) and come back
-                process = factory(id, n);
-                timers.clear();
-                outbox.clear();
-                ctl.uncrash(id);
-                process.on_start(&mut ctx!());
-                flush!();
+            let live = !ctl.is_crashed(id) && !process.has_failed();
+            match event {
+                ReplicaEvent::Input(input) if live => process.on_input(input, &mut ctx!()),
+                ReplicaEvent::Message(from, m) if live => process.on_message(from, m, &mut ctx!()),
+                ReplicaEvent::Input(_) | ReplicaEvent::Message(..) => {}
+                ReplicaEvent::Restart => {
+                    // rebuild through the factory (recovering from
+                    // durable storage when one is wired) and come back
+                    release!();
+                    process = factory(id, n);
+                    timers.clear();
+                    ctl.uncrash(id);
+                    process.on_start(&mut ctx!());
+                    run_due!();
+                    break;
+                }
+                ReplicaEvent::Stop(ret) => {
+                    release!();
+                    let _ = ret.send(process);
+                    return;
+                }
             }
-            Some(ReplicaEvent::Stop(ret)) => {
-                let _ = ret.send(process);
-                return;
-            }
-            // the cluster handle was dropped
-            None => return,
+            run_due!();
         }
     }
 }
@@ -761,10 +806,14 @@ mod tests {
 /// in which order: per-sender FIFO; a full mailbox loses a peer's frame
 /// but only delays a client's input; nothing enters or leaves a crashed
 /// replica or crosses a partition; control events queued behind
-/// discarded traffic are honoured; a timer fires at its deadline.
+/// discarded traffic are honoured; a timer fires at its deadline. And
+/// the wake's: a failed barrier releases nothing of its wake; a wake's
+/// outputs reach the sink before its frames reach any peer; a `Restart`
+/// or `Stop` in the middle of a drain loses no output.
 ///
 /// Where an interleaving matters, a `Held` input parks the replica
-/// inside a handler until the test releases it.
+/// inside a handler until the test releases it; the events queued
+/// meanwhile are handled in the same wake.
 #[cfg(test)]
 mod mailbox_contract {
     use super::*;
@@ -784,6 +833,8 @@ mod mailbox_contract {
         ),
         /// Arm a timer and report `Fired` with how long it took.
         Timer(Duration),
+        /// Make the wake's barrier fail, crash-stopping the probe.
+        FailBarrier,
     }
 
     #[derive(Debug, Clone, PartialEq)]
@@ -799,6 +850,9 @@ mod mailbox_contract {
     struct Probe {
         seen: Vec<Seen>,
         armed: Option<Instant>,
+        /// The next barrier fails.
+        failing: bool,
+        failed: bool,
     }
 
     impl Process for Probe {
@@ -832,6 +886,7 @@ mod mailbox_contract {
                     self.armed = Some(Instant::now());
                     ctx.set_timer(VirtualTime::from_nanos(after.as_nanos() as u64));
                 }
+                Do::FailBarrier => self.failing = true,
             }
         }
 
@@ -842,6 +897,14 @@ mod mailbox_contract {
 
         fn drain_outputs(&mut self) -> Vec<Seen> {
             std::mem::take(&mut self.seen)
+        }
+
+        fn barrier(&mut self) {
+            self.failed |= self.failing;
+        }
+
+        fn has_failed(&self) -> bool {
+            self.failed
         }
     }
 
@@ -870,6 +933,13 @@ mod mailbox_contract {
             assert_eq!(next(&cluster).1, Seen::Started);
         }
         cluster
+    }
+
+    /// Returns once `replica` has ended the wake it is in — delivered or
+    /// dropped that wake's frames — by sending it a note and awaiting it.
+    fn fence(cluster: &LiveCluster<Probe>, replica: ReplicaId) {
+        cluster.invoke(replica, Do::Note(u32::MAX));
+        assert_eq!(next(cluster), (replica, Seen::Noted(u32::MAX)));
     }
 
     /// Parks `replica` inside a handler; the returned sender lets it go.
@@ -921,6 +991,7 @@ mod mailbox_contract {
             cluster.invoke(r(0), Do::Send(r(1), k));
             assert_eq!(next(&cluster), (r(0), Seen::Sent(k)));
         }
+        fence(&cluster, r(0));
         std::thread::scope(|s| {
             let (done_tx, done_rx) = mpsc::channel();
             let cluster = &cluster;
@@ -958,6 +1029,9 @@ mod mailbox_contract {
         cluster.control().isolate(r(2));
         cluster.invoke(r(0), Do::Send(r(2), 1));
         assert_eq!(next(&cluster), (r(0), Seen::Sent(1)));
+        // a wake's outputs come before its frames: the fault must hold
+        // until the wake is over
+        fence(&cluster, r(0));
         cluster.control().heal();
         cluster.invoke(r(0), Do::Send(r(2), 2));
         next_two(&cluster, (r(0), Seen::Sent(2)), (r(2), Seen::Got(r(0), 2)));
@@ -966,6 +1040,7 @@ mod mailbox_contract {
         cluster.control().crash(r(2));
         cluster.invoke(r(0), Do::Send(r(2), 3));
         assert_eq!(next(&cluster), (r(0), Seen::Sent(3)));
+        fence(&cluster, r(0));
         // from one: replica 1 crashes inside the step that sends 4
         let release = hold(&cluster, r(1), Some((r(0), 4)));
         cluster.control().crash(r(1));
@@ -990,9 +1065,14 @@ mod mailbox_contract {
         let cluster = LiveCluster::with_sink(
             config,
             |_, _| Probe::default(),
-            move |id, seen| {
-                let thread = std::thread::current().name().map(str::to_owned);
-                let _ = tx.send((id, seen, thread));
+            |id| {
+                let tx = tx.clone();
+                move |outputs: Vec<Seen>| {
+                    let thread = std::thread::current().name().map(str::to_owned);
+                    for seen in outputs {
+                        let _ = tx.send((id, seen, thread.clone()));
+                    }
+                }
             },
         );
         cluster.invoke(r(1), Do::Note(7));
@@ -1012,12 +1092,16 @@ mod mailbox_contract {
         cluster.shutdown();
     }
 
-    /// Runs a lone crashed replica over a mailbox filled beforehand, on
-    /// this thread: the loop returns at the `Stop` that ends `events`.
-    fn run_crashed(events: Vec<ReplicaEvent<Probe>>) -> (Vec<Seen>, Probe) {
+    /// Runs a lone replica, crashed from the start or not, over a
+    /// mailbox filled beforehand, on this thread: the loop returns at the
+    /// `Stop` that ends `events`.
+    fn run_alone(crashed: bool, events: Vec<ReplicaEvent<Probe>>) -> (Vec<Seen>, Probe) {
         let (mailbox_tx, mailbox) = bounded(events.len() + 1);
         let (out, outputs) = bounded(64);
-        let sink: Sink<Probe> = Arc::new(move |id, seen| out.send((id, seen)).expect("room"));
+        let sink: Sink<Seen> = Box::new(move |seen: Vec<Seen>| {
+            seen.into_iter()
+                .for_each(|seen| out.send(seen).expect("room"))
+        });
         let (ret_tx, ret_rx) = bounded(1);
         for event in events {
             mailbox_tx.send(event).expect("room for every event");
@@ -1026,34 +1110,120 @@ mod mailbox_contract {
             .send(ReplicaEvent::Stop(ret_tx))
             .expect("room for every event");
         let ctl = PartitionControl::new(1);
-        ctl.crash(r(0));
+        if crashed {
+            ctl.crash(r(0));
+        }
         let factory = Arc::new(|_, _| Probe::default());
         replica_loop(r(0), 1, factory, mailbox, Weak::new(), sink, ctl, 0);
-        let reported = std::iter::from_fn(|| outputs.try_recv().ok())
-            .map(|(_, seen)| seen)
-            .collect();
         (
-            reported,
+            std::iter::from_fn(|| outputs.try_recv().ok()).collect(),
             ret_rx.try_recv().expect("Stop returns the process"),
         )
     }
 
     #[test]
     fn restart_and_stop_behind_discarded_traffic_are_honoured() {
-        let (reported, _) = run_crashed(vec![
-            ReplicaEvent::Input(Do::Note(1)),
-            ReplicaEvent::Message(r(0), 2),
-            ReplicaEvent::Restart,
-            ReplicaEvent::Input(Do::Note(3)),
-        ]);
+        let (reported, _) = run_alone(
+            true,
+            vec![
+                ReplicaEvent::Input(Do::Note(1)),
+                ReplicaEvent::Message(r(0), 2),
+                ReplicaEvent::Restart,
+                ReplicaEvent::Input(Do::Note(3)),
+            ],
+        );
         assert_eq!(reported, [Seen::Started, Seen::Noted(3)]);
 
-        let (reported, process) = run_crashed(vec![
-            ReplicaEvent::Input(Do::Note(1)),
-            ReplicaEvent::Message(r(0), 2),
-        ]);
+        let (reported, process) = run_alone(
+            true,
+            vec![
+                ReplicaEvent::Input(Do::Note(1)),
+                ReplicaEvent::Message(r(0), 2),
+            ],
+        );
         assert!(reported.is_empty());
         assert_eq!(process.seen, [Seen::Started], "the traffic was discarded");
+    }
+
+    #[test]
+    fn a_restart_or_stop_inside_a_drain_releases_what_the_old_process_owes() {
+        // every event is queued before the replica starts, so one drain
+        // takes the note and the Restart behind it, the next the note
+        // and the Stop
+        let (reported, process) = run_alone(
+            false,
+            vec![
+                ReplicaEvent::Input(Do::Note(1)),
+                ReplicaEvent::Restart,
+                ReplicaEvent::Input(Do::Note(2)),
+            ],
+        );
+        assert_eq!(
+            reported,
+            [Seen::Started, Seen::Noted(1), Seen::Started, Seen::Noted(2)]
+        );
+        assert!(process.seen.is_empty(), "Stop released the last wake");
+    }
+
+    #[test]
+    fn a_failed_barrier_releases_nothing_of_its_wake() {
+        let cluster = probes(2, 64);
+        // the events queued while replica 0 is held share one wake with
+        // the held step, and the last one makes its barrier fail
+        let release = hold(&cluster, r(0), Some((r(1), 1)));
+        cluster.invoke(r(0), Do::Send(r(1), 2));
+        cluster.invoke(r(0), Do::Note(3));
+        cluster.invoke(r(0), Do::FailBarrier);
+        release.send(()).expect("replica 0 is held");
+        // nothing of that wake escaped: the restart's output is the next
+        // one, and replica 0's next frame is the first replica 1 gets
+        cluster.restart(r(0));
+        assert_eq!(next(&cluster), (r(0), Seen::Started));
+        cluster.invoke(r(0), Do::Send(r(1), 4));
+        next_two(&cluster, (r(0), Seen::Sent(4)), (r(1), Seen::Got(r(0), 4)));
+        cluster.shutdown();
+    }
+
+    #[test]
+    fn a_wakes_outputs_reach_the_sink_before_its_frames_reach_a_peer() {
+        // replica 0's sink stops at its first `Sent` until the test lets
+        // it go; replica 1 must not get the frame of that step meanwhile
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let mut gate = Some((entered_tx, release_rx));
+        let (tx, rx) = mpsc::channel();
+        let cluster = LiveCluster::with_sink(
+            LiveConfig::new(2),
+            |_, _| Probe::default(),
+            |id| {
+                let tx = tx.clone();
+                let gate = if id == r(0) { gate.take() } else { None };
+                move |outputs: Vec<Seen>| {
+                    for seen in outputs {
+                        if let (Seen::Sent(_), Some((entered, release))) = (&seen, &gate) {
+                            entered.send(()).expect("the test waits for the sink");
+                            release.recv().expect("the test releases the sink");
+                        }
+                        tx.send((id, seen)).expect("the test reads every output");
+                    }
+                }
+            },
+        );
+        let next = || rx.recv_timeout(Duration::from_secs(5)).expect("an output");
+        let started = [next(), next()];
+        assert!(started.iter().all(|(_, seen)| *seen == Seen::Started));
+
+        cluster.invoke(r(0), Do::Send(r(1), 1));
+        entered.recv().expect("replica 0's sink gets the output");
+        assert!(
+            rx.recv_timeout(Duration::from_millis(50)).is_err(),
+            "a frame left before its wake's outputs were handed over"
+        );
+        release.send(()).expect("the sink is held");
+        let got = [next(), next()];
+        assert!(got.contains(&(r(0), Seen::Sent(1))), "{got:?}");
+        assert!(got.contains(&(r(1), Seen::Got(r(0), 1))), "{got:?}");
+        cluster.shutdown();
     }
 
     #[test]

@@ -5,12 +5,14 @@
 //! time, this crate runs the *same* [`bayou_types::Process`]
 //! implementations as a real in-process cluster: one OS thread and one
 //! bounded mailbox per replica, and wall-clock timers. A replica sleeps
-//! on its mailbox until an event arrives or its next timer is due, and
-//! at the end of each step puts the frames it produced straight into
-//! its peers' mailboxes, dropping those that partitions or crash faults
-//! cut off. It exists to demonstrate that the protocol code is
-//! runtime-agnostic and to host the `examples/live_cluster.rs` demo, the
-//! server and the wall-clock benches.
+//! on its mailbox until an event arrives or its next timer is due; each
+//! wake handles what is queued, makes its WAL appends durable with one
+//! barrier, hands its outputs to the sink and only then puts the frames
+//! it produced straight into its peers' mailboxes, dropping those that
+//! partitions or crash faults cut off. It exists to demonstrate that
+//! the protocol code is runtime-agnostic and to host the
+//! `examples/live_cluster.rs` demo, the server and the wall-clock
+//! benches.
 //!
 //! The Ω failure detector is provided by [`PartitionControl`] (which
 //! knows which replicas are crashed) — replicas read it through

@@ -31,4 +31,4 @@ pub use client::{Client, Session};
 pub use hist::Histogram;
 pub use load::{run_load, LoadConfig, LoadReport};
 pub use protocol::{Reply, Request, RequestView, ResponseMsg, MAX_FRAME};
-pub use server::{KvHost, KvReplica, Server, ServerConfig, ShardRouter};
+pub use server::{HopCounts, KvHost, KvReplica, Server, ServerConfig, ShardRouter};

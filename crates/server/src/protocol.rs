@@ -23,6 +23,12 @@ use std::io::{self, Read, Write};
 /// rejected as [`io::ErrorKind::InvalidData`] before any allocation.
 pub const MAX_FRAME: usize = 1 << 20;
 
+/// The capacity of the buffered reader a server connection reads
+/// requests through ([`read_frame`] over a `std::io::BufReader`): a
+/// burst of pipelined requests costs one `read(2)`, and an idle
+/// connection holds only this much.
+pub const READ_BUFFER: usize = 4096;
+
 /// A client request.
 ///
 /// `tag` is an opaque per-connection correlation value chosen by the
@@ -224,19 +230,6 @@ pub fn encode_ok_response(out: &mut Vec<u8>, tag: u64, value: &Value) {
     out[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
 }
 
-/// Encodes an `Ok(value)` response into `buf` (cleared first) via the
-/// borrow path and writes the frame to `w`.
-pub fn write_ok_response(
-    w: &mut impl Write,
-    buf: &mut Vec<u8>,
-    tag: u64,
-    value: &Value,
-) -> io::Result<()> {
-    buf.clear();
-    encode_ok_response(buf, tag, value);
-    w.write_all(buf)
-}
-
 /// Appends one framed `ResponseMsg { tag, reply: Reply::Retry { .. } }`
 /// to `out` without constructing either enum — the session-read reply
 /// path's twin of [`encode_ok_response`], byte-identical to the owned
@@ -253,18 +246,55 @@ pub fn encode_retry_response(out: &mut Vec<u8>, tag: u64, seen_seq: u64, committ
     out[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
 }
 
-/// Encodes a `Retry` response into `buf` (cleared first) via the borrow
-/// path and writes the frame to `w`.
-pub fn write_retry_response(
-    w: &mut impl Write,
-    buf: &mut Vec<u8>,
-    tag: u64,
-    seen_seq: u64,
-    committed: u64,
-) -> io::Result<()> {
-    buf.clear();
-    encode_retry_response(buf, tag, seen_seq, committed);
-    w.write_all(buf)
+/// One wake's replies, coalesced per connection: each reply is encoded
+/// straight into its connection's buffer ([`ReplyBatch::to`] with
+/// [`encode_ok_response`] or [`encode_retry_response`]), and
+/// [`ReplyBatch::write`] hands every connection its bytes at once — one
+/// write per connection per wake, however many replies it carries. The
+/// buffers are kept for the next wake, so once they have grown to a
+/// wake's size the batch allocates nothing (gated by `tests/alloc.rs`).
+#[derive(Debug)]
+pub struct ReplyBatch<C> {
+    /// The connections addressed this wake, with their encoded replies.
+    open: Vec<(C, Vec<u8>)>,
+    /// Emptied buffers of earlier wakes, kept for their capacity.
+    spare: Vec<Vec<u8>>,
+}
+
+impl<C> Default for ReplyBatch<C> {
+    fn default() -> Self {
+        ReplyBatch {
+            open: Vec::new(),
+            spare: Vec::new(),
+        }
+    }
+}
+
+impl<C: PartialEq> ReplyBatch<C> {
+    /// The buffer collecting this wake's replies to `conn`: append
+    /// encoded frames to it.
+    pub fn to(&mut self, conn: C) -> &mut Vec<u8> {
+        let at = match self.open.iter().position(|(c, _)| *c == conn) {
+            Some(at) => at,
+            None => {
+                let buf = self.spare.pop().unwrap_or_default();
+                self.open.push((conn, buf));
+                self.open.len() - 1
+            }
+        };
+        &mut self.open[at].1
+    }
+
+    /// Hands each connection's replies to `write` — one call per
+    /// connection, in the order the connections were first addressed —
+    /// and empties the batch for the next wake.
+    pub fn write(&mut self, mut write: impl FnMut(&C, &[u8])) {
+        for (conn, mut buf) in self.open.drain(..) {
+            write(&conn, &buf);
+            buf.clear();
+            self.spare.push(buf);
+        }
+    }
 }
 
 /// Reads one frame's payload into `buf` (resized in place, so a reused
@@ -422,6 +452,99 @@ mod tests {
             req
         );
         assert!(!read_frame(&mut rd, &mut buf).unwrap(), "clean EOF");
+    }
+
+    /// A reader that hands `data` out in two reads, split at `at`, then
+    /// reports end of stream.
+    struct Split<'a> {
+        data: &'a [u8],
+        at: usize,
+        pos: usize,
+    }
+
+    impl Read for Split<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let end = if self.pos < self.at {
+                self.at
+            } else {
+                self.data.len()
+            };
+            let n = buf.len().min(end - self.pos);
+            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn frames_split_across_reads_at_every_offset_decode_through_the_read_buffer() {
+        let requests = [
+            Request::Op {
+                tag: 1,
+                level: Level::Weak,
+                op: KvOp::put("key", 42),
+            },
+            Request::Ping { tag: 2 },
+            Request::Op {
+                tag: 3,
+                level: Level::Strong,
+                op: KvOp::get("a longer key than the small buffer holds"),
+            },
+        ];
+        let mut wire = Vec::new();
+        for req in &requests {
+            encode_frame(&mut wire, req);
+        }
+        // the server's buffer, and one smaller than a frame
+        for capacity in [READ_BUFFER, 7] {
+            for at in 0..=wire.len() {
+                let split = Split {
+                    data: &wire,
+                    at,
+                    pos: 0,
+                };
+                let mut reader = std::io::BufReader::with_capacity(capacity, split);
+                let mut frame = Vec::new();
+                for req in &requests {
+                    assert!(
+                        read_frame(&mut reader, &mut frame).unwrap(),
+                        "split at {at}"
+                    );
+                    let got = RequestView::view_from_bytes(&frame).unwrap().into_owned();
+                    assert_eq!(&got, req, "split at {at}, buffer {capacity}");
+                }
+                assert!(!read_frame(&mut reader, &mut frame).unwrap(), "clean EOF");
+            }
+        }
+    }
+
+    #[test]
+    fn a_wake_writes_each_connection_once_with_its_replies_in_order() {
+        let frame = |tag, value: &Value| {
+            let mut f = Vec::new();
+            encode_ok_response(&mut f, tag, value);
+            f
+        };
+        let (one, two, three) = (Value::Int(10), Value::Str("b".into()), Value::None);
+        let mut batch = ReplyBatch::default();
+        for wake in 0..2 {
+            encode_ok_response(batch.to("a"), 1, &one);
+            encode_ok_response(batch.to("b"), 2, &two);
+            encode_ok_response(batch.to("a"), 3, &three);
+            let mut writes: Vec<(&str, Vec<u8>)> = Vec::new();
+            batch.write(|conn, bytes| writes.push((conn, bytes.to_vec())));
+            assert_eq!(
+                writes,
+                [
+                    ("a", [frame(1, &one), frame(3, &three)].concat()),
+                    ("b", frame(2, &two)),
+                ],
+                "wake {wake}"
+            );
+        }
+        let mut writes = 0;
+        batch.write(|_, _| writes += 1);
+        assert_eq!(writes, 0, "a written batch is empty");
     }
 
     #[test]

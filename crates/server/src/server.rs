@@ -4,13 +4,17 @@
 //! reader thread that decodes pipelined request frames straight out of a
 //! reusable buffer ([`crate::protocol::RequestView`] borrow-decoding —
 //! no allocation per frame on the hot path) and dispatches operations
-//! into the [`LiveCluster`]. Replies leave from the replica thread that
-//! produced them: the cluster's output sink routes each response to the
-//! owning connection by correlation tag and writes it there, encoding
-//! `Ok` replies through the borrow path
-//! ([`crate::protocol::encode_ok_response`]) so the response side is as
-//! allocation-free as the request side. No thread sits between a
-//! replica's step and the socket.
+//! into the [`LiveCluster`]; it reads through a small buffer
+//! ([`crate::protocol::READ_BUFFER`]), so a burst of pipelined requests
+//! costs one `read(2)`. Replies leave from the replica thread that
+//! produced them, once per wake of that thread: its output sink routes
+//! each response to the owning connection by correlation tag, encodes
+//! the wake's replies per connection into reused buffers through the
+//! borrow path ([`crate::protocol::encode_ok_response`]), and writes
+//! each connection once — so the response side is as allocation-free
+//! as the request side. No thread sits between a replica's wake and the
+//! socket. [`Server::hop_counts`] reports the serving path's system
+//! calls: WAL writes, reply writes and request reads.
 //!
 //! ## Slow readers
 //!
@@ -68,8 +72,8 @@
 //! [`Server::restart_replica`] brings it back.
 
 use crate::protocol::{
-    read_frame, write_frame, write_ok_response, write_retry_response, Reply, RequestView,
-    ResponseMsg,
+    encode_ok_response, encode_retry_response, read_frame, write_frame, Reply, ReplyBatch,
+    RequestView, ResponseMsg, READ_BUFFER,
 };
 use bayou_broadcast::{PaxosConfig, PaxosTob};
 use bayou_core::{
@@ -78,11 +82,11 @@ use bayou_core::{
 };
 use bayou_data::{DeltaState, KvOp, KvOpView, KvStore};
 use bayou_net::{LiveCluster, LiveConfig};
-use bayou_storage::{FileStorage, StoreConfig};
-use bayou_types::{GroupId, LeaseConfig, Level, ReadGuard, ReplicaId, SharedReq, Value, WireView};
+use bayou_storage::{Counted, FileStorage, StoreConfig};
+use bayou_types::{GroupId, LeaseConfig, Level, ReadGuard, ReplicaId, SharedReq, WireView};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -195,8 +199,38 @@ impl Default for ServerConfig {
 /// so this bounds what a client that stops reading can cost it.
 const WRITE_TIMEOUT: Duration = Duration::from_millis(100);
 
+/// The serving path's system calls so far, summed over every replica,
+/// connection and restart: the numerator of a per-operation hop ledger.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HopCounts {
+    /// `write(2)` calls that handed WAL appends to the OS.
+    pub wal_writes: u64,
+    /// `write(2)` calls on client connections (replies of every kind).
+    pub reply_writes: u64,
+    /// `read(2)` calls on client connections.
+    pub request_reads: u64,
+}
+
+/// The always-on counters behind [`HopCounts`].
+#[derive(Debug, Default)]
+struct Hops {
+    wal_writes: Arc<AtomicU64>,
+    reply_writes: Arc<AtomicU64>,
+    request_reads: Arc<AtomicU64>,
+}
+
+impl Hops {
+    fn counts(&self) -> HopCounts {
+        HopCounts {
+            wal_writes: self.wal_writes.load(Ordering::Relaxed),
+            reply_writes: self.reply_writes.load(Ordering::Relaxed),
+            request_reads: self.request_reads.load(Ordering::Relaxed),
+        }
+    }
+}
+
 /// One connection's server-side state: the write half (stream + reusable
-/// encode buffer behind one lock, so responses from every replica thread
+/// encode buffer behind one lock, so replies from every replica thread
 /// and immediate Busy/Pong/Err replies from other threads interleave
 /// whole-frame) and the outstanding-op count.
 struct Conn {
@@ -205,21 +239,33 @@ struct Conn {
 }
 
 struct ConnWriter {
-    stream: TcpStream,
+    stream: Counted<TcpStream>,
     buf: Vec<u8>,
 }
 
 impl Conn {
-    /// Writes one frame under the writer lock. On any error — a dead
-    /// peer, or `WRITE_TIMEOUT` spent on a full socket buffer — the
-    /// frame may be partly written, which poisons the stream, so both
-    /// halves are shut down: the reader thread sees the close and ends,
-    /// and later replies fail at once.
-    fn write(&self, frame: impl FnOnce(&mut TcpStream, &mut Vec<u8>) -> io::Result<()>) {
+    /// A connection writing to `stream`, each `write(2)` counted in
+    /// `writes`.
+    fn new(stream: TcpStream, writes: Arc<AtomicU64>) -> Conn {
+        Conn {
+            writer: Mutex::new(ConnWriter {
+                stream: Counted::new(stream, writes),
+                buf: Vec::new(),
+            }),
+            inflight: AtomicUsize::new(0),
+        }
+    }
+
+    /// Writes under the writer lock. On any error — a dead peer, or
+    /// `WRITE_TIMEOUT` spent on a full socket buffer — a frame may be
+    /// partly written, which poisons the stream, so both halves are shut
+    /// down: the reader thread sees the close and ends, and later
+    /// replies fail at once.
+    fn write(&self, frames: impl FnOnce(&mut Counted<TcpStream>, &mut Vec<u8>) -> io::Result<()>) {
         let mut w = self.writer.lock();
         let ConnWriter { stream, buf } = &mut *w;
-        if frame(stream, buf).is_err() {
-            let _ = stream.shutdown(Shutdown::Both);
+        if frames(stream, buf).is_err() {
+            let _ = stream.get_ref().shutdown(Shutdown::Both);
         }
     }
 
@@ -228,17 +274,17 @@ impl Conn {
         self.write(|stream, buf| write_frame(stream, buf, &ResponseMsg { tag, reply }));
     }
 
-    /// Best-effort `Ok(value)` write through the borrow-encode path —
-    /// no `Reply`/`ResponseMsg` constructed, the value encodes by
-    /// reference into the connection's reusable buffer.
-    fn reply_ok(&self, tag: u64, value: &Value) {
-        self.write(|stream, buf| write_ok_response(stream, buf, tag, value));
+    /// Shuts both halves of the connection down.
+    fn close(&self) {
+        let _ = self.writer.lock().stream.get_ref().shutdown(Shutdown::Both);
     }
+}
 
-    /// Best-effort `Retry` write through the borrow-encode path (the
-    /// replica's catch-up cursor goes straight into the frame buffer).
-    fn reply_retry(&self, tag: u64, seen_seq: u64, committed: u64) {
-        self.write(|stream, buf| write_retry_response(stream, buf, tag, seen_seq, committed));
+/// A connection is equal only to itself: it keys a wake's
+/// [`ReplyBatch`].
+impl PartialEq for Conn {
+    fn eq(&self, other: &Conn) -> bool {
+        std::ptr::eq(self, other)
     }
 }
 
@@ -293,6 +339,7 @@ struct Shared {
     shed: Vec<AtomicU64>,
     conns: Mutex<Vec<Weak<Conn>>>,
     readers: Mutex<Vec<JoinHandle<()>>>,
+    hops: Hops,
     window: usize,
     high_water: usize,
     n: usize,
@@ -322,21 +369,38 @@ impl Server {
             ..LiveConfig::new(n)
         };
         let lease = config.lease;
-        // replies leave from the replica thread that produced them: the
-        // sink routes each response to its connection and writes it
+        let hops = Hops::default();
+        // replies leave from the replica thread that produced them: each
+        // thread's sink routes a wake's responses to their connections
+        // and writes each connection once
         let routes = Arc::new(Routes {
             pending: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
             sessions: Mutex::new(HashMap::new()),
         });
-        let sink_routes = Arc::clone(&routes);
-        let sink = move |_, (gid, resp)| route_response(&sink_routes, gid, resp);
+        let sink = |_| {
+            let routes = Arc::clone(&routes);
+            let mut replies = ReplyBatch::default();
+            move |outputs: Vec<(GroupId, Response)>| {
+                for (gid, resp) in outputs {
+                    route_response(&routes, gid, resp, &mut replies);
+                }
+                // one write per connection, each under its writer lock
+                // and bounded by WRITE_TIMEOUT; a dead one drops them
+                replies.write(|conn: &Arc<Conn>, bytes| {
+                    conn.write(|stream, _| stream.write_all(bytes))
+                });
+            }
+        };
         let cluster = match config.data_dir.clone() {
             Some(root) => {
                 std::fs::create_dir_all(&root)?;
                 let store = config.store;
+                let wal_writes = Arc::clone(&hops.wal_writes);
                 let make = move |id: ReplicaId, n| {
                     let dir = root.join(format!("replica-{}", id.index()));
-                    let backend = FileStorage::open(dir).expect("open replica data dir");
+                    let backend = FileStorage::open(dir)
+                        .expect("open replica data dir")
+                        .count_writes_in(Arc::clone(&wal_writes));
                     let mut host = recover_grouped_paxos::<KvStore, DeltaState<KvStore>, _>(
                         id,
                         n,
@@ -384,6 +448,7 @@ impl Server {
             shed: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             conns: Mutex::new(Vec::new()),
             readers: Mutex::new(Vec::new()),
+            hops,
             window: config.window,
             high_water: config.high_water,
             n,
@@ -432,6 +497,12 @@ impl Server {
         self.shared.shed[gid.index()].load(Ordering::Relaxed)
     }
 
+    /// The serving path's system calls so far: divide by the operations
+    /// answered for a per-operation hop ledger.
+    pub fn hop_counts(&self) -> HopCounts {
+        self.shared.hops.counts()
+    }
+
     /// Crashes a replica: it goes silent, its in-flight ops — in every
     /// group it hosts — fail with a typed [`Reply::Err`] (never a
     /// silent stall), and new ops from its connections fail over to the
@@ -472,7 +543,7 @@ impl Server {
         self.shared.stop.store(true, Ordering::SeqCst);
         for c in self.shared.conns.lock().drain(..) {
             if let Some(c) = c.upgrade() {
-                let _ = c.writer.lock().stream.shutdown(Shutdown::Both);
+                c.close();
             }
         }
         // wake the acceptor so it observes the stop flag
@@ -519,10 +590,15 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
-/// The cluster's output sink: completes a response's pending op and
-/// writes the reply to its connection, on the replica thread that
-/// produced it.
-fn route_response(routes: &Routes, gid: GroupId, resp: Response) {
+/// The cluster's output sink, for one response: completes its pending op
+/// and encodes the reply into the wake's buffer for its connection, on
+/// the replica thread that produced it.
+fn route_response(
+    routes: &Routes,
+    gid: GroupId,
+    resp: Response,
+    replies: &mut ReplyBatch<Arc<Conn>>,
+) {
     // untagged responses are re-derivations after a crash restart: the
     // session that asked is gone (its ops were failed at crash time)
     let Some(tag) = resp.tag else { return };
@@ -539,7 +615,7 @@ fn route_response(routes: &Routes, gid: GroupId, resp: Response) {
         // the replica refused the guarded read (it lags the session's
         // floors) and did NOT execute it — hand the cursor back as a
         // typed reply, never a silently-downgraded value
-        p.conn.reply_retry(p.client_tag, seen_seq, committed);
+        encode_retry_response(replies.to(p.conn), p.client_tag, seen_seq, committed);
         return;
     }
     if let Some(session) = p.session {
@@ -558,7 +634,7 @@ fn route_response(routes: &Routes, gid: GroupId, resp: Response) {
             };
         }
     }
-    p.conn.reply_ok(p.client_tag, &resp.value);
+    encode_ok_response(replies.to(p.conn), p.client_tag, &resp.value);
 }
 
 /// First live replica at or after the connection's home slot.
@@ -581,7 +657,7 @@ fn pick_leader(shared: &Shared) -> Option<ReplicaId> {
         .map(|r| ReplicaId::new(r as u32))
 }
 
-fn reader_loop(shared: Arc<Shared>, mut stream: TcpStream, conn_id: u64) {
+fn reader_loop(shared: Arc<Shared>, stream: TcpStream, conn_id: u64) {
     let _ = stream.set_nodelay(true);
     let write_stream = match stream.try_clone() {
         Ok(s) => s,
@@ -590,17 +666,17 @@ fn reader_loop(shared: Arc<Shared>, mut stream: TcpStream, conn_id: u64) {
     if write_stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err() {
         return;
     }
-    let conn = Arc::new(Conn {
-        writer: Mutex::new(ConnWriter {
-            stream: write_stream,
-            buf: Vec::new(),
-        }),
-        inflight: AtomicUsize::new(0),
-    });
+    let conn = Arc::new(Conn::new(
+        write_stream,
+        Arc::clone(&shared.hops.reply_writes),
+    ));
     shared.conns.lock().push(Arc::downgrade(&conn));
 
-    // the reusable frame buffer: steady-state reads resize in place and
-    // RequestView borrows from it, so the decode path allocates nothing
+    // one read(2) takes a whole burst of pipelined requests; the reusable
+    // frame buffer is resized in place and RequestView borrows from it,
+    // so the decode path allocates nothing
+    let reads = Arc::clone(&shared.hops.request_reads);
+    let mut stream = BufReader::with_capacity(READ_BUFFER, Counted::new(stream, reads));
     let mut frame = Vec::new();
     while !shared.stop.load(Ordering::SeqCst) {
         match read_frame(&mut stream, &mut frame) {
@@ -620,7 +696,7 @@ fn reader_loop(shared: Arc<Shared>, mut stream: TcpStream, conn_id: u64) {
             }
         }
     }
-    let _ = conn.writer.lock().stream.shutdown(Shutdown::Both);
+    conn.close();
 }
 
 fn handle_op(

@@ -6,8 +6,8 @@
 
 use bayou_data::{KvOp, KvOpView};
 use bayou_server::protocol::{
-    encode_frame, encode_ok_response, encode_retry_response, read_frame, Reply, RequestView,
-    ResponseMsg,
+    encode_frame, encode_ok_response, encode_retry_response, read_frame, Reply, ReplyBatch,
+    RequestView, ResponseMsg,
 };
 use bayou_server::Request;
 use bayou_types::{Level, Value, WireView};
@@ -219,5 +219,47 @@ fn borrowed_retry_encode_path() {
         spent, 0,
         "steady-state retry encode must allocate nothing: \
          {spent} allocations over {FRAMES} frames"
+    );
+}
+
+/// A replica thread's reply path per wake ([`ReplyBatch`]): the wake's
+/// replies — `Ok` and `Retry`, to two connections — are encoded into
+/// each connection's buffer and handed over one write per connection.
+/// Once the buffers have grown to a wake's size, a wake allocates
+/// nothing.
+#[test]
+fn coalesced_reply_encode_path() {
+    let values = [Value::Int(42), Value::Str("a steady-state reply".into())];
+    let mut batch: ReplyBatch<u64> = ReplyBatch::default();
+    let wake = |batch: &mut ReplyBatch<u64>, i: u64| {
+        encode_ok_response(batch.to(1), i, &values[0]);
+        encode_ok_response(batch.to(2), i + 1, &values[1]);
+        encode_retry_response(batch.to(1), i + 2, i, i * 3);
+        encode_ok_response(batch.to(2), i + 3, &values[0]);
+        let (mut writes, mut bytes) = (0, 0);
+        batch.write(|_, frames| {
+            writes += 1;
+            bytes += frames.len();
+        });
+        (writes, bytes)
+    };
+    for i in 0..4 {
+        wake(&mut batch, i);
+    }
+
+    const WAKES: u64 = 1_000;
+    let mut written = (0, 0);
+    let spent = allocations_in(|| {
+        for i in 0..WAKES {
+            let (writes, bytes) = wake(&mut batch, i);
+            written = (written.0 + writes, written.1 + bytes);
+        }
+    });
+    assert_eq!(written.0, 2 * WAKES, "one write per connection per wake");
+    assert!(written.1 > 0);
+    assert_eq!(
+        spent, 0,
+        "steady-state coalesced reply encode must allocate nothing: \
+         {spent} allocations over {WAKES} wakes"
     );
 }

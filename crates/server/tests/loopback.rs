@@ -99,6 +99,62 @@ fn pipelined_weak_and_strong_ops_over_tcp() {
     }
 }
 
+/// Eight requests in one client write: the server's reader takes them
+/// in one burst and every one is answered under its own tag — the puts
+/// with the empty previous binding, the reads behind them with the
+/// values the same connection wrote.
+#[test]
+fn eight_requests_in_one_write_are_all_answered_under_their_own_tags() {
+    use bayou_server::protocol::{encode_frame, read_frame};
+    use bayou_server::{Request, ResponseMsg};
+    use bayou_types::Wire;
+    use std::io::Write;
+
+    let (server, addr) = start(ServerConfig::default());
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("set timeout");
+    let mut expected: HashMap<u64, Value> = HashMap::new();
+    let mut burst = Vec::new();
+    for k in 0..6u64 {
+        let op = KvOp::put(format!("burst{k}"), k as i64);
+        let (tag, level) = (100 + k, Level::Weak);
+        encode_frame(&mut burst, &Request::Op { tag, level, op });
+        expected.insert(tag, Value::None);
+    }
+    let reads = [
+        (106, Level::Weak, "burst0", 0),
+        (107, Level::Strong, "burst1", 1),
+    ];
+    for (tag, level, key, v) in reads {
+        encode_frame(
+            &mut burst,
+            &Request::Op {
+                tag,
+                level,
+                op: KvOp::get(key),
+            },
+        );
+        expected.insert(tag, Value::Int(v));
+    }
+    stream.write_all(&burst).expect("one write of eight frames");
+
+    let mut frame = Vec::new();
+    let mut got: HashMap<u64, Value> = HashMap::new();
+    for _ in 0..8 {
+        assert!(read_frame(&mut stream, &mut frame).expect("a reply"));
+        let ResponseMsg { tag, reply } = ResponseMsg::from_bytes(&frame).expect("decodes");
+        let Reply::Ok(value) = reply else {
+            panic!("tag {tag}: {reply:?}")
+        };
+        assert!(got.insert(tag, value).is_none(), "tag {tag} answered twice");
+    }
+    assert_eq!(got, expected);
+    drop(stream);
+    server.stop();
+}
+
 #[test]
 fn window_overflow_sheds_with_typed_busy() {
     // a 2-op connection window: a pipelined burst of slow (strong) ops

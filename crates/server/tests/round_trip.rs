@@ -4,8 +4,9 @@
 //! ones configured as the benchmark runs them.
 //!
 //! A weak operation is one wake-up of the connection's reader thread,
-//! one step of its home replica — which writes the reply itself — and
-//! one wake-up of the client; a strong one adds the broadcast round. So
+//! one wake of its home replica — which writes the reply itself, before
+//! it wakes its peers — and one wake-up of the client; a strong one adds
+//! the broadcast round. So
 //! the medians are the server's fixed cost per operation above
 //! `crates/net/tests/wake_latency.rs`. Connection `i` is homed on
 //! replica `i`: the first on the leader, the second on a follower. Since
@@ -24,7 +25,7 @@
 //! `cargo test --release -p bayou-server --test round_trip -- --ignored`.
 
 use bayou_data::KvOp;
-use bayou_server::{Client, Reply, Server, ServerConfig};
+use bayou_server::{run_load, Client, LoadConfig, Reply, Server, ServerConfig};
 use bayou_storage::StoreConfig;
 use bayou_types::Level;
 use std::net::SocketAddr;
@@ -59,11 +60,28 @@ fn warm_client(addr: SocketAddr) -> Client {
     client
 }
 
+/// One server at a time: the tests of this file would otherwise time
+/// each other.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+/// The benchmark's file-backed server: records are written every wake
+/// but fsynced only at segment and snapshot boundaries, a snapshot every
+/// 1024 commits.
+fn file_backed(dir: &std::path::Path) -> ServerConfig {
+    ServerConfig {
+        data_dir: Some(dir.to_path_buf()),
+        store: StoreConfig {
+            sync_every_record: false,
+            snapshot_every: 1024,
+            ..StoreConfig::default()
+        },
+        ..ServerConfig::default()
+    }
+}
+
 /// Weak, strong and follower-strong medians through a server started
-/// with `config`. One server at a time: the tests of this file would
-/// otherwise time each other.
+/// with `config`.
 fn server_medians(config: ServerConfig) -> (Duration, Duration, Duration) {
-    static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
     let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let server = Server::start(config).expect("server starts");
     let mut at_leader = warm_client(server.local_addr());
@@ -101,7 +119,7 @@ fn sequential_round_trips_through_the_server() {
 /// at segment and snapshot boundaries (`sync_every_record: false`), a
 /// snapshot every 1024 commits. What this adds over the in-memory server
 /// is the store's CPU on the replica threads and one `write(2)` per
-/// step. Medians of ten runs on the 2-vCPU host, when the store stopped
+/// replica wake. Medians of ten runs on the 2-vCPU host, when the store stopped
 /// mirroring the replica and began writing once per step: weak 46.9 µs,
 /// strong 72.9 µs, strong from a follower 90.0 µs (the in-memory server
 /// in the same runs: 37.7, 64.3 and 76.8 µs). Each bound is twice its
@@ -111,16 +129,7 @@ fn sequential_round_trips_through_the_server() {
 fn sequential_round_trips_through_a_file_backed_server() {
     let dir = std::env::temp_dir().join(format!("bayou-round-trip-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let config = ServerConfig {
-        data_dir: Some(dir.clone()),
-        store: StoreConfig {
-            sync_every_record: false,
-            snapshot_every: 1024,
-            ..StoreConfig::default()
-        },
-        ..ServerConfig::default()
-    };
-    let (weak, strong, follower_strong) = server_medians(config);
+    let (weak, strong, follower_strong) = server_medians(file_backed(&dir));
     let _ = std::fs::remove_dir_all(&dir);
     assert!(weak < Duration::from_micros(94), "weak median {weak:?}");
     assert!(
@@ -131,4 +140,56 @@ fn sequential_round_trips_through_a_file_backed_server() {
         follower_strong < Duration::from_micros(180),
         "strong median from a follower {follower_strong:?}"
     )
+}
+
+/// The first slots of the hop ledger: the serving path's system calls
+/// per answered operation — WAL `write(2)`s, reply `write(2)`s and
+/// request `read(2)`s ([`Server::hop_counts`]) — on the file-backed
+/// server, under pipelined loads shaped like the benchmark's: two
+/// connections with two operations in flight each, all weak but every
+/// 100th op (`weak_closed`), every 8th strong (`mixed_closed`), and every
+/// 8th strong paced open-loop at 1500 ops/s (`mixed_open`). Prints the
+/// ledger; asserts only that every path was counted.
+#[test]
+#[ignore = "a measurement: run in release and read the output"]
+fn hop_ledger_of_pipelined_loads() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let loads = [
+        ("weak_closed", 100, None, 20_000),
+        ("mixed_closed", 8, None, 20_000),
+        ("mixed_open", 8, Some(1500.0), 6_000),
+    ];
+    for (name, strong_every, rate, ops) in loads {
+        let dir = std::env::temp_dir().join(format!("bayou-hops-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let server = Server::start(file_backed(&dir)).expect("server starts");
+        let report = run_load(&LoadConfig {
+            addr: server.local_addr().to_string(),
+            conns: 2,
+            ops,
+            window: 2,
+            strong_every,
+            rate,
+            seed: 5,
+            ..LoadConfig::default()
+        })
+        .expect("the load runs");
+        let hops = server.hop_counts();
+        server.stop();
+        let _ = std::fs::remove_dir_all(&dir);
+        let per_op = |calls: u64| calls as f64 / report.oks as f64;
+        println!(
+            "{name}: {} ops answered; per op: WAL writes {:.2}, reply writes {:.2}, \
+             request reads {:.2}",
+            report.oks,
+            per_op(hops.wal_writes),
+            per_op(hops.reply_writes),
+            per_op(hops.request_reads)
+        );
+        assert!(report.oks > 0, "{name}: no op answered");
+        assert!(
+            hops.wal_writes > 0 && hops.reply_writes > 0 && hops.request_reads > 0,
+            "{name}: {hops:?}"
+        );
+    }
 }

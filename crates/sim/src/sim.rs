@@ -526,6 +526,10 @@ impl<P: Process> Sim<P> {
             return;
         }
 
+        // The write-ahead barrier closes every executed handler, before
+        // anything the handler produced is applied.
+        self.processes[i].barrier();
+
         // Charge the handler's simulated storage stalls (fsync latency)
         // to the replica's CPU: the disk write blocked the handler, so
         // everything the step produced — and every queued event behind

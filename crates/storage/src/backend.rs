@@ -21,8 +21,9 @@ use bayou_types::VirtualTime;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::Write as _;
+use std::io::{self, Read, Write};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Errors surfaced by storage backends and the recovery engine.
@@ -333,16 +334,58 @@ impl Storage for MemDisk {
     }
 }
 
+/// Counts the `read`/`write` calls made through it — with an unbuffered
+/// `inner` (a file, a socket), its system calls. The count is an
+/// always-on atomic, shared through the `Arc`, so a running process can
+/// report how many calls each of its I/O paths makes per operation.
+#[derive(Debug)]
+pub struct Counted<T> {
+    inner: T,
+    calls: Arc<AtomicU64>,
+}
+
+impl<T> Counted<T> {
+    /// Wraps `inner`, adding each call to `calls`.
+    pub fn new(inner: T, calls: Arc<AtomicU64>) -> Self {
+        Counted { inner, calls }
+    }
+
+    /// The wrapped reader or writer.
+    pub fn get_ref(&self) -> &T {
+        &self.inner
+    }
+}
+
+impl<T: Read> Read for Counted<T> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.read(buf)
+    }
+}
+
+impl<T: Write> Write for Counted<T> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
 /// A directory of real files (`std::fs`), for the live runtime.
 ///
 /// `append` buffers: the bytes reach the operating system at the next
-/// [`Storage::flush`] or `sync`, so a handler step that logs many records
-/// costs one `write(2)`, issued by the step barrier before any of the
-/// step's output leaves. Appends to a different file than the buffered
-/// one flush the buffer first, so each file sees its bytes in order.
-/// `sync` flushes, then fsyncs every file written since the previous
-/// sync. `write_atomic` writes a temporary file, fsyncs it and renames
-/// it into place. Dropping the storage flushes what is still buffered.
+/// [`Storage::flush`] or `sync`, so the handler steps one barrier covers
+/// cost one `write(2)`, issued before any of their output leaves.
+/// Appends to a different file than the buffered one flush the buffer
+/// first, so each file sees its bytes in order. `sync` flushes, then
+/// fsyncs every file written since the previous sync. `write_atomic`
+/// writes a temporary file, fsyncs it and renames it into place.
+/// Dropping the storage flushes what is still buffered. Every
+/// `write(2)` that hands appended bytes to the OS is counted
+/// ([`FileStorage::count_writes_in`]).
 #[derive(Debug)]
 pub struct FileStorage {
     root: PathBuf,
@@ -352,6 +395,8 @@ pub struct FileStorage {
     /// Appended bytes not yet handed to the OS, all for `buffered_file`.
     buffer: Vec<u8>,
     buffered_file: String,
+    /// The `write(2)` calls that handed appended bytes to the OS.
+    writes: Arc<AtomicU64>,
 }
 
 impl FileStorage {
@@ -364,7 +409,16 @@ impl FileStorage {
             open: BTreeMap::new(),
             buffer: Vec::new(),
             buffered_file: String::new(),
+            writes: Arc::default(),
         })
+    }
+
+    /// Counts this storage's appending `write(2)` calls in `writes`
+    /// (builder style) — one counter can sum several storages, and
+    /// outlive them across restarts.
+    pub fn count_writes_in(mut self, writes: Arc<AtomicU64>) -> Self {
+        self.writes = writes;
+        self
     }
 
     fn path(&self, file: &str) -> PathBuf {
@@ -422,7 +476,7 @@ impl Storage for FileStorage {
             return Ok(());
         }
         if let Some((fh, written)) = self.open.get_mut(&self.buffered_file) {
-            fh.write_all(&self.buffer)?;
+            Counted::new(fh, Arc::clone(&self.writes)).write_all(&self.buffer)?;
             *written = true;
         }
         self.buffer.clear();

@@ -77,7 +77,7 @@ mod shared;
 mod snapshot;
 mod store;
 
-pub use backend::{DiskStats, FileStorage, MemDisk, NullStorage, Storage, StorageError};
+pub use backend::{Counted, DiskStats, FileStorage, MemDisk, NullStorage, Storage, StorageError};
 pub use crc::crc32;
 pub use manifest::{Manifest, MANIFEST_FILE};
 pub use record::{

@@ -7,7 +7,7 @@
 //! its WAL segments, snapshots and manifest under a per-group file
 //! prefix so recovery can tell the groups apart. Record-level sync
 //! demands are funnelled into one [`SyncBarrier`] the *host* settles
-//! once per handler step — N groups dirtying the log in one step still
+//! once per runtime barrier — N groups dirtying the log in one step still
 //! cost a single physical fsync, which is the whole point of sharing
 //! the store (see `docs/ARCHITECTURE.md`, "Replication groups &
 //! sharding").
@@ -186,11 +186,11 @@ impl<S: Storage> Storage for Prefixed<S> {
 ///
 /// Per-group stores registered on a barrier
 /// ([`crate::ReplicaStore::defer_sync_to_barrier`]) mark it dirty
-/// instead of tracking their own deferred sync; at the end of each
-/// handler step the host [`SyncBarrier::settle`]s it and — if any group
-/// dirtied the shared log — issues **one** physical sync for all of
-/// them, before any buffered message or response leaves the process.
-/// The write-ahead contract is per-step, exactly as with one group.
+/// instead of tracking their own deferred sync; at each runtime barrier
+/// (`Process::barrier`) the host [`SyncBarrier::settle`]s it and — if any
+/// group dirtied the shared log — issues **one** physical sync for all
+/// of them, before any buffered message or response leaves the process.
+/// The write-ahead contract is the same as with one group.
 #[derive(Debug, Default)]
 pub struct SyncBarrier {
     dirty: AtomicBool,

@@ -7,12 +7,13 @@
 //! Every hook appends one framed, checksummed record to the current
 //! segment — encode, frame, hand to the backend, nothing else: the store
 //! keeps no copy of what the records say. The fsync those records demand
-//! is paid once, at the *step barrier* ([`Persistence::sync_step`]) —
-//! group commit. The replica calls the hooks *inside* its atomic handler
-//! step and the barrier at its end, so a fact is on disk before any
-//! message or response produced by the same step leaves the process.
-//! Code that drives the hooks directly owes the barrier itself. Segments
-//! rotate at a size threshold.
+//! is paid once, at the *barrier* ([`Persistence::sync_step`]) — group
+//! commit. The replica calls the hooks *inside* its atomic handler
+//! steps; the runtime calls the barrier (`Process::barrier`, after every
+//! handler in the simulator, once per wake live) before any message or
+//! response those steps produced leaves the process, so a fact is on
+//! disk before its effects escape. Code that drives the hooks directly
+//! owes the barrier itself. Segments rotate at a size threshold.
 //!
 //! Every [`StoreConfig::snapshot_every`] commits a snapshot is due
 //! ([`Persistence::snapshot_due`]): the replica cuts the image from its
@@ -75,14 +76,15 @@ pub struct StoreConfig {
     /// checksums).
     ///
     /// Record syncs are *group-committed*: a demand marks the store
-    /// dirty and the *step barrier* ([`Persistence::sync_step`]) pays it,
-    /// so every record a handler step writes — an invocation, a batch of
-    /// tentative requests, a frame's worth of TOB decisions — shares one
-    /// fsync. The replica invokes the barrier before any message or
-    /// response produced by the step leaves, so the durability contract
-    /// ("a fact is on disk before its effects escape") is exactly the
-    /// per-record one. Code that drives the hooks directly, without a
-    /// step structure, calls `sync_step()` wherever it needs durability.
+    /// dirty and the *barrier* ([`Persistence::sync_step`]) pays it, so
+    /// every record the steps it covers write — an invocation, a batch
+    /// of tentative requests, a frame's worth of TOB decisions — shares
+    /// one fsync. The runtime invokes the barrier before any message or
+    /// response produced by those steps leaves, so the durability
+    /// contract ("a fact is on disk before its effects escape") is
+    /// exactly the per-record one. Code that drives the hooks directly,
+    /// without a runtime, calls `sync_step()` wherever it needs
+    /// durability.
     pub sync_every_record: bool,
 }
 
@@ -172,13 +174,13 @@ pub trait Persistence<F: DataType> {
         VirtualTime::ZERO
     }
 
-    /// The step barrier of group commit: hands the records logged since
-    /// the last barrier to the backend ([`Storage::flush`]) and makes
-    /// them durable with (at most) one fsync. The replica calls this at
-    /// the end of every handler step, *before* the step's buffered
-    /// messages and responses leave — so the per-record durability
-    /// contract ([`StoreConfig::sync_every_record`]) is preserved while
-    /// the whole step pays a single sync.
+    /// The barrier of group commit: hands the records logged since the
+    /// last barrier to the backend ([`Storage::flush`]) and makes them
+    /// durable with (at most) one fsync. The runtime's barrier
+    /// (`Process::barrier`) calls this *before* the covered steps'
+    /// buffered messages and responses leave — so the per-record
+    /// durability contract ([`StoreConfig::sync_every_record`]) is
+    /// preserved while all those steps pay a single sync.
     fn sync_step(&mut self) -> Result<(), StorageError> {
         Ok(())
     }
@@ -549,10 +551,9 @@ where
     /// Routes this store's group-commit sync debt to a shared barrier:
     /// from now on record-level sync demands mark `barrier` dirty and
     /// [`Persistence::sync_step`] is a no-op, because the multi-group
-    /// host settles the barrier itself — once per handler step, one
+    /// host settles the barrier itself — once per runtime barrier, one
     /// write and at most one physical sync for every group sharing the
-    /// backend, still before any of the step's output leaves the
-    /// process. Internal syncs at rotation and snapshot boundaries are
+    /// backend, still before any output it covers leaves the process. Internal syncs at rotation and snapshot boundaries are
     /// unaffected (they sync the shared backend, which is sound — at
     /// worst another group's bytes ride along).
     pub fn defer_sync_to_barrier(&mut self, barrier: Arc<crate::shared::SyncBarrier>) {

@@ -141,6 +141,17 @@ pub trait Process {
     /// Drains client outputs produced since the last call.
     fn drain_outputs(&mut self) -> Vec<Self::Output>;
 
+    /// The write-ahead barrier: makes durable whatever the handlers
+    /// logged since the previous call. Handlers only log; the runtime
+    /// owns the barrier and calls it before any message or output those
+    /// handlers produced leaves the process — the simulator after every
+    /// executed handler, the live runtime once per wake, after the
+    /// wake's handlers and before its replies and frames. A barrier
+    /// that fails crash-stops the process ([`Process::has_failed`]),
+    /// and the runtime then releases nothing the covered handlers
+    /// produced. Processes without durable state keep the no-op.
+    fn barrier(&mut self) {}
+
     /// Drains the *simulated* time the process spent blocked on durable
     /// storage (fsync) since the previous call. The simulator invokes
     /// this after every handler and adds the stall to the replica's CPU
