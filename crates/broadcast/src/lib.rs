@@ -47,7 +47,7 @@ mod sequencer;
 mod tob;
 mod wire;
 
-pub use ctx::{FrameMeter, MapCtx, StepCoalescer, StepDeferral};
+pub use ctx::{FrameMeter, MapCtx, StepBuffers, StepCoalescer};
 pub use fifo::FifoRelease;
 pub use link::{LinkMsg, PerfectLink};
 pub use paxos::{Ballot, Entry, PaxosConfig, PaxosMsg, PaxosTob};

@@ -1413,20 +1413,6 @@ impl<M: Clone + fmt::Debug> Tob<M> for PaxosTob<M> {
         }
     }
 
-    /// A round's forward hops: `Submit` and `Accept` carry their entries,
-    /// and an `Accepted` names a slot still in flight under our ballot.
-    fn advances(&self, msg: &PaxosMsg<M>, pred: &dyn Fn(&M) -> bool) -> bool {
-        match msg {
-            PaxosMsg::Submit { entries, .. } => entries.iter().any(|e| pred(&e.payload)),
-            PaxosMsg::Accept { entry, .. } => pred(&entry.payload),
-            PaxosMsg::Accepted { slot, .. } => self
-                .inflight
-                .get(slot)
-                .is_some_and(|(e, _)| pred(&e.payload)),
-            _ => false,
-        }
-    }
-
     fn on_message(
         &mut self,
         from: ReplicaId,

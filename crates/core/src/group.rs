@@ -29,12 +29,13 @@
 //!   handler in the simulator, once per wake live), before any frame
 //!   leaves (the write-ahead contract: a group's "sends" only ever reach
 //!   buffers);
-//! - **one flush deferral** — the host runs the cross-step park/flush
-//!   state machine ([`StepDeferral`]) over its step-end coalescer, whose
-//!   per-peer buffers hold frames from *all* groups, so frames for
-//!   different groups headed to the same peer merge into one link frame.
-//!   A step a strong operation waits on flushes at its end (the groups
-//!   report it from [`BayouReplica::invoke`] / [`BayouReplica::receive`]);
+//! - **one frame coalescer** — every step's sends, from *all* groups,
+//!   land in the host's per-peer [`StepBuffers`] and stay there until the
+//!   runtime ends its unit of work and calls
+//!   [`Process::release_frames`]: the live runtime once per wake, the
+//!   simulator once per busy period. Everything the unit's steps sent to
+//!   one peer, for any group, leaves as one link frame. There is no
+//!   timer and no budget: the runtime decides when a unit ends;
 //! - **timer routing, failure and the runtime hooks** — which group
 //!   armed which timer, `has_failed`, and the fsync, stall and wire-byte
 //!   meters.
@@ -46,7 +47,7 @@
 
 use crate::api::{Invocation, Invoked, Response};
 use crate::replica::{BayouMsg, BayouReplica};
-use bayou_broadcast::{FrameMeter, StepCoalescer, StepDeferral, Tob};
+use bayou_broadcast::{FrameMeter, StepBuffers, StepCoalescer, Tob};
 use bayou_data::{DataType, StateObject};
 use bayou_storage::{StorageError, SyncBarrier};
 use bayou_types::{
@@ -56,12 +57,6 @@ use bayou_types::{
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Default cross-step flush-deferral budget: 4× the simulator's default
-/// 10µs handler step, so a saturated host's consecutive invocations
-/// share step frames while an isolated invocation is delayed by well
-/// under any protocol timeout. See [`GroupedReplica::set_flush_deferral`].
-pub const DEFAULT_FLUSH_DELAY: VirtualTime = VirtualTime::from_micros(40);
-
 /// The inner wire enum of one group's replica.
 type InnerMsg<F, T> = BayouMsg<
     <F as DataType>::Op,
@@ -69,26 +64,26 @@ type InnerMsg<F, T> = BayouMsg<
     <T as Tob<SharedReq<<F as DataType>::Op>>>::Msg,
 >;
 
-/// The host's wire enum: a group-tagged inner message, or a step-end
-/// frame coalescing several of them (possibly for *different* groups)
-/// to the same peer.
+/// The host's wire enum: a group-tagged inner message, or a frame
+/// coalescing several of them (possibly for *different* groups) to the
+/// same peer.
 type HostMsg<F, T> = GroupedMsg<InnerMsg<F, T>>;
 
 /// A group-addressed wire message.
 ///
 /// `One` tags an inner protocol message with its destination group;
-/// `Batch` is the host-level step-end frame — the per-peer coalescing
-/// of everything the host's groups sent in one step (or in several
-/// consecutive steps, under flush deferral). Under saturation this is
-/// what turns per-slot message storms (64 `Accept`s from one `Submit`
-/// batch, 64 `Decide`s from one `Accepted` frame) into one message,
-/// one handler step, one delivery batch per group and one WAL sync at
-/// the receiver.
+/// `Batch` is the host-level frame — the per-peer coalescing of
+/// everything the host's groups sent in one unit of work (a live wake,
+/// a simulated busy period): one frame per peer per wake. Under
+/// saturation this is what turns per-slot message storms (64 `Accept`s
+/// from one `Submit` batch, 64 `Decide`s from one `Accepted` frame)
+/// into one message, one handler step, one delivery batch per group and
+/// one WAL sync at the receiver.
 #[derive(Debug, Clone)]
 pub enum GroupedMsg<M> {
     /// One inner message, addressed to `GroupId` at the receiving host.
     One(GroupId, M),
-    /// A host step-end frame: several group-tagged messages to one peer.
+    /// A host frame: several group-tagged messages to one peer.
     Batch(Vec<GroupedMsg<M>>),
 }
 
@@ -100,7 +95,7 @@ wire! {
 }
 
 /// The [`Context`] one group's replica sees inside a host step: sends
-/// are tagged with the group id (and buffered by the host's step-end
+/// are tagged with the group id (and held by the host's frame
 /// coalescer), timers are recorded in the host's ownership map so the
 /// fire routes back to this group, and everything else delegates.
 struct GroupCtx<'a, M> {
@@ -177,7 +172,7 @@ impl std::fmt::Debug for HostBarrier {
 
 /// The Bayou process: N addressable [`BayouReplica`] groups behind one
 /// [`Process`] endpoint. See the module docs for what the host owns
-/// (step loop, frame dispatch, fsync barrier, flush deferral, timers,
+/// (step loop, frame dispatch, fsync barrier, frame coalescer, timers,
 /// runtime hooks) and what each group keeps (its total order, WAL and
 /// compaction watermark).
 pub struct GroupedReplica<F, T, S>
@@ -189,10 +184,10 @@ where
     groups: Vec<BayouReplica<F, T, S>>,
     /// Which group armed which timer (fires route back to the owner).
     timer_owner: HashMap<TimerId, GroupId>,
-    /// The host-level step-end coalescer's per-peer buffers — frames
-    /// from all groups, merged per destination — under the cross-step
-    /// flush-deferral budget.
-    deferral: StepDeferral<HostMsg<F, T>>,
+    /// The host-level coalescer's per-peer buffers: frames from all
+    /// groups, merged per destination, held until the runtime's
+    /// [`Process::release_frames`].
+    frames: StepBuffers<HostMsg<F, T>>,
     barrier: Option<HostBarrier>,
     /// Muted groups: the host drops their messages, inputs and timers —
     /// a *group-scoped* crash on this replica (isolation tests).
@@ -212,8 +207,7 @@ where
     S: StateObject<F>,
 {
     /// Builds a host over `groups` (one replica per [`GroupId`], in
-    /// index order), parking step-end frames for up to
-    /// [`DEFAULT_FLUSH_DELAY`].
+    /// index order).
     ///
     /// # Panics
     ///
@@ -224,7 +218,7 @@ where
         GroupedReplica {
             groups,
             timer_owner: HashMap::new(),
-            deferral: StepDeferral::new(Some(DEFAULT_FLUSH_DELAY)),
+            frames: StepBuffers::default(),
             barrier: None,
             muted,
             rr_cursor: 0,
@@ -302,23 +296,6 @@ where
         }
     }
 
-    /// Sets (or clears) cross-step flush deferral: with a budget, the
-    /// host's step-end frames may be *parked* across consecutive handler
-    /// steps, so a saturated burst of invocations shares wire frames
-    /// instead of emitting one set per step. A timer guarantees parked
-    /// frames flush within the budget even if the host goes idle, so no
-    /// frame waits longer than one budget; a step a strong operation
-    /// waits on flushes at its end. On by default with
-    /// [`DEFAULT_FLUSH_DELAY`]; `None` flushes at every step end.
-    pub fn set_flush_deferral(&mut self, delay: Option<VirtualTime>) {
-        self.deferral.set_budget(delay);
-    }
-
-    /// The host's cross-step flush-deferral budget, if any.
-    pub fn flush_deferral(&self) -> Option<VirtualTime> {
-        self.deferral.budget()
-    }
-
     /// Enables wire-bytes metering: every frame leaving the host is
     /// measured under the real group-tagged [`Wire`] codec
     /// ([`FrameMeter::wire`]) and drained by the runtime through
@@ -338,27 +315,17 @@ where
         self.wire_meter = Some(FrameMeter::wire());
     }
 
-    /// Opens the host-level step-end coalescer for one handler step.
-    /// Every group send of the step lands here (group-tagged — frames of
-    /// different groups to one peer merge into one
-    /// [`GroupedMsg::Batch`] link frame); the caller must end the step
-    /// in [`GroupedReplica::close_host_step`] or the deferral's
-    /// `flush`/`put_back`.
+    /// Opens the host-level coalescer for one handler step. Every group
+    /// send of the step lands here (group-tagged — frames of different
+    /// groups to one peer merge into one [`GroupedMsg::Batch`] link
+    /// frame); the caller ends the step by putting the buffers back,
+    /// where its frames wait for the runtime's
+    /// [`Process::release_frames`].
     fn host_step<'a>(
         &mut self,
         ctx: &'a mut dyn Context<HostMsg<F, T>>,
     ) -> StepCoalescer<'a, HostMsg<F, T>> {
-        self.deferral
-            .open(ctx, GroupedMsg::Batch, self.wire_meter.clone())
-    }
-
-    /// Closes one host step: runs the cross-step deferral over the
-    /// coalesced frames — once for all groups, flushing at once when a
-    /// strong operation waits on them. The frames reach only the
-    /// runtime's buffers; the runtime's [`Process::barrier`] makes the
-    /// step's WAL appends durable before they leave.
-    fn close_host_step(&mut self, cctx: StepCoalescer<'_, HostMsg<F, T>>, urgent: bool) {
-        self.deferral.close(cctx, urgent);
+        self.frames.open(ctx, self.wire_meter.clone())
     }
 
     /// Runs `f` on group `gid` inside the host step `cctx`: the group
@@ -386,28 +353,29 @@ where
     /// and hands each group-tagged message to its group, recording the
     /// group in `touched` on first sight — unless the group is muted or
     /// out of range, in which case the message is dropped exactly as a
-    /// crashed replica would drop it. Returns whether a strong operation
-    /// waits on the step.
+    /// crashed replica would drop it.
     fn dispatch(
         &mut self,
         from: ReplicaId,
         msg: HostMsg<F, T>,
         cctx: &mut StepCoalescer<'_, HostMsg<F, T>>,
         touched: &mut Vec<GroupId>,
-    ) -> bool {
+    ) {
         match msg {
             GroupedMsg::One(gid, m) => {
                 if !self.serves(gid) {
-                    return false;
+                    return;
                 }
                 if !touched.contains(&gid) {
                     touched.push(gid);
                 }
-                self.in_group(gid, cctx, |g, gctx| g.receive(from, m, gctx))
+                self.in_group(gid, cctx, |g, gctx| g.receive(from, m, gctx));
             }
-            GroupedMsg::Batch(msgs) => msgs.into_iter().fold(false, |urgent, m| {
-                self.dispatch(from, m, cctx, touched) | urgent
-            }),
+            GroupedMsg::Batch(msgs) => {
+                for m in msgs {
+                    self.dispatch(from, m, cctx, touched);
+                }
+            }
         }
     }
 }
@@ -427,7 +395,7 @@ where
         for gid in GroupId::all(self.groups.len()) {
             self.in_group(gid, &mut cctx, |g, gctx| g.start(gctx));
         }
-        self.close_host_step(cctx, false);
+        self.frames.put_back(cctx);
     }
 
     fn on_input(&mut self, (gid, inv): Self::Input, ctx: &mut dyn Context<Self::Msg>) {
@@ -435,31 +403,23 @@ where
             return;
         }
         let mut cctx = self.host_step(ctx);
-        let urgent = self.in_group(gid, &mut cctx, |g, gctx| g.invoke(inv, gctx));
-        self.close_host_step(cctx, urgent);
+        self.in_group(gid, &mut cctx, |g, gctx| g.invoke(inv, gctx));
+        self.frames.put_back(cctx);
     }
 
     fn on_message(&mut self, from: ReplicaId, msg: Self::Msg, ctx: &mut dyn Context<Self::Msg>) {
         let mut cctx = self.host_step(ctx);
         let mut touched = std::mem::take(&mut self.touched);
-        let urgent = self.dispatch(from, msg, &mut cctx, &mut touched);
+        self.dispatch(from, msg, &mut cctx, &mut touched);
         // every group the frame reached commits its share as one batch
         for gid in touched.drain(..) {
             self.in_group(gid, &mut cctx, |g, gctx| g.settle(gctx));
         }
         self.touched = touched;
-        self.close_host_step(cctx, urgent);
+        self.frames.put_back(cctx);
     }
 
     fn on_timer(&mut self, timer: TimerId, ctx: &mut dyn Context<Self::Msg>) {
-        if self.deferral.owns_timer(timer) {
-            // the host's own flush deadline expired with every group
-            // idle: flush the parked frames of all groups now (not
-            // through close_host_step, which would re-park them)
-            let cctx = self.host_step(ctx);
-            self.deferral.flush(cctx);
-            return;
-        }
         let Some(gid) = self.timer_owner.remove(&timer) else {
             return; // a timer of a rebuilt or unknown owner: drop
         };
@@ -468,10 +428,10 @@ where
         }
         let mut cctx = self.host_step(ctx);
         self.in_group(gid, &mut cctx, |g, gctx| g.on_timer(timer, gctx));
-        self.close_host_step(cctx, false);
+        self.frames.put_back(cctx);
     }
 
-    fn on_internal(&mut self, ctx: &mut dyn Context<Self::Msg>) -> bool {
+    fn on_internal(&mut self, _ctx: &mut dyn Context<Self::Msg>) -> bool {
         // one shared step loop: internal (rollback/execute) steps are
         // served round-robin across groups, so a group with a deep
         // redo queue cannot starve the others
@@ -479,20 +439,10 @@ where
         let stepped = (0..n)
             .map(|k| (first + k) % n)
             .find(|&i| !self.muted[i] && self.groups[i].step());
-        let cctx = self.host_step(ctx);
-        match stepped {
-            Some(i) => {
-                self.rr_cursor = (i + 1) % n;
-                self.close_host_step(cctx, false);
-                true
-            }
-            None => {
-                // a passive poll must be side-effect free: the runtime
-                // refunds it and discards anything it buffered
-                self.deferral.put_back(cctx);
-                false
-            }
+        if let Some(i) = stepped {
+            self.rr_cursor = (i + 1) % n;
         }
+        stepped.is_some()
     }
 
     fn drain_outputs(&mut self) -> Vec<(GroupId, Response)> {
@@ -501,6 +451,13 @@ where
             out.extend(group.drain_outputs().into_iter().map(|r| (gid, r)));
         }
         out
+    }
+
+    /// Sends every frame the host's steps held since the last release,
+    /// one per peer, each merging what all groups sent that peer.
+    fn release_frames(&mut self, ctx: &mut dyn Context<Self::Msg>) {
+        self.frames
+            .release(ctx, GroupedMsg::Batch, self.wire_meter.clone());
     }
 
     /// Settles every WAL append the host's steps made since the last
@@ -661,7 +618,7 @@ mod tests {
 
     /// The property the host's frame dispatch carries: whatever one
     /// incoming frame holds — several groups' TOB messages interleaved,
-    /// or many parked sender steps for one group — each group it reaches
+    /// or many sender steps for one group — each group it reaches
     /// commits exactly once, and groups commit in the order the frame
     /// first reaches them.
     #[test]
@@ -697,7 +654,7 @@ mod tests {
         host.on_message(from, GroupedMsg::Batch(interleaved), &mut ctx);
         assert_eq!(*log.lock().unwrap(), [(g1, 3), (g0, 3)]);
 
-        // four parked sender steps for one group, carried by one frame
+        // four sender steps for one group, carried by one frame
         log.lock().unwrap().clear();
         let steps = (3..7).map(|no| deliver(g0, no..no + 1)).collect();
         host.on_message(from, GroupedMsg::Batch(steps), &mut ctx);

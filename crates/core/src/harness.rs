@@ -20,11 +20,6 @@ pub struct ClusterConfig {
     pub mode: ProtocolMode,
     /// Tuning of the default Paxos TOB.
     pub paxos: PaxosConfig,
-    /// Cross-step flush-deferral budget
-    /// ([`GroupedReplica::set_flush_deferral`];
-    /// [`crate::DEFAULT_FLUSH_DELAY`] by default — `None` flushes at
-    /// every step end).
-    pub flush_deferral: Option<VirtualTime>,
     /// Leader-lease configuration ([`BayouReplica::set_lease`]): with a
     /// config the lane leader serves strong reads locally while its
     /// quorum-confirmed lease window holds. `None` (the default) is the
@@ -40,7 +35,6 @@ impl ClusterConfig {
             sim: SimConfig::new(n, seed),
             mode: ProtocolMode::default(),
             paxos: PaxosConfig::default(),
-            flush_deferral: Some(crate::DEFAULT_FLUSH_DELAY),
             lease: None,
         }
     }
@@ -54,13 +48,6 @@ impl ClusterConfig {
     /// Replaces the simulator configuration (builder style).
     pub fn with_sim(mut self, sim: SimConfig) -> Self {
         self.sim = sim;
-        self
-    }
-
-    /// Disables cross-step flush deferral on every process (builder
-    /// style): frames flush at every step end.
-    pub fn without_flush_deferral(mut self) -> Self {
-        self.flush_deferral = None;
         self
     }
 
@@ -153,14 +140,12 @@ where
             sim,
             mode,
             paxos,
-            flush_deferral,
             lease,
         } = config;
         let n = sim.n;
         Self::with_factory(sim, move |_| {
             let mut host =
                 GroupedReplica::new(vec![BayouReplica::new(n, mode, PaxosTob::new(n, paxos))]);
-            host.set_flush_deferral(flush_deferral);
             host.set_lease(lease);
             host
         })

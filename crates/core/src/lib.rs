@@ -22,9 +22,9 @@
 //! The replica is the protocol, not a process. [`GroupedReplica`] is the
 //! one [`bayou_types::Process`] every runtime drives: it hosts one
 //! `BayouReplica` per replication group (one, unless the keyspace is
-//! sharded) and owns what is per process — the step-end frame coalescer
-//! and its flush deferral, the WAL sync barrier, timer routing and the
-//! runtime hooks. [`recover_grouped_paxos`] builds a durable host from
+//! sharded) and owns what is per process — the frame coalescer, whose
+//! frames leave when the runtime ends a wake, the WAL sync barrier,
+//! timer routing and the runtime hooks. [`recover_grouped_paxos`] builds a durable host from
 //! one store, and [`recover_paxos_replica`] is its one-group case.
 //!
 //! The crate also ships:
@@ -76,7 +76,7 @@ mod persist;
 mod replica;
 
 pub use api::{EventRecord, ExecTrace, Invocation, Response, RunTrace, Served, SessionGuard};
-pub use group::{GroupedMsg, GroupedReplica, DEFAULT_FLUSH_DELAY};
+pub use group::{GroupedMsg, GroupedReplica};
 pub use harness::{BayouCluster, ClusterConfig, SessionScript};
 pub use naive::{NaiveMixed, NaiveMsg};
 pub use nulltob::NullTob;

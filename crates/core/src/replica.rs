@@ -237,9 +237,8 @@ pub struct Retained {
 /// [`BayouReplica::invoke`], [`BayouReplica::receive`] +
 /// [`BayouReplica::settle`], [`BayouReplica::on_timer`],
 /// [`BayouReplica::step`]) inside its own handler steps. The host owns
-/// everything that is per process: the step-end frame coalescer and its
-/// flush deferral, the WAL sync barrier, timer routing and the runtime
-/// hooks.
+/// everything that is per process: the frame coalescer, the WAL sync
+/// barrier, timer routing and the runtime hooks.
 pub struct BayouReplica<F, T, S = DeltaState<F>>
 where
     F: DataType,
@@ -1265,13 +1264,10 @@ where
     }
 
     /// Lines 9–15 (Algorithm 1) / Algorithm 2: handles one client
-    /// invocation. Returns whether a strong operation waits on this
-    /// step's frames — its TOB round starts here — in which case the
-    /// host flushes them at step end instead of parking them. A strong
-    /// read the lease answers within the step is not waited on.
-    pub fn invoke(&mut self, inv: Invocation<F::Op>, ctx: &mut dyn Context<Msg<F, T>>) -> bool {
+    /// invocation.
+    pub fn invoke(&mut self, inv: Invocation<F::Op>, ctx: &mut dyn Context<Msg<F, T>>) {
         if self.failure.is_some() {
-            return false; // crash-stopped: no new work is accepted
+            return; // crash-stopped: no new work is accepted
         }
         self.stats.invocations += 1;
         self.curr_event_no += 1;
@@ -1308,7 +1304,6 @@ where
                 lease_index.is_none() && (r.level.is_strong() || !F::is_read_only(&r.op))
             }
         };
-        let urgent = r.level.is_strong() && tob_cast;
         self.invoked = Some(Invoked {
             meta: r.meta(),
             invoked_at: ctx.now(),
@@ -1346,7 +1341,7 @@ where
                                     committed,
                                 };
                                 self.respond(&r, Value::Unit, ExecTrace::default(), served);
-                                return false;
+                                return;
                             }
                         }
                     }
@@ -1376,7 +1371,6 @@ where
                 }
             }
         }
-        urgent
     }
 
     /// Answers a strong read from the committed state under the lease.
@@ -1423,19 +1417,9 @@ where
     /// produces wait for [`BayouReplica::settle`], which the host calls
     /// once after every message of the incoming frame, so a frame
     /// commits as one delivery batch.
-    ///
-    /// Returns whether a strong operation waits on this step's frames:
-    /// the message advances TOB agreement on a strong request
-    /// ([`Tob::advances`], asked before dispatch, which may retire the
-    /// TOB state the answer depends on).
-    pub fn receive(
-        &mut self,
-        from: ReplicaId,
-        msg: Msg<F, T>,
-        ctx: &mut dyn Context<Msg<F, T>>,
-    ) -> bool {
+    pub fn receive(&mut self, from: ReplicaId, msg: Msg<F, T>, ctx: &mut dyn Context<Msg<F, T>>) {
         if self.failure.is_some() {
-            return false; // crash-stopped: silent to the cluster
+            return; // crash-stopped: silent to the cluster
         }
         match msg {
             BayouMsg::Rb(frame) => {
@@ -1446,18 +1430,13 @@ where
                 for (_id, wire) in delivered {
                     self.handle_rb_deliver(wire, ctx);
                 }
-                false
             }
             BayouMsg::Tob(tm) => {
-                let urgent = self
-                    .tob
-                    .advances(&tm, &|r: &SharedReq<F::Op>| r.level.is_strong());
                 let batch = {
                     let mut tctx = MapCtx::new(ctx, BayouMsg::Tob);
                     self.tob.on_message(from, tm, &mut tctx)
                 };
                 self.deliveries.extend(batch);
-                urgent
             }
             BayouMsg::BaselineRequest => {
                 // serve our baseline to a replica that fell below the
@@ -1471,12 +1450,10 @@ where
                         },
                     );
                 }
-                false
             }
             BayouMsg::Baseline { state, mark } => {
                 let me = ctx.id();
                 self.install_baseline(me, state, mark);
-                false
             }
         }
     }

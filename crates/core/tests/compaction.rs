@@ -275,9 +275,6 @@ impl Tob<SharedReq<KvOp>> for Counted {
     fn owns_timer(&self, timer: TimerId) -> bool {
         self.tob.owns_timer(timer)
     }
-    fn advances(&self, msg: &Self::Msg, pred: &dyn Fn(&SharedReq<KvOp>) -> bool) -> bool {
-        self.tob.advances(msg, pred)
-    }
     fn delivered_count(&self) -> u64 {
         self.tob.delivered_count()
     }
@@ -331,9 +328,11 @@ impl Tob<SharedReq<KvOp>> for Counted {
 /// answer. If the answer — an empty `Catchup` — were acked, the ack
 /// would poll again and the two would chase each other for as long as
 /// the load lasts: on this run 12 781 `DecideAck`s and 10 058 empty
-/// `Catchup`s, against the 2 427 and 2 023 pinned here. (Before
+/// `Catchup`s, against the 2 439 and 1 999 pinned here. (Before
 /// acceptors learned on accept, the counts were 3 468, 5 and 1 429:
-/// acks from a follower behind the leader take the catch-up branch.)
+/// acks from a follower behind the leader take the catch-up branch.
+/// They were 2 427, 2 023 and 393 while a 40 µs flush timer, not the
+/// end of the sender's busy period, released frames.)
 #[test]
 fn a_watermark_poll_is_answered_once() {
     const OPS: u64 = 1_000;
@@ -365,7 +364,7 @@ fn a_watermark_poll_is_answered_once() {
     let got = received.0.each_ref().map(|n| n.load(Ordering::Relaxed));
     assert_eq!(
         got,
-        [2_427, 2_023, 393],
+        [2_439, 1_999, 405],
         "[DecideAck, empty Catchup, Catchup with entries] received"
     );
 }

@@ -52,7 +52,6 @@ fn dst_factory(
     n: usize,
     disks: Vec<MemDisk>,
     store_cfg: StoreConfig,
-    deferral: Option<VirtualTime>,
     lease: Option<LeaseConfig>,
     crash_seed: u64,
 ) -> impl FnMut(ReplicaId) -> DurableReplica {
@@ -71,7 +70,6 @@ fn dst_factory(
             disks[id.index()].clone(),
             store_cfg,
         );
-        r.set_flush_deferral(deferral);
         r.set_lease(lease);
         r
     }
@@ -96,9 +94,6 @@ struct Outcome {
 #[derive(Debug, Clone, Copy)]
 struct CaseOpts {
     n: usize,
-    /// Cross-step flush deferral: `None` runs the flush-every-step
-    /// pipeline, `Some(budget)` parks frames for up to that long.
-    deferral: Option<VirtualTime>,
     /// Leader lease: `None` is the all-TOB baseline; `Some` arms the
     /// fast read path, switches the workload to the strong-read-heavy
     /// mix, aims an extra fault at the leaseholder, and turns on the
@@ -115,7 +110,6 @@ fn case_opts(seed: u64) -> CaseOpts {
     CaseOpts {
         // mostly 3-replica clusters, every 4th case a 5-replica one
         n: if seed % 4 == 3 { 5 } else { 3 },
-        deferral: seed_deferral(seed),
         lease: seed_lease(seed),
         canary: false,
     }
@@ -139,17 +133,6 @@ fn seed_lease(seed: u64) -> Option<LeaseConfig> {
 fn lease_sweep(seed: u64) -> LeaseConfig {
     let duration_us = 100_000 + ((seed >> 7) % 8) * 50_000;
     LeaseConfig::new(duration_us, duration_us / 10)
-}
-
-/// The seed's flush-deferral dimension: off for a quarter of the cases
-/// (the PR-5 pipeline must keep passing), else a budget swept across
-/// 20–160 µs — well below, at, and well above the default 40 µs.
-fn seed_deferral(seed: u64) -> Option<VirtualTime> {
-    if (seed >> 3).is_multiple_of(4) {
-        None
-    } else {
-        Some(VirtualTime::from_micros(20 + ((seed >> 5) % 8) * 20))
-    }
 }
 
 fn nemesis_config() -> NemesisConfig {
@@ -409,7 +392,7 @@ fn run_faults(seed: u64, faults: &[Fault], opts: CaseOpts, work_until: u64) -> O
     let (sim, disks, store_cfg, deadline) = case_env(seed, faults, n, work_until);
     let mut cluster: BayouCluster<KvStore> = BayouCluster::with_factory(
         sim,
-        dst_factory(n, disks.clone(), store_cfg, opts.deferral, opts.lease, seed),
+        dst_factory(n, disks.clone(), store_cfg, opts.lease, seed),
     );
     if opts.lease.is_some() {
         for (at, replica, op, level) in lease_workload_ops(seed, n, work_until) {
@@ -570,15 +553,14 @@ fn failure_kind(msg: &str) -> String {
 
 /// The one-line repro for a failing case. The failing check may have
 /// run with options other than `case_opts(seed)` (the proptests pin
-/// their own), so the line pins them explicitly via `DST_N` /
-/// `DST_DEFERRAL_US` (0 = off) and the lease pair — the fuzz entry
+/// their own), so the line pins them explicitly via `DST_N` and the
+/// lease pair — the fuzz entry
 /// honours the overrides, making the replay exact regardless of which
 /// tier found the failure.
 fn repro_line(seed: u64, opts: CaseOpts) -> String {
     format!(
-        "DST_SEED={seed} DST_N={} DST_DEFERRAL_US={} DST_LEASE_MS={} DST_EPSILON_US={} cargo test -p bayou-core --test dst -- --ignored fuzz --nocapture",
+        "DST_SEED={seed} DST_N={} DST_LEASE_MS={} DST_EPSILON_US={} cargo test -p bayou-core --test dst -- --ignored fuzz --nocapture",
         opts.n,
-        opts.deferral.map_or(0, |d| d.as_nanos() / 1_000),
         opts.lease.map_or(0, |l| l.duration_us / 1_000),
         opts.lease.map_or(0, |l| l.epsilon_us),
     )
@@ -627,7 +609,7 @@ fn env_u64(name: &str) -> Option<u64> {
 /// walked sequentially from `DST_SEED` (default: derived from the
 /// clock). With `DST_SEED` set and `DST_SECONDS` unset, exactly that one
 /// seed is replayed — the repro mode the failure report points at.
-/// `DST_N`, `DST_DEFERRAL_US` and `DST_LEASE_MS` / `DST_EPSILON_US` pin
+/// `DST_N` and `DST_LEASE_MS` / `DST_EPSILON_US` pin
 /// the case options a repro line recorded; without them each seed uses
 /// `case_opts(seed)`.
 ///
@@ -652,9 +634,6 @@ fn fuzz() {
         let mut opts = case_opts(seed);
         if let Some(n) = env_u64("DST_N") {
             opts.n = n as usize;
-        }
-        if let Some(us) = env_u64("DST_DEFERRAL_US") {
-            opts.deferral = (us != 0).then(|| VirtualTime::from_micros(us));
         }
         if let Some(lease_ms) = env_u64("DST_LEASE_MS") {
             opts.lease = (lease_ms != 0).then(|| {
@@ -685,13 +664,11 @@ proptest! {
     /// Randomized full-nemesis schedules (partitions, skew, fsync
     /// latency, loss/duplication bursts, outages incl. quorum-loss
     /// windows) converge, keep their durable images equivalent to the
-    /// live history, quiesce, and compact fully at quiescence (flush
-    /// deferral swept by the seed).
+    /// live history, quiesce, and compact fully at quiescence.
     #[test]
     fn randomized_fault_schedules_converge(seed in 0u64..1_000_000) {
         check_case(seed, CaseOpts {
             n: 3,
-            deferral: seed_deferral(seed),
             lease: None,
             canary: false,
         });
@@ -706,7 +683,6 @@ proptest! {
     fn randomized_lease_schedules_never_serve_stale_reads(seed in 0u64..1_000_000) {
         check_case(seed, CaseOpts {
             n: 3,
-            deferral: seed_deferral(seed),
             lease: Some(lease_sweep(seed)),
             canary: false,
         });
@@ -733,7 +709,6 @@ proptest! {
 fn fault_free_lease_schedule_serves_lease_reads() {
     let opts = CaseOpts {
         n: 3,
-        deferral: None,
         lease: Some(LeaseConfig::default()),
         canary: false,
     };
@@ -757,7 +732,6 @@ fn leader_clock_drift_beyond_epsilon_never_serves_stale() {
     }];
     let opts = CaseOpts {
         n: 3,
-        deferral: None,
         lease: Some(LeaseConfig::default()),
         canary: false,
     };
@@ -777,7 +751,6 @@ fn leader_crash_mid_lease_never_serves_stale() {
     }];
     let opts = CaseOpts {
         n: 3,
-        deferral: Some(bayou_core::DEFAULT_FLUSH_DELAY),
         lease: Some(LeaseConfig::default()),
         canary: false,
     };
@@ -799,7 +772,6 @@ fn partitioned_leaseholder_never_serves_stale() {
     }];
     let opts = CaseOpts {
         n: 3,
-        deferral: None,
         lease: Some(LeaseConfig::default()),
         canary: false,
     };
@@ -810,13 +782,13 @@ fn partitioned_leaseholder_never_serves_stale() {
 /// this schedule a replica answers, crashes and recovers, and resolving
 /// the pre-crash response against the recovered state object (whose
 /// trace is shorter than the response's stable prefix) panics. Found by
-/// the lease fuzz slice (`DST_SEED=109 DST_N=3 DST_DEFERRAL_US=80
-/// DST_LEASE_MS=100 DST_EPSILON_US=10000`).
+/// the lease fuzz slice (`DST_SEED=109 DST_N=3 DST_LEASE_MS=100
+/// DST_EPSILON_US=10000`, then under an 80 µs flush deferral since
+/// deleted).
 #[test]
 fn pinned_trace_resolution_seed() {
     let opts = CaseOpts {
         n: 3,
-        deferral: Some(VirtualTime::from_micros(80)),
         lease: Some(LeaseConfig::new(100_000, 10_000)),
         canary: false,
     };
@@ -882,17 +854,8 @@ fn quorum_loss_window_blocks_commits_until_heal() {
     };
     let deadline = VirtualTime::from_secs(60);
     let sim = nem.apply(SimConfig::new(n, seed).with_max_time(deadline));
-    let mut cluster: BayouCluster<KvStore> = BayouCluster::with_factory(
-        sim,
-        dst_factory(
-            n,
-            disks.clone(),
-            store_cfg,
-            Some(bayou_core::DEFAULT_FLUSH_DELAY),
-            None,
-            seed,
-        ),
-    );
+    let mut cluster: BayouCluster<KvStore> =
+        BayouCluster::with_factory(sim, dst_factory(n, disks.clone(), store_cfg, None, seed));
 
     // workload: before, during and after the window, on all replicas
     let mut rng = StdRng::seed_from_u64(seed);
@@ -988,65 +951,11 @@ fn full_cluster_outage_recovers_from_disks() {
     assert!(!nem.quorum_loss_windows().is_empty(), "total outage");
     let opts = CaseOpts {
         n,
-        deferral: Some(bayou_core::DEFAULT_FLUSH_DELAY),
         lease: None,
         canary: false,
     };
     let work_until = workload_horizon_ms(&faults, n);
     run_faults(7, &faults, opts, work_until);
-}
-
-/// A deferred-but-undelivered frame must be released by the flush
-/// timer even when its sender then goes completely idle: one strong
-/// op, a deliberately large deferral budget, no further traffic. The
-/// op still completes well inside the budget's latency bound (not the
-/// 60 ms RB retransmission period), the run quiesces, and the commit
-/// reaches every replica — no quiescence wedge.
-#[test]
-fn idle_sender_deferred_frame_is_timer_flushed() {
-    let n = 3;
-    let seed = 3;
-    let disks: Vec<MemDisk> = (0..n).map(|_| MemDisk::new()).collect();
-    let store_cfg = StoreConfig::default();
-    let deadline = VirtualTime::from_secs(30);
-    let sim = SimConfig::new(n, seed).with_max_time(deadline);
-    let mut cluster: BayouCluster<KvStore> = BayouCluster::with_factory(
-        sim,
-        dst_factory(
-            n,
-            disks.clone(),
-            store_cfg,
-            Some(VirtualTime::from_millis(2)),
-            None,
-            seed,
-        ),
-    );
-    cluster.invoke_at(
-        ms(1),
-        ReplicaId::new(0),
-        KvOp::put("lone", 1),
-        Level::Strong,
-    );
-
-    let trace = cluster.run_until(deadline);
-    assert!(trace.quiescent, "deferred frame wedged the cluster");
-    assert!(trace.events.iter().all(|e| !e.is_pending()));
-    let returned = trace.events[0].returned_at.expect("completed");
-    assert!(
-        returned < ms(50),
-        "strong op took {returned}: the retransmission safety net, \
-         not the flush timer, released the deferred frame"
-    );
-    cluster.assert_convergence_alive();
-    for r in ReplicaId::all(n) {
-        assert_eq!(
-            cluster.replica(r).committed_total(),
-            1,
-            "{r} never saw the deferred commit"
-        );
-    }
-
-    assert_durable_prefix_equivalence("idle-sender deferral", &cluster, &disks, store_cfg, n);
 }
 
 // ---- the failure/shrink machinery itself --------------------------------
@@ -1063,7 +972,6 @@ fn injected_failure_reproduces_and_shrinks_to_the_culprit() {
     let seed = 11;
     let opts = CaseOpts {
         n,
-        deferral: Some(bayou_core::DEFAULT_FLUSH_DELAY),
         lease: None,
         canary: true,
     };
@@ -1114,7 +1022,7 @@ fn injected_failure_reproduces_and_shrinks_to_the_culprit() {
     assert_eq!(
         repro_line(seed, opts),
         format!(
-            "DST_SEED={seed} DST_N=3 DST_DEFERRAL_US=40 DST_LEASE_MS=0 DST_EPSILON_US=0 cargo test -p bayou-core --test dst -- --ignored fuzz --nocapture"
+            "DST_SEED={seed} DST_N=3 DST_LEASE_MS=0 DST_EPSILON_US=0 cargo test -p bayou-core --test dst -- --ignored fuzz --nocapture"
         )
     );
 
@@ -1148,9 +1056,6 @@ fn inspect() {
     if let Some(n) = env_u64("DST_N") {
         opts.n = n as usize;
     }
-    if let Some(us) = env_u64("DST_DEFERRAL_US") {
-        opts.deferral = (us != 0).then(|| VirtualTime::from_micros(us));
-    }
     let n = opts.n;
     let nem = nemesis_for(seed, n);
     eprintln!("faults: {:#?}", nem.faults());
@@ -1160,7 +1065,7 @@ fn inspect() {
     let (sim_cfg, disks, store_cfg, deadline) = case_env(seed, nem.faults(), n, work_until);
     let mut sim = bayou_sim::Sim::new(
         sim_cfg,
-        dst_factory(n, disks.clone(), store_cfg, opts.deferral, opts.lease, seed),
+        dst_factory(n, disks.clone(), store_cfg, opts.lease, seed),
     );
     for (at, replica, op) in workload_ops(seed, n, work_until) {
         let inv = Invocation::new(op, Level::Weak);

@@ -69,7 +69,7 @@ fn gkey(gid: GroupId, k: u64) -> String {
 
 /// The seed's sharded workload: `(time, replica, group, op, level)`
 /// tuples, every key namespaced by its group. Every 8th op is strong, so
-/// the host's urgent (flush-at-step-end) path runs under every fault.
+/// TOB rounds run under every fault.
 fn grouped_workload(
     seed: u64,
     n: usize,

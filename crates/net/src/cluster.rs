@@ -1,9 +1,10 @@
 //! The live cluster: one thread and one mailbox per replica.
 
 use crate::router::PartitionControl;
-use bayou_types::{Context, Process, ReplicaId, TimerId, Timestamp, VirtualTime};
+use bayou_types::{Context, Process, ReplicaId, TimerId, Timestamp, VirtualTime, WAKE_DRAIN};
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -58,17 +59,32 @@ enum ReplicaEvent<P: Process> {
     Stop(Sender<P>),
 }
 
-type Mailboxes<P> = Vec<Sender<ReplicaEvent<P>>>;
+/// The cluster's links: every replica's mailbox, and always-on counters
+/// of the traffic the replica threads put through them.
+struct Mailboxes<P: Process> {
+    senders: Vec<Sender<ReplicaEvent<P>>>,
+    /// Frames a replica put into another replica's mailbox.
+    peer_frames: AtomicU64,
+    /// Wakes live replicas ended (each one barrier, one sink call, one
+    /// delivery of frames).
+    wakes: AtomicU64,
+}
+
+/// What crossed a [`LiveCluster`]'s links so far, summed over every
+/// replica and restart.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WakeCounts {
+    /// Frames a replica put into another replica's mailbox (a frame a
+    /// fault or a full mailbox dropped is not counted).
+    pub peer_frames: u64,
+    /// Wakes live replicas ended: one barrier, one sink call and one
+    /// release of frames each.
+    pub wakes: u64,
+}
 
 /// Where one replica's outputs go: built for the replica's thread and
 /// called on it once per wake, with every output the wake released.
 type Sink<O> = Box<dyn FnMut(Vec<O>) + Send>;
-
-/// The most mailbox events one wake handles before it settles. A wake
-/// is the unit of I/O — one barrier, one sink call, one delivery of the
-/// frames — so the bound caps how long the first event's reply can wait
-/// behind the events queued after it.
-const WAKE_DRAIN: usize = 64;
 
 /// A running in-process cluster of `n` replicas executing a
 /// [`Process`].
@@ -149,9 +165,13 @@ where
         assert!(n > 0, "cluster must contain at least one replica");
         let make: Arc<dyn Fn(ReplicaId, usize) -> P + Send + Sync> = Arc::new(make);
         let ctl = PartitionControl::new(n);
-        let (mailbox_txs, mailbox_rxs): (Mailboxes<P>, Vec<_>) =
+        let (senders, mailbox_rxs): (Vec<_>, Vec<_>) =
             (0..n).map(|_| bounded::<ReplicaEvent<P>>(cap)).unzip();
-        let mailboxes = Arc::new(mailbox_txs);
+        let mailboxes = Arc::new(Mailboxes {
+            senders,
+            peer_frames: AtomicU64::new(0),
+            wakes: AtomicU64::new(0),
+        });
 
         let threads = mailbox_rxs
             .into_iter()
@@ -201,7 +221,7 @@ where
     ///
     /// Panics if the replica id is out of range.
     pub fn invoke(&self, replica: ReplicaId, input: P::Input) {
-        self.mailboxes[replica.index()]
+        self.mailboxes.senders[replica.index()]
             .send(ReplicaEvent::Input(input))
             .expect("replica thread alive");
     }
@@ -215,9 +235,18 @@ where
     ///
     /// Panics if the replica id is out of range.
     pub fn restart(&self, replica: ReplicaId) {
-        self.mailboxes[replica.index()]
+        self.mailboxes.senders[replica.index()]
             .send(ReplicaEvent::Restart)
             .expect("replica thread alive");
+    }
+
+    /// The frames and wakes the replica threads have counted so far: with
+    /// the operations answered, a per-operation hop ledger.
+    pub fn wake_counts(&self) -> WakeCounts {
+        WakeCounts {
+            peer_frames: self.mailboxes.peer_frames.load(Ordering::Relaxed),
+            wakes: self.mailboxes.wakes.load(Ordering::Relaxed),
+        }
     }
 
     /// The output channel of a cluster built with [`LiveCluster::new`].
@@ -260,7 +289,7 @@ where
     /// from blocking.
     pub fn shutdown(self) -> Vec<P> {
         let mut processes = Vec::with_capacity(self.n);
-        for tx in self.mailboxes.iter() {
+        for tx in self.mailboxes.senders.iter() {
             let (ret_tx, ret_rx) = bounded(1);
             let deadline = Instant::now() + Duration::from_secs(5);
             // the mailbox itself may be full of unprocessed events;
@@ -376,33 +405,36 @@ impl<M> Context<M> for LiveCtx<'_, M> {
 }
 
 /// The links: puts the frames one wake of `from` produced into their
-/// destinations' mailboxes. The fault model mirrors the simulator's — a
-/// crashed endpoint or a partition crossing drops the frame, and
-/// protocol retransmission recovers. So does a full mailbox (a lossy
-/// link): a replica blocking on a peer's mailbox could deadlock against
-/// that peer blocking on its own.
+/// destinations' mailboxes, and counts the wake and the frames that
+/// reached a peer. The fault model mirrors the simulator's — a crashed
+/// endpoint or a partition crossing drops the frame, and protocol
+/// retransmission recovers. So does a full mailbox (a lossy link): a
+/// replica blocking on a peer's mailbox could deadlock against that
+/// peer blocking on its own.
 fn deliver<P: Process>(
     from: ReplicaId,
     outbox: &mut Vec<(ReplicaId, P::Msg)>,
     peers: &Weak<Mailboxes<P>>,
     ctl: &PartitionControl,
 ) {
-    if outbox.is_empty() {
-        return;
-    }
     let Some(peers) = peers.upgrade() else {
         // the cluster handle is gone, and so is every mailbox
         outbox.clear();
         return;
     };
+    peers.wakes.fetch_add(1, Ordering::Relaxed);
+    let mut frames = 0;
     for (to, msg) in outbox.drain(..) {
         if ctl.is_crashed(from) || ctl.is_crashed(to) || ctl.separated(from, to) {
             continue;
         }
-        if let Some(tx) = peers.get(to.index()) {
-            let _ = tx.try_send(ReplicaEvent::Message(from, msg)); // full/gone = dropped
+        if let Some(tx) = peers.senders.get(to.index()) {
+            // full/gone = dropped
+            let sent = tx.try_send(ReplicaEvent::Message(from, msg)).is_ok();
+            frames += u64::from(sent && to != from);
         }
     }
+    peers.peer_frames.fetch_add(frames, Ordering::Relaxed);
 }
 
 /// One replica's thread. Each **wake** — the return from a blocking
@@ -412,7 +444,9 @@ fn deliver<P: Process>(
 ///    [`WAKE_DRAIN`] events, each its own handler step — and after each,
 ///    as when every event was its own wake, fire the due timers and run
 ///    internal steps until the process is passive;
-/// 2. call [`Process::barrier`], which makes every WAL append of the wake
+/// 2. take the frames the process coalesced over the wake
+///    ([`Process::release_frames`]: one per peer), then call
+///    [`Process::barrier`], which makes every WAL append of the wake
 ///    durable at once;
 /// 3. hand the wake's outputs to the sink;
 /// 4. deliver the wake's frames to the peers.
@@ -486,14 +520,16 @@ fn replica_loop<P>(
         };
     }
 
-    /// Ends a wake (steps 2–4). If the process is down once the barrier
-    /// ran, the wake's frames are dropped and its outputs stay
-    /// unreleased: the facts backing them may never have become durable
-    /// (a cursor report for unlogged deliveries would let peers truncate
-    /// history this replica cannot re-derive).
+    /// Ends a wake (steps 2–4). A process that is down releases no
+    /// frames, and if it is down once the barrier ran, the wake's frames
+    /// are dropped and its outputs stay unreleased: the facts backing
+    /// them may never have become durable (a cursor report for unlogged
+    /// deliveries would let peers truncate history this replica cannot
+    /// re-derive).
     macro_rules! release {
         () => {
             if !ctl.is_crashed(id) && !process.has_failed() {
+                process.release_frames(&mut ctx!());
                 process.barrier();
             }
             if ctl.is_crashed(id) || process.has_failed() {

@@ -59,5 +59,5 @@
 mod cluster;
 mod router;
 
-pub use cluster::{LiveCluster, LiveConfig};
+pub use cluster::{LiveCluster, LiveConfig, WakeCounts};
 pub use router::PartitionControl;

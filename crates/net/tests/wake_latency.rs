@@ -3,9 +3,8 @@
 //!
 //! The replicas are the one-group `GroupedReplica` hosts the server
 //! runs. A weak operation is one wake-up of its home replica and one of
-//! the caller; a strong one adds a broadcast round (a wake-up per hop — the
-//! steps a strong op waits on flush at their end instead of parking
-//! behind the flush-deferral timer). Sequential round trips leave every
+//! the caller; a strong one adds a broadcast round (a wake-up per hop —
+//! each wake's frames leave at its end). Sequential round trips leave every
 //! thread parked between requests, so the medians are what a wake-up
 //! costs: 20 µs and 50 µs on the host this was last measured on, where
 //! strong hops parked behind the timer gave 410 µs, and replicas that

@@ -14,7 +14,8 @@
 //! each connection once — so the response side is as allocation-free
 //! as the request side. No thread sits between a replica's wake and the
 //! socket. [`Server::hop_counts`] reports the serving path's system
-//! calls: WAL writes, reply writes and request reads.
+//! calls — WAL writes, reply writes and request reads — beside the
+//! replica threads' wakes and the peer frames they delivered.
 //!
 //! ## Slow readers
 //!
@@ -81,7 +82,7 @@ use bayou_core::{
     Served, SessionGuard,
 };
 use bayou_data::{DeltaState, KvOp, KvOpView, KvStore};
-use bayou_net::{LiveCluster, LiveConfig};
+use bayou_net::{LiveCluster, LiveConfig, WakeCounts};
 use bayou_storage::{Counted, FileStorage, StoreConfig};
 use bayou_types::{GroupId, LeaseConfig, Level, ReadGuard, ReplicaId, SharedReq, WireView};
 use parking_lot::Mutex;
@@ -199,8 +200,9 @@ impl Default for ServerConfig {
 /// so this bounds what a client that stops reading can cost it.
 const WRITE_TIMEOUT: Duration = Duration::from_millis(100);
 
-/// The serving path's system calls so far, summed over every replica,
-/// connection and restart: the numerator of a per-operation hop ledger.
+/// The serving path's system calls, wakes and peer frames so far, summed
+/// over every replica, connection and restart: the numerator of a
+/// per-operation hop ledger.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HopCounts {
     /// `write(2)` calls that handed WAL appends to the OS.
@@ -209,6 +211,10 @@ pub struct HopCounts {
     pub reply_writes: u64,
     /// `read(2)` calls on client connections.
     pub request_reads: u64,
+    /// Frames a replica put into another replica's mailbox.
+    pub peer_frames: u64,
+    /// Wakes the replica threads ended.
+    pub wakes: u64,
 }
 
 /// The always-on counters behind [`HopCounts`].
@@ -220,11 +226,13 @@ struct Hops {
 }
 
 impl Hops {
-    fn counts(&self) -> HopCounts {
+    fn counts(&self, links: WakeCounts) -> HopCounts {
         HopCounts {
             wal_writes: self.wal_writes.load(Ordering::Relaxed),
             reply_writes: self.reply_writes.load(Ordering::Relaxed),
             request_reads: self.request_reads.load(Ordering::Relaxed),
+            peer_frames: links.peer_frames,
+            wakes: links.wakes,
         }
     }
 }
@@ -500,7 +508,7 @@ impl Server {
     /// The serving path's system calls so far: divide by the operations
     /// answered for a per-operation hop ledger.
     pub fn hop_counts(&self) -> HopCounts {
-        self.shared.hops.counts()
+        self.shared.hops.counts(self.shared.cluster.wake_counts())
     }
 
     /// Crashes a replica: it goes silent, its in-flight ops — in every

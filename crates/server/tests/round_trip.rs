@@ -142,9 +142,10 @@ fn sequential_round_trips_through_a_file_backed_server() {
     )
 }
 
-/// The first slots of the hop ledger: the serving path's system calls
-/// per answered operation — WAL `write(2)`s, reply `write(2)`s and
-/// request `read(2)`s ([`Server::hop_counts`]) — on the file-backed
+/// The hop ledger: the serving path's system calls per answered
+/// operation — WAL `write(2)`s, reply `write(2)`s and request `read(2)`s
+/// — and the replica threads' peer frames and wakes
+/// ([`Server::hop_counts`]), on the file-backed
 /// server, under pipelined loads shaped like the benchmark's: two
 /// connections with two operations in flight each, all weak but every
 /// 100th op (`weak_closed`), every 8th strong (`mixed_closed`), and every
@@ -180,15 +181,21 @@ fn hop_ledger_of_pipelined_loads() {
         let per_op = |calls: u64| calls as f64 / report.oks as f64;
         println!(
             "{name}: {} ops answered; per op: WAL writes {:.2}, reply writes {:.2}, \
-             request reads {:.2}",
+             request reads {:.2}, peer frames {:.2}, wakes {:.2}",
             report.oks,
             per_op(hops.wal_writes),
             per_op(hops.reply_writes),
-            per_op(hops.request_reads)
+            per_op(hops.request_reads),
+            per_op(hops.peer_frames),
+            per_op(hops.wakes)
         );
         assert!(report.oks > 0, "{name}: no op answered");
         assert!(
-            hops.wal_writes > 0 && hops.reply_writes > 0 && hops.request_reads > 0,
+            hops.wal_writes > 0
+                && hops.reply_writes > 0
+                && hops.request_reads > 0
+                && hops.peer_frames > 0
+                && hops.wakes > 0,
             "{name}: {hops:?}"
         );
     }

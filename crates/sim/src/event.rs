@@ -26,6 +26,11 @@ pub(crate) enum EventKind<M, I> {
     /// `CpuFree` is the bounded wake-up that feeds parked events back in,
     /// one per completed handler.
     CpuFree,
+    /// The replica's busy period may have ended: if its CPU is free with
+    /// nothing parked, the frames its handlers held leave now
+    /// (`Process::release_frames`); otherwise the check waits for the CPU
+    /// to free again.
+    Release,
     /// Rebuild the replica's process from the simulator's factory and
     /// start it (crash-recovery restart). The factory typically reopens
     /// the replica's durable storage, so the new incarnation resumes

@@ -6,7 +6,7 @@ use crate::event::{Event, EventKind, EventQueue};
 use crate::metrics::Metrics;
 use crate::network::NetworkConfig;
 use crate::omega::{OmegaOracle, Stability};
-use bayou_types::{Context, Process, ReplicaId, TimerId, Timestamp, VirtualTime};
+use bayou_types::{Context, Process, ReplicaId, TimerId, Timestamp, VirtualTime, WAKE_DRAIN};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -180,6 +180,10 @@ pub struct Sim<P: Process> {
     parked: Vec<std::collections::VecDeque<Event<P::Msg, P::Input>>>,
     /// Whether a `CpuFree` wake-up is already scheduled per replica.
     cpu_wake: Vec<bool>,
+    /// Handlers run since the replica's frames were last released.
+    held: Vec<usize>,
+    /// Whether a `Release` check is already scheduled per replica.
+    release_armed: Vec<bool>,
     metrics: Metrics,
     now: VirtualTime,
     events: u64,
@@ -251,6 +255,8 @@ impl<P: Process> Sim<P> {
             internal_pending: vec![false; n],
             parked: (0..n).map(|_| std::collections::VecDeque::new()).collect(),
             cpu_wake: vec![false; n],
+            held: vec![0; n],
+            release_armed: vec![false; n],
             now: VirtualTime::ZERO,
             events: 0,
             outputs: Vec::new(),
@@ -406,6 +412,7 @@ impl<P: Process> Sim<P> {
             self.parked[i].clear();
             self.internal_pending[i] = false;
             self.cpu_wake[i] = false;
+            self.held[i] = 0;
             self.metrics.restarts += 1;
             ev.kind = EventKind::Start;
         }
@@ -414,8 +421,11 @@ impl<P: Process> Sim<P> {
             if matches!(ev.kind, EventKind::Deliver { .. }) {
                 self.metrics.messages_dropped_crash += 1;
             }
-            if matches!(ev.kind, EventKind::CpuFree) {
-                self.cpu_wake[i] = false;
+            match ev.kind {
+                EventKind::CpuFree => self.cpu_wake[i] = false,
+                // a dead replica's held frames die with it
+                EventKind::Release => self.release_armed[i] = false,
+                _ => {}
             }
             // drop the dead replica's parked backlog, keeping counts
             for pev in self.parked[i].drain(..) {
@@ -424,6 +434,22 @@ impl<P: Process> Sim<P> {
                 }
             }
             return; // crashed replicas execute nothing
+        }
+
+        if matches!(ev.kind, EventKind::Release) {
+            self.release_armed[i] = false;
+            if self.processes[i].has_failed() {
+                // a crash-stopped host's held frames die with it
+            } else if self.cpus[i].free_at(ev.at) && self.parked[i].is_empty() {
+                self.release(r, ev.at);
+            } else {
+                // still busy: check again when the CPU frees
+                let at = self.cpus[i]
+                    .busy_until
+                    .max(ev.at + VirtualTime::from_nanos(1));
+                self.arm_release(r, at);
+            }
+            return;
         }
 
         if matches!(ev.kind, EventKind::CpuFree) {
@@ -511,7 +537,9 @@ impl<P: Process> Sim<P> {
                         self.metrics.internal_steps += 1;
                     }
                 }
-                EventKind::CpuFree => unreachable!("CpuFree handled before dispatch"),
+                EventKind::CpuFree | EventKind::Release => {
+                    unreachable!("CpuFree and Release handled before dispatch")
+                }
                 EventKind::Restart => unreachable!("Restart rewritten to Start above"),
             }
         }
@@ -558,43 +586,7 @@ impl<P: Process> Sim<P> {
         }
 
         // Apply side effects stamped at handler completion time.
-        for (to, msg) in effects.sends {
-            self.metrics.messages_sent += 1;
-            if self.config.net.partitions.separated(r, to, done) {
-                self.metrics.messages_dropped_partition += 1;
-                continue;
-            }
-            if to == r {
-                // loopback: immune to partitions, loss and duplication
-                self.queue
-                    .push(done, to, EventKind::Deliver { from: r, msg });
-                continue;
-            }
-            if self.config.net.sample_loss(done, &mut self.net_rng) {
-                self.metrics.messages_dropped_loss += 1;
-                continue;
-            }
-            if self.config.net.sample_duplicate(done, &mut self.net_rng) {
-                // the duplicate takes an independently sampled delay, so
-                // the two copies may arrive in either order
-                self.metrics.messages_duplicated += 1;
-                let delay = self.config.net.sample_link_delay(r, to, &mut self.net_rng);
-                self.queue.push(
-                    done + delay,
-                    to,
-                    EventKind::Deliver {
-                        from: r,
-                        msg: msg.clone(),
-                    },
-                );
-            }
-            let delay = self.config.net.sample_link_delay(r, to, &mut self.net_rng);
-            self.queue
-                .push(done + delay, to, EventKind::Deliver { from: r, msg });
-        }
-        for (delay, timer) in effects.timers {
-            self.queue.push(done + delay, r, EventKind::Timer { timer });
-        }
+        self.apply(r, effects, done);
         for out in self.processes[i].drain_outputs() {
             self.outputs.push(OutputRecord {
                 time: done,
@@ -610,6 +602,89 @@ impl<P: Process> Sim<P> {
         if !self.parked[i].is_empty() {
             self.ensure_cpu_wake(r);
         }
+        // The handler's frames stay held until its busy period ends, or
+        // leave now if it is the busy period's `WAKE_DRAIN`th handler.
+        self.held[i] += 1;
+        if self.held[i] >= WAKE_DRAIN {
+            self.release(r, done);
+        } else {
+            self.arm_release(r, done);
+        }
+    }
+
+    /// Applies one handler's (or release's) buffered effects at `at`:
+    /// every send goes through the network model (partition, loss,
+    /// duplication, link delay), every timer is armed.
+    fn apply(&mut self, r: ReplicaId, effects: Effects<P::Msg>, at: VirtualTime) {
+        for (to, msg) in effects.sends {
+            self.metrics.messages_sent += 1;
+            if self.config.net.partitions.separated(r, to, at) {
+                self.metrics.messages_dropped_partition += 1;
+                continue;
+            }
+            if to == r {
+                // loopback: immune to partitions, loss and duplication
+                self.queue.push(at, to, EventKind::Deliver { from: r, msg });
+                continue;
+            }
+            if self.config.net.sample_loss(at, &mut self.net_rng) {
+                self.metrics.messages_dropped_loss += 1;
+                continue;
+            }
+            if self.config.net.sample_duplicate(at, &mut self.net_rng) {
+                // the duplicate takes an independently sampled delay, so
+                // the two copies may arrive in either order
+                self.metrics.messages_duplicated += 1;
+                let delay = self.config.net.sample_link_delay(r, to, &mut self.net_rng);
+                self.queue.push(
+                    at + delay,
+                    to,
+                    EventKind::Deliver {
+                        from: r,
+                        msg: msg.clone(),
+                    },
+                );
+            }
+            let delay = self.config.net.sample_link_delay(r, to, &mut self.net_rng);
+            self.queue
+                .push(at + delay, to, EventKind::Deliver { from: r, msg });
+        }
+        for (delay, timer) in effects.timers {
+            self.queue.push(at + delay, r, EventKind::Timer { timer });
+        }
+    }
+
+    /// Schedules a check at `at` for the end of `r`'s busy period, unless
+    /// one is already scheduled.
+    fn arm_release(&mut self, r: ReplicaId, at: VirtualTime) {
+        if !std::mem::replace(&mut self.release_armed[r.index()], true) {
+            self.queue.push(at, r, EventKind::Release);
+        }
+    }
+
+    /// Ends `r`'s busy period at `at`: the frames its handlers held since
+    /// the last release leave, stamped `at`. Every handler they came
+    /// from has passed its barrier. Only a live process gets here.
+    fn release(&mut self, r: ReplicaId, at: VirtualTime) {
+        let i = r.index();
+        if std::mem::take(&mut self.held[i]) == 0 {
+            return;
+        }
+        let mut effects = Effects::default();
+        let mut ctx = SimCtx {
+            id: r,
+            n: self.config.n,
+            now: at,
+            clock: &mut self.clocks[i],
+            rng: &mut self.replica_rngs[i],
+            timer_counter: &mut self.timer_counters[i],
+            omega: &self.omega,
+            crashed: &self.crashed,
+            effects: &mut effects,
+        };
+        self.processes[i].release_frames(&mut ctx);
+        self.metrics.wire_bytes += self.processes[i].take_wire_bytes();
+        self.apply(r, effects, at);
     }
 
     fn ensure_cpu_wake(&mut self, r: ReplicaId) {

@@ -37,7 +37,7 @@ pub use ids::{Dot, GroupId, ReplicaId, ReqId};
 pub use lease::{LeaseConfig, ReadGuard};
 pub use level::Level;
 pub use req::{Req, ReqMeta, SharedReq};
-pub use runtime::{Context, Process, TimerId};
+pub use runtime::{Context, Process, TimerId, WAKE_DRAIN};
 pub use time::{Timestamp, VirtualTime};
 pub use value::Value;
 pub use wire::{BufPool, Wire, WireError, WireReader, WireView};

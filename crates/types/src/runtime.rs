@@ -14,6 +14,14 @@
 use crate::{ReplicaId, Timestamp, VirtualTime};
 use std::fmt;
 
+/// The most handler steps one unit of work runs before the runtime ends
+/// it: a live wake handles at most this many mailbox events, and a
+/// simulated busy period at most this many handlers. Ending a unit is
+/// when the process's coalesced frames leave
+/// ([`Process::release_frames`]), so the bound caps how long a frame
+/// (live: and a reply) waits behind the steps queued after its own.
+pub const WAKE_DRAIN: usize = 64;
+
 /// Identifier of an armed timer, unique per replica.
 ///
 /// # Examples
@@ -140,6 +148,20 @@ pub trait Process {
 
     /// Drains client outputs produced since the last call.
     fn drain_outputs(&mut self) -> Vec<Self::Output>;
+
+    /// Hands the runtime, through `ctx`, every frame the process
+    /// coalesced since the previous call. The runtime calls it once per
+    /// unit of work — the live runtime at the end of each wake, just
+    /// before its [`Process::barrier`]; the simulator when a replica's
+    /// busy period ends (its CPU frees with no parked events) or after
+    /// [`WAKE_DRAIN`] handlers — and never on a crashed or crash-stopped
+    /// process, whose held frames die with it. Frames sent here leave
+    /// under the same write-ahead rule as a handler's: not before the
+    /// barrier covering the handlers that produced them. Processes that
+    /// send from their handlers directly keep the no-op.
+    fn release_frames(&mut self, ctx: &mut dyn Context<Self::Msg>) {
+        let _ = ctx;
+    }
 
     /// The write-ahead barrier: makes durable whatever the handlers
     /// logged since the previous call. Handlers only log; the runtime

@@ -9,9 +9,8 @@
 //!
 //! * **saturation** — open-loop overload of durable replicas (2 µs op
 //!   spacing, 64 keys, 100 µs fsync): 3 and 5 replicas, weak and 1/8
-//!   strong, 10² and 10³ ops, flush deferral on (`defer`) and off
-//!   (`flush`). The 10⁴-op pair is `#[ignore]`d: it takes ~20 s a row
-//!   in a debug build.
+//!   strong, 10², 10³ and 10⁴ ops. The 10⁴-op row is `#[ignore]`d: it
+//!   takes ~20 s in a debug build.
 //! * **sharded** — the same overload hashed over 1 and 4 replication
 //!   groups on 3 hosts, each group's pipeline held to an 8-proposal
 //!   window over 2 ms links.
@@ -44,8 +43,9 @@
 //! complete every op (or quiesce).
 //!
 //! Beside the pins, each family checks the gates its numbers exist to
-//! show: deferral at ≤ 2 msgs/op, 4 groups at ≥ 2× the throughput of
-//! one, lease reads ≥ 5× all-TOB reads at ≤ 1 message each.
+//! show: a saturated busy period's frames at ≤ 2 msgs/op, 4 groups at
+//! ≥ 2× the throughput of one, lease reads ≥ 5× all-TOB reads at ≤ 1
+//! message each.
 //!
 //! A count that moves is a protocol change to review, not a pin to
 //! refresh: the failing test prints the whole table with its rows
@@ -55,7 +55,7 @@
 use bayou_broadcast::{PaxosConfig, PaxosTob, SequencerTob, Tob};
 use bayou_core::{
     recover_grouped_paxos, recover_paxos_replica, BayouCluster, ClusterConfig, Invocation,
-    ProtocolMode, Served, SessionScript, DEFAULT_FLUSH_DELAY,
+    ProtocolMode, Served, SessionScript,
 };
 use bayou_data::{Counter, CounterOp, DeltaState, KvOp, KvStore};
 use bayou_sim::{Metrics, NetworkConfig, SimConfig};
@@ -330,14 +330,12 @@ struct Saturation {
     ops: usize,
     /// Every `strong_every`-th op is strong (0 = weak only).
     strong_every: usize,
-    /// Cross-step flush deferral.
-    deferral: bool,
 }
 
 impl Saturation {
     fn label(self) -> String {
         format!(
-            "saturation/n{}/ops{}/{}/{}",
+            "saturation/n{}/ops{}/{}",
             self.n,
             self.ops,
             if self.strong_every > 0 {
@@ -345,7 +343,6 @@ impl Saturation {
             } else {
                 "weak"
             },
-            if self.deferral { "defer" } else { "flush" },
         )
     }
 
@@ -363,7 +360,6 @@ impl Saturation {
                 factory_disks[id.index()].clone(),
                 durable_store(),
             );
-            r.set_flush_deferral(self.deferral.then_some(DEFAULT_FLUSH_DELAY));
             r.meter_wire_bytes();
             r
         });
@@ -400,31 +396,28 @@ impl Saturation {
     }
 }
 
-/// The saturation rows, each with deferral on and off: 3 replicas at
-/// 10², 10³ and 10⁴ weak ops, and at 10³ ops 5 replicas and a 1/8-strong
-/// mix.
+/// The saturation rows: 3 replicas at 10², 10³ and 10⁴ weak ops, and at
+/// 10³ ops 5 replicas and a 1/8-strong mix.
 fn saturation_grid() -> impl Iterator<Item = Saturation> {
-    [true, false].into_iter().flat_map(|deferral| {
-        let base = Saturation {
-            n: 3,
-            ops: 1_000,
-            strong_every: 0,
-            deferral,
-        };
-        [
-            Saturation { ops: 100, ..base },
-            base,
-            Saturation {
-                ops: 10_000,
-                ..base
-            },
-            Saturation { n: 5, ..base },
-            Saturation {
-                strong_every: 8,
-                ..base
-            },
-        ]
-    })
+    let base = Saturation {
+        n: 3,
+        ops: 1_000,
+        strong_every: 0,
+    };
+    [
+        Saturation { ops: 100, ..base },
+        base,
+        Saturation {
+            ops: 10_000,
+            ..base
+        },
+        Saturation { n: 5, ..base },
+        Saturation {
+            strong_every: 8,
+            ..base
+        },
+    ]
+    .into_iter()
 }
 
 #[test]
@@ -433,16 +426,17 @@ fn saturation_costs_match_the_table() {
         .filter(|s| s.ops <= 1_000)
         .map(Saturation::row)
         .collect();
-    // flush deferral's reason to exist: ≤ 2 msgs/op at n3 with 10³
-    // weak ops, against ~4 with a flush at every step end
-    let (_, deferred) = rows
+    // the frame coalescer's reason to exist: a saturated replica's busy
+    // period sends one frame per peer, so n3 with 10³ weak ops stays at
+    // ≤ 2 msgs/op, against ~4 with a frame set at every step end
+    let (_, weak) = rows
         .iter()
-        .find(|(name, _)| name == "saturation/n3/ops1000/weak/defer")
+        .find(|(name, _)| name == "saturation/n3/ops1000/weak")
         .unwrap();
     assert!(
-        deferred.msgs <= 2_000,
-        "deferral must hold 10³ weak ops to ≤ 2 msgs/op, got {} msgs",
-        deferred.msgs
+        weak.msgs <= 2_000,
+        "a busy period's frames must hold 10³ weak ops to ≤ 2 msgs/op, got {} msgs",
+        weak.msgs
     );
     check(&rows);
 }

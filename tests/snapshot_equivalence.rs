@@ -233,20 +233,20 @@ const PINNED: &[(u32, &str, u64)] = &[
     (2, "g0000-snap-00000001", 0xf3fa01043cd6a2fd),
     (1, "g0000-snap-00000001", 0xdd8bfbe3d888fa6a),
     (0, "g0000-snap-00000001", 0x2d7adc33c166203b),
+    (1, "g0000-snap-00000003", 0x9dd09c03d30b1f42),
     (2, "g0000-snap-00000003", 0x13c4f07980034a25),
-    (1, "g0000-snap-00000003", 0xdc6118731efdb7ce),
     (0, "g0000-snap-00000003", 0xca6980b5223151cb),
+    (2, "g0000-snap-00000005", 0x6bed7e7bd7d12f49),
     (1, "g0000-snap-00000005", 0xaf22a9a496ec2f27),
-    (2, "g0000-snap-00000005", 0x68e56e8a6167aba1),
     (0, "g0000-snap-00000005", 0xbd4280cebc032668),
     (1, "g0000-snap-00000007", 0x9d62f9cb00ff8966),
     (2, "g0000-snap-00000007", 0x94e89e03728e3107),
     (0, "g0000-snap-00000007", 0xa9cb67afa8135c68),
-    (2, "g0000-snap-00000009", 0x9b720f77f882e9d9),
     (1, "g0000-snap-00000009", 0xf817f19c4fbc1ba4),
+    (2, "g0000-snap-00000009", 0x3bbc33735f88bf84),
     (0, "g0000-snap-00000009", 0x24402007924cf346),
-    (2, "g0000-snap-00000011", 0x2bbbd6212aa92472),
     (1, "g0000-snap-00000011", 0xb2ef952e8f18f77f),
+    (2, "g0000-snap-00000011", 0x2bbbd6212aa92472),
     (0, "g0000-snap-00000011", 0x12f1b45143bf5bd9),
     (2, "g0000-snap-00000013", 0xa49409d61fd0d456),
     (0, "g0000-snap-00000013", 0xfe0e0901c52cb960),
@@ -255,44 +255,44 @@ const PINNED: &[(u32, &str, u64)] = &[
     (2, "g0000-snap-00000017", 0x5aad37697c8e2f5a),
     (0, "g0000-snap-00000017", 0x15cd506bfd7a4435),
     (1, "g0000-snap-00000014", 0x39f79e6e602851cf),
-    (2, "g0000-snap-00000019", 0x317260d7a742d75c),
+    (2, "g0000-snap-00000019", 0x8aa0b1bb860f5a82),
     (0, "g0000-snap-00000019", 0xe89f426022a79bdd),
-    (1, "g0000-snap-00000016", 0x25945518a0fbeede),
+    (1, "g0000-snap-00000016", 0x73abe980f5ffc4e3),
     (2, "g0000-snap-00000021", 0xea48085b10f3a76d),
     (0, "g0000-snap-00000021", 0x7c2ab5b3cec7a6f2),
     (1, "g0000-snap-00000018", 0xd62f6aefe9d5a350),
-    (2, "g0000-snap-00000023", 0x026c2a69eb2a0a1a),
+    (2, "g0000-snap-00000023", 0xfd766991c7185e4c),
     (0, "g0000-snap-00000023", 0x28a30f4f6558ffd1),
     (1, "g0000-snap-00000020", 0xee2e2f687f0abda8),
-    (2, "g0000-snap-00000025", 0xae90b91686ce759b),
+    (2, "g0000-snap-00000025", 0x8207434463da6335),
     (0, "g0000-snap-00000025", 0x883ad1c183c0feb4),
     (1, "g0000-snap-00000022", 0xbf0bcdc5fbb54f44),
-    (2, "g0000-snap-00000027", 0xd8e03a4e97e219d7),
+    (2, "g0000-snap-00000027", 0x52369c4093ccef58),
     (0, "g0000-snap-00000027", 0x3a88295b854b28c6),
-    (1, "g0000-snap-00000024", 0x9566474059fc4379),
-    (2, "g0000-snap-00000029", 0x0dc684b8edd4d1af),
+    (1, "g0000-snap-00000024", 0x6738c7b5e8786812),
+    (2, "g0000-snap-00000029", 0x4491735f03d671e0),
     (0, "g0000-snap-00000029", 0x9c1bc989d7bf45de),
-    (1, "g0000-snap-00000026", 0x0e7ad3399e2a9355),
+    (1, "g0000-snap-00000026", 0x8bdeacbd2cace524),
     (0, "g0000-snap-00000031", 0xe248bf23ffa63233),
     (1, "g0000-snap-00000028", 0xf2a7ffd6f3a9974d),
     (0, "g0000-snap-00000033", 0xefca381e505dd021),
     (1, "g0000-snap-00000030", 0xb68e9cfb6f3f716a),
     (0, "g0000-snap-00000035", 0xbccbd9d568f63db9),
     (2, "g0000-snap-00000001", 0xc60aa45b1a7766bd),
-    (2, "g0000-snap-00000003", 0x5a5d0065912b6cd6),
     (1, "g0000-snap-00000032", 0x03afbb6c31765fd6),
+    (2, "g0000-snap-00000003", 0x5a5d0065912b6cd6),
     (0, "g0000-snap-00000037", 0x3154221a983e8552),
-    (1, "g0000-snap-00000034", 0x18fb33f644f020b3),
+    (1, "g0000-snap-00000034", 0x21000c6f2da7b5d2),
     (2, "g0000-snap-00000005", 0x410036cd7b7a1552),
     (0, "g0000-snap-00000039", 0xca8a4d45290b5ebb),
     (1, "g0000-snap-00000036", 0x2c8c065ec8887676),
-    (2, "g0000-snap-00000007", 0xa487a671a255a51f),
+    (2, "g0000-snap-00000007", 0x31fd5350e0644170),
     (0, "g0000-snap-00000041", 0xbadd29e031739c64),
+    (2, "g0000-snap-00000009", 0x15672214ca3cd60a),
     (1, "g0000-snap-00000038", 0x75dc8bc3be3f1828),
-    (2, "g0000-snap-00000009", 0x4d61e981aae55483),
     (0, "g0000-snap-00000043", 0x275fc64daa03c32c),
-    (2, "g0000-snap-00000011", 0x2d1fd53140b497b4),
-    (1, "g0000-snap-00000040", 0xd5921257e12940e7),
+    (2, "g0000-snap-00000011", 0x470b4f6360e669d6),
+    (1, "g0000-snap-00000040", 0x8c6ef38aee70cac5),
 ];
 
 #[test]
@@ -323,15 +323,15 @@ fn every_snapshot_matches_its_pinned_digest() {
 
 /// `(writer, file, digest)` of every snapshot the saturated run writes.
 const PINNED_SATURATED: &[(u32, &str, u64)] = &[
-    (1, "g0000-snap-00000001", 0x1a0a81140c6e1e65),
-    (2, "g0000-snap-00000001", 0x14394246ca08f0db),
-    (0, "g0000-snap-00000001", 0xb31459b5c1d882c0),
-    (1, "g0000-snap-00000003", 0xa560e10bd5c28962),
-    (2, "g0000-snap-00000003", 0xbda14345a029a8a0),
-    (0, "g0000-snap-00000003", 0x58b7c1a949b17492),
-    (1, "g0000-snap-00000005", 0x10fd3d43184ca846),
-    (2, "g0000-snap-00000005", 0xfc819beac177838f),
-    (0, "g0000-snap-00000005", 0x1599b2b344199d13),
+    (1, "g0000-snap-00000001", 0xc2b0a9e8b9a690e5),
+    (2, "g0000-snap-00000001", 0x67a0186691b59f79),
+    (0, "g0000-snap-00000001", 0x8b880654ae51e6e0),
+    (1, "g0000-snap-00000003", 0x1f0c18a5b3ef581a),
+    (2, "g0000-snap-00000003", 0xc90c1701f696b826),
+    (0, "g0000-snap-00000003", 0x8e849d9d420935de),
+    (1, "g0000-snap-00000005", 0xf2d04c7605aff719),
+    (2, "g0000-snap-00000005", 0xa1dc4b88844e5db2),
+    (0, "g0000-snap-00000005", 0xdcf60cdb73e193b0),
 ];
 
 #[test]
