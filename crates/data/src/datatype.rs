@@ -42,7 +42,7 @@ pub trait DataType: 'static {
     /// The operation alphabet `ops(F)`.
     ///
     /// `Sync` because requests are shared (`Arc<Req<Op>>`) across the
-    /// replica threads of the live runtime.
+    /// threads of the live runtime.
     type Op: Clone + Debug + PartialEq + Send + Sync;
 
     /// Human-readable name of the data type (used in reports).

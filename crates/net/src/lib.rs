@@ -3,16 +3,21 @@
 //!
 //! Where `bayou-sim` executes protocols deterministically in virtual
 //! time, this crate runs the *same* [`bayou_types::Process`]
-//! implementations as a real in-process cluster: one OS thread and one
-//! bounded mailbox per replica, and wall-clock timers. A replica sleeps
-//! on its mailbox until an event arrives or its next timer is due; each
-//! wake handles what is queued, makes its WAL appends durable with one
-//! barrier, hands its outputs to the sink and only then puts the frames
-//! it produced straight into its peers' mailboxes, dropping those that
-//! partitions or crash faults cut off. It exists to demonstrate that
-//! the protocol code is runtime-agnostic and to host the
-//! `examples/live_cluster.rs` demo, the server and the wall-clock
-//! benches.
+//! implementations as a real in-process cluster: one bounded mailbox and
+//! one lock per replica, and wall-clock timers. A replica runs on the
+//! thread that brings it work: [`LiveCluster::invoke`] puts the input
+//! into the mailbox and, unless another thread is running the replica
+//! already, runs the replica's wakes right there, then those of every
+//! peer their frames reached — so an idle cluster answers even a strong
+//! op's broadcast round on the caller's thread, with no thread wake-up
+//! per hop. Each replica keeps a thread of its own that sleeps until
+//! the replica's earliest timer. Each wake handles what is queued, makes
+//! its WAL appends durable with one barrier, hands its outputs to the
+//! sink and only then puts the frames it produced straight into its
+//! peers' mailboxes, dropping those that partitions or crash faults cut
+//! off. It exists to demonstrate that the protocol code is
+//! runtime-agnostic and to host the `examples/live_cluster.rs` demo,
+//! the server and the wall-clock benches.
 //!
 //! The Ω failure detector is provided by [`PartitionControl`] (which
 //! knows which replicas are crashed) — replicas read it through

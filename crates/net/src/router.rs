@@ -1,6 +1,6 @@
 //! The fault state of the links: partitions, crashes and the Ω leader.
-//! No thread sits between two replicas: the sender consults this state
-//! itself at the end of each step (`cluster::deliver`).
+//! No thread sits between two replicas: the thread that runs a wake
+//! consults this state itself at the end of it (`Shared::deliver`).
 
 use bayou_types::ReplicaId;
 use parking_lot::Mutex;

@@ -2,13 +2,16 @@
 //! of an in-memory 3-replica cluster, with nothing else to wait for.
 //!
 //! The replicas are the one-group `GroupedReplica` hosts the server
-//! runs. A weak operation is one wake-up of its home replica and one of
-//! the caller; a strong one adds a broadcast round (a wake-up per hop —
-//! each wake's frames leave at its end). Sequential round trips leave every
-//! thread parked between requests, so the medians are what a wake-up
-//! costs: 20 µs and 50 µs on the host this was last measured on, where
-//! strong hops parked behind the timer gave 410 µs, and replicas that
-//! polled their channels every 200 µs gave 183 µs and 2.1 ms.
+//! runs. The caller's `invoke` runs its home replica's wake itself, and
+//! then the wakes of the peers its frames reach: a weak operation is one
+//! wake and the caller's read of the output channel, a strong one adds
+//! a broadcast round, every hop of it on the caller's thread (each
+//! wake's frames leave at its end). Sequential round trips leave every
+//! replica idle between requests, so the medians are what the wakes
+//! cost: 11 µs and 12 µs on the 2-vCPU host this was last measured on
+//! (three runs, alternating), where a replica thread woken per hop gave
+//! 22 µs and 36 µs, strong hops parked behind the timer 410 µs, and
+//! replicas that polled their channels every 200 µs 183 µs and 2.1 ms.
 //!
 //! Timing-sensitive, so `#[ignore]`; CI runs it in release:
 //! `cargo test --release -p bayou-net --test wake_latency -- --ignored`.

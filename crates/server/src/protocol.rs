@@ -215,8 +215,8 @@ pub fn write_frame<T: Wire>(w: &mut impl Write, buf: &mut Vec<u8>, msg: &T) -> i
 }
 
 /// Appends one framed `ResponseMsg { tag, reply: Reply::Ok(value) }` to
-/// `out` without constructing either enum — the reply path, run on the
-/// replica thread, encodes the replica's `Value` in place by reference. Byte-identical
+/// `out` without constructing either enum — the reply path, run in the
+/// replica's wake, encodes the replica's `Value` in place by reference. Byte-identical
 /// to [`encode_frame`] of the owned message (gated by a unit test here
 /// and by `tests/alloc.rs` at steady state).
 pub fn encode_ok_response(out: &mut Vec<u8>, tag: u64, value: &Value) {
@@ -330,6 +330,20 @@ pub fn read_frame(r: &mut impl Read, buf: &mut Vec<u8>) -> io::Result<bool> {
     buf.resize(len, 0);
     r.read_exact(buf)?;
     Ok(true)
+}
+
+/// Whether `buffered` — the unread bytes of a buffered reader — starts
+/// with a whole frame, so that [`read_frame`] would take it without a
+/// `read(2)`. The server's reader drives the replicas its requests went
+/// to before any read that could block.
+pub fn holds_frame(buffered: &[u8]) -> bool {
+    match buffered.get(..4) {
+        Some(len) => {
+            let len = u32::from_le_bytes([len[0], len[1], len[2], len[3]]) as usize;
+            len <= MAX_FRAME && buffered.len() - 4 >= len
+        }
+        None => false,
+    }
 }
 
 /// Maps a codec error into the [`io::Error`] the serving path reports.
@@ -516,6 +530,19 @@ mod tests {
                 assert!(!read_frame(&mut reader, &mut frame).unwrap(), "clean EOF");
             }
         }
+    }
+
+    #[test]
+    fn holds_frame_tells_a_whole_buffered_frame_from_a_part() {
+        let mut wire = Vec::new();
+        encode_frame(&mut wire, &Request::Ping { tag: 9 });
+        let whole = wire.len();
+        encode_frame(&mut wire, &Request::Ping { tag: 10 });
+        for at in 0..=wire.len() {
+            assert_eq!(holds_frame(&wire[..at]), at >= whole, "{at} bytes");
+        }
+        // a hostile length is never waited for
+        assert!(!holds_frame(&u32::MAX.to_le_bytes()));
     }
 
     #[test]

@@ -6,21 +6,28 @@
 //! no allocation per frame on the hot path) and dispatches operations
 //! into the [`LiveCluster`]; it reads through a small buffer
 //! ([`crate::protocol::READ_BUFFER`]), so a burst of pipelined requests
-//! costs one `read(2)`. Replies leave from the replica thread that
-//! produced them, once per wake of that thread: its output sink routes
-//! each response to the owning connection by correlation tag, encodes
-//! the wake's replies per connection into reused buffers through the
-//! borrow path ([`crate::protocol::encode_ok_response`]), and writes
-//! each connection once — so the response side is as allocation-free
-//! as the request side. No thread sits between a replica's wake and the
-//! socket. [`Server::hop_counts`] reports the serving path's system
-//! calls — WAL writes, reply writes and request reads — beside the
-//! replica threads' wakes and the peer frames they delivered.
+//! costs one `read(2)`. The reader queues every request of the buffer
+//! ([`LiveCluster::post`]) and then, before a read that could block,
+//! drives each replica it touched once ([`LiveCluster::drive`]): the
+//! replica's wakes — and its peers', a strong op's whole broadcast
+//! round — run on the reader's own thread unless another thread is
+//! running them already. Replies leave from whichever thread runs the
+//! wake that produced them, once per wake: the replica's output sink
+//! routes each response to the owning connection by correlation tag,
+//! encodes the wake's replies per connection into reused buffers
+//! through the borrow path ([`crate::protocol::encode_ok_response`]),
+//! and writes each connection once — so the response side is as
+//! allocation-free as the request side. No thread hop sits between a
+//! replica's wake and the socket. [`Server::hop_counts`] reports the
+//! serving path's system calls — WAL writes, reply writes and request
+//! reads — beside the replicas' wakes and the peer frames they
+//! delivered.
 //!
 //! ## Slow readers
 //!
-//! A replica thread that writes a reply must not wait on a client: a
-//! replica that stalls stalls its groups' Paxos rounds with it. Every
+//! A wake that writes a reply must not wait on a client: it holds its
+//! replica's lock, and a replica that stalls stalls its groups' Paxos
+//! rounds with it. Every
 //! connection's write half has a short timeout (`WRITE_TIMEOUT`), and
 //! a write that fails or times out shuts the connection down — a
 //! partial frame poisons the stream. A client that stops reading loses
@@ -58,8 +65,8 @@
 //!   one overloaded shard does not shed traffic for the others. With
 //!   one group this is exactly the old server-wide mark.
 //!
-//! Past both gates, the invoke itself can still block briefly on the
-//! replica's bounded input channel — bounded memory end to end.
+//! Past both gates, queuing the op can still block briefly on the
+//! replica's bounded mailbox — bounded memory end to end.
 //!
 //! ## Crash routing
 //!
@@ -73,8 +80,8 @@
 //! [`Server::restart_replica`] brings it back.
 
 use crate::protocol::{
-    encode_ok_response, encode_retry_response, read_frame, write_frame, Reply, ReplyBatch,
-    RequestView, ResponseMsg, READ_BUFFER,
+    encode_ok_response, encode_retry_response, holds_frame, read_frame, write_frame, Reply,
+    ReplyBatch, RequestView, ResponseMsg, READ_BUFFER,
 };
 use bayou_broadcast::{PaxosConfig, PaxosTob};
 use bayou_core::{
@@ -196,8 +203,9 @@ impl Default for ServerConfig {
 }
 
 /// How long a reply may wait for room in a connection's socket buffer
-/// before the connection is given up: a replica thread writes replies,
-/// so this bounds what a client that stops reading can cost it.
+/// before the connection is given up: a wake writes replies under its
+/// replica's lock, so this bounds what a client that stops reading can
+/// cost the replica.
 const WRITE_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// The serving path's system calls, wakes and peer frames so far, summed
@@ -213,7 +221,7 @@ pub struct HopCounts {
     pub request_reads: u64,
     /// Frames a replica put into another replica's mailbox.
     pub peer_frames: u64,
-    /// Wakes the replica threads ended.
+    /// Wakes the replicas ran that handled an event or fired a timer.
     pub wakes: u64,
 }
 
@@ -238,7 +246,7 @@ impl Hops {
 }
 
 /// One connection's server-side state: the write half (stream + reusable
-/// encode buffer behind one lock, so replies from every replica thread
+/// encode buffer behind one lock, so replies from every replica's wakes
 /// and immediate Busy/Pong/Err replies from other threads interleave
 /// whole-frame) and the outstanding-op count.
 struct Conn {
@@ -319,7 +327,8 @@ struct SessionCursor {
 
 /// What a response needs to find its connection: shared by the reader
 /// threads, which register ops, and the cluster's output sink, which
-/// runs on the replica threads and completes them.
+/// completes them under a replica's lock on whichever thread ran the
+/// wake.
 struct Routes {
     /// Outstanding ops by server-global tag, one table per group. Each
     /// table's size is that group's load-shed signal; entries leave on
@@ -378,9 +387,9 @@ impl Server {
         };
         let lease = config.lease;
         let hops = Hops::default();
-        // replies leave from the replica thread that produced them: each
-        // thread's sink routes a wake's responses to their connections
-        // and writes each connection once
+        // replies leave from the thread that ran the wake producing
+        // them: each replica's sink routes a wake's responses to their
+        // connections and writes each connection once
         let routes = Arc::new(Routes {
             pending: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
             sessions: Mutex::new(HashMap::new()),
@@ -599,8 +608,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 }
 
 /// The cluster's output sink, for one response: completes its pending op
-/// and encodes the reply into the wake's buffer for its connection, on
-/// the replica thread that produced it.
+/// and encodes the reply into the wake's buffer for its connection,
+/// under the lock of the replica that produced it.
 fn route_response(
     routes: &Routes,
     gid: GroupId,
@@ -686,27 +695,48 @@ fn reader_loop(shared: Arc<Shared>, stream: TcpStream, conn_id: u64) {
     let reads = Arc::clone(&shared.hops.request_reads);
     let mut stream = BufReader::with_capacity(READ_BUFFER, Counted::new(stream, reads));
     let mut frame = Vec::new();
+    // the replicas this read's requests were queued at: each is driven
+    // once, after the last whole frame the read brought, so the requests
+    // share its wakes
+    let mut touched: Vec<ReplicaId> = Vec::new();
     while !shared.stop.load(Ordering::SeqCst) {
+        if !holds_frame(stream.buffer()) {
+            // the next frame needs a read(2), which may block
+            for replica in touched.drain(..) {
+                shared.cluster.drive(replica);
+            }
+        }
         match read_frame(&mut stream, &mut frame) {
             Ok(true) => {}
             // clean close, I/O error, hostile length: drop the connection
             Ok(false) | Err(_) => break,
         }
-        match RequestView::view_from_bytes(&frame) {
+        let queued_at = match RequestView::view_from_bytes(&frame) {
             // a malformed frame poisons the stream; close it
             Err(_) => break,
-            Ok(RequestView::Ping { tag }) => conn.reply(tag, Reply::Pong),
+            Ok(RequestView::Ping { tag }) => {
+                conn.reply(tag, Reply::Pong);
+                None
+            }
             Ok(RequestView::Op { tag, level, op }) => {
                 handle_op(&shared, &conn, conn_id, tag, level, op, None)
             }
             Ok(RequestView::GuardedOp { tag, guard, op }) => {
                 handle_op(&shared, &conn, conn_id, tag, Level::Weak, op, Some(guard))
             }
+        };
+        if let Some(replica) = queued_at.filter(|r| !touched.contains(r)) {
+            touched.push(replica);
         }
+    }
+    for replica in touched {
+        shared.cluster.drive(replica);
     }
     conn.close();
 }
 
+/// Answers an op at once (shed, or no replica to take it) or queues it
+/// at a replica, returning which: the caller drives that replica.
 fn handle_op(
     shared: &Shared,
     conn: &Arc<Conn>,
@@ -715,14 +745,14 @@ fn handle_op(
     level: Level,
     op: KvOpView<'_>,
     guard: Option<ReadGuard>,
-) {
+) -> Option<ReplicaId> {
     // route on the borrowed key, before the op is promoted to owned
     let gid = shared.router.route(op.key());
     // per-connection window: pipelining is bounded, overload is typed
     if conn.inflight.load(Ordering::SeqCst) >= shared.window {
         shared.shed[gid.index()].fetch_add(1, Ordering::Relaxed);
         conn.reply(client_tag, Reply::Busy);
-        return;
+        return None;
     }
     let read_only = op.is_read_only();
     // with leases armed, strong reads go to the presumed leaseholder
@@ -736,7 +766,7 @@ fn handle_op(
     };
     let Some(replica) = picked else {
         conn.reply(client_tag, Reply::Err("no live replica".into()));
-        return;
+        return None;
     };
     // a guarded read carries its session's floors (the server-side
     // cursor raises the client's); a guarded write registers for a
@@ -773,7 +803,7 @@ fn handle_op(
             drop(pending);
             shared.shed[gid.index()].fetch_add(1, Ordering::Relaxed);
             conn.reply(client_tag, Reply::Busy);
-            return;
+            return None;
         }
         let tag = shared.next_tag.fetch_add(1, Ordering::SeqCst);
         conn.inflight.fetch_add(1, Ordering::SeqCst);
@@ -788,14 +818,15 @@ fn handle_op(
         );
         tag
     };
-    // outside the pending lock: a full replica input channel blocks here
+    // outside the pending lock: a full replica mailbox blocks here
     // (bounded memory), and the pending entry is already in place for
     // the replica's reply
     let mut inv = Invocation::new(op.into_owned(), level).with_tag(tag);
     if let Some(sg) = session_guard {
         inv = inv.with_guard(sg);
     }
-    shared.cluster.invoke(replica, (gid, inv));
+    shared.cluster.post(replica, (gid, inv));
+    Some(replica)
 }
 
 #[cfg(test)]

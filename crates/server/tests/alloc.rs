@@ -141,7 +141,7 @@ fn response_encode_path() {
     );
 }
 
-/// The replica thread's actual reply path ([`encode_ok_response`]): a
+/// A wake's actual reply path ([`encode_ok_response`]): a
 /// borrowed `Value` — including a `Str`, which the owned path could only
 /// frame by building a `Reply::Ok` around it — encodes into the
 /// connection's reusable write buffer with zero allocations per frame,
@@ -222,7 +222,7 @@ fn borrowed_retry_encode_path() {
     );
 }
 
-/// A replica thread's reply path per wake ([`ReplyBatch`]): the wake's
+/// A replica's reply path per wake ([`ReplyBatch`]): the wake's
 /// replies — `Ok` and `Retry`, to two connections — are encoded into
 /// each connection's buffer and handed over one write per connection.
 /// Once the buffers have grown to a wake's size, a wake allocates

@@ -3,9 +3,9 @@
 //! weak and strong levels, typed load shedding under backpressure, a
 //! replica crash + durable restart mid-run, leased strong reads across a
 //! leader failover, session-guarded follower reads with typed `Retry`
-//! refusals, and the two hazards of replies written by replica threads:
-//! a client that stops reading, and one connection answered by two
-//! replica threads at once.
+//! refusals, and the two hazards of replies written by the replicas'
+//! wakes: a client that stops reading, and one connection answered by
+//! two replicas' wakes at once.
 
 use bayou_data::KvOp;
 use bayou_server::{Client, KvHost, KvReplica, Reply, Server, ServerConfig, Session};
@@ -642,7 +642,7 @@ fn a_client_that_stops_reading_costs_only_its_own_connection() {
 #[test]
 fn replies_from_two_replica_threads_share_one_connection_whole() {
     // leases on: strong gets go to the leader (replica 0) while puts
-    // stay on the connection's home, so two replica threads write
+    // stay on the connection's home, so two replicas' wakes write
     // replies to one socket at once
     let (server, addr) = start(ServerConfig {
         lease: Some(LeaseConfig::new(200_000, 20_000)),

@@ -4,9 +4,10 @@
 //! ones configured as the benchmark runs them.
 //!
 //! A weak operation is one wake-up of the connection's reader thread,
-//! one wake of its home replica — which writes the reply itself, before
-//! it wakes its peers — and one wake-up of the client; a strong one adds
-//! the broadcast round. So
+//! which runs the wake of its home replica itself — writing the reply
+//! before the wake's frames reach the peers — and one wake-up of the
+//! client; a strong one adds the broadcast round, which the reader runs
+//! too when no other thread holds the replicas. So
 //! the medians are the server's fixed cost per operation above
 //! `crates/net/tests/wake_latency.rs`. Connection `i` is homed on
 //! replica `i`: the first on the leader, the second on a follower. Since
@@ -19,7 +20,9 @@
 //! and the sockets); in a later set, weak 53 µs and strong 81 µs, and
 //! strong from the follower's connection 96 µs (108 µs while it waited
 //! for the leader's `Decide`). Each bound is twice the median it was set
-//! from.
+//! from. Once the reader ran the wakes itself, with no replica thread to
+//! wake per hop, one run gave weak 20 µs, strong 18 µs and strong from
+//! the follower 19 µs (file-backed: 17, 14 and 15 µs).
 //!
 //! Timing-sensitive, so `#[ignore]`; CI runs it in release:
 //! `cargo test --release -p bayou-server --test round_trip -- --ignored`.
@@ -118,7 +121,7 @@ fn sequential_round_trips_through_the_server() {
 /// benchmark runs them: records are written every step but fsynced only
 /// at segment and snapshot boundaries (`sync_every_record: false`), a
 /// snapshot every 1024 commits. What this adds over the in-memory server
-/// is the store's CPU on the replica threads and one `write(2)` per
+/// is the store's CPU in the replicas' wakes and one `write(2)` per
 /// replica wake. Medians of ten runs on the 2-vCPU host, when the store stopped
 /// mirroring the replica and began writing once per step: weak 46.9 µs,
 /// strong 72.9 µs, strong from a follower 90.0 µs (the in-memory server
@@ -144,7 +147,7 @@ fn sequential_round_trips_through_a_file_backed_server() {
 
 /// The hop ledger: the serving path's system calls per answered
 /// operation — WAL `write(2)`s, reply `write(2)`s and request `read(2)`s
-/// — and the replica threads' peer frames and wakes
+/// — and the replicas' peer frames and wakes
 /// ([`Server::hop_counts`]), on the file-backed
 /// server, under pipelined loads shaped like the benchmark's: two
 /// connections with two operations in flight each, all weak but every

@@ -28,6 +28,15 @@ impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         self.0.lock().unwrap_or_else(|e| e.into_inner())
     }
+
+    /// Acquires the lock if no one holds it, ignoring poisoning.
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        match self.0.try_lock() {
+            Ok(guard) => Some(guard),
+            Err(std::sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
+            Err(std::sync::TryLockError::WouldBlock) => None,
+        }
+    }
 }
 
 impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
@@ -76,6 +85,15 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
         assert_eq!(m.into_inner(), 2);
+    }
+
+    #[test]
+    fn try_lock_fails_only_while_held() {
+        let m = Mutex::new(1);
+        let held = m.lock();
+        assert!(m.try_lock().is_none());
+        drop(held);
+        assert_eq!(m.try_lock().map(|g| *g), Some(1));
     }
 
     #[test]

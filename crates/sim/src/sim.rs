@@ -472,7 +472,13 @@ impl<P: Process> Sim<P> {
         // saturated replica must not re-cycle its whole backlog through
         // the event heap after every handler. (Internal polls stay in the
         // heap: they collapse into a single pending poll instead.)
-        if !self.cpus[i].free_at(ev.at) {
+        // a fresh arrival at the very instant the CPU frees must not run
+        // ahead of the events parked before it: it parks behind them
+        // (a released parked event is older than everything still
+        // parked, so it runs)
+        let behind_parked = !matches!(ev.kind, EventKind::Internal)
+            && self.parked[i].front().is_some_and(|f| f.seq < ev.seq);
+        if behind_parked || !self.cpus[i].free_at(ev.at) {
             let resume = self.cpus[i].busy_until;
             if matches!(ev.kind, EventKind::Internal) {
                 // collapse redundant internal polls

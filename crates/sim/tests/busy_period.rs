@@ -117,9 +117,8 @@ fn no_frame_leaves_before_its_handlers_barrier_and_a_busy_period_releases_once()
             (ms(10) + step(u64::from(burst)), 36),
         ]
     );
-    // one frame per input
-    let mut got: Vec<u32> = report.outputs.iter().map(|o| o.output).collect();
-    got.sort_unstable();
+    // one frame per input, in the order the inputs arrived
+    let got: Vec<u32> = report.outputs.iter().map(|o| o.output).collect();
     assert_eq!(got, (0..4 + burst).collect::<Vec<_>>());
     assert_eq!(report.metrics.timers_fired, 0);
 }
@@ -141,4 +140,25 @@ fn a_host_that_crash_stops_mid_busy_period_releases_none_of_its_held_frames() {
     assert!(sim.process(ReplicaId::new(0)).releases.is_empty());
     assert_eq!(report.metrics.messages_sent, 0);
     assert!(report.outputs.is_empty());
+}
+
+#[test]
+fn an_arrival_at_the_instant_the_cpu_frees_waits_behind_the_parked_events() {
+    // input 0 holds the CPU until 1 ms + 10 µs; input 1 arrives meanwhile
+    // and parks; input 2 arrives at the very instant the CPU frees, and
+    // was scheduled before the wake-up that releases input 1 — it must
+    // still run after input 1
+    let mut sim = holders(
+        SimConfig::new(2, 1),
+        None,
+        &[(ms(1), 1), (ms(1) + us(5), 1), (ms(1) + us(10), 1)],
+    );
+    let report = sim.run();
+    assert!(report.quiescent);
+    assert_eq!(
+        sim.process(ReplicaId::new(0)).releases,
+        [(ms(1) + us(30), 3)]
+    );
+    let got: Vec<u32> = report.outputs.iter().map(|o| o.output).collect();
+    assert_eq!(got, [0, 1, 2]);
 }

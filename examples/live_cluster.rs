@@ -1,5 +1,6 @@
 //! The same Bayou process the server runs, on a real threaded runtime:
-//! one OS thread per replica, channel links, wall-clock timers, and a
+//! one mailbox and lock per replica, wakes run on the invoking thread,
+//! channel links, wall-clock timers, and a
 //! partition injected mid-run. Each replica is a one-group
 //! `GroupedReplica` host, so invocations and responses carry the group
 //! they belong to.

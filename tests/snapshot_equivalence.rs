@@ -323,15 +323,15 @@ fn every_snapshot_matches_its_pinned_digest() {
 
 /// `(writer, file, digest)` of every snapshot the saturated run writes.
 const PINNED_SATURATED: &[(u32, &str, u64)] = &[
-    (1, "g0000-snap-00000001", 0xc2b0a9e8b9a690e5),
-    (2, "g0000-snap-00000001", 0x67a0186691b59f79),
-    (0, "g0000-snap-00000001", 0x8b880654ae51e6e0),
-    (1, "g0000-snap-00000003", 0x1f0c18a5b3ef581a),
-    (2, "g0000-snap-00000003", 0xc90c1701f696b826),
-    (0, "g0000-snap-00000003", 0x8e849d9d420935de),
-    (1, "g0000-snap-00000005", 0xf2d04c7605aff719),
-    (2, "g0000-snap-00000005", 0xa1dc4b88844e5db2),
-    (0, "g0000-snap-00000005", 0xdcf60cdb73e193b0),
+    (1, "g0000-snap-00000001", 0x82a2b9d87057e85f),
+    (2, "g0000-snap-00000001", 0xbb0e0c158d45001b),
+    (0, "g0000-snap-00000001", 0xf52494ca7ca1a907),
+    (1, "g0000-snap-00000003", 0x98eb9390d696f0e4),
+    (2, "g0000-snap-00000003", 0xcb5a4925cca91319),
+    (0, "g0000-snap-00000003", 0xf9b3336ea426ec89),
+    (1, "g0000-snap-00000005", 0x9cdd3df69abd82e6),
+    (2, "g0000-snap-00000005", 0xdf79cb864bd82e67),
+    (0, "g0000-snap-00000005", 0x3a77e4d55e227bfd),
 ];
 
 #[test]
